@@ -30,7 +30,6 @@ from .models import (
     EmitterLine,
     G2Params,
     PhotonicEnvironment,
-    PolarizationScan,
     RadiativeBudget,
     ThreeLevelRates,
 )
@@ -39,10 +38,11 @@ NONCONVERGED_EXIT = 3
 
 
 def _default_seed():
+    text = os.environ.get("SIVCAV_SEED", "0")
     try:
-        return int(os.environ.get("SIVCAV_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise DomainError(f"SIVCAV_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_vector(text, n, flag):
@@ -425,11 +425,8 @@ def cmd_spectra_polarization(args):
     results = {}
     summary = []
     if args.scan:
-        scan_doc = np.loadtxt(args.scan, delimiter=",", comments="#", ndmin=2)
-        if scan_doc.shape[1] != 2:
-            raise InputFormatError(args.scan, 0, "expected two columns angle_deg,counts")
+        scan = spectra.load_polarization_scan(args.scan)
         files[args.scan] = report.file_sha256(args.scan)
-        scan = PolarizationScan(scan_doc[:, 0], scan_doc[:, 1])
         fit = fitting.fit_cos2(scan)
         results.update(
             {
@@ -591,9 +588,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser reads SIVCAV_SEED for its defaults, so building it can fail
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as err:
         return report.emit_error("validation", str(err), err.violations)

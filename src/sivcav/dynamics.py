@@ -11,6 +11,11 @@ always computed from the generator spectrum (matrix exponential fallback for
 degenerate eigenvalues), never from a hand-derived closed form. For distinct
 relaxation eigenvalues the spectral decomposition is exactly the
 two-exponential form held by G2Params.
+
+The spectrum is computed stacked over pump powers: the generators of all
+powers go through one eigendecomposition and one steady-state solve, and a
+single rate set is the size-1 case. Each power keeps its own validity checks,
+so a power without a two-exponential form never fails the others.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -130,57 +135,152 @@ class ZeroPowerFit:
     fit: fitting.FitResult
 
 
+def _generators(k12, k21, k23, k31) -> np.ndarray:
+    """Generators stacked over an array of pump rates k12: shape k12.shape + (3, 3)."""
+    k12 = np.asarray(k12, dtype=float)
+    g = np.empty(k12.shape + (3, 3))
+    g[...] = [[0.0, k21, k31], [0.0, -(k21 + k23), 0.0], [0.0, k23, -k31]]
+    g[..., 0, 0] = -k12
+    g[..., 1, 0] = k12
+    return g
+
+
 def generator(rates: ThreeLevelRates) -> np.ndarray:
     """Column-stochastic rate matrix G with dp/dt = G p for p = (p1, p2, p3)."""
-    k12, k21, k23, k31 = rates.k12, rates.k21, rates.k23, rates.k31
-    return np.array(
-        [
-            [-k12, k21, k31],
-            [k12, -(k21 + k23), 0.0],
-            [0.0, k23, -k31],
-        ]
-    )
+    return _generators(rates.k12, rates.k21, rates.k23, rates.k31)
+
+
+def _solve_e1(a):
+    """x with a x = e1 for each matrix of a stack (..., 3, 3)."""
+    # a one-column right-hand side per matrix means the same under every
+    # numpy version's solve broadcasting rules
+    b = np.zeros(a.shape[:-1] + (1,))
+    b[..., 0, 0] = 1.0
+    return np.linalg.solve(a, b)[..., 0]
+
+
+def _steady_states(g):
+    """Stationary populations of each generator in a stack (..., 3, 3)."""
+    a = g.copy()
+    a[..., 0, :] = 1.0  # replace one balance row by the normalization constraint
+    p = np.maximum(_solve_e1(a), 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def steady_state(rates: ThreeLevelRates) -> np.ndarray:
     """Stationary populations (p1, p2, p3): the normalized kernel of G."""
-    a = generator(rates).copy()
-    a[0, :] = 1.0  # replace one balance row by the normalization constraint
-    b = np.array([1.0, 0.0, 0.0])
-    p = np.linalg.solve(a, b)
-    return np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()
+    return _steady_states(generator(rates))
+
+
+def _pump_rates(rates: ThreeLevelRates, pump: PumpModel, powers) -> np.ndarray:
+    """k12 = sigma * P per power; a k12 that ThreeLevelRates rejects raises
+    its ValidationError, for the first such power."""
+    k12 = pump.k12(powers)
+    bad = np.flatnonzero(~(np.isfinite(k12) & (k12 >= 0.0)))
+    if bad.size:
+        replace(rates, k12=float(k12[bad[0]]))
+    return k12
+
+
+# reasons a stacked row has no usable spectrum, in the order the checks run
+_VALID, _BAD_RATES, _NO_DYNAMICS, _COMPLEX, _NO_POPULATION, _NEGATIVE_A = range(6)
+_REASONS = {
+    _BAD_RATES: "rates must be finite with k12 >= 0, k21 > 0, k23 >= 0 and k31 > 0",
+    _NO_DYNAMICS: "generator has no relaxation dynamics",
+    _COMPLEX: (
+        "complex relaxation eigenvalues: the rate set does not describe "
+        "an incoherent three-level cascade (check the input rates)"
+    ),
+    _NO_POPULATION: "steady-state excited population vanishes (k12 = 0)",
+    _NEGATIVE_A: "negative bunching amplitude a = {a:.3g} (unphysical input)",
+}
+
+
+class _Spectra(NamedTuple):
+    """Relaxation spectra of generators stacked over pump rates, one row each.
+
+    g2(t) = 1 + c_fast e^(lam_fast t) + c_slow e^(lam_slow t) with c_slow = a
+    and c_fast = -(1 + a). ``a`` is the raw slow-mode amplitude and is NaN on
+    rows that never reach the eigenvector solve (invalid or degenerate ones).
+    ``invalid`` holds a reason code from _REASONS, _VALID where the row passed.
+    """
+
+    lam_fast: np.ndarray
+    lam_slow: np.ndarray
+    a: np.ndarray
+    p2ss: np.ndarray
+    degenerate: np.ndarray
+    invalid: np.ndarray
+
+    def raise_invalid(self, i):
+        raise DomainError(_REASONS[self.invalid[i]].format(a=float(self.a[i])))
+
+
+def _rows(mask):
+    """Index of the True entries of mask: a view-making slice when all are."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _relaxation_spectra(k12, k21, k23, k31) -> _Spectra:
+    """Spectra for an array of pump rates k12 with scalar k21, k23, k31.
+
+    One stacked eig and two stacked solves; the row checks are those of the
+    per-rate-set computation, in the same order. Rows that fail a check never
+    reach a later solve, so one bad row cannot fail the whole stack.
+    """
+    k12 = np.array(k12, dtype=float, ndmin=1)
+    n = k12.size
+    values = np.full((4, n), np.nan)  # lam_fast, lam_slow, a, p2ss
+    degenerate = np.zeros(n, dtype=bool)
+    invalid = np.full(n, _BAD_RATES, dtype=np.int8)
+    rates_ok = all(math.isfinite(k) for k in (k21, k23, k31)) and k21 > 0 and k23 >= 0 and k31 > 0
+    rows = _rows(np.isfinite(k12) & (k12 >= 0.0) & rates_ok)
+
+    g = _generators(k12[rows], k21, k23, k31)
+    w, v = np.linalg.eig(g)
+    scale = np.abs(w).max(axis=-1, initial=0.0)
+    is_complex = np.abs(w.imag).max(axis=-1, initial=0.0) > 1e-9 * scale
+    w, v = w.real, v.real
+    order = np.argsort(np.abs(w), axis=-1)  # zero, slow, fast
+    each = np.arange(w.shape[0])
+    slow, fast = w[each, order[:, 1]], w[each, order[:, 2]]
+    p2 = _steady_states(g)[:, 1]
+    code = np.zeros(w.shape[0], dtype=np.int8)
+    code[p2 <= 0.0] = _NO_POPULATION  # checks assigned last to first: the first failing one wins
+    code[is_complex] = _COMPLEX
+    code[scale == 0.0] = _NO_DYNAMICS
+    deg = (code == _VALID) & (
+        np.abs(fast - slow) <= DEGENERACY_RTOL * np.maximum(np.abs(fast), np.abs(slow))
+    )
+
+    solved = _rows((code == _VALID) & ~deg)
+    v_solved = v[solved]
+    alpha = _solve_e1(v_solved)
+    k_slow = order[solved, 1]
+    each = np.arange(k_slow.size)
+    c_slow = np.full(w.shape[0], np.nan)
+    c_slow[solved] = v_solved[each, 1, k_slow] * alpha[each, k_slow] / p2[solved]
+    code[c_slow < -1e-9] = _NEGATIVE_A
+
+    values[:, rows] = (fast, slow, c_slow, p2)
+    degenerate[rows], invalid[rows] = deg, code
+    return _Spectra(*values, degenerate, invalid)
 
 
 def _relaxation_spectrum(rates: ThreeLevelRates):
-    """Nonzero eigenvalues of G and the g2 expansion coefficients.
+    """Nonzero eigenvalues of G and the g2 expansion coefficients of one rate set.
 
-    Returns (lam_fast, lam_slow, a, p2ss, degenerate) where g2(t) =
-    1 + c_fast e^(lam_fast t) + c_slow e^(lam_slow t) with c_slow = a and
-    c_fast = -(1 + a); `degenerate` flags nearly equal eigenvalues.
+    Returns (lam_fast, lam_slow, a, p2ss, degenerate), the size-1 case of
+    _relaxation_spectra. A negative amplitude is returned, not rejected:
+    only the two-exponential parametrization rejects it.
     """
-    g = generator(rates)
-    w, v = np.linalg.eig(g)
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        raise DomainError("generator has no relaxation dynamics")
-    if np.max(np.abs(w.imag)) > 1e-9 * scale:
-        raise DomainError(
-            "complex relaxation eigenvalues: the rate set does not describe "
-            "an incoherent three-level cascade (check the input rates)"
-        )
-    w = w.real
-    v = v.real
-    order = np.argsort(np.abs(w))
-    k_zero, k_slow, k_fast = order[0], order[1], order[2]
-    p2ss = float(steady_state(rates)[1])
-    if p2ss <= 0.0:
-        raise DomainError("steady-state excited population vanishes (k12 = 0)")
-    alpha = np.linalg.solve(v, np.array([1.0, 0.0, 0.0]))
-    c_slow = float(v[1, k_slow] * alpha[k_slow]) / p2ss
-    lam_fast = float(w[k_fast])
-    lam_slow = float(w[k_slow])
-    degenerate = abs(lam_fast - lam_slow) <= DEGENERACY_RTOL * max(abs(lam_fast), abs(lam_slow))
-    return lam_fast, lam_slow, c_slow, p2ss, degenerate
+    s = _relaxation_spectra(rates.k12, rates.k21, rates.k23, rates.k31)
+    if s.invalid[0] not in (_VALID, _NEGATIVE_A):
+        s.raise_invalid(0)
+    return (
+        float(s.lam_fast[0]), float(s.lam_slow[0]), float(s.a[0]),
+        float(s.p2ss[0]), bool(s.degenerate[0]),
+    )
 
 
 def g2_analytic(rates: ThreeLevelRates, delays) -> G2Curve:
@@ -204,12 +304,45 @@ def g2_analytic(rates: ThreeLevelRates, delays) -> G2Curve:
         e_slow = np.exp(lam_slow * at)
         values = (1.0 - e_fast) + a * (e_slow - e_fast)
     else:
-        g = generator(rates)
-        e1 = np.array([1.0, 0.0, 0.0])
-        values = np.empty_like(at)
-        for i, t in enumerate(at):
-            values[i] = (expm(g * t) @ e1)[1] / p2ss
+        # p2(tau | p(0) = e1) is column 0, row 1 of exp(G tau)
+        values = expm(generator(rates) * at[:, None, None])[:, 1, 0] / p2ss
     return G2Curve(delays, np.clip(values, 0.0, None))
+
+
+def _g2_param_arrays(s: _Spectra):
+    """Stacked two-exponential parameters, rows (tau1, tau2, a) by columns of
+    powers, and a mask of the powers where they exist: False where
+    g2_params_from_rates would return None or raise, including where
+    G2Params would reject the values."""
+    with np.errstate(divide="ignore"):
+        params = np.array([-1.0 / s.lam_fast, -1.0 / s.lam_slow, s.a])
+    params[2, params[2] <= 0.0] = 0.0  # also folds round-off negatives and -0.0
+    ok = (
+        (s.invalid == _VALID) & ~s.degenerate
+        & np.isfinite(params).all(axis=0) & (params[:2] > 0.0).all(axis=0)
+    )
+    return params, ok
+
+
+def _g2_params(s: _Spectra) -> list:
+    """G2Params per row (None where degenerate, with a warning); raises the
+    DomainError of the first invalid row."""
+    params, _ = _g2_param_arrays(s)
+    out = []
+    for i in range(s.invalid.size):
+        if s.invalid[i] != _VALID:
+            s.raise_invalid(i)
+        if s.degenerate[i]:
+            warnings.warn(
+                "relaxation eigenvalues are degenerate; no two-exponential "
+                "parametrization exists (sample g2_analytic instead)",
+                DegenerateEigenvaluesWarning,
+                stacklevel=3,
+            )
+            out.append(None)
+        else:
+            out.append(G2Params(*(float(x) for x in params[:, i])))
+    return out
 
 
 def g2_params_from_rates(rates: ThreeLevelRates) -> G2Params | None:
@@ -221,20 +354,7 @@ def g2_params_from_rates(rates: ThreeLevelRates) -> G2Params | None:
     when the eigenvalues are equal to within 1e-6 relative and the form does
     not exist; callers should fall back to sampling g2_analytic.
     """
-    lam_fast, lam_slow, a, _, degenerate = _relaxation_spectrum(rates)
-    if degenerate:
-        warnings.warn(
-            "relaxation eigenvalues are degenerate; no two-exponential "
-            "parametrization exists (sample g2_analytic instead)",
-            DegenerateEigenvaluesWarning,
-            stacklevel=2,
-        )
-        return None
-    if a < -1e-9:
-        raise DomainError(f"negative bunching amplitude a = {a:.3g} (unphysical input)")
-    if a <= 0.0:
-        a = 0.0  # also folds round-off negatives and -0.0
-    return G2Params(-1.0 / lam_fast, -1.0 / lam_slow, a)
+    return _g2_params(_relaxation_spectra(rates.k12, rates.k21, rates.k23, rates.k31))[0]
 
 
 def power_sweep(rates_at_unit_power: ThreeLevelRates, pump: PumpModel, powers) -> PowerSweep:
@@ -246,30 +366,17 @@ def power_sweep(rates_at_unit_power: ThreeLevelRates, pump: PumpModel, powers) -
     powers = np.asarray(powers, dtype=float)
     if powers.size < 1 or np.any(powers <= 0):
         raise DomainError("powers must be positive")
-    params = []
-    for p in powers:
-        r = replace(rates_at_unit_power, k12=float(pump.k12(p)))
-        params.append(g2_params_from_rates(r))
-    return PowerSweep(powers, tuple(params))
+    r = rates_at_unit_power
+    s = _relaxation_spectra(_pump_rates(r, pump, powers), r.k21, r.k23, r.k31)
+    return PowerSweep(powers, tuple(_g2_params(s)))
 
 
 def _sweep_observables(powers, k21, k23, k31, sigma):
-    out = np.empty(3 * len(powers))
-    for i, p in enumerate(powers):
-        try:
-            r = ThreeLevelRates(sigma * p, k21, k23, k31)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateEigenvaluesWarning)
-                g2p = g2_params_from_rates(r)
-        except DomainError:
-            g2p = None
-        if g2p is None:
-            out[i::len(powers)] = np.inf  # reject this parameter point
-        else:
-            out[i] = g2p.tau1
-            out[i + len(powers)] = g2p.tau2
-            out[i + 2 * len(powers)] = g2p.a
-    return out
+    """(tau1..., tau2..., a...) over powers; inf in every slot of a power
+    without a two-exponential form, which rejects the parameter point."""
+    params, ok = _g2_param_arrays(_relaxation_spectra(sigma * np.asarray(powers), k21, k23, k31))
+    params[:, ~ok] = np.inf
+    return params.ravel()
 
 
 def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
@@ -355,12 +462,10 @@ def saturation_curve(
     if not (0.0 <= eta_qe <= 1.0):
         raise DomainError(f"eta_qe must lie in [0, 1], got {eta_qe}")
     powers = np.asarray(powers, dtype=float)
-    rates = np.empty_like(powers)
-    for i, p in enumerate(powers):
-        r = replace(rates_at_unit_power, k12=float(pump.k12(p)))
-        p2 = float(steady_state(r)[1])
-        rates[i] = collection_eff * eta_qe * r.k21 * p2
-    return SaturationCurve(powers, rates)
+    r = rates_at_unit_power
+    g = _generators(_pump_rates(r, pump, powers), r.k21, r.k23, r.k31)
+    p2 = _steady_states(g)[..., 1]
+    return SaturationCurve(powers, collection_eff * eta_qe * r.k21 * p2)
 
 
 def qe_from_saturation(

@@ -324,8 +324,10 @@ def invert_budget(
             "leaves the budget underdetermined)"
         )
     zpl, psb, nr = np.linalg.solve(a, b)
-    rate_scale = max(abs(gamma_cav), abs(gamma_phc), 1.0)
-    clip = 1e-12 * rate_scale
+    # round-off in the solve reaches about eps * cond(A) * |b| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, ch. 7); only negatives
+    # beyond it are inconsistent measurements
+    clip = np.finfo(float).eps * np.linalg.cond(a) * np.linalg.norm(b)
     solution = {"gamma_zpl": zpl, "gamma_psb": psb, "gamma_nr": nr}
     negative = [name for name, v in solution.items() if v < -clip]
     if negative:

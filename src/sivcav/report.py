@@ -17,6 +17,7 @@ from importlib import resources
 import jsonschema
 
 from . import __version__
+from .errors import ValidationError
 
 
 def file_sha256(path) -> str:
@@ -58,12 +59,24 @@ def load_report_schema():
 
 
 def validate_report(report):
-    jsonschema.validate(report, load_report_schema())
+    # the bundled schema itself is checked by the tests, not on every report
+    schema = load_report_schema()
+    jsonschema.validators.validator_for(schema)(schema).validate(report)
 
 
 def emit_report(report, out=None, summary_lines=()):
-    """Write the JSON report to stdout (or a file) and a human summary to stderr."""
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Write the JSON report to stdout (or a file) and a human summary to stderr.
+
+    The report is checked against the schema and must be strict JSON (no NaN
+    or infinity); otherwise ValidationError is raised and nothing is written.
+    """
+    try:
+        validate_report(report)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except jsonschema.ValidationError as err:
+        raise ValidationError([f"report fails its schema: {err.message}"]) from None
+    except ValueError as err:
+        raise ValidationError([f"report is not strict JSON: {err}"]) from None
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -23,7 +23,14 @@ from scipy.signal import find_peaks, peak_widths
 
 from . import fitting, purcell
 from .errors import DomainError, InputFormatError, RankDeficiencyError, ValidationError
-from .models import CavityMode, EmitterLine, PLSpectrum, _check_finite, _raise_if
+from .models import (
+    CavityMode,
+    EmitterLine,
+    PLSpectrum,
+    PolarizationScan,
+    _check_finite,
+    _raise_if,
+)
 
 
 @dataclass(frozen=True)
@@ -409,8 +416,10 @@ def save_spectrum(spectrum: PLSpectrum, path):
             fh.write(f"{float(wl)!r},{float(c)!r}\n")
 
 
-def load_spectrum(path) -> PLSpectrum:
-    wavelengths, counts = [], []
+def _load_two_columns(path, columns, make):
+    """make(first, second) from a two-column CSV with '#' comments; a bad row
+    or values that make rejects raise InputFormatError naming file and line."""
+    first, second = [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -418,18 +427,27 @@ def load_spectrum(path) -> PLSpectrum:
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise InputFormatError(path, lineno, "expected 'wavelength_nm,counts'")
+                raise InputFormatError(path, lineno, f"expected '{columns}'")
             try:
-                wavelengths.append(float(parts[0]))
-                counts.append(float(parts[1]))
+                first.append(float(parts[0]))
+                second.append(float(parts[1]))
             except ValueError:
                 raise InputFormatError(path, lineno, "bad numeric value") from None
-    if not wavelengths:
+    if not first:
         raise InputFormatError(path, 0, "no data rows")
     try:
-        return PLSpectrum(np.asarray(wavelengths), np.asarray(counts))
+        return make(np.asarray(first), np.asarray(second))
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None
+
+
+def load_spectrum(path) -> PLSpectrum:
+    return _load_two_columns(path, "wavelength_nm,counts", PLSpectrum)
+
+
+def load_polarization_scan(path) -> PolarizationScan:
+    """Load an analyzer scan CSV with columns angle_deg,counts."""
+    return _load_two_columns(path, "angle_deg,counts", PolarizationScan)
 
 
 def load_manifest(path):

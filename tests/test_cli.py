@@ -1,9 +1,11 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 from sivcav import cli, dynamics, fitting, montecarlo, report, spectra
+from sivcav.errors import ValidationError
 from sivcav.models import PLSpectrum, ThreeLevelRates
 
 
@@ -333,6 +335,15 @@ class TestSpectraCommands:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "input-format"
 
+    def test_malformed_polarization_scan_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("# angle_deg,counts\n0.0,200.0\n10.0,n/a\n20.0,150.0\n")
+        code, _out, err = run_cli(capsys, "spectra", "polarization", "--scan", str(path))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "input-format"
+        assert "scan.csv:3" in error["message"]
+
     def test_malformed_spectrum_exit_2(self, capsys, tmp_path):
         spec = tmp_path / "bad.csv"
         spec.write_text("720.0,1.0\noops\n")
@@ -380,3 +391,38 @@ class TestReportContract:
         )
         assert code == 0
         assert doc["provenance"]["seed"] == 4242
+
+    def test_malformed_env_seed_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SIVCAV_SEED", "42x")
+        code, out, err = run_cli(
+            capsys, "simulate", "--rates", "100e6,2e9,0.3e9,50e6",
+            "--duration", "1e-4", "--out-stream", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert out is None
+        assert "SIVCAV_SEED" in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_nan_result_exit_2_and_nothing_written(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            cli, "_num", lambda value, units, sigma=None: report.result_entry(float("nan"), units)
+        )
+        out = tmp_path / "report.json"
+        code, printed, err = run_cli(capsys, "purcell", "--scenario", "siv4", "--out", str(out))
+        assert code == 2
+        assert printed is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert "strict JSON" in error["message"]
+        assert not out.exists()
+
+    def test_schema_violation_rejected_before_writing(self, tmp_path):
+        doc = report.build_report("purcell", {"flags": {}, "files": {}}, {"f_p": {"value": 1.0}})
+        out = tmp_path / "report.json"
+        with pytest.raises(ValidationError, match="schema"):
+            report.emit_report(doc, str(out))
+        assert not out.exists()
+
+    def test_bundled_report_schema_is_valid(self):
+        schema = report.load_report_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)

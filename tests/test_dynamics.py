@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from sivcav import dynamics, fitting
-from sivcav.errors import DegenerateEigenvaluesWarning, DomainError
+from sivcav.errors import DegenerateEigenvaluesWarning, DomainError, ValidationError
 from sivcav.models import G2Params, SaturationCurve, ThreeLevelRates
 
 
@@ -17,6 +17,44 @@ def random_rates(rng, allow_zero_k23=False):
     k31 = k21 * rng.uniform(0.01, 0.1)
     k12 = k21 * rng.uniform(0.02, 1.5)
     return ThreeLevelRates(k12, k21, k23, k31)
+
+
+def reference_g2_params(k12, k21, k23, k31):
+    """One 3x3 eig and two solves per rate set, as (tau1, tau2, a), or None
+    where no two-exponential form exists: the reference for the stacked path."""
+    try:
+        r = ThreeLevelRates(k12, k21, k23, k31)
+    except ValidationError:
+        return None
+    g = np.array([[-r.k12, r.k21, r.k31], [r.k12, -(r.k21 + r.k23), 0.0], [0.0, r.k23, -r.k31]])
+    w, v = np.linalg.eig(g)
+    scale = float(np.max(np.abs(w)))
+    if scale == 0.0 or np.max(np.abs(w.imag)) > 1e-9 * scale:
+        return None
+    w, v = w.real, v.real
+    order = np.argsort(np.abs(w))
+    p2ss = reference_steady_state(g)[1]
+    if p2ss <= 0.0:
+        return None
+    lam_fast, lam_slow = float(w[order[2]]), float(w[order[1]])
+    if abs(lam_fast - lam_slow) <= dynamics.DEGENERACY_RTOL * max(abs(lam_fast), abs(lam_slow)):
+        return None
+    alpha = np.linalg.solve(v, np.array([1.0, 0.0, 0.0]))
+    a = float(v[1, order[1]] * alpha[order[1]]) / p2ss
+    if a < -1e-9:
+        return None
+    try:
+        g2p = G2Params(-1.0 / lam_fast, -1.0 / lam_slow, a if a > 0.0 else 0.0)
+    except ValidationError:
+        return None
+    return g2p.tau1, g2p.tau2, g2p.a
+
+
+def reference_steady_state(g):
+    a = g.copy()
+    a[0, :] = 1.0
+    p = np.clip(np.linalg.solve(a, np.array([1.0, 0.0, 0.0])), 0.0, None)
+    return p / p.sum()
 
 
 class TestGenerator:
@@ -139,6 +177,16 @@ class TestG2Params:
         assert curve.values[0] == 0.0
         assert curve.values[-1] == pytest.approx(1.0, abs=1e-3)
 
+    def test_degenerate_branch_matches_per_delay_expm(self):
+        rates = ThreeLevelRates(1e9, 1e9, 1e9, 1e9)
+        tau = np.linspace(0.0, 1e-8, 50)
+        curve = dynamics.g2_analytic(rates, tau)
+        g = dynamics.generator(rates)
+        p2ss = dynamics.steady_state(rates)[1]
+        e1 = np.array([1.0, 0.0, 0.0])
+        loop = np.array([(expm(g * t) @ e1)[1] / p2ss for t in tau])
+        assert np.max(np.abs(curve.values - np.clip(loop, 0.0, None))) <= 1e-14
+
     def test_shelving_amplitude_continuous_as_k23_vanishes(self):
         # a -> 0 with no jump over a log-spaced shelving sweep
         a_values = []
@@ -196,6 +244,110 @@ class TestPowerSweep:
             brute = np.array([(expm(g * t) @ np.array([1.0, 0, 0]))[1] / p2ss for t in tau])
             closed = fitting.g2_model(tau, params.a, params.tau1, params.tau2)
             assert np.max(np.abs(brute - closed)) < 1e-9
+
+
+class TestStackedSpectrum:
+    """The stacked spectrum equals the per-rate-set computation entry by entry."""
+
+    POWERS = np.array([0.15, 0.35, 0.65, 1.0, 1.5, 2.2])
+
+    def parameter_points(self):
+        rng = np.random.default_rng(4711)
+        points = []
+        for _ in range(60):
+            k21 = rng.uniform(1e9, 4e9)
+            f = np.exp(rng.normal(0.0, 1.0, 4))
+            points.append((
+                k21 * f[0],
+                k21 * rng.uniform(0.10, 0.35) * f[1] * rng.choice([1.0, 0.0, 30.0]),
+                k21 * rng.uniform(0.02, 0.08) * f[2] * rng.choice([1.0, 50.0]),
+                k21 * rng.uniform(0.3, 0.8) * f[3],
+            ))
+        points += [
+            (1e9, 1e9, 1e9, 1e9),  # degenerate at 1 mW
+            (4.0, 0.5, 4.0, 0.5),  # degenerate with a singular eigenvector matrix at 1 mW
+            (1.77e8, 2.19e9, 1.97e9, 1.14e8),  # complex eigenvalues at every power
+            (0.0, 3e8, 6e7, 1.5e9),  # k21 = 0
+            (-2e9, 3e8, 6e7, 1.5e9),  # k21 < 0
+            (2e9, 3e8, 6e7, -1.5e9),  # negative sigma
+            (2e9, 3e8, np.nan, 1.5e9),  # k31 not a number
+        ]
+        return points
+
+    def reference_observables(self, k21, k23, k31, sigma):
+        out = np.empty(3 * self.POWERS.size)
+        for i, p in enumerate(self.POWERS):
+            ref = reference_g2_params(sigma * p, k21, k23, k31)
+            out[i::self.POWERS.size] = np.inf if ref is None else ref
+        return out
+
+    def test_sweep_observables_match_per_power_loop(self):
+        kinds = set()
+        for k21, k23, k31, sigma in self.parameter_points():
+            stacked = dynamics._sweep_observables(self.POWERS, k21, k23, k31, sigma)
+            assert np.array_equal(stacked, self.reference_observables(k21, k23, k31, sigma))
+            for i, p in enumerate(self.POWERS):
+                try:
+                    rates = ThreeLevelRates(sigma * p, k21, k23, k31)
+                except ValidationError:
+                    kinds.add("invalid rates")
+                    continue
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", DegenerateEigenvaluesWarning)
+                        g2p = dynamics.g2_params_from_rates(rates)
+                except DegenerateEigenvaluesWarning:
+                    kinds.add("degenerate")
+                    assert np.all(np.isinf(stacked[i::self.POWERS.size]))
+                    continue
+                except DomainError as err:
+                    kinds.add(str(err).split(":")[0].split(" a =")[0])
+                    assert np.all(np.isinf(stacked[i::self.POWERS.size]))
+                    continue
+                assert (g2p.tau1, g2p.tau2, g2p.a) == tuple(stacked[i::self.POWERS.size])
+        assert kinds >= {
+            "invalid rates", "degenerate", "complex relaxation eigenvalues",
+            "negative bunching amplitude",
+        }
+
+    def test_singular_eigenvector_matrix_does_not_fail_the_stack(self):
+        # at 1 mW the generator is defective: the real part of its eigenvector
+        # matrix is singular and np.linalg.solve on it raises LinAlgError
+        g = dynamics.generator(ThreeLevelRates(0.5, 4.0, 0.5, 4.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.linalg.eig(g)[1].real, np.array([1.0, 0.0, 0.0]))
+        out = dynamics._sweep_observables(np.array([0.3, 1.0, 2.0]), 4.0, 0.5, 4.0, 0.5)
+        assert np.isinf(out[1::3]).all()
+        assert np.isfinite(np.delete(out, [1, 4, 7])).all()
+
+    def test_power_sweep_and_saturation_match_per_power_values(self):
+        for k21, k23, k31, sigma in self.parameter_points()[:60]:
+            base = ThreeLevelRates(0.0, k21, k23, k31)
+            pump = dynamics.PumpModel(sigma)
+            refs = [reference_g2_params(sigma * p, k21, k23, k31) for p in self.POWERS]
+            if all(ref is not None for ref in refs):
+                sweep = dynamics.power_sweep(base, pump, self.POWERS)
+                assert [(g.tau1, g.tau2, g.a) for g in sweep.params] == refs
+            curve = dynamics.saturation_curve(base, pump, 0.3, self.POWERS, eta_qe=0.7)
+            loop = [
+                0.3 * 0.7 * k21 * reference_steady_state(
+                    dynamics.generator(ThreeLevelRates(sigma * p, k21, k23, k31))
+                )[1]
+                for p in self.POWERS
+            ]
+            assert curve.rates.tolist() == loop
+
+    def test_power_sweep_degenerate_and_invalid_powers(self):
+        base = ThreeLevelRates(0.0, 1e9, 1e9, 1e9)
+        with pytest.warns(DegenerateEigenvaluesWarning):
+            sweep = dynamics.power_sweep(base, dynamics.PumpModel(1e9), [0.5, 1.0, 2.0])
+        assert sweep.params[1] is None
+        assert sweep.params[0] is not None and sweep.params[2] is not None
+        complex_base = ThreeLevelRates(0.0, 1.77e8, 2.19e9, 1.97e9)
+        with pytest.raises(DomainError, match="complex relaxation eigenvalues"):
+            dynamics.power_sweep(complex_base, dynamics.PumpModel(1.14e8), [0.5, 1.0, 2.0])
+        with pytest.raises(ValidationError, match="k12 is not finite"):
+            dynamics.saturation_curve(base, dynamics.PumpModel(1e9), 0.5, [1.0, np.inf])
 
 
 class TestExtrapolateZeroPower:
