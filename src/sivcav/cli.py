@@ -2,9 +2,9 @@
 
 Subcommands wrap the analysis modules into reproducible runs: JSON reports go
 to stdout (or --out), human summaries to stderr. Exit codes: 0 success,
-2 input/validation error (machine-readable error JSON on stderr), 3 analysis
-non-convergence. The only environment variable honored is SIVCAV_SEED, the
-default random seed.
+2 input/validation error including a bad flag (machine-readable error JSON on
+stderr), 3 analysis non-convergence. The only environment variable honored
+is SIVCAV_SEED, the default random seed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from importlib import resources
 import numpy as np
 
 from . import dynamics, fitting, montecarlo, purcell, report, spectra
+from ._table import write_table
 from .errors import (
     DomainError,
     InfeasibleMeasurementError,
@@ -360,11 +361,14 @@ def cmd_spectra_fit(args):
 
 
 def _manifest_series(args, files):
-    steps = spectra.load_manifest(args.manifest)
-    files[args.manifest] = report.file_sha256(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    for entry in _load_json(args.manifest)["steps"]:
-        path = os.path.join(base, entry["file"])
+    paths = [args.manifest]
+
+    def load(path):
+        paths.append(path)
+        return spectra.load_spectrum(path)
+
+    steps = spectra.load_manifest(args.manifest, load)
+    for path in paths:
         files[path] = report.file_sha256(path)
     seeds = _parse_seed_peaks(args.seeds)
     return spectra.track_modes(steps, seeds)
@@ -455,8 +459,7 @@ def cmd_spectra_polarization(args):
         if args.emit_curves:
             with open(args.emit_curves, "w") as fh:
                 fh.write("# detuning_nm,phi_deg\n")
-                for d, phi in zip(detunings, angles):
-                    fh.write(f"{float(d)!r},{float(phi)!r}\n")
+                write_table(fh, detunings, angles)
         results.update(
             {
                 "phi_first": _num(float(angles[0]), "deg"),
@@ -489,8 +492,20 @@ def _inputs_echo(args, files):
     return {"flags": echo, "files": files}
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting, so that main reports it
+    as error JSON like every other input error."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sivcav",
         description="Emitter-cavity coupling analysis: Purcell rates, photon "
         "statistics simulation, g2/spectral/polarization fitting.",
@@ -592,6 +607,8 @@ def main(argv=None) -> int:
         # the parser reads SIVCAV_SEED for its defaults, so building it can fail
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except _UsageError as err:
+        return report.emit_error("usage", str(err))
     except ValidationError as err:
         return report.emit_error("validation", str(err), err.violations)
     except InputFormatError as err:

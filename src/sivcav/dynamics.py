@@ -26,13 +26,13 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DegenerateEigenvaluesWarning,
     DomainError,
     InfeasibleMeasurementError,
     InputFormatError,
+    ValidationError,
 )
 from .models import (
     G2Curve,
@@ -44,6 +44,7 @@ from .models import (
     _raise_if,
 )
 from . import fitting
+from ._table import read_table, write_table
 
 DEGENERACY_RTOL = 1e-6
 
@@ -304,6 +305,8 @@ def g2_analytic(rates: ThreeLevelRates, delays) -> G2Curve:
         e_slow = np.exp(lam_slow * at)
         values = (1.0 - e_fast) + a * (e_slow - e_fast)
     else:
+        from scipy.linalg import expm  # this branch is its only user
+
         # p2(tau | p(0) = e1) is column 0, row 1 of exp(G tau)
         values = expm(generator(rates) * at[:, None, None])[:, 1, 0] / p2ss
     return G2Curve(delays, np.clip(values, 0.0, None))
@@ -503,46 +506,29 @@ def qe_from_saturation(
 
 
 def save_power_sweep(sweep: PowerSweep, path):
+    kept = [i for i, g in enumerate(sweep.params) if g is not None]
+    g2 = [sweep.params[i] for i in kept]
+    columns = [sweep.powers[kept], np.array([g.tau1 for g in g2]) * 1e9,
+               np.array([g.tau2 for g in g2]) * 1e9, np.array([g.a for g in g2], dtype=float)]
+    if sweep.counts is not None:
+        columns.append(sweep.counts[kept])
     with open(path, "w") as fh:
-        cols = "power_mW,tau1_ns,tau2_ns,a"
-        if sweep.counts is not None:
-            cols += ",rate_cps"
-        fh.write(f"# {cols}\n")
-        for i, (p, g) in enumerate(zip(sweep.powers, sweep.params)):
-            if g is None:
-                continue
-            row = f"{float(p)!r},{g.tau1 * 1e9!r},{g.tau2 * 1e9!r},{g.a!r}"
-            if sweep.counts is not None:
-                row += f",{float(sweep.counts[i])!r}"
-            fh.write(row + "\n")
+        fh.write("# power_mW,tau1_ns,tau2_ns,a" + (",rate_cps\n" if sweep.counts is not None else "\n"))
+        write_table(fh, *columns)
 
 
 def load_power_sweep(path) -> PowerSweep:
-    powers, params, counts = [], [], []
-    have_counts = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) not in (4, 5):
-                raise InputFormatError(path, lineno, "expected 4 or 5 comma-separated columns")
-            try:
-                vals = [float(tok) for tok in parts]
-            except ValueError:
-                raise InputFormatError(path, lineno, "bad numeric value") from None
-            powers.append(vals[0])
-            try:
-                params.append(G2Params(vals[1] * 1e-9, vals[2] * 1e-9, vals[3]))
-            except Exception as err:
-                raise InputFormatError(path, lineno, f"bad g2 parameters: {err}") from None
-            if len(vals) == 5:
-                have_counts = True
-                counts.append(vals[4])
-            else:
-                counts.append(math.nan)
-    if not powers:
+    table = read_table(path, (4, 5), "expected 4 or 5 comma-separated columns")
+    if not table.widths.size:
         raise InputFormatError(path, 0, "no data rows")
-    counts_arr = np.array(counts) if have_counts else None
-    return PowerSweep(np.array(powers), tuple(params), counts_arr)
+    params = []
+    for lineno, tau1, tau2, a in zip(table.lines.tolist(), *table.columns[1:4].tolist()):
+        try:
+            params.append(G2Params(tau1 * 1e-9, tau2 * 1e-9, a))
+        except Exception as err:
+            raise InputFormatError(path, lineno, f"bad g2 parameters: {err}") from None
+    counts = table.columns[4] if np.any(table.widths == 5) else None
+    try:
+        return PowerSweep(table.columns[0], tuple(params), counts)
+    except ValidationError as err:
+        raise InputFormatError(path, 0, str(err)) from None

@@ -14,7 +14,7 @@ names match the constructor arguments and which carries a ``units`` tag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -59,6 +59,28 @@ def _expect_units(doc, expected):
         raise ValidationError([f"units mismatch: expected '{expected}', got '{units}'"])
 
 
+class _Document:
+    """JSON documents of a dataclass: ``to_dict`` gives every field that is not
+    None (arrays and tuples as lists) plus the ``units`` tag; ``from_dict``
+    checks the tag and takes a missing field's default, or raises KeyError
+    for a field without one."""
+
+    def to_dict(self):
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else (
+                    list(value) if isinstance(value, tuple) else value)
+        doc["units"] = self.UNITS
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc):
+        _expect_units(doc, cls.UNITS)
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc or f.default is MISSING})
+
+
 def lifetime_from_rate(rate):
     """Reciprocal conversion rate (Hz) -> lifetime (s)."""
     rate = float(rate)
@@ -76,7 +98,7 @@ def rate_from_lifetime(lifetime):
 
 
 @dataclass(frozen=True)
-class RadiativeBudget:
+class RadiativeBudget(_Document):
     """Intrinsic decay channels of the emitter, in Hz.
 
     gamma_zpl : radiative rate into the zero-phonon line
@@ -124,19 +146,6 @@ class RadiativeBudget:
     @property
     def zpl_fraction(self):
         return self.gamma_zpl / self.gamma_rad
-
-    def to_dict(self):
-        return {
-            "gamma_zpl": self.gamma_zpl,
-            "gamma_psb": self.gamma_psb,
-            "gamma_nr": self.gamma_nr,
-            "units": self.UNITS,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        return cls(doc["gamma_zpl"], doc["gamma_psb"], doc["gamma_nr"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +317,7 @@ class CavityMode:
 
 
 @dataclass(frozen=True, eq=False)
-class EmitterLine:
+class EmitterLine(_Document):
     """A single optical transition of the emitter.
 
     lambda_i    : transition wavelength, nm
@@ -348,27 +357,6 @@ class EmitterLine:
         object.__setattr__(self, "dipole_axis", tuple(float(v) for v in axis))
         object.__setattr__(self, "position", tuple(float(v) for v in pos))
 
-    def to_dict(self):
-        return {
-            "lambda_i": self.lambda_i,
-            "linewidth": self.linewidth,
-            "dipole_axis": list(self.dipole_axis),
-            "position": list(self.position),
-            "label": self.label,
-            "units": self.UNITS,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        return cls(
-            doc["lambda_i"],
-            doc.get("linewidth", 0.0),
-            tuple(doc.get("dipole_axis", (1.0, 0.0, 0.0))),
-            tuple(doc.get("position", (0.0, 0.0, 0.0))),
-            doc.get("label", ""),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, EmitterLine):
             return NotImplemented
@@ -376,7 +364,7 @@ class EmitterLine:
 
 
 @dataclass(frozen=True)
-class PhotonicEnvironment:
+class PhotonicEnvironment(_Document):
     """Photonic surroundings of the emitter.
 
     kind  : one of 'bulk', 'bandgap_only', 'cavity_coupled'
@@ -426,20 +414,9 @@ class PhotonicEnvironment:
     def cavity_coupled(cls, f_cav, f_phc):
         return cls(ENV_CAVITY, f_phc, f_cav)
 
-    def to_dict(self):
-        doc = {"kind": self.kind, "f_phc": self.f_phc, "units": self.UNITS}
-        if self.f_cav is not None:
-            doc["f_cav"] = self.f_cav
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        return cls(doc["kind"], doc.get("f_phc", 1.0), doc.get("f_cav"))
-
 
 @dataclass(frozen=True)
-class ThreeLevelRates:
+class ThreeLevelRates(_Document):
     """Transition rates of the pumped three-level system, in Hz.
 
     k12 : ground -> excited pump rate
@@ -475,23 +452,9 @@ class ThreeLevelRates:
         object.__setattr__(self, "k23", k23)
         object.__setattr__(self, "k31", k31)
 
-    def to_dict(self):
-        return {
-            "k12": self.k12,
-            "k21": self.k21,
-            "k23": self.k23,
-            "k31": self.k31,
-            "units": self.UNITS,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        return cls(doc["k12"], doc["k21"], doc["k23"], doc["k31"])
-
 
 @dataclass(frozen=True)
-class G2Params:
+class G2Params(_Document):
     """Two-exponential parametrization of the intensity correlation,
 
         g2(tau) = 1 - (1 + a) exp(-|tau|/tau1) + a exp(-|tau|/tau2).
@@ -525,17 +488,9 @@ class G2Params:
         object.__setattr__(self, "tau2", t2)
         object.__setattr__(self, "a", a)
 
-    def to_dict(self):
-        return {"tau1": self.tau1, "tau2": self.tau2, "a": self.a, "units": self.UNITS}
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        return cls(doc["tau1"], doc["tau2"], doc["a"])
-
 
 @dataclass(frozen=True, eq=False)
-class G2Curve:
+class G2Curve(_Document):
     """Sampled normalized intensity-correlation function.
 
     delays in seconds (strictly increasing, may be negative), values
@@ -575,29 +530,9 @@ class G2Curve:
     def __len__(self):
         return self.delays.size
 
-    def to_dict(self):
-        doc = {
-            "delays": self.delays.tolist(),
-            "values": self.values.tolist(),
-            "units": self.UNITS,
-        }
-        if self.sigmas is not None:
-            doc["sigmas"] = self.sigmas.tolist()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        sig = doc.get("sigmas")
-        return cls(
-            np.asarray(doc["delays"], dtype=float),
-            np.asarray(doc["values"], dtype=float),
-            None if sig is None else np.asarray(sig, dtype=float),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class PLSpectrum:
+class PLSpectrum(_Document):
     """Photoluminescence spectrum: wavelength (nm) vs intensity (counts)."""
 
     wavelengths: np.ndarray
@@ -625,26 +560,9 @@ class PLSpectrum:
     def __len__(self):
         return self.wavelengths.size
 
-    def to_dict(self):
-        return {
-            "wavelengths": self.wavelengths.tolist(),
-            "intensities": self.intensities.tolist(),
-            "meta": self.meta,
-            "units": self.UNITS,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        return cls(
-            np.asarray(doc["wavelengths"], dtype=float),
-            np.asarray(doc["intensities"], dtype=float),
-            doc.get("meta", ""),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class PolarizationScan:
+class PolarizationScan(_Document):
     """Detected intensity versus analyzer angle (degrees)."""
 
     angles: np.ndarray
@@ -670,24 +588,9 @@ class PolarizationScan:
         """Angles folded into one polarization period [0, 180) degrees."""
         return np.mod(self.angles, 180.0)
 
-    def to_dict(self):
-        return {
-            "angles": self.angles.tolist(),
-            "intensities": self.intensities.tolist(),
-            "units": self.UNITS,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        return cls(
-            np.asarray(doc["angles"], dtype=float),
-            np.asarray(doc["intensities"], dtype=float),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class SaturationCurve:
+class SaturationCurve(_Document):
     """Detected count rate (counts/s) versus excitation power (mW)."""
 
     powers: np.ndarray
@@ -712,21 +615,6 @@ class SaturationCurve:
         _raise_if(bag)
         object.__setattr__(self, "powers", p)
         object.__setattr__(self, "rates", r)
-
-    def to_dict(self):
-        return {
-            "powers": self.powers.tolist(),
-            "rates": self.rates.tolist(),
-            "units": self.UNITS,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        return cls(
-            np.asarray(doc["powers"], dtype=float),
-            np.asarray(doc["rates"], dtype=float),
-        )
 
 
 def validate_model(budget, env):

@@ -11,6 +11,11 @@ Randomness comes from the counter-based Philox generator, so streams are
 bit-reproducible from their seed. Draws are made in fixed per-cycle order
 (pump wait, excited wait, branch coin, shelf wait, detection coin, channel
 coin), vectorized over batches of cycles; unused draws are discarded.
+
+Streams and histograms are stored as CSV through the package's one table
+reader and writer: a stream file is a stable byte format, one row per photon
+with the shortest round-trip repr of its timestamp, so a stream saves to the
+same bytes and loads back to the same floats.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .errors import DomainError, InputFormatError, ValidationError
 from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _check_finite, _raise_if
 
@@ -330,39 +336,15 @@ def save_stream(stream: PhotonStream, path, rates: ThreeLevelRates | None = None
         for key, value in (meta or {}).items():
             fh.write(f"# {key}={value}\n")
         fh.write("# timestamp_s,channel\n")
-        labels = stream.labels()
-        for ts, label in zip(stream.timestamps, labels):
-            fh.write(f"{float(ts)!r},{label}\n")
+        write_table(fh, stream.timestamps, map(CHANNEL_LABELS.__getitem__, stream.channel_tags.tolist()))
 
 
 def load_stream(path):
     """Load a stream CSV. Returns (PhotonStream, metadata dict)."""
-    meta = {}
-    times = []
-    tags = []
-    code = {label: i for i, label in enumerate(CHANNEL_LABELS)}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InputFormatError(path, lineno, "expected 'timestamp_s,channel'")
-            try:
-                times.append(float(parts[0]))
-            except ValueError:
-                raise InputFormatError(path, lineno, "bad timestamp") from None
-            label = parts[1].strip()
-            if label not in code:
-                raise InputFormatError(path, lineno, f"unknown channel {label!r}")
-            tags.append(code[label])
+    codes = {label: i for i, label in enumerate(CHANNEL_LABELS)}
+    table = read_table(path, (2,), "expected 'timestamp_s,channel'", "bad timestamp",
+                       labels={1: (codes, "unknown channel {!r}")})
+    meta = table.meta
     try:
         duration = float(meta["duration_s"])
         seed = int(meta.get("seed", 0))
@@ -370,10 +352,7 @@ def load_stream(path):
         raise InputFormatError(path, 0, "missing or bad '# duration_s=' header") from None
     try:
         stream = PhotonStream(
-            np.asarray(times, dtype=float),
-            np.asarray(tags, dtype=np.uint8),
-            duration,
-            seed,
+            table.columns[0], table.columns[1].astype(np.uint8), duration, seed,
             meta.get("rng", RNG_ALGORITHM),
         )
     except ValidationError as err:
@@ -387,33 +366,16 @@ def save_histogram(hist: HbtHistogram, path):
         fh.write(f"# mode={hist.mode}\n")
         fh.write(f"# normalization={hist.normalization!r}\n")
         fh.write("# tau_s,g2,sigma\n")
-        for tau, g2, sig in zip(curve.delays, curve.values, curve.sigmas):
-            fh.write(f"{float(tau)!r},{float(g2)!r},{float(sig)!r}\n")
+        write_table(fh, curve.delays, curve.values, curve.sigmas)
 
 
 def load_g2_csv(path) -> G2Curve:
     """Load a correlation curve CSV with columns tau_s,g2[,sigma]."""
-    delays, values, sigmas = [], [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) not in (2, 3):
-                raise InputFormatError(path, lineno, "expected 'tau_s,g2[,sigma]'")
-            try:
-                vals = [float(tok) for tok in parts]
-            except ValueError:
-                raise InputFormatError(path, lineno, "bad numeric value") from None
-            delays.append(vals[0])
-            values.append(vals[1])
-            if len(vals) == 3:
-                sigmas.append(vals[2])
-    if not delays:
+    table = read_table(path, (2, 3), "expected 'tau_s,g2[,sigma]'")
+    if not table.widths.size:
         raise InputFormatError(path, 0, "no data rows")
-    sig = np.asarray(sigmas) if len(sigmas) == len(delays) else None
+    sigmas = table.columns[2] if np.all(table.widths == 3) else None
     try:
-        return G2Curve(np.asarray(delays), np.asarray(values), sig)
+        return G2Curve(table.columns[0], table.columns[1], sigmas)
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None

@@ -29,6 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .errors import (
     DomainError,
     InfeasibleMeasurementError,
@@ -46,6 +47,7 @@ from .models import (
     PhotonicEnvironment,
     RadiativeBudget,
     _check_finite,
+    _Document,
     _raise_if,
 )
 
@@ -53,7 +55,7 @@ UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class OverlapFactors:
+class OverlapFactors(_Document):
     """Spectral, orientation and spatial overlap factors, each in [0, 1]."""
 
     r_lambda: float = 1.0
@@ -74,21 +76,9 @@ class OverlapFactors:
     def product(self):
         return self.r_lambda * self.r_mu * self.r_r
 
-    def to_dict(self):
-        return {
-            "r_lambda": self.r_lambda,
-            "r_mu": self.r_mu,
-            "r_r": self.r_r,
-            "units": self.UNITS,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(doc["r_lambda"], doc["r_mu"], doc["r_r"])
-
 
 @dataclass(frozen=True)
-class ModifiedRates:
+class ModifiedRates(_Document):
     """Channel-resolved decay rates in a photonic environment, in Hz.
 
     ``kind`` records which environment produced the budget ('bulk',
@@ -129,17 +119,6 @@ class ModifiedRates:
     @property
     def lifetime(self):
         return 1.0 / self.gamma_total
-
-    def to_dict(self):
-        return {
-            "gamma_total": self.gamma_total,
-            "channel_zpl": self.channel_zpl,
-            "channel_psb": self.channel_psb,
-            "channel_nr": self.channel_nr,
-            "eta_qe": self.eta_qe,
-            "kind": self.kind,
-            "units": self.UNITS,
-        }
 
 
 def ideal_purcell(mode: CavityMode) -> float:
@@ -407,48 +386,36 @@ def save_field_map(field: FieldMap, path):
     with open(path, "w") as fh:
         fh.write(f"# spacing_nm={field.spacing!r}\n")
         fh.write(f"# origin={field.origin[0]!r},{field.origin[1]!r}\n")
-        for row in field.grid:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_table(fh, *field.grid.T)
+
+
+def _header_floats(count, count_error, value_error):
+    """Parser of a header value of ``count`` comma-separated numbers."""
+
+    def parse(text):
+        parts = text.split(",")
+        if len(parts) != count:
+            raise ValueError(count_error)
+        try:
+            return tuple(map(float, parts)) if count > 1 else float(parts[0])
+        except ValueError:
+            raise ValueError(value_error) from None
+
+    return parse
 
 
 def load_field_map(path) -> FieldMap:
-    spacing = None
-    origin = None
-    rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("spacing_nm="):
-                    try:
-                        spacing = float(body.split("=", 1)[1])
-                    except ValueError:
-                        raise InputFormatError(path, lineno, "bad spacing_nm value") from None
-                elif body.startswith("origin="):
-                    parts = body.split("=", 1)[1].split(",")
-                    if len(parts) != 2:
-                        raise InputFormatError(path, lineno, "origin needs two components")
-                    try:
-                        origin = (float(parts[0]), float(parts[1]))
-                    except ValueError:
-                        raise InputFormatError(path, lineno, "bad origin value") from None
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise InputFormatError(path, lineno, "bad amplitude value") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise InputFormatError(path, lineno, "inconsistent row length")
-    if spacing is None:
-        raise InputFormatError(path, 0, "missing '# spacing_nm=' header")
-    if origin is None:
-        raise InputFormatError(path, 0, "missing '# origin=' header")
-    if not rows:
+    table = read_table(
+        path, None, "inconsistent row length", "bad amplitude value",
+        headers={"spacing_nm": _header_floats(1, "bad spacing_nm value", "bad spacing_nm value"),
+                 "origin": _header_floats(2, "origin needs two components", "bad origin value")},
+    )
+    for key in ("spacing_nm", "origin"):
+        if key not in table.meta:
+            raise InputFormatError(path, 0, f"missing '# {key}=' header")
+    if not table.widths.size:
         raise InputFormatError(path, 0, "no amplitude rows")
     try:
-        return FieldMap(np.asarray(rows, dtype=float), spacing, origin)
+        return FieldMap(table.columns.T.copy(), table.meta["spacing_nm"], table.meta["origin"])
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None

@@ -19,9 +19,9 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from . import fitting, purcell
+from ._table import read_table, write_table
 from .errors import DomainError, InputFormatError, RankDeficiencyError, ValidationError
 from .models import (
     CavityMode,
@@ -137,6 +137,52 @@ class EnhancementResult:
     off_area: float
 
 
+def _find_peaks(x, min_prominence):
+    """Prominent local maxima of x as scipy.signal.find_peaks(x, prominence=...)
+    and peak_widths(x, peaks, rel_height=0.5) give them, bit for bit: arrays of
+    peaks, prominences, left and right bases, and widths in samples.
+
+    A peak is the midpoint (rounded down) of a plateau above both neighbors;
+    a base is the lowest sample, the nearest of equal ones, before a higher
+    sample on its side; the width is taken at half the prominence, between
+    crossings interpolated linearly within the bases.
+    """
+    x = np.asarray(x, dtype=float).tolist()
+    n, peaks, rows, i = len(x), [], [], 1
+    while i < n - 1:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < n - 1 and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    for peak in peaks:
+        top, bases = x[peak], []
+        for step, stop in ((-1, -1), (1, n)):
+            k = base = peak
+            while k != stop and x[k] <= top:
+                base = k if x[k] < x[base] else base
+                k += step
+            bases.append(base)
+        left, right = bases
+        prominence = top - max(x[left], x[right])
+        if not prominence >= min_prominence:
+            continue
+        height = top - prominence * 0.5
+        lo = hi = peak
+        while left < lo and height < x[lo]:
+            lo -= 1
+        while hi < right and height < x[hi]:
+            hi += 1
+        lo_ip = lo + (height - x[lo]) / (x[lo + 1] - x[lo]) if x[lo] < height else float(lo)
+        hi_ip = hi - (height - x[hi]) / (x[hi - 1] - x[hi]) if x[hi] < height else float(hi)
+        rows.append((peak, prominence, left, right, hi_ip - lo_ip))
+    columns = list(zip(*rows)) or [()] * 5
+    return tuple(np.array(c, dtype=t) for c, t in zip(columns, (np.intp, float, np.intp, np.intp, float)))
+
+
 def _detect_peaks(spectrum: PLSpectrum, min_prominence_frac=0.02, max_peaks=6):
     """Candidate peaks (center, fwhm) per step.
 
@@ -150,13 +196,12 @@ def _detect_peaks(spectrum: PLSpectrum, min_prominence_frac=0.02, max_peaks=6):
     dyn = float(counts.max() - counts.min())
     if dyn <= 0:
         return []
-    idx, props = find_peaks(counts, prominence=min_prominence_frac * dyn)
+    idx, prominences, _left, _right, widths = _find_peaks(counts, min_prominence_frac * dyn)
     if idx.size == 0:
         return []
     if idx.size > max_peaks:
-        keep = np.argsort(props["prominences"])[::-1][:max_peaks]
-        idx = np.sort(idx[keep])
-    widths = peak_widths(counts, idx, rel_height=0.5)[0]
+        keep = np.sort(np.argsort(prominences)[::-1][:max_peaks])
+        idx, widths = idx[keep], widths[keep]
     dx = float(np.median(np.diff(wl)))
     raw = [(float(wl[i]), max(float(w) * dx, dx)) for i, w in zip(idx, widths)]
     inits = [(c, w, None) for c, w in raw]
@@ -412,31 +457,17 @@ def polarization_mixture(
 def save_spectrum(spectrum: PLSpectrum, path):
     with open(path, "w") as fh:
         fh.write("# wavelength_nm,counts\n")
-        for wl, c in zip(spectrum.wavelengths, spectrum.intensities):
-            fh.write(f"{float(wl)!r},{float(c)!r}\n")
+        write_table(fh, spectrum.wavelengths, spectrum.intensities)
 
 
 def _load_two_columns(path, columns, make):
     """make(first, second) from a two-column CSV with '#' comments; a bad row
     or values that make rejects raise InputFormatError naming file and line."""
-    first, second = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InputFormatError(path, lineno, f"expected '{columns}'")
-            try:
-                first.append(float(parts[0]))
-                second.append(float(parts[1]))
-            except ValueError:
-                raise InputFormatError(path, lineno, "bad numeric value") from None
-    if not first:
+    table = read_table(path, (2,), f"expected '{columns}'")
+    if not table.widths.size:
         raise InputFormatError(path, 0, "no data rows")
     try:
-        return make(np.asarray(first), np.asarray(second))
+        return make(*table.columns)
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None
 
@@ -450,8 +481,8 @@ def load_polarization_scan(path) -> PolarizationScan:
     return _load_two_columns(path, "angle_deg,counts", PolarizationScan)
 
 
-def load_manifest(path):
-    """Load a tuning manifest; returns a list of (step_index, spectrum)."""
+def load_manifest(path, load=load_spectrum):
+    """Load a tuning manifest; returns a list of (step_index, load(spectrum path))."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -467,7 +498,7 @@ def load_manifest(path):
             rel = entry["file"]
         except (TypeError, KeyError):
             raise InputFormatError(path, 0, "each step needs 'index' and 'file'") from None
-        steps.append((index, load_spectrum(os.path.join(base, rel))))
+        steps.append((index, load(os.path.join(base, rel))))
     if not steps:
         raise InputFormatError(path, 0, "manifest lists no steps")
     return steps

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -7,6 +10,8 @@ import pytest
 from sivcav import cli, dynamics, fitting, montecarlo, report, spectra
 from sivcav.errors import ValidationError
 from sivcav.models import PLSpectrum, ThreeLevelRates
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +142,31 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "k23" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["--seed", "abc", "--out-stream", "s.csv"], "argument --seed: invalid int value: 'abc'"),
+        ([], "the following arguments are required: --out-stream"),
+    ])
+    def test_usage_error_exit_2_with_error_json(self, capsys, argv, needle):
+        code, out, err = run_cli(
+            capsys, "simulate", "--rates", "100e6,2e9,0.3e9,50e6", "--duration", "0.001", *argv
+        )
+        assert code == 2
+        assert out is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage"
+        assert error["message"] == f"sivcav simulate: {needle}"
+
+
+def test_cli_import_leaves_scipy_signal_and_linalg_out():
+    """`import sivcav.cli` must not pull in the heavy SciPy subpackages."""
+    code = (
+        "import sys, sivcav.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.linalg') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.fixture

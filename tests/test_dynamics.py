@@ -481,3 +481,19 @@ class TestPowerSweepIO:
 
         with pytest.raises(InputFormatError, match="sweep.csv:3"):
             dynamics.load_power_sweep(path)
+
+    def test_rows_with_and_without_rate(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        from sivcav.errors import InputFormatError
+
+        path.write_text("0.5,0.4,10.0,0.3,1e5\n# a comment\n0.7,0.35,10.0,0.3,2e5\n")
+        sweep = dynamics.load_power_sweep(path)
+        assert sweep.powers.tolist() == [0.5, 0.7]
+        assert sweep.counts.tolist() == [1e5, 2e5]
+        assert sweep.params[1].tau1 == pytest.approx(0.35e-9, rel=1e-15)
+        path.write_text("0.5,0.4,10.0,0.3,1e5\n0.7,0.35,10.0,0.3\n")  # a rate on one row only
+        with pytest.raises(InputFormatError, match="sweep.csv:0: counts contains non-finite"):
+            dynamics.load_power_sweep(path)
+        path.write_text("0.5,0.4,10.0,0.3\n\n0.7,-0.35,10.0,0.3\n")
+        with pytest.raises(InputFormatError, match="sweep.csv:3: bad g2 parameters: tau1"):
+            dynamics.load_power_sweep(path)

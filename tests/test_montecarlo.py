@@ -280,3 +280,75 @@ class TestStreamIO:
         path.write_text("# duration_s=1.0\n1e-6,XYZ\n")
         with pytest.raises(InputFormatError, match="bad.csv:2"):
             montecarlo.load_stream(path)
+
+    def test_save_stream_matches_per_line_writer(self, mc_rates, radiative_budget, tmp_path):
+        stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 2e-5, 1.0, seed=85)
+        assert set(stream.labels()) == {"ZPL", "PSB"}
+        path = tmp_path / "stream.csv"
+        montecarlo.save_stream(stream, path, rates=mc_rates, meta={"note": "x"})
+        rows = "".join(f"{t!r},{label}\n" for t, label in zip(stream.timestamps.tolist(), stream.labels()))
+        assert path.read_text().endswith("# timestamp_s,channel\n" + rows)
+
+    def test_save_histogram_matches_per_line_writer(self, mc_rates, radiative_budget, tmp_path):
+        stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 2e-4, 1.0, seed=86)
+        curve = montecarlo.correlate(stream, 1e-9, 10e-9).to_curve()
+        path = tmp_path / "hist.csv"
+        montecarlo.save_histogram(montecarlo.correlate(stream, 1e-9, 10e-9), path)
+        rows = "".join(f"{t!r},{g!r},{s!r}\n" for t, g, s in
+                       zip(curve.delays.tolist(), curve.values.tolist(), curve.sigmas.tolist()))
+        assert path.read_text().endswith("# tau_s,g2,sigma\n" + rows)
+
+    @pytest.mark.parametrize("body, where", [
+        ("1e-6,ZPL\n2e-6,PSB\nbogus,ZPL\n4e-6,PSB\n", ":5: bad timestamp"),
+        ("1e-6,ZPL\n2e-6,XYZ\n", ":4: unknown channel 'XYZ'"),
+        ("1e-6,ZPL\n2e-6, psb \n", ":4: unknown channel 'psb'"),
+        ("1e-6,ZPL\n2e-6,PSB,3\n", ":4: expected 'timestamp_s,channel'"),
+        ("1e-6\n", ":3: expected 'timestamp_s,channel'"),
+        ("1e-6,ZPL\n\n# note=1\n2e-6,QQQ\n", ":6: unknown channel 'QQQ'"),
+        ("1e-6,ZPL\n\n# note=1\n\t\n 2e-6 , PSB \n3e-6,x,ZPL\n", ":8: expected 'timestamp_s,channel'"),
+    ])
+    def test_reader_error_matrix(self, tmp_path, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text("# duration_s=1.0\n# seed=0\n" + body)
+        with pytest.raises(InputFormatError) as err:
+            montecarlo.load_stream(path)
+        assert str(err.value) == f"{path}{where}"
+
+    def test_missing_duration_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed=1\n1e-6,ZPL\n")
+        with pytest.raises(InputFormatError, match="bad.csv:0: missing or bad '# duration_s='"):
+            montecarlo.load_stream(path)
+
+    @pytest.mark.parametrize("body", [
+        "1e-6,ZPL\n\n# a comment\n   \n2e-6, PSB \n",  # blank and comment lines between rows
+        "1e-6,ZPL\n2e-6,PSB",  # last line without a newline
+    ])
+    def test_reader_accepts(self, tmp_path, body):
+        path = tmp_path / "ok.csv"
+        path.write_text("# duration_s=1.0\n" + body)
+        stream, _meta = montecarlo.load_stream(path)
+        assert stream.timestamps.tolist() == [1e-6, 2e-6]
+        assert stream.channel_tags.tolist() == [montecarlo.CHANNEL_ZPL, montecarlo.CHANNEL_PSB]
+
+    def test_fault_deep_in_a_long_stream(self, tmp_path):
+        rows = [f"{k * 1e-6!r},ZPL" for k in range(5000)]
+        rows[4321] = "1e-3,ZPL,"
+        path = tmp_path / "long.csv"
+        path.write_text("# duration_s=1.0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputFormatError, match="long.csv:4323: expected"):
+            montecarlo.load_stream(path)
+        rows[4321] = "1e-3,ZPLX"
+        path.write_text("# duration_s=1.0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputFormatError, match="long.csv:4323: unknown channel 'ZPLX'"):
+            montecarlo.load_stream(path)
+
+    def test_g2_rows_of_two_and_three_fields(self, tmp_path):
+        path = tmp_path / "g2.csv"
+        path.write_text("# tau_s,g2,sigma\n-1e-9,0.5,0.1\n0.0,0.0\n1e-9,0.5,0.1\n")
+        curve = montecarlo.load_g2_csv(path)
+        assert curve.values.tolist() == [0.5, 0.0, 0.5]
+        assert curve.sigmas is None
+        path.write_text("-1e-9,0.5,0.1\n0.0,0.0,0.1,7\n")
+        with pytest.raises(InputFormatError, match="g2.csv:2: expected 'tau_s,g2"):
+            montecarlo.load_g2_csv(path)

@@ -349,3 +349,17 @@ class TestFieldMapIO:
         path.write_text("# spacing_nm=10\n# origin=0,0\n1.0,2.0\n3.0,oops\n")
         with pytest.raises(InputFormatError, match="bad.csv:4"):
             purcell.load_field_map(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("# spacing_nm=zz\n# origin=0,0\n1.0,2.0\n3.0,oops\n", ":1: bad spacing_nm value"),
+        ("# spacing_nm=10\n# origin=1\n1.0,2.0\n3.0,4.0\n", ":2: origin needs two components"),
+        ("# spacing_nm=10\n1.0,2.0\n# origin=a,b\n3.0,oops\n", ":3: bad origin value"),
+        ("# spacing_nm=10\n# origin=0,0\n1.0,2.0\n\n3.0,4.0,5.0\n", ":5: inconsistent row length"),
+        ("# spacing_nm=10\n# origin=0,0\n1.0,2.0\n3.0,x,5.0\n", ":4: bad amplitude value"),
+    ])
+    def test_first_faulty_line_wins(self, tmp_path, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError) as err:
+            purcell.load_field_map(path)
+        assert str(err.value) == f"{path}{where}"

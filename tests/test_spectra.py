@@ -25,6 +25,64 @@ def single_mode_series(centers, fwhm=2.3, amp=800.0):
     return [(k, lorentz_spectrum([(c, fwhm, amp)])) for k, c in enumerate(centers)]
 
 
+def scipy_peaks(x, min_prominence):
+    """The peaks, prominences, bases and half-prominence widths SciPy gives."""
+    from scipy.signal import find_peaks, peak_widths
+
+    idx, props = find_peaks(x, prominence=min_prominence)
+    widths = peak_widths(x, idx, rel_height=0.5)[0] if idx.size else np.zeros(0)
+    return idx, props["prominences"], props["left_bases"], props["right_bases"], widths
+
+
+def noisy_tuning_counts(seed=3, steps=12):
+    """Shot-noise spectra of a 2.3 nm mode (800 counts over 50) blue-shifting
+    1.6 nm per step through a 0.35 nm, 300-1500 count line at 739.9 nm."""
+    rng = np.random.default_rng(seed)
+    centers = 739.9 + 1.6 * (5 - np.arange(steps)) + rng.uniform(-0.5, 0.5)
+    line = 300.0 * (1.0 + 4.0 / (1.0 + (2.0 * (centers - 739.9) / 2.3) ** 2))
+    expected = (
+        50.0
+        + fitting.lorentzian_peak(WL[None, :], centers[:, None], 2.3, 800.0)
+        + fitting.lorentzian_peak(WL[None, :], 739.9, 0.35, line[:, None])
+    )
+    return rng.poisson(expected).astype(float)
+
+
+class TestFindPeaks:
+    """spectra._find_peaks against scipy.signal.find_peaks + peak_widths, with ==."""
+
+    def assert_matches_scipy(self, x, min_prominence):
+        ours = spectra._find_peaks(np.asarray(x, dtype=float), min_prominence)
+        theirs = scipy_peaks(np.asarray(x, dtype=float), min_prominence)
+        for mine, ref in zip(ours, theirs):
+            assert mine.shape == ref.shape
+            assert np.array_equal(mine, ref)
+
+    def test_random_integer_plateaus(self, rng):
+        for _ in range(500):
+            x = rng.integers(0, 5, int(rng.integers(0, 40)))
+            self.assert_matches_scipy(x, float(rng.choice([0.0, 0.5, 1.0, 2.0])))
+
+    @pytest.mark.parametrize("x", [
+        [], [1.0], [1.0, 2.0], [3.0, 1.0],
+        [2.0, 2.0, 2.0, 2.0], [5.0, 5.0, 1.0, 3.0, 3.0],
+        [1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 1.0, 3.0, 3.0, 3.0],
+        [0.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0, 0.0],
+    ])
+    def test_short_constant_and_edge_plateaus(self, x):
+        self.assert_matches_scipy(x, 0.0)
+
+    def test_every_step_of_a_noisy_tuning_series(self):
+        for counts in noisy_tuning_counts():
+            self.assert_matches_scipy(counts, 0.02 * float(counts.max() - counts.min()))
+
+    def test_detect_peaks_unchanged(self, monkeypatch):
+        spectrum = PLSpectrum(WL, noisy_tuning_counts()[6])
+        ours = spectra._detect_peaks(spectrum)
+        monkeypatch.setattr(spectra, "_find_peaks", scipy_peaks)
+        assert spectra._detect_peaks(spectrum) == ours
+
+
 class TestTrackModes:
     def test_blue_shift_rate(self):
         steps = single_mode_series([769.0 - 1.6 * k for k in range(10)])
