@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from itertools import compress, islice, repeat
-from operator import add, itemgetter, not_
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +32,7 @@ _first_char = itemgetter(slice(1))
 
 class Table(NamedTuple):
     meta: dict  # header key -> stripped value, or its parsed value
-    columns: np.ndarray  # (widest row, rows) floats; NaN past the end of a shorter row
-    widths: np.ndarray  # fields per row
+    columns: np.ndarray  # (fields, rows) floats
     lines: np.ndarray  # 1-based line number of each row
 
 
@@ -67,7 +66,8 @@ def read_table(path, widths, shape_error, value_error="bad numeric value", label
                headers=None):
     """Read a table file into a Table.
 
-    widths      : field counts a row may have; None allows the first row's count
+    widths      : field counts the first row may have, None for any; every
+                  other row must have the first row's count
     shape_error : message for a row of any other count
     value_error : message for a field that is not a number
     labels      : {field: (label -> code dict, message)} for fields of labels, under a
@@ -75,9 +75,9 @@ def read_table(path, widths, shape_error, value_error="bad numeric value", label
     headers     : {key: parse} for header values parsed on reading; a parse raising
                   ValueError fails the file at that line with the error's message
 
-    A faulty line is a header its parse rejects, a row of a field count not
-    allowed or a row with a bad field; under widths=None a row's fields are
-    judged before its count.
+    A faulty line is a header its parse rejects, a first row of a field count
+    not allowed, a later row of another count than the first or a row with a
+    bad field; under widths=None a row's fields are judged before its count.
     """
     labels, headers, meta, faults = labels or {}, headers or {}, {}, []
     with open(path) as fh:
@@ -102,40 +102,33 @@ def read_table(path, widths, shape_error, value_error="bad numeric value", label
         rows = source = list(compress(rows, map(not_, skipped)))
         skip, size = 0, max(map(len, rows), default=0)
     width = widths[0] if labels else None
-    values, counts = np.zeros((0, max(widths or (0,)))), np.zeros(0, np.intp)
+    values = np.zeros((0, max(widths or (0,))))
     try:
         if lines.size:
             values = _load(source, labels, width, size, skip)
-            counts = np.full(lines.size, values.shape[1])
             if values.shape[1] not in (widths or values.shape[1:]):
                 raise ValueError("field count")
-    except ValueError:  # a fault, or rows of allowed but different widths: find out which
+    except ValueError:  # find the first faulty row
         rows = text[top:].split("\n")[: lines.size] if clean else rows
         counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
-        allowed = widths or (int(counts[0]),)
-        wrong = np.flatnonzero(~np.isin(counts, allowed))
-        bad = int(wrong[0]) if wrong.size else len(rows)
-        pads = [",nan" * k for k in range(max(allowed) + 1)]
-        padded = list(map(add, rows[:bad], map(pads.__getitem__, (max(allowed) - counts[:bad]).tolist())))
-        if padded and not _converts(padded, labels, width, size):
-            lo, hi = 0, len(padded)  # rows before lo convert, one in [lo, hi) does not
+        wrong = np.flatnonzero(counts != counts[0]) if widths is None or counts[0] in widths else [0]
+        bad = int(wrong[0]) if len(wrong) else len(rows)
+        if bad and not _converts(rows[:bad], labels, width, size):
+            lo, hi = 0, bad  # rows before lo convert, one in [lo, hi) does not
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if _converts(padded[lo:mid], labels, width, size) else (lo, mid)
+                lo, hi = (mid, hi) if _converts(rows[lo:mid], labels, width, size) else (lo, mid)
             bad = lo
-        if bad == len(rows):
-            values = _load(padded, labels, width, size)
-        else:
-            message = shape_error
-            for j, field in enumerate(rows[bad].split(",") if widths is None or bad not in wrong else ()):
-                codes, field_error = labels.get(j, (None, value_error))
-                if field.strip() not in codes if codes else not _converts(rows[bad:bad + 1], usecols=j):
-                    message = field_error.format(field.strip())
-                    break
-            faults.append((int(lines[bad]), message))
+        message = shape_error
+        for j, field in enumerate(rows[bad].split(",") if widths is None or bad not in wrong else ()):
+            codes, field_error = labels.get(j, (None, value_error))
+            if field.strip() not in codes if codes else not _converts(rows[bad:bad + 1], usecols=j):
+                message = field_error.format(field.strip())
+                break
+        faults.append((int(lines[bad]), message))
     if faults:
         raise InputFormatError(path, *min(faults))
-    return Table(meta, values.T.copy(), counts, lines)
+    return Table(meta, values.T.copy(), lines)
 
 
 def write_table(fh, *columns):

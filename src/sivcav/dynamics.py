@@ -5,18 +5,21 @@ k21, shelving k23 and deshelving k31. The column-stochastic generator G acts
 on the population vector p as dp/dt = G p. The normalized intensity
 correlation is the conditional excited-state population after a detection,
 
-    g2(tau) = p2(tau | p(0) = e1) / p2(steady state),
+    g2(tau) = p2(tau | p(0) = e1) / p2(steady state).
 
-always computed from the generator spectrum (matrix exponential fallback for
-degenerate eigenvalues), never from a hand-derived closed form. For distinct
-relaxation eigenvalues the spectral decomposition is exactly the
-two-exponential form held by G2Params.
+Everything is computed in closed form (Kitson et al., Phys. Rev. A 58, 620
+(1998)). The nonzero eigenvalues of G are the roots of lam^2 + S lam + P with
+S = k12 + k21 + k23 + k31 and P = k12 (k23 + k31) + (k21 + k23) k31; the
+stationary populations are (k31 (k21 + k23), k12 k31, k12 k23) / P. With
+Q = g2'(0) = P / k31 the two-exponential form held by G2Params is
 
-The spectrum is computed stacked over pump powers: the generators of all
-powers go through one eigendecomposition and one steady-state solve, and a
-single rate set is the size-1 case. Each power keeps its own validity checks,
-so a power without a two-exponential form never fails the others.
-"""
+    g2 = 1 - (1 + a) e^(lam_fast tau) + a e^(lam_slow tau),
+    a = (Q + lam_fast) / (lam_slow - lam_fast),
+
+and where the two eigenvalues meet, its limit is sampled instead. The
+formulas take an array of pump rates, so a power sweep is one evaluation;
+each power keeps its own validity checks, so a power without a
+two-exponential form never fails the others."""
 
 from __future__ import annotations
 
@@ -136,41 +139,22 @@ class ZeroPowerFit:
     fit: fitting.FitResult
 
 
-def _generators(k12, k21, k23, k31) -> np.ndarray:
-    """Generators stacked over an array of pump rates k12: shape k12.shape + (3, 3)."""
-    k12 = np.asarray(k12, dtype=float)
-    g = np.empty(k12.shape + (3, 3))
-    g[...] = [[0.0, k21, k31], [0.0, -(k21 + k23), 0.0], [0.0, k23, -k31]]
-    g[..., 0, 0] = -k12
-    g[..., 1, 0] = k12
-    return g
-
-
 def generator(rates: ThreeLevelRates) -> np.ndarray:
     """Column-stochastic rate matrix G with dp/dt = G p for p = (p1, p2, p3)."""
-    return _generators(rates.k12, rates.k21, rates.k23, rates.k31)
+    k12, k21, k23, k31 = rates.k12, rates.k21, rates.k23, rates.k31
+    return np.array([[-k12, k21, k31], [k12, -(k21 + k23), 0.0], [0.0, k23, -k31]])
 
 
-def _solve_e1(a):
-    """x with a x = e1 for each matrix of a stack (..., 3, 3)."""
-    # a one-column right-hand side per matrix means the same under every
-    # numpy version's solve broadcasting rules
-    b = np.zeros(a.shape[:-1] + (1,))
-    b[..., 0, 0] = 1.0
-    return np.linalg.solve(a, b)[..., 0]
-
-
-def _steady_states(g):
-    """Stationary populations of each generator in a stack (..., 3, 3)."""
-    a = g.copy()
-    a[..., 0, :] = 1.0  # replace one balance row by the normalization constraint
-    p = np.maximum(_solve_e1(a), 0.0)
-    return p / p.sum(axis=-1, keepdims=True)
+def _populations(k12, k21, k23, k31):
+    """Stationary (p1, p2, p3) = (k31 (k21 + k23), k12 k31, k12 k23) / P, the
+    kernel of G, for a scalar or an array k12."""
+    p = k12 * (k23 + k31) + (k21 + k23) * k31
+    return k31 * (k21 + k23) / p, k12 * k31 / p, k12 * k23 / p
 
 
 def steady_state(rates: ThreeLevelRates) -> np.ndarray:
     """Stationary populations (p1, p2, p3): the normalized kernel of G."""
-    return _steady_states(generator(rates))
+    return np.array(_populations(rates.k12, rates.k21, rates.k23, rates.k31))
 
 
 def _pump_rates(rates: ThreeLevelRates, pump: PumpModel, powers) -> np.ndarray:
@@ -183,113 +167,73 @@ def _pump_rates(rates: ThreeLevelRates, pump: PumpModel, powers) -> np.ndarray:
     return k12
 
 
-# reasons a stacked row has no usable spectrum, in the order the checks run
-_VALID, _BAD_RATES, _NO_DYNAMICS, _COMPLEX, _NO_POPULATION, _NEGATIVE_A = range(6)
+# status of a pump rate: a two-exponential form, none (degenerate) or a
+# DomainError; where several apply, the first in this order from _BAD_RATES on
+_VALID, _BAD_RATES, _COMPLEX, _NO_POPULATION, _DEGENERATE, _NEGATIVE_A = range(6)
 _REASONS = {
     _BAD_RATES: "rates must be finite with k12 >= 0, k21 > 0, k23 >= 0 and k31 > 0",
-    _NO_DYNAMICS: "generator has no relaxation dynamics",
-    _COMPLEX: (
-        "complex relaxation eigenvalues: the rate set does not describe "
-        "an incoherent three-level cascade (check the input rates)"
-    ),
+    _COMPLEX: "complex relaxation eigenvalues: the rate set does not describe "
+              "an incoherent three-level cascade (check the input rates)",
     _NO_POPULATION: "steady-state excited population vanishes (k12 = 0)",
     _NEGATIVE_A: "negative bunching amplitude a = {a:.3g} (unphysical input)",
 }
 
 
 class _Spectra(NamedTuple):
-    """Relaxation spectra of generators stacked over pump rates, one row each.
-
-    g2(t) = 1 + c_fast e^(lam_fast t) + c_slow e^(lam_slow t) with c_slow = a
-    and c_fast = -(1 + a). ``a`` is the raw slow-mode amplitude and is NaN on
-    rows that never reach the eigenvector solve (invalid or degenerate ones).
-    ``invalid`` holds a reason code from _REASONS, _VALID where the row passed.
-    """
+    """Relaxation spectra for an array of pump rates, one entry each: g2 =
+    1 - (1 + a) e^(lam_fast t) + a e^(lam_slow t), a = b / (lam_slow - lam_fast),
+    and ``code`` a status from _VALID to _NEGATIVE_A. Entries with bad rates
+    hold NaN or inf."""
 
     lam_fast: np.ndarray
     lam_slow: np.ndarray
     a: np.ndarray
-    p2ss: np.ndarray
-    degenerate: np.ndarray
-    invalid: np.ndarray
+    b: np.ndarray
+    code: np.ndarray
 
     def raise_invalid(self, i):
-        raise DomainError(_REASONS[self.invalid[i]].format(a=float(self.a[i])))
-
-
-def _rows(mask):
-    """Index of the True entries of mask: a view-making slice when all are."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
+        raise DomainError(_REASONS[self.code[i]].format(a=float(self.a[i])))
 
 
 def _relaxation_spectra(k12, k21, k23, k31) -> _Spectra:
-    """Spectra for an array of pump rates k12 with scalar k21, k23, k31.
-
-    One stacked eig and two stacked solves; the row checks are those of the
-    per-rate-set computation, in the same order. Rows that fail a check never
-    reach a later solve, so one bad row cannot fail the whole stack.
-    """
+    """Closed-form spectra for an array of pump rates k12 with scalar k21,
+    k23, k31; each entry is checked on its own."""
     k12 = np.array(k12, dtype=float, ndmin=1)
-    n = k12.size
-    values = np.full((4, n), np.nan)  # lam_fast, lam_slow, a, p2ss
-    degenerate = np.zeros(n, dtype=bool)
-    invalid = np.full(n, _BAD_RATES, dtype=np.int8)
     rates_ok = all(math.isfinite(k) for k in (k21, k23, k31)) and k21 > 0 and k23 >= 0 and k31 > 0
-    rows = _rows(np.isfinite(k12) & (k12 >= 0.0) & rates_ok)
-
-    g = _generators(k12[rows], k21, k23, k31)
-    w, v = np.linalg.eig(g)
-    scale = np.abs(w).max(axis=-1, initial=0.0)
-    is_complex = np.abs(w.imag).max(axis=-1, initial=0.0) > 1e-9 * scale
-    w, v = w.real, v.real
-    order = np.argsort(np.abs(w), axis=-1)  # zero, slow, fast
-    each = np.arange(w.shape[0])
-    slow, fast = w[each, order[:, 1]], w[each, order[:, 2]]
-    p2 = _steady_states(g)[:, 1]
-    code = np.zeros(w.shape[0], dtype=np.int8)
-    code[p2 <= 0.0] = _NO_POPULATION  # checks assigned last to first: the first failing one wins
-    code[is_complex] = _COMPLEX
-    code[scale == 0.0] = _NO_DYNAMICS
-    deg = (code == _VALID) & (
-        np.abs(fast - slow) <= DEGENERACY_RTOL * np.maximum(np.abs(fast), np.abs(slow))
-    )
-
-    solved = _rows((code == _VALID) & ~deg)
-    v_solved = v[solved]
-    alpha = _solve_e1(v_solved)
-    k_slow = order[solved, 1]
-    each = np.arange(k_slow.size)
-    c_slow = np.full(w.shape[0], np.nan)
-    c_slow[solved] = v_solved[each, 1, k_slow] * alpha[each, k_slow] / p2[solved]
-    code[c_slow < -1e-9] = _NEGATIVE_A
-
-    values[:, rows] = (fast, slow, c_slow, p2)
-    degenerate[rows], invalid[rows] = deg, code
-    return _Spectra(*values, degenerate, invalid)
-
-
-def _relaxation_spectrum(rates: ThreeLevelRates):
-    """Nonzero eigenvalues of G and the g2 expansion coefficients of one rate set.
-
-    Returns (lam_fast, lam_slow, a, p2ss, degenerate), the size-1 case of
-    _relaxation_spectra. A negative amplitude is returned, not rejected:
-    only the two-exponential parametrization rejects it.
-    """
-    s = _relaxation_spectra(rates.k12, rates.k21, rates.k23, rates.k31)
-    if s.invalid[0] not in (_VALID, _NEGATIVE_A):
-        s.raise_invalid(0)
-    return (
-        float(s.lam_fast[0]), float(s.lam_slow[0]), float(s.a[0]),
-        float(s.p2ss[0]), bool(s.degenerate[0]),
-    )
+    with np.errstate(all="ignore"):  # bad rates and a vanishing root give NaN or inf, masked below
+        s = k12 + k21 + k23 + k31
+        p = k12 * (k23 + k31) + (k21 + k23) * k31
+        u = k12 + k21 + k23 - k31
+        disc = u * u - 4.0 * k12 * k23  # S^2 - 4P with no cancellation in it, exact at k23 = 0
+        # round-off bound of disc, to first order in eps: fl(u) is off by
+        # <= 3/2 eps S, so fl(u)^2 by <= 7/2 eps |u| S (u^2 <= |u| S), the
+        # product by eps/2 4 k12 k23 and the difference by eps/2 |disc|
+        complex_ = disc < -4.0 * np.finfo(float).eps * (np.abs(u) * s + 4.0 * k12 * k23)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        lam_fast = -0.5 * (s + root)
+        lam_slow = p / lam_fast  # Vieta
+        q = p / k31  # g2'(0) = k12 / p2ss
+        # g2'(0) = q gives b = a (lam_slow - lam_fast) = q + lam_fast; where it
+        # cancels, take it from (q + lam_fast)(q + lam_slow) = q k12 k23 / k31,
+        # which is exact 0 at k23 = 0
+        b, other = q + lam_fast, q + lam_slow
+        b = np.where(np.abs(b) >= np.abs(other), b, q * k12 * k23 / k31 / other)
+        a = b / root
+    # the roots are known to about sqrt(eps) |lam_fast| where they meet, so
+    # 1e-6 keeps well clear of round-off in declaring them distinct
+    code = np.where(a < -1e-9, _NEGATIVE_A, _VALID).astype(np.int8)
+    code[root <= DEGENERACY_RTOL * np.abs(lam_fast)] = _DEGENERATE
+    code[~(k12 > 0.0)] = _NO_POPULATION  # assigned last to first: the first failing check wins
+    code[complex_] = _COMPLEX
+    code[~(rates_ok & np.isfinite(k12) & (k12 >= 0.0))] = _BAD_RATES
+    return _Spectra(lam_fast, lam_slow, a, b, code)
 
 
 def g2_analytic(rates: ThreeLevelRates, delays) -> G2Curve:
     """Normalized intensity correlation on a delay grid (any sign; |tau| is used).
 
-    g2(0) = 0 exactly and g2 -> 1 at large delays. Computed from the
-    eigendecomposition of the generator, with a matrix-exponential fallback
-    when the relaxation eigenvalues are degenerate.
+    g2(0) = 0 exactly and g2 -> 1 at large delays. Computed from the two
+    relaxation eigenvalues in closed form, degenerate ones included.
     """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 1:
@@ -297,33 +241,31 @@ def g2_analytic(rates: ThreeLevelRates, delays) -> G2Curve:
     if delays.size >= 2 and not np.all(np.diff(delays) > 0):
         raise DomainError("delays must be strictly increasing")
     at = np.abs(delays)
-    lam_fast, lam_slow, a, p2ss, degenerate = _relaxation_spectrum(rates)
-    if not degenerate:
-        # c_fast = -(1 + a) enforces the initial condition p2(0) = 0; the
-        # grouping below keeps it exact in floating point at tau = 0
-        e_fast = np.exp(lam_fast * at)
-        e_slow = np.exp(lam_slow * at)
-        values = (1.0 - e_fast) + a * (e_slow - e_fast)
+    s = _relaxation_spectra(rates.k12, rates.k21, rates.k23, rates.k31)
+    if s.code[0] not in (_VALID, _DEGENERATE, _NEGATIVE_A):
+        s.raise_invalid(0)
+    lam_fast, lam_slow, a, b = (float(v[0]) for v in s[:4])
+    # c_fast = -(1 + a) enforces the initial condition p2(0) = 0; the
+    # grouping below keeps it exact in floating point at tau = 0
+    e_fast = np.exp(lam_fast * at)
+    if s.code[0] != _DEGENERATE:
+        values = (1.0 - e_fast) + a * (np.exp(lam_slow * at) - e_fast)
     else:
-        from scipy.linalg import expm  # this branch is its only user
-
-        # p2(tau | p(0) = e1) is column 0, row 1 of exp(G tau)
-        values = expm(generator(rates) * at[:, None, None])[:, 1, 0] / p2ss
+        # a (e_slow - e_fast) = b e_slow (1 - e^(-delta tau)) / delta with
+        # delta = lam_slow - lam_fast -> 0: no division by the vanishing root
+        delta = lam_slow - lam_fast
+        span = at if delta == 0.0 else -np.expm1(-delta * at) / delta
+        values = (1.0 - e_fast) + b * span * np.exp(lam_slow * at)
     return G2Curve(delays, np.clip(values, 0.0, None))
 
 
 def _g2_param_arrays(s: _Spectra):
-    """Stacked two-exponential parameters, rows (tau1, tau2, a) by columns of
-    powers, and a mask of the powers where they exist: False where
-    g2_params_from_rates would return None or raise, including where
-    G2Params would reject the values."""
+    """Rows (tau1, tau2, a) by columns of powers, and a mask of the powers
+    where G2Params exist and accept them."""
     with np.errstate(divide="ignore"):
         params = np.array([-1.0 / s.lam_fast, -1.0 / s.lam_slow, s.a])
     params[2, params[2] <= 0.0] = 0.0  # also folds round-off negatives and -0.0
-    ok = (
-        (s.invalid == _VALID) & ~s.degenerate
-        & np.isfinite(params).all(axis=0) & (params[:2] > 0.0).all(axis=0)
-    )
+    ok = (s.code == _VALID) & np.isfinite(params).all(axis=0) & (params[:2] > 0.0).all(axis=0)
     return params, ok
 
 
@@ -332,17 +274,14 @@ def _g2_params(s: _Spectra) -> list:
     DomainError of the first invalid row."""
     params, _ = _g2_param_arrays(s)
     out = []
-    for i in range(s.invalid.size):
-        if s.invalid[i] != _VALID:
-            s.raise_invalid(i)
-        if s.degenerate[i]:
-            warnings.warn(
-                "relaxation eigenvalues are degenerate; no two-exponential "
-                "parametrization exists (sample g2_analytic instead)",
-                DegenerateEigenvaluesWarning,
-                stacklevel=3,
-            )
+    for i, code in enumerate(s.code.tolist()):
+        if code == _DEGENERATE:
+            warnings.warn("relaxation eigenvalues are degenerate; no two-exponential "
+                          "parametrization exists (sample g2_analytic instead)",
+                          DegenerateEigenvaluesWarning, stacklevel=3)
             out.append(None)
+        elif code != _VALID:
+            s.raise_invalid(i)
         else:
             out.append(G2Params(*(float(x) for x in params[:, i])))
     return out
@@ -443,7 +382,6 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
         bounds=[(eps, None), (0.0, None), (eps, None), (eps, None)],
         names=("k21", "k23", "k31", "sigma"),
         scales=(intercept, intercept, k31_0, sigma0),
-        jitter_retries=5,
     )
     k21, k23, k31, sigma = (float(v) for v in fit.values)
     rates = ThreeLevelRates(0.0, k21, k23, k31)
@@ -466,8 +404,7 @@ def saturation_curve(
         raise DomainError(f"eta_qe must lie in [0, 1], got {eta_qe}")
     powers = np.asarray(powers, dtype=float)
     r = rates_at_unit_power
-    g = _generators(_pump_rates(r, pump, powers), r.k21, r.k23, r.k31)
-    p2 = _steady_states(g)[..., 1]
+    p2 = _populations(_pump_rates(r, pump, powers), r.k21, r.k23, r.k31)[1]
     return SaturationCurve(powers, collection_eff * eta_qe * r.k21 * p2)
 
 
@@ -519,7 +456,7 @@ def save_power_sweep(sweep: PowerSweep, path):
 
 def load_power_sweep(path) -> PowerSweep:
     table = read_table(path, (4, 5), "expected 4 or 5 comma-separated columns")
-    if not table.widths.size:
+    if not table.lines.size:
         raise InputFormatError(path, 0, "no data rows")
     params = []
     for lineno, tau1, tau2, a in zip(table.lines.tolist(), *table.columns[1:4].tolist()):
@@ -527,7 +464,7 @@ def load_power_sweep(path) -> PowerSweep:
             params.append(G2Params(tau1 * 1e-9, tau2 * 1e-9, a))
         except Exception as err:
             raise InputFormatError(path, lineno, f"bad g2 parameters: {err}") from None
-    counts = table.columns[4] if np.any(table.widths == 5) else None
+    counts = table.columns[4] if len(table.columns) == 5 else None
     try:
         return PowerSweep(table.columns[0], tuple(params), counts)
     except ValidationError as err:

@@ -4,8 +4,9 @@ The engine is a damped Gauss-Newton iteration with a Levenberg-Marquardt
 trust parameter, numerical forward-difference Jacobians (step
 sqrt(machine epsilon) times a per-parameter scale) and an accept/reject rule
 that never lets the cost increase. Convergence is declared when the relative
-parameter step falls below ``step_rtol`` or the relative cost decrease falls
-below ``cost_rtol``. Weighting is 1/sigma^2 when uncertainties are supplied
+parameter step falls below STEP_RTOL or the relative cost decrease falls
+below COST_RTOL; a fit that does not converge is retried from JITTER_RETRIES
+jittered starting points. Weighting is 1/sigma^2 when uncertainties are supplied
 and uniform otherwise.
 
 On top of the engine sit the fitters used throughout the package: the
@@ -27,6 +28,9 @@ from .models import G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationC
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 RANK_TOL = 1e-12
 MAX_DAMPING = 1e14
+STEP_RTOL = 1e-10
+COST_RTOL = 1e-12
+JITTER_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ def _singular_direction_names(jac, names):
     return involved, ratio
 
 
-def _lm_iterate(residual_fn, p0, bounds, jac_scales, names, max_iterations, step_rtol, cost_rtol):
+def _lm_iterate(residual_fn, p0, bounds, jac_scales, names, max_iterations):
     p = _project(np.asarray(p0, dtype=float).copy(), bounds)
     r = residual_fn(p)
     if not np.all(np.isfinite(r)):
@@ -201,7 +205,7 @@ def _lm_iterate(residual_fn, p0, bounds, jac_scales, names, max_iterations, step
         trace.append(cost)
         lam = max(lam / 3.0, 1e-14)
         jac = numerical_jacobian(residual_fn, p, jac_scales(p), bounds)
-        if step_rel < step_rtol or cost_rel < cost_rtol:
+        if step_rel < STEP_RTOL or cost_rel < COST_RTOL:
             converged = True
             break
 
@@ -245,11 +249,7 @@ def least_squares(
     names=None,
     scales=None,
     max_iterations=500,
-    step_rtol=1e-10,
-    cost_rtol=1e-12,
     fixup=None,
-    jitter_retries=0,
-    jitter_seed=1234,
 ):
     """Fit ``model(x, *params)`` to data by damped Gauss-Newton iteration.
 
@@ -275,9 +275,6 @@ def least_squares(
     fixup : callable, optional
         params -> params canonicalization applied to every candidate before
         evaluation (used e.g. to keep tau1 < tau2 ordered during g2 fits).
-    jitter_retries : int
-        When the base fit does not converge, retry from this many jittered
-        starting points (deterministic via jitter_seed) and keep the best.
 
     Returns
     -------
@@ -333,30 +330,20 @@ def least_squares(
         def jac_scales(_p):
             return fixed_scales
 
-    def run(start):
-        return _lm_iterate(
-            residual_fn, start, bounds, jac_scales, names,
-            max_iterations, step_rtol, cost_rtol,
-        )
-
-    p, r, cost, trace, iterations, converged, jac = run(p0)
-
-    if not converged and jitter_retries > 0:
-        rng = np.random.default_rng(jitter_seed)
-        best = (p, r, cost, trace, iterations, converged, jac)
-        for _ in range(jitter_retries):
+    attempts = [_lm_iterate(residual_fn, p0, bounds, jac_scales, names, max_iterations)]
+    if not attempts[0][5]:  # retry from jittered starts, deterministically
+        rng = np.random.default_rng(1234)
+        for _ in range(JITTER_RETRIES):
             start = p0 * (1.0 + 0.25 * rng.uniform(-1.0, 1.0, size=n))
             start = np.where(np.abs(start) > 0, start, 0.1 * rng.standard_normal(n))
-            start = _project(start, bounds)
             try:
-                attempt = run(start)
+                attempts.append(_lm_iterate(
+                    residual_fn, _project(start, bounds), bounds, jac_scales, names, max_iterations,
+                ))
             except (DomainError, RankDeficiencyError):
-                continue
-            if attempt[5] and (not best[5] or attempt[2] < best[2]):
-                best = attempt
-            elif not best[5] and attempt[2] < best[2]:
-                best = attempt
-        p, r, cost, trace, iterations, converged, jac = best
+                pass
+    # converged beats not converged, then the lower cost; the first attempt wins ties
+    p, r, cost, trace, iterations, converged, jac = max(attempts, key=lambda t: (t[5], -t[2]))
 
     if fixup is not None:
         p = fixup(p.copy())
@@ -396,17 +383,17 @@ def g2_model(tau, a, tau1, tau2):
     return (1.0 - e1) + a * (e2 - e1)
 
 
-def g2_model_irf(tau, a, tau1, tau2, irf_sigma, n_nodes=121):
+def g2_model_irf(tau, a, tau1, tau2, irf_sigma):
     """g2 model convolved with a Gaussian timing kernel of width irf_sigma.
 
-    Direct quadrature on a kernel grid truncated at 6 sigma; the weights are
+    Direct quadrature on 121 kernel nodes truncated at 6 sigma; the weights are
     renormalized so a flat model stays flat. Note that jitter applied
     independently to each photon widens the *pair delay* kernel by sqrt(2)
     relative to the single-photon jitter.
     """
     if irf_sigma <= 0:
         return g2_model(tau, a, tau1, tau2)
-    s = np.linspace(-6.0 * irf_sigma, 6.0 * irf_sigma, n_nodes)
+    s = np.linspace(-6.0 * irf_sigma, 6.0 * irf_sigma, 121)
     w = np.exp(-0.5 * (s / irf_sigma) ** 2)
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -525,7 +512,6 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
         bounds=[(0.0, None), (tiny, None), (tiny, None)],
         names=("a", "tau1", "tau2"),
         fixup=_g2_fixup,
-        jitter_retries=5,
     )
 
 
@@ -580,7 +566,6 @@ def fit_lorentzians(spectrum: PLSpectrum, n_peaks: int, init, poisson_weights=Fa
     return least_squares(
         multi_lorentzian, wl, counts, p0,
         sigma=sigma, bounds=bounds, names=tuple(names), scales=scales,
-        jitter_retries=5,
     )
 
 
@@ -644,7 +629,6 @@ def fit_cos2(scan: PolarizationScan) -> FitResult:
         bounds=[(-270.0, 270.0), (0.0, None), (0.0, None)],
         names=("phi0", "i_max", "i_min"),
         fixup=_cos2_fixup,
-        jitter_retries=5,
     )
 
 
@@ -677,5 +661,4 @@ def fit_saturation(curve: SaturationCurve) -> FitResult:
         [r_inf0, p_sat0],
         bounds=[(0.0, None), (1e-12, None)],
         names=("r_inf", "p_sat"),
-        jitter_retries=5,
     )

@@ -372,9 +372,9 @@ def save_histogram(hist: HbtHistogram, path):
 def load_g2_csv(path) -> G2Curve:
     """Load a correlation curve CSV with columns tau_s,g2[,sigma]."""
     table = read_table(path, (2, 3), "expected 'tau_s,g2[,sigma]'")
-    if not table.widths.size:
+    if not table.lines.size:
         raise InputFormatError(path, 0, "no data rows")
-    sigmas = table.columns[2] if np.all(table.widths == 3) else None
+    sigmas = table.columns[2] if len(table.columns) == 3 else None
     try:
         return G2Curve(table.columns[0], table.columns[1], sigmas)
     except ValidationError as err:

@@ -413,7 +413,7 @@ def load_field_map(path) -> FieldMap:
     for key in ("spacing_nm", "origin"):
         if key not in table.meta:
             raise InputFormatError(path, 0, f"missing '# {key}=' header")
-    if not table.widths.size:
+    if not table.lines.size:
         raise InputFormatError(path, 0, "no amplitude rows")
     try:
         return FieldMap(table.columns.T.copy(), table.meta["spacing_nm"], table.meta["origin"])

@@ -464,7 +464,7 @@ def _load_two_columns(path, columns, make):
     """make(first, second) from a two-column CSV with '#' comments; a bad row
     or values that make rejects raise InputFormatError naming file and line."""
     table = read_table(path, (2,), f"expected '{columns}'")
-    if not table.widths.size:
+    if not table.lines.size:
         raise InputFormatError(path, 0, "no data rows")
     try:
         return make(*table.columns)

@@ -169,6 +169,24 @@ def test_cli_import_leaves_scipy_signal_and_linalg_out():
     assert result.stdout.strip() == "[]"
 
 
+def test_power_sweep_path_loads_no_scipy():
+    """The CLI import, the power sweep, its zero-power fit and the degenerate
+    g2 run on numpy alone."""
+    code = (
+        "import sys, numpy as np, sivcav.cli\n"
+        "from sivcav import dynamics\n"
+        "from sivcav.models import ThreeLevelRates\n"
+        "sweep = dynamics.power_sweep(ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6), "
+        "dynamics.PumpModel(1.5e9), [0.1, 0.3, 0.6, 1.0, 1.6, 2.4])\n"
+        "dynamics.extrapolate_zero_power(sweep)\n"
+        "dynamics.g2_analytic(ThreeLevelRates(1e9, 1e9, 1e9, 1e9), np.linspace(0.0, 1e-8, 50))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def stream_file(tmp_path):
     rates = ThreeLevelRates(100e6, 2e9, 0.3e9, 50e6)

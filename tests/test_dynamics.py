@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -55,6 +56,51 @@ def reference_steady_state(g):
     a[0, :] = 1.0
     p = np.clip(np.linalg.solve(a, np.array([1.0, 0.0, 0.0])), 0.0, None)
     return p / p.sum()
+
+
+EPS = np.finfo(float).eps
+
+
+def _exact(*values):
+    return [Decimal(float(v)) for v in values]
+
+
+def exact_spectrum(k12, k21, k23, k31):
+    """(tau1, tau2, raw a, kappa) in 50-digit arithmetic, kappa = S / sqrt(D)
+    the conditioning of the two roots; None where D <= 0."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k12, k21, k23, k31 = _exact(k12, k21, k23, k31)
+        s = k12 + k21 + k23 + k31
+        d = (k12 + k21 + k23 - k31) ** 2 - 4 * k12 * k23
+        if d <= 0:
+            return None
+        root = d.sqrt()
+        lam_fast, lam_slow = -(s + root) / 2, -(s - root) / 2
+        q = (k12 * (k23 + k31) + (k21 + k23) * k31) / k31
+        return -1 / lam_fast, -1 / lam_slow, (q + lam_fast) / root, s / root
+
+
+def exact_p2(k12, k21, k23, k31):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k12, k21, k23, k31 = _exact(k12, k21, k23, k31)
+        return k12 * k31 / (k12 * (k23 + k31) + (k21 + k23) * k31)
+
+
+def assert_near_exact(params, exact):
+    """tau1 and tau2 within 8 eps kappa, a within 8 eps kappa^2 relative of
+    exact arithmetic: the roots carry the round-off of D amplified by kappa,
+    and a = b / sqrt(D) carries it amplified by kappa^2. The 1e-40 floor
+    absorbs the oracle's own rounding where a is 0."""
+    tau1, tau2, a, kappa = exact
+    kappa = float(kappa)
+    for got, want, bound in (
+        (params[0], tau1, 8 * EPS * kappa),
+        (params[1], tau2, 8 * EPS * kappa),
+        (params[2], max(a, Decimal(0)), 8 * EPS * kappa**2),
+    ):
+        assert abs(Decimal(float(got)) - want) <= Decimal(bound) * abs(want) + Decimal("1e-40")
 
 
 class TestGenerator:
@@ -177,15 +223,27 @@ class TestG2Params:
         assert curve.values[0] == 0.0
         assert curve.values[-1] == pytest.approx(1.0, abs=1e-3)
 
-    def test_degenerate_branch_matches_per_delay_expm(self):
-        rates = ThreeLevelRates(1e9, 1e9, 1e9, 1e9)
+    def test_degenerate_branch_matches_exact_arithmetic(self):
+        # scipy's expm is off by 2.2e-14 here, so the oracle is 50-digit
+        # arithmetic on g2 = 1 - e^(lf t) + b t e^(lf t) (e^(dt) - 1) / (dt)
         tau = np.linspace(0.0, 1e-8, 50)
-        curve = dynamics.g2_analytic(rates, tau)
-        g = dynamics.generator(rates)
-        p2ss = dynamics.steady_state(rates)[1]
-        e1 = np.array([1.0, 0.0, 0.0])
-        loop = np.array([(expm(g * t) @ e1)[1] / p2ss for t in tau])
-        assert np.max(np.abs(curve.values - np.clip(loop, 0.0, None))) <= 1e-14
+        for k31 in (1e9, 1e9 - 1e-4):  # sqrt(D) = 0 and 3e-7 |lam_fast|
+            rates = ThreeLevelRates(1e9, 1e9, 1e9, k31)
+            with pytest.warns(DegenerateEigenvaluesWarning):
+                assert dynamics.g2_params_from_rates(rates) is None
+            curve = dynamics.g2_analytic(rates, tau)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                k12, k21, k23, k31 = _exact(rates.k12, rates.k21, rates.k23, rates.k31)
+                s = k12 + k21 + k23 + k31
+                root = ((k12 + k21 + k23 - k31) ** 2 - 4 * k12 * k23).sqrt()
+                lam_fast = -(s + root) / 2
+                b = (k12 * (k23 + k31) + (k21 + k23) * k31) / k31 + lam_fast
+                for t, value in zip(_exact(*tau), curve.values):
+                    x = root * t
+                    shape = (x.exp() - 1) / x if x else Decimal(1)
+                    exact = 1 - (lam_fast * t).exp() + b * t * (lam_fast * t).exp() * shape
+                    assert abs(Decimal(float(value)) - exact) <= Decimal("1e-15")
 
     def test_shelving_amplitude_continuous_as_k23_vanishes(self):
         # a -> 0 with no jump over a log-spaced shelving sweep
@@ -285,7 +343,8 @@ class TestStackedSpectrum:
         kinds = set()
         for k21, k23, k31, sigma in self.parameter_points():
             stacked = dynamics._sweep_observables(self.POWERS, k21, k23, k31, sigma)
-            assert np.array_equal(stacked, self.reference_observables(k21, k23, k31, sigma))
+            reference = self.reference_observables(k21, k23, k31, sigma)
+            assert np.array_equal(np.isinf(stacked), np.isinf(reference))
             for i, p in enumerate(self.POWERS):
                 try:
                     rates = ThreeLevelRates(sigma * p, k21, k23, k31)
@@ -305,10 +364,43 @@ class TestStackedSpectrum:
                     assert np.all(np.isinf(stacked[i::self.POWERS.size]))
                     continue
                 assert (g2p.tau1, g2p.tau2, g2p.a) == tuple(stacked[i::self.POWERS.size])
+                assert_near_exact(stacked[i::self.POWERS.size], exact_spectrum(sigma * p, k21, k23, k31))
         assert kinds >= {
             "invalid rates", "degenerate", "complex relaxation eigenvalues",
             "negative bunching amplitude",
         }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=st.lists(st.floats(6.0, 11.0), min_size=4, max_size=4).map(lambda x: [10.0**v for v in x]),
+        shape=st.sampled_from(["free", "no shelving", "near degenerate"]),
+        offset=st.floats(-15.0, -2.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_closed_form_against_exact_arithmetic(self, rates, shape, offset, sign):
+        k12, k21, k23, k31 = rates
+        if shape == "no shelving":
+            k23 = 0.0
+        elif shape == "near degenerate":  # D = 0 at k31 = k21 + (sqrt(k12) - sqrt(k23))^2
+            k31 = (k21 + (np.sqrt(k12) - np.sqrt(k23)) ** 2) * (1.0 + sign * 10.0**offset)
+        exact = exact_spectrum(k12, k21, k23, k31)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DegenerateEigenvaluesWarning)
+                params = dynamics.g2_params_from_rates(ThreeLevelRates(k12, k21, k23, k31))
+        except DegenerateEigenvaluesWarning:  # declared at kappa >= 2e6, up to round-off
+            assert exact is None or exact[3] > 1e6
+            return
+        except DomainError as err:
+            if str(err).startswith("complex"):
+                assert exact is None
+            else:
+                assert exact is not None and exact[2] < 0
+            return
+        assert exact is not None
+        assert_near_exact((params.tau1, params.tau2, params.a), exact)
+        if k23 == 0.0:
+            assert params.a == 0.0
 
     def test_singular_eigenvector_matrix_does_not_fail_the_stack(self):
         # at 1 mW the generator is defective: the real part of its eigenvector
@@ -324,18 +416,19 @@ class TestStackedSpectrum:
         for k21, k23, k31, sigma in self.parameter_points()[:60]:
             base = ThreeLevelRates(0.0, k21, k23, k31)
             pump = dynamics.PumpModel(sigma)
-            refs = [reference_g2_params(sigma * p, k21, k23, k31) for p in self.POWERS]
+            per_power = [replace(base, k12=sigma * p) for p in self.POWERS]
+            refs = [reference_g2_params(r.k12, k21, k23, k31) for r in per_power]
             if all(ref is not None for ref in refs):
                 sweep = dynamics.power_sweep(base, pump, self.POWERS)
-                assert [(g.tau1, g.tau2, g.a) for g in sweep.params] == refs
+                assert list(sweep.params) == [dynamics.g2_params_from_rates(r) for r in per_power]
+                for g, r in zip(sweep.params, per_power):
+                    assert_near_exact((g.tau1, g.tau2, g.a), exact_spectrum(r.k12, k21, k23, k31))
             curve = dynamics.saturation_curve(base, pump, 0.3, self.POWERS, eta_qe=0.7)
-            loop = [
-                0.3 * 0.7 * k21 * reference_steady_state(
-                    dynamics.generator(ThreeLevelRates(sigma * p, k21, k23, k31))
-                )[1]
-                for p in self.POWERS
-            ]
-            assert curve.rates.tolist() == loop
+            p2 = [dynamics.steady_state(r)[1] for r in per_power]
+            assert curve.rates.tolist() == [0.3 * 0.7 * k21 * x for x in p2]
+            for x, r in zip(p2, per_power):
+                exact = exact_p2(r.k12, k21, k23, k31)
+                assert abs(Decimal(float(x)) - exact) <= Decimal(3 * EPS) * exact
 
     def test_power_sweep_degenerate_and_invalid_powers(self):
         base = ThreeLevelRates(0.0, 1e9, 1e9, 1e9)
@@ -492,7 +585,7 @@ class TestPowerSweepIO:
         assert sweep.counts.tolist() == [1e5, 2e5]
         assert sweep.params[1].tau1 == pytest.approx(0.35e-9, rel=1e-15)
         path.write_text("0.5,0.4,10.0,0.3,1e5\n0.7,0.35,10.0,0.3\n")  # a rate on one row only
-        with pytest.raises(InputFormatError, match="sweep.csv:0: counts contains non-finite"):
+        with pytest.raises(InputFormatError, match="sweep.csv:2: expected 4 or 5 comma-separated"):
             dynamics.load_power_sweep(path)
         path.write_text("0.5,0.4,10.0,0.3\n\n0.7,-0.35,10.0,0.3\n")
         with pytest.raises(InputFormatError, match="sweep.csv:3: bad g2 parameters: tau1"):

@@ -346,9 +346,8 @@ class TestStreamIO:
     def test_g2_rows_of_two_and_three_fields(self, tmp_path):
         path = tmp_path / "g2.csv"
         path.write_text("# tau_s,g2,sigma\n-1e-9,0.5,0.1\n0.0,0.0\n1e-9,0.5,0.1\n")
-        curve = montecarlo.load_g2_csv(path)
-        assert curve.values.tolist() == [0.5, 0.0, 0.5]
-        assert curve.sigmas is None
+        with pytest.raises(InputFormatError, match="g2.csv:3: expected 'tau_s,g2"):
+            montecarlo.load_g2_csv(path)  # a row without sigma would drop every sigma
         path.write_text("-1e-9,0.5,0.1\n0.0,0.0,0.1,7\n")
         with pytest.raises(InputFormatError, match="g2.csv:2: expected 'tau_s,g2"):
             montecarlo.load_g2_csv(path)
