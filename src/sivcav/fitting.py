@@ -2,12 +2,14 @@
 
 The engine is a damped Gauss-Newton iteration with a Levenberg-Marquardt
 trust parameter, numerical forward-difference Jacobians (step
-sqrt(machine epsilon) times a per-parameter scale) and an accept/reject rule
-that never lets the cost increase. Convergence is declared when the relative
-parameter step falls below STEP_RTOL or the relative cost decrease falls
-below COST_RTOL; a fit that does not converge is retried from JITTER_RETRIES
-jittered starting points. Weighting is 1/sigma^2 when uncertainties are supplied
-and uniform otherwise.
+sqrt(machine epsilon) times a per-parameter scale, from the residual the
+engine holds at p), box bounds clipped to as two arrays, and an accept/reject
+rule that never lets the cost increase. Convergence is declared when the
+relative parameter step falls below STEP_RTOL or the relative cost decrease
+falls below COST_RTOL; a fit that does not converge is retried from
+JITTER_RETRIES jittered starting points. One central-difference Jacobian,
+retaken only after a polish step moves p, serves the polish and the
+covariance. Weighting is 1/sigma^2 with uncertainties and uniform otherwise.
 
 On top of the engine sit the fitters used throughout the package: the
 two-exponential g2 model (optionally convolved with a Gaussian instrument
@@ -26,6 +28,7 @@ from .errors import DomainError, RankDeficiencyError
 from .models import G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationCurve
 
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
+CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 RANK_TOL = 1e-12
 MAX_DAMPING = 1e14
 STEP_RTOL = 1e-10
@@ -55,19 +58,17 @@ class FitResult:
         return float(self.values[self.names.index(name)])
 
     def sigma(self, name):
-        i = self.names.index(name)
-        return float(math.sqrt(max(self.covariance[i, i], 0.0)))
+        return float(self.sigmas[self.names.index(name)])
 
     @property
     def sigmas(self):
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
     def to_dict(self):
-        sig = self.sigmas
         return {
             "params": {
                 name: {"value": float(v), "sigma": float(s)}
-                for name, v, s in zip(self.names, self.values, sig)
+                for name, v, s in zip(self.names, self.values, self.sigmas)
             },
             "covariance": self.covariance.tolist(),
             "residual_norm": self.residual_norm,
@@ -81,61 +82,33 @@ def poisson_sigmas(counts):
     return np.sqrt(np.clip(np.asarray(counts, dtype=float), 1.0, None))
 
 
-CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
-def numerical_jacobian(func, p, scales=None, bounds=None, central=False):
+def numerical_jacobian(func, p, r0, scales, lo, hi, central=False):
     """Finite-difference Jacobian of a vector function at p.
 
-    Forward differences with step sqrt(machine epsilon) * scales[j] by
-    default; ``central=True`` switches to central differences with
-    eps^(1/3) steps (used for the final polish and covariance, where the
-    lower cancellation noise matters). The default scale is max(|p_j|, 1);
-    pass explicit scales for shift parameters whose response length differs
-    from their absolute value (e.g. a peak center). When a step would leave
-    the bounds the difference is taken one-sided on the feasible side.
+    ``r0`` is func(p), which the caller holds. Forward differences step by
+    sqrt(machine epsilon) * scales[j], scales positive (for a peak center,
+    its response length rather than its value); ``central=True`` switches to
+    central differences with eps^(1/3) steps (used for the final polish and
+    covariance, where the lower cancellation noise matters). Where a step
+    would leave the bounds ``lo``, ``hi`` (-inf, inf where open) the
+    difference is taken one-sided on the feasible side.
     """
-    p = np.asarray(p, dtype=float)
-    r0 = np.asarray(func(p), dtype=float)
-    n = p.size
-    jac = np.empty((r0.size, n))
-    if scales is None:
-        scales = np.maximum(np.abs(p), 1.0)
-    for j in range(n):
-        h = (CBRT_EPS if central else SQRT_EPS) * abs(scales[j])
-        if h == 0.0:
-            h = SQRT_EPS
-        lo = hi = None
-        if bounds is not None:
-            lo, hi = bounds[j]
-        if central and (lo is None or p[j] - h >= lo) and (hi is None or p[j] + h <= hi):
-            up, dn = p.copy(), p.copy()
-            up[j] += h
-            dn[j] -= h
-            h_eff = up[j] - dn[j]
-            jac[:, j] = (
-                np.asarray(func(up), dtype=float) - np.asarray(func(dn), dtype=float)
-            ) / h_eff
-            continue
-        if hi is not None and p[j] + h > hi and (lo is None or p[j] - h >= lo):
-            h = -h
-        stepped = p.copy()
-        stepped[j] += h
-        h_eff = stepped[j] - p[j]  # the step actually representable at p[j]
-        jac[:, j] = (np.asarray(func(stepped), dtype=float) - r0) / h_eff
+    h = (CBRT_EPS if central else SQRT_EPS) * scales
+    h = np.where(h > 0, h, SQRT_EPS)  # a subnormal scale underflows to a zero step
+    below = p - h >= lo
+    two_sided = central & below & (p + h <= hi)
+    backward = below & (p + h > hi)
+    jac = np.empty((r0.size, p.size))
+    for j in range(p.size):
+        up = p.copy()
+        up[j] += -h[j] if backward[j] else h[j]
+        if two_sided[j]:
+            dn = p.copy()
+            dn[j] -= h[j]
+            jac[:, j] = (func(up) - func(dn)) / (up[j] - dn[j])
+        else:  # divide by the step actually representable at p[j]
+            jac[:, j] = (func(up) - r0) / (up[j] - p[j])
     return jac
-
-
-def _project(p, bounds):
-    if bounds is None:
-        return p
-    out = p.copy()
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None and out[j] < lo:
-            out[j] = lo
-        if hi is not None and out[j] > hi:
-            out[j] = hi
-    return out
 
 
 def _singular_direction_names(jac, names):
@@ -148,18 +121,24 @@ def _singular_direction_names(jac, names):
     return involved, ratio
 
 
-def _lm_iterate(residual_fn, p0, bounds, jac_scales, names, max_iterations):
-    p = _project(np.asarray(p0, dtype=float).copy(), bounds)
+def _cost(r):
+    # a finite but huge residual squares to inf, which the accept rule rejects
+    with np.errstate(all="ignore"):
+        return 0.5 * float(r @ r)
+
+
+def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
+    p = np.clip(p0, lo, hi)
     r = residual_fn(p)
     if not np.all(np.isfinite(r)):
         raise DomainError("residuals are not finite at the initial parameters")
-    cost = 0.5 * float(r @ r)
+    cost = _cost(r)
     trace = [cost]
     lam = 1e-3
     converged = False
     iterations = 0
 
-    jac = numerical_jacobian(residual_fn, p, jac_scales(p), bounds)
+    jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi)
     involved, ratio = _singular_direction_names(jac, names)
     if ratio < RANK_TOL:
         raise RankDeficiencyError(
@@ -185,10 +164,10 @@ def _lm_iterate(residual_fn, p0, bounds, jac_scales, names, max_iterations):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            p_new = _project(p + delta, bounds)
+            p_new = np.clip(p + delta, lo, hi)
             r_new = residual_fn(p_new)
             if np.all(np.isfinite(r_new)):
-                cost_new = 0.5 * float(r_new @ r_new)
+                cost_new = _cost(r_new)
                 if cost_new < cost:
                     accepted = True
                     break
@@ -204,37 +183,39 @@ def _lm_iterate(residual_fn, p0, bounds, jac_scales, names, max_iterations):
         p, r, cost = p_new, r_new, cost_new
         trace.append(cost)
         lam = max(lam / 3.0, 1e-14)
-        jac = numerical_jacobian(residual_fn, p, jac_scales(p), bounds)
         if step_rel < STEP_RTOL or cost_rel < COST_RTOL:
             converged = True
             break
+        jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi)
 
+    jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi, central=True)
     if converged:
-        # a few undamped Gauss-Newton polish steps with central-difference
-        # Jacobians remove the residual bias that forward-difference noise
-        # and the trust parameter leave on (near-)linear problems
+        # a few undamped Gauss-Newton polish steps remove the residual bias
+        # that forward-difference noise and the trust parameter leave on
+        # (near-)linear problems
         for _ in range(3):
-            jac = numerical_jacobian(residual_fn, p, jac_scales(p), bounds, central=True)
             try:
                 delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
             except np.linalg.LinAlgError:
                 break
             if not np.all(np.isfinite(delta)):
                 break
-            p_new = _project(p + delta, bounds)
+            p_new = np.clip(p + delta, lo, hi)
+            if np.array_equal(p_new, p):  # the step rounds away: same cost, no model call
+                trace.append(cost)
+                break
             r_new = residual_fn(p_new)
             if not np.all(np.isfinite(r_new)):
                 break
-            cost_new = 0.5 * float(r_new @ r_new)
+            cost_new = _cost(r_new)
             if cost_new > cost:
                 break
             improved = cost_new < cost
             p, r, cost = p_new, r_new, cost_new
             trace.append(cost)
+            jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi, central=True)
             if not improved:
                 break
-    # covariance uses the low-noise central-difference Jacobian at the solution
-    jac = numerical_jacobian(residual_fn, p, jac_scales(p), bounds, central=True)
 
     return p, r, cost, trace, iterations, converged, jac
 
@@ -301,14 +282,18 @@ def least_squares(
         weights = 1.0 / sig
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p0))):
         raise DomainError("data and initial parameters must be finite")
-    if bounds is not None:
-        if len(bounds) != n:
-            raise DomainError("bounds must supply one (lo, hi) pair per parameter")
-        for j, (lo, hi) in enumerate(bounds):
-            if lo is not None and hi is not None and lo > hi:
-                raise DomainError(f"bound for {names[j]} has lo > hi")
-            if (lo is not None and p0[j] < lo) or (hi is not None and p0[j] > hi):
-                raise DomainError(f"initial value of {names[j]} violates its bounds")
+    if bounds is None:
+        bounds = [(None, None)] * n
+    if len(bounds) != n:
+        raise DomainError("bounds must supply one (lo, hi) pair per parameter")
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=float)
+    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
+    bad = (lo > hi) | (p0 < lo) | (p0 > hi)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if lo[j] > hi[j]:
+            raise DomainError(f"bound for {names[j]} has lo > hi")
+        raise DomainError(f"initial value of {names[j]} violates its bounds")
 
     def residual_fn(p):
         if fixup is not None:
@@ -330,16 +315,16 @@ def least_squares(
         def jac_scales(_p):
             return fixed_scales
 
-    attempts = [_lm_iterate(residual_fn, p0, bounds, jac_scales, names, max_iterations)]
+    attempts = [_lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations)]
     if not attempts[0][5]:  # retry from jittered starts, deterministically
         rng = np.random.default_rng(1234)
         for _ in range(JITTER_RETRIES):
             start = p0 * (1.0 + 0.25 * rng.uniform(-1.0, 1.0, size=n))
             start = np.where(np.abs(start) > 0, start, 0.1 * rng.standard_normal(n))
             try:
-                attempts.append(_lm_iterate(
-                    residual_fn, _project(start, bounds), bounds, jac_scales, names, max_iterations,
-                ))
+                attempts.append(
+                    _lm_iterate(residual_fn, start, lo, hi, jac_scales, names, max_iterations)
+                )
             except (DomainError, RankDeficiencyError):
                 pass
     # converged beats not converged, then the lower cost; the first attempt wins ties

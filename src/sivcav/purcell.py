@@ -41,6 +41,7 @@ from .models import (
     ENV_BANDGAP,
     ENV_BULK,
     ENV_CAVITY,
+    UNIT_NORM_TOL,
     CavityMode,
     EmitterLine,
     FieldMap,
@@ -50,8 +51,6 @@ from .models import (
     _Document,
     _raise_if,
 )
-
-UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def orientation_overlap(dipole_axis, field_axis) -> float:
             raise DomainError(f"{name} must be a 3-vector")
         if not np.all(np.isfinite(v)):
             raise DomainError(f"{name} contains non-finite entries")
-        if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_TOL:
+        if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
             raise DomainError(f"{name} must have unit norm, got |v| = {np.linalg.norm(v):.12g}")
     r_mu = float(np.dot(d, f)) ** 2
     return min(r_mu, 1.0)

@@ -263,7 +263,7 @@ def test_criterion_09_fitting_engine():
         def residual(q, model=model, x=x):
             return np.asarray(model(x, *q), dtype=float)
 
-        forward = fitting.numerical_jacobian(residual, p, scales)
+        forward = fitting.numerical_jacobian(residual, p, residual(p), scales, -np.inf, np.inf)
         reference = central(residual, p, scales)
         denom = np.max(np.abs(reference), axis=0)
         denom[denom == 0] = 1.0

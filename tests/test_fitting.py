@@ -74,7 +74,7 @@ class TestJacobian:
         def residual(q):
             return np.asarray(model(x, *q), dtype=float)
 
-        forward = fitting.numerical_jacobian(residual, p, scales)
+        forward = fitting.numerical_jacobian(residual, p, residual(p), scales, -np.inf, np.inf)
         central = central_jacobian(residual, p, scales)
         denom = np.max(np.abs(central), axis=0)
         denom[denom == 0] = 1.0
@@ -137,6 +137,44 @@ class TestEngine:
             lambda x, c: np.exp(-c * x), x, y, [25.0], max_iterations=1
         )
         assert not fit.converged
+
+    def test_no_parameter_vector_reaches_the_model_twice(self, monkeypatch, rng):
+        # a Jacobian reuses the residual the engine holds at its point, and
+        # the covariance reuses the polish's last central Jacobian
+        fits = []
+        least_squares = fitting.least_squares
+
+        def recording(model, *args, **kwargs):
+            seen = []
+            fits.append(seen)
+
+            def recorded(x, *p):
+                seen.append(tuple(p))
+                return model(x, *p)
+
+            return least_squares(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        tau = np.linspace(-30e-9, 30e-9, 601)
+        for irf_sigma, model in ((None, fitting.g2_model(tau, 0.8, 0.48e-9, 5e-9)),
+                                 (0.3e-9, fitting.g2_model_irf(tau, 0.8, 0.48e-9, 5e-9, 0.3e-9))):
+            noisy = np.clip(model + rng.normal(0, 0.02, tau.size), 0, None)
+            assert fitting.fit_g2(G2Curve(tau, noisy), irf_sigma=irf_sigma).converged
+        wl = np.linspace(725.0, 755.0, 700)
+        y = (
+            30.0
+            + fitting.lorentzian_peak(wl, 735.0, 1.5, 500.0)
+            + fitting.lorentzian_peak(wl, 746.0, 3.0, 300.0)
+        )
+        assert fitting.fit_lorentzians(PLSpectrum(wl, y), 2, [734.0, 747.0]).converged
+        powers = np.array([0.1, 0.3, 0.6, 1.0, 1.6, 2.4])
+        sweep = dynamics.power_sweep(
+            ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6), dynamics.PumpModel(1.5e9), powers
+        )
+        assert dynamics.extrapolate_zero_power(sweep).fit.converged
+        assert len(fits) == 4
+        for seen in fits:
+            assert len(set(seen)) == len(seen)
 
     def test_sigma_weighting_changes_solution(self, rng):
         x = np.linspace(0.0, 1.0, 20)

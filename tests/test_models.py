@@ -1,6 +1,8 @@
 import json
 import math
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -232,6 +234,27 @@ def test_json_round_trip_array_types(obj):
     doc = json.loads(json.dumps(obj.to_dict()))
     clone = type(obj).from_dict(doc)
     assert clone.to_dict() == obj.to_dict()
+
+
+SCHEMA_CASES = SCALAR_ROUND_TRIP_CASES + ARRAY_ROUND_TRIP_CASES + [
+    PhotonicEnvironment.bandgap_only(0.5),
+    FieldMap(np.array([[0.1, 0.9j], [0.4, 1.0]]), 10.0, (-5.0, -5.0)),
+    G2Curve(np.array([-1e-9, 0.0, 2e-9]), np.array([1.0, 0.0, 0.7])),
+]
+with resources.files("sivcav").joinpath("schemas/model_types.schema.json").open() as _fh:
+    MODEL_SCHEMA = json.load(_fh)
+
+
+def test_model_schema_covers_every_model_type():
+    assert set(MODEL_SCHEMA["$defs"]) == {type(obj).__name__ for obj in SCHEMA_CASES}
+
+
+@pytest.mark.parametrize("obj", SCHEMA_CASES, ids=lambda o: type(o).__name__)
+def test_bundled_model_schema_describes_to_dict(obj):
+    name = type(obj).__name__
+    doc = json.loads(json.dumps(obj.to_dict()))
+    jsonschema.Draft202012Validator(dict(MODEL_SCHEMA, **{"$ref": f"#/$defs/{name}"})).validate(doc)
+    assert set(doc) <= set(MODEL_SCHEMA["$defs"][name]["properties"])
 
 
 @given(
