@@ -42,6 +42,7 @@ from .models import (
     G2Params,
     SaturationCurve,
     ThreeLevelRates,
+    _Document,
     _check_finite,
     _check_finite_array,
     _raise_if,
@@ -53,7 +54,7 @@ DEGENERACY_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
-class PumpModel:
+class PumpModel(_Document):
     """Linear pump law k12 = sigma * P with sigma in Hz per mW."""
 
     sigma: float
@@ -75,13 +76,6 @@ class PumpModel:
         """Saturation power (mW): excited population reaches half its
         infinite-power limit at k12 = (k21 + k23) k31 / (k31 + k23)."""
         return (rates.k21 + rates.k23) * rates.k31 / ((rates.k31 + rates.k23) * self.sigma)
-
-    def to_dict(self):
-        return {"sigma": self.sigma, "units": self.UNITS}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(doc["sigma"])
 
 
 @dataclass(frozen=True, eq=False)

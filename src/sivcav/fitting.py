@@ -186,7 +186,8 @@ def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
         if step_rel < STEP_RTOL or cost_rel < COST_RTOL:
             converged = True
             break
-        jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi)
+        if iterations < max_iterations:
+            jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi)
 
     jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi, central=True)
     if converged:

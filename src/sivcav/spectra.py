@@ -1,14 +1,15 @@
 """Spectral bookkeeping across cavity-tuning steps and polarization mixing.
 
 Digital etching blue-shifts the cavity modes step by step; this module tracks
-labeled modes through a series of PL spectra by re-fitting Lorentzians and
-associating peaks to tracks by nearest center (threshold three previous
-linewidths), locates the tuning step where a mode crosses an emitter line,
-extracts on/off-resonance intensity-enhancement ratios, and evaluates the
-phenomenological polarization-mixing model: an incoherent sum of cos^2
-intensity channels, each cavity channel weighted by its Lorentzian spectral
-overlap with the emitter line, whose argmax angle follows from the Stokes
-vector of the summed components.
+labeled modes through a series of PL spectra by one joint Lorentzian fit per
+step, each track's component seeded where the track predicts it (its last
+center advanced by its mean shift per step) and kept within three previous
+linewidths of that prediction. It locates the tuning step where a mode
+crosses an emitter line, extracts on/off-resonance intensity-enhancement
+ratios, and evaluates the phenomenological polarization-mixing model: an
+incoherent sum of cos^2 intensity channels, each cavity channel weighted by
+its Lorentzian spectral overlap with the emitter line, whose argmax angle
+follows from the Stokes vector of the summed components.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class TrackPoint:
 class ModeTrack:
     """Per-step fitted center/fwhm of one tracked mode.
 
-    ``terminated_at`` records the first step where no peak fell within the
-    association threshold; ``non_monotonic_steps`` flags steps where the
+    ``terminated_at`` records the first step whose fit lost the mode (see
+    ``track_modes``); ``non_monotonic_steps`` flags steps where the
     center moved to the red in a blue-tuning series (flagged, never
     rejected).
     """
@@ -137,100 +138,19 @@ class EnhancementResult:
     off_area: float
 
 
-def _find_peaks(x, min_prominence):
-    """Prominent local maxima of x as scipy.signal.find_peaks(x, prominence=...)
-    and peak_widths(x, peaks, rel_height=0.5) give them, bit for bit: arrays of
-    peaks, prominences, left and right bases, and widths in samples.
-
-    A peak is the midpoint (rounded down) of a plateau above both neighbors;
-    a base is the lowest sample, the nearest of equal ones, before a higher
-    sample on its side; the width is taken at half the prominence, between
-    crossings interpolated linearly within the bases.
-    """
-    x = np.asarray(x, dtype=float).tolist()
-    n, peaks, rows, i = len(x), [], [], 1
-    while i < n - 1:
-        if x[i - 1] < x[i]:
-            ahead = i + 1
-            while ahead < n - 1 and x[ahead] == x[i]:
-                ahead += 1
-            if x[ahead] < x[i]:
-                peaks.append((i + ahead - 1) // 2)
-                i = ahead
-        i += 1
-    for peak in peaks:
-        top, bases = x[peak], []
-        for step, stop in ((-1, -1), (1, n)):
-            k = base = peak
-            while k != stop and x[k] <= top:
-                base = k if x[k] < x[base] else base
-                k += step
-            bases.append(base)
-        left, right = bases
-        prominence = top - max(x[left], x[right])
-        if not prominence >= min_prominence:
-            continue
-        height = top - prominence * 0.5
-        lo = hi = peak
-        while left < lo and height < x[lo]:
-            lo -= 1
-        while hi < right and height < x[hi]:
-            hi += 1
-        lo_ip = lo + (height - x[lo]) / (x[lo + 1] - x[lo]) if x[lo] < height else float(lo)
-        hi_ip = hi - (height - x[hi]) / (x[hi - 1] - x[hi]) if x[hi] < height else float(hi)
-        rows.append((peak, prominence, left, right, hi_ip - lo_ip))
-    columns = list(zip(*rows)) or [()] * 5
-    return tuple(np.array(c, dtype=t) for c, t in zip(columns, (np.intp, float, np.intp, np.intp, float)))
-
-
-def _detect_peaks(spectrum: PLSpectrum, min_prominence_frac=0.02, max_peaks=6):
-    """Candidate peaks (center, fwhm) per step.
-
-    Local maxima above a prominence floor seed one joint multi-Lorentzian
-    refit of the whole spectrum, which keeps blended neighbors (e.g. a narrow
-    emitter line riding on a cavity mode) from contaminating each other's
-    center and width. Falls back to the raw maxima if the joint fit fails.
-    """
-    counts = spectrum.intensities
-    wl = spectrum.wavelengths
-    dyn = float(counts.max() - counts.min())
-    if dyn <= 0:
-        return []
-    idx, prominences, _left, _right, widths = _find_peaks(counts, min_prominence_frac * dyn)
-    if idx.size == 0:
-        return []
-    if idx.size > max_peaks:
-        keep = np.sort(np.argsort(prominences)[::-1][:max_peaks])
-        idx, widths = idx[keep], widths[keep]
-    dx = float(np.median(np.diff(wl)))
-    raw = [(float(wl[i]), max(float(w) * dx, dx)) for i, w in zip(idx, widths)]
-    inits = [(c, w, None) for c, w in raw]
-    try:
-        fit = fitting.fit_lorentzians(spectrum, len(inits), inits)
-    except (DomainError, RankDeficiencyError, ValidationError):
-        return raw
-    if not fit.converged:
-        return raw
-    refined = []
-    for peak in fitting.lorentzian_peak_summary(fit, len(inits)):
-        if peak["amplitude"] > 0:
-            refined.append((peak["center"], abs(peak["fwhm"])))
-    return refined if refined else raw
-
-
 def track_modes(steps, seed_peaks, association_fwhm=3.0) -> TuningSeries:
     """Track labeled modes through a series of spectra.
 
     steps      : sequence of (step_index, PLSpectrum), indices increasing
     seed_peaks : {label: (center_nm, fwhm_nm)} at the first step
 
-    Each step's peaks are re-fitted Lorentzians; a track claims an unclaimed
-    peak within ``association_fwhm`` times its previous fwhm of its previous
-    center. Claims are resolved greedily by a cost that combines center
-    distance with linewidth mismatch, so an almost stationary mode keeps its
-    peak when another track sweeps past, and a broad mode is not captured by
-    a narrow line it passes. A track with no candidate is terminated at that
-    step, never an exception.
+    Each step is one joint multi-Lorentzian fit with one component per
+    active track, seeded at the track's prediction: its previous center
+    advanced by its mean shift per step so far, and its previous fwhm. A
+    track keeps its component when the fit converged, the amplitude is
+    positive, the fwhm spans at least two samples and the center lies within
+    ``association_fwhm`` previous fwhms of the prediction; otherwise the
+    track is terminated at that step, never an exception.
     """
     steps = sorted(((int(s), spec) for s, spec in steps), key=lambda pair: pair[0])
     if not steps:
@@ -250,35 +170,38 @@ def track_modes(steps, seed_peaks, association_fwhm=3.0) -> TuningSeries:
     }
 
     for step_index, spectrum in steps:
-        peaks = _detect_peaks(spectrum)
-        active = [lbl for lbl, st in state.items() if st["terminated"] is None]
-        pairs = []
-        for lbl in active:
-            st = state[lbl]
-            threshold = association_fwhm * st["fwhm"]
-            for j, (center, fwhm) in enumerate(peaks):
-                dist = abs(center - st["center"])
-                if dist <= threshold:
-                    cost = dist / threshold + abs(math.log(fwhm / st["fwhm"]))
-                    pairs.append((cost, lbl, j))
-        pairs.sort(key=lambda item: item[0])
-        claimed_modes = set()
-        claimed_peaks = set()
-        for _cost, lbl, j in pairs:
-            if lbl in claimed_modes or j in claimed_peaks:
+        active = [st for st in state.values() if st["terminated"] is None]
+        if not active:
+            break
+        wl = spectrum.wavelengths
+        predicted = []
+        for st in active:
+            points, rate = st["points"], 0.0
+            if len(points) >= 2:
+                rate = (points[-1].center - points[0].center) / (points[-1].step - points[0].step)
+            predicted.append(st["center"] + rate * (step_index - points[-1].step if points else 0))
+        inits = [(min(max(c, wl[0]), wl[-1]), st["fwhm"], None) for st, c in zip(active, predicted)]
+        try:
+            fit = fitting.fit_lorentzians(spectrum, len(inits), inits)
+        except (DomainError, RankDeficiencyError):
+            fit = None
+        for k, (st, prediction) in enumerate(zip(active, predicted), start=1):
+            kept = (
+                fit is not None
+                and fit.converged
+                and fit[f"amplitude_{k}"] > 0
+                and fit[f"fwhm_{k}"] >= 2.0 * float(np.median(np.diff(wl)))
+                and abs(fit[f"center_{k}"] - prediction) <= association_fwhm * st["fwhm"]
+            )
+            if not kept:
+                st["terminated"] = step_index
                 continue
-            claimed_modes.add(lbl)
-            claimed_peaks.add(j)
-            center, fwhm = peaks[j]
-            st = state[lbl]
+            center, fwhm = fit[f"center_{k}"], fit[f"fwhm_{k}"]
             if st["points"] and center > st["points"][-1].center:
                 st["flags"].append(step_index)
             st["points"].append(TrackPoint(step_index, center, fwhm))
             st["center"] = center
             st["fwhm"] = fwhm
-        for lbl in active:
-            if lbl not in claimed_modes:
-                state[lbl]["terminated"] = step_index
 
     tracks = {
         lbl: ModeTrack(lbl, tuple(st["points"]), st["terminated"], tuple(st["flags"]))
@@ -321,10 +244,12 @@ def find_resonance(series: TuningSeries, mode_label: str, line: EmitterLine) -> 
 def _fit_line_area(series: TuningSeries, step: int, line: EmitterLine, mode_tracks) -> float:
     """Background-subtracted Lorentzian area of the emitter line in a step.
 
-    A tracked cavity mode overlapping the line is fitted jointly as a second
-    Lorentzian; the line component keeps its identity through the
-    initialization order. Only the supplied mode tracks contribute companion
-    components (the line's own track, if any, is the line).
+    Every supplied mode track present at the step is fitted jointly as a
+    Lorentzian of its own, over a window wide enough to hold it and two of
+    its widths beyond, so a mode's tail does not curve the baseline under the
+    line; the line component keeps its identity through the initialization
+    order. Only the supplied mode tracks contribute companion components (the
+    line's own track, if any, is the line).
     """
     spectrum = series.spectrum(step)
     wl = spectrum.wavelengths
@@ -333,9 +258,9 @@ def _fit_line_area(series: TuningSeries, step: int, line: EmitterLine, mode_trac
     inits = [(line.lambda_i, line_fwhm, None)]
     for track in mode_tracks.values():
         for point in track.points:
-            if point.step == step and abs(point.center - line.lambda_i) <= half_window + point.fwhm:
+            if point.step == step:
                 inits.append((point.center, point.fwhm, None))
-                half_window = max(half_window, 2.0 * point.fwhm)
+                half_window = max(half_window, abs(point.center - line.lambda_i) + 2.0 * point.fwhm)
     sel = (wl >= line.lambda_i - half_window) & (wl <= line.lambda_i + half_window)
     if sel.sum() < 6 + 3 * len(inits):
         raise DomainError(f"too few points around {line.lambda_i} nm in step {step}")
@@ -358,10 +283,11 @@ def enhancement_ratio(
 
     The on step minimizes the detuning of the nearest tracked cavity mode to
     the line; the off step maximizes it. ``mode_labels`` restricts which
-    tracks count as tuning modes; by default a track that never leaves the
-    immediate neighborhood of the line (the emitter's own peak, if tracked)
-    is excluded automatically. Peak areas are baseline-subtracted by
-    construction (the Lorentzian fits include a constant background).
+    tracks count as tuning modes; by default a track counts when its centers
+    span more than its median fwhm, so a stationary track (the emitter's own
+    peak, if tracked) is excluded automatically. Peak areas are
+    baseline-subtracted by construction (the Lorentzian fits include a
+    constant background).
     """
     tracks = series.tracked_modes
     if mode_labels is not None:
@@ -373,9 +299,7 @@ def enhancement_ratio(
         tracks = {
             lbl: tr
             for lbl, tr in tracks.items()
-            if tr.points
-            and max(abs(p.center - line.lambda_i) for p in tr.points)
-            > 5.0 * max(line.linewidth, np.median([p.fwhm for p in tr.points]))
+            if tr.points and np.ptp(tr.centers) > np.median([p.fwhm for p in tr.points])
         }
     if not tracks:
         raise DomainError("no tuning-mode tracks to select on/off steps from")

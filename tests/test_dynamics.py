@@ -284,6 +284,14 @@ class TestPowerSweep:
             assert g1.tau2 == pytest.approx(g2.tau2, rel=1e-12)
             assert g1.a == pytest.approx(g2.a, rel=1e-12)
 
+    def test_pump_model_document_checks_units(self):
+        pump = dynamics.PumpModel(1.5e9)
+        doc = pump.to_dict()
+        assert doc == {"sigma": 1.5e9, "units": "Hz/mW"}
+        assert dynamics.PumpModel.from_dict(doc) == pump
+        with pytest.raises(ValidationError):
+            dynamics.PumpModel.from_dict(dict(doc, units="Hz"))
+
     def test_zero_power_limit(self):
         base = ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6)
         sweep = dynamics.power_sweep(base, dynamics.PumpModel(1.5e9), [1e-6])

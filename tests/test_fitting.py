@@ -133,10 +133,17 @@ class TestEngine:
         # one iteration budget cannot converge from a bad start
         x = np.linspace(0.0, 10.0, 30)
         y = np.exp(-0.7 * x)
-        fit = fitting.least_squares(
-            lambda x, c: np.exp(-c * x), x, y, [25.0], max_iterations=1
-        )
+        calls = []
+
+        def model(x, c):
+            calls.append(c)
+            return np.exp(-c * x)
+
+        fit = fitting.least_squares(model, x, y, [25.0], max_iterations=1)
         assert not fit.converged
+        # 6 attempts, each with one forward and one central Jacobian: a
+        # forward Jacobian after the last allowed iteration would add 6 calls
+        assert len(calls) == 69
 
     def test_no_parameter_vector_reaches_the_model_twice(self, monkeypatch, rng):
         # a Jacobian reuses the residual the engine holds at its point, and

@@ -25,18 +25,11 @@ def single_mode_series(centers, fwhm=2.3, amp=800.0):
     return [(k, lorentz_spectrum([(c, fwhm, amp)])) for k, c in enumerate(centers)]
 
 
-def scipy_peaks(x, min_prominence):
-    """The peaks, prominences, bases and half-prominence widths SciPy gives."""
-    from scipy.signal import find_peaks, peak_widths
-
-    idx, props = find_peaks(x, prominence=min_prominence)
-    widths = peak_widths(x, idx, rel_height=0.5)[0] if idx.size else np.zeros(0)
-    return idx, props["prominences"], props["left_bases"], props["right_bases"], widths
-
-
-def noisy_tuning_counts(seed=3, steps=12):
-    """Shot-noise spectra of a 2.3 nm mode (800 counts over 50) blue-shifting
-    1.6 nm per step through a 0.35 nm, 300-1500 count line at 739.9 nm."""
+def tuning_counts(seed, shot_noise=True, steps=12):
+    """Spectra of a 2.3 nm mode (800 counts over 50) blue-shifting 1.6 nm per
+    step through a 0.35 nm, 300-1500 count line at 739.9 nm: the mode centers,
+    the line amplitudes and the counts, Poisson draws unless ``shot_noise`` is
+    False."""
     rng = np.random.default_rng(seed)
     centers = 739.9 + 1.6 * (5 - np.arange(steps)) + rng.uniform(-0.5, 0.5)
     line = 300.0 * (1.0 + 4.0 / (1.0 + (2.0 * (centers - 739.9) / 2.3) ** 2))
@@ -45,42 +38,13 @@ def noisy_tuning_counts(seed=3, steps=12):
         + fitting.lorentzian_peak(WL[None, :], centers[:, None], 2.3, 800.0)
         + fitting.lorentzian_peak(WL[None, :], 739.9, 0.35, line[:, None])
     )
-    return rng.poisson(expected).astype(float)
+    counts = rng.poisson(expected).astype(float) if shot_noise else expected
+    return centers, line, counts
 
 
-class TestFindPeaks:
-    """spectra._find_peaks against scipy.signal.find_peaks + peak_widths, with ==."""
-
-    def assert_matches_scipy(self, x, min_prominence):
-        ours = spectra._find_peaks(np.asarray(x, dtype=float), min_prominence)
-        theirs = scipy_peaks(np.asarray(x, dtype=float), min_prominence)
-        for mine, ref in zip(ours, theirs):
-            assert mine.shape == ref.shape
-            assert np.array_equal(mine, ref)
-
-    def test_random_integer_plateaus(self, rng):
-        for _ in range(500):
-            x = rng.integers(0, 5, int(rng.integers(0, 40)))
-            self.assert_matches_scipy(x, float(rng.choice([0.0, 0.5, 1.0, 2.0])))
-
-    @pytest.mark.parametrize("x", [
-        [], [1.0], [1.0, 2.0], [3.0, 1.0],
-        [2.0, 2.0, 2.0, 2.0], [5.0, 5.0, 1.0, 3.0, 3.0],
-        [1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 1.0, 3.0, 3.0, 3.0],
-        [0.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0, 0.0],
-    ])
-    def test_short_constant_and_edge_plateaus(self, x):
-        self.assert_matches_scipy(x, 0.0)
-
-    def test_every_step_of_a_noisy_tuning_series(self):
-        for counts in noisy_tuning_counts():
-            self.assert_matches_scipy(counts, 0.02 * float(counts.max() - counts.min()))
-
-    def test_detect_peaks_unchanged(self, monkeypatch):
-        spectrum = PLSpectrum(WL, noisy_tuning_counts()[6])
-        ours = spectra._detect_peaks(spectrum)
-        monkeypatch.setattr(spectra, "_find_peaks", scipy_peaks)
-        assert spectra._detect_peaks(spectrum) == ours
+def track_tuning_counts(centers, counts):
+    steps = [(k, PLSpectrum(WL, y)) for k, y in enumerate(counts)]
+    return spectra.track_modes(steps, {"mode": (centers[0], 2.3), "line": (739.9, 0.35)})
 
 
 class TestTrackModes:
@@ -137,6 +101,14 @@ class TestTrackModes:
             assert np.allclose(
                 s1.tracked_modes[label].centers, s2.tracked_modes[label].centers
             )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shot_noise_keeps_the_mode(self, seed):
+        centers, _, counts = tuning_counts(seed)
+        track = track_tuning_counts(centers, counts).tracked_modes["mode"]
+        assert track.terminated_at is None
+        assert np.array_equal(track.steps, np.arange(centers.size))
+        assert np.max(np.abs(track.centers - centers)) < 0.5
 
     def test_red_shift_flagged_not_rejected(self):
         centers = [750.0, 748.4, 749.5, 746.8]
@@ -256,6 +228,19 @@ class TestEnhancementRatio:
         assert result.ratio == pytest.approx(5.0, rel=0.05)
         with pytest.raises(DomainError):
             spectra.enhancement_ratio(series, line, mode_labels=["missing"])
+
+
+    def test_noise_free_ratio_without_mode_labels(self):
+        # the stationary line track drops out of the default tuning modes, and
+        # the mode 9-12 nm off resonance is fitted with the line, not left to
+        # curve its baseline
+        centers, line, counts = tuning_counts(3, shot_noise=False)
+        detuning = np.abs(centers - 739.9)
+        kon, koff = int(np.argmin(detuning)), int(np.argmax(detuning))
+        series = track_tuning_counts(centers, counts)
+        result = spectra.enhancement_ratio(series, EmitterLine(739.9, 0.35))
+        assert (result.on_step, result.off_step) == (kon, koff)
+        assert result.ratio == pytest.approx(line[kon] / line[koff], rel=0.01)
 
 
 class TestPolarizationMixture:
