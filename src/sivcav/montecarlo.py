@@ -1,16 +1,19 @@
 """Stochastic photon-stream simulation and HBT correlation estimation.
 
-The three-level system is simulated as a continuous-time Markov chain with
-exact exponential waiting times per state and competing-risks branch choice;
-there is no time discretization. Each excited-state decay to the ground state
-emits a photon with probability eta_qe (the radiative branch of the supplied
-budget), tagged ZPL or PSB by the budget's branching ratio and thinned by the
-detection efficiency.
+The three-level system is a continuous-time Markov chain, sampled exactly
+from one detected photon to the next, with no time discretization. A decay
+to the ground state emits with probability eta_qe, lands in ZPL or PSB by
+the budget's branching ratio and is thinned by the detection efficiency, so
+a cycle ends in a detected photon with probability
+q = (1 - p_shelf) * eta_qe * eta_det. After a detection the emitter is in
+the ground state, so the gaps are independent: K ~ Geometric(q) cycles, of
+which M ~ Binomial(K - 1, p_dark) shelved, take
+Gamma(K, 1/k12) + Gamma(K, 1/(k21 + k23)) + Gamma(M, 1/k31).
 
 Randomness comes from the counter-based Philox generator, so streams are
-bit-reproducible from their seed. Draws are made in fixed per-cycle order
-(pump wait, excited wait, branch coin, shelf wait, detection coin, channel
-coin), vectorized over batches of cycles; unused draws are discarded.
+bit-reproducible from their seed. Draws are made in fixed per-photon order
+(K, M, the three gamma waits, channel coin), vectorized over batches of
+photons; a new order bumps RNG_ALGORITHM, which saved streams record.
 
 Streams and histograms are stored as CSV through the package's one table
 reader and writer: a stream file is a stable byte format, one row per photon
@@ -31,7 +34,7 @@ from ._table import read_table, write_table
 from .errors import DomainError, InputFormatError, ValidationError
 from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _check_finite, _raise_if
 
-RNG_ALGORITHM = "philox4x64"
+RNG_ALGORITHM = "philox4x64/skip-1"
 
 CHANNEL_ZPL = 0
 CHANNEL_PSB = 1
@@ -171,9 +174,7 @@ def simulate_stream(
     if not (0.0 <= detection_eff <= 1.0):
         raise DomainError(f"detection_eff must lie in [0, 1], got {detection_eff}")
 
-    empty = PhotonStream(
-        np.empty(0), np.empty(0, dtype=np.uint8), duration, seed
-    )
+    empty = PhotonStream(np.empty(0), np.empty(0, dtype=np.uint8), duration, seed)
     q_detect = budget.eta_qe * detection_eff
     if detection_eff == 0.0:
         warnings.warn("detection_eff = 0: no photons are recorded", stacklevel=2)
@@ -184,34 +185,32 @@ def simulate_stream(
 
     k2t = rates.k21 + rates.k23
     p_shelf = rates.k23 / k2t
-    zpl_fraction = budget.zpl_fraction
-    mean_cycle = 1.0 / rates.k12 + 1.0 / k2t + p_shelf / rates.k31
+    q = (1.0 - p_shelf) * q_detect
+    # P(shelved | undetected); p_shelf / (1 - q) can round above 1 at q_detect = 1
+    undetected = p_shelf + (1.0 - p_shelf) * (1.0 - q_detect)
+    p_dark = p_shelf / undetected if undetected > 0.0 else 0.0
+    mean_gap = (1.0 / rates.k12 + 1.0 / k2t + p_shelf / rates.k31) / q
     rng = _rng(seed)
 
-    times = []
-    tags = []
+    times, tags = [], []
     t0 = 0.0
     while t0 <= duration:
-        n = max(1024, int((duration - t0) / mean_cycle * 1.2) + 16)
-        n = min(n, 5_000_000)  # cap batch memory; the loop continues if needed
-        pump_wait = rng.exponential(1.0 / rates.k12, n)
-        excited_wait = rng.exponential(1.0 / k2t, n)
-        shelf = rng.random(n) < p_shelf
-        shelf_wait = rng.exponential(1.0 / rates.k31, n)
-        detected = rng.random(n) < q_detect
-        zpl = rng.random(n) < zpl_fraction
+        n = max(1024, int((duration - t0) / mean_gap * 1.2) + 16)
+        n = min(n, 500_000)  # cap batch memory; the loop continues if needed
+        cycles = rng.geometric(q, n)
+        shelved = rng.binomial(cycles - 1, p_dark)
+        t = rng.gamma(cycles, 1.0 / rates.k12)
+        t += rng.gamma(cycles, 1.0 / k2t)
+        t += rng.gamma(shelved, 1.0 / rates.k31)
+        np.cumsum(t, out=t)
+        t += t0
+        kept = int(np.searchsorted(t, duration, side="right"))
+        zpl = rng.random(kept) < budget.zpl_fraction
+        times.append(t[:kept])
+        tags.append(np.where(zpl, CHANNEL_ZPL, CHANNEL_PSB).astype(np.uint8))
+        t0 = float(t[-1])
 
-        cycle = pump_wait + excited_wait + np.where(shelf, shelf_wait, 0.0)
-        starts = t0 + np.concatenate(([0.0], np.cumsum(cycle[:-1])))
-        emit_t = starts + pump_wait + excited_wait
-        keep = (~shelf) & detected & (emit_t <= duration)
-        times.append(emit_t[keep])
-        tags.append(np.where(zpl[keep], CHANNEL_ZPL, CHANNEL_PSB).astype(np.uint8))
-        t0 += float(cycle.sum())
-
-    timestamps = np.concatenate(times) if times else np.empty(0)
-    channel = np.concatenate(tags) if tags else np.empty(0, dtype=np.uint8)
-    return PhotonStream(timestamps, channel, duration, seed)
+    return PhotonStream(np.concatenate(times), np.concatenate(tags), duration, seed)
 
 
 def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStream:

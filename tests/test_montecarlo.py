@@ -38,6 +38,20 @@ def interdetection_cdf(rates, q_detect, t_grid):
     return np.array([1.0 - (expm(sub * t) @ e1).sum() for t in t_grid])
 
 
+def gaps_ks_pvalue(stream, rates, q_detect, n_gaps=20000):
+    """KS p-value of the first inter-detection gaps against the oracle."""
+    gaps = np.diff(stream.timestamps)[:n_gaps]
+    grid = np.linspace(0.0, float(gaps.max()) * 1.05, 4001)
+    cdf_grid = interdetection_cdf(rates, q_detect, grid)
+    return ks_1samp(gaps, lambda t: np.interp(t, grid, cdf_grid)).pvalue
+
+
+# criterion 08 off resonance: the bandgap (F = 0.25) on both radiative
+# channels of SiV 4; about one cycle in ten ends in a detected photon
+OFF_RESONANCE_BUDGET = RadiativeBudget(0.25 / 1.44e-9, 0.25 / 5.75e-9, 1.0 / 583e-12)
+OFF_RESONANCE_RATES = ThreeLevelRates(50e6, OFF_RESONANCE_BUDGET.gamma_total, 0.318e9, 50e6)
+
+
 class TestSimulateStream:
     def test_deterministic(self, mc_rates, radiative_budget):
         s1 = montecarlo.simulate_stream(mc_rates, radiative_budget, 1e-3, 0.8, seed=5)
@@ -87,17 +101,43 @@ class TestSimulateStream:
         rates = ThreeLevelRates(0.4e9, 1.5e9, 0.9e9, 30e6)
         q = radiative_budget.eta_qe * 1.0
         stream = montecarlo.simulate_stream(rates, radiative_budget, 4e-3, 1.0, seed=17)
-        gaps = np.diff(stream.timestamps)
-        gaps = gaps[:20000]
-        t_max = float(gaps.max()) * 1.05
-        grid = np.linspace(0.0, t_max, 4001)
-        cdf_grid = interdetection_cdf(rates, q, grid)
+        assert gaps_ks_pvalue(stream, rates, q) > 0.01
 
-        def cdf(t):
-            return np.interp(t, grid, cdf_grid)
+    @pytest.mark.parametrize("case, det, seed", [
+        ("off-resonance", 1.0, 18),
+        ("off-resonance", 0.5, 19),
+        ("strong-shelving", 0.5, 20),
+    ])
+    def test_interphoton_interval_oracle_at_low_detection(self, radiative_budget, case, det, seed):
+        # long runs of undetected cycles between photons: q = 0.097 and
+        # 0.048 off resonance, 0.31 with strong shelving at det = 0.5
+        if case == "off-resonance":
+            rates, budget = OFF_RESONANCE_RATES, OFF_RESONANCE_BUDGET
+        else:
+            rates, budget = ThreeLevelRates(0.4e9, 1.5e9, 0.9e9, 30e6), radiative_budget
+        q_detect = budget.eta_qe * det
+        stream = montecarlo.simulate_stream(rates, budget, 0.012, det, seed=seed)
+        assert len(stream) > 20000
+        assert gaps_ks_pvalue(stream, rates, q_detect) > 0.01
 
-        result = ks_1samp(gaps, cdf)
-        assert result.pvalue > 0.01
+    def test_every_cycle_detected(self):
+        # k23 = 0, gamma_nr = 0, det = 1: q = 1, so a photon ends every cycle
+        rates = ThreeLevelRates(1e8, 1e9, 0.0, 5e7)
+        budget = RadiativeBudget(0.8e9, 0.2e9, 0.0)
+        duration = 1e-3
+        stream = montecarlo.simulate_stream(rates, budget, duration, 1.0, seed=23)
+        expected = duration / (1.0 / rates.k12 + 1.0 / (rates.k21 + rates.k23))
+        assert abs(len(stream) - expected) < 3.0 * np.sqrt(expected)
+        assert gaps_ks_pvalue(stream, rates, 1.0) > 0.01
+
+    def test_every_undetected_cycle_shelved(self, radiative_budget):
+        # gamma_nr = 0, det = 1, k23 > 0: an undetected cycle is a shelved
+        # one. These rates make p_shelf / (1 - q) round above 1.
+        rates = ThreeLevelRates(0.4e9, 1.5e9, 0.3e9, 30e6)
+        p_shelf = rates.k23 / (rates.k21 + rates.k23)
+        assert p_shelf / (1.0 - (1.0 - p_shelf)) > 1.0
+        stream = montecarlo.simulate_stream(rates, radiative_budget, 4e-3, 1.0, seed=24)
+        assert gaps_ks_pvalue(stream, rates, 1.0) > 0.01
 
     def test_rejects_bad_duration(self, mc_rates, radiative_budget):
         with pytest.raises(DomainError):
@@ -257,6 +297,19 @@ class TestStreamIO:
         assert back.seed == stream.seed
         assert meta["rng"] == montecarlo.RNG_ALGORITHM
         assert meta["note"] == "test"
+
+    def test_old_rng_tag_loads_and_is_kept(self, tmp_path):
+        # streams of the per-cycle sampler carry the tag without /skip-1
+        assert montecarlo.RNG_ALGORITHM == "philox4x64/skip-1"
+        path = tmp_path / "old.csv"
+        path.write_text("# seed=3\n# rng=philox4x64\n# duration_s=1e-05\n"
+                        "# timestamp_s,channel\n1e-06,ZPL\n2.5e-06,PSB\n")
+        stream, meta = montecarlo.load_stream(path)
+        assert stream.rng_algorithm == meta["rng"] == "philox4x64"
+        assert stream.timestamps.tolist() == [1e-6, 2.5e-6]
+        again = tmp_path / "again.csv"
+        montecarlo.save_stream(stream, again)
+        assert again.read_text() == path.read_text()
 
     def test_histogram_round_trip_as_curve(self, mc_rates, radiative_budget, tmp_path):
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 2e-4, 1.0, seed=83)
