@@ -2,7 +2,7 @@
 """Compare two source trees on one benchmark workload; write BENCH_<label>.json.
 
     python3 scripts/bench.py --workload lifetime_onoff --seed 1 --pairs 10 \\
-        --parent-root ../sivcav-parent --change-root . [--label NAME]
+        --parent-root ../sivcav-parent --change-root . [--label NAME] [--tier1]
 
 Each tree runs its own `perfbench/run.py --trace 0` from its root, as the
 benchmark does, for the run length BENCHMARK.json sets, in --pairs
@@ -15,7 +15,11 @@ relative to the parent's, next to the metric's bound in BENCHMARK.json) and
 `gain_shown`: the change won at least nine tenths of the pairs and the
 medians lie further apart than the parent's quartile distance. Nothing
 under perfbench/ is changed; each tree runs its own copy of it, and the two
-copies should be identical.
+copies should be identical. With --tier1, each tree then runs its Tier-1
+test command once (`python -m pytest -q --continue-on-collection-errors`
+with the tree's src/ on PYTHONPATH, and pytest's cache off so the tree stays
+as it was), and the file records its wall time `tier1_s` and its passed,
+failed and error counts.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 SIDES = ("parent", "change")
 ENV_KEYS = ("python", "numpy", "blas", "nproc", "cpus_allowed")
@@ -40,6 +46,22 @@ def run_perfbench(root, args, trace):
         sys.exit(f"bench: {' '.join(cmd)} in {root} exited {out.returncode}:\n{out.stderr}")
     detail, result = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
     return detail["detail"], result
+
+
+def run_tier1(root):
+    """Wall time and outcome counts of one Tier-1 run in the tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
+    counts = {"passed": 0, "failed": 0, "errors": 0}
+    for n, outcome in re.findall(r"(\d+) (passed|failed|errors?)\b", summary):
+        counts["errors" if outcome.startswith("error") else outcome] += int(n)
+    return {"tier1_s": seconds, **counts, "exit_code": out.returncode, "summary": summary}
 
 
 def tree_digest(root):
@@ -91,6 +113,8 @@ def main(argv=None):
     parser.add_argument("--parent-root", required=True)
     parser.add_argument("--change-root", required=True)
     parser.add_argument("--label", help="file label (default: the workload)")
+    parser.add_argument("--tier1", action="store_true",
+                        help="after the runs, time one Tier-1 test run per tree")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
@@ -119,6 +143,7 @@ def main(argv=None):
     for side in SIDES:
         _detail, result = run_perfbench(roots[side], args, trace=1)
         traced[side] = {k: v["value"] for k, v in result["metrics"].items()}
+    tier1 = {side: run_tier1(roots[side]) for side in SIDES} if args.tier1 else None
 
     report = {
         "label": args.label or args.workload,
@@ -134,6 +159,7 @@ def main(argv=None):
         "summary": summarize(runs, spec, args.pairs),
         "runs": runs,
         "traced": traced,
+        "tier1": tier1,
     }
     path = f"BENCH_{report['label']}.json"
     with open(path, "w") as fh:

@@ -16,7 +16,11 @@ Q = g2'(0) = P / k31 the two-exponential form held by G2Params is
     g2 = 1 - (1 + a) e^(lam_fast tau) + a e^(lam_slow tau),
     a = (Q + lam_fast) / (lam_slow - lam_fast),
 
-and where the two eigenvalues meet, its limit is sampled instead. The
+and where the two eigenvalues meet, its limit is sampled instead. At
+k23 = 0 the shelf is never reached and g2 is the two-level
+1 - e^(-(k12 + k21) tau): a = 0, and the roots are labelled by mode, not by
+speed, so tau1 = 1/(k12 + k21) and tau2 = 1/k31 even where k31 is the faster
+root. The
 formulas take an array of pump rates, so a power sweep is one evaluation;
 each power keeps its own validity checks, so a power without a
 two-exponential form never fails the others."""
@@ -213,6 +217,9 @@ def _relaxation_spectra(k12, k21, k23, k31) -> _Spectra:
         b, other = q + lam_fast, q + lam_slow
         b = np.where(np.abs(b) >= np.abs(other), b, q * k12 * k23 / k31 / other)
         a = b / root
+    if k23 == 0.0:  # the two-level form, labelled by mode (module docstring)
+        lam_fast, lam_slow = -(k12 + k21), np.full_like(k12, -k31)
+        a = b = np.zeros_like(k12)
     # the roots are known to about sqrt(eps) |lam_fast| where they meet, so
     # 1e-6 keeps well clear of round-off in declaring them distinct
     code = np.where(a < -1e-9, _NEGATIVE_A, _VALID).astype(np.int8)

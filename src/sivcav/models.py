@@ -459,7 +459,9 @@ class G2Params(_Document):
 
         g2(tau) = 1 - (1 + a) exp(-|tau|/tau1) + a exp(-|tau|/tau2).
 
-    Construction canonicalizes the ordering so that tau2 > tau1.
+    Construction canonicalizes the ordering so that tau2 > tau1 where a > 0.
+    At a = 0 the curve is 1 - exp(-|tau|/tau1), which tau2 does not enter,
+    and the order is kept as given.
     """
 
     tau1: float
@@ -482,7 +484,7 @@ class G2Params(_Document):
         if t1 == t2:
             bag.append("tau1 and tau2 must be distinct")
         _raise_if(bag)
-        if t1 > t2:
+        if t1 > t2 and a > 0:
             t1, t2 = t2, t1
         object.__setattr__(self, "tau1", t1)
         object.__setattr__(self, "tau2", t2)

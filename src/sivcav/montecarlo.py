@@ -16,9 +16,15 @@ bit-reproducible from their seed. Draws are made in fixed per-photon order
 photons; a new order bumps RNG_ALGORITHM, which saved streams record.
 
 Streams and histograms are stored as CSV through the package's one table
-reader and writer: a stream file is a stable byte format, one row per photon
-with the shortest round-trip repr of its timestamp, so a stream saves to the
-same bytes and loads back to the same floats.
+reader and writer. A stream file holds one row per photon with its timestamp
+as an integer number of picoseconds, as hardware time taggers record them
+(header '# time_unit=ps'); 1 ps is far below any bin width or timing jitter
+of the HBT analysis. Loading divides by 1e12, so a saved stream loads back
+rounded to the picosecond, clipped to its duration. Counts stay below 2^53,
+which float64 holds exactly, so durations are below about 9007 s; below
+2^51 ps (about 2252 s) float seconds resolve every picosecond and a loaded
+stream saves to the same bytes. Files without the time_unit header hold
+float seconds and still load.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from .errors import DomainError, InputFormatError, ValidationError
 from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _check_finite, _raise_if
 
 RNG_ALGORITHM = "philox4x64/skip-1"
+
+PS_PER_S = 1e12  # time tags of stream files are integer picoseconds
+MAX_PS = 2**53  # every integer below it is exact in float64
 
 CHANNEL_ZPL = 0
 CHANNEL_PSB = 1
@@ -320,38 +329,73 @@ def merge_histograms(histograms) -> HbtHistogram:
 
 # --- file formats -------------------------------------------------------------
 #
-# PhotonStream CSV: '# key=value' headers (seed, rng, duration_s, optionally
-# rates_hz and detection_eff), then rows 'timestamp_s,channel'.
+# PhotonStream CSV: '# key=value' headers (seed, rng, duration_s, time_unit=ps,
+# optionally rates_hz and detection_eff), then rows 'timestamp_ps,channel' with
+# integer picoseconds below 2^53. A file without the time_unit header holds
+# float seconds, rows 'timestamp_s,channel'; such files still load.
 # HbtHistogram CSV: '# key=value' headers, then rows 'tau_s,g2,sigma'.
 
 
+def _last_ps(duration):
+    """The largest picosecond count that loads back to at most duration."""
+    last = math.floor(duration * PS_PER_S)
+    while last / PS_PER_S > duration:
+        last -= 1
+    return last
+
+
+def _time_unit(value):
+    if value != "ps":
+        raise ValueError(f"unknown time_unit {value!r}")
+    return value
+
+
 def save_stream(stream: PhotonStream, path, rates: ThreeLevelRates | None = None, meta=None):
+    """Write a stream CSV, its timestamps rounded to integer picoseconds and
+    clipped to the duration. DomainError for a duration of 2^53 ps or more."""
+    if stream.duration * PS_PER_S >= MAX_PS:
+        raise DomainError(f"duration {stream.duration!r} s is 2^53 ps or more")
+    ps = np.minimum(np.rint(stream.timestamps * PS_PER_S), _last_ps(stream.duration)).astype(np.int64)
     with open(path, "w") as fh:
         fh.write(f"# seed={stream.seed}\n")
         fh.write(f"# rng={stream.rng_algorithm}\n")
         fh.write(f"# duration_s={stream.duration!r}\n")
+        fh.write("# time_unit=ps\n")
         if rates is not None:
             fh.write(f"# rates_hz={rates.k12!r},{rates.k21!r},{rates.k23!r},{rates.k31!r}\n")
         for key, value in (meta or {}).items():
             fh.write(f"# {key}={value}\n")
-        fh.write("# timestamp_s,channel\n")
-        write_table(fh, stream.timestamps, map(CHANNEL_LABELS.__getitem__, stream.channel_tags.tolist()))
+        fh.write("# timestamp_ps,channel\n")
+        write_table(fh, ps, map(CHANNEL_LABELS.__getitem__, stream.channel_tags.tolist()))
 
 
 def load_stream(path):
-    """Load a stream CSV. Returns (PhotonStream, metadata dict)."""
+    """Load a stream CSV. Returns (PhotonStream, metadata dict).
+
+    Under '# time_unit=ps' a timestamp that is not a non-negative integer
+    fails as a bad timestamp at its line; faults the table reader finds are
+    reported first."""
     codes = {label: i for i, label in enumerate(CHANNEL_LABELS)}
-    table = read_table(path, (2,), "expected 'timestamp_s,channel'", "bad timestamp",
-                       labels={1: (codes, "unknown channel {!r}")})
+    table = read_table(path, (2,), "expected 'timestamp,channel'", "bad timestamp",
+                       labels={1: (codes, "unknown channel {!r}")},
+                       headers={"time_unit": _time_unit})
     meta = table.meta
     try:
         duration = float(meta["duration_s"])
         seed = int(meta.get("seed", 0))
     except (KeyError, ValueError):
         raise InputFormatError(path, 0, "missing or bad '# duration_s=' header") from None
+    times = table.columns[0]
+    if "time_unit" in meta:
+        if duration * PS_PER_S >= MAX_PS:
+            raise InputFormatError(path, 0, f"duration_s={duration!r} is 2^53 ps or more")
+        bad = np.flatnonzero(~(times >= 0.0) | (np.floor(times) != times))
+        if bad.size:
+            raise InputFormatError(path, int(table.lines[bad[0]]), "bad timestamp")
+        times = times / PS_PER_S
     try:
         stream = PhotonStream(
-            table.columns[0], table.columns[1].astype(np.uint8), duration, seed,
+            times, table.columns[1].astype(np.uint8), duration, seed,
             meta.get("rng", RNG_ALGORITHM),
         )
     except ValidationError as err:

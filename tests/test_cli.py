@@ -259,6 +259,19 @@ class TestG2Commands:
         if code == 3:
             assert doc["results"]["converged"]["value"] is False
 
+    @pytest.mark.parametrize("field", ["2000.5", "-2000"])
+    def test_picosecond_field_not_a_count_exit_2(self, capsys, tmp_path, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# duration_s=1e-3\n# time_unit=ps\n1000,ZPL\n{field},PSB\n")
+        code, _out, err = run_cli(capsys, "g2", "correlate", "--stream", str(path),
+                                  "--bin-width", "1e-9", "--window", "1e-8",
+                                  "--out-hist", str(tmp_path / "hist.csv"))
+        assert code == 2
+        assert not (tmp_path / "hist.csv").exists()
+        error = json.loads(err)["error"]
+        assert error["type"] == "input-format"
+        assert error["message"] == f"{path}:4: bad timestamp"
+
     def test_missing_file_exit_2(self, capsys):
         code, _out, err = run_cli(capsys, "g2", "fit", "--hist", "/nonexistent.csv")
         assert code == 2

@@ -37,11 +37,16 @@ def reference_g2_params(k12, k21, k23, k31):
     p2ss = reference_steady_state(g)[1]
     if p2ss <= 0.0:
         return None
-    lam_fast, lam_slow = float(w[order[2]]), float(w[order[1]])
+    fast, slow = order[2], order[1]
+    if r.k23 == 0.0:
+        # the shelf is unreachable, so g2 is the bright mode alone (a = 0):
+        # tau1 is the root whose eigenvector leaves the shelf empty
+        fast, slow = sorted((fast, slow), key=lambda i: abs(v[2, i]))
+    lam_fast, lam_slow = float(w[fast]), float(w[slow])
     if abs(lam_fast - lam_slow) <= dynamics.DEGENERACY_RTOL * max(abs(lam_fast), abs(lam_slow)):
         return None
     alpha = np.linalg.solve(v, np.array([1.0, 0.0, 0.0]))
-    a = float(v[1, order[1]] * alpha[order[1]]) / p2ss
+    a = 0.0 if r.k23 == 0.0 else float(v[1, slow] * alpha[slow]) / p2ss
     if a < -1e-9:
         return None
     try:
@@ -67,7 +72,8 @@ def _exact(*values):
 
 def exact_spectrum(k12, k21, k23, k31):
     """(tau1, tau2, raw a, kappa) in 50-digit arithmetic, kappa = S / sqrt(D)
-    the conditioning of the two roots; None where D <= 0."""
+    the conditioning of the two roots; None where D <= 0. At k23 = 0, g2 is
+    the two-level form: tau1 = 1/(k12 + k21), tau2 = 1/k31 and a = 0."""
     with localcontext() as ctx:
         ctx.prec = 50
         k12, k21, k23, k31 = _exact(k12, k21, k23, k31)
@@ -76,6 +82,8 @@ def exact_spectrum(k12, k21, k23, k31):
         if d <= 0:
             return None
         root = d.sqrt()
+        if k23 == 0:
+            return 1 / (k12 + k21), 1 / k31, Decimal(0), s / root
         lam_fast, lam_slow = -(s + root) / 2, -(s - root) / 2
         q = (k12 * (k23 + k31) + (k21 + k23) * k31) / k31
         return -1 / lam_fast, -1 / lam_slow, (q + lam_fast) / root, s / root
@@ -190,6 +198,28 @@ class TestG2Params:
         params = dynamics.g2_params_from_rates(rates)
         assert params.a == 0.0
         assert params.tau1 == pytest.approx(1.0 / (rates.k12 + rates.k21), rel=1e-9)
+
+    @pytest.mark.parametrize("k31", [5e9, 5e7])  # faster, then slower than k12 + k21
+    def test_no_shelving_is_the_two_level_form(self, k31):
+        # with k23 = 0 the shelf is never reached: g2 = 1 - e^(-(k12 + k21) tau),
+        # also where -k31 is the faster root (which once raised "a = -1")
+        rates = ThreeLevelRates(1e8, 1e9, 0.0, k31)
+        params = dynamics.g2_params_from_rates(rates)
+        assert (params.tau1, params.tau2, params.a) == (1.0 / 1.1e9, 1.0 / k31, 0.0)
+        tau = np.linspace(0.0, 10e-9, 41)
+        closed = fitting.g2_model(tau, params.a, params.tau1, params.tau2)
+        assert np.max(np.abs(closed - (1.0 - np.exp(-1.1e9 * tau)))) < 1e-15
+        assert np.max(np.abs(dynamics.g2_analytic(rates, tau).values - closed)) < 1e-15
+        g = dynamics.generator(rates)
+        p2ss = dynamics.steady_state(rates)[1]
+        brute = [(expm(g * t) @ np.array([1.0, 0.0, 0.0]))[1] / p2ss for t in tau]
+        assert np.max(np.abs(brute - closed)) < 1e-12
+        powers = np.array([0.5, 1.0, 2.0])
+        sweep = dynamics.power_sweep(rates, dynamics.PumpModel(1e8), powers)
+        expected = [1.0 / (1e8 * p + 1e9) for p in powers] + [1.0 / k31] * 3 + [0.0] * 3
+        assert [g.tau1 for g in sweep.params] + [g.tau2 for g in sweep.params] + \
+            [g.a for g in sweep.params] == expected
+        assert dynamics._sweep_observables(powers, 1e9, 0.0, k31, 1e8).tolist() == expected
 
     def test_vanishing_pump_limit(self):
         rates = ThreeLevelRates(1e3, 2.247e9, 315e6, 5e7)

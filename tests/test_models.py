@@ -166,7 +166,14 @@ class TestG2Params:
         p = G2Params(t1, t2, a)
         q = G2Params(p.tau1, p.tau2, p.a)
         assert (q.tau1, q.tau2, q.a) == (p.tau1, p.tau2, p.a)
-        assert p.tau2 > p.tau1
+        if a > 0:
+            assert p.tau2 > p.tau1
+        else:  # g2 = 1 - exp(-|tau|/tau1): a swap would change the curve
+            assert (p.tau1, p.tau2) == (t1, t2)
+
+    def test_order_kept_without_bunching(self):
+        p = G2Params(tau1=5e-9, tau2=0.5e-9, a=0.0)
+        assert (p.tau1, p.tau2, p.a) == (5e-9, 0.5e-9, 0.0)
 
     def test_rejects_equal_taus(self):
         with pytest.raises(ValidationError):

@@ -19,23 +19,37 @@ def radiative_budget():
     return RadiativeBudget(0.8e9, 0.2e9, 0.0)
 
 
-def interdetection_cdf(rates, q_detect, t_grid):
-    """Phase-type oracle for the waiting time between detected photons.
+def interdetection_generator(rates, q_detect):
+    """Sub-generator S of the transient chain between two detected photons.
 
-    After any photon the emitter is in the ground state; a detected emission
-    is an absorbing exit taken with probability q_detect at each decay to
-    ground. The CDF is 1 - sum(occupation of the transient chain).
+    After any photon the emitter is in the ground state e1; a detected
+    emission is an absorbing exit taken with probability q_detect at each
+    decay to ground. The gap is phase-type: its survival is 1^T e^(S t) e1.
     """
     k12, k21, k23, k31 = rates.k12, rates.k21, rates.k23, rates.k31
-    sub = np.array(
+    return np.array(
         [
             [-k12, (1.0 - q_detect) * k21, k31],
             [k12, -(k21 + k23), 0.0],
             [0.0, k23, -k31],
         ]
     )
+
+
+def interdetection_cdf(rates, q_detect, t_grid):
+    """Phase-type oracle for the CDF of the waiting time between detected photons."""
+    sub = interdetection_generator(rates, q_detect)
     e1 = np.array([1.0, 0.0, 0.0])
     return np.array([1.0 - (expm(sub * t) @ e1).sum() for t in t_grid])
+
+
+def gap_mean_and_cv2(rates, q_detect):
+    """Mean and squared coefficient of variation of the phase-type gap, from
+    its moments E[X^k] = k! 1^T (-S)^-k e1."""
+    inv = np.linalg.inv(-interdetection_generator(rates, q_detect))
+    first = inv[:, 0].sum()
+    second = 2.0 * (inv @ inv)[:, 0].sum()
+    return first, second / first**2 - 1.0
 
 
 def gaps_ks_pvalue(stream, rates, q_detect, n_gaps=20000):
@@ -80,8 +94,13 @@ class TestSimulateStream:
         det = 0.7
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, duration, det, seed=11)
         p2 = dynamics.steady_state(mc_rates)[1]
-        expected = det * radiative_budget.eta_qe * mc_rates.k21 * p2 * duration
-        assert abs(len(stream) - expected) < 3.0 * np.sqrt(expected)
+        q_detect = det * radiative_budget.eta_qe
+        expected = q_detect * mc_rates.k21 * p2 * duration
+        mean_gap, cv2 = gap_mean_and_cv2(mc_rates, q_detect)
+        assert expected == pytest.approx(duration / mean_gap, rel=1e-12)
+        # the photons form a renewal process, whose count has variance N CV^2
+        # (Fano factor CV^2 = 1.33 here): shelving bunches the photons
+        assert abs(len(stream) - expected) < 3.0 * np.sqrt(expected * cv2)
 
     def test_timestamps_sorted_within_duration(self, mc_rates, radiative_budget):
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 1e-3, 1.0, seed=3)
@@ -291,25 +310,91 @@ class TestStreamIO:
         path = tmp_path / "stream.csv"
         montecarlo.save_stream(stream, path, rates=mc_rates, meta={"note": "test"})
         back, meta = montecarlo.load_stream(path)
-        assert np.array_equal(back.timestamps, stream.timestamps)
+        # the file holds integer picoseconds: the stream comes back rounded to 1 ps
+        assert np.array_equal(back.timestamps, np.rint(stream.timestamps * 1e12) / 1e12)
         assert np.array_equal(back.channel_tags, stream.channel_tags)
         assert back.duration == stream.duration
         assert back.seed == stream.seed
         assert meta["rng"] == montecarlo.RNG_ALGORITHM
+        assert meta["time_unit"] == "ps"
         assert meta["note"] == "test"
 
+    def test_saving_a_loaded_stream_gives_the_same_bytes(self, mc_rates, radiative_budget, tmp_path):
+        stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 2e-5, 1.0, seed=82)
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        montecarlo.save_stream(stream, first, rates=mc_rates)
+        montecarlo.save_stream(montecarlo.load_stream(first)[0], again, rates=mc_rates)
+        assert again.read_bytes() == first.read_bytes()
+
     def test_old_rng_tag_loads_and_is_kept(self, tmp_path):
-        # streams of the per-cycle sampler carry the tag without /skip-1
+        # float-seconds files from before the picosecond format, by either
+        # sampler: the per-cycle one tagged without /skip-1
         assert montecarlo.RNG_ALGORITHM == "philox4x64/skip-1"
-        path = tmp_path / "old.csv"
-        path.write_text("# seed=3\n# rng=philox4x64\n# duration_s=1e-05\n"
-                        "# timestamp_s,channel\n1e-06,ZPL\n2.5e-06,PSB\n")
-        stream, meta = montecarlo.load_stream(path)
-        assert stream.rng_algorithm == meta["rng"] == "philox4x64"
-        assert stream.timestamps.tolist() == [1e-6, 2.5e-6]
-        again = tmp_path / "again.csv"
-        montecarlo.save_stream(stream, again)
-        assert again.read_text() == path.read_text()
+        path, again = tmp_path / "old.csv", tmp_path / "again.csv"
+        for tag in ("philox4x64", "philox4x64/skip-1"):
+            path.write_text(f"# seed=3\n# rng={tag}\n# duration_s=1e-05\n"
+                            "# timestamp_s,channel\n1e-06,ZPL\n2.5e-06,PSB\n")
+            stream, meta = montecarlo.load_stream(path)
+            assert stream.rng_algorithm == meta["rng"] == tag
+            assert stream.timestamps.tolist() == [1e-6, 2.5e-6]
+            montecarlo.save_stream(stream, again)
+            assert again.read_text() == (f"# seed=3\n# rng={tag}\n# duration_s=1e-05\n# time_unit=ps\n"
+                                         "# timestamp_ps,channel\n1000000,ZPL\n2500000,PSB\n")
+            back, _meta = montecarlo.load_stream(again)
+            assert back.rng_algorithm == tag
+            assert back.timestamps.tolist() == [1e-6, 2.5e-6]
+
+    @pytest.mark.parametrize("duration", [0.019, 2e-5, 1e-4, 0.1 + 0.2, 2e-5 + 0.7e-12])
+    def test_photons_at_the_end_of_the_window(self, tmp_path, duration):
+        # a photon exactly at the duration and one 0.3 ps before it load
+        # back inside the window; at 2e-5 + 0.7 ps, rounding alone would put
+        # the last photon 0.3 ps past it
+        ts = np.array([0.0, duration - 0.3e-12, duration])
+        rounded_past = np.rint(ts * 1e12) / 1e12 > duration
+        assert rounded_past.tolist() == [False, False, duration == 2e-5 + 0.7e-12]
+        stream = montecarlo.PhotonStream(ts, np.zeros(3, dtype=np.uint8), duration, 1)
+        path, again = tmp_path / "edge.csv", tmp_path / "again.csv"
+        montecarlo.save_stream(stream, path)
+        back, _meta = montecarlo.load_stream(path)
+        assert back.duration == duration
+        assert back.timestamps[-1] <= duration
+        assert np.all(np.abs(back.timestamps - ts) <= 1e-12)
+        montecarlo.save_stream(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_duration_limit_of_2_pow_53_ps(self, tmp_path):
+        path = tmp_path / "long.csv"
+        limit = 2.0**53 / 1e12  # about 9007 s
+        for duration in (limit, 2 * limit):
+            stream = montecarlo.PhotonStream(np.array([1.0]), np.zeros(1, dtype=np.uint8), duration, 1)
+            with pytest.raises(DomainError, match="2\\^53 ps"):
+                montecarlo.save_stream(stream, path)
+        below = np.nextafter(limit, 0.0)
+        stream = montecarlo.PhotonStream(np.array([1.0, below]), np.zeros(2, dtype=np.uint8), below, 1)
+        montecarlo.save_stream(stream, path)
+        back, _meta = montecarlo.load_stream(path)
+        assert back.timestamps[0] == 1.0 and back.timestamps[1] <= below
+        path.write_text(f"# duration_s={limit!r}\n# time_unit=ps\n1000000000000,ZPL\n")
+        with pytest.raises(InputFormatError, match="long.csv:0: duration_s=9007.199254740992 is 2\\^53 ps"):
+            montecarlo.load_stream(path)
+        path.write_text(f"# duration_s={limit!r}\n1.0,ZPL\n")  # float seconds: no limit
+        assert montecarlo.load_stream(path)[0].timestamps.tolist() == [1.0]
+
+    @pytest.mark.parametrize("field", ["1.5", "-1", "-0.5", "2e-3", "nan"])
+    def test_picosecond_field_not_a_count(self, tmp_path, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# duration_s=1.0\n# time_unit=ps\n# timestamp_ps,channel\n"
+                        f"1000,ZPL\n{field},PSB\n3000,ZPL\n")
+        with pytest.raises(InputFormatError) as err:
+            montecarlo.load_stream(path)
+        assert str(err.value) == f"{path}:5: bad timestamp"
+
+    def test_unknown_time_unit(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# duration_s=1.0\n# time_unit=ns\n1000,ZPL\n")
+        with pytest.raises(InputFormatError) as err:
+            montecarlo.load_stream(path)
+        assert str(err.value) == f"{path}:2: unknown time_unit 'ns'"
 
     def test_histogram_round_trip_as_curve(self, mc_rates, radiative_budget, tmp_path):
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 2e-4, 1.0, seed=83)
@@ -339,8 +424,9 @@ class TestStreamIO:
         assert set(stream.labels()) == {"ZPL", "PSB"}
         path = tmp_path / "stream.csv"
         montecarlo.save_stream(stream, path, rates=mc_rates, meta={"note": "x"})
-        rows = "".join(f"{t!r},{label}\n" for t, label in zip(stream.timestamps.tolist(), stream.labels()))
-        assert path.read_text().endswith("# timestamp_s,channel\n" + rows)
+        rows = "".join(f"{round(t * 1e12)},{label}\n"
+                       for t, label in zip(stream.timestamps.tolist(), stream.labels()))
+        assert path.read_text().endswith("# timestamp_ps,channel\n" + rows)
 
     def test_save_histogram_matches_per_line_writer(self, mc_rates, radiative_budget, tmp_path):
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 2e-4, 1.0, seed=86)
@@ -355,10 +441,10 @@ class TestStreamIO:
         ("1e-6,ZPL\n2e-6,PSB\nbogus,ZPL\n4e-6,PSB\n", ":5: bad timestamp"),
         ("1e-6,ZPL\n2e-6,XYZ\n", ":4: unknown channel 'XYZ'"),
         ("1e-6,ZPL\n2e-6, psb \n", ":4: unknown channel 'psb'"),
-        ("1e-6,ZPL\n2e-6,PSB,3\n", ":4: expected 'timestamp_s,channel'"),
-        ("1e-6\n", ":3: expected 'timestamp_s,channel'"),
+        ("1e-6,ZPL\n2e-6,PSB,3\n", ":4: expected 'timestamp,channel'"),
+        ("1e-6\n", ":3: expected 'timestamp,channel'"),
         ("1e-6,ZPL\n\n# note=1\n2e-6,QQQ\n", ":6: unknown channel 'QQQ'"),
-        ("1e-6,ZPL\n\n# note=1\n\t\n 2e-6 , PSB \n3e-6,x,ZPL\n", ":8: expected 'timestamp_s,channel'"),
+        ("1e-6,ZPL\n\n# note=1\n\t\n 2e-6 , PSB \n3e-6,x,ZPL\n", ":8: expected 'timestamp,channel'"),
     ])
     def test_reader_error_matrix(self, tmp_path, body, where):
         path = tmp_path / "bad.csv"
