@@ -7,8 +7,10 @@
 Each tree runs its own `perfbench/run.py --trace 0` from its root, as the
 benchmark does, for the run length BENCHMARK.json sets, in --pairs
 alternating pairs: the parent runs first in even pairs and the change in
-odd ones, so drift of the machine's speed hits both sides alike. One traced run per side follows, for the per-layer metrics. The
-JSON file records the environment, every run's end-to-end metrics, each
+odd ones, so drift of the machine's speed hits both sides alike. One
+traced run per side follows, for the per-layer metrics. The JSON file
+records the environment (with PYTHONDONTWRITEBYTECODE: when set, each
+process compiles the package again), every run's end-to-end metrics, each
 side's median and quartiles, the pairs each side won (ties count for
 neither), `worse_by` (the change of the median in the worse direction,
 relative to the parent's, next to the metric's bound in BENCHMARK.json) and
@@ -130,7 +132,9 @@ def main(argv=None):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
             detail, result = run_perfbench(roots[side], args, trace=0)
-            env = env or {k: detail["env"].get(k) for k in ENV_KEYS}
+            env = env or {**{k: detail["env"].get(k) for k in ENV_KEYS},
+                          # set, every CLI process compiles the package afresh
+                          "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
             runs.append({
                 "pair": pair, "side": side, "position": position,
                 "correct": result["correct"], "attempted": result["attempted"],

@@ -8,10 +8,19 @@ when only rows follow the top comments; numbers take numpy's float syntax
 that pass fails are the rows bisected with the same reader, to raise
 InputFormatError at the first faulty line. The writer prints floats as their
 shortest round-trip repr, so the same arrays give the same bytes.
+
+Rows of a count and a label, '<1-16 digits>,<label>', the picosecond photon
+streams, also go through bytes: write_counts builds them with numpy, block by
+block, byte for byte as str(count) + ',' + label would print them, and
+read_counts parses them from the file's bytes when every row after the top
+comments has exactly that form. Any other file, a comment or blank line
+between rows, a space, CRLF or a missing final newline included, goes to
+read_table, so faults are found and placed at their line by read_table alone.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from itertools import compress, islice, repeat
 from operator import itemgetter, not_
@@ -21,13 +30,20 @@ import numpy as np
 
 from .errors import InputFormatError
 
-BLOCK_ROWS = 1 << 16  # rows formatted per write
+BLOCK_ROWS = 1 << 16  # rows per block written, and per block of read_counts
 _LOADTXT = dict(delimiter=",", comments=None, quotechar=None)
 _TOP = re.compile(r"(?:[^\S\n]*(?:#[^\n]*)?\n)*")  # blank and comment lines at the top
 # past the top comments, a text without these holds rows only, each as it stands
 _UNCLEAN = ("#", "\n\n", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 _SKIPPED = frozenset(("", "#")).__contains__  # first character of a blank or comment line
 _first_char = itemgetter(slice(1))
+_TOP_BYTES = re.compile(_TOP.pattern.encode())  # matches no more than _TOP on ASCII
+_ZERO, _NEWLINE = b"0\n"
+_PAD = 24  # bytes before a file's first row: the digit words and the label word
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+_KEEP = np.array([(1 << 64) - (1 << 8 * j) for j in range(9)], np.uint64)  # all but j low bytes
 
 
 class Table(NamedTuple):
@@ -62,6 +78,20 @@ def _converts(rows, labels=None, width=None, size=0, usecols=None):
     return True
 
 
+def _read_headers(rows, skipped, headers):
+    """The header values of rows (stripped lines, skipped marking the blank and
+    comment ones) and the faults: the first header its parse rejects, as
+    (line, message); no later header is read."""
+    meta = {}
+    for i in compress(range(len(rows)), skipped):
+        key, eq, value = (part.strip() for part in rows[i][1:].partition("="))
+        try:
+            meta.update({key: headers.get(key, str)(value)} if eq else {})
+        except ValueError as err:
+            return meta, [(i + 1, str(err))]
+    return meta, []
+
+
 def read_table(path, widths, shape_error, value_error="bad numeric value", labels=None,
                headers=None):
     """Read a table file into a Table.
@@ -79,20 +109,14 @@ def read_table(path, widths, shape_error, value_error="bad numeric value", label
     not allowed, a later row of another count than the first or a row with a
     bad field; under widths=None a row's fields are judged before its count.
     """
-    labels, headers, meta, faults = labels or {}, headers or {}, {}, []
+    labels = labels or {}
     with open(path) as fh:
         text = fh.read()
     top = _TOP.match(text).end()
     clean = text.isascii() and all(text.find(mark, top) < 0 for mark in _UNCLEAN)
     rows = list(map(str.strip, (text[:top] if clean else text).split("\n")))
     skipped = list(map(_SKIPPED, map(_first_char, rows)))
-    for i in compress(range(len(rows)), skipped):
-        key, eq, value = (part.strip() for part in rows[i][1:].partition("="))
-        try:
-            meta.update({key: headers.get(key, str)(value)} if eq else {})
-        except ValueError as err:
-            faults.append((i + 1, str(err)))
-            break
+    meta, faults = _read_headers(rows, skipped, headers or {})
     if clean:  # numpy reads the rows off the file
         lines = len(rows) + np.arange(text.count("\n", top) + (top < len(text) and text[-1] != "\n"))
         source, skip = path, len(rows) - 1
@@ -131,12 +155,108 @@ def read_table(path, widths, shape_error, value_error="bad numeric value", label
     return Table(meta, values.T.copy(), lines)
 
 
+def read_counts(path, codes, headers=None):
+    """The Table of a file whose rows all read '<count>,<label>\\n': 1 to 16
+    digits, then a label of codes (label -> code, every label of one length
+    up to 7), parsed from the file's bytes BLOCK_ROWS rows at a time. None
+    for any other file, and for one without rows or with a header its parse
+    rejects: read it with read_table, which finds the fault.
+
+    Each row is read as 64-bit words at its end: two words of eight digits
+    and one holding the comma and the label."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = bytearray(_PAD + size)  # the pad: every word of a row lies in data
+        if fh.readinto(memoryview(data)[_PAD:]) != size:
+            return None
+    top = _TOP_BYTES.match(data, _PAD).end()
+    head = bytes(data[_PAD:top])
+    if not head.isascii() or b"\r" in head or top == len(data) or data[-1] != _NEWLINE:
+        return None
+    rows = list(map(str.strip, head.decode().split("\n")))
+    meta, faults = _read_headers(rows, list(map(_SKIPPED, map(_first_char, rows))), headers or {})
+    if faults:
+        return None
+    tail = 1 + len(next(iter(codes)))  # the comma and the label
+    keys = {int.from_bytes(f",{label}".encode(), "little"): code for label, code in codes.items()}
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))  # word k: bytes k to k + 7
+    ends = top + np.flatnonzero(np.frombuffer(data, np.uint8, offset=top) == _NEWLINE)
+    values = np.empty((2, ends.size))
+    last = top - 1  # the newline before the block
+    for i in range(0, ends.size, BLOCK_ROWS):
+        block = ends[i:i + BLOCK_ROWS]
+        digits = np.diff(block, prepend=last) - 1 - tail
+        label = words[block - 8] >> np.uint64(64 - 8 * tail)
+        code = values[1, i:i + block.size]
+        code.fill(np.nan)
+        for key, value in keys.items():
+            code[label == key] = value
+        high = _ascii_digits(words[block - tail - 16], 16 - digits)
+        low = _ascii_digits(words[block - tail - 8], 8 - digits)
+        if not (digits.min() >= 1 and digits.max() <= 16 and not np.isnan(code).any()
+                and _all_digits(high) and _all_digits(low)):
+            return None
+        values[0, i:i + block.size] = _swar_decimal(high) * 10**8 + _swar_decimal(low)
+        last = block[-1]
+    return Table(meta, values, len(rows) + np.arange(ends.size))
+
+
+def _ascii_digits(words, lead):
+    """Words of eight bytes, the first lead of each (those before the number,
+    0 to 8, clipped) set to ASCII '0'."""
+    keep = _KEEP[np.clip(lead, 0, 8)]
+    return words & keep | _ASCII_ZEROS & ~keep
+
+
+def _all_digits(words):
+    """Whether every byte of every word is an ASCII digit."""
+    return bool(np.all((words & _HIGH_NIBBLES == _ASCII_ZEROS)
+                       & ((words + _SIXES) & _HIGH_NIBBLES == _ASCII_ZEROS)))
+
+
+def _swar_decimal(words):
+    """The numbers of words of eight ASCII digits, the first digit in the
+    lowest byte: digit pairs, then quads, then the eight are combined by one
+    multiplication each (Lemire, Softw. Pract. Exp. 51, 1700 (2021))."""
+    words = words - _ASCII_ZEROS
+    words = (words * np.uint64(10 << 8 | 1)) >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)
+    words = (words * np.uint64(100 << 16 | 1)) >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)
+    return ((words * np.uint64(10000 << 32 | 1)) >> np.uint64(32)).astype(np.int64)
+
+
+def write_counts(fh, counts, tags, labels):
+    """Write to a binary file one row per count, the bytes of
+    str(count) + ',' + labels[tag] + '\\n': counts are integers in [0, 10^16),
+    every label of one length up to 6. Each block of BLOCK_ROWS rows is built
+    as 24-byte records, four groups of four digits from a table and the
+    padded tail, and a mask drops the leading zeros and the padding."""
+    counts = np.asarray(counts, np.int64)
+    if counts.size and not (counts.min() >= 0 and counts.max() < 10**16):
+        raise ValueError("counts must lie in [0, 10^16)")
+    groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + _ZERO
+    groups = groups.astype(np.uint8).view("<u4")[:, 0]  # the ASCII digits of 0000-9999
+    tails = np.array([f",{label}\n".encode().ljust(8, b"\0") for label in labels])
+    tails = np.frombuffer(tails.tobytes(), "<u8")
+    width = 18 + len(labels[0])  # of the longest row: 16 digits, the comma, the label, the newline
+    columns = np.arange(24)
+    powers = 10 ** np.arange(1, 16)
+    for i in range(0, counts.size, BLOCK_ROWS):
+        block = counts[i:i + BLOCK_ROWS]
+        records = np.empty((block.size, 24), np.uint8)
+        quads = records.view("<u4")
+        high, low = np.divmod(block, 10**8)
+        for column, group in enumerate((*np.divmod(high, 10000), *np.divmod(low, 10000))):
+            quads[:, column] = groups[group]
+        records.view("<u8")[:, 2] = tails[tags[i:i + BLOCK_ROWS]]
+        first = 15 - np.searchsorted(powers, block, side="right")  # column of the first digit
+        fh.write(records[(columns >= first[:, None]) & (columns < width)].tobytes())
+
+
 def write_table(fh, *columns):
-    """Write one row per index of the columns, fields joined by commas: an
-    array as the repr of each item (for a float, the shortest string that
-    reads back to it), any other column as its items, which are strings."""
-    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in columns]
-    rows = map(",".join, zip(*cells))
+    """Write one row per index of the array columns, fields joined by commas,
+    each item as its repr (for a float, the shortest string that reads back
+    to it)."""
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
     while block := list(islice(rows, BLOCK_ROWS)):
         fh.write("\n".join(block))
         fh.write("\n")

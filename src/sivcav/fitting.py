@@ -4,12 +4,16 @@ The engine is a damped Gauss-Newton iteration with a Levenberg-Marquardt
 trust parameter, numerical forward-difference Jacobians (step
 sqrt(machine epsilon) times a per-parameter scale, from the residual the
 engine holds at p), box bounds clipped to as two arrays, and an accept/reject
-rule that never lets the cost increase. Convergence is declared when the
-relative parameter step falls below STEP_RTOL or the relative cost decrease
-falls below COST_RTOL; a fit that does not converge is retried from
-JITTER_RETRIES jittered starting points. One central-difference Jacobian,
-retaken only after a polish step moves p, serves the polish and the
-covariance. Weighting is 1/sigma^2 with uncertainties and uniform otherwise.
+rule that never lets the cost increase. A parameter on a bound whose descent
+direction points out of the box is held there: the step is solved on the
+free parameters and the gradient test looks at theirs only, so a fit whose
+optimum lies on a bound converges. Convergence is declared when the
+projected gradient vanishes, the relative parameter step falls below
+STEP_RTOL or the relative cost decrease falls below COST_RTOL; a fit that
+does not converge is retried from JITTER_RETRIES jittered starting points.
+One central-difference Jacobian, retaken only after a polish step moves p,
+serves the polish and the covariance. Weighting is 1/sigma^2 with
+uncertainties and uniform otherwise.
 
 On top of the engine sit the fitters used throughout the package: the
 two-exponential g2 model (optionally convolved with a Gaussian instrument
@@ -127,6 +131,16 @@ def _cost(r):
         return 0.5 * float(r @ r)
 
 
+def _held(p, grad, lo, hi):
+    """Mask of the parameters on a bound whose descent direction -grad
+    points out of the box, which a step leaves where they are; None while
+    no parameter is on a bound."""
+    low, high = p <= lo, p >= hi
+    if not (low.any() or high.any()):
+        return None
+    return low & (grad > 0) | high & (grad < 0)
+
+
 def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
     p = np.clip(p0, lo, hi)
     r = residual_fn(p)
@@ -150,10 +164,15 @@ def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
 
     while iterations < max_iterations:
         grad = jac.T @ r
+        normal = jac.T @ jac
+        held = _held(p, grad, lo, hi)
+        if held is not None:  # project the gradient and decouple the held
+            grad[held] = 0.0  # parameters: their rows solve to a zero step
+            normal[held] = 0.0
+            normal[:, held] = 0.0
         if np.max(np.abs(grad)) < 1e-14 * max(1.0, cost):
             converged = True
             break
-        normal = jac.T @ jac
         diag = np.diag(normal).copy()
         floor = diag.max() if diag.max() > 0 else 1.0
         diag[diag <= 0] = floor * 1e-12
@@ -195,8 +214,11 @@ def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
         # that forward-difference noise and the trust parameter leave on
         # (near-)linear problems
         for _ in range(3):
+            held = _held(p, jac.T @ r, lo, hi)
+            free = slice(None) if held is None else ~held
+            delta = np.zeros_like(p)
             try:
-                delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
+                delta[free] = np.linalg.lstsq(jac[:, free], -r, rcond=None)[0]
             except np.linalg.LinAlgError:
                 break
             if not np.all(np.isfinite(delta)):
@@ -247,7 +269,8 @@ def least_squares(
         Per-point 1-sigma uncertainties; residuals are divided by sigma.
     bounds : sequence of (lo, hi), optional
         Per-parameter box bounds; None entries are unbounded. Steps are
-        projected onto the box.
+        projected onto the box, and a parameter held at a bound by its
+        gradient is left out of the step.
     names : sequence of str, optional
         Parameter names used in results and error messages.
     scales : array_like, optional

@@ -20,11 +20,13 @@ reader and writer. A stream file holds one row per photon with its timestamp
 as an integer number of picoseconds, as hardware time taggers record them
 (header '# time_unit=ps'); 1 ps is far below any bin width or timing jitter
 of the HBT analysis. Loading divides by 1e12, so a saved stream loads back
-rounded to the picosecond, clipped to its duration. Counts stay below 2^53,
-which float64 holds exactly, so durations are below about 9007 s; below
-2^51 ps (about 2252 s) float seconds resolve every picosecond and a loaded
-stream saves to the same bytes. Files without the time_unit header hold
-float seconds and still load.
+rounded to the picosecond, clipped to its duration. Durations stay below
+2^51 ps (about 2252 s), where float seconds resolve every picosecond, so a
+loaded stream saves to the same bytes. The rows are written and, when every
+row is '<digits>,ZPL|PSB' as written, read as bytes with numpy, block by
+block (_table.write_counts, read_counts); any other file, float seconds
+included, goes through the table reader, which reports faults at their line.
+Files without the time_unit header hold float seconds and still load.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._table import read_table, write_table
+from ._table import read_counts, read_table, write_counts, write_table
 from .errors import DomainError, InputFormatError, ValidationError
 from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _check_finite, _raise_if
 
 RNG_ALGORITHM = "philox4x64/skip-1"
 
 PS_PER_S = 1e12  # time tags of stream files are integer picoseconds
-MAX_PS = 2**53  # every integer below it is exact in float64
+MAX_PS = 2**51  # below it, float seconds resolve every picosecond
 
 CHANNEL_ZPL = 0
 CHANNEL_PSB = 1
@@ -331,7 +333,7 @@ def merge_histograms(histograms) -> HbtHistogram:
 #
 # PhotonStream CSV: '# key=value' headers (seed, rng, duration_s, time_unit=ps,
 # optionally rates_hz and detection_eff), then rows 'timestamp_ps,channel' with
-# integer picoseconds below 2^53. A file without the time_unit header holds
+# integer picoseconds below 2^51. A file without the time_unit header holds
 # float seconds, rows 'timestamp_s,channel'; such files still load.
 # HbtHistogram CSV: '# key=value' headers, then rows 'tau_s,g2,sigma'.
 
@@ -352,33 +354,34 @@ def _time_unit(value):
 
 def save_stream(stream: PhotonStream, path, rates: ThreeLevelRates | None = None, meta=None):
     """Write a stream CSV, its timestamps rounded to integer picoseconds and
-    clipped to the duration. DomainError for a duration of 2^53 ps or more."""
+    clipped to the duration. DomainError for a duration of 2^51 ps or more."""
     if stream.duration * PS_PER_S >= MAX_PS:
-        raise DomainError(f"duration {stream.duration!r} s is 2^53 ps or more")
+        raise DomainError(f"duration {stream.duration!r} s is 2^51 ps or more")
     ps = np.minimum(np.rint(stream.timestamps * PS_PER_S), _last_ps(stream.duration)).astype(np.int64)
-    with open(path, "w") as fh:
-        fh.write(f"# seed={stream.seed}\n")
-        fh.write(f"# rng={stream.rng_algorithm}\n")
-        fh.write(f"# duration_s={stream.duration!r}\n")
-        fh.write("# time_unit=ps\n")
-        if rates is not None:
-            fh.write(f"# rates_hz={rates.k12!r},{rates.k21!r},{rates.k23!r},{rates.k31!r}\n")
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("# timestamp_ps,channel\n")
-        write_table(fh, ps, map(CHANNEL_LABELS.__getitem__, stream.channel_tags.tolist()))
+    header = [f"seed={stream.seed}", f"rng={stream.rng_algorithm}",
+              f"duration_s={stream.duration!r}", "time_unit=ps"]
+    if rates is not None:
+        header.append(f"rates_hz={rates.k12!r},{rates.k21!r},{rates.k23!r},{rates.k31!r}")
+    header += [f"{key}={value}" for key, value in (meta or {}).items()]
+    header.append("timestamp_ps,channel")
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header).encode())
+        write_counts(fh, ps, stream.channel_tags, CHANNEL_LABELS)
 
 
 def load_stream(path):
     """Load a stream CSV. Returns (PhotonStream, metadata dict).
 
+    Rows as save_stream writes them are parsed from the file's bytes; any
+    other file goes through the table reader, whose faults are reported first.
     Under '# time_unit=ps' a timestamp that is not a non-negative integer
-    fails as a bad timestamp at its line; faults the table reader finds are
-    reported first."""
+    fails as a bad timestamp at its line."""
     codes = {label: i for i, label in enumerate(CHANNEL_LABELS)}
-    table = read_table(path, (2,), "expected 'timestamp,channel'", "bad timestamp",
-                       labels={1: (codes, "unknown channel {!r}")},
-                       headers={"time_unit": _time_unit})
+    headers = {"time_unit": _time_unit}
+    table = read_counts(path, codes, headers)
+    if table is None:
+        table = read_table(path, (2,), "expected 'timestamp,channel'", "bad timestamp",
+                           labels={1: (codes, "unknown channel {!r}")}, headers=headers)
     meta = table.meta
     try:
         duration = float(meta["duration_s"])
@@ -388,7 +391,7 @@ def load_stream(path):
     times = table.columns[0]
     if "time_unit" in meta:
         if duration * PS_PER_S >= MAX_PS:
-            raise InputFormatError(path, 0, f"duration_s={duration!r} is 2^53 ps or more")
+            raise InputFormatError(path, 0, f"duration_s={duration!r} is 2^51 ps or more")
         bad = np.flatnonzero(~(times >= 0.0) | (np.floor(times) != times))
         if bad.size:
             raise InputFormatError(path, int(table.lines[bad[0]]), "bad timestamp")

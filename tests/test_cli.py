@@ -14,10 +14,26 @@ from sivcav.models import PLSpectrum, ThreeLevelRates
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
+SCHEMA_ORACLE = jsonschema.Draft202012Validator(report.load_report_schema())
+
+
+def schema_verdicts(doc):
+    """(in-house check passes, jsonschema passes) for a report document."""
+    try:
+        report.validate_report(doc)
+    except ValidationError:
+        ours = False
+    else:
+        ours = True
+    return ours, SCHEMA_ORACLE.is_valid(doc)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     out = json.loads(captured.out) if captured.out.strip() else None
+    if out is not None:  # every report a command prints passes both checks
+        assert schema_verdicts(out) == (True, True)
     return code, out, captured.err
 
 
@@ -185,6 +201,21 @@ def test_power_sweep_path_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_and_simulate_load_no_jsonschema(tmp_path):
+    """Reports are checked in-house: jsonschema is a test dependency only."""
+    code = (
+        "import sys, sivcav.cli\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        f"code = sivcav.cli.main(['simulate', '--rates', '100e6,2e9,0.3e9,50e6', '--duration', '1e-4',"
+        f" '--out-stream', {str(tmp_path / 's.csv')!r}, '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "0 []"
+    assert schema_verdicts(json.loads((tmp_path / "r.json").read_text())) == (True, True)
 
 
 @pytest.fixture
@@ -487,3 +518,66 @@ class TestReportContract:
     def test_bundled_report_schema_is_valid(self):
         schema = report.load_report_schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("mutate", [
+        *(lambda doc, key=key: doc.pop(key)
+          for key in ("schema", "command", "inputs", "results", "provenance")),
+        *(lambda doc, key=key: doc["provenance"].pop(key) for key in ("tool", "version", "timestamp")),
+        lambda doc: doc["results"]["f_p"].pop("value"),
+        lambda doc: doc["results"]["f_p"].pop("units"),
+        lambda doc: doc.update(schema="sivcav-report/2"),
+        lambda doc: doc["provenance"].update(tool="other"),
+        lambda doc: doc.update(command=""),
+        lambda doc: doc.update(command=7),
+        lambda doc: doc["inputs"]["files"].update(a="A" * 64),
+        lambda doc: doc["inputs"]["files"].update(a="a" * 63),
+        lambda doc: doc["inputs"]["files"].update(a="a" * 64 + "\n"),
+        lambda doc: doc["inputs"]["files"].update(a=None),
+        lambda doc: doc["results"]["f_p"].update(sigma=True),
+        lambda doc: doc["results"]["f_p"].update(sigma="0.1"),
+        lambda doc: doc["results"]["f_p"].update(sigma=None),
+        lambda doc: doc["results"]["f_p"].update(value=True),
+        lambda doc: doc["results"]["f_p"].update(value=[1, {"a": None}]),
+        lambda doc: doc["results"]["f_p"].update(units=None),
+        lambda doc: doc["results"].update(x=1.0),
+        lambda doc: doc["results"].update(x={"value": 1.0, "units": "", "extra": 1}),
+        lambda doc: doc["provenance"].update(seed=1.0),  # integral float: an integer
+        lambda doc: doc["provenance"].update(seed=1.5),
+        lambda doc: doc["provenance"].update(seed=True),
+        lambda doc: doc["provenance"].update(seed="1"),
+        lambda doc: doc["provenance"].update(seed=None),
+        lambda doc: doc["provenance"].update(timestamp=0),
+        lambda doc: doc.update(inputs=[]),
+        lambda doc: doc.update(extra={"anything": 1}),
+        lambda doc: doc.clear(),
+    ])
+    def test_report_check_agrees_with_jsonschema(self, mutate):
+        doc = report.build_report(
+            "simulate", {"flags": {"seed": 3}, "files": {"s.csv": "0123456789abcdef" * 4}},
+            {"f_p": report.result_entry(19.2, "", 0.1), "n": report.result_entry(7, "count")}, seed=3)
+        assert schema_verdicts(doc) == (True, True)
+        mutate(doc)
+        ours, oracle = schema_verdicts(doc)
+        assert ours == oracle
+
+    def test_report_check_messages(self):
+        doc = report.build_report("purcell", {"files": {"a": "A" * 64}}, {})
+        with pytest.raises(ValidationError) as err:
+            report.validate_report(doc)
+        assert str(err.value) == f"report fails its schema: {'A' * 64!r} does not match '^[0-9a-f]{{64}}$'"
+        doc = report.build_report("", {}, {})
+        with pytest.raises(ValidationError, match="report fails its schema: '' should be non-empty"):
+            report.validate_report(doc)
+
+    @pytest.mark.parametrize("where", [(), ("properties", "inputs"), ("properties", "results",
+                                                                       "additionalProperties")])
+    def test_report_check_raises_on_an_unchecked_keyword(self, monkeypatch, where):
+        schema = report.load_report_schema()
+        sub = schema
+        for key in where:
+            sub = sub[key]
+        sub["maxLength"] = 3
+        monkeypatch.setattr(report, "load_report_schema", lambda: schema)
+        doc = report.build_report("purcell", {}, {})
+        with pytest.raises(NotImplementedError, match="maxLength"):
+            report.validate_report(doc)

@@ -200,6 +200,26 @@ class TestEngine:
             lambda x, a: a * x, x, y, [0.5], bounds=[(0.0, None)]
         )
         assert fit.values[0] >= 0.0
+        assert fit.converged
+
+    # from inside the box, and from the optimum; residuals of order 1 times the
+    # noise of the difference Jacobian leave b about 1e-12 from -0.5
+    @pytest.mark.parametrize("p0, b_tol", [([1.0, 0.0], 1e-12), ([0.0, -0.5], 1e-11)])
+    def test_optimum_on_a_bound_converges(self, p0, b_tol):
+        # a = 0 holds the slope at its bound; b is then the mean of y
+        x = np.linspace(0.0, 1.0, 21)
+        seen = []
+
+        def model(x, a, b):
+            seen.append((a, b))
+            return a * x + b
+
+        fit = fitting.least_squares(model, x, -2.0 * x + 0.5, p0, bounds=[(0.0, None), (None, None)])
+        assert fit.converged
+        assert fit.values[0] == 0.0
+        assert abs(fit.values[1] + 0.5) < b_tol
+        # no step tries to move the held slope, so no vector is evaluated twice
+        assert len(set(seen)) == len(seen) < 50
 
     def test_init_outside_bounds_rejected(self):
         with pytest.raises(DomainError):
@@ -360,6 +380,20 @@ class TestFitCos2:
         clean = fitting.cos2_model(angles, 95.0, 150.0, 10.0)
         fit = fitting.fit_cos2(PolarizationScan(angles, clean))
         assert fit["phi0"] == pytest.approx(-85.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fully_polarized_scan_converges_on_the_bound(self, seed):
+        angles = np.arange(0.0, 360.0, 10.0)
+        counts = np.random.default_rng(seed).poisson(fitting.cos2_model(angles, 30.0, 400.0, 0.0))
+        fit = fitting.fit_cos2(PolarizationScan(angles, counts.astype(float)))
+        assert fit.converged
+        if fit["i_min"] == 0.0:  # the bound holds: the same as a fit without i_min
+            free = fitting.least_squares(lambda phi, phi0, i_max: fitting.cos2_model(phi, phi0, i_max, 0.0),
+                                         angles, counts, [fit["phi0"], fit["i_max"]])
+            assert free.converged
+            # both stop at a relative cost change of 1e-12: agreement to 1e-4 sigma
+            gap = np.abs(free.values - [fit["phi0"], fit["i_max"]]) / free.sigmas
+            assert np.all(gap < 1e-4)
 
     def test_fold_angle(self):
         assert fitting.fold_angle(95.0) == pytest.approx(-85.0)

@@ -1,9 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.stats import ks_1samp
 
-from sivcav import dynamics, montecarlo
+from sivcav import _table, dynamics, montecarlo
 from sivcav.errors import DomainError, InputFormatError
 from sivcav.models import RadiativeBudget, ThreeLevelRates
 
@@ -362,23 +364,45 @@ class TestStreamIO:
         montecarlo.save_stream(back, again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_duration_limit_of_2_pow_53_ps(self, tmp_path):
+    def test_duration_limit_of_2_pow_51_ps(self, tmp_path):
         path = tmp_path / "long.csv"
-        limit = 2.0**53 / 1e12  # about 9007 s
-        for duration in (limit, 2 * limit):
+        limit = 2.0**51 / 1e12  # about 2252 s
+        assert limit * 1e12 == 2**51
+        for duration in (limit, 2 * limit, 4 * limit):
             stream = montecarlo.PhotonStream(np.array([1.0]), np.zeros(1, dtype=np.uint8), duration, 1)
-            with pytest.raises(DomainError, match="2\\^53 ps"):
+            with pytest.raises(DomainError) as err:
                 montecarlo.save_stream(stream, path)
+            assert str(err.value) == f"duration {duration!r} s is 2^51 ps or more"
+            assert not path.exists()
         below = np.nextafter(limit, 0.0)
         stream = montecarlo.PhotonStream(np.array([1.0, below]), np.zeros(2, dtype=np.uint8), below, 1)
         montecarlo.save_stream(stream, path)
+        last = montecarlo._last_ps(below)
+        assert path.read_text().endswith(f"# timestamp_ps,channel\n1000000000000,ZPL\n{last},ZPL\n")
         back, _meta = montecarlo.load_stream(path)
-        assert back.timestamps[0] == 1.0 and back.timestamps[1] <= below
+        assert back.timestamps.tolist() == [1.0, last / 1e12]
+        assert back.timestamps[1] <= below
         path.write_text(f"# duration_s={limit!r}\n# time_unit=ps\n1000000000000,ZPL\n")
-        with pytest.raises(InputFormatError, match="long.csv:0: duration_s=9007.199254740992 is 2\\^53 ps"):
+        with pytest.raises(InputFormatError) as err:
             montecarlo.load_stream(path)
-        path.write_text(f"# duration_s={limit!r}\n1.0,ZPL\n")  # float seconds: no limit
+        assert str(err.value) == f"{path}:0: duration_s={limit!r} is 2^51 ps or more"
+        path.write_text(f"# duration_s={4 * limit!r}\n1.0,ZPL\n")  # float seconds: no limit
         assert montecarlo.load_stream(path)[0].timestamps.tolist() == [1.0]
+
+    def test_counts_just_below_2_pow_51_save_to_the_same_bytes(self, tmp_path):
+        duration = float(np.nextafter(2.0**51 / 1e12, 0.0))
+        last = montecarlo._last_ps(duration)
+        counts = np.sort(np.random.default_rng(51).integers(last - 2**44, last, 200_000, endpoint=True))
+        tags = np.random.default_rng(52).integers(0, 2, counts.size)
+        path, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        path.write_text(f"# seed=1\n# rng={montecarlo.RNG_ALGORITHM}\n# duration_s={duration!r}\n"
+                        "# time_unit=ps\n# timestamp_ps,channel\n"
+                        + "".join(f"{c},{montecarlo.CHANNEL_LABELS[t]}\n"
+                                  for c, t in zip(counts.tolist(), tags.tolist())))
+        stream, _meta = montecarlo.load_stream(path)
+        assert np.array_equal(stream.timestamps, counts / 1e12)
+        montecarlo.save_stream(stream, again)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("field", ["1.5", "-1", "-0.5", "2e-3", "nan"])
     def test_picosecond_field_not_a_count(self, tmp_path, field):
@@ -490,3 +514,135 @@ class TestStreamIO:
         path.write_text("-1e-9,0.5,0.1\n0.0,0.0,0.1,7\n")
         with pytest.raises(InputFormatError, match="g2.csv:2: expected 'tau_s,g2"):
             montecarlo.load_g2_csv(path)
+
+
+def stream_outcome(path):
+    """What load_stream makes of a file: the stream's arrays, duration, seed,
+    rng tag and meta, or the text of its InputFormatError."""
+    try:
+        stream, meta = montecarlo.load_stream(path)
+    except InputFormatError as err:
+        return str(err)
+    return (stream.timestamps.tolist(), stream.channel_tags.tolist(), stream.duration,
+            stream.seed, stream.rng_algorithm, meta)
+
+
+def stream_outcome_by_table(monkeypatch, path):
+    """load_stream's outcome when every file goes through _table.read_table."""
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "read_counts", lambda *args: None)
+        return stream_outcome(path)
+
+
+def counts_parsed(path):
+    codes = {label: i for i, label in enumerate(montecarlo.CHANNEL_LABELS)}
+    return _table.read_counts(path, codes, {"time_unit": montecarlo._time_unit}) is not None
+
+
+class TestStreamBytes:
+    """The byte-level stream rows against the table reader, which reads every
+    file and alone reports faults."""
+
+    @pytest.mark.parametrize("ts, tags, duration", [
+        ([0.0, 1e-12, 0.5, 1.0], [0, 1, 1, 0], 1.0),  # a photon at 0 and at the duration
+        ([0.0, 1e-12, 1000.0, 1500.0], [1, 0, 1, 1], 1500.0),  # 1-digit and 16-digit tags
+        ([0.25], [1], 0.5),  # one photon
+        (np.linspace(0.0, 1e-6, 50), np.zeros(50), 1e-6),  # a single channel
+    ])
+    def test_edge_streams(self, tmp_path, monkeypatch, ts, tags, duration):
+        stream = montecarlo.PhotonStream(np.array(ts), np.array(tags, dtype=np.uint8), duration, 4)
+        path = tmp_path / "edge.csv"
+        montecarlo.save_stream(stream, path)
+        assert counts_parsed(path)
+        outcome = stream_outcome(path)
+        assert outcome == stream_outcome_by_table(monkeypatch, path)
+        assert outcome[0] == (np.rint(np.asarray(ts) * 1e12) / 1e12).tolist()
+        assert outcome[1] == np.asarray(tags).tolist()
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 1 << 16])
+    def test_simulated_stream_in_blocks(self, mc_rates, radiative_budget, tmp_path, monkeypatch,
+                                        block_rows):
+        monkeypatch.setattr(_table, "BLOCK_ROWS", block_rows)
+        stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 3e-5, 1.0, seed=91)
+        path, again = tmp_path / "sim.csv", tmp_path / "again.csv"
+        montecarlo.save_stream(stream, path, rates=mc_rates, meta={"note": "x"})
+        rows = "".join(f"{round(t * 1e12)},{label}\n"
+                       for t, label in zip(stream.timestamps.tolist(), stream.labels()))
+        assert path.read_text().endswith("# timestamp_ps,channel\n" + rows)
+        assert counts_parsed(path)
+        assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)
+        montecarlo.save_stream(montecarlo.load_stream(path)[0], again, rates=mc_rates, meta={"note": "x"})
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda rows: rows.__setitem__(2, rows[2].replace(",", ", ")),  # a space
+        lambda rows: rows.__setitem__(2, rows[2] + " "),
+        lambda rows: rows.__setitem__(2, rows[2] + "\r"),  # CRLF on one row
+        lambda rows: rows.__setitem__(slice(None), [row + "\r" for row in rows]),  # CRLF
+        lambda rows: rows.insert(3, "# note=between rows"),  # a comment between rows
+        lambda rows: rows.insert(3, "# time_unit=ns"),
+        lambda rows: rows.insert(3, ""),  # a blank line between rows
+        lambda rows: rows.__setitem__(2, rows[2].lower()),  # a lowercase label
+        lambda rows: rows.__setitem__(2, "+" + rows[2]),  # rows 2-4 hold 10-digit tags
+        lambda rows: rows.__setitem__(3, "x" + rows[3][1:]),
+        lambda rows: rows.__setitem__(3, rows[3][:1] + ":" + rows[3][2:]),
+        lambda rows: rows.__setitem__(4, rows[4][:1] + "/" + rows[4][2:]),
+        lambda rows: rows.__setitem__(2, rows[2].replace(",", ".0,")),
+        lambda rows: rows.__setitem__(2, rows[2][:3] + "." + rows[2][3:]),
+        lambda rows: rows.__setitem__(2, "1e3," + rows[2].split(",")[1]),
+        lambda rows: rows.__setitem__(2, "1" + "0" * 16 + ",ZPL"),  # a 17-digit tag
+        lambda rows: rows.__setitem__(2, "0" * 17 + rows[2]),  # 17+ digits that read small
+        lambda rows: rows.__setitem__(2, rows[2] + ",PSB"),
+        lambda rows: rows.__setitem__(2, rows[2].replace(",", ";")),
+        lambda rows: rows.__setitem__(2, ",ZPL"),
+        lambda rows: rows.__setitem__(2, rows[2].split(",")[0]),
+        lambda rows: rows.__setitem__(2, rows[2] + "Z"),
+        lambda rows: rows.__setitem__(2, rows[2].replace("ZPL", "ZP").replace("PSB", "PS")),
+    ])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_mutated_rows_go_through_the_table_reader(self, tmp_path, monkeypatch, mutate, final_newline):
+        stream = montecarlo.PhotonStream(np.array([1e-9, 2e-9, 3.5e-3, 4e-3, 9e-3]),
+                                         np.array([0, 1, 0, 1, 1], dtype=np.uint8), 1e-2, 5)
+        path = tmp_path / "mutated.csv"
+        montecarlo.save_stream(stream, path)
+        lines = path.read_text().split("\n")[:-1]
+        body = len(lines) - 5
+        rows = lines[body:]
+        mutate(rows)
+        path.write_bytes(("\n".join(lines[:body] + rows) + "\n" * final_newline).encode())
+        assert not counts_parsed(path)
+        assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)
+
+    def test_leading_zeros_within_16_digits(self, tmp_path, monkeypatch):
+        path = tmp_path / "zeros.csv"
+        path.write_text("# duration_s=1e-08\n# time_unit=ps\n0,ZPL\n0001000,PSB\n"
+                        "0000000000002000,ZPL\n")
+        assert counts_parsed(path)
+        assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)
+        assert stream_outcome(path)[0] == [0.0, 1e-9, 2e-9]
+
+    @pytest.mark.parametrize("text, where", [
+        ("# duration_s=1e-08\n# time_unit=ns\n1000,ZPL\n", ":2: unknown time_unit 'ns'"),
+        ("# duration_s=1e-08\n# time_unit=ps\n1000,ZPL\n99999,PSB\n", ":0: timestamps must lie"),
+        ("# duration_s=1e-08\n# time_unit=ps\n2000,ZPL\n1000,PSB\n", ":0: timestamps must be sorted"),
+        ("# time_unit=ps\n1000,ZPL\n", ":0: missing or bad '# duration_s='"),
+        (f"# duration_s={2.0**51 / 1e12!r}\n# time_unit=ps\n1000,ZPL\n", ":0: duration_s="),
+    ])
+    def test_faults_of_well_formed_rows(self, tmp_path, monkeypatch, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        outcome = stream_outcome(path)
+        assert outcome == stream_outcome_by_table(monkeypatch, path)
+        assert outcome.startswith(f"{path}{where}")
+
+    def test_write_counts_matches_str(self):
+        counts = np.array([0, 9, 10, 99, 100, 12345678, 99999999, 100000000, 10**15 - 1, 10**15,
+                           2**51 - 1, 10**16 - 1])
+        tags = np.arange(counts.size) % 2
+        fh = io.BytesIO()
+        _table.write_counts(fh, counts, tags, ("ZPL", "PSB"))
+        assert fh.getvalue() == "".join(f"{c},{('ZPL', 'PSB')[t]}\n"
+                                        for c, t in zip(counts.tolist(), tags.tolist())).encode()
+        for bad in (-1, 10**16):
+            with pytest.raises(ValueError, match="counts must lie in"):
+                _table.write_counts(io.BytesIO(), np.array([bad]), np.array([0]), ("ZPL", "PSB"))
