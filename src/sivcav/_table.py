@@ -2,11 +2,10 @@
 
 A table file holds rows of comma-separated fields, blank lines and '#'
 comments; a comment '# key=value' is a header (the last one of a key wins).
-One pass of numpy's text reader converts all rows, straight from the file
-when only rows follow the top comments; numbers take numpy's float syntax
-(Python's without digit-group underscores or non-ASCII digits). Only when
-that pass fails are the rows bisected with the same reader, to raise
-InputFormatError at the first faulty line. The writer prints floats as their
+One pass of numpy's text reader converts all rows; numbers take numpy's
+float syntax (Python's without digit-group underscores or non-ASCII
+digits). Only when that pass fails are the rows bisected with the same
+reader, to raise InputFormatError at the first faulty line. The writer prints floats as their
 shortest round-trip repr, so the same arrays give the same bytes.
 
 Rows of a count and a label, '<1-16 digits>,<label>', the picosecond photon
@@ -32,12 +31,9 @@ from .errors import InputFormatError
 
 BLOCK_ROWS = 1 << 16  # rows per block written, and per block of read_counts
 _LOADTXT = dict(delimiter=",", comments=None, quotechar=None)
-_TOP = re.compile(r"(?:[^\S\n]*(?:#[^\n]*)?\n)*")  # blank and comment lines at the top
-# past the top comments, a text without these holds rows only, each as it stands
-_UNCLEAN = ("#", "\n\n", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+_TOP_BYTES = re.compile(rb"(?:[^\S\n]*(?:#[^\n]*)?\n)*")  # blank and comment lines at the top
 _SKIPPED = frozenset(("", "#")).__contains__  # first character of a blank or comment line
 _first_char = itemgetter(slice(1))
-_TOP_BYTES = re.compile(_TOP.pattern.encode())  # matches no more than _TOP on ASCII
 _ZERO, _NEWLINE = b"0\n"
 _PAD = 24  # bytes before a file's first row: the digit words and the label word
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
@@ -52,14 +48,14 @@ class Table(NamedTuple):
     lines: np.ndarray  # 1-based line number of each row
 
 
-def _load(rows, labels, width, size, skip=0, usecols=None):
+def _load(rows, labels, width, size, usecols=None):
     """(rows, fields) floats with labels as their codes. ValueError for a field
     that does not convert or, under labels, a row of another width; size is
     the longest label field to expect."""
     if not labels:
-        return np.loadtxt(rows, float, skiprows=skip, usecols=usecols, ndmin=2, **_LOADTXT)
+        return np.loadtxt(rows, float, usecols=usecols, ndmin=2, **_LOADTXT)
     dtype = [(str(j), f"U{size}" if j in labels else float) for j in range(width)]
-    table = np.loadtxt(rows, dtype, skiprows=skip, ndmin=1, **_LOADTXT)
+    table = np.loadtxt(rows, dtype, ndmin=1, **_LOADTXT)
     values = np.empty((table.size, width))
     for j, (name, _kind) in enumerate(dtype):
         values[:, j] = table[name] if j not in labels else np.nan
@@ -111,29 +107,20 @@ def read_table(path, widths, shape_error, value_error="bad numeric value", label
     """
     labels = labels or {}
     with open(path) as fh:
-        text = fh.read()
-    top = _TOP.match(text).end()
-    clean = text.isascii() and all(text.find(mark, top) < 0 for mark in _UNCLEAN)
-    rows = list(map(str.strip, (text[:top] if clean else text).split("\n")))
+        rows = list(map(str.strip, fh.read().split("\n")))
     skipped = list(map(_SKIPPED, map(_first_char, rows)))
     meta, faults = _read_headers(rows, skipped, headers or {})
-    if clean:  # numpy reads the rows off the file
-        lines = len(rows) + np.arange(text.count("\n", top) + (top < len(text) and text[-1] != "\n"))
-        source, skip = path, len(rows) - 1
-        size = max((len(k) for codes, _msg in labels.values() for k in codes), default=0) + 1
-    else:
-        lines = 1 + np.flatnonzero(np.logical_not(skipped))
-        rows = source = list(compress(rows, map(not_, skipped)))
-        skip, size = 0, max(map(len, rows), default=0)
+    lines = 1 + np.flatnonzero(np.logical_not(skipped))
+    rows = list(compress(rows, map(not_, skipped)))
+    size = max(map(len, rows), default=0)
     width = widths[0] if labels else None
     values = np.zeros((0, max(widths or (0,))))
     try:
         if lines.size:
-            values = _load(source, labels, width, size, skip)
+            values = _load(rows, labels, width, size)
             if values.shape[1] not in (widths or values.shape[1:]):
                 raise ValueError("field count")
     except ValueError:  # find the first faulty row
-        rows = text[top:].split("\n")[: lines.size] if clean else rows
         counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
         wrong = np.flatnonzero(counts != counts[0]) if widths is None or counts[0] in widths else [0]
         bad = int(wrong[0]) if len(wrong) else len(rows)

@@ -5,6 +5,10 @@ to stdout (or --out), human summaries to stderr. Exit codes: 0 success,
 2 input/validation error including a bad flag (machine-readable error JSON on
 stderr), 3 analysis non-convergence. The only environment variable honored
 is SIVCAV_SEED, the default random seed.
+
+Each cmd_* parses, computes and writes its outputs, noting every file it reads
+or writes; _run owns the report: it hashes those files, builds, checks and
+emits the report, and picks the exit code.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import os
 import sys
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +77,9 @@ def _load_json(path):
         raise InputFormatError(path, err.lineno, f"bad JSON: {err.msg}") from None
 
 
-def _load_budget(path):
-    doc = _load_json(path)
-    return RadiativeBudget.from_dict(doc), {path: report.file_sha256(path)}
+def _load_budget(path, paths):
+    paths.append(path)
+    return RadiativeBudget.from_dict(_load_json(path))
 
 
 def _scenario_dir():
@@ -98,11 +103,21 @@ def _rates_entry(modified):
     return {"value": modified.to_dict(), "units": "Hz"}
 
 
+class _Outcome(NamedTuple):
+    """What a subcommand hands to _run: its results and stderr summary lines,
+    the fit whose convergence sets the exit code, and provenance beyond the
+    seed."""
+
+    results: dict
+    summary: list
+    fit: object = None
+    provenance: dict = None
+
+
 # --- purcell -------------------------------------------------------------------
 
 
-def cmd_purcell(args):
-    files = {}
+def cmd_purcell(args, paths):
     mode = line = None
     field_axis = None
     fieldmap = None
@@ -125,7 +140,7 @@ def cmd_purcell(args):
             map_path = _scenario_dir().joinpath(doc["fieldmap"])
             with resources.as_file(map_path) as real:
                 fieldmap = purcell.load_field_map(real)
-                files[str(real)] = report.file_sha256(real)
+                paths.append(str(real))
             fieldmap_pos = doc.get("fieldmap_position")
 
     if args.q is not None or args.vmode is not None or args.lambda_c is not None:
@@ -139,13 +154,12 @@ def cmd_purcell(args):
         field_axis = _unit(_parse_vector(args.field_axis, 3, "--field-axis"))
     if args.fieldmap:
         fieldmap = purcell.load_field_map(args.fieldmap)
-        files[args.fieldmap] = report.file_sha256(args.fieldmap)
+        paths.append(args.fieldmap)
         if args.pos is None:
             raise DomainError("--fieldmap requires --pos x,y")
         fieldmap_pos = _parse_vector(args.pos, 2, "--pos")
     if args.budget:
-        budget, extra = _load_budget(args.budget)
-        files.update(extra)
+        budget = _load_budget(args.budget, paths)
 
     results = {}
     f_cav = None
@@ -191,23 +205,18 @@ def cmd_purcell(args):
     if not results:
         raise DomainError("nothing to compute: supply --scenario, mode flags or --budget")
 
-    inputs = _inputs_echo(args, files)
-    doc = report.build_report("purcell", inputs, results)
     summary = [f"purcell: {name} = {entry['value']:.6g}" for name, entry in results.items()
                if isinstance(entry.get("value"), (int, float))]
-    report.emit_report(doc, args.out, summary)
-    return 0
+    return _Outcome(results, summary)
 
 
 # --- simulate ------------------------------------------------------------------
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, paths):
     rates = ThreeLevelRates(*_parse_vector(args.rates, 4, "--rates"))
-    files = {}
     if args.budget:
-        budget, extra = _load_budget(args.budget)
-        files.update(extra)
+        budget = _load_budget(args.budget, paths)
     else:
         budget = RadiativeBudget(1.0, 0.0, 0.0)  # fully radiative, all-ZPL split
     stream = montecarlo.simulate_stream(rates, budget, args.duration, args.det_eff, args.seed)
@@ -217,7 +226,7 @@ def cmd_simulate(args):
         stream, args.out_stream, rates=rates,
         meta={"detection_eff": args.det_eff, "jitter_s": args.jitter or 0.0},
     )
-    files[args.out_stream] = report.file_sha256(args.out_stream)
+    paths.append(args.out_stream)
 
     p2 = float(dynamics.steady_state(rates)[1])
     predicted = args.det_eff * budget.eta_qe * rates.k21 * p2
@@ -227,24 +236,19 @@ def cmd_simulate(args):
         "predicted_rate": _num(predicted, "cps"),
         "duration": _num(stream.duration, "s"),
     }
-    doc = report.build_report(
-        "simulate", _inputs_echo(args, files), results, seed=args.seed,
-        extra_provenance={"rng_algorithm": stream.rng_algorithm},
-    )
     summary = [
         f"simulate: {len(stream)} photons in {stream.duration:.3g} s "
         f"({stream.detected_rate if len(stream) else 0.0:.4g} cps, predicted {predicted:.4g} cps)"
     ]
-    report.emit_report(doc, args.out, summary)
-    return 0
+    return _Outcome(results, summary, provenance={"rng_algorithm": stream.rng_algorithm})
 
 
 # --- g2 --------------------------------------------------------------------------
 
 
-def cmd_g2_fit(args):
+def cmd_g2_fit(args, paths):
     curve = montecarlo.load_g2_csv(args.hist)
-    files = {args.hist: report.file_sha256(args.hist)}
+    paths.append(args.hist)
     init = None
     if args.init:
         a, t1, t2 = _parse_vector(args.init, 3, "--init")
@@ -254,24 +258,19 @@ def cmd_g2_fit(args):
         "a": _num(fit["a"], "dimensionless", fit.sigma("a")),
         "tau1": _num(fit["tau1"], "s", fit.sigma("tau1")),
         "tau2": _num(fit["tau2"], "s", fit.sigma("tau2")),
-        "converged": {"value": fit.converged, "units": "flag"},
-        "fit": {"value": fit.to_dict(), "units": "json"},
     }
-    doc = report.build_report("g2-fit", _inputs_echo(args, files), results)
     summary = [
         f"g2 fit: tau1 = {fit['tau1']:.4g} s, tau2 = {fit['tau2']:.4g} s, "
         f"a = {fit['a']:.4g} (converged={fit.converged})"
     ]
-    report.emit_report(doc, args.out, summary)
-    return 0 if fit.converged else NONCONVERGED_EXIT
+    return _Outcome(results, summary, fit)
 
 
-def cmd_g2_correlate(args):
+def cmd_g2_correlate(args, paths):
     stream, _meta = montecarlo.load_stream(args.stream)
-    files = {args.stream: report.file_sha256(args.stream)}
     hist = montecarlo.correlate(stream, args.bin_width, args.window, args.mode, seed=args.seed)
     montecarlo.save_histogram(hist, args.out_hist)
-    files[args.out_hist] = report.file_sha256(args.out_hist)
+    paths += [args.stream, args.out_hist]
     results = {
         "n_photons": _num(len(stream), "photons"),
         "n_bins": _num(int(hist.counts.size), "bins"),
@@ -279,16 +278,12 @@ def cmd_g2_correlate(args):
         "normalization": _num(hist.normalization, "pairs/bin"),
         "mode": {"value": hist.mode, "units": "label"},
     }
-    doc = report.build_report(
-        "g2-correlate", _inputs_echo(args, files), results, seed=args.seed
-    )
-    report.emit_report(doc, args.out, [f"correlate: {hist.counts.sum()} pairs in {hist.counts.size} bins"])
-    return 0
+    return _Outcome(results, [f"correlate: {hist.counts.sum()} pairs in {hist.counts.size} bins"])
 
 
-def cmd_g2_sweep(args):
+def cmd_g2_sweep(args, paths):
     sweep = dynamics.load_power_sweep(args.sweep)
-    files = {args.sweep: report.file_sha256(args.sweep)}
+    paths.append(args.sweep)
     zero = dynamics.extrapolate_zero_power(sweep)
     fit = zero.fit
     results = {
@@ -297,15 +292,11 @@ def cmd_g2_sweep(args):
         "k23": _num(zero.rates.k23, "Hz", fit.sigma("k23")),
         "k31": _num(zero.rates.k31, "Hz", fit.sigma("k31")),
         "sigma_pump": _num(zero.sigma, "Hz/mW", fit.sigma("sigma")),
-        "converged": {"value": fit.converged, "units": "flag"},
-        "fit": {"value": fit.to_dict(), "units": "json"},
     }
-    doc = report.build_report("g2-sweep", _inputs_echo(args, files), results)
     summary = [
         f"sweep: tau1(P->0) = {zero.tau1_zero:.4g} s, k21 = {zero.rates.k21:.6g} Hz"
     ]
-    report.emit_report(doc, args.out, summary)
-    return 0 if fit.converged else NONCONVERGED_EXIT
+    return _Outcome(results, summary, fit)
 
 
 # --- spectra ---------------------------------------------------------------------
@@ -327,9 +318,9 @@ def _parse_seed_peaks(text):
     return seeds
 
 
-def cmd_spectra_fit(args):
+def cmd_spectra_fit(args, paths):
     spectrum = spectra.load_spectrum(args.spectrum)
-    files = {args.spectrum: report.file_sha256(args.spectrum)}
+    paths.append(args.spectrum)
     inits = []
     for item in args.peaks.split(","):
         parts = item.split(":")
@@ -347,36 +338,29 @@ def cmd_spectra_fit(args):
     results = {
         "peaks": {"value": peaks, "units": "nm,counts"},
         "baseline": _num(fit["baseline"], "counts", fit.sigma("baseline")),
-        "converged": {"value": fit.converged, "units": "flag"},
-        "fit": {"value": fit.to_dict(), "units": "json"},
     }
-    doc = report.build_report("spectra-fit", _inputs_echo(args, files), results)
     summary = [
         f"peak {k + 1}: center {p['center']:.4f} nm, fwhm {p['fwhm']:.4f} nm, "
         f"Q = {p['q']:.1f} +- {p['q_sigma']:.1f}"
         for k, p in enumerate(peaks)
     ]
-    report.emit_report(doc, args.out, summary)
-    return 0 if fit.converged else NONCONVERGED_EXIT
+    return _Outcome(results, summary, fit)
 
 
-def _manifest_series(args, files):
-    paths = [args.manifest]
+def _manifest_series(args, paths):
+    paths.append(args.manifest)
 
     def load(path):
         paths.append(path)
         return spectra.load_spectrum(path)
 
     steps = spectra.load_manifest(args.manifest, load)
-    for path in paths:
-        files[path] = report.file_sha256(path)
     seeds = _parse_seed_peaks(args.seeds)
     return spectra.track_modes(steps, seeds)
 
 
-def cmd_spectra_track(args):
-    files = {}
-    series = _manifest_series(args, files)
+def cmd_spectra_track(args, paths):
+    series = _manifest_series(args, paths)
     modes = {}
     for label, track in series.tracked_modes.items():
         entry = {
@@ -394,20 +378,17 @@ def cmd_spectra_track(args):
             for label, track in series.tracked_modes.items():
                 for p in track.points:
                     fh.write(f"{label},{p.step},{p.center!r},{p.fwhm!r}\n")
-    doc = report.build_report("spectra-track", _inputs_echo(args, files), results)
     summary = [
         f"track {label}: {entry.get('rate_nm_per_step', float('nan')):+.3f} nm/step "
         f"over {entry['n_steps']} steps"
         for label, entry in modes.items()
         if "rate_nm_per_step" in entry
     ]
-    report.emit_report(doc, args.out, summary)
-    return 0
+    return _Outcome(results, summary)
 
 
-def cmd_spectra_enhance(args):
-    files = {}
-    series = _manifest_series(args, files)
+def cmd_spectra_enhance(args, paths):
+    series = _manifest_series(args, paths)
     line = EmitterLine(args.lambda_i, args.line_width)
     mode_labels = args.modes.split(",") if args.modes else None
     result = spectra.enhancement_ratio(series, line, mode_labels=mode_labels)
@@ -416,80 +397,77 @@ def cmd_spectra_enhance(args):
         "on_step": _num(result.on_step, "step"),
         "off_step": _num(result.off_step, "step"),
     }
-    doc = report.build_report("spectra-enhance", _inputs_echo(args, files), results)
-    report.emit_report(
-        doc, args.out,
-        [f"enhancement: x{result.ratio:.3g} (step {result.on_step} vs {result.off_step})"],
+    return _Outcome(
+        results, [f"enhancement: x{result.ratio:.3g} (step {result.on_step} vs {result.off_step})"]
     )
-    return 0
 
 
-def cmd_spectra_polarization(args):
-    files = {}
-    results = {}
-    summary = []
+def cmd_spectra_polarization(args, paths):
     if args.scan:
         scan = spectra.load_polarization_scan(args.scan)
-        files[args.scan] = report.file_sha256(args.scan)
+        paths.append(args.scan)
         fit = fitting.fit_cos2(scan)
-        results.update(
-            {
-                "phi0": _num(fit["phi0"], "deg", fit.sigma("phi0")),
-                "i_max": _num(fit["i_max"], "counts", fit.sigma("i_max")),
-                "i_min": _num(fit["i_min"], "counts", fit.sigma("i_min")),
-                "visibility": _num(fitting.cos2_visibility(fit), "dimensionless"),
-                "converged": {"value": fit.converged, "units": "flag"},
-                "fit": {"value": fit.to_dict(), "units": "json"},
-            }
-        )
-        summary.append(f"cos^2 fit: phi0 = {fit['phi0']:.2f} deg, visibility {fitting.cos2_visibility(fit):.3f}")
-        exit_code = 0 if fit.converged else NONCONVERGED_EXIT
-    elif args.mixture:
-        doc = _load_json(args.mixture)
-        files[args.mixture] = report.file_sha256(args.mixture)
-        emitter = spectra.PolarizedChannel(doc["emitter"]["angle"], doc["emitter"]["weight"])
-        modes = []
-        for m in doc["modes"]:
-            channel = spectra.PolarizedChannel(m["angle"], m["weight"])
-            mode = CavityMode(m["lambda_c"], m["q_factor"], m.get("mode_volume", 1.0))
-            modes.append((channel, mode))
-        dspec = doc["detunings"]
-        detunings = np.linspace(dspec["start"], dspec["stop"], int(dspec["num"]))
-        angles = spectra.polarization_mixture(emitter, modes, doc["line_lambda"], detunings)
-        if args.emit_curves:
-            with open(args.emit_curves, "w") as fh:
-                fh.write("# detuning_nm,phi_deg\n")
-                write_table(fh, detunings, angles)
-        results.update(
-            {
-                "phi_first": _num(float(angles[0]), "deg"),
-                "phi_last": _num(float(angles[-1]), "deg"),
-                "n_detunings": _num(int(detunings.size), "points"),
-            }
-        )
-        summary.append(
-            f"mixture: phi sweeps {angles[0]:.1f} -> {angles[-1]:.1f} deg over "
-            f"[{detunings[0]:.3g}, {detunings[-1]:.3g}] nm"
-        )
-        exit_code = 0
-    else:
+        visibility = fitting.cos2_visibility(fit)
+        results = {
+            "phi0": _num(fit["phi0"], "deg", fit.sigma("phi0")),
+            "i_max": _num(fit["i_max"], "counts", fit.sigma("i_max")),
+            "i_min": _num(fit["i_min"], "counts", fit.sigma("i_min")),
+            "visibility": _num(visibility, "dimensionless"),
+        }
+        summary = [f"cos^2 fit: phi0 = {fit['phi0']:.2f} deg, visibility {visibility:.3f}"]
+        return _Outcome(results, summary, fit)
+    if not args.mixture:
         raise DomainError("supply --scan CSV or --mixture JSON")
-    doc = report.build_report("spectra-polarization", _inputs_echo(args, files), results)
-    report.emit_report(doc, args.out, summary)
-    return exit_code
+    doc = _load_json(args.mixture)
+    paths.append(args.mixture)
+    emitter = spectra.PolarizedChannel(doc["emitter"]["angle"], doc["emitter"]["weight"])
+    modes = []
+    for m in doc["modes"]:
+        channel = spectra.PolarizedChannel(m["angle"], m["weight"])
+        mode = CavityMode(m["lambda_c"], m["q_factor"], m.get("mode_volume", 1.0))
+        modes.append((channel, mode))
+    dspec = doc["detunings"]
+    detunings = np.linspace(dspec["start"], dspec["stop"], int(dspec["num"]))
+    angles = spectra.polarization_mixture(emitter, modes, doc["line_lambda"], detunings)
+    if args.emit_curves:
+        with open(args.emit_curves, "w") as fh:
+            fh.write("# detuning_nm,phi_deg\n")
+            write_table(fh, detunings, angles)
+    results = {
+        "phi_first": _num(float(angles[0]), "deg"),
+        "phi_last": _num(float(angles[-1]), "deg"),
+        "n_detunings": _num(int(detunings.size), "points"),
+    }
+    summary = [
+        f"mixture: phi sweeps {angles[0]:.1f} -> {angles[-1]:.1f} deg over "
+        f"[{detunings[0]:.3g}, {detunings[-1]:.3g}] nm"
+    ]
+    return _Outcome(results, summary)
 
 
 # --- wiring ----------------------------------------------------------------------
 
 
-def _inputs_echo(args, files):
-    skip = {"func"}
-    echo = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in skip and isinstance(value, (int, float, str, bool, type(None)))
-    }
-    return {"flags": echo, "files": files}
+def _run(args):
+    """Run the subcommand args name and emit its report: the flags, a SHA-256
+    of each file the subcommand added to paths, its results (with the fit's
+    convergence flag and record, if it fitted), its --seed and provenance.
+    Exit 3 when the fit did not converge."""
+    paths = []
+    outcome = args.func(args, paths)
+    results = outcome.results
+    if outcome.fit is not None:
+        results = {**results, "converged": {"value": outcome.fit.converged, "units": "flag"},
+                   "fit": {"value": outcome.fit.to_dict(), "units": "json"}}
+    flags = {key: value for key, value in vars(args).items()
+             if isinstance(value, (int, float, str, bool, type(None)))}
+    files = {path: report.file_sha256(path) for path in paths}
+    doc = report.build_report(
+        args.func.__name__[len("cmd_"):].replace("_", "-"), {"flags": flags, "files": files},
+        results, seed=getattr(args, "seed", None), extra_provenance=outcome.provenance,
+    )
+    report.emit_report(doc, args.out, outcome.summary)
+    return NONCONVERGED_EXIT if outcome.fit is not None and not outcome.fit.converged else 0
 
 
 class _UsageError(Exception):
@@ -533,7 +511,7 @@ def build_parser():
     p.add_argument("--duration", type=float, required=True, help="acquisition time, s")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--jitter", type=float, default=0.0, help="detector timing jitter sigma, s")
-    p.add_argument("--det-eff", type=float, default=1.0, help="detection efficiency (0, 1]")
+    p.add_argument("--det-eff", type=float, default=1.0, help="detection efficiency in [0, 1]; 0 warns and records no photons")
     p.add_argument("--budget", help="RadiativeBudget JSON controlling the emission split")
     p.add_argument("--out-stream", required=True, help="photon stream CSV to write")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -606,7 +584,7 @@ def main(argv=None) -> int:
     try:
         # the parser reads SIVCAV_SEED for its defaults, so building it can fail
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return _run(args)
     except _UsageError as err:
         return report.emit_error("usage", str(err))
     except ValidationError as err:

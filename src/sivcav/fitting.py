@@ -3,11 +3,12 @@
 The engine is a damped Gauss-Newton iteration with a Levenberg-Marquardt
 trust parameter, numerical forward-difference Jacobians (step
 sqrt(machine epsilon) times a per-parameter scale, from the residual the
-engine holds at p), box bounds clipped to as two arrays, and an accept/reject
-rule that never lets the cost increase. A parameter on a bound whose descent
-direction points out of the box is held there: the step is solved on the
-free parameters and the gradient test looks at theirs only, so a fit whose
-optimum lies on a bound converges. Convergence is declared when the
+engine holds at p), box bounds held as a lower and an upper array that every
+trial step is clipped to, and an accept/reject rule that never lets the cost
+increase. A parameter on a bound whose descent direction points out of the
+box is held there: the step is solved on the free parameters and the
+gradient test looks at theirs only, so a fit whose optimum lies on a bound
+converges. Convergence is declared when the
 projected gradient vanishes, the relative parameter step falls below
 STEP_RTOL or the relative cost decrease falls below COST_RTOL; a fit that
 does not converge is retried from JITTER_RETRIES jittered starting points.

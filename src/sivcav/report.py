@@ -1,9 +1,10 @@
 """Analysis reports: self-contained, schema-validated JSON documents.
 
 Every CLI command emits one report holding an echo of its inputs (flags plus
-SHA-256 digests of every input file), named results with units and optional
-uncertainties, and provenance (tool version, seeds, timestamp). Two runs with
-identical inputs produce identical reports up to the timestamp field.
+SHA-256 digests of the files it read and the data files it wrote), named
+results with units and optional uncertainties, and provenance (tool version,
+seeds, timestamp). Two runs with identical inputs produce identical reports
+up to the timestamp field.
 
 Reports are checked against the bundled JSON Schema in-house, with the
 semantics of draft 2020-12 for the keywords that schema uses: type, const,

@@ -33,6 +33,8 @@ from .models import (
     _raise_if,
 )
 
+ASSOCIATION_FWHM = 3.0  # a fitted center further than this many previous fwhms ends the track
+
 
 @dataclass(frozen=True)
 class PolarizedChannel:
@@ -138,7 +140,7 @@ class EnhancementResult:
     off_area: float
 
 
-def track_modes(steps, seed_peaks, association_fwhm=3.0) -> TuningSeries:
+def track_modes(steps, seed_peaks) -> TuningSeries:
     """Track labeled modes through a series of spectra.
 
     steps      : sequence of (step_index, PLSpectrum), indices increasing
@@ -149,7 +151,7 @@ def track_modes(steps, seed_peaks, association_fwhm=3.0) -> TuningSeries:
     advanced by its mean shift per step so far, and its previous fwhm. A
     track keeps its component when the fit converged, the amplitude is
     positive, the fwhm spans at least two samples and the center lies within
-    ``association_fwhm`` previous fwhms of the prediction; otherwise the
+    ASSOCIATION_FWHM previous fwhms of the prediction; otherwise the
     track is terminated at that step, never an exception.
     """
     steps = sorted(((int(s), spec) for s, spec in steps), key=lambda pair: pair[0])
@@ -191,7 +193,7 @@ def track_modes(steps, seed_peaks, association_fwhm=3.0) -> TuningSeries:
                 and fit.converged
                 and fit[f"amplitude_{k}"] > 0
                 and fit[f"fwhm_{k}"] >= 2.0 * float(np.median(np.diff(wl)))
-                and abs(fit[f"center_{k}"] - prediction) <= association_fwhm * st["fwhm"]
+                and abs(fit[f"center_{k}"] - prediction) <= ASSOCIATION_FWHM * st["fwhm"]
             )
             if not kept:
                 st["terminated"] = step_index

@@ -1,15 +1,17 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from sivcav import cli, dynamics, fitting, montecarlo, report, spectra
+from sivcav import cli, dynamics, fitting, montecarlo, purcell, report, spectra
 from sivcav.errors import ValidationError
-from sivcav.models import PLSpectrum, ThreeLevelRates
+from sivcav.models import PLSpectrum, RadiativeBudget, ThreeLevelRates
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
@@ -41,6 +43,47 @@ def strip_timestamp(doc):
     clone = json.loads(json.dumps(doc))
     clone["provenance"].pop("timestamp")
     return clone
+
+
+def write_field_map(path):
+    """A 5x5 Gaussian amplitude map on a 10 nm grid centred at the origin."""
+    xs = np.arange(5)
+    rows = [",".join(repr(float(np.exp(-((x - 2) ** 2 + (y - 2) ** 2) / 4.0))) for x in xs) for y in xs]
+    path.write_text("# spacing_nm=10\n# origin=-20,-20\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def write_spectrum(path):
+    """One Lorentzian line, 739.9 nm centre and 2.3 nm fwhm, over 730-750 nm."""
+    wl = np.linspace(730.0, 750.0, 500)
+    spectra.save_spectrum(PLSpectrum(wl, 40.0 + fitting.lorentzian_peak(wl, 739.9, 2.3, 900.0)), path)
+    return path
+
+
+def write_scan(path):
+    """A noise-free cos^2 polarization scan, phi0 = 20 deg."""
+    angles = np.linspace(0.0, 175.0, 36)
+    with open(path, "w") as fh:
+        fh.write("# angle_deg,counts\n")
+        for a, v in zip(angles, fitting.cos2_model(angles, 20.0, 200.0, 20.0)):
+            fh.write(f"{float(a)!r},{float(v)!r}\n")
+    return path
+
+
+def write_manifest(directory):
+    """A tuning manifest of eight spectra: a mode blue-shifting 1.6 nm per
+    step from 769 nm and a brightening line at 739.9 nm."""
+    wl = np.linspace(725.0, 775.0, 1000)
+    entries = []
+    for k in range(8):
+        y = (50.0 + fitting.lorentzian_peak(wl, 769.0 - 1.6 * k, 2.3, 800.0)
+             + fitting.lorentzian_peak(wl, 739.9, 0.35, 40.0 * (1 + k)))
+        name = f"step{k:02d}.csv"
+        spectra.save_spectrum(PLSpectrum(wl, y), directory / name)
+        entries.append({"index": k, "file": name})
+    path = directory / "manifest.json"
+    path.write_text(json.dumps({"steps": entries}))
+    return path, [str(directory / entry["file"]) for entry in entries]
 
 
 class TestPurcellCommand:
@@ -100,6 +143,26 @@ class TestPurcellCommand:
         assert doc["results"]["r_mu"]["value"] == pytest.approx(2.0 / 3.0, rel=1e-9)
         assert doc["results"]["f_cav"]["value"] == pytest.approx(19.22 * 2.0 / 3.0, rel=1e-3)
 
+    def test_fieldmap_and_pos_give_r_r(self, capsys, tmp_path):
+        path = write_field_map(tmp_path / "field.csv")
+        code, doc, _err = run_cli(
+            capsys, "purcell", "--q", "430", "--vmode", "1.7", "--lambda-c", "738",
+            "--fieldmap", str(path), "--pos", "0,5",
+        )
+        assert code == 0
+        r_r = purcell.spatial_overlap(purcell.load_field_map(path), (0.0, 5.0))
+        assert 0.0 < r_r < 1.0
+        assert doc["results"]["r_r"]["value"] == r_r
+        assert doc["results"]["f_cav"]["value"] == pytest.approx(doc["results"]["f_p"]["value"] * r_r)
+        assert doc["inputs"]["files"] == {str(path): report.file_sha256(path)}
+
+    def test_fieldmap_without_pos_exit_2(self, capsys, tmp_path):
+        path = write_field_map(tmp_path / "field.csv")
+        code, out, err = run_cli(capsys, "purcell", "--fieldmap", str(path))
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {"type": "domain", "message": "--fieldmap requires --pos x,y"}
+
     def test_unknown_scenario_exit_2(self, capsys):
         code, _out, err = run_cli(capsys, "purcell", "--scenario", "nope")
         assert code == 2
@@ -128,6 +191,29 @@ class TestSimulateCommand:
         d1["inputs"]["files"] = sorted(d1["inputs"]["files"].values())
         d2["inputs"]["files"] = sorted(d2["inputs"]["files"].values())
         assert d1 == d2
+
+    def test_budget_and_jitter(self, capsys, tmp_path, siv4_budget):
+        budget_file = tmp_path / "budget.json"
+        budget_file.write_text(json.dumps(siv4_budget.to_dict()))
+        out = tmp_path / "s.csv"
+        code, doc, _err = run_cli(
+            capsys, "simulate", "--rates", "100e6,2e9,0.3e9,50e6", "--duration", "0.0005",
+            "--seed", "5", "--budget", str(budget_file), "--jitter", "3e-10", "--out-stream", str(out),
+        )
+        assert code == 0
+        rates = ThreeLevelRates(100e6, 2e9, 0.3e9, 50e6)
+        plain = montecarlo.simulate_stream(rates, siv4_budget, 0.0005, 1.0, 5)
+        expected = tmp_path / "expected.csv"
+        montecarlo.save_stream(montecarlo.apply_jitter(plain, 3e-10, 6), expected, rates=rates,
+                               meta={"detection_eff": 1.0, "jitter_s": 3e-10})
+        unjittered = tmp_path / "plain.csv"
+        montecarlo.save_stream(plain, unjittered, rates=rates, meta={"detection_eff": 1.0, "jitter_s": 3e-10})
+        assert out.read_bytes() == expected.read_bytes() != unjittered.read_bytes()
+        p2 = float(dynamics.steady_state(rates)[1])
+        assert doc["results"]["predicted_rate"]["value"] == pytest.approx(
+            siv4_budget.eta_qe * rates.k21 * p2, rel=1e-12)
+        assert doc["inputs"]["files"] == {
+            str(budget_file): report.file_sha256(budget_file), str(out): report.file_sha256(out)}
 
     def test_detected_rate_within_3_sigma(self, capsys, tmp_path):
         code, doc, _err = run_cli(
@@ -334,17 +420,73 @@ class TestSpectraCommands:
         assert mode["rate_nm_per_step"] == pytest.approx(-1.6, abs=0.05)
         report.validate_report(doc)
 
-    def test_fit_spectrum(self, capsys, tmp_path):
-        wl = np.linspace(730.0, 750.0, 500)
-        y = 40.0 + fitting.lorentzian_peak(wl, 739.9, 2.3, 900.0)
-        path = tmp_path / "spec.csv"
-        spectra.save_spectrum(PLSpectrum(wl, y), path)
+    @pytest.fixture
+    def spectrum_file(self, tmp_path):
+        return write_spectrum(tmp_path / "spec.csv")
+
+    @pytest.mark.parametrize("peaks", ["739.0", "739.5:2.0:800"])
+    def test_fit_spectrum(self, capsys, spectrum_file, peaks):
         code, doc, _err = run_cli(
-            capsys, "spectra", "fit", "--spectrum", str(path), "--peaks", "739.0"
+            capsys, "spectra", "fit", "--spectrum", str(spectrum_file), "--peaks", peaks
         )
         assert code == 0
         peak = doc["results"]["peaks"]["value"][0]
+        assert peak["center"] == pytest.approx(739.9, abs=1e-6)
         assert peak["q"] == pytest.approx(739.9 / 2.3, rel=1e-4)
+
+    @pytest.mark.parametrize("entry", ["739:2", "739:2:800:1", "abc", "739:x:800"])
+    def test_bad_peaks_entry_exit_2(self, capsys, spectrum_file, entry):
+        code, out, err = run_cli(
+            capsys, "spectra", "fit", "--spectrum", str(spectrum_file), "--peaks", f"739.0,{entry}"
+        )
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {
+            "type": "domain", "message": f"bad --peaks entry {entry!r} (use center or center:fwhm:amp)"}
+
+    def test_track_emit_curves_rows(self, capsys, tmp_path):
+        manifest, _steps = write_manifest(tmp_path)
+        curves = tmp_path / "curves.csv"
+        code, doc, _err = run_cli(
+            capsys, "spectra", "track", "--manifest", str(manifest),
+            "--seeds", "o1=769.0:2.3,zpl=739.9:0.35", "--emit-curves", str(curves),
+        )
+        assert code == 0
+        header, *rows = curves.read_text().splitlines()
+        assert header == "# label,step,center_nm,fwhm_nm"
+        fields = [row.split(",") for row in rows]
+        modes = doc["results"]["modes"]["value"]
+        assert [f[0] for f in fields] == ["o1"] * modes["o1"]["n_steps"] + ["zpl"] * modes["zpl"]["n_steps"]
+        o1 = [(int(step), float(c), float(w)) for label, step, c, w in fields if label == "o1"]
+        assert [step for step, _c, _w in o1] == list(range(8))
+        for step, center, fwhm in o1:
+            assert center == pytest.approx(769.0 - 1.6 * step, abs=0.01)
+            assert fwhm == pytest.approx(2.3, rel=0.01)
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("o1=769.0", "--seeds must look like label=center:fwhm[,label=center:fwhm...]"),
+        ("o1:769.0:2.3", "--seeds must look like label=center:fwhm[,label=center:fwhm...]"),
+        ("o1=769.0:2.3,zpl=abc:0.35", "bad seed peak 'zpl=abc:0.35'"),
+    ])
+    def test_malformed_seeds_exit_2(self, capsys, tmp_path, seeds, message):
+        manifest, _steps = write_manifest(tmp_path)
+        code, out, err = run_cli(
+            capsys, "spectra", "track", "--manifest", str(manifest), "--seeds", seeds
+        )
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {"type": "domain", "message": message}
+
+    def test_nonconverged_fit_exit_3_with_report(self, capsys, tmp_path, monkeypatch):
+        fit_cos2 = fitting.fit_cos2
+        monkeypatch.setattr(
+            fitting, "fit_cos2", lambda scan: dataclasses.replace(fit_cos2(scan), converged=False)
+        )
+        path = write_scan(tmp_path / "scan.csv")
+        code, doc, _err = run_cli(capsys, "spectra", "polarization", "--scan", str(path))
+        assert code == 3
+        assert doc["results"]["converged"] == {"value": False, "units": "flag"}
+        assert doc["results"]["fit"]["value"]["converged"] is False
 
     def test_polarization_scan_fit(self, capsys, tmp_path, rng):
         angles = np.linspace(0.0, 175.0, 36)
@@ -449,11 +591,72 @@ class TestSpectraCommands:
         assert "bad.csv:2" in message
 
 
+def every_subcommand(tmp_path, stream_file):
+    """{case: (argv, every file the run reads or writes)}, one case per
+    subcommand and both kinds of polarization run; inputs are written to
+    tmp_path."""
+    budget = tmp_path / "budget.json"
+    budget.write_text(json.dumps(RadiativeBudget(0.8e9, 0.2e9, 0.1e9).to_dict()))
+    bundled_map = str(resources.files("sivcav").joinpath("scenarios", "o_mode_field.csv"))
+    tau = np.linspace(-50e-9, 50e-9, 251)
+    hist = tmp_path / "g2.csv"
+    with open(hist, "w") as fh:
+        for t, g in zip(tau, fitting.g2_model(tau, 0.6, 1.5e-9, 20e-9)):
+            fh.write(f"{float(t)!r},{float(g)!r},0.02\n")
+    sweep = tmp_path / "sweep.csv"
+    dynamics.save_power_sweep(dynamics.power_sweep(
+        ThreeLevelRates(0.0, 1.0 / 2.6e-9, 0.01 / 2.6e-9, 30e6), dynamics.PumpModel(0.3e9),
+        np.array([0.15, 0.4, 0.8, 1.3, 2.0])), sweep)
+    spectrum = write_spectrum(tmp_path / "spec.csv")
+    manifest, steps = write_manifest(tmp_path)
+    seeds = "o1=769.0:2.3,zpl=739.9:0.35"
+    scan = write_scan(tmp_path / "scan.csv")
+    mixture = tmp_path / "mix.json"
+    mixture.write_text(json.dumps({
+        "emitter": {"angle": 60.0, "weight": 1.0},
+        "modes": [{"angle": 0.0, "weight": 50.0, "lambda_c": 760.0, "q_factor": 400.0},
+                  {"angle": -45.0, "weight": 50.0, "lambda_c": 770.0, "q_factor": 400.0}],
+        "line_lambda": 750.0, "detunings": {"start": -500.0, "stop": -480.0, "num": 21},
+    }))
+    out_stream, out_hist = tmp_path / "out_stream.csv", tmp_path / "out_hist.csv"
+    cases = {
+        "purcell": (["purcell", "--scenario", "siv4", "--budget", budget], [bundled_map, budget]),
+        "simulate": (["simulate", "--rates", "100e6,2e9,0.3e9,50e6", "--duration", "2e-4",
+                      "--seed", "3", "--budget", budget, "--out-stream", out_stream],
+                     [budget, out_stream]),
+        "g2-correlate": (["g2", "correlate", "--stream", stream_file, "--bin-width", "0.4e-9",
+                          "--window", "40e-9", "--out-hist", out_hist], [stream_file, out_hist]),
+        "g2-fit": (["g2", "fit", "--hist", hist], [hist]),
+        "g2-sweep": (["g2", "sweep", "--sweep", sweep], [sweep]),
+        "spectra-fit": (["spectra", "fit", "--spectrum", spectrum, "--peaks", "739.0"], [spectrum]),
+        "spectra-track": (["spectra", "track", "--manifest", manifest, "--seeds", seeds],
+                          [manifest, *steps]),
+        "spectra-enhance": (["spectra", "enhance", "--manifest", manifest, "--seeds", seeds,
+                             "--lambda-i", "739.9", "--line-width", "0.35", "--modes", "o1"],
+                            [manifest, *steps]),
+        "spectra-polarization": (["spectra", "polarization", "--scan", scan], [scan]),
+        "spectra-polarization-mixture": (["spectra", "polarization", "--mixture", mixture], [mixture]),
+    }
+    return {name: ([str(a) for a in argv], [str(f) for f in files]) for name, (argv, files) in cases.items()}
+
+
+SUBCOMMAND_CASES = ["purcell", "simulate", "g2-correlate", "g2-fit", "g2-sweep", "spectra-fit",
+                    "spectra-track", "spectra-enhance", "spectra-polarization",
+                    "spectra-polarization-mixture"]
+
+
 class TestReportContract:
-    def test_purcell_determinism_up_to_timestamp(self, capsys):
-        _c1, d1, _ = run_cli(capsys, "purcell", "--scenario", "siv4")
-        _c2, d2, _ = run_cli(capsys, "purcell", "--scenario", "siv4")
+    @pytest.mark.parametrize("case", SUBCOMMAND_CASES)
+    def test_determinism_and_file_hashes(self, capsys, tmp_path, stream_file, case):
+        """Two runs give equal reports up to the timestamp, and inputs.files
+        names every file the run read or wrote, with its SHA-256."""
+        argv, files = every_subcommand(tmp_path, stream_file)[case]
+        code1, d1, _ = run_cli(capsys, *argv)
+        code2, d2, _ = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        assert d1["command"] == case.removesuffix("-mixture")
         assert strip_timestamp(d1) == strip_timestamp(d2)
+        assert d1["inputs"]["files"] == {path: report.file_sha256(path) for path in files}
 
     def test_file_hashes_present(self, capsys, tmp_path, siv4_budget):
         budget_file = tmp_path / "budget.json"
