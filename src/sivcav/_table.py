@@ -15,6 +15,8 @@ read_counts parses them from the file's bytes when every row after the top
 comments has exactly that form. Any other file, a comment or blank line
 between rows, a space, CRLF or a missing final newline included, goes to
 read_table, so faults are found and placed at their line by read_table alone.
+read_columns, the one loader of rows into a domain type, hands the columns
+of read_table to the type's constructor.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, ValidationError
 
 BLOCK_ROWS = 1 << 16  # rows per block written, and per block of read_counts
 _LOADTXT = dict(delimiter=",", comments=None, quotechar=None)
@@ -140,6 +142,18 @@ def read_table(path, widths, shape_error, value_error="bad numeric value", label
     if faults:
         raise InputFormatError(path, *min(faults))
     return Table(meta, values.T.copy(), lines)
+
+
+def read_columns(path, widths, shape_error, make):
+    """make(*columns) of read_table(path, widths, shape_error); no rows, or a
+    ValidationError from make, raise InputFormatError at line 0."""
+    table = read_table(path, widths, shape_error)
+    if not table.lines.size:
+        raise InputFormatError(path, 0, "no data rows")
+    try:
+        return make(*table.columns)
+    except ValidationError as err:
+        raise InputFormatError(path, 0, str(err)) from None
 
 
 def read_counts(path, codes, headers=None):

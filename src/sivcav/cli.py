@@ -378,6 +378,7 @@ def cmd_spectra_track(args, paths):
             for label, track in series.tracked_modes.items():
                 for p in track.points:
                     fh.write(f"{label},{p.step},{p.center!r},{p.fwhm!r}\n")
+        paths.append(args.emit_curves)
     summary = [
         f"track {label}: {entry.get('rate_nm_per_step', float('nan')):+.3f} nm/step "
         f"over {entry['n_steps']} steps"
@@ -433,6 +434,7 @@ def cmd_spectra_polarization(args, paths):
         with open(args.emit_curves, "w") as fh:
             fh.write("# detuning_nm,phi_deg\n")
             write_table(fh, detunings, angles)
+        paths.append(args.emit_curves)
     results = {
         "phi_first": _num(float(angles[0]), "deg"),
         "phi_last": _num(float(angles[-1]), "deg"),

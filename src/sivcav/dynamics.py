@@ -47,8 +47,8 @@ from .models import (
     SaturationCurve,
     ThreeLevelRates,
     _Document,
-    _check_finite,
-    _check_finite_array,
+    _arrays,
+    _floats,
     _raise_if,
 )
 from . import fitting
@@ -67,11 +67,10 @@ class PumpModel(_Document):
 
     def __post_init__(self):
         bag = []
-        s = _check_finite(bag, "sigma", self.sigma)
-        if s <= 0:
+        (sigma,) = _floats(self, bag, "sigma")
+        if sigma <= 0:
             bag.append("sigma must be positive")
         _raise_if(bag)
-        object.__setattr__(self, "sigma", s)
 
     def k12(self, power_mw):
         return self.sigma * np.asarray(power_mw, dtype=float)
@@ -96,7 +95,7 @@ class PowerSweep:
 
     def __post_init__(self):
         bag = []
-        powers = _check_finite_array(bag, "powers", self.powers)
+        (powers,) = _arrays(self, bag, "powers")
         if powers.ndim != 1:
             bag.append("powers must be 1-D")
         if powers.size and np.any(powers <= 0):
@@ -108,15 +107,12 @@ class PowerSweep:
             bag.append("params must align with powers")
         if any(p is not None and not isinstance(p, G2Params) for p in params):
             bag.append("params entries must be G2Params or None")
-        counts = self.counts
-        if counts is not None:
-            counts = _check_finite_array(bag, "counts", counts)
+        if self.counts is not None:
+            (counts,) = _arrays(self, bag, "counts")
             if counts.shape != powers.shape:
                 bag.append("counts must align with powers")
         _raise_if(bag)
-        object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "counts", counts)
 
     def __len__(self):
         return self.powers.size
@@ -463,7 +459,7 @@ def load_power_sweep(path) -> PowerSweep:
     for lineno, tau1, tau2, a in zip(table.lines.tolist(), *table.columns[1:4].tolist()):
         try:
             params.append(G2Params(tau1 * 1e-9, tau2 * 1e-9, a))
-        except Exception as err:
+        except ValidationError as err:
             raise InputFormatError(path, lineno, f"bad g2 parameters: {err}") from None
     counts = table.columns[4] if len(table.columns) == 5 else None
     try:

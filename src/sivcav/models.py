@@ -6,9 +6,12 @@ to or from any other scale happens only at I/O boundaries.
 
 All types are immutable after construction. Constructors validate eagerly and
 raise :class:`~sivcav.errors.ValidationError` carrying *every* violated
-invariant, so callers can report complete diagnostics in one pass. Every type
-serializes to a flat JSON document (``to_dict`` / ``from_dict``) whose field
-names match the constructor arguments and which carries a ``units`` tag.
+invariant, so callers can report complete diagnostics in one pass. A type
+checks and stores its numeric fields through ``_floats`` (finite floats),
+``_arrays`` (finite read-only float arrays) and ``_samples`` (the two arrays
+of a sampled curve). Every type serializes to a flat JSON document
+(``to_dict`` / ``from_dict``) whose field names match the constructor
+arguments and which carries a ``units`` tag.
 """
 
 from __future__ import annotations
@@ -29,23 +32,62 @@ ENV_BANDGAP = "bandgap_only"
 ENV_CAVITY = "cavity_coupled"
 
 
-def _check_finite(bag, name, value):
+def _as_float(value):
+    """float(value), an int beyond the float range taken as +-inf."""
     try:
-        v = float(value)
-    except (TypeError, ValueError):
-        bag.append(f"{name} is not a number")
-        return math.nan
-    if not math.isfinite(v):
-        bag.append(f"{name} is not finite")
-    return v
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def _check_finite_array(bag, name, values, dtype=float):
-    arr = np.asarray(values, dtype=dtype)
-    if arr.size and not np.all(np.isfinite(arr)):
-        bag.append(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+def _floats(obj, bag, *names):
+    """Check that each named field of obj is a finite number and store it as
+    a float; the values, in order."""
+    values = []
+    for name in names:
+        try:
+            value = _as_float(getattr(obj, name))
+        except (TypeError, ValueError):
+            bag.append(f"{name} is not a number")
+            value = math.nan
+        else:
+            if not math.isfinite(value):
+                bag.append(f"{name} is not finite")
+        object.__setattr__(obj, name, value)
+        values.append(value)
+    return values
+
+
+def _arrays(obj, bag, *names):
+    """_floats for fields of arrays: each is stored as a read-only float array."""
+    values = []
+    for name in names:
+        try:
+            value = np.asarray(getattr(obj, name), dtype=float)
+        except OverflowError:
+            value = np.vectorize(_as_float, otypes=[float])(np.asarray(getattr(obj, name), dtype=object))
+        if value.size and not np.all(np.isfinite(value)):
+            bag.append(f"{name} contains non-finite entries")
+        value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+        values.append(value)
+    return values
+
+
+def _samples(obj, bag, x, y, increasing=True):
+    """_arrays for the abscissa x and ordinate y of a sampled curve, plus the
+    checks every curve shares: both 1-D and of equal length, x strictly
+    increasing (unless increasing is False) and y non-negative."""
+    xs, ys = _arrays(obj, bag, x, y)
+    if xs.ndim != 1 or ys.ndim != 1:
+        bag.append(f"{x} and {y} must be 1-D")
+    if xs.shape != ys.shape:
+        bag.append(f"{x} and {y} must have equal length")
+    if increasing and xs.size >= 2 and not np.all(np.diff(xs) > 0):
+        bag.append(f"{x} must be strictly increasing")
+    if ys.size and np.any(ys < 0):
+        bag.append(f"{y} must be non-negative")
+    return xs, ys
 
 
 def _raise_if(bag):
@@ -114,9 +156,7 @@ class RadiativeBudget(_Document):
 
     def __post_init__(self):
         bag = []
-        z = _check_finite(bag, "gamma_zpl", self.gamma_zpl)
-        p = _check_finite(bag, "gamma_psb", self.gamma_psb)
-        n = _check_finite(bag, "gamma_nr", self.gamma_nr)
+        z, p, n = _floats(self, bag, "gamma_zpl", "gamma_psb", "gamma_nr")
         if z < 0:
             bag.append("gamma_zpl negative")
         if p < 0:
@@ -126,9 +166,6 @@ class RadiativeBudget(_Document):
         if not (z > 0 or p > 0):
             bag.append("at least one radiative rate must be positive")
         _raise_if(bag)
-        object.__setattr__(self, "gamma_zpl", z)
-        object.__setattr__(self, "gamma_psb", p)
-        object.__setattr__(self, "gamma_nr", n)
 
     @property
     def gamma_rad(self):
@@ -177,7 +214,7 @@ class FieldMap:
             grid = grid.astype(float)
         if grid.size and not np.all(np.isfinite(np.abs(grid))):
             bag.append("grid contains non-finite entries")
-        spacing = _check_finite(bag, "spacing", self.spacing)
+        (spacing,) = _floats(self, bag, "spacing")
         if spacing <= 0:
             bag.append("spacing must be positive")
         origin = tuple(float(v) for v in self.origin)
@@ -189,11 +226,10 @@ class FieldMap:
         peak = float(np.max(np.abs(grid))) if grid.size else 0.0
         if peak <= 0:
             bag.append("grid has no nonzero amplitude")
-        norm = self.normalization
-        if norm is None:
-            norm = peak
+        if self.normalization is None:
+            object.__setattr__(self, "normalization", peak)
         else:
-            norm = _check_finite(bag, "normalization", norm)
+            (norm,) = _floats(self, bag, "normalization")
             if norm <= 0:
                 bag.append("normalization must be positive")
             elif peak > 0 and abs(peak / norm - 1.0) > FIELD_NORMALIZATION_TOL:
@@ -203,9 +239,7 @@ class FieldMap:
         _raise_if(bag)
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "normalization", norm)
 
     @property
     def shape(self):
@@ -264,10 +298,7 @@ class CavityMode:
 
     def __post_init__(self):
         bag = []
-        lam = _check_finite(bag, "lambda_c", self.lambda_c)
-        q = _check_finite(bag, "q_factor", self.q_factor)
-        v = _check_finite(bag, "mode_volume", self.mode_volume)
-        ang = _check_finite(bag, "pol_angle", self.pol_angle)
+        lam, q, v, ang = _floats(self, bag, "lambda_c", "q_factor", "mode_volume", "pol_angle")
         if lam <= 0:
             bag.append("lambda_c must be positive")
         if q <= 0:
@@ -279,10 +310,6 @@ class CavityMode:
         if self.field_map is not None and not isinstance(self.field_map, FieldMap):
             bag.append("field_map must be a FieldMap")
         _raise_if(bag)
-        object.__setattr__(self, "lambda_c", lam)
-        object.__setattr__(self, "q_factor", q)
-        object.__setattr__(self, "mode_volume", v)
-        object.__setattr__(self, "pol_angle", ang)
 
     @property
     def linewidth(self):
@@ -337,14 +364,12 @@ class EmitterLine(_Document):
 
     def __post_init__(self):
         bag = []
-        lam = _check_finite(bag, "lambda_i", self.lambda_i)
-        width = _check_finite(bag, "linewidth", self.linewidth)
+        lam, width = _floats(self, bag, "lambda_i", "linewidth")
         if lam <= 0:
             bag.append("lambda_i must be positive")
         if width < 0:
             bag.append("linewidth must be non-negative")
-        axis = _check_finite_array(bag, "dipole_axis", self.dipole_axis)
-        pos = _check_finite_array(bag, "position", self.position)
+        axis, pos = _arrays(self, bag, "dipole_axis", "position")
         if axis.shape != (3,):
             bag.append("dipole_axis must have three components")
         elif abs(float(np.linalg.norm(axis)) - 1.0) > UNIT_NORM_TOL:
@@ -352,10 +377,8 @@ class EmitterLine(_Document):
         if pos.shape != (3,):
             bag.append("position must have three components")
         _raise_if(bag)
-        object.__setattr__(self, "lambda_i", lam)
-        object.__setattr__(self, "linewidth", width)
-        object.__setattr__(self, "dipole_axis", tuple(float(v) for v in axis))
-        object.__setattr__(self, "position", tuple(float(v) for v in pos))
+        object.__setattr__(self, "dipole_axis", tuple(axis.tolist()))
+        object.__setattr__(self, "position", tuple(pos.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, EmitterLine):
@@ -383,24 +406,21 @@ class PhotonicEnvironment(_Document):
         bag = []
         if self.kind not in self.KINDS:
             bag.append(f"kind must be one of {self.KINDS}, got {self.kind!r}")
-        f_phc = _check_finite(bag, "f_phc", self.f_phc)
+        (f_phc,) = _floats(self, bag, "f_phc")
         if not (0.0 < f_phc <= 1.0):
             bag.append("f_phc must lie in (0, 1]")
         if self.kind == ENV_BULK and f_phc != 1.0:
             bag.append("bulk requires f_phc = 1")
-        f_cav = self.f_cav
         if self.kind == ENV_CAVITY:
-            if f_cav is None:
+            if self.f_cav is None:
                 bag.append("cavity_coupled requires f_cav")
             else:
-                f_cav = _check_finite(bag, "f_cav", f_cav)
+                (f_cav,) = _floats(self, bag, "f_cav")
                 if f_cav < 0:
                     bag.append("f_cav must be non-negative")
-        elif f_cav is not None:
+        elif self.f_cav is not None:
             bag.append(f"f_cav is only meaningful for cavity_coupled, not {self.kind!r}")
         _raise_if(bag)
-        object.__setattr__(self, "f_phc", f_phc)
-        object.__setattr__(self, "f_cav", None if f_cav is None else float(f_cav))
 
     @classmethod
     def bulk(cls):
@@ -434,10 +454,7 @@ class ThreeLevelRates(_Document):
 
     def __post_init__(self):
         bag = []
-        k12 = _check_finite(bag, "k12", self.k12)
-        k21 = _check_finite(bag, "k21", self.k21)
-        k23 = _check_finite(bag, "k23", self.k23)
-        k31 = _check_finite(bag, "k31", self.k31)
+        k12, k21, k23, k31 = _floats(self, bag, "k12", "k21", "k23", "k31")
         if k12 < 0:
             bag.append("k12 negative")
         if k21 <= 0:
@@ -447,10 +464,6 @@ class ThreeLevelRates(_Document):
         if k31 <= 0:
             bag.append("k31 must be positive")
         _raise_if(bag)
-        object.__setattr__(self, "k12", k12)
-        object.__setattr__(self, "k21", k21)
-        object.__setattr__(self, "k23", k23)
-        object.__setattr__(self, "k31", k31)
 
 
 @dataclass(frozen=True)
@@ -472,9 +485,7 @@ class G2Params(_Document):
 
     def __post_init__(self):
         bag = []
-        t1 = _check_finite(bag, "tau1", self.tau1)
-        t2 = _check_finite(bag, "tau2", self.tau2)
-        a = _check_finite(bag, "a", self.a)
+        t1, t2, a = _floats(self, bag, "tau1", "tau2", "a")
         if t1 <= 0:
             bag.append("tau1 must be positive")
         if t2 <= 0:
@@ -485,10 +496,8 @@ class G2Params(_Document):
             bag.append("tau1 and tau2 must be distinct")
         _raise_if(bag)
         if t1 > t2 and a > 0:
-            t1, t2 = t2, t1
-        object.__setattr__(self, "tau1", t1)
-        object.__setattr__(self, "tau2", t2)
-        object.__setattr__(self, "a", a)
+            object.__setattr__(self, "tau1", t2)
+            object.__setattr__(self, "tau2", t1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,27 +516,14 @@ class G2Curve(_Document):
 
     def __post_init__(self):
         bag = []
-        delays = _check_finite_array(bag, "delays", self.delays)
-        values = _check_finite_array(bag, "values", self.values)
-        if delays.ndim != 1 or values.ndim != 1:
-            bag.append("delays and values must be 1-D")
-        if delays.shape != values.shape:
-            bag.append("delays and values must have equal length")
-        if delays.size >= 2 and not np.all(np.diff(delays) > 0):
-            bag.append("delays must be strictly increasing")
-        if values.size and np.any(values < 0):
-            bag.append("values must be non-negative")
-        sigmas = self.sigmas
-        if sigmas is not None:
-            sigmas = _check_finite_array(bag, "sigmas", sigmas)
+        delays, _values = _samples(self, bag, "delays", "values")
+        if self.sigmas is not None:
+            (sigmas,) = _arrays(self, bag, "sigmas")
             if sigmas.shape != delays.shape:
                 bag.append("sigmas must match delays in length")
             elif sigmas.size and np.any(sigmas <= 0):
                 bag.append("sigmas must be positive")
         _raise_if(bag)
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sigmas", sigmas)
 
     def __len__(self):
         return self.delays.size
@@ -545,19 +541,8 @@ class PLSpectrum(_Document):
 
     def __post_init__(self):
         bag = []
-        wl = _check_finite_array(bag, "wavelengths", self.wavelengths)
-        counts = _check_finite_array(bag, "intensities", self.intensities)
-        if wl.ndim != 1 or counts.ndim != 1:
-            bag.append("wavelengths and intensities must be 1-D")
-        if wl.shape != counts.shape:
-            bag.append("wavelengths and intensities must have equal length")
-        if wl.size >= 2 and not np.all(np.diff(wl) > 0):
-            bag.append("wavelengths must be strictly increasing")
-        if counts.size and np.any(counts < 0):
-            bag.append("intensities must be non-negative")
+        _samples(self, bag, "wavelengths", "intensities")
         _raise_if(bag)
-        object.__setattr__(self, "wavelengths", wl)
-        object.__setattr__(self, "intensities", counts)
 
     def __len__(self):
         return self.wavelengths.size
@@ -574,17 +559,8 @@ class PolarizationScan(_Document):
 
     def __post_init__(self):
         bag = []
-        ang = _check_finite_array(bag, "angles", self.angles)
-        counts = _check_finite_array(bag, "intensities", self.intensities)
-        if ang.ndim != 1 or counts.ndim != 1:
-            bag.append("angles and intensities must be 1-D")
-        if ang.shape != counts.shape:
-            bag.append("angles and intensities must have equal length")
-        if counts.size and np.any(counts < 0):
-            bag.append("intensities must be non-negative")
+        _samples(self, bag, "angles", "intensities", increasing=False)
         _raise_if(bag)
-        object.__setattr__(self, "angles", ang)
-        object.__setattr__(self, "intensities", counts)
 
     def reduced_angles(self):
         """Angles folded into one polarization period [0, 180) degrees."""
@@ -602,21 +578,10 @@ class SaturationCurve(_Document):
 
     def __post_init__(self):
         bag = []
-        p = _check_finite_array(bag, "powers", self.powers)
-        r = _check_finite_array(bag, "rates", self.rates)
-        if p.ndim != 1 or r.ndim != 1:
-            bag.append("powers and rates must be 1-D")
-        if p.shape != r.shape:
-            bag.append("powers and rates must have equal length")
-        if p.size and np.any(p <= 0):
+        powers, _rates = _samples(self, bag, "powers", "rates")
+        if powers.size and np.any(powers <= 0):
             bag.append("powers must be positive")
-        if p.size >= 2 and not np.all(np.diff(p) > 0):
-            bag.append("powers must be strictly increasing")
-        if r.size and np.any(r < 0):
-            bag.append("rates must be non-negative")
         _raise_if(bag)
-        object.__setattr__(self, "powers", p)
-        object.__setattr__(self, "rates", r)
 
 
 def validate_model(budget, env):

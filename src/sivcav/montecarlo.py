@@ -38,9 +38,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._table import read_counts, read_table, write_counts, write_table
+from ._table import read_columns, read_counts, read_table, write_counts, write_table
 from .errors import DomainError, InputFormatError, ValidationError
-from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _check_finite, _raise_if
+from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _floats, _raise_if
 
 RNG_ALGORITHM = "philox4x64/skip-1"
 
@@ -78,7 +78,7 @@ class PhotonStream:
         bag = []
         ts = np.asarray(self.timestamps, dtype=float)
         tags = np.asarray(self.channel_tags, dtype=np.uint8)
-        duration = _check_finite(bag, "duration", self.duration)
+        (duration,) = _floats(self, bag, "duration")
         if duration <= 0:
             bag.append("duration must be positive")
         if ts.ndim != 1 or tags.ndim != 1:
@@ -95,11 +95,9 @@ class PhotonStream:
             if not np.all(np.isin(tags, (CHANNEL_ZPL, CHANNEL_PSB))):
                 bag.append("channel_tags must be ZPL/PSB codes")
         _raise_if(bag)
-        ts.setflags(write=False)
-        tags.setflags(write=False)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "channel_tags", tags)
-        object.__setattr__(self, "duration", duration)
+        for name, arr in (("timestamps", ts), ("channel_tags", tags)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "seed", int(self.seed))
 
     def __len__(self):
@@ -141,17 +139,15 @@ class HbtHistogram:
             bag.append("bin_edges must be strictly increasing")
         if counts.size and np.any(counts < 0):
             bag.append("counts must be non-negative")
-        norm = _check_finite(bag, "normalization", self.normalization)
+        (norm,) = _floats(self, bag, "normalization")
         if norm <= 0:
             bag.append("normalization must be positive")
         if self.mode not in self.MODES:
             bag.append(f"mode must be one of {self.MODES}")
         _raise_if(bag)
-        edges.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "normalization", norm)
+        for name, arr in (("bin_edges", edges), ("counts", counts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def centers(self):
@@ -417,11 +413,4 @@ def save_histogram(hist: HbtHistogram, path):
 
 def load_g2_csv(path) -> G2Curve:
     """Load a correlation curve CSV with columns tau_s,g2[,sigma]."""
-    table = read_table(path, (2, 3), "expected 'tau_s,g2[,sigma]'")
-    if not table.lines.size:
-        raise InputFormatError(path, 0, "no data rows")
-    sigmas = table.columns[2] if len(table.columns) == 3 else None
-    try:
-        return G2Curve(table.columns[0], table.columns[1], sigmas)
-    except ValidationError as err:
-        raise InputFormatError(path, 0, str(err)) from None
+    return read_columns(path, (2, 3), "expected 'tau_s,g2[,sigma]'", G2Curve)

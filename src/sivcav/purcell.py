@@ -47,8 +47,8 @@ from .models import (
     FieldMap,
     PhotonicEnvironment,
     RadiativeBudget,
-    _check_finite,
     _Document,
+    _floats,
     _raise_if,
 )
 
@@ -66,10 +66,9 @@ class OverlapFactors(_Document):
     def __post_init__(self):
         bag = []
         for name in ("r_lambda", "r_mu", "r_r"):
-            v = _check_finite(bag, name, getattr(self, name))
+            (v,) = _floats(self, bag, name)
             if not (0.0 <= v <= 1.0):
                 bag.append(f"{name} must lie in [0, 1]")
-            object.__setattr__(self, name, v)
         _raise_if(bag)
 
     def product(self):
@@ -97,11 +96,8 @@ class ModifiedRates(_Document):
 
     def __post_init__(self):
         bag = []
-        total = _check_finite(bag, "gamma_total", self.gamma_total)
-        zpl = _check_finite(bag, "channel_zpl", self.channel_zpl)
-        psb = _check_finite(bag, "channel_psb", self.channel_psb)
-        nr = _check_finite(bag, "channel_nr", self.channel_nr)
-        eta = _check_finite(bag, "eta_qe", self.eta_qe)
+        total, zpl, psb, nr, eta = _floats(self, bag, "gamma_total", "channel_zpl", "channel_psb",
+                                           "channel_nr", "eta_qe")
         if min(zpl, psb, nr) < 0:
             bag.append("channel rates must be non-negative")
         if total <= 0:

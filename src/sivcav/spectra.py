@@ -22,14 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fitting, purcell
-from ._table import read_table, write_table
-from .errors import DomainError, InputFormatError, RankDeficiencyError, ValidationError
+from ._table import read_columns, write_table
+from .errors import DomainError, InputFormatError, RankDeficiencyError
 from .models import (
     CavityMode,
     EmitterLine,
     PLSpectrum,
     PolarizationScan,
-    _check_finite,
+    _floats,
     _raise_if,
 )
 
@@ -45,13 +45,10 @@ class PolarizedChannel:
 
     def __post_init__(self):
         bag = []
-        ang = _check_finite(bag, "angle", self.angle)
-        w = _check_finite(bag, "weight", self.weight)
-        if w < 0:
+        _angle, weight = _floats(self, bag, "angle", "weight")
+        if weight < 0:
             bag.append("weight must be non-negative")
         _raise_if(bag)
-        object.__setattr__(self, "angle", ang)
-        object.__setattr__(self, "weight", w)
 
 
 @dataclass(frozen=True)
@@ -386,25 +383,13 @@ def save_spectrum(spectrum: PLSpectrum, path):
         write_table(fh, spectrum.wavelengths, spectrum.intensities)
 
 
-def _load_two_columns(path, columns, make):
-    """make(first, second) from a two-column CSV with '#' comments; a bad row
-    or values that make rejects raise InputFormatError naming file and line."""
-    table = read_table(path, (2,), f"expected '{columns}'")
-    if not table.lines.size:
-        raise InputFormatError(path, 0, "no data rows")
-    try:
-        return make(*table.columns)
-    except ValidationError as err:
-        raise InputFormatError(path, 0, str(err)) from None
-
-
 def load_spectrum(path) -> PLSpectrum:
-    return _load_two_columns(path, "wavelength_nm,counts", PLSpectrum)
+    return read_columns(path, (2,), "expected 'wavelength_nm,counts'", PLSpectrum)
 
 
 def load_polarization_scan(path) -> PolarizationScan:
     """Load an analyzer scan CSV with columns angle_deg,counts."""
-    return _load_two_columns(path, "angle_deg,counts", PolarizationScan)
+    return read_columns(path, (2,), "expected 'angle_deg,counts'", PolarizationScan)
 
 
 def load_manifest(path, load=load_spectrum):

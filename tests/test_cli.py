@@ -163,6 +163,16 @@ class TestPurcellCommand:
         assert out is None
         assert json.loads(err)["error"] == {"type": "domain", "message": "--fieldmap requires --pos x,y"}
 
+    def test_budget_rate_beyond_float_range_exit_2(self, capsys, tmp_path):
+        budget_file = tmp_path / "big.json"
+        budget_file.write_text('{"gamma_zpl": 1' + "0" * 400 + ', "gamma_psb": 2e8, "gamma_nr": 1e8}')
+        code, out, err = run_cli(capsys, "purcell", "--budget", str(budget_file), "--f-phc", "1")
+        assert code == 2
+        assert out is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert "gamma_zpl is not finite" in error["message"]
+
     def test_unknown_scenario_exit_2(self, capsys):
         code, _out, err = run_cli(capsys, "purcell", "--scenario", "nope")
         assert code == 2
@@ -619,6 +629,7 @@ def every_subcommand(tmp_path, stream_file):
         "line_lambda": 750.0, "detunings": {"start": -500.0, "stop": -480.0, "num": 21},
     }))
     out_stream, out_hist = tmp_path / "out_stream.csv", tmp_path / "out_hist.csv"
+    tracks, sweep_curve = tmp_path / "tracks.csv", tmp_path / "mix_curve.csv"
     cases = {
         "purcell": (["purcell", "--scenario", "siv4", "--budget", budget], [bundled_map, budget]),
         "simulate": (["simulate", "--rates", "100e6,2e9,0.3e9,50e6", "--duration", "2e-4",
@@ -629,13 +640,14 @@ def every_subcommand(tmp_path, stream_file):
         "g2-fit": (["g2", "fit", "--hist", hist], [hist]),
         "g2-sweep": (["g2", "sweep", "--sweep", sweep], [sweep]),
         "spectra-fit": (["spectra", "fit", "--spectrum", spectrum, "--peaks", "739.0"], [spectrum]),
-        "spectra-track": (["spectra", "track", "--manifest", manifest, "--seeds", seeds],
-                          [manifest, *steps]),
+        "spectra-track": (["spectra", "track", "--manifest", manifest, "--seeds", seeds,
+                           "--emit-curves", tracks], [manifest, *steps, tracks]),
         "spectra-enhance": (["spectra", "enhance", "--manifest", manifest, "--seeds", seeds,
                              "--lambda-i", "739.9", "--line-width", "0.35", "--modes", "o1"],
                             [manifest, *steps]),
         "spectra-polarization": (["spectra", "polarization", "--scan", scan], [scan]),
-        "spectra-polarization-mixture": (["spectra", "polarization", "--mixture", mixture], [mixture]),
+        "spectra-polarization-mixture": (["spectra", "polarization", "--mixture", mixture,
+                                          "--emit-curves", sweep_curve], [mixture, sweep_curve]),
     }
     return {name: ([str(a) for a in argv], [str(f) for f in files]) for name, (argv, files) in cases.items()}
 

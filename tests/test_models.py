@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sivcav import dynamics, models, montecarlo, purcell, spectra
 from sivcav.errors import DomainError, ValidationError
 from sivcav.models import (
     CavityMode,
@@ -283,3 +284,114 @@ def test_units_mismatch_rejected():
     doc["units"] = "MHz"
     with pytest.raises(ValidationError):
         RadiativeBudget.from_dict(doc)
+
+
+NAN, INF = math.nan, math.inf
+VIOLATION_CASES = {
+    "RadiativeBudget": (lambda: RadiativeBudget(-1.0, NAN, "x"), [
+        "gamma_psb is not finite", "gamma_nr is not a number", "gamma_zpl negative",
+        "at least one radiative rate must be positive"]),
+    "FieldMap": (lambda: FieldMap([[1.0, NAN], [0.0, 2.0]], -1.0, (NAN, 0.0, 1.0), INF), [
+        "grid contains non-finite entries", "spacing must be positive",
+        "origin must have two components", "origin contains non-finite entries",
+        "normalization is not finite"]),
+    "FieldMap-zero-grid": (lambda: FieldMap(np.zeros((3, 2)), "x", (0.0,), -2.0), [
+        "spacing is not a number", "origin must have two components",
+        "grid has no nonzero amplitude", "normalization must be positive"]),
+    "CavityMode": (lambda: CavityMode(-1.0, NAN, 0.0, 95.0, "map"), [
+        "q_factor is not finite", "lambda_c must be positive", "mode_volume must be positive",
+        "pol_angle must lie in (-90, 90] degrees", "field_map must be a FieldMap"]),
+    "EmitterLine": (lambda: EmitterLine(0.0, -1.0, (1.0, 1.0, 0.0), (NAN, 0.0)), [
+        "lambda_i must be positive", "linewidth must be non-negative",
+        "position contains non-finite entries", "dipole_axis must have unit norm",
+        "position must have three components"]),
+    "PhotonicEnvironment-bulk": (lambda: PhotonicEnvironment("bulk", 0.5, 3.0), [
+        "bulk requires f_phc = 1", "f_cav is only meaningful for cavity_coupled, not 'bulk'"]),
+    "PhotonicEnvironment-cavity": (lambda: PhotonicEnvironment("cavity_coupled", INF, -1.0), [
+        "f_phc is not finite", "f_phc must lie in (0, 1]", "f_cav must be non-negative"]),
+    "PhotonicEnvironment-kind": (lambda: PhotonicEnvironment("vacuum", 0.0), [
+        "kind must be one of ('bulk', 'bandgap_only', 'cavity_coupled'), got 'vacuum'",
+        "f_phc must lie in (0, 1]"]),
+    "ThreeLevelRates": (lambda: ThreeLevelRates(-1.0, 0.0, NAN, "x"), [
+        "k23 is not finite", "k31 is not a number", "k12 negative", "k21 must be positive"]),
+    "G2Params": (lambda: G2Params(0.0, 0.0, -1.0), [
+        "tau1 must be positive", "tau2 must be positive", "a must be non-negative",
+        "tau1 and tau2 must be distinct"]),
+    "G2Curve": (lambda: G2Curve([3.0, 2.0, 1.0], [-1.0, NAN, 1.0], [1.0, 0.0]), [
+        "values contains non-finite entries", "delays must be strictly increasing",
+        "values must be non-negative", "sigmas must match delays in length"]),
+    "G2Curve-shape": (lambda: G2Curve([[1.0, 2.0]], [1.0, 2.0, 3.0], [0.0, 1.0]), [
+        "delays and values must be 1-D", "delays and values must have equal length",
+        "sigmas must match delays in length"]),
+    "PLSpectrum": (lambda: PLSpectrum([2.0, 1.0, NAN], [1.0, -1.0]), [
+        "wavelengths contains non-finite entries",
+        "wavelengths and intensities must have equal length",
+        "wavelengths must be strictly increasing", "intensities must be non-negative"]),
+    "PolarizationScan": (lambda: PolarizationScan([[30.0, 10.0]], [-1.0, INF]), [
+        "intensities contains non-finite entries", "angles and intensities must be 1-D",
+        "angles and intensities must have equal length", "intensities must be non-negative"]),
+    "SaturationCurve": (lambda: SaturationCurve([0.0, 0.0, -1.0], [-1.0, 2.0, NAN]), [
+        "rates contains non-finite entries", "powers must be strictly increasing",
+        "rates must be non-negative", "powers must be positive"]),
+    "PumpModel": (lambda: dynamics.PumpModel(-INF), ["sigma is not finite", "sigma must be positive"]),
+    "PowerSweep": (lambda: dynamics.PowerSweep([2.0, 1.0, -1.0], (G2Params(1e-9, 2e-8, 0.5), "x"),
+                                               [NAN, 1.0]), [
+        "powers must be positive", "powers must be strictly increasing",
+        "params must align with powers", "params entries must be G2Params or None",
+        "counts contains non-finite entries", "counts must align with powers"]),
+    "OverlapFactors": (lambda: purcell.OverlapFactors(NAN, 2.0, -0.5), [
+        "r_lambda is not finite", "r_lambda must lie in [0, 1]", "r_mu must lie in [0, 1]",
+        "r_r must lie in [0, 1]"]),
+    "ModifiedRates": (lambda: purcell.ModifiedRates(0.0, -1.0, NAN, 1.0, 0.5, "zzz"), [
+        "channel_psb is not finite", "channel rates must be non-negative",
+        "gamma_total must be positive",
+        "kind must be one of ('bulk', 'bandgap_only', 'cavity_coupled')"]),
+    "ModifiedRates-sums": (lambda: purcell.ModifiedRates(3.0, 1.0, 1.0, 2.0, 0.5, "bulk"), [
+        "gamma_total must equal the sum of channel rates",
+        "eta_qe must equal (channel_zpl + channel_psb) / gamma_total"]),
+    "PolarizedChannel": (lambda: spectra.PolarizedChannel("a", -1.0), [
+        "angle is not a number", "weight must be non-negative"]),
+    "TuningSeries": (lambda: spectra.TuningSeries(
+        ((2, PLSpectrum([1.0, 2.0], [1.0, 1.0])), (1, "x")), {}), [
+        "steps must hold PLSpectrum instances", "step indices must be strictly increasing"]),
+    "PhotonStream": (lambda: montecarlo.PhotonStream([2.0, 1.0, NAN], [0, 3], -1.0, 0), [
+        "duration must be positive", "timestamps and channel_tags must align",
+        "timestamps contain non-finite entries", "channel_tags must be ZPL/PSB codes"]),
+    "PhotonStream-duration": (lambda: montecarlo.PhotonStream([1.0, 2.0], [0, 2], NAN, 0), [
+        "duration is not finite", "channel_tags must be ZPL/PSB codes"]),
+    "HbtHistogram": (lambda: montecarlo.HbtHistogram([2.0, 1.0, 0.0], [1, -2, 3], NAN, "bad"), [
+        "counts must have one entry per bin", "bin_edges must be strictly increasing",
+        "counts must be non-negative", "normalization is not finite",
+        "mode must be one of ('full', 'start-stop')"]),
+}
+
+
+def test_violation_cases_cover_every_validated_type():
+    validated = {cls.__name__ for module in (models, dynamics, montecarlo, purcell, spectra)
+                 for cls in vars(module).values()
+                 if isinstance(cls, type) and cls.__module__ == module.__name__
+                 and "__post_init__" in vars(cls)}
+    assert validated == {case.split("-")[0] for case in VIOLATION_CASES}
+
+
+@pytest.mark.parametrize("case", VIOLATION_CASES)
+def test_every_violation_listed_in_order(case):
+    """Inputs breaking several invariants at once give the exact violation
+    list, in the order the constructor checks them."""
+    make, expected = VIOLATION_CASES[case]
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.violations == expected
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: RadiativeBudget(10**400, -10**400, 1.0),
+     ["gamma_zpl is not finite", "gamma_psb is not finite", "gamma_psb negative"]),
+    (lambda: PLSpectrum([1.0, 2.0], [1, -10**400]),
+     ["intensities contains non-finite entries", "intensities must be non-negative"]),
+    (lambda: EmitterLine(700.0, position=[10**400, 0, 0]), ["position contains non-finite entries"]),
+], ids=["scalar", "array", "tuple"])
+def test_int_beyond_float_range_is_not_finite(make, expected):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.violations == expected
