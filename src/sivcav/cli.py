@@ -127,7 +127,8 @@ def cmd_purcell(args, paths):
 
     if args.scenario:
         doc = _load_scenario(args.scenario)
-        f_phc = doc.get("f_phc", f_phc)
+        if f_phc is None:
+            f_phc = doc.get("f_phc")
         if doc.get("budget"):
             budget = RadiativeBudget.from_dict(doc["budget"])
         if doc.get("mode"):
@@ -140,7 +141,7 @@ def cmd_purcell(args, paths):
             map_path = _scenario_dir().joinpath(doc["fieldmap"])
             with resources.as_file(map_path) as real:
                 fieldmap = purcell.load_field_map(real)
-                paths.append(str(real))
+                paths.append((f"sivcav/scenarios/{doc['fieldmap']}", str(real)))
             fieldmap_pos = doc.get("fieldmap_position")
 
     if args.q is not None or args.vmode is not None or args.lambda_c is not None:
@@ -220,8 +221,7 @@ def cmd_simulate(args, paths):
     else:
         budget = RadiativeBudget(1.0, 0.0, 0.0)  # fully radiative, all-ZPL split
     stream = montecarlo.simulate_stream(rates, budget, args.duration, args.det_eff, args.seed)
-    if args.jitter and args.jitter > 0 and len(stream):
-        stream = montecarlo.apply_jitter(stream, args.jitter, args.seed + 1)
+    stream = montecarlo.apply_jitter(stream, args.jitter, args.seed + 1)
     montecarlo.save_stream(
         stream, args.out_stream, rates=rates,
         meta={"detection_eff": args.det_eff, "jitter_s": args.jitter or 0.0},
@@ -452,7 +452,8 @@ def cmd_spectra_polarization(args, paths):
 
 def _run(args):
     """Run the subcommand args name and emit its report: the flags, a SHA-256
-    of each file the subcommand added to paths, its results (with the fit's
+    of each file the subcommand added to paths (a path, or a (key, path) pair
+    for a file keyed by another name), its results (with the fit's
     convergence flag and record, if it fitted), its --seed and provenance.
     Exit 3 when the fit did not converge."""
     paths = []
@@ -463,7 +464,10 @@ def _run(args):
                    "fit": {"value": outcome.fit.to_dict(), "units": "json"}}
     flags = {key: value for key, value in vars(args).items()
              if isinstance(value, (int, float, str, bool, type(None)))}
-    files = {path: report.file_sha256(path) for path in paths}
+    files = {}
+    for entry in paths:
+        key, path = entry if isinstance(entry, tuple) else (entry, entry)
+        files[key] = report.file_sha256(path)
     doc = report.build_report(
         args.func.__name__[len("cmd_"):].replace("_", "-"), {"flags": flags, "files": files},
         results, seed=getattr(args, "seed", None), extra_provenance=outcome.provenance,

@@ -49,6 +49,7 @@ from .models import (
     _Document,
     _arrays,
     _floats,
+    _number,
     _raise_if,
 )
 from . import fitting
@@ -394,11 +395,8 @@ def saturation_curve(
 ) -> SaturationCurve:
     """Detected count rate versus power,
     rate(P) = collection_eff * eta_qe * k21 * p2_steady(P)."""
-    collection_eff = float(collection_eff)
-    if not (0.0 < collection_eff <= 1.0):
-        raise DomainError(f"collection_eff must lie in (0, 1], got {collection_eff}")
-    if not (0.0 <= eta_qe <= 1.0):
-        raise DomainError(f"eta_qe must lie in [0, 1], got {eta_qe}")
+    collection_eff = _number("collection_eff", collection_eff, "lie in (0, 1]")
+    eta_qe = _number("eta_qe", eta_qe, "lie in [0, 1]")
     powers = np.asarray(powers, dtype=float)
     r = rates_at_unit_power
     p2 = _populations(_pump_rates(r, pump, powers), r.k21, r.k23, r.k31)[1]
@@ -418,13 +416,11 @@ def qe_from_saturation(
     saturation power is carried along for reporting but does not enter the
     estimator. Values above 1.05 indicate an inconsistent calibration.
     """
-    collection_eff = float(collection_eff)
-    if collection_eff <= 0:
-        raise DomainError("collection_eff must be positive")
-    if r_inf < 0 or p_sat <= 0:
-        raise DomainError("r_inf must be non-negative and p_sat positive")
+    collection_eff = _number("collection_eff", collection_eff, "be positive")
+    r_inf = _number("r_inf", r_inf, "be non-negative")
+    _number("p_sat", p_sat, "be positive")
     p2_max = rates_fit.k31 / (rates_fit.k31 + rates_fit.k23)
-    eta = float(r_inf) / (collection_eff * rates_fit.k21 * p2_max)
+    eta = r_inf / (collection_eff * rates_fit.k21 * p2_max)
     if eta > 1.05:
         raise InfeasibleMeasurementError(
             f"implied quantum efficiency {eta:.3f} exceeds 1: the saturation "

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .models import G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationCurve
+from .models import G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationCurve, _number
 
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -495,6 +495,8 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
     independently jittered photons this is sqrt(2) times the per-photon
     jitter). Uses the curve's sigmas as weights when present.
     """
+    if irf_sigma is not None:
+        irf_sigma = _number("irf_sigma", irf_sigma, "be non-negative")
     if len(curve) < 8:
         raise DomainError("g2 fit needs at least 8 points")
     if init is None:
@@ -506,7 +508,7 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
             f"maximum |delay| is {span:.3g} s"
         )
 
-    if irf_sigma is not None and irf_sigma > 0:
+    if irf_sigma:
         def model(tau, a, tau1, tau2):
             return g2_model_irf(tau, a, tau1, tau2, irf_sigma)
     else:

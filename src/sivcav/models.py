@@ -9,7 +9,10 @@ raise :class:`~sivcav.errors.ValidationError` carrying *every* violated
 invariant, so callers can report complete diagnostics in one pass. A type
 checks and stores its numeric fields through ``_floats`` (finite floats),
 ``_arrays`` (finite read-only float arrays) and ``_samples`` (the two arrays
-of a sampled curve). Every type serializes to a flat JSON document
+of a sampled curve). A function checks each number it is passed through
+``_number``, which returns it as a float or raises
+:class:`~sivcav.errors.DomainError` naming the argument, the rule and the
+value. Every type serializes to a flat JSON document
 (``to_dict`` / ``from_dict``) whose field names match the constructor
 arguments and which carries a ``units`` tag.
 """
@@ -38,6 +41,27 @@ def _as_float(value):
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+_RULES = {
+    "be finite": lambda v: True,
+    "be positive": lambda v: v > 0,
+    "be non-negative": lambda v: v >= 0,
+    "be >= 1": lambda v: v >= 1,
+    "lie in [0, 1]": lambda v: 0 <= v <= 1,
+    "lie in (0, 1]": lambda v: 0 < v <= 1,
+    "lie in (0, 1)": lambda v: 0 < v < 1,
+}
+
+
+def _number(name, value, rule="be finite"):
+    """A number a caller passed as argument name, as a float that is finite
+    and obeys rule (a key of _RULES); otherwise DomainError
+    "<name> must <rule>, got <value>"."""
+    value = _as_float(value)
+    if not (math.isfinite(value) and _RULES[rule](value)):
+        raise DomainError(f"{name} must {rule}, got {value}")
+    return value
 
 
 def _floats(obj, bag, *names):
@@ -125,18 +149,12 @@ class _Document:
 
 def lifetime_from_rate(rate):
     """Reciprocal conversion rate (Hz) -> lifetime (s)."""
-    rate = float(rate)
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise DomainError(f"rate must be positive and finite, got {rate}")
-    return 1.0 / rate
+    return 1.0 / _number("rate", rate, "be positive")
 
 
 def rate_from_lifetime(lifetime):
     """Reciprocal conversion lifetime (s) -> rate (Hz)."""
-    lifetime = float(lifetime)
-    if not math.isfinite(lifetime) or lifetime <= 0.0:
-        raise DomainError(f"lifetime must be positive and finite, got {lifetime}")
-    return 1.0 / lifetime
+    return 1.0 / _number("lifetime", lifetime, "be positive")
 
 
 @dataclass(frozen=True)
@@ -343,7 +361,7 @@ class CavityMode:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EmitterLine(_Document):
     """A single optical transition of the emitter.
 
@@ -379,11 +397,6 @@ class EmitterLine(_Document):
         _raise_if(bag)
         object.__setattr__(self, "dipole_axis", tuple(axis.tolist()))
         object.__setattr__(self, "position", tuple(pos.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, EmitterLine):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
 
 @dataclass(frozen=True)

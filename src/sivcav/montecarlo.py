@@ -40,7 +40,7 @@ import numpy as np
 
 from ._table import read_columns, read_counts, read_table, write_counts, write_table
 from .errors import DomainError, InputFormatError, ValidationError
-from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _floats, _raise_if
+from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _floats, _number, _raise_if
 
 RNG_ALGORITHM = "philox4x64/skip-1"
 
@@ -76,28 +76,25 @@ class PhotonStream:
 
     def __post_init__(self):
         bag = []
-        ts = np.asarray(self.timestamps, dtype=float)
         tags = np.asarray(self.channel_tags, dtype=np.uint8)
         (duration,) = _floats(self, bag, "duration")
         if duration <= 0:
             bag.append("duration must be positive")
-        if ts.ndim != 1 or tags.ndim != 1:
+        if np.ndim(self.timestamps) != 1 or tags.ndim != 1:
             bag.append("timestamps and channel_tags must be 1-D")
-        if ts.shape != tags.shape:
+        if np.shape(self.timestamps) != tags.shape:
             bag.append("timestamps and channel_tags must align")
-        if ts.size:
-            if not np.all(np.isfinite(ts)):
-                bag.append("timestamps contain non-finite entries")
-            elif not np.all(np.diff(ts) >= 0):
+        (ts,) = _arrays(self, bag, "timestamps")
+        if ts.size and np.all(np.isfinite(ts)):
+            if not np.all(np.diff(ts) >= 0):
                 bag.append("timestamps must be sorted")
             elif ts[0] < 0 or ts[-1] > duration:
                 bag.append("timestamps must lie in [0, duration]")
-            if not np.all(np.isin(tags, (CHANNEL_ZPL, CHANNEL_PSB))):
-                bag.append("channel_tags must be ZPL/PSB codes")
+        if ts.size and not np.all(np.isin(tags, (CHANNEL_ZPL, CHANNEL_PSB))):
+            bag.append("channel_tags must be ZPL/PSB codes")
         _raise_if(bag)
-        for name, arr in (("timestamps", ts), ("channel_tags", tags)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        tags.setflags(write=False)
+        object.__setattr__(self, "channel_tags", tags)
         object.__setattr__(self, "seed", int(self.seed))
 
     def __len__(self):
@@ -129,8 +126,12 @@ class HbtHistogram:
 
     def __post_init__(self):
         bag = []
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        (edges,) = _arrays(self, bag, "bin_edges")
+        try:
+            counts = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError:
+            bag.append("counts must lie in the int64 range")
+            counts = np.asarray(self.counts, dtype=object)
         if edges.ndim != 1 or counts.ndim != 1:
             bag.append("bin_edges and counts must be 1-D")
         elif counts.size != edges.size - 1:
@@ -145,9 +146,8 @@ class HbtHistogram:
         if self.mode not in self.MODES:
             bag.append(f"mode must be one of {self.MODES}")
         _raise_if(bag)
-        for name, arr in (("bin_edges", edges), ("counts", counts)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def centers(self):
@@ -174,12 +174,8 @@ def simulate_stream(
     budget.zpl_fraction, and survives detection with probability
     detection_eff. Fully reproducible from the seed.
     """
-    duration = float(duration)
-    if not (duration > 0 and math.isfinite(duration)):
-        raise DomainError(f"duration must be positive, got {duration}")
-    detection_eff = float(detection_eff)
-    if not (0.0 <= detection_eff <= 1.0):
-        raise DomainError(f"detection_eff must lie in [0, 1], got {detection_eff}")
+    duration = _number("duration", duration, "be positive")
+    detection_eff = _number("detection_eff", detection_eff, "lie in [0, 1]")
 
     empty = PhotonStream(np.empty(0), np.empty(0, dtype=np.uint8), duration, seed)
     q_detect = budget.eta_qe * detection_eff
@@ -227,9 +223,7 @@ def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStr
     returns the stream unchanged. Deterministic per seed. Note that pairwise
     delays between jittered photons acquire a kernel of width sqrt(2) * sigma.
     """
-    sigma_irf = float(sigma_irf)
-    if sigma_irf < 0 or not math.isfinite(sigma_irf):
-        raise DomainError(f"sigma_irf must be non-negative, got {sigma_irf}")
+    sigma_irf = _number("sigma_irf", sigma_irf, "be non-negative")
     if sigma_irf == 0.0 or len(stream) == 0:
         return stream
     rng = _rng(seed)
@@ -262,9 +256,9 @@ def correlate(
     """
     if len(stream) == 0:
         raise DomainError("cannot correlate an empty photon stream")
-    bin_width = float(bin_width)
-    window = float(window)
-    if not (0.0 < bin_width <= window):
+    bin_width = _number("bin_width", bin_width, "be positive")
+    window = _number("window", window, "be positive")
+    if not bin_width <= window:
         raise DomainError("need 0 < bin_width <= window")
     t = stream.timestamps
     n = t.size

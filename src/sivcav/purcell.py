@@ -49,6 +49,7 @@ from .models import (
     RadiativeBudget,
     _Document,
     _floats,
+    _number,
     _raise_if,
 )
 
@@ -194,10 +195,7 @@ def spatial_overlap(field: FieldMap, position) -> float:
 
 def effective_purcell(f_p: float, overlaps: OverlapFactors) -> float:
     """Effective Purcell factor F_cav = F_P * R_lambda * R_mu * R_r."""
-    f_p = float(f_p)
-    if not math.isfinite(f_p) or f_p <= 0:
-        raise DomainError(f"f_p must be positive, got {f_p}")
-    return f_p * overlaps.product()
+    return _number("f_p", f_p, "be positive") * overlaps.product()
 
 
 def modified_budget(budget: RadiativeBudget, env: PhotonicEnvironment) -> ModifiedRates:
@@ -226,13 +224,8 @@ def modified_budget(budget: RadiativeBudget, env: PhotonicEnvironment) -> Modifi
 
 def pl_enhancement(f_cav: float, f_phc: float) -> float:
     """On/off-resonance PL intensity ratio f_cav / f_phc of the coupled line."""
-    f_cav = float(f_cav)
-    f_phc = float(f_phc)
-    if not math.isfinite(f_phc) or f_phc <= 0:
-        raise DomainError(f"f_phc must be positive, got {f_phc}")
-    if not math.isfinite(f_cav) or f_cav < 0:
-        raise DomainError(f"f_cav must be non-negative, got {f_cav}")
-    return f_cav / f_phc
+    f_phc = _number("f_phc", f_phc, "be positive")
+    return _number("f_cav", f_cav, "be non-negative") / f_phc
 
 
 def mode_emission_fractions(modified: ModifiedRates) -> tuple[float, float]:
@@ -272,15 +265,11 @@ def invert_budget(
     (f_cav == f_phc, or branching == 0) and negative solution components
     raise InfeasibleMeasurementError.
     """
-    for name, v in (
-        ("gamma_cav", gamma_cav),
-        ("gamma_phc", gamma_phc),
-        ("f_cav", f_cav),
-        ("f_phc", f_phc),
-        ("branching", branching),
-    ):
-        if not math.isfinite(float(v)):
-            raise DomainError(f"{name} must be finite")
+    gamma_cav = _number("gamma_cav", gamma_cav)
+    gamma_phc = _number("gamma_phc", gamma_phc)
+    f_cav = _number("f_cav", f_cav)
+    f_phc = _number("f_phc", f_phc)
+    branching = _number("branching", branching)
     a = np.array(
         [
             [f_cav, f_phc, 1.0],
@@ -320,15 +309,11 @@ def infer_bulk_qe_from_inhibition(tau_bulk: float, tau_phc: float, f_phc: float)
     (eta_bulk, eta_phc); raises InfeasibleMeasurementError when the implied
     efficiency falls outside [0, 1].
     """
-    tau_bulk = float(tau_bulk)
-    tau_phc = float(tau_phc)
-    f_phc = float(f_phc)
-    if not (tau_bulk > 0 and math.isfinite(tau_bulk)):
-        raise DomainError(f"tau_bulk must be positive, got {tau_bulk}")
-    if not (tau_phc >= tau_bulk and math.isfinite(tau_phc)):
+    tau_bulk = _number("tau_bulk", tau_bulk, "be positive")
+    tau_phc = _number("tau_phc", tau_phc)
+    if not tau_phc >= tau_bulk:
         raise DomainError("expected tau_phc >= tau_bulk (inhibition lengthens the lifetime)")
-    if not (0.0 < f_phc < 1.0):
-        raise DomainError(f"f_phc must lie in (0, 1), got {f_phc}")
+    f_phc = _number("f_phc", f_phc, "lie in (0, 1)")
     eta = (1.0 - tau_bulk / tau_phc) / (1.0 - f_phc)
     if eta > 1.0 + 1e-9:
         raise InfeasibleMeasurementError(
@@ -344,9 +329,7 @@ def infer_bulk_qe_from_inhibition(tau_bulk: float, tau_phc: float, f_phc: float)
 def nanosphere_factor(n: float) -> float:
     """Radiative-rate reduction (1/n) * (3 / (2 + n^2))^2 for an emitter in a
     sub-wavelength dielectric sphere of refractive index n."""
-    n = float(n)
-    if not math.isfinite(n) or n < 1.0:
-        raise DomainError(f"refractive index must be >= 1, got {n}")
+    n = _number("refractive index", n, "be >= 1")
     return (1.0 / n) * (3.0 / (2.0 + n**2)) ** 2
 
 
@@ -356,13 +339,8 @@ def rescale_qe(eta: float, radiative_factor: float) -> float:
     The non-radiative rate is unchanged:
     eta' = f * eta / (f * eta + 1 - eta).
     """
-    eta = float(eta)
-    f = float(radiative_factor)
-    if not (0.0 <= eta <= 1.0):
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    if not (0.0 < f <= 1.0):
-        raise DomainError(f"radiative_factor must lie in (0, 1], got {f}")
-    num = f * eta
+    eta = _number("eta", eta, "lie in [0, 1]")
+    num = _number("radiative_factor", radiative_factor, "lie in (0, 1]") * eta
     return num / (num + 1.0 - eta) if (num + 1.0 - eta) > 0 else 0.0
 
 

@@ -30,6 +30,7 @@ from .models import (
     PLSpectrum,
     PolarizationScan,
     _floats,
+    _number,
     _raise_if,
 )
 
@@ -159,8 +160,8 @@ def track_modes(steps, seed_peaks) -> TuningSeries:
 
     state = {
         label: {
-            "center": float(c),
-            "fwhm": float(w),
+            "center": _number(f"seed {label!r} center", c),
+            "fwhm": _number(f"seed {label!r} fwhm", w, "be positive"),
             "points": [],
             "terminated": None,
             "flags": [],

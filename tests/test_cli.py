@@ -143,6 +143,13 @@ class TestPurcellCommand:
         assert doc["results"]["r_mu"]["value"] == pytest.approx(2.0 / 3.0, rel=1e-9)
         assert doc["results"]["f_cav"]["value"] == pytest.approx(19.22 * 2.0 / 3.0, rel=1e-3)
 
+    def test_f_phc_flag_overrides_scenario(self, capsys):
+        code, doc, _err = run_cli(capsys, "purcell", "--scenario", "siv4", "--f-phc", "0.5")
+        assert code == 0
+        r = doc["results"]
+        assert r["i_pl"]["value"] == r["f_cav"]["value"] / 0.5
+        assert doc["inputs"]["flags"]["f_phc"] == 0.5
+
     def test_fieldmap_and_pos_give_r_r(self, capsys, tmp_path):
         path = write_field_map(tmp_path / "field.csv")
         code, doc, _err = run_cli(
@@ -602,12 +609,14 @@ class TestSpectraCommands:
 
 
 def every_subcommand(tmp_path, stream_file):
-    """{case: (argv, every file the run reads or writes)}, one case per
-    subcommand and both kinds of polarization run; inputs are written to
-    tmp_path."""
+    """{case: (argv, {inputs.files key: path} of every file the run reads or
+    writes)}, one case per subcommand and both kinds of polarization run;
+    inputs are written to tmp_path. A file is keyed by its path, the bundled
+    field map by its name inside the package."""
     budget = tmp_path / "budget.json"
     budget.write_text(json.dumps(RadiativeBudget(0.8e9, 0.2e9, 0.1e9).to_dict()))
-    bundled_map = str(resources.files("sivcav").joinpath("scenarios", "o_mode_field.csv"))
+    bundled_map = ("sivcav/scenarios/o_mode_field.csv",
+                   resources.files("sivcav").joinpath("scenarios", "o_mode_field.csv"))
     tau = np.linspace(-50e-9, 50e-9, 251)
     hist = tmp_path / "g2.csv"
     with open(hist, "w") as fh:
@@ -649,12 +658,62 @@ def every_subcommand(tmp_path, stream_file):
         "spectra-polarization-mixture": (["spectra", "polarization", "--mixture", mixture,
                                           "--emit-curves", sweep_curve], [mixture, sweep_curve]),
     }
-    return {name: ([str(a) for a in argv], [str(f) for f in files]) for name, (argv, files) in cases.items()}
+    return {name: ([str(a) for a in argv],
+                   {str(key): str(path) for key, path in (f if isinstance(f, tuple) else (f, f) for f in files)})
+            for name, (argv, files) in cases.items()}
 
 
 SUBCOMMAND_CASES = ["purcell", "simulate", "g2-correlate", "g2-fit", "g2-sweep", "spectra-fit",
                     "spectra-track", "spectra-enhance", "spectra-polarization",
                     "spectra-polarization-mixture"]
+
+
+@pytest.mark.parametrize("case, flags, message", [
+    ("simulate", ["--jitter=-1e-10"], "sigma_irf must be non-negative, got -1e-10"),
+    ("simulate", ["--jitter", "nan"], "sigma_irf must be non-negative, got nan"),
+    ("g2-fit", ["--irf=-1e-10"], "irf_sigma must be non-negative, got -1e-10"),
+    ("g2-fit", ["--irf", "nan"], "irf_sigma must be non-negative, got nan"),
+    ("g2-correlate", ["--window", "inf"], "window must be positive, got inf"),
+    ("spectra-track", ["--seeds", "o1=nan:2.3"], "seed 'o1' center must be finite, got nan"),
+    ("spectra-track", ["--seeds", "o1=769:-2.3"], "seed 'o1' fwhm must be positive, got -2.3"),
+    ("spectra-track", ["--seeds", "o1=inf:2.3"], "seed 'o1' center must be finite, got inf"),
+    ("spectra-enhance", ["--seeds", "o1=nan:2.3"], "seed 'o1' center must be finite, got nan"),
+    ("spectra-enhance", ["--seeds", "o1=769:-2.3"], "seed 'o1' fwhm must be positive, got -2.3"),
+])
+def test_bad_numeric_flag_exit_2_before_writing(capsys, tmp_path, stream_file, case, flags, message):
+    """An out-of-range or non-finite numeric flag exits 2 with a domain error
+    naming the parameter and the value, and no output file is written."""
+    argv, _files = every_subcommand(tmp_path, stream_file)[case]
+    before = set(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, *argv, *flags, "--out", str(tmp_path / "report.json"))
+    assert code == 2
+    assert out is None
+    assert json.loads(err)["error"] == {"type": "domain", "message": message}
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, error_type, message", [
+    (["simulate", "--rates", "1,2,3", "--duration", "1e-4", "--out-stream", "{tmp}/s.csv"],
+     "domain", "--rates needs 4 comma-separated values"),
+    (["simulate", "--rates", "1,2,x,4", "--duration", "1e-4", "--out-stream", "{tmp}/s.csv"],
+     "domain", "--rates has a non-numeric component: '1,2,x,4'"),
+    (["purcell", "--lambda-i", "737", "--dipole", "0,0,0"], "domain", "zero-length axis vector"),
+    (["purcell", "--budget", "{tmp}/bad.json"], "input-format", "{tmp}/bad.json:2: bad JSON: Expecting value"),
+    (["purcell", "--q", "430"], "domain", "--q, --vmode and --lambda-c must be given together"),
+    (["spectra", "polarization"], "domain", "supply --scan CSV or --mixture JSON"),
+    (["purcell", "--scenario", "siv4", "--out", "{tmp}"], "io", "[Errno 21] Is a directory: '{tmp}'"),
+    (["spectra", "polarization", "--mixture", "{tmp}/no_modes.json"],
+     "input-format", "malformed input document: KeyError('modes')"),
+], ids=["rates-count", "rates-non-numeric", "zero-dipole", "bad-budget-json", "q-without-vmode",
+        "polarization-without-input", "out-is-directory", "mixture-without-modes"])
+def test_malformed_input_exit_2(capsys, tmp_path, argv, error_type, message):
+    (tmp_path / "bad.json").write_text('{"gamma_zpl": 1,\n "gamma_psb": }')
+    (tmp_path / "no_modes.json").write_text(json.dumps(
+        {"emitter": {"angle": 60.0, "weight": 1.0}, "line_lambda": 750.0}))
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out is None
+    assert json.loads(err)["error"] == {"type": error_type, "message": message.format(tmp=tmp_path)}
 
 
 class TestReportContract:
@@ -668,7 +727,7 @@ class TestReportContract:
         assert code1 == code2 == 0
         assert d1["command"] == case.removesuffix("-mixture")
         assert strip_timestamp(d1) == strip_timestamp(d2)
-        assert d1["inputs"]["files"] == {path: report.file_sha256(path) for path in files}
+        assert d1["inputs"]["files"] == {key: report.file_sha256(path) for key, path in files.items()}
 
     def test_file_hashes_present(self, capsys, tmp_path, siv4_budget):
         budget_file = tmp_path / "budget.json"

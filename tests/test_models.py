@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sivcav import dynamics, models, montecarlo, purcell, spectra
+from sivcav import dynamics, fitting, models, montecarlo, purcell, spectra
 from sivcav.errors import DomainError, ValidationError
 from sivcav.models import (
     CavityMode,
@@ -356,7 +356,7 @@ VIOLATION_CASES = {
         "steps must hold PLSpectrum instances", "step indices must be strictly increasing"]),
     "PhotonStream": (lambda: montecarlo.PhotonStream([2.0, 1.0, NAN], [0, 3], -1.0, 0), [
         "duration must be positive", "timestamps and channel_tags must align",
-        "timestamps contain non-finite entries", "channel_tags must be ZPL/PSB codes"]),
+        "timestamps contains non-finite entries", "channel_tags must be ZPL/PSB codes"]),
     "PhotonStream-duration": (lambda: montecarlo.PhotonStream([1.0, 2.0], [0, 2], NAN, 0), [
         "duration is not finite", "channel_tags must be ZPL/PSB codes"]),
     "HbtHistogram": (lambda: montecarlo.HbtHistogram([2.0, 1.0, 0.0], [1, -2, 3], NAN, "bad"), [
@@ -390,8 +390,73 @@ def test_every_violation_listed_in_order(case):
     (lambda: PLSpectrum([1.0, 2.0], [1, -10**400]),
      ["intensities contains non-finite entries", "intensities must be non-negative"]),
     (lambda: EmitterLine(700.0, position=[10**400, 0, 0]), ["position contains non-finite entries"]),
-], ids=["scalar", "array", "tuple"])
+    (lambda: montecarlo.PhotonStream([0.0, 10**400], [0, 0], 1.0, 0),
+     ["timestamps contains non-finite entries"]),
+    (lambda: montecarlo.HbtHistogram([0.0, 10**400], [10**400], 1.0),
+     ["bin_edges contains non-finite entries", "counts must lie in the int64 range"]),
+], ids=["scalar", "array", "tuple", "stream", "histogram"])
 def test_int_beyond_float_range_is_not_finite(make, expected):
     with pytest.raises(ValidationError) as err:
         make()
     assert err.value.violations == expected
+
+
+def valid_call(function):
+    """(callable, keyword arguments) of a call of function that succeeds."""
+    rates = ThreeLevelRates(100e6, 2e9, 0.3e9, 50e6)
+    stream = montecarlo.simulate_stream(rates, RadiativeBudget(1.0, 0.0, 0.0), 1e-5, 1.0, 1)
+    tau = np.linspace(-50e-9, 50e-9, 251)
+    curve = G2Curve(tau, fitting.g2_model(tau, 0.6, 1.5e-9, 20e-9))
+    wl = np.linspace(760.0, 780.0, 400)
+    spectrum = PLSpectrum(wl, 50.0 + fitting.lorentzian_peak(wl, 769.0, 2.3, 800.0))
+    return {
+        "lifetime_from_rate": (lifetime_from_rate, {"rate": 1e9}),
+        "rate_from_lifetime": (rate_from_lifetime, {"lifetime": 1e-9}),
+        "effective_purcell": (purcell.effective_purcell, {"f_p": 19.2, "overlaps": purcell.OverlapFactors()}),
+        "pl_enhancement": (purcell.pl_enhancement, {"f_cav": 5.15, "f_phc": 0.25}),
+        "invert_budget": (purcell.invert_budget, {"gamma_cav": 5.2e9, "gamma_phc": 1.9e9, "f_cav": 5.15,
+                                                  "f_phc": 0.25, "branching": 4.0}),
+        "infer_bulk_qe_from_inhibition": (purcell.infer_bulk_qe_from_inhibition,
+                                          {"tau_bulk": 1.3e-9, "tau_phc": 2.6e-9, "f_phc": 0.25}),
+        "nanosphere_factor": (purcell.nanosphere_factor, {"n": 2.4}),
+        "rescale_qe": (purcell.rescale_qe, {"eta": 0.5, "radiative_factor": 0.5}),
+        "saturation_curve": (dynamics.saturation_curve, {
+            "rates_at_unit_power": rates, "pump": dynamics.PumpModel(0.3e9), "collection_eff": 0.5,
+            "powers": [0.5, 1.0], "eta_qe": 0.5}),
+        "qe_from_saturation": (dynamics.qe_from_saturation, {"r_inf": 1e5, "p_sat": 1.0, "rates_fit": rates,
+                                                             "collection_eff": 0.01}),
+        "simulate_stream": (montecarlo.simulate_stream, {"rates": rates, "budget": RadiativeBudget(1.0, 0.0, 0.0),
+                                                         "duration": 1e-6, "detection_eff": 0.5, "seed": 1}),
+        "apply_jitter": (montecarlo.apply_jitter, {"stream": stream, "sigma_irf": 1e-10, "seed": 1}),
+        "correlate": (montecarlo.correlate, {"stream": stream, "bin_width": 1e-9, "window": 1e-8}),
+        "fit_g2": (fitting.fit_g2, {"curve": curve, "irf_sigma": 1e-10}),
+        "track_modes": (lambda center, fwhm: spectra.track_modes([(0, spectrum)], {"o1": (center, fwhm)}),
+                        {"center": 769.0, "fwhm": 2.3}),
+    }[function]
+
+
+NUMERIC_ARGUMENTS = [
+    ("lifetime_from_rate", "rate"), ("rate_from_lifetime", "lifetime"), ("effective_purcell", "f_p"),
+    ("pl_enhancement", "f_cav"), ("pl_enhancement", "f_phc"),
+    *(("invert_budget", arg) for arg in ("gamma_cav", "gamma_phc", "f_cav", "f_phc", "branching")),
+    *(("infer_bulk_qe_from_inhibition", arg) for arg in ("tau_bulk", "tau_phc", "f_phc")),
+    ("nanosphere_factor", "n"), ("rescale_qe", "eta"), ("rescale_qe", "radiative_factor"),
+    ("saturation_curve", "collection_eff"), ("saturation_curve", "eta_qe"),
+    *(("qe_from_saturation", arg) for arg in ("r_inf", "p_sat", "collection_eff")),
+    ("simulate_stream", "duration"), ("simulate_stream", "detection_eff"), ("apply_jitter", "sigma_irf"),
+    ("correlate", "bin_width"), ("correlate", "window"), ("fit_g2", "irf_sigma"),
+    ("track_modes", "center"), ("track_modes", "fwhm"),
+]
+
+
+@pytest.mark.parametrize("function, argument", NUMERIC_ARGUMENTS,
+                         ids=[f"{f}-{a}" for f, a in NUMERIC_ARGUMENTS])
+def test_non_finite_argument_raises_domain_error(function, argument):
+    """nan, inf and an int beyond the float range, passed as any one numeric
+    argument, raise a DomainError that ends with the value read as a float."""
+    call, kwargs = valid_call(function)
+    call(**kwargs)
+    for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (10**400, "inf")):
+        with pytest.raises(DomainError) as err:
+            call(**{**kwargs, argument: value})
+        assert str(err.value).endswith(f", got {shown}")
