@@ -58,7 +58,10 @@ def _number(name, value, rule="be finite"):
     """A number a caller passed as argument name, as a float that is finite
     and obeys rule (a key of _RULES); otherwise DomainError
     "<name> must <rule>, got <value>"."""
-    value = _as_float(value)
+    try:
+        value = _as_float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must {rule}, got {value!r}") from None
     if not (math.isfinite(value) and _RULES[rule](value)):
         raise DomainError(f"{name} must {rule}, got {value}")
     return value
@@ -82,17 +85,33 @@ def _floats(obj, bag, *names):
     return values
 
 
+def _float_array(given):
+    """np.asarray(given, dtype=float), an int beyond the float range taken as +-inf."""
+    try:
+        return np.asarray(given, dtype=float)
+    except OverflowError:
+        return np.vectorize(_as_float, otypes=[float])(np.asarray(given, dtype=object))
+
+
+def _read_only(value, given):
+    """value made read-only, after a copy where it is the caller's own
+    writeable array given, so constructing a type never freezes that array.
+    Arrays handed over read-only are kept without a copy."""
+    if value is given and value.flags.writeable:
+        value = value.copy()
+    value.setflags(write=False)
+    return value
+
+
 def _arrays(obj, bag, *names):
     """_floats for fields of arrays: each is stored as a read-only float array."""
     values = []
     for name in names:
-        try:
-            value = np.asarray(getattr(obj, name), dtype=float)
-        except OverflowError:
-            value = np.vectorize(_as_float, otypes=[float])(np.asarray(getattr(obj, name), dtype=object))
+        given = getattr(obj, name)
+        value = _float_array(given)
         if value.size and not np.all(np.isfinite(value)):
             bag.append(f"{name} contains non-finite entries")
-        value.setflags(write=False)
+        value = _read_only(value, given)
         object.__setattr__(obj, name, value)
         values.append(value)
     return values

@@ -6,14 +6,29 @@ to the ground state emits with probability eta_qe, lands in ZPL or PSB by
 the budget's branching ratio and is thinned by the detection efficiency, so
 a cycle ends in a detected photon with probability
 q = (1 - p_shelf) * eta_qe * eta_det. After a detection the emitter is in
-the ground state, so the gaps are independent: K ~ Geometric(q) cycles, of
-which M ~ Binomial(K - 1, p_dark) shelved, take
-Gamma(K, 1/k12) + Gamma(K, 1/(k21 + k23)) + Gamma(M, 1/k31).
+the ground state, so the gaps are independent and identically distributed,
+and simulate_stream draws them with one of two exact samplers:
+
+- Coxian (tag philox4x64/cox-1). The gap's Laplace transform is
+  q_d k12 k21 (s + k31) / det(sI - S), with q_d = eta_qe * eta_det and S the
+  generator of the chain between detections. Where the cubic det(sI - S)
+  has real roots -mu1 > -mu2 > -mu3, this is a 3-phase Coxian (Cumani,
+  Microelectron. Reliab. 22, 583 (1982)): the gap is
+  E3/mu3 + E2/mu2 + [U < beta1] E1/mu1, beta1 = 1 - mu1/k31, from three
+  standard exponentials E and one uniform U. Equal roots give an Erlang.
+- Event skipping (tag philox4x64/skip-1), the fallback where the cubic has
+  complex roots: K ~ Geometric(q) cycles, of which M ~ Binomial(K - 1,
+  p_dark) shelved, take Gamma(K, 1/k12) + Gamma(K, 1/(k21 + k23)) +
+  Gamma(M, 1/k31).
+
+The sign of the cubic's discriminant, with a bound on its round-off, picks
+the sampler; the stream's rng_algorithm names the one that ran.
 
 Randomness comes from the counter-based Philox generator, so streams are
-bit-reproducible from their seed. Draws are made in fixed per-photon order
-(K, M, the three gamma waits, channel coin), vectorized over batches of
-photons; a new order bumps RNG_ALGORITHM, which saved streams record.
+bit-reproducible from their seed. Each sampler draws in a fixed order per
+batch of photons (Coxian: the three exponentials, U, channel coin; event
+skipping: K, M, the three gamma waits, channel coin); a new order means a
+new tag, which saved streams record.
 
 Streams and histograms are stored as CSV through the package's one table
 reader and writer. A stream file holds one row per photon with its timestamp
@@ -40,9 +55,11 @@ import numpy as np
 
 from ._table import read_columns, read_counts, read_table, write_counts, write_table
 from .errors import DomainError, InputFormatError, ValidationError
-from .models import G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _floats, _number, _raise_if
+from .models import (G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _float_array, _floats,
+                     _number, _raise_if, _read_only)
 
-RNG_ALGORITHM = "philox4x64/skip-1"
+RNG_SKIP = "philox4x64/skip-1"  # event skipping; also the tag of a file without one
+RNG_COXIAN = "philox4x64/cox-1"
 
 PS_PER_S = 1e12  # time tags of stream files are integer picoseconds
 MAX_PS = 2**51  # below it, float seconds resolve every picosecond
@@ -72,7 +89,7 @@ class PhotonStream:
     channel_tags: np.ndarray
     duration: float
     seed: int
-    rng_algorithm: str = RNG_ALGORITHM
+    rng_algorithm: str = RNG_SKIP
 
     def __post_init__(self):
         bag = []
@@ -93,8 +110,7 @@ class PhotonStream:
         if ts.size and not np.all(np.isin(tags, (CHANNEL_ZPL, CHANNEL_PSB))):
             bag.append("channel_tags must be ZPL/PSB codes")
         _raise_if(bag)
-        tags.setflags(write=False)
-        object.__setattr__(self, "channel_tags", tags)
+        object.__setattr__(self, "channel_tags", _read_only(tags, self.channel_tags))
         object.__setattr__(self, "seed", int(self.seed))
 
     def __len__(self):
@@ -127,11 +143,18 @@ class HbtHistogram:
     def __post_init__(self):
         bag = []
         (edges,) = _arrays(self, bag, "bin_edges")
-        try:
-            counts = np.asarray(self.counts, dtype=np.int64)
-        except OverflowError:
-            bag.append("counts must lie in the int64 range")
-            counts = np.asarray(self.counts, dtype=object)
+        given = np.asarray(self.counts)
+        if np.can_cast(given.dtype, np.int64):
+            counts = given.astype(np.int64, copy=False)
+        else:  # floats, uint64, or ints beyond int64 as objects
+            values = _float_array(given)
+            fraction = values != np.floor(values)  # NaN included
+            beyond = np.abs(values) >= 2.0**63
+            if np.any(fraction):
+                bag.append("counts must be whole numbers")
+            if np.any(beyond):
+                bag.append("counts must lie in the int64 range")
+            counts = np.where(fraction | beyond, 0.0, values).astype(np.int64)
         if edges.ndim != 1 or counts.ndim != 1:
             bag.append("bin_edges and counts must be 1-D")
         elif counts.size != edges.size - 1:
@@ -146,8 +169,7 @@ class HbtHistogram:
         if self.mode not in self.MODES:
             bag.append(f"mode must be one of {self.MODES}")
         _raise_if(bag)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _read_only(counts, self.counts))
 
     @property
     def centers(self):
@@ -158,6 +180,41 @@ class HbtHistogram:
         g2 = self.counts / self.normalization
         sigmas = np.sqrt(np.clip(self.counts, 1, None)) / self.normalization
         return G2Curve(self.centers, g2, sigmas)
+
+
+def _handed_over(times, tags, duration, seed, rng_algorithm):
+    """PhotonStream of a producer's own new arrays, made read-only first so
+    that the stream takes them without a copy."""
+    times.setflags(write=False)
+    tags.setflags(write=False)
+    return PhotonStream(times, tags, duration, seed, rng_algorithm)
+
+
+def _coxian(rates, q_detect):
+    """(mu1, mu2, mu3, beta1) of the Coxian law of the gap between detected
+    photons, mu1 <= mu2 <= mu3, or None where det(sI - S) has complex roots."""
+    k12, k21, k23, k31 = rates.k12, rates.k21, rates.k23, rates.k31
+    # det(sI - S) = s^3 + c2 s^2 + c1 s + c0, each a sum of positive terms
+    c2 = k12 + k21 + k23 + k31
+    c1 = k12 * k23 + q_detect * k12 * k21 + k12 * k31 + (k21 + k23) * k31
+    c0 = q_detect * k12 * k21 * k31
+    # discriminant of x^3 + x^2 + b x + c, the cubic in s = c2 x; its sign is
+    # that of the discriminant in s, and its terms stay in range
+    b, c = c1 / c2**2, c0 / c2**3
+    terms = (18.0 * b * c, -4.0 * c, b * b, -4.0 * b**3, -27.0 * c * c)
+    # round-off bound, to first order in u = eps/2: c2, c1, c0 are off by at
+    # most 3u, 5u, 3u relative, so b and c by 13u and 16u, a term (degree <= 3
+    # in them) by 41u and the sum by 4u of sum |terms| more: 45u < 32 eps.
+    # Inside the bound the discriminant is zero up to round-off: the roots
+    # are taken as real (.real drops imaginary parts of round-off size), and
+    # equal ones give an Erlang, which the Coxian form covers
+    if sum(terms) < -32.0 * np.finfo(float).eps * sum(abs(t) for t in terms):
+        return None
+    mu1, mu2, mu3 = np.sort(-np.roots([1.0, c2, c1, c0]).real)
+    # beta1 >= 0: at s = -k31 the cubic is -k31 k12 k23 <= 0, so
+    # (k31 - mu1)(k31 - mu2)(k31 - mu3) <= 0 and some mu <= k31, hence
+    # mu1 <= k31; max() absorbs round-off where mu1 = k31 (k23 = 0)
+    return mu1, mu2, mu3, max(1.0 - mu1 / k31, 0.0)
 
 
 def simulate_stream(
@@ -172,7 +229,8 @@ def simulate_stream(
     The budget sets the emission split: a |2> -> |1> transition emits with
     probability budget.eta_qe, lands in the ZPL channel with probability
     budget.zpl_fraction, and survives detection with probability
-    detection_eff. Fully reproducible from the seed.
+    detection_eff. Fully reproducible from the seed; the stream's
+    rng_algorithm names the sampler (module docstring).
     """
     duration = _number("duration", duration, "be positive")
     detection_eff = _number("detection_eff", detection_eff, "lie in [0, 1]")
@@ -189,22 +247,38 @@ def simulate_stream(
     k2t = rates.k21 + rates.k23
     p_shelf = rates.k23 / k2t
     q = (1.0 - p_shelf) * q_detect
-    # P(shelved | undetected); p_shelf / (1 - q) can round above 1 at q_detect = 1
-    undetected = p_shelf + (1.0 - p_shelf) * (1.0 - q_detect)
-    p_dark = p_shelf / undetected if undetected > 0.0 else 0.0
     mean_gap = (1.0 / rates.k12 + 1.0 / k2t + p_shelf / rates.k31) / q
     rng = _rng(seed)
+    coxian = _coxian(rates, q_detect)
+    if coxian is not None:
+        mu1, mu2, mu3, beta1 = coxian
+
+        def gaps(n):
+            t = rng.standard_exponential(n)
+            t /= mu3
+            t += rng.standard_exponential(n) / mu2
+            phase1 = rng.standard_exponential(n) / mu1
+            np.add(t, phase1, out=t, where=rng.random(n) < beta1)
+            return t
+    else:
+        # P(shelved | undetected); p_shelf / (1 - q) can round above 1 at q_detect = 1
+        undetected = p_shelf + (1.0 - p_shelf) * (1.0 - q_detect)
+        p_dark = p_shelf / undetected if undetected > 0.0 else 0.0
+
+        def gaps(n):
+            cycles = rng.geometric(q, n)
+            shelved = rng.binomial(cycles - 1, p_dark)
+            t = rng.gamma(cycles, 1.0 / rates.k12)
+            t += rng.gamma(cycles, 1.0 / k2t)
+            t += rng.gamma(shelved, 1.0 / rates.k31)
+            return t
 
     times, tags = [], []
     t0 = 0.0
     while t0 <= duration:
         n = max(1024, int((duration - t0) / mean_gap * 1.2) + 16)
         n = min(n, 500_000)  # cap batch memory; the loop continues if needed
-        cycles = rng.geometric(q, n)
-        shelved = rng.binomial(cycles - 1, p_dark)
-        t = rng.gamma(cycles, 1.0 / rates.k12)
-        t += rng.gamma(cycles, 1.0 / k2t)
-        t += rng.gamma(shelved, 1.0 / rates.k31)
+        t = gaps(n)
         np.cumsum(t, out=t)
         t += t0
         kept = int(np.searchsorted(t, duration, side="right"))
@@ -213,7 +287,8 @@ def simulate_stream(
         tags.append(np.where(zpl, CHANNEL_ZPL, CHANNEL_PSB).astype(np.uint8))
         t0 = float(t[-1])
 
-    return PhotonStream(np.concatenate(times), np.concatenate(tags), duration, seed)
+    return _handed_over(np.concatenate(times), np.concatenate(tags), duration, seed,
+                        RNG_SKIP if coxian is None else RNG_COXIAN)
 
 
 def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStream:
@@ -232,7 +307,8 @@ def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStr
     jittered = jittered[inside]
     tags = stream.channel_tags[inside]
     order = np.argsort(jittered, kind="stable")
-    return PhotonStream(jittered[order], tags[order], stream.duration, stream.seed)
+    return _handed_over(jittered[order], tags[order], stream.duration, stream.seed,
+                        stream.rng_algorithm)
 
 
 def correlate(
@@ -387,10 +463,8 @@ def load_stream(path):
             raise InputFormatError(path, int(table.lines[bad[0]]), "bad timestamp")
         times = times / PS_PER_S
     try:
-        stream = PhotonStream(
-            times, table.columns[1].astype(np.uint8), duration, seed,
-            meta.get("rng", RNG_ALGORITHM),
-        )
+        stream = _handed_over(times, table.columns[1].astype(np.uint8), duration, seed,
+                              meta.get("rng", RNG_SKIP))
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None
     return stream, meta

@@ -226,6 +226,7 @@ class TestSimulateCommand:
         unjittered = tmp_path / "plain.csv"
         montecarlo.save_stream(plain, unjittered, rates=rates, meta={"detection_eff": 1.0, "jitter_s": 3e-10})
         assert out.read_bytes() == expected.read_bytes() != unjittered.read_bytes()
+        assert doc["provenance"]["rng_algorithm"] == montecarlo.RNG_COXIAN  # README rates: real roots
         p2 = float(dynamics.steady_state(rates)[1])
         assert doc["results"]["predicted_rate"]["value"] == pytest.approx(
             siv4_budget.eta_qe * rates.k21 * p2, rel=1e-12)

@@ -203,6 +203,25 @@ class TestArrayTypes:
         reduced = scan.reduced_angles()
         assert np.all((reduced >= 0.0) & (reduced < 180.0))
 
+    def test_callers_arrays_stay_writeable(self):
+        wl = np.linspace(1, 2, 5)
+        spectrum = PLSpectrum(wl, np.ones(5))
+        assert wl.flags.writeable and not spectrum.wavelengths.flags.writeable
+        ts, tags, counts = np.array([0.5, 1.5]), np.array([0, 1], dtype=np.uint8), np.array([3])
+        stream = montecarlo.PhotonStream(ts, tags, 2.0, 0)
+        hist = montecarlo.HbtHistogram(np.array([0.0, 1.0]), counts, 1.0)
+        assert ts.flags.writeable and tags.flags.writeable and counts.flags.writeable
+        ts[0] = tags[0] = counts[0] = 1
+        assert stream.timestamps[0] == 0.5 and stream.channel_tags[0] == 0 and hist.counts[0] == 3
+
+    def test_read_only_arrays_are_taken_without_a_copy(self):
+        ts, tags, counts = np.array([0.5, 1.5]), np.array([0, 1], dtype=np.uint8), np.array([3])
+        for array in (ts, tags, counts):
+            array.setflags(write=False)
+        stream = montecarlo.PhotonStream(ts, tags, 2.0, 0)
+        assert stream.timestamps is ts and stream.channel_tags is tags
+        assert montecarlo.HbtHistogram(np.array([0.0, 1.0]), counts, 1.0).counts is counts
+
 
 SCALAR_ROUND_TRIP_CASES = [
     RadiativeBudget(694.4e6, 173.9e6, 1.715e9),
@@ -401,6 +420,21 @@ def test_int_beyond_float_range_is_not_finite(make, expected):
     assert err.value.violations == expected
 
 
+@pytest.mark.parametrize("counts, expected", [
+    ([1.5], ["counts must be whole numbers"]),
+    (np.array([0.25]), ["counts must be whole numbers"]),
+    ([math.nan], ["counts must be whole numbers"]),
+    ([math.inf], ["counts must lie in the int64 range"]),
+    ([2.0**63], ["counts must lie in the int64 range"]),
+], ids=["fraction", "fraction-array", "nan", "inf", "2^63"])
+def test_histogram_counts_must_be_whole_int64(counts, expected):
+    with pytest.raises(ValidationError) as err:
+        montecarlo.HbtHistogram([0.0, 1.0], counts, 1.0)
+    assert err.value.violations == expected
+    whole = montecarlo.HbtHistogram([0.0, 1.0], [2.0**62], 1.0).counts
+    assert whole.dtype == np.int64 and whole.tolist() == [2**62]
+
+
 def valid_call(function):
     """(callable, keyword arguments) of a call of function that succeeds."""
     rates = ThreeLevelRates(100e6, 2e9, 0.3e9, 50e6)
@@ -453,10 +487,14 @@ NUMERIC_ARGUMENTS = [
                          ids=[f"{f}-{a}" for f, a in NUMERIC_ARGUMENTS])
 def test_non_finite_argument_raises_domain_error(function, argument):
     """nan, inf and an int beyond the float range, passed as any one numeric
-    argument, raise a DomainError that ends with the value read as a float."""
+    argument, raise a DomainError that ends with the value read as a float;
+    a value that is no number ends it with its repr."""
     call, kwargs = valid_call(function)
     call(**kwargs)
-    for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (10**400, "inf")):
+    non_numbers = [("abc", "'abc'"), ([1.0], "[1.0]")]
+    if argument != "irf_sigma":  # there None means no kernel
+        non_numbers.append((None, "None"))
+    for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (10**400, "inf"), *non_numbers):
         with pytest.raises(DomainError) as err:
             call(**{**kwargs, argument: value})
         assert str(err.value).endswith(f", got {shown}")

@@ -1,7 +1,9 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.stats import ks_1samp
 
@@ -165,6 +167,86 @@ class TestSimulateStream:
             montecarlo.simulate_stream(mc_rates, radiative_budget, 0.0, 1.0, seed=1)
 
 
+# roots -1.098e9 +- 2.14e8 i and -4.0e6 of det(sI - S) at q_detect = 0.5
+COMPLEX_ROOT_RATES = ThreeLevelRates(1e9, 1e8, 1e9, 1e8)
+FULLY_RADIATIVE = RadiativeBudget(0.8e9, 0.2e9, 0.0)
+
+
+def gap_cubic(rates, q_detect):
+    """Coefficients (c2, c1, c0) of det(sI - S) = s^3 + c2 s^2 + c1 s + c0."""
+    k12, k21, k23, k31 = rates.k12, rates.k21, rates.k23, rates.k31
+    return (k12 + k21 + k23 + k31,
+            k12 * k23 + q_detect * k12 * k21 + k12 * k31 + (k21 + k23) * k31,
+            q_detect * k12 * k21 * k31)
+
+
+class TestGapSampler:
+    """The Coxian sampler where the gap's cubic has real roots, event
+    skipping where it has complex ones."""
+
+    @pytest.mark.parametrize("rates, budget, det, tag", [
+        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), FULLY_RADIATIVE, 0.7, "cox-1"),  # mc
+        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), FULLY_RADIATIVE, 1.0, "cox-1"),
+        (ThreeLevelRates(100e6, 2e9, 0.3e9, 50e6), FULLY_RADIATIVE, 0.8, "cox-1"),  # README
+        (OFF_RESONANCE_RATES, OFF_RESONANCE_BUDGET, 1.0, "cox-1"),
+        (OFF_RESONANCE_RATES, OFF_RESONANCE_BUDGET, 0.5, "cox-1"),
+        (ThreeLevelRates(0.4e9, 1.5e9, 0.9e9, 30e6), FULLY_RADIATIVE, 1.0, "cox-1"),  # strong shelving
+        (ThreeLevelRates(0.4e9, 1.5e9, 0.9e9, 30e6), FULLY_RADIATIVE, 0.5, "cox-1"),
+        (ThreeLevelRates(0.4e9, 1.5e9, 0.3e9, 30e6), FULLY_RADIATIVE, 1.0, "cox-1"),
+        (ThreeLevelRates(1e8, 1e9, 0.0, 5e7), FULLY_RADIATIVE, 1.0, "cox-1"),  # k23 = 0
+        (ThreeLevelRates(5e5, 5e8, 0.0, 5e7), FULLY_RADIATIVE, 1.0, "cox-1"),
+        (COMPLEX_ROOT_RATES, FULLY_RADIATIVE, 0.5, "skip-1"),
+    ])
+    def test_sampler_of_each_rate_set(self, rates, budget, det, tag):
+        stream = montecarlo.simulate_stream(rates, budget, 1e-5, det, seed=1)
+        assert stream.rng_algorithm == f"philox4x64/{tag}"
+        assert montecarlo.apply_jitter(stream, 1e-10, seed=2).rng_algorithm == stream.rng_algorithm
+        roots = np.roots([1.0, *gap_cubic(rates, budget.eta_qe * det)])
+        assert np.any(roots.imag != 0.0) == (tag == "skip-1")
+
+    def test_fallback_matches_phase_type_oracle(self):
+        stream = montecarlo.simulate_stream(COMPLEX_ROOT_RATES, FULLY_RADIATIVE, 0.012, 0.5, seed=25)
+        assert stream.rng_algorithm == montecarlo.RNG_SKIP
+        assert len(stream) > 20000
+        assert gaps_ks_pvalue(stream, COMPLEX_ROOT_RATES, 0.5) > 0.01
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=st.lists(st.floats(6.0, 10.0), min_size=4, max_size=4).map(lambda x: [10.0**v for v in x]),
+        q_detect=st.floats(1e-3, 1.0),
+        shelving=st.booleans(),
+    )
+    def test_coxian_against_the_phase_type_law(self, rates, q_detect, shelving):
+        rates = ThreeLevelRates(rates[0], rates[1], rates[2] if shelving else 0.0, rates[3])
+        cubic = gap_cubic(rates, q_detect)
+        # np.poly goes through the eigenvalues of S, so its coefficient of
+        # s^(3-k) is off by about eps c2^k, more than 1e-8 of a small c0
+        powers = cubic[0] ** np.arange(4.0)
+        assert np.poly(interdetection_generator(rates, q_detect)) / powers == pytest.approx(
+            [1.0, *cubic] / powers, rel=1e-8, abs=1e-13)
+        # the sign of the discriminant in exact arithmetic on the same coefficients
+        c2, c1, c0 = (Fraction(c) for c in cubic)
+        disc = 18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2 - 4 * c1**3 - 27 * c0**2
+        scale = c2**6  # the discriminant's terms are of this order at most
+        coxian = montecarlo._coxian(rates, q_detect)
+        if coxian is None:
+            assert disc < 0
+            return
+        assert disc >= -1e-13 * scale
+        mu1, mu2, mu3, beta1 = coxian
+        assert 0.0 < mu1 <= mu2 <= mu3
+        assert mu1 <= rates.k31 * (1.0 + 1e-12)
+        assert 0.0 <= beta1 <= 1.0
+        assert np.poly([-mu1, -mu2, -mu3]) == pytest.approx([1.0, *cubic], rel=1e-8)
+        # the Coxian's first two moments against the phase-type ones
+        mean, cv2 = gap_mean_and_cv2(rates, q_detect)
+        cox_mean = 1.0 / mu3 + 1.0 / mu2 + beta1 / mu1
+        cox_second = (2.0 / mu3**2 + 2.0 / mu2**2 + 2.0 * beta1 / mu1**2 + 2.0 / (mu2 * mu3)
+                      + 2.0 * beta1 / (mu1 * mu2) + 2.0 * beta1 / (mu1 * mu3))
+        assert cox_mean == pytest.approx(mean, rel=1e-8)
+        assert cox_second == pytest.approx(mean**2 * (1.0 + cv2), rel=1e-8)
+
+
 class TestApplyJitter:
     def test_zero_sigma_identity(self, mc_rates, radiative_budget):
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 1e-4, 1.0, seed=2)
@@ -317,7 +399,7 @@ class TestStreamIO:
         assert np.array_equal(back.channel_tags, stream.channel_tags)
         assert back.duration == stream.duration
         assert back.seed == stream.seed
-        assert meta["rng"] == montecarlo.RNG_ALGORITHM
+        assert meta["rng"] == back.rng_algorithm == stream.rng_algorithm == montecarlo.RNG_COXIAN
         assert meta["time_unit"] == "ps"
         assert meta["note"] == "test"
 
@@ -329,11 +411,11 @@ class TestStreamIO:
         assert again.read_bytes() == first.read_bytes()
 
     def test_old_rng_tag_loads_and_is_kept(self, tmp_path):
-        # float-seconds files from before the picosecond format, by either
-        # sampler: the per-cycle one tagged without /skip-1
-        assert montecarlo.RNG_ALGORITHM == "philox4x64/skip-1"
+        # float-seconds files from before the picosecond format, by any
+        # sampler: the per-cycle one tagged without a suffix
+        assert (montecarlo.RNG_SKIP, montecarlo.RNG_COXIAN) == ("philox4x64/skip-1", "philox4x64/cox-1")
         path, again = tmp_path / "old.csv", tmp_path / "again.csv"
-        for tag in ("philox4x64", "philox4x64/skip-1"):
+        for tag in ("philox4x64", "philox4x64/skip-1", "philox4x64/cox-1"):
             path.write_text(f"# seed=3\n# rng={tag}\n# duration_s=1e-05\n"
                             "# timestamp_s,channel\n1e-06,ZPL\n2.5e-06,PSB\n")
             stream, meta = montecarlo.load_stream(path)
@@ -345,6 +427,11 @@ class TestStreamIO:
             back, _meta = montecarlo.load_stream(again)
             assert back.rng_algorithm == tag
             assert back.timestamps.tolist() == [1e-6, 2.5e-6]
+
+    def test_file_without_rng_header_is_tagged_event_skipping(self, tmp_path):
+        path = tmp_path / "untagged.csv"
+        path.write_text("# duration_s=1e-05\n# time_unit=ps\n1000000,ZPL\n")
+        assert montecarlo.load_stream(path)[0].rng_algorithm == "philox4x64/skip-1"
 
     @pytest.mark.parametrize("duration", [0.019, 2e-5, 1e-4, 0.1 + 0.2, 2e-5 + 0.7e-12])
     def test_photons_at_the_end_of_the_window(self, tmp_path, duration):
@@ -395,7 +482,7 @@ class TestStreamIO:
         counts = np.sort(np.random.default_rng(51).integers(last - 2**44, last, 200_000, endpoint=True))
         tags = np.random.default_rng(52).integers(0, 2, counts.size)
         path, again = tmp_path / "first.csv", tmp_path / "again.csv"
-        path.write_text(f"# seed=1\n# rng={montecarlo.RNG_ALGORITHM}\n# duration_s={duration!r}\n"
+        path.write_text(f"# seed=1\n# rng={montecarlo.RNG_COXIAN}\n# duration_s={duration!r}\n"
                         "# time_unit=ps\n# timestamp_ps,channel\n"
                         + "".join(f"{c},{montecarlo.CHANNEL_LABELS[t]}\n"
                                   for c, t in zip(counts.tolist(), tags.tolist())))
