@@ -1,7 +1,8 @@
 """Nonlinear least squares and model-specific curve fitters.
 
 The engine is a damped Gauss-Newton iteration with a Levenberg-Marquardt
-trust parameter, numerical forward-difference Jacobians (step
+trust parameter, the model's analytic Jacobian where the caller supplies
+one and numerical forward-difference Jacobians otherwise (step
 sqrt(machine epsilon) times a per-parameter scale, from the residual the
 engine holds at p), box bounds held as a lower and an upper array that every
 trial step is clipped to, and an accept/reject rule that never lets the cost
@@ -12,14 +13,15 @@ converges. Convergence is declared when the
 projected gradient vanishes, the relative parameter step falls below
 STEP_RTOL or the relative cost decrease falls below COST_RTOL; a fit that
 does not converge is retried from JITTER_RETRIES jittered starting points.
-One central-difference Jacobian, retaken only after a polish step moves p,
-serves the polish and the covariance. Weighting is 1/sigma^2 with
-uncertainties and uniform otherwise.
+One central-difference (or analytic) Jacobian, retaken only after a polish
+step moves p, serves the polish and the covariance. Weighting is 1/sigma^2
+with uncertainties and uniform otherwise.
 
 On top of the engine sit the fitters used throughout the package: the
-two-exponential g2 model (optionally convolved with a Gaussian instrument
-response), multi-Lorentzian spectra, cos^2 polarization scans, and
-two-parameter saturation curves.
+two-exponential g2 model, optionally convolved with a Gaussian instrument
+response in closed form (exponentially modified Gaussians) and fitted with
+its analytic Jacobian, multi-Lorentzian spectra, cos^2 polarization scans,
+and two-parameter saturation curves.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ MAX_DAMPING = 1e14
 STEP_RTOL = 1e-10
 COST_RTOL = 1e-12
 JITTER_RETRIES = 5
+ERFCX_ASYMPTOTIC_Z = 25.0  # exp(z^2) and erfc(z) are both in range below it
+ERFC_TWO_Z = -6.0  # erfc(z) rounds to 2 in double precision below it
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ def _held(p, grad, lo, hi):
     return low & (grad > 0) | high & (grad < 0)
 
 
-def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
+def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations):
     p = np.clip(p0, lo, hi)
     r = residual_fn(p)
     if not np.all(np.isfinite(r)):
@@ -153,7 +159,7 @@ def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
     converged = False
     iterations = 0
 
-    jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi)
+    jac = jacobian_fn(p, r)
     involved, ratio = _singular_direction_names(jac, names)
     if ratio < RANK_TOL:
         raise RankDeficiencyError(
@@ -207,9 +213,9 @@ def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
             converged = True
             break
         if iterations < max_iterations:
-            jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi)
+            jac = jacobian_fn(p, r)
 
-    jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi, central=True)
+    jac = jacobian_fn(p, r, central=True)
     if converged:
         # a few undamped Gauss-Newton polish steps remove the residual bias
         # that forward-difference noise and the trust parameter leave on
@@ -237,7 +243,7 @@ def _lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations):
             improved = cost_new < cost
             p, r, cost = p_new, r_new, cost_new
             trace.append(cost)
-            jac = numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi, central=True)
+            jac = jacobian_fn(p, r, central=True)
             if not improved:
                 break
 
@@ -255,6 +261,7 @@ def least_squares(
     scales=None,
     max_iterations=500,
     fixup=None,
+    jacobian=None,
 ):
     """Fit ``model(x, *params)`` to data by damped Gauss-Newton iteration.
 
@@ -281,6 +288,11 @@ def least_squares(
     fixup : callable, optional
         params -> params canonicalization applied to every candidate before
         evaluation (used e.g. to keep tau1 < tau2 ordered during g2 fits).
+    jacobian : callable, optional
+        jacobian(x, *params) -> (len(y), len(params)) array of the model's
+        partial derivatives, taken at the parameters the engine holds, i.e.
+        before ``fixup``: it must include the fixup's own derivative. It
+        replaces the finite differences (and ``scales``) where given.
 
     Returns
     -------
@@ -340,7 +352,16 @@ def least_squares(
         def jac_scales(_p):
             return fixed_scales
 
-    attempts = [_lm_iterate(residual_fn, p0, lo, hi, jac_scales, names, max_iterations)]
+    if jacobian is None:
+        def jacobian_fn(p, r, central=False):
+            return numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi, central)
+    else:
+        def jacobian_fn(p, _r, central=False):
+            with np.errstate(all="ignore"):
+                jac = np.asarray(jacobian(xdata, *p), dtype=float).reshape(y.size, n)
+            return jac * weights[:, None]
+
+    attempts = [_lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations)]
     if not attempts[0][5]:  # retry from jittered starts, deterministically
         rng = np.random.default_rng(1234)
         for _ in range(JITTER_RETRIES):
@@ -348,7 +369,7 @@ def least_squares(
             start = np.where(np.abs(start) > 0, start, 0.1 * rng.standard_normal(n))
             try:
                 attempts.append(
-                    _lm_iterate(residual_fn, start, lo, hi, jac_scales, names, max_iterations)
+                    _lm_iterate(residual_fn, jacobian_fn, start, lo, hi, names, max_iterations)
                 )
             except (DomainError, RankDeficiencyError):
                 pass
@@ -396,21 +417,84 @@ def g2_model(tau, a, tau1, tau2):
 def g2_model_irf(tau, a, tau1, tau2, irf_sigma):
     """g2 model convolved with a Gaussian timing kernel of width irf_sigma.
 
-    Direct quadrature on 121 kernel nodes truncated at 6 sigma; the weights are
-    renormalized so a flat model stays flat. Note that jitter applied
-    independently to each photon widens the *pair delay* kernel by sqrt(2)
-    relative to the single-photon jitter.
+    Closed form: each exponential convolved with the Gaussian is an
+    exponentially modified Gaussian (Grushka, Anal. Chem. 44, 1733 (1972)),
+    evaluated by ``_emg``; irf_sigma <= 0 gives g2_model. Note that jitter
+    applied independently to each photon widens the *pair delay* kernel by
+    sqrt(2) relative to the single-photon jitter.
     """
     if irf_sigma <= 0:
         return g2_model(tau, a, tau1, tau2)
-    s = np.linspace(-6.0 * irf_sigma, 6.0 * irf_sigma, 121)
-    w = np.exp(-0.5 * (s / irf_sigma) ** 2)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    w /= w.sum()
+    f, _ = _emg(tau, (tau1, tau2), irf_sigma)
+    return (1.0 - f[0]) + a * (f[1] - f[0])
+
+
+def g2_jacobian(tau, a, tau1, tau2, irf_sigma):
+    """Partial derivatives of g2_model_irf (g2_model where irf_sigma <= 0)
+    with respect to (a, tau1, tau2): one column each, on a last axis."""
+    if irf_sigma > 0:
+        f, df = _emg(tau, (tau1, tau2), irf_sigma, derivative=True)
+    else:
+        at = np.abs(np.asarray(tau, dtype=float))
+        t = np.reshape([tau1, tau2], (2,) + (1,) * at.ndim)
+        f = np.exp(-at / t)
+        df = f * at / t**2
+    return np.stack([f[1] - f[0], -(1.0 + a) * df[0], a * df[1]], axis=-1)
+
+
+def _erfcx(z):
+    """Scaled complementary error function exp(z^2) erfc(z) for z >= 0:
+    math.erfc below ERFCX_ASYMPTOTIC_Z, the asymptotic series to z^-8 above
+    (relative error 3e-13 at the switch)."""
+    out = np.empty_like(z)
+    near = z < ERFCX_ASYMPTOTIC_Z
+    zn = z[near]
+    out[near] = np.exp(zn * zn) * _erfc(zn).astype(float)
+    iz = 1.0 / z[~near]
+    w = 0.5 * iz * iz
+    out[~near] = iz / math.sqrt(math.pi) * (1.0 - w * (1.0 - 3.0 * w * (1.0 - 5.0 * w * (1.0 - 7.0 * w))))
+    return out
+
+
+def _emg(tau, lifetimes, sigma, derivative=False):
+    """F_T(tau), the convolution of exp(-|tau|/T) with a normal density of
+    width sigma, for each T in lifetimes (rows), and with derivative=True
+    also dF_T/dT (else None).
+
+    With u = tau/sigma and r = sigma/T, F_T = h(u) + h(-u), where
+    h(v) = 1/2 exp(r^2/2 - r v) erfc(z), z = (r - v)/sqrt(2). For z >= 0
+    h = 1/2 exp(-v^2/2) erfcx(z), taken as zero where the Gaussian factor
+    underflows; for z < 0 the exponent r^2/2 - r v is below -r^2/2, and
+    erfc(z) is evaluated only where that exponential is nonzero and z is
+    above ERFC_TWO_Z. So nothing overflows, and math.erfc runs only where
+    its value matters. dh/dr = (r - v) h - exp(-v^2/2)/sqrt(2 pi) reuses
+    the erfc values, and dF/dT = -(r/T) dF/dr.
+    """
     tau = np.asarray(tau, dtype=float)
-    shifted = tau[..., None] - s
-    return g2_model(shifted, a, tau1, tau2) @ w
+    u = tau.ravel() / sigma
+    v = np.concatenate([u, -u])
+    g = np.exp(-0.5 * v * v)
+    t = np.array(lifetimes, dtype=float)[:, None]
+    r = sigma / t
+    d = r - v
+    z = d / math.sqrt(2.0)
+    upper = z >= 0.0
+    lower = ~upper
+    h = np.exp(r * (0.5 * r - v), out=np.zeros(z.shape), where=lower)
+    c = np.full(z.shape, 2.0)
+    mid = lower & (z >= ERFC_TWO_Z) & (h > 0.0)
+    c[mid] = _erfc(z[mid]).astype(float)
+    h *= c
+    live = upper & (g > 0.0)
+    h[live] = np.broadcast_to(g, z.shape)[live] * _erfcx(z[live])
+    h *= 0.5
+    n = u.size
+    shape = (len(lifetimes),) + tau.shape
+    f = (h[:, :n] + h[:, n:]).reshape(shape)
+    if not derivative:
+        return f, None
+    dh = d * h - g / math.sqrt(2.0 * math.pi)
+    return f, (-(r / t) * (dh[:, :n] + dh[:, n:])).reshape(shape)
 
 
 def lorentzian_peak(x, center, fwhm, amplitude):
@@ -486,6 +570,18 @@ def _g2_fixup(p):
     return p
 
 
+def _g2_fit_jacobian(tau, a, tau1, tau2, irf_sigma):
+    """g2_jacobian at the parameters before _g2_fixup, the Jacobian of the
+    residual a g2 fit sees: where the fixup clips a its column is zero, and
+    where it swaps tau1 and tau2 their columns are exchanged."""
+    jac = g2_jacobian(tau, *_g2_fixup([a, tau1, tau2]), irf_sigma)
+    if a < 0:
+        jac[:, 0] = 0.0
+    if tau1 > tau2:
+        jac[:, [1, 2]] = jac[:, [2, 1]]
+    return jac
+
+
 def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None = None) -> FitResult:
     """Fit the two-exponential g2 model to a correlation curve.
 
@@ -493,7 +589,8 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
     ``irf_sigma`` is given the model is convolved with a Gaussian of that
     width on the delay axis (for histograms of pairwise delays between
     independently jittered photons this is sqrt(2) times the per-photon
-    jitter). Uses the curve's sigmas as weights when present.
+    jitter). Uses the curve's sigmas as weights when present, and the
+    analytic Jacobian of either model.
     """
     if irf_sigma is not None:
         irf_sigma = _number("irf_sigma", irf_sigma, "be non-negative")
@@ -514,6 +611,9 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
     else:
         model = g2_model
 
+    def jacobian(tau, a, tau1, tau2):
+        return _g2_fit_jacobian(tau, a, tau1, tau2, irf_sigma or 0.0)
+
     tiny = span * 1e-9
     return least_squares(
         model,
@@ -524,6 +624,7 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
         bounds=[(0.0, None), (tiny, None), (tiny, None)],
         names=("a", "tau1", "tau2"),
         fixup=_g2_fixup,
+        jacobian=jacobian,
     )
 
 

@@ -36,7 +36,10 @@ ENV_CAVITY = "cavity_coupled"
 
 
 def _as_float(value):
-    """float(value), an int beyond the float range taken as +-inf."""
+    """float(value), an int beyond the float range taken as +-inf. A string
+    is not a number, even where float() would parse it: TypeError."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"{type(value).__name__} is not a number")
     try:
         return float(value)
     except OverflowError:

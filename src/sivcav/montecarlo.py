@@ -60,6 +60,7 @@ from .models import (G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _float_
 
 RNG_SKIP = "philox4x64/skip-1"  # event skipping; also the tag of a file without one
 RNG_COXIAN = "philox4x64/cox-1"
+RNG_NONE = "none"  # a stream no sampler drew, such as one built by hand
 
 PS_PER_S = 1e12  # time tags of stream files are integer picoseconds
 MAX_PS = 2**51  # below it, float seconds resolve every picosecond
@@ -76,24 +77,41 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _channel_codes(tags):
+    """Whether every entry of the array tags is CHANNEL_ZPL or CHANNEL_PSB
+    (0 or 1); integer arrays are checked by their extremes, with no
+    temporary of their size."""
+    if tags.size == 0:
+        return True
+    kind = tags.dtype.kind
+    if kind in "bu":
+        return tags.max() <= 1
+    if kind == "i":
+        return tags.min() >= 0 and tags.max() <= 1
+    if kind not in "fO":  # strings, complex numbers, dates
+        return False
+    return bool(np.all((tags == CHANNEL_ZPL) | (tags == CHANNEL_PSB)))
+
+
 @dataclass(frozen=True, eq=False)
 class PhotonStream:
     """Detected photon timestamps (s) with per-photon channel tags.
 
-    channel_tags holds CHANNEL_ZPL / CHANNEL_PSB codes; ``seed`` is the seed
-    of the generating simulation and ``rng_algorithm`` names the generator so
-    streams can be reproduced.
+    channel_tags holds CHANNEL_ZPL / CHANNEL_PSB codes (whole numbers 0 or
+    1 of any dtype, stored as uint8); ``seed`` is the seed of the generating
+    simulation and ``rng_algorithm`` names the generator so streams can be
+    reproduced (RNG_NONE where no sampler drew the stream).
     """
 
     timestamps: np.ndarray
     channel_tags: np.ndarray
     duration: float
     seed: int
-    rng_algorithm: str = RNG_SKIP
+    rng_algorithm: str = RNG_NONE
 
     def __post_init__(self):
         bag = []
-        tags = np.asarray(self.channel_tags, dtype=np.uint8)
+        tags = np.asarray(self.channel_tags)
         (duration,) = _floats(self, bag, "duration")
         if duration <= 0:
             bag.append("duration must be positive")
@@ -103,13 +121,14 @@ class PhotonStream:
             bag.append("timestamps and channel_tags must align")
         (ts,) = _arrays(self, bag, "timestamps")
         if ts.size and np.all(np.isfinite(ts)):
-            if not np.all(np.diff(ts) >= 0):
+            if not np.all(ts[1:] >= ts[:-1]):
                 bag.append("timestamps must be sorted")
             elif ts[0] < 0 or ts[-1] > duration:
                 bag.append("timestamps must lie in [0, duration]")
-        if ts.size and not np.all(np.isin(tags, (CHANNEL_ZPL, CHANNEL_PSB))):
+        if not _channel_codes(tags):
             bag.append("channel_tags must be ZPL/PSB codes")
         _raise_if(bag)
+        tags = tags.astype(np.uint8, copy=False)
         object.__setattr__(self, "channel_tags", _read_only(tags, self.channel_tags))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -282,9 +301,8 @@ def simulate_stream(
         np.cumsum(t, out=t)
         t += t0
         kept = int(np.searchsorted(t, duration, side="right"))
-        zpl = rng.random(kept) < budget.zpl_fraction
         times.append(t[:kept])
-        tags.append(np.where(zpl, CHANNEL_ZPL, CHANNEL_PSB).astype(np.uint8))
+        tags.append((rng.random(kept) >= budget.zpl_fraction).astype(np.uint8))  # PSB = 1
         t0 = float(t[-1])
 
     return _handed_over(np.concatenate(times), np.concatenate(tags), duration, seed,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,7 +83,169 @@ class TestJacobian:
         assert rel < 1e-6
 
 
+    # g2 and g2-irf of MODEL_ZOO, and one point where _g2_fixup swaps tau1 and tau2
+    @pytest.mark.parametrize("irf_sigma, p", [
+        (0.0, np.array([0.8, 0.48e-9, 5e-9])),
+        (0.3e-9, np.array([0.8, 0.48e-9, 5e-9])),
+        (0.3e-9, np.array([0.8, 5e-9, 0.48e-9])),
+        (0.0, np.array([0.8, 5e-9, 0.48e-9])),
+    ], ids=["g2", "g2-irf", "g2-irf-swapped", "g2-swapped"])
+    def test_analytic_g2_jacobian_vs_central_difference(self, irf_sigma, p):
+        x = MODEL_ZOO[0][1]
+
+        def residual(q):
+            return fitting.g2_model_irf(x, *fitting._g2_fixup(q.copy()), irf_sigma)
+
+        analytic = fitting._g2_fit_jacobian(x, *p, irf_sigma)
+        central = central_jacobian(residual, p, p)
+        rel = np.max(np.abs(analytic - central) / np.max(np.abs(central), axis=0))
+        assert rel < 1e-7
+
+
+def g2_convolved_by_quadrature(tau, a, tau1, tau2, sigma):
+    """Reference for g2_model_irf: the kernel integral by adaptive quadrature
+    over +-12 sigma, split at the cusp of the model."""
+    from scipy.integrate import quad
+
+    def integrand(x, t):
+        return fitting.g2_model(t - sigma * x, a, tau1, tau2) * math.exp(-0.5 * x * x)
+
+    out = []
+    for t in tau:
+        cusp = [t / sigma] if abs(t) < 12.0 * sigma else None
+        value = quad(integrand, -12.0, 12.0, args=(t,), points=cusp, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        out.append(value / math.sqrt(2.0 * math.pi))
+    return np.array(out)
+
+
+def g2_convolved_by_erfcx(tau, a, tau1, tau2, sigma):
+    """Reference for g2_model_irf from SciPy's erfcx and erfc: each
+    exponential convolved with the Gaussian is sum over both signs of
+    1/2 exp(sigma^2/2T^2 -+ tau/T) erfc(z), z = (sigma/T -+ tau/sigma)/sqrt(2)."""
+    from scipy.special import erfc, erfcx
+
+    def convolved(lifetime):
+        total = 0.0
+        for sign in (1.0, -1.0):
+            z = (sigma / lifetime - sign * tau / sigma) / math.sqrt(2.0)
+            exponent = np.minimum(0.5 * (sigma / lifetime) ** 2 - sign * tau / lifetime, 0.0)
+            total = total + 0.5 * np.where(
+                z >= 0.0,
+                np.exp(-0.5 * (tau / sigma) ** 2) * erfcx(np.abs(z)),
+                np.exp(exponent) * erfc(z),
+            )
+        return total
+
+    return 1.0 - (1.0 + a) * convolved(tau1) + a * convolved(tau2)
+
+
+class TestG2ModelIrf:
+    # (a, tau1, tau2, sigma): criterion 08 on and off resonance, a kernel
+    # far wider and one far narrower than tau1
+    CASES = [
+        (0.057, 179e-12, 19.7e-9, math.sqrt(2.0) * 296e-12),
+        (0.153, 446e-12, 15.4e-9, math.sqrt(2.0) * 296e-12),
+        (0.8, 0.48e-9, 5e-9, 5e-9),
+        (0.8, 0.48e-9, 5e-9, 3e-12),
+    ]
+
+    @pytest.mark.parametrize("a, tau1, tau2, sigma", CASES)
+    def test_matches_scipy_erfcx_oracle(self, a, tau1, tau2, sigma):
+        tau = np.linspace(-60e-9, 60e-9, 2401)
+        model = fitting.g2_model_irf(tau, a, tau1, tau2, sigma)
+        assert np.max(np.abs(model - g2_convolved_by_erfcx(tau, a, tau1, tau2, sigma))) < 1e-7
+
+    @pytest.mark.parametrize("a, tau1, tau2, sigma", CASES)
+    def test_matches_dense_quadrature(self, a, tau1, tau2, sigma):
+        tau = np.concatenate([np.linspace(-3e-9, 3e-9, 31), [0.0, 1e-13, -20e-9, 45e-9]])
+        model = fitting.g2_model_irf(tau, a, tau1, tau2, sigma)
+        assert np.max(np.abs(model - g2_convolved_by_quadrature(tau, a, tau1, tau2, sigma))) < 1e-7
+
+    def test_zero_or_negative_width_is_g2_model(self):
+        tau = np.linspace(-20e-9, 20e-9, 101)
+        plain = fitting.g2_model(tau, 0.8, 0.48e-9, 5e-9)
+        for sigma in (0.0, -1e-9):
+            assert np.array_equal(fitting.g2_model_irf(tau, 0.8, 0.48e-9, 5e-9, sigma), plain)
+
+    def test_shape_of_tau_kept(self):
+        tau = np.linspace(-5e-9, 5e-9, 12).reshape(3, 4)
+        model = fitting.g2_model_irf(tau, 0.8, 0.48e-9, 5e-9, 0.3e-9)
+        assert model.shape == (3, 4)
+        assert model.ravel() == pytest.approx(fitting.g2_model_irf(tau.ravel(), 0.8, 0.48e-9, 5e-9, 0.3e-9))
+        assert fitting.g2_jacobian(tau, 0.8, 0.48e-9, 5e-9, 0.3e-9).shape == (3, 4, 3)
+        assert fitting.g2_model_irf(1e-9, 0.8, 0.48e-9, 5e-9, 0.3e-9).shape == ()
+
+    def test_erfcx_against_scipy(self):
+        from scipy.special import erfcx
+
+        z = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(1e-3, 1e8, 1101)])
+        assert np.max(np.abs(fitting._erfcx(z) / erfcx(z) - 1.0)) < 1e-12
+
+    def test_no_warning_and_finite_on_the_grid(self):
+        # lifetimes from 1e-4 to 1e4 kernel widths, delays out to 1e4 widths
+        sigma = 0.4e-9
+        tau = np.concatenate([-np.geomspace(1e-6, 1e4, 200)[::-1], [0.0], np.geomspace(1e-6, 1e4, 200)]) * sigma
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            for tau1 in np.geomspace(1e-4, 1e4, 9) * sigma:
+                for a in (0.0, 0.8):
+                    model = fitting.g2_model_irf(tau, a, tau1, 3.0 * tau1, sigma)
+                    jac = fitting.g2_jacobian(tau, a, tau1, 3.0 * tau1, sigma)
+                    assert np.all(np.isfinite(model)) and np.all(np.isfinite(jac))
+                    assert np.all(model >= -1e-15) and np.all(model <= 1.0 + a + 1e-15)
+
+    def test_irf_fit_makes_few_model_evaluations(self, monkeypatch, rng):
+        # one value per trial step and an analytic Jacobian: a fall-back to
+        # difference columns would take about 50 evaluations
+        tau = np.linspace(-60e-9, 60e-9, 2401)
+        sigma = math.sqrt(2.0) * 296e-12
+        clean = fitting.g2_model_irf(tau, 0.15, 446e-12, 15.4e-9, sigma)
+        curve = G2Curve(tau, np.clip(clean + rng.normal(0.0, 0.02, tau.size), 0.0, None),
+                        np.full(tau.size, 0.02))
+        counts = {"model": 0, "jacobian": 0}
+        least_squares = fitting.least_squares
+
+        def counting(model, *args, jacobian, **kwargs):
+            def counted_model(*p):
+                counts["model"] += 1
+                return model(*p)
+
+            def counted_jacobian(*p):
+                counts["jacobian"] += 1
+                return jacobian(*p)
+
+            return least_squares(counted_model, *args, jacobian=counted_jacobian, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", counting)
+        fit = fitting.fit_g2(curve, irf_sigma=sigma)
+        assert fit.converged
+        assert fit["tau1"] == pytest.approx(446e-12, rel=0.05)
+        assert counts["model"] <= 20
+        assert 0 < counts["jacobian"] <= counts["model"]
+
+
 class TestEngine:
+    def test_analytic_jacobian_replaces_differences(self):
+        x = np.linspace(0.0, 10.0, 60)
+        true = (2.5, -1.2, 0.4)
+        calls = []
+
+        def model(x, a, b, c):
+            calls.append((a, b, c))
+            return a * np.exp(-c * x) + b
+
+        def jacobian(x, a, b, c):
+            e = np.exp(-c * x)
+            return np.stack([e, np.ones_like(x), -a * x * e], axis=-1)
+
+        fit = fitting.least_squares(model, x, model(x, *true), [1.0, 0.0, 0.2], jacobian=jacobian)
+        assert fit.converged
+        assert fit.values == pytest.approx(true, rel=1e-10)
+        # the data, the first value, one per trial step (a rejected step
+        # costs one more) and the polish steps; difference columns would add
+        # three calls per iteration
+        assert len(calls) <= 2 * fit.iterations + 4
+
     def test_noiseless_self_fit(self):
         x = np.linspace(0.0, 10.0, 60)
         true = (2.5, -1.2, 0.4)

@@ -420,6 +420,13 @@ def test_int_beyond_float_range_is_not_finite(make, expected):
     assert err.value.violations == expected
 
 
+def test_numeric_strings_are_not_numbers():
+    # float() would parse each of them; a field of a type takes numbers only
+    with pytest.raises(ValidationError) as err:
+        ThreeLevelRates("1e8", b"2e9", "0", 5e7)
+    assert err.value.violations == ["k12 is not a number", "k21 is not a number", "k23 is not a number"]
+
+
 @pytest.mark.parametrize("counts, expected", [
     ([1.5], ["counts must be whole numbers"]),
     (np.array([0.25]), ["counts must be whole numbers"]),
@@ -491,7 +498,7 @@ def test_non_finite_argument_raises_domain_error(function, argument):
     a value that is no number ends it with its repr."""
     call, kwargs = valid_call(function)
     call(**kwargs)
-    non_numbers = [("abc", "'abc'"), ([1.0], "[1.0]")]
+    non_numbers = [("abc", "'abc'"), ("1", "'1'"), (b"1", "b'1'"), ([1.0], "[1.0]")]
     if argument != "irf_sigma":  # there None means no kernel
         non_numbers.append((None, "None"))
     for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (10**400, "inf"), *non_numbers):

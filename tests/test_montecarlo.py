@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.stats import ks_1samp
 
 from sivcav import _table, dynamics, montecarlo
-from sivcav.errors import DomainError, InputFormatError
+from sivcav.errors import DomainError, InputFormatError, ValidationError
 from sivcav.models import RadiativeBudget, ThreeLevelRates
 
 
@@ -178,6 +178,30 @@ def gap_cubic(rates, q_detect):
     return (k12 + k21 + k23 + k31,
             k12 * k23 + q_detect * k12 * k21 + k12 * k31 + (k21 + k23) * k31,
             q_detect * k12 * k21 * k31)
+
+
+class TestPhotonStream:
+    @pytest.mark.parametrize("tags", [[257, -255], [0.5, 1.7], [0, 2], [-1, 0], [0.0, np.nan],
+                                      ["ZPL", "PSB"], [1 + 0j, 0j]],
+                             ids=["wrap-around", "fractions", "two", "negative", "nan", "labels",
+                                  "complex"])
+    def test_tags_other_than_zero_or_one_rejected(self, tags):
+        with pytest.raises(ValidationError) as err:
+            montecarlo.PhotonStream([1e-6, 2e-6], tags, 1e-5, 0)
+        assert err.value.violations == ["channel_tags must be ZPL/PSB codes"]
+
+    @pytest.mark.parametrize("tags", [[0, 1], np.array([0, 1], dtype=np.int64), [0.0, 1.0], [False, True],
+                                      np.array([0, 1], dtype=np.uint8)])
+    def test_whole_zero_or_one_tags_stored_as_uint8(self, tags):
+        stream = montecarlo.PhotonStream([1e-6, 2e-6], tags, 1e-5, 0)
+        assert stream.channel_tags.dtype == np.uint8
+        assert stream.channel_tags.tolist() == [0, 1]
+
+    def test_unsorted_timestamps_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            montecarlo.PhotonStream([2e-6, 1e-6, 3e-6], [0, 1, 0], 1e-5, 0)
+        assert err.value.violations == ["timestamps must be sorted"]
+        assert len(montecarlo.PhotonStream([1e-6, 1e-6], [0, 1], 1e-5, 0)) == 2  # ties are sorted
 
 
 class TestGapSampler:
@@ -432,6 +456,14 @@ class TestStreamIO:
         path = tmp_path / "untagged.csv"
         path.write_text("# duration_s=1e-05\n# time_unit=ps\n1000000,ZPL\n")
         assert montecarlo.load_stream(path)[0].rng_algorithm == "philox4x64/skip-1"
+
+    def test_stream_built_by_hand_names_no_sampler(self, tmp_path):
+        stream = montecarlo.PhotonStream(np.array([1e-6]), np.array([0], dtype=np.uint8), 1e-5, 0)
+        assert stream.rng_algorithm == montecarlo.RNG_NONE == "none"
+        path = tmp_path / "hand.csv"
+        montecarlo.save_stream(stream, path)
+        assert "# rng=none\n" in path.read_text()
+        assert montecarlo.load_stream(path)[0].rng_algorithm == "none"
 
     @pytest.mark.parametrize("duration", [0.019, 2e-5, 1e-4, 0.1 + 0.2, 2e-5 + 0.7e-12])
     def test_photons_at_the_end_of_the_window(self, tmp_path, duration):
