@@ -177,14 +177,15 @@ _REASONS = {
 class _Spectra(NamedTuple):
     """Relaxation spectra for an array of pump rates, one entry each: g2 =
     1 - (1 + a) e^(lam_fast t) + a e^(lam_slow t), a = b / (lam_slow - lam_fast),
-    and ``code`` a status from _VALID to _NEGATIVE_A. Entries with bad rates
-    hold NaN or inf."""
+    ``code`` a status from _VALID to _NEGATIVE_A and q = g2'(0) = P / k31.
+    Entries with bad rates hold NaN or inf."""
 
     lam_fast: np.ndarray
     lam_slow: np.ndarray
     a: np.ndarray
     b: np.ndarray
     code: np.ndarray
+    q: np.ndarray
 
     def raise_invalid(self, i):
         raise DomainError(_REASONS[self.code[i]].format(a=float(self.a[i])))
@@ -224,7 +225,7 @@ def _relaxation_spectra(k12, k21, k23, k31) -> _Spectra:
     code[~(k12 > 0.0)] = _NO_POPULATION  # assigned last to first: the first failing check wins
     code[complex_] = _COMPLEX
     code[~(rates_ok & np.isfinite(k12) & (k12 >= 0.0))] = _BAD_RATES
-    return _Spectra(lam_fast, lam_slow, a, b, code)
+    return _Spectra(lam_fast, lam_slow, a, b, code, q)
 
 
 def g2_analytic(rates: ThreeLevelRates, delays) -> G2Curve:
@@ -311,12 +312,64 @@ def power_sweep(rates_at_unit_power: ThreeLevelRates, pump: PumpModel, powers) -
     return PowerSweep(powers, tuple(_g2_params(s)))
 
 
-def _sweep_observables(powers, k21, k23, k31, sigma):
+def _sweep_spectra(powers, k21, k23, k31, sigma) -> _Spectra:
+    return _relaxation_spectra(sigma * np.asarray(powers), k21, k23, k31)
+
+
+def _sweep_observables(powers, k21, k23, k31, sigma, spectra=None):
     """(tau1..., tau2..., a...) over powers; inf in every slot of a power
-    without a two-exponential form, which rejects the parameter point."""
-    params, ok = _g2_param_arrays(_relaxation_spectra(sigma * np.asarray(powers), k21, k23, k31))
+    without a two-exponential form, which rejects the parameter point.
+    ``spectra`` is _sweep_spectra of the same arguments, where the caller
+    holds it."""
+    if spectra is None:
+        spectra = _sweep_spectra(powers, k21, k23, k31, sigma)
+    params, ok = _g2_param_arrays(spectra)
     params[:, ~ok] = np.inf
     return params.ravel()
+
+
+def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra=None):
+    """The (3n, 4) derivative of _sweep_observables, rows in its order, by
+    (k21, k23, k31, sigma); ``spectra`` as there.
+
+    A root of lam^2 + S lam + P moves by dlam = -(dS lam + dP)/(2 lam + S),
+    where 2 lam + S is -gap for lam_fast and +gap for lam_slow, gap =
+    lam_slow - lam_fast; then dtau = dlam / lam^2, and a = b / gap gives
+    da = (db - a dgap) / gap. Where a >= 0, q + lam_fast and q + lam_slow
+    share the sign of their product q k12 k23 / k31 and differ by gap >= 0,
+    so _relaxation_spectra takes b from the product form
+    q k12 k23 / (k31 (q + lam_slow)), and db is taken from it too: it does
+    not cancel where b does. At k23 = 0 the roots are labelled by mode, gap
+    = k12 + k21 - k31 may be negative, and da is the one-sided derivative
+    into k23 > 0 along that labelling. The a <= 0 fold zeroes the a row
+    where a < 0, and powers without a two-exponential form get zero rows:
+    their inf observables reject the point before a Jacobian is asked for.
+    """
+    if spectra is None:
+        spectra = _sweep_spectra(powers, k21, k23, k31, sigma)
+    lam_fast, lam_slow, a, b, _, q = spectra
+    powers = np.asarray(powers, dtype=float)
+    k12 = sigma * powers
+    one = np.ones_like(k12)
+    # derivatives of S, P and q = P / k31 by (k21, k23, k31, sigma), one row each
+    ds = np.array([one, one, one, powers])
+    dp = np.array([k31 * one, k12 + k31, k12 + k21 + k23, powers * (k23 + k31)])
+    dq = np.array([one, 1.0 + k12 / k31, -(k12 / k31) * (k23 / k31), powers * (1.0 + k23 / k31)])
+    with np.errstate(all="ignore"):  # rows of powers without a form are zeroed below
+        gap = lam_slow - lam_fast
+        d_fast = (ds * lam_fast + dp) / gap
+        d_slow = -(ds * lam_slow + dp) / gap
+        other = q + lam_slow
+        db = (k12 * k23) * dq
+        db[1] += q * k12
+        db[3] += q * k23 * powers
+        db = db / (k31 * other) - b * (dq + d_slow) / other
+        db[2] -= b / k31
+        da = (db - a * (d_slow - d_fast)) / gap
+        jac = np.concatenate([d_fast / lam_fast**2, d_slow / lam_slow**2, np.where(a < 0.0, 0.0, da)], axis=1).T
+    _, ok = _g2_param_arrays(spectra)
+    jac[~np.tile(ok, 3)] = 0.0
+    return jac
 
 
 def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
@@ -324,7 +377,9 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
 
     Residuals are relative for the time constants and scaled by a floor for
     the bunching amplitude, so all three observables contribute comparably.
-    Raises RankDeficiencyError naming the parameter when the sweep does not
+    The fit takes the analytic Jacobian of the sweep model, which reuses the
+    spectra of the model call at the same parameters. Raises
+    RankDeficiencyError naming the parameter when the sweep does not
     identify it.
     """
     usable = [(p, g) for p, g in zip(sweep.powers, sweep.params) if g is not None]
@@ -350,8 +405,19 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
         k23_0 = 0.0
     k21_0 = max(intercept - k23_0, 0.1 * intercept)
 
-    def model(_x, k21, k23, k31, sigma):
-        return _sweep_observables(powers, k21, k23, k31, sigma)
+    held = {}  # the spectra of the last parameters, which the Jacobian reuses
+
+    def spectra(rates):
+        if rates not in held:
+            held.clear()
+            held[rates] = _sweep_spectra(powers, *rates)
+        return held[rates]
+
+    def model(_x, *rates):
+        return _sweep_observables(powers, *rates, spectra=spectra(rates))
+
+    def jacobian(_x, *rates):
+        return _sweep_jacobian(powers, *rates, spectra=spectra(rates))
 
     # the amplitude-based heuristic can land where the relaxation eigenvalues
     # turn complex; fall back to progressively blander starting points
@@ -379,7 +445,7 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
         sigma=sig,
         bounds=[(eps, None), (0.0, None), (eps, None), (eps, None)],
         names=("k21", "k23", "k31", "sigma"),
-        scales=(intercept, intercept, k31_0, sigma0),
+        jacobian=jacobian,
     )
     k21, k23, k31, sigma = (float(v) for v in fit.values)
     rates = ThreeLevelRates(0.0, k21, k23, k31)

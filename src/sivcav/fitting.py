@@ -3,25 +3,27 @@
 The engine is a damped Gauss-Newton iteration with a Levenberg-Marquardt
 trust parameter, the model's analytic Jacobian where the caller supplies
 one and numerical forward-difference Jacobians otherwise (step
-sqrt(machine epsilon) times a per-parameter scale, from the residual the
-engine holds at p), box bounds held as a lower and an upper array that every
-trial step is clipped to, and an accept/reject rule that never lets the cost
-increase. A parameter on a bound whose descent direction points out of the
-box is held there: the step is solved on the free parameters and the
-gradient test looks at theirs only, so a fit whose optimum lies on a bound
-converges. Convergence is declared when the
-projected gradient vanishes, the relative parameter step falls below
-STEP_RTOL or the relative cost decrease falls below COST_RTOL; a fit that
-does not converge is retried from JITTER_RETRIES jittered starting points.
-One central-difference (or analytic) Jacobian, retaken only after a polish
-step moves p, serves the polish and the covariance. Weighting is 1/sigma^2
-with uncertainties and uniform otherwise.
+sqrt(machine epsilon) times max(|p|, |p0|) per parameter, from the residual
+the engine holds at p), box bounds held as a lower and an upper array that
+every trial step is clipped to, and an accept/reject rule that never lets
+the cost increase. A parameter on a bound whose descent direction points
+out of the box is held there: the step is solved on the free parameters and
+the gradient test looks at theirs only, so a fit whose optimum lies on a
+bound converges. Convergence is declared when the projected gradient
+vanishes, the relative parameter step falls below STEP_RTOL or the relative
+cost decrease falls below COST_RTOL; a fit that does not converge is retried
+from JITTER_RETRIES jittered starting points. One central-difference (or
+analytic) Jacobian, retaken only after a polish step moves p, serves the
+polish and the covariance. Weighting is 1/sigma^2 with uncertainties and
+uniform otherwise.
 
-On top of the engine sit the fitters used throughout the package: the
-two-exponential g2 model, optionally convolved with a Gaussian instrument
-response in closed form (exponentially modified Gaussians) and fitted with
-its analytic Jacobian, multi-Lorentzian spectra, cos^2 polarization scans,
-and two-parameter saturation curves.
+On top of the engine sit the fitters used throughout the package, each
+with its model's analytic Jacobian: the two-exponential g2 model,
+optionally convolved with a Gaussian instrument response in closed form
+(exponentially modified Gaussians), multi-Lorentzian spectra, cos^2
+polarization scans and two-parameter saturation curves. The zero-power
+sweep fit of ``dynamics`` passes its own. Finite differences serve only
+models that callers bring themselves.
 """
 
 from __future__ import annotations
@@ -258,7 +260,6 @@ def least_squares(
     sigma=None,
     bounds=None,
     names=None,
-    scales=None,
     max_iterations=500,
     fixup=None,
     jacobian=None,
@@ -281,18 +282,15 @@ def least_squares(
         gradient is left out of the step.
     names : sequence of str, optional
         Parameter names used in results and error messages.
-    scales : array_like, optional
-        Characteristic magnitude per parameter, used to size the numerical
-        Jacobian steps; defaults to |p0| (1.0 where p0 is zero). Supply these
-        when a parameter legitimately starts at zero on a non-unit scale.
     fixup : callable, optional
         params -> params canonicalization applied to every candidate before
         evaluation (used e.g. to keep tau1 < tau2 ordered during g2 fits).
     jacobian : callable, optional
         jacobian(x, *params) -> (len(y), len(params)) array of the model's
         partial derivatives, taken at the parameters the engine holds, i.e.
-        before ``fixup``: it must include the fixup's own derivative. It
-        replaces the finite differences (and ``scales``) where given.
+        before ``fixup``: it must include the fixup's own derivative. Without
+        it the engine takes finite differences, stepping each parameter by
+        its magnitude max(|p|, |p0|) (1.0 where both are zero).
 
     Returns
     -------
@@ -339,22 +337,12 @@ def least_squares(
             pred = np.asarray(model(xdata, *p), dtype=float).ravel()
         return (pred - y) * weights
 
-    if scales is None:
+    if jacobian is None:
         base_scales = np.where(np.abs(p0) > 0, np.abs(p0), 1.0)
 
-        def jac_scales(p):
-            return np.maximum(np.abs(p), base_scales)
-    else:
-        fixed_scales = np.abs(np.asarray(scales, dtype=float))
-        if fixed_scales.shape != p0.shape or np.any(fixed_scales <= 0):
-            raise DomainError("scales must be positive and match p0 in length")
-
-        def jac_scales(_p):
-            return fixed_scales
-
-    if jacobian is None:
         def jacobian_fn(p, r, central=False):
-            return numerical_jacobian(residual_fn, p, r, jac_scales(p), lo, hi, central)
+            scales = np.maximum(np.abs(p), base_scales)
+            return numerical_jacobian(residual_fn, p, r, scales, lo, hi, central)
     else:
         def jacobian_fn(p, _r, central=False):
             with np.errstate(all="ignore"):
@@ -468,7 +456,10 @@ def _emg(tau, lifetimes, sigma, derivative=False):
     erfc(z) is evaluated only where that exponential is nonzero and z is
     above ERFC_TWO_Z. So nothing overflows, and math.erfc runs only where
     its value matters. dh/dr = (r - v) h - exp(-v^2/2)/sqrt(2 pi) reuses
-    the erfc values, and dF/dT = -(r/T) dF/dr.
+    the erfc values, and dF/dT = -(r/T) dF/dr. For z >= ERFCX_ASYMPTOTIC_Z
+    the two terms of dh/dr nearly cancel, so there it is taken as
+    exp(-v^2/2)/sqrt(2 pi) (sqrt(pi) z erfcx(z) - 1), the bracket straight
+    from the series of _erfcx: -w (1 - 3w (1 - 5w (1 - 7w))), w = 1/(2 z^2).
     """
     tau = np.asarray(tau, dtype=float)
     u = tau.ravel() / sigma
@@ -493,7 +484,11 @@ def _emg(tau, lifetimes, sigma, derivative=False):
     f = (h[:, :n] + h[:, n:]).reshape(shape)
     if not derivative:
         return f, None
-    dh = d * h - g / math.sqrt(2.0 * math.pi)
+    gauss = np.broadcast_to(g, z.shape) / math.sqrt(2.0 * math.pi)
+    dh = d * h - gauss
+    far = live & (z >= ERFCX_ASYMPTOTIC_Z)
+    w = 1.0 / (d[far] * d[far])
+    dh[far] = -gauss[far] * w * (1.0 - 3.0 * w * (1.0 - 5.0 * w * (1.0 - 7.0 * w)))
     return f, (-(r / t) * (dh[:, :n] + dh[:, n:])).reshape(shape)
 
 
@@ -516,16 +511,54 @@ def multi_lorentzian(x, *params):
     return out
 
 
+def multi_lorentzian_jacobian(x, *params):
+    """Partial derivatives of multi_lorentzian with respect to its params,
+    one column each on a last axis. With hw = fwhm/2, d = x - center,
+    den = d^2 + hw^2 and L = hw^2/den, a peak's columns are 2 A L d/den
+    (center), A hw d^2/den^2 (fwhm) and L (amplitude); the baseline's is 1."""
+    x = np.asarray(x, dtype=float)
+    jac = np.empty(x.shape + (len(params),))
+    for k in range(0, len(params) - 1, 3):
+        center, fwhm, amplitude = params[k:k + 3]
+        hw = fwhm / 2.0
+        d = x - center
+        den = d * d + hw * hw
+        lor = hw * hw / den
+        g = amplitude * lor / den
+        jac[..., k] = 2.0 * g * d
+        jac[..., k + 1] = g * d * d / hw
+        jac[..., k + 2] = lor
+    jac[..., -1] = 1.0
+    return jac
+
+
 def cos2_model(phi_deg, phi0, i_max, i_min):
     """Polarizer transmission i_min + (i_max - i_min) cos^2(phi - phi0)."""
     c = np.cos(np.radians(np.asarray(phi_deg, dtype=float) - phi0))
     return i_min + (i_max - i_min) * c**2
 
 
+def cos2_jacobian(phi_deg, phi0, i_max, i_min):
+    """Partial derivatives of cos2_model with respect to (phi0, i_max,
+    i_min): (i_max - i_min) sin(2 (phi - phi0)) pi/180, cos^2 and sin^2."""
+    theta = np.radians(np.asarray(phi_deg, dtype=float) - phi0)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([(i_max - i_min) * (2.0 * c * s) * (math.pi / 180.0), c * c, s * s], axis=-1)
+
+
 def saturation_model(power, r_inf, p_sat):
     """Two-level saturation curve r_inf * P / (P + P_sat)."""
     power = np.asarray(power, dtype=float)
     return r_inf * power / (power + p_sat)
+
+
+def saturation_jacobian(power, r_inf, p_sat):
+    """Partial derivatives of saturation_model with respect to (r_inf,
+    p_sat): P/(P + P_sat) and -r_inf P/(P + P_sat)^2."""
+    power = np.asarray(power, dtype=float)
+    total = power + p_sat
+    fraction = power / total
+    return np.stack([fraction, -r_inf * fraction / total], axis=-1)
 
 
 def fold_angle(angle_deg):
@@ -651,8 +684,6 @@ def fit_lorentzians(spectrum: PLSpectrum, n_peaks: int, init, poisson_weights=Fa
     p0 = []
     names = []
     bounds = []
-    scales = []
-    amp_scale = max(float(counts.max() - counts.min()), 1.0)
     for k, item in enumerate(init, start=1):
         if np.isscalar(item):
             center, fwhm, amp = float(item), span / 20.0, None
@@ -668,17 +699,13 @@ def fit_lorentzians(spectrum: PLSpectrum, n_peaks: int, init, poisson_weights=Fa
         p0 += [center, fwhm, amp]
         names += [f"center_{k}", f"fwhm_{k}", f"amplitude_{k}"]
         bounds += [(lo, hi), (span * 1e-6, span), (None, None)]
-        # a center moves the model on the linewidth scale, not on the scale
-        # of its own absolute value
-        scales += [fwhm, fwhm, max(abs(amp), 0.05 * amp_scale)]
     p0.append(baseline0)
     names.append("baseline")
     bounds.append((None, None))
-    scales.append(max(abs(baseline0), 0.05 * amp_scale))
     sigma = poisson_sigmas(counts) if poisson_weights else None
     return least_squares(
         multi_lorentzian, wl, counts, p0,
-        sigma=sigma, bounds=bounds, names=tuple(names), scales=scales,
+        sigma=sigma, bounds=bounds, names=tuple(names), jacobian=multi_lorentzian_jacobian,
     )
 
 
@@ -724,7 +751,9 @@ def _cos2_fixup(p):
 def fit_cos2(scan: PolarizationScan) -> FitResult:
     """Fit I(phi) = i_min + (i_max - i_min) cos^2(phi - phi0) to a scan.
 
-    phi0 is reported in the canonical range (-90, 90].
+    phi0 is reported in the canonical range (-90, 90]. _cos2_fixup leaves
+    the curve unchanged, so the residual's Jacobian is cos2_jacobian at the
+    parameters before it.
     """
     if scan.angles.size < 5:
         raise DomainError("cos^2 fit needs at least 5 angles")
@@ -742,6 +771,7 @@ def fit_cos2(scan: PolarizationScan) -> FitResult:
         bounds=[(-270.0, 270.0), (0.0, None), (0.0, None)],
         names=("phi0", "i_max", "i_min"),
         fixup=_cos2_fixup,
+        jacobian=cos2_jacobian,
     )
 
 
@@ -774,4 +804,5 @@ def fit_saturation(curve: SaturationCurve) -> FitResult:
         [r_inf0, p_sat0],
         bounds=[(0.0, None), (1e-12, None)],
         names=("r_inf", "p_sat"),
+        jacobian=saturation_jacobian,
     )

@@ -88,12 +88,20 @@ def _floats(obj, bag, *names):
     return values
 
 
-def _float_array(given):
-    """np.asarray(given, dtype=float), an int beyond the float range taken as +-inf."""
+def _float_array(bag, name, given):
+    """np.asarray(given, dtype=float), but a string, bytes or object array
+    is converted entry by entry as _floats converts a scalar: an int beyond
+    the float range is +-inf, and where an entry is not a number (a numeric
+    string included) "<name> is not a number" goes into bag and the array
+    is zeros, a stand-in that the bag's violation discards."""
+    array = np.asarray(given)
+    if array.dtype.kind not in "OSU":
+        return np.asarray(array, dtype=float)
     try:
-        return np.asarray(given, dtype=float)
-    except OverflowError:
-        return np.vectorize(_as_float, otypes=[float])(np.asarray(given, dtype=object))
+        return np.vectorize(_as_float, otypes=[float])(array.astype(object))
+    except (TypeError, ValueError):
+        bag.append(f"{name} is not a number")
+        return np.zeros(array.shape)
 
 
 def _read_only(value, given):
@@ -111,7 +119,7 @@ def _arrays(obj, bag, *names):
     values = []
     for name in names:
         given = getattr(obj, name)
-        value = _float_array(given)
+        value = _float_array(bag, name, given)
         if value.size and not np.all(np.isfinite(value)):
             bag.append(f"{name} contains non-finite entries")
         value = _read_only(value, given)

@@ -166,7 +166,7 @@ class HbtHistogram:
         if np.can_cast(given.dtype, np.int64):
             counts = given.astype(np.int64, copy=False)
         else:  # floats, uint64, or ints beyond int64 as objects
-            values = _float_array(given)
+            values = _float_array(bag, "counts", given)
             fraction = values != np.floor(values)  # NaN included
             beyond = np.abs(values) >= 2.0**63
             if np.any(fraction):

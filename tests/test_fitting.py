@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -101,6 +102,177 @@ class TestJacobian:
         rel = np.max(np.abs(analytic - central) / np.max(np.abs(central), axis=0))
         assert rel < 1e-7
 
+    # the Lorentzian, cos^2 and saturation points of MODEL_ZOO with their
+    # scales, two overlapping Lorentzians, a cos^2 point where _cos2_fixup
+    # swaps i_max and i_min, and one on the i_min = 0 bound, stepped on the
+    # scale of i_max
+    @pytest.mark.parametrize("model, jacobian, fixup, x, p, scales", [
+        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, None, *MODEL_ZOO[2][1:]),
+        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, None, np.linspace(725.0, 755.0, 300),
+         np.array([735.0, 1.5, 500.0, 746.0, 3.0, 300.0, 30.0]),
+         np.array([1.5, 1.5, 500.0, 3.0, 3.0, 300.0, 30.0])),
+        (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup, *MODEL_ZOO[3][1:]),
+        (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup,
+         MODEL_ZOO[3][1], np.array([20.0, 15.0, 120.0]), np.array([20.0, 15.0, 120.0])),
+        (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup,
+         MODEL_ZOO[3][1], np.array([20.0, 120.0, 0.0]), np.array([20.0, 120.0, 120.0])),
+        (fitting.saturation_model, fitting.saturation_jacobian, None, *MODEL_ZOO[4][1:]),
+    ], ids=["lorentzian", "two-lorentzians", "cos2", "cos2-swapped", "cos2-bound", "saturation"])
+    def test_analytic_model_jacobian_vs_central_difference(self, model, jacobian, fixup, x, p, scales):
+        def residual(q):
+            return model(x, *(q if fixup is None else fixup(q.copy())))
+
+        analytic = jacobian(x, *p)
+        central = central_jacobian(residual, p, scales)
+        rel = np.max(np.abs(analytic - central) / np.max(np.abs(central), axis=0))
+        assert rel < 1e-7
+
+
+SWEEP_POWERS = np.array([0.1, 0.3, 0.6, 1.0, 1.6, 2.4])
+
+
+def count_fit_calls(monkeypatch):
+    """Counts of the model and Jacobian calls of the fits that follow, made
+    through a patched fitting.least_squares; a fit that passes no
+    jacobian= raises TypeError."""
+    counts = {"model": 0, "jacobian": 0}
+    least_squares = fitting.least_squares
+
+    def counting(model, *args, jacobian, **kwargs):
+        def counted_model(*p):
+            counts["model"] += 1
+            return model(*p)
+
+        def counted_jacobian(*p):
+            counts["jacobian"] += 1
+            return jacobian(*p)
+
+        return least_squares(counted_model, *args, jacobian=counted_jacobian, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", counting)
+    return counts
+
+
+class TestFewModelCalls:
+    # with analytic Jacobians a fit makes one model call per trial step;
+    # difference columns would take about 73 (sweep) and 430 (two peaks)
+    def test_zero_power_extrapolation(self, monkeypatch, rng):
+        sweep = dynamics.power_sweep(ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6), dynamics.PumpModel(1.5e9),
+                                     SWEEP_POWERS)
+        noisy = dynamics.PowerSweep(SWEEP_POWERS, tuple(
+            G2Params(g.tau1 * (1 + 0.01 * rng.standard_normal()), g.tau2 * (1 + 0.01 * rng.standard_normal()),
+                     g.a * (1 + 0.01 * rng.standard_normal()))
+            for g in sweep.params))
+        counts = count_fit_calls(monkeypatch)
+        for data in (sweep, noisy):
+            counts.update(model=0, jacobian=0)
+            zero = dynamics.extrapolate_zero_power(data)
+            assert zero.fit.converged
+            assert zero.rates.k21 == pytest.approx(2.2e9, rel=0.05)
+            assert counts["model"] <= 25
+            assert 0 < counts["jacobian"] <= counts["model"]
+
+    def test_two_lorentzians(self, monkeypatch, rng):
+        wl = np.linspace(725.0, 755.0, 1400)
+        clean = (30.0 + fitting.lorentzian_peak(wl, 735.0, 1.5, 500.0)
+                 + fitting.lorentzian_peak(wl, 746.0, 3.0, 300.0))
+        counts = count_fit_calls(monkeypatch)
+        for y, weights in ((clean, False), (rng.poisson(clean).astype(float), True)):
+            counts.update(model=0, jacobian=0)
+            fit = fitting.fit_lorentzians(PLSpectrum(wl, y), 2, [734.0, 747.0], poisson_weights=weights)
+            assert fit.converged
+            assert fit["center_1"] == pytest.approx(735.0, abs=0.05)
+            assert counts["model"] <= 25
+            assert 0 < counts["jacobian"] <= counts["model"]
+
+
+def exact_sweep_observables(powers, k21, k23, k31, sigma):
+    """(tau1..., tau2..., a...) in 60-digit arithmetic, with the roots
+    labelled by mode: tau1 belongs to the root that continues -(k12 + k21)
+    from k23 = 0, whichever root is faster."""
+    tau1, tau2, a = [], [], []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for power in powers:
+            k12 = sigma * Decimal(float(power))
+            s = k12 + k21 + k23 + k31
+            p = k12 * (k23 + k31) + (k21 + k23) * k31
+            root = ((k12 + k21 + k23 - k31) ** 2 - 4 * k12 * k23).sqrt()
+            bright, shelf = sorted((-(s + root) / 2, -(s - root) / 2), key=lambda lam: abs(lam + k12 + k21))
+            tau1.append(-1 / bright)
+            tau2.append(-1 / shelf)
+            a.append((p / k31 + bright) / (shelf - bright))
+    return tau1 + tau2 + a
+
+
+class TestSweepJacobian:
+    # (k21, k23, k31, sigma): the criterion-07 style interior point; a small
+    # k23, where q + lam_fast cancels to below 1e-3 of q and b takes the
+    # product form; the k23 = 0 bound with k12 + k21 > k31; and with k31 the
+    # faster root
+    POINTS = [
+        (2.2e9, 0.3e9, 60e6, 1.5e9),
+        (2.2e9, 2.2e4, 60e6, 1.5e9),
+        (2.2e9, 0.0, 60e6, 1.5e9),
+        (1e8, 0.0, 5e9, 1.5e9),
+    ]
+    IDS = ["interior", "product-branch", "k23-zero", "k23-zero-k31-fast"]
+
+    @pytest.mark.parametrize("point", POINTS, ids=IDS)
+    def test_vs_central_difference(self, point):
+        p = np.array(point)
+        analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *p)
+        free = p > 0.0  # k23 = 0 is a bound: no central difference in it
+
+        def residual(q):
+            full = p.copy()
+            full[free] = q
+            return dynamics._sweep_observables(SWEEP_POWERS, *full)
+
+        central = central_jacobian(residual, p[free], p[free])
+        # the response to a relative change of each parameter, relative to the
+        # largest within each observable: a central difference resolves a
+        # column that barely moves an observable only to its round-off there
+        for rows in np.split(np.arange(analytic.shape[0]), 3):
+            error = np.abs(analytic[rows][:, free] - central[rows]) * p[free]
+            assert np.max(error) <= 1e-7 * np.max(np.abs(central[rows]) * p[free])
+
+    @pytest.mark.parametrize("point", POINTS, ids=IDS)
+    def test_vs_60_digit_arithmetic(self, point):
+        # one-sided differences with steps of 1e-30 relative in 60 digits, so
+        # the k23 column at the bound is the derivative into k23 > 0 along the
+        # mode labelling. Each column is held to its largest entry within each
+        # observable, floored at 1e-20 of the observable's largest entry for
+        # the oracle's own rounding where a column vanishes.
+        theta = [Decimal(v) for v in point]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            base = exact_sweep_observables(SWEEP_POWERS, *theta)
+            columns = []
+            for j in range(4):
+                step = (theta[j] or theta[0]) * Decimal("1e-30")
+                moved = exact_sweep_observables(SWEEP_POWERS, *(t + step * (i == j) for i, t in enumerate(theta)))
+                columns.append([float((m - b) / step) for m, b in zip(moved, base)])
+        exact = np.array(columns).T
+        analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *point)
+        for rows in np.split(np.arange(exact.shape[0]), 3):
+            block = np.abs(exact[rows])
+            scale = np.maximum(block.max(axis=0), 1e-20 * block.max())
+            assert np.all(np.abs(analytic[rows] - exact[rows]) <= 1e-7 * scale)
+        if point[1] == 0.0:  # the a <= 0 fold must not zero the derivative into k23 > 0
+            assert np.all(analytic[2 * SWEEP_POWERS.size:, 1] > 0.0)
+
+    def test_spectra_are_reused(self):
+        spectra = dynamics._sweep_spectra(SWEEP_POWERS, *self.POINTS[0])
+        assert np.array_equal(dynamics._sweep_jacobian(SWEEP_POWERS, *self.POINTS[0]),
+                              dynamics._sweep_jacobian(SWEEP_POWERS, *self.POINTS[0], spectra=spectra))
+
+    def test_small_k23_point_takes_the_product_branch(self):
+        s = dynamics._sweep_spectra(SWEEP_POWERS, *self.POINTS[1])
+        assert np.all(s.code == dynamics._VALID)
+        assert np.all(np.abs(s.q + s.lam_fast) < 1e-3 * s.q)
+        assert np.all(np.abs(s.q + s.lam_fast) < np.abs(s.q + s.lam_slow))
+
 
 def g2_convolved_by_quadrature(tau, a, tau1, tau2, sigma):
     """Reference for g2_model_irf: the kernel integral by adaptive quadrature
@@ -137,6 +309,29 @@ def g2_convolved_by_erfcx(tau, a, tau1, tau2, sigma):
         return total
 
     return 1.0 - (1.0 + a) * convolved(tau1) + a * convolved(tau2)
+
+
+def exact_emg_derivative(tau, lifetime, sigma):
+    """dF/dT of the exponential exp(-|tau|/T) convolved with a normal density
+    of width sigma, in 60-digit arithmetic: F = h(u) + h(-u), u = tau/sigma,
+    r = sigma/T, dF/dT = -(r/T) sum of dh/dr = (r - v) h - exp(-v^2/2)/sqrt(2 pi),
+    h = 1/2 exp(-v^2/2) erfcx(z), z = (r - v)/sqrt(2) > 0, with erfcx from
+    its Laplace continued fraction."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        tau, lifetime, sigma = (Decimal(float(v)) for v in (tau, lifetime, sigma))
+        r = sigma / lifetime
+        total = Decimal(0)
+        for v in (tau / sigma, -tau / sigma):
+            z = (r - v) / Decimal(2).sqrt()
+            assert z > 5
+            fraction = z
+            for n in range(400, 0, -1):
+                fraction = z + Decimal(n) / 2 / fraction
+            gauss = (-v * v / 2).exp()
+            total += (r - v) * gauss / (2 * pi.sqrt() * fraction) - gauss / (2 * pi).sqrt()
+        return -(r / lifetime) * total
 
 
 class TestG2ModelIrf:
@@ -181,6 +376,16 @@ class TestG2ModelIrf:
         z = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(1e-3, 1e8, 1101)])
         assert np.max(np.abs(fitting._erfcx(z) / erfcx(z) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("ratio", [1e3, 1e4, 1e6])
+    def test_lifetime_derivative_far_below_the_kernel_width(self, ratio):
+        # z >= ERFCX_ASYMPTOTIC_Z: the two terms of dh/dr cancel to w = 1/(2 z^2)
+        # of each other, which the direct series avoids
+        sigma = 0.4e-9
+        tau = np.linspace(-4.0, 4.0, 17) * sigma
+        _, df = fitting._emg(tau, (sigma / ratio,), sigma, derivative=True)
+        exact = [exact_emg_derivative(t, sigma / ratio, sigma) for t in tau]
+        assert max(float(abs(Decimal(float(v)) - e) / abs(e)) for v, e in zip(df[0], exact)) < 1e-12
+
     def test_no_warning_and_finite_on_the_grid(self):
         # lifetimes from 1e-4 to 1e4 kernel widths, delays out to 1e4 widths
         sigma = 0.4e-9
@@ -202,21 +407,7 @@ class TestG2ModelIrf:
         clean = fitting.g2_model_irf(tau, 0.15, 446e-12, 15.4e-9, sigma)
         curve = G2Curve(tau, np.clip(clean + rng.normal(0.0, 0.02, tau.size), 0.0, None),
                         np.full(tau.size, 0.02))
-        counts = {"model": 0, "jacobian": 0}
-        least_squares = fitting.least_squares
-
-        def counting(model, *args, jacobian, **kwargs):
-            def counted_model(*p):
-                counts["model"] += 1
-                return model(*p)
-
-            def counted_jacobian(*p):
-                counts["jacobian"] += 1
-                return jacobian(*p)
-
-            return least_squares(counted_model, *args, jacobian=counted_jacobian, **kwargs)
-
-        monkeypatch.setattr(fitting, "least_squares", counting)
+        counts = count_fit_calls(monkeypatch)
         fit = fitting.fit_g2(curve, irf_sigma=sigma)
         assert fit.converged
         assert fit["tau1"] == pytest.approx(446e-12, rel=0.05)

@@ -427,6 +427,18 @@ def test_numeric_strings_are_not_numbers():
     assert err.value.violations == ["k12 is not a number", "k21 is not a number", "k23 is not a number"]
 
 
+def test_numeric_strings_in_array_fields_are_not_numbers():
+    with pytest.raises(ValidationError) as err:
+        PLSpectrum(['730', '731'], ['1', '2'])
+    assert err.value.violations[:2] == ["wavelengths is not a number", "intensities is not a number"]
+    with pytest.raises(ValidationError) as err:
+        PLSpectrum(np.array([730.0, 731.0]), np.array([b"1", b"2"]))
+    assert err.value.violations == ["intensities is not a number"]
+    with pytest.raises(ValidationError) as err:
+        montecarlo.HbtHistogram([0.0, 1.0], ["1"], 1.0)
+    assert err.value.violations == ["counts is not a number"]
+
+
 @pytest.mark.parametrize("counts, expected", [
     ([1.5], ["counts must be whole numbers"]),
     (np.array([0.25]), ["counts must be whole numbers"]),
