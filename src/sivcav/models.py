@@ -93,8 +93,14 @@ def _float_array(bag, name, given):
     is converted entry by entry as _floats converts a scalar: an int beyond
     the float range is +-inf, and where an entry is not a number (a numeric
     string included) "<name> is not a number" goes into bag and the array
-    is zeros, a stand-in that the bag's violation discards."""
-    array = np.asarray(given)
+    is zeros, a stand-in that the bag's violation discards. Nested sequences
+    of unequal lengths put "<name> is ragged" into bag, with zeros of the
+    outer length as the stand-in."""
+    try:
+        array = np.asarray(given)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        bag.append(f"{name} is ragged")
+        return np.zeros(len(given))
     if array.dtype.kind not in "OSU":
         return np.asarray(array, dtype=float)
     try:

@@ -9,14 +9,14 @@ q = (1 - p_shelf) * eta_qe * eta_det. After a detection the emitter is in
 the ground state, so the gaps are independent and identically distributed,
 and simulate_stream draws them with one of two exact samplers:
 
-- Coxian (tag philox4x64/cox-1). The gap's Laplace transform is
+- Coxian (tag sfc64/cox-1). The gap's Laplace transform is
   q_d k12 k21 (s + k31) / det(sI - S), with q_d = eta_qe * eta_det and S the
   generator of the chain between detections. Where the cubic det(sI - S)
   has real roots -mu1 > -mu2 > -mu3, this is a 3-phase Coxian (Cumani,
   Microelectron. Reliab. 22, 583 (1982)): the gap is
   E3/mu3 + E2/mu2 + [U < beta1] E1/mu1, beta1 = 1 - mu1/k31, from three
   standard exponentials E and one uniform U. Equal roots give an Erlang.
-- Event skipping (tag philox4x64/skip-1), the fallback where the cubic has
+- Event skipping (tag sfc64/skip-1), the fallback where the cubic has
   complex roots: K ~ Geometric(q) cycles, of which M ~ Binomial(K - 1,
   p_dark) shelved, take Gamma(K, 1/k12) + Gamma(K, 1/(k21 + k23)) +
   Gamma(M, 1/k31).
@@ -24,11 +24,11 @@ and simulate_stream draws them with one of two exact samplers:
 The sign of the cubic's discriminant, with a bound on its round-off, picks
 the sampler; the stream's rng_algorithm names the one that ran.
 
-Randomness comes from the counter-based Philox generator, so streams are
+Randomness comes from numpy's SFC64 generator, so streams are
 bit-reproducible from their seed. Each sampler draws in a fixed order per
 batch of photons (Coxian: the three exponentials, U, channel coin; event
-skipping: K, M, the three gamma waits, channel coin); a new order means a
-new tag, which saved streams record.
+skipping: K, M, the three gamma waits, channel coin); a new generator or
+order means a new tag, which saved streams record. Old tags still load.
 
 Streams and histograms are stored as CSV through the package's one table
 reader and writer. A stream file holds one row per photon with its timestamp
@@ -58,8 +58,9 @@ from .errors import DomainError, InputFormatError, ValidationError
 from .models import (G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _float_array, _floats,
                      _number, _raise_if, _read_only)
 
-RNG_SKIP = "philox4x64/skip-1"  # event skipping; also the tag of a file without one
-RNG_COXIAN = "philox4x64/cox-1"
+RNG_SKIP = "sfc64/skip-1"  # event skipping
+RNG_COXIAN = "sfc64/cox-1"
+RNG_LEGACY = "philox4x64/skip-1"  # the tag of a stream file without an rng header
 RNG_NONE = "none"  # a stream no sampler drew, such as one built by hand
 
 PS_PER_S = 1e12  # time tags of stream files are integer picoseconds
@@ -74,7 +75,7 @@ MODE_START_STOP = "start-stop"
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def _channel_codes(tags):
@@ -115,11 +116,13 @@ class PhotonStream:
         (duration,) = _floats(self, bag, "duration")
         if duration <= 0:
             bag.append("duration must be positive")
-        if np.ndim(self.timestamps) != 1 or tags.ndim != 1:
+        own = []  # faults of the timestamps' entries, listed after the shape's
+        (ts,) = _arrays(self, own, "timestamps")
+        if ts.ndim != 1 or tags.ndim != 1:
             bag.append("timestamps and channel_tags must be 1-D")
-        if np.shape(self.timestamps) != tags.shape:
+        if ts.shape != tags.shape:
             bag.append("timestamps and channel_tags must align")
-        (ts,) = _arrays(self, bag, "timestamps")
+        bag += own
         if ts.size and np.all(np.isfinite(ts)):
             if not np.all(ts[1:] >= ts[:-1]):
                 bag.append("timestamps must be sorted")
@@ -276,8 +279,7 @@ def simulate_stream(
             t = rng.standard_exponential(n)
             t /= mu3
             t += rng.standard_exponential(n) / mu2
-            phase1 = rng.standard_exponential(n) / mu1
-            np.add(t, phase1, out=t, where=rng.random(n) < beta1)
+            np.add(t, rng.standard_exponential(n) / mu1, out=t, where=rng.random(n) < beta1)
             return t
     else:
         # P(shelved | undetected); p_shelf / (1 - q) can round above 1 at q_detect = 1
@@ -319,14 +321,15 @@ def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStr
     sigma_irf = _number("sigma_irf", sigma_irf, "be non-negative")
     if sigma_irf == 0.0 or len(stream) == 0:
         return stream
-    rng = _rng(seed)
-    jittered = stream.timestamps + rng.normal(0.0, sigma_irf, len(stream))
-    inside = (jittered >= 0.0) & (jittered <= stream.duration)
-    jittered = jittered[inside]
-    tags = stream.channel_tags[inside]
+    jittered = _rng(seed).standard_normal(len(stream))
+    jittered *= sigma_irf
+    jittered += stream.timestamps  # t + normal(0, sigma, n), bit for bit
     order = np.argsort(jittered, kind="stable")
-    return _handed_over(jittered[order], tags[order], stream.duration, stream.seed,
-                        stream.rng_algorithm)
+    jittered = jittered[order]
+    # the photons inside [0, duration]: a slice, ordered as a stable sort of them alone
+    inside = slice(jittered.searchsorted(0.0), jittered.searchsorted(stream.duration, "right"))
+    return _handed_over(jittered[inside], stream.channel_tags[order[inside]], stream.duration,
+                        stream.seed, stream.rng_algorithm)
 
 
 def correlate(
@@ -354,35 +357,32 @@ def correlate(
     window = _number("window", window, "be positive")
     if not bin_width <= window:
         raise DomainError("need 0 < bin_width <= window")
-    t = stream.timestamps
-    n = t.size
-    duration = stream.duration
+    t, n, duration = stream.timestamps, len(stream), stream.duration
 
     if mode == MODE_FULL:
         n_half = max(int(round(window / bin_width)), 1)
         limit = (n_half + 0.5) * bin_width
         pos_edges = np.concatenate(([0.0], (np.arange(n_half + 1) + 0.5) * bin_width))
         pos_counts = np.zeros(n_half + 1, dtype=np.int64)
-        k = 1
-        while k < n:
-            d = t[k:] - t[:-k]
-            if float(d.min()) > limit:
-                break
-            pos_counts += np.histogram(d[d <= limit], pos_edges)[0]
+        # lag k keeps the i with t[i + k] - t[i] <= limit: t is sorted, so they are among lag k-1's
+        d, k = t[1:] - t[:-1], 1
+        start = np.flatnonzero(d <= limit)
+        d = d[start]
+        while start.size:
+            pos_counts += np.histogram(d, pos_edges)[0]
             k += 1
-        counts = np.empty(2 * n_half + 1, dtype=np.int64)
-        counts[n_half] = 2 * pos_counts[0]
-        counts[n_half + 1 :] = pos_counts[1:]
-        counts[:n_half] = pos_counts[1:][::-1]
+            start = start[: np.searchsorted(start, n - k)]  # start + k < n
+            d = t[start + k] - t[start]
+            within = d <= limit
+            start, d = start[within], d[within]
+        counts = np.concatenate((pos_counts[:0:-1], [2 * pos_counts[0]], pos_counts[1:]))
         edges = (np.arange(-n_half, n_half + 2) - 0.5) * bin_width
-        rate = n / duration
-        normalization = rate**2 * duration * bin_width
+        normalization = (n / duration) ** 2 * duration * bin_width
         return HbtHistogram(edges, counts, normalization, MODE_FULL)
 
     if mode == MODE_START_STOP:
         coin = _rng(seed).random(n) < 0.5
-        starts = t[coin]
-        stops = t[~coin]
+        starts, stops = t[coin], t[~coin]
         if starts.size == 0 or stops.size == 0:
             raise DomainError("start-stop split left one detector empty")
         idx = np.searchsorted(stops, starts, side="right")
@@ -482,7 +482,7 @@ def load_stream(path):
         times = times / PS_PER_S
     try:
         stream = _handed_over(times, table.columns[1].astype(np.uint8), duration, seed,
-                              meta.get("rng", RNG_SKIP))
+                              meta.get("rng", RNG_LEGACY))
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None
     return stream, meta

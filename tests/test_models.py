@@ -439,6 +439,17 @@ def test_numeric_strings_in_array_fields_are_not_numbers():
     assert err.value.violations == ["counts is not a number"]
 
 
+def test_ragged_array_fields_are_violations():
+    # nested lists of unequal length have no array shape; numpy's ValueError
+    # must not escape the constructor
+    with pytest.raises(ValidationError) as err:
+        PLSpectrum([[730.0, 731.0], [732.0]], [1.0, 2.0])
+    assert err.value.violations[0] == "wavelengths is ragged"
+    with pytest.raises(ValidationError) as err:
+        montecarlo.PhotonStream([[1e-6], [2e-6, 3e-6]], [0, 1], 1e-5, 0)
+    assert err.value.violations == ["timestamps is ragged"]
+
+
 @pytest.mark.parametrize("counts, expected", [
     ([1.5], ["counts must be whole numbers"]),
     (np.array([0.25]), ["counts must be whole numbers"]),

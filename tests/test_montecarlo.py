@@ -223,10 +223,16 @@ class TestGapSampler:
     ])
     def test_sampler_of_each_rate_set(self, rates, budget, det, tag):
         stream = montecarlo.simulate_stream(rates, budget, 1e-5, det, seed=1)
-        assert stream.rng_algorithm == f"philox4x64/{tag}"
+        assert stream.rng_algorithm == f"sfc64/{tag}"
         assert montecarlo.apply_jitter(stream, 1e-10, seed=2).rng_algorithm == stream.rng_algorithm
         roots = np.roots([1.0, *gap_cubic(rates, budget.eta_qe * det)])
         assert np.any(roots.imag != 0.0) == (tag == "skip-1")
+
+    def test_tags_name_the_bit_generator(self):
+        # a stream's tag must say which generator drew it
+        name = type(montecarlo._rng(0).bit_generator).__name__.lower()
+        for tag in (montecarlo.RNG_SKIP, montecarlo.RNG_COXIAN):
+            assert tag.split("/")[0] == name
 
     def test_fallback_matches_phase_type_oracle(self):
         stream = montecarlo.simulate_stream(COMPLEX_ROOT_RATES, FULLY_RADIATIVE, 0.012, 0.5, seed=25)
@@ -305,6 +311,38 @@ class TestApplyJitter:
         with pytest.raises(DomainError):
             montecarlo.apply_jitter(stream, -1e-12, seed=1)
 
+    @staticmethod
+    def mask_then_sort(stream, sigma, seed):
+        """Oracle over the same normal draws: drop the photons jittered
+        outside [0, duration], then a stable sort of those left. Also
+        returns the jittered times of all photons."""
+        jittered = stream.timestamps + montecarlo._rng(seed).normal(0.0, sigma, len(stream))
+        inside = (jittered >= 0.0) & (jittered <= stream.duration)
+        order = np.argsort(jittered[inside], kind="stable")
+        return jittered[inside][order], stream.channel_tags[inside][order], jittered
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_photons_jittered_out_at_both_ends(self, seed):
+        stream = poisson_stream(5e9, 1e-6, seed)
+        jittered = montecarlo.apply_jitter(stream, 1e-7, seed=seed + 10)
+        times, tags, everyone = self.mask_then_sort(stream, 1e-7, seed + 10)
+        assert np.any(everyone < 0.0) and np.any(everyone > stream.duration)
+        assert np.array_equal(jittered.timestamps, times)
+        assert np.array_equal(jittered.channel_tags, tags)
+
+    def test_equal_jittered_times_keep_the_order_of_their_tags(self):
+        # offsets far below half an ulp leave the photons at 0.25, 0.5 and
+        # 1.0 where they were; those at 0 drop out or move up
+        ts = np.repeat([0.0, 0.25, 0.5, 1.0], 300)
+        stream = montecarlo.PhotonStream(ts, np.random.default_rng(6).integers(0, 2, ts.size), 1.0, 0)
+        jittered = montecarlo.apply_jitter(stream, 1e-30, seed=4)
+        times, tags, _everyone = self.mask_then_sort(stream, 1e-30, 4)
+        assert np.array_equal(jittered.timestamps, times)
+        assert np.array_equal(jittered.channel_tags, tags)
+        for t in (0.25, 0.5, 1.0):
+            assert np.array_equal(jittered.channel_tags[jittered.timestamps == t],
+                                  stream.channel_tags[ts == t])
+
 
 def poisson_stream(rate, duration, seed):
     rng = np.random.Generator(np.random.Philox(seed))
@@ -312,6 +350,69 @@ def poisson_stream(rate, duration, seed):
     ts = np.sort(rng.uniform(0.0, duration, n))
     tags = (rng.random(n) < 0.5).astype(np.uint8)
     return montecarlo.PhotonStream(ts, tags, duration, seed)
+
+
+def per_lag_counts(stream, bin_width, window):
+    """Oracle for full-mode counts: one pass over all n - k pairs per lag k,
+    until a lag has no pair within the window."""
+    t, n = stream.timestamps, len(stream)
+    n_half = max(int(round(window / bin_width)), 1)
+    limit = (n_half + 0.5) * bin_width
+    pos_edges = np.concatenate(([0.0], (np.arange(n_half + 1) + 0.5) * bin_width))
+    pos_counts = np.zeros(n_half + 1, dtype=np.int64)
+    k = 1
+    while k < n:
+        d = t[k:] - t[:-k]
+        if float(d.min()) > limit:
+            break
+        pos_counts += np.histogram(d[d <= limit], pos_edges)[0]
+        k += 1
+    counts = np.empty(2 * n_half + 1, dtype=np.int64)
+    counts[n_half] = 2 * pos_counts[0]
+    counts[n_half + 1 :] = pos_counts[1:]
+    counts[:n_half] = pos_counts[1:][::-1]
+    return counts
+
+
+class TestCorrelateAgainstPerLagOracle:
+    """Full mode over a shrinking candidate set counts what one pass per lag
+    counts, bin for bin."""
+
+    @staticmethod
+    def check(stream, bin_width, window):
+        counts = montecarlo.correlate(stream, bin_width, window).counts
+        assert np.array_equal(counts, per_lag_counts(stream, bin_width, window))
+        return counts
+
+    @pytest.mark.parametrize("window", [60e-9, 2e-6])
+    def test_deltas_on_the_bin_edges(self, window):
+        # integer picoseconds on a 0.5 ns grid: with 1 ns bins, every other
+        # delta lies on a bin edge, up to the rounding of the seconds
+        ps = np.sort(np.random.default_rng(3).integers(0, 200_000, 20_000)) * 500
+        stream = montecarlo.PhotonStream(ps / 1e12, np.zeros(ps.size), 1e-4, 0)
+        counts = self.check(stream, 1e-9, window)
+        assert counts.sum() > 0
+
+    def test_dense_stream(self):
+        stream = poisson_stream(3e8, 2e-4, seed=5)  # rate * window = 30
+        self.check(stream, 2e-9, 100e-9)
+
+    @pytest.mark.parametrize("ts", [[5e-7], [2e-7, 3e-7]])
+    def test_one_and_two_photons(self, ts):
+        stream = montecarlo.PhotonStream(np.array(ts), np.zeros(len(ts)), 1e-6, 0)
+        self.check(stream, 1e-8, 1e-7)
+
+    def test_no_pair_within_the_window(self):
+        stream = montecarlo.PhotonStream(np.arange(10) * 1e-6, np.zeros(10), 1e-5, 0)
+        assert not self.check(stream, 1e-8, 1e-7).any()
+
+    def test_pair_exactly_at_the_limit(self):
+        # limit = (n_half + 0.5) * bin_width is the last bin's outer edge
+        limit = (10 + 0.5) * 0.25
+        for dt in (limit, np.nextafter(limit, np.inf)):
+            stream = montecarlo.PhotonStream(np.array([1.0, 1.0 + dt]), np.zeros(2), 10.0, 0)
+            counts = self.check(stream, 0.25, 2.5)
+            assert counts.sum() == (2 if dt == limit else 0)
 
 
 class TestCorrelate:
@@ -437,7 +538,7 @@ class TestStreamIO:
     def test_old_rng_tag_loads_and_is_kept(self, tmp_path):
         # float-seconds files from before the picosecond format, by any
         # sampler: the per-cycle one tagged without a suffix
-        assert (montecarlo.RNG_SKIP, montecarlo.RNG_COXIAN) == ("philox4x64/skip-1", "philox4x64/cox-1")
+        assert (montecarlo.RNG_SKIP, montecarlo.RNG_COXIAN) == ("sfc64/skip-1", "sfc64/cox-1")
         path, again = tmp_path / "old.csv", tmp_path / "again.csv"
         for tag in ("philox4x64", "philox4x64/skip-1", "philox4x64/cox-1"):
             path.write_text(f"# seed=3\n# rng={tag}\n# duration_s=1e-05\n"
