@@ -12,10 +12,13 @@ the gradient test looks at theirs only, so a fit whose optimum lies on a
 bound converges. Convergence is declared when the projected gradient
 vanishes, the relative parameter step falls below STEP_RTOL or the relative
 cost decrease falls below COST_RTOL; a fit that does not converge is retried
-from JITTER_RETRIES jittered starting points. One central-difference (or
-analytic) Jacobian, retaken only after a polish step moves p, serves the
-polish and the covariance. Weighting is 1/sigma^2 with uncertainties and
-uniform otherwise.
+from JITTER_RETRIES jittered starting points. A trial step whose cost is nan
+or inf is rejected like one that raises the cost. One central-difference
+Jacobian, retaken only after a polish step moves p, serves the polish and
+the covariance; an analytic Jacobian is not taken again at the point where
+the engine already holds it. The attempts run under one np.errstate per fit
+that silences floating-point warnings (the covariance is computed outside
+it). Weighting is 1/sigma^2 with uncertainties and uniform otherwise.
 
 On top of the engine sit the fitters used throughout the package, each
 with its model's analytic Jacobian: the two-exponential g2 model,
@@ -55,7 +58,8 @@ class FitResult:
 
     ``residual_norm`` is the root of the weighted sum of squared residuals;
     ``cost_trace`` records the cost after every accepted iteration (it is
-    non-increasing by construction).
+    non-increasing by construction). ``nfev`` and ``njev`` count the calls
+    of the model and of its analytic Jacobian; ``to_dict`` leaves them out.
     """
 
     names: tuple[str, ...]
@@ -66,6 +70,8 @@ class FitResult:
     converged: bool
     cost_trace: tuple[float, ...]
     dof: int
+    nfev: int
+    njev: int
 
     def __getitem__(self, name):
         return float(self.values[self.names.index(name)])
@@ -125,19 +131,18 @@ def numerical_jacobian(func, p, r0, scales, lo, hi, central=False):
 
 
 def _singular_direction_names(jac, names):
+    """Names of the parameters that make up the Jacobian's weakest direction."""
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     if s[0] == 0.0:
-        return list(names), 0.0
-    ratio = s[-1] / s[0]
+        return list(names)
     v = np.abs(vt[-1])
-    involved = [names[j] for j in range(len(names)) if v[j] >= 0.3 * v.max()]
-    return involved, ratio
+    return [names[j] for j in range(len(names)) if v[j] >= 0.3 * v.max()]
 
 
 def _cost(r):
-    # a finite but huge residual squares to inf, which the accept rule rejects
-    with np.errstate(all="ignore"):
-        return 0.5 * float(r @ r)
+    # a finite but huge residual squares to inf, which the accept rule
+    # rejects; the fit's errstate keeps the overflow quiet
+    return 0.5 * float(r @ r)
 
 
 def _held(p, grad, lo, hi):
@@ -150,10 +155,11 @@ def _held(p, grad, lo, hi):
     return low & (grad > 0) | high & (grad < 0)
 
 
-def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations):
-    p = np.clip(p0, lo, hi)
+def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations, analytic):
+    n = p0.size
+    p = np.minimum(np.maximum(p0, lo), hi)
     r = residual_fn(p)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise DomainError("residuals are not finite at the initial parameters")
     cost = _cost(r)
     trace = [cost]
@@ -162,8 +168,10 @@ def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations):
     iterations = 0
 
     jac = jacobian_fn(p, r)
-    involved, ratio = _singular_direction_names(jac, names)
-    if ratio < RANK_TOL:
+    jac_at = p  # the point jac was taken at
+    s = np.linalg.svd(jac, compute_uv=False)
+    if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
+        involved = _singular_direction_names(jac, names)
         raise RankDeficiencyError(
             "singular normal equations: parameters "
             + ", ".join(involved)
@@ -179,34 +187,39 @@ def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations):
             grad[held] = 0.0  # parameters: their rows solve to a zero step
             normal[held] = 0.0
             normal[:, held] = 0.0
-        if np.max(np.abs(grad)) < 1e-14 * max(1.0, cost):
+        if np.abs(grad).max() < 1e-14 * max(1.0, cost):
             converged = True
             break
-        diag = np.diag(normal).copy()
-        floor = diag.max() if diag.max() > 0 else 1.0
+        diag = normal.diagonal().copy()
+        floor = diag.max()
+        if not floor > 0:
+            floor = 1.0
         diag[diag <= 0] = floor * 1e-12
+        descent = -grad
         accepted = False
         while lam <= MAX_DAMPING:
+            damped = normal.copy()
+            damped.reshape(-1)[:: n + 1] += lam * diag
             try:
-                delta = np.linalg.solve(normal + lam * np.diag(diag), -grad)
+                delta = np.linalg.solve(damped, descent)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            p_new = np.clip(p + delta, lo, hi)
+            p_new = np.minimum(np.maximum(p + delta, lo), hi)
             r_new = residual_fn(p_new)
-            if np.all(np.isfinite(r_new)):
-                cost_new = _cost(r_new)
-                if cost_new < cost:
-                    accepted = True
-                    break
-                if cost_new == cost:
-                    converged = True
-                    break
+            cost_new = _cost(r_new)  # nan where r_new holds a nan: rejected
+            if cost_new < cost:
+                accepted = True
+                break
+            if cost_new == cost and (cost_new < math.inf or np.isfinite(r_new).all()):
+                converged = True
+                break
             lam *= 10.0
         if not accepted:
             break
         iterations += 1
-        step_rel = float(np.linalg.norm(p_new - p)) / (float(np.linalg.norm(p)) + 1e-300)
+        d = p_new - p
+        step_rel = math.sqrt(float(d @ d)) / (math.sqrt(float(p @ p)) + 1e-300)
         cost_rel = (cost - cost_new) / max(cost, 1e-300)
         p, r, cost = p_new, r_new, cost_new
         trace.append(cost)
@@ -216,8 +229,10 @@ def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations):
             break
         if iterations < max_iterations:
             jac = jacobian_fn(p, r)
+            jac_at = p
 
-    jac = jacobian_fn(p, r, central=True)
+    if not (analytic and jac_at is p):  # differences are retaken centrally
+        jac = jacobian_fn(p, r, central=True)
     if converged:
         # a few undamped Gauss-Newton polish steps remove the residual bias
         # that forward-difference noise and the trust parameter leave on
@@ -230,17 +245,15 @@ def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations):
                 delta[free] = np.linalg.lstsq(jac[:, free], -r, rcond=None)[0]
             except np.linalg.LinAlgError:
                 break
-            if not np.all(np.isfinite(delta)):
+            if not np.isfinite(delta).all():
                 break
-            p_new = np.clip(p + delta, lo, hi)
-            if np.array_equal(p_new, p):  # the step rounds away: same cost, no model call
+            p_new = np.minimum(np.maximum(p + delta, lo), hi)
+            if (p_new == p).all():  # the step rounds away: same cost, no model call
                 trace.append(cost)
                 break
             r_new = residual_fn(p_new)
-            if not np.all(np.isfinite(r_new)):
-                break
             cost_new = _cost(r_new)
-            if cost_new > cost:
+            if not cost_new <= cost or (cost_new == math.inf and not np.isfinite(r_new).all()):
                 break
             improved = cost_new < cost
             p, r, cost = p_new, r_new, cost_new
@@ -294,7 +307,9 @@ def least_squares(
 
     Returns
     -------
-    FitResult with covariance = (Jt W J)^-1 scaled by the reduced chi-square.
+    FitResult with covariance = (Jt W J)^-1 scaled by the reduced chi-square,
+    ``nfev`` the model evaluations (difference columns included) and
+    ``njev`` the evaluations of ``jacobian``, both summed over all attempts.
 
     Raises
     ------
@@ -330,11 +345,14 @@ def least_squares(
             raise DomainError(f"bound for {names[j]} has lo > hi")
         raise DomainError(f"initial value of {names[j]} violates its bounds")
 
+    nfev = njev = 0
+
     def residual_fn(p):
+        nonlocal nfev
+        nfev += 1
         if fixup is not None:
             p = fixup(p.copy())
-        with np.errstate(all="ignore"):
-            pred = np.asarray(model(xdata, *p), dtype=float).ravel()
+        pred = np.asarray(model(xdata, *p), dtype=float).ravel()
         return (pred - y) * weights
 
     if jacobian is None:
@@ -344,23 +362,31 @@ def least_squares(
             scales = np.maximum(np.abs(p), base_scales)
             return numerical_jacobian(residual_fn, p, r, scales, lo, hi, central)
     else:
-        def jacobian_fn(p, _r, central=False):
-            with np.errstate(all="ignore"):
-                jac = np.asarray(jacobian(xdata, *p), dtype=float).reshape(y.size, n)
-            return jac * weights[:, None]
+        column_weights = weights[:, None]
 
-    attempts = [_lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations)]
-    if not attempts[0][5]:  # retry from jittered starts, deterministically
-        rng = np.random.default_rng(1234)
-        for _ in range(JITTER_RETRIES):
-            start = p0 * (1.0 + 0.25 * rng.uniform(-1.0, 1.0, size=n))
-            start = np.where(np.abs(start) > 0, start, 0.1 * rng.standard_normal(n))
-            try:
-                attempts.append(
-                    _lm_iterate(residual_fn, jacobian_fn, start, lo, hi, names, max_iterations)
-                )
-            except (DomainError, RankDeficiencyError):
-                pass
+        def jacobian_fn(p, _r, central=False):
+            nonlocal njev
+            njev += 1
+            jac = np.asarray(jacobian(xdata, *p), dtype=float).reshape(y.size, n)
+            return jac * column_weights
+
+    def attempt(start):
+        return _lm_iterate(residual_fn, jacobian_fn, start, lo, hi, names, max_iterations,
+                           analytic=jacobian is not None)
+
+    # one errstate for the whole search: overflow in a model or a cost marks
+    # a trial step non-finite, which the engine rejects
+    with np.errstate(all="ignore"):
+        attempts = [attempt(p0)]
+        if not attempts[0][5]:  # retry from jittered starts, deterministically
+            rng = np.random.default_rng(1234)
+            for _ in range(JITTER_RETRIES):
+                start = p0 * (1.0 + 0.25 * rng.uniform(-1.0, 1.0, size=n))
+                start = np.where(np.abs(start) > 0, start, 0.1 * rng.standard_normal(n))
+                try:
+                    attempts.append(attempt(start))
+                except (DomainError, RankDeficiencyError):
+                    pass
     # converged beats not converged, then the lower cost; the first attempt wins ties
     p, r, cost, trace, iterations, converged, jac = max(attempts, key=lambda t: (t[5], -t[2]))
 
@@ -384,6 +410,8 @@ def least_squares(
         converged=converged,
         cost_trace=tuple(trace),
         dof=dof,
+        nfev=nfev,
+        njev=njev,
     )
 
 
@@ -427,7 +455,11 @@ def g2_jacobian(tau, a, tau1, tau2, irf_sigma):
         t = np.reshape([tau1, tau2], (2,) + (1,) * at.ndim)
         f = np.exp(-at / t)
         df = f * at / t**2
-    return np.stack([f[1] - f[0], -(1.0 + a) * df[0], a * df[1]], axis=-1)
+    jac = np.empty(f.shape[1:] + (3,))
+    np.subtract(f[1], f[0], out=jac[..., 0])
+    np.multiply(df[0], -(1.0 + a), out=jac[..., 1])
+    np.multiply(df[1], a, out=jac[..., 2])
+    return jac
 
 
 def _erfcx(z):

@@ -88,19 +88,25 @@ def _floats(obj, bag, *names):
     return values
 
 
+def _shaped(bag, name, given):
+    """np.asarray(given), but nested sequences of unequal lengths put
+    "<name> is ragged" into bag, with zeros of the outer length as the
+    stand-in that the bag's violation discards."""
+    try:
+        return np.asarray(given)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        bag.append(f"{name} is ragged")
+        return np.zeros(len(given))
+
+
 def _float_array(bag, name, given):
     """np.asarray(given, dtype=float), but a string, bytes or object array
     is converted entry by entry as _floats converts a scalar: an int beyond
     the float range is +-inf, and where an entry is not a number (a numeric
     string included) "<name> is not a number" goes into bag and the array
-    is zeros, a stand-in that the bag's violation discards. Nested sequences
-    of unequal lengths put "<name> is ragged" into bag, with zeros of the
-    outer length as the stand-in."""
-    try:
-        array = np.asarray(given)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        bag.append(f"{name} is ragged")
-        return np.zeros(len(given))
+    is zeros, a stand-in that the bag's violation discards. A ragged given
+    is handled by _shaped."""
+    array = _shaped(bag, name, given)
     if array.dtype.kind not in "OSU":
         return np.asarray(array, dtype=float)
     try:
@@ -259,7 +265,7 @@ class FieldMap:
 
     def __post_init__(self):
         bag = []
-        grid = np.asarray(self.grid)
+        grid = _shaped(bag, "grid", self.grid)
         if grid.ndim != 2 or min(grid.shape) < 2:
             bag.append("grid must be 2-D with at least 2 points per axis")
         if np.iscomplexobj(grid):

@@ -56,7 +56,7 @@ import numpy as np
 from ._table import read_columns, read_counts, read_table, write_counts, write_table
 from .errors import DomainError, InputFormatError, ValidationError
 from .models import (G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _float_array, _floats,
-                     _number, _raise_if, _read_only)
+                     _number, _raise_if, _read_only, _shaped)
 
 RNG_SKIP = "sfc64/skip-1"  # event skipping
 RNG_COXIAN = "sfc64/cox-1"
@@ -112,7 +112,7 @@ class PhotonStream:
 
     def __post_init__(self):
         bag = []
-        tags = np.asarray(self.channel_tags)
+        tags = _shaped(bag, "channel_tags", self.channel_tags)
         (duration,) = _floats(self, bag, "duration")
         if duration <= 0:
             bag.append("duration must be positive")
@@ -165,7 +165,7 @@ class HbtHistogram:
     def __post_init__(self):
         bag = []
         (edges,) = _arrays(self, bag, "bin_edges")
-        given = np.asarray(self.counts)
+        given = _shaped(bag, "counts", self.counts)
         if np.can_cast(given.dtype, np.int64):
             counts = given.astype(np.int64, copy=False)
         else:  # floats, uint64, or ints beyond int64 as objects

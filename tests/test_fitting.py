@@ -154,6 +154,24 @@ def count_fit_calls(monkeypatch):
 
 
 class TestFewModelCalls:
+    def test_fit_result_counts_the_calls(self, monkeypatch, rng):
+        # nfev and njev are the calls the model and its Jacobian receive
+        tau = np.linspace(-30e-9, 30e-9, 601)
+        counts = count_fit_calls(monkeypatch)
+        for irf_sigma in (None, 0.3e-9):
+            clean = fitting.g2_model_irf(tau, 0.8, 0.48e-9, 5e-9, irf_sigma or 0.0)
+            curve = G2Curve(tau, np.clip(clean + rng.normal(0, 0.02, tau.size), 0, None))
+            counts.update(model=0, jacobian=0)
+            fit = fitting.fit_g2(curve, irf_sigma=irf_sigma)
+            assert (fit.nfev, fit.njev) == (counts["model"], counts["jacobian"])
+            assert fit.njev > 0
+        sweep = dynamics.power_sweep(ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6), dynamics.PumpModel(1.5e9),
+                                     SWEEP_POWERS)
+        counts.update(model=0, jacobian=0)
+        fit = dynamics.extrapolate_zero_power(sweep).fit
+        assert (fit.nfev, fit.njev) == (counts["model"], counts["jacobian"])
+        assert fit.njev > 0
+
     # with analytic Jacobians a fit makes one model call per trial step;
     # difference columns would take about 73 (sweep) and 430 (two peaks)
     def test_zero_power_extrapolation(self, monkeypatch, rng):
@@ -498,6 +516,7 @@ class TestEngine:
         # 6 attempts, each with one forward and one central Jacobian: a
         # forward Jacobian after the last allowed iteration would add 6 calls
         assert len(calls) == 69
+        assert (fit.nfev, fit.njev) == (69, 0)
 
     def test_no_parameter_vector_reaches_the_model_twice(self, monkeypatch, rng):
         # a Jacobian reuses the residual the engine holds at its point, and
@@ -536,6 +555,73 @@ class TestEngine:
         assert len(fits) == 4
         for seen in fits:
             assert len(set(seen)) == len(seen)
+
+    def test_no_parameter_vector_reaches_an_analytic_jacobian_twice(self, monkeypatch, rng):
+        # the polish and the covariance keep the Jacobian the engine holds
+        # where it was taken, rather than taking it there again; every fit
+        # below but the Lorentzian one ends at such a point (the noiseless g2
+        # fits start at their optimum, and so does the saturation fit, whose
+        # initial r_inf = 1.5 max(rate) = 3 and p_sat = 1 are exact)
+        fits = []
+        least_squares = fitting.least_squares
+
+        def recording(model, *args, jacobian, **kwargs):
+            seen = []
+            fits.append(seen)
+
+            def recorded(x, *p):
+                seen.append(tuple(p))
+                return jacobian(x, *p)
+
+            return least_squares(model, *args, jacobian=recorded, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        tau = np.linspace(-30e-9, 30e-9, 601)
+        for irf_sigma in (None, 0.3e-9):
+            clean = fitting.g2_model_irf(tau, 0.8, 0.48e-9, 5e-9, irf_sigma or 0.0)
+            fit = fitting.fit_g2(G2Curve(tau, clean), G2Params(0.48e-9, 5e-9, 0.8), irf_sigma=irf_sigma)
+            assert fit.converged
+        wl = np.linspace(725.0, 755.0, 700)
+        y = rng.poisson(30.0 + fitting.lorentzian_peak(wl, 735.0, 1.5, 500.0)
+                        + fitting.lorentzian_peak(wl, 746.0, 3.0, 300.0)).astype(float)
+        assert fitting.fit_lorentzians(PLSpectrum(wl, y), 2, [734.0, 747.0], poisson_weights=True).converged
+        angles = np.arange(0.0, 360.0, 10.0)
+        scan = PolarizationScan(angles, fitting.cos2_model(angles, 30.0, 400.0, 20.0))
+        assert fitting.fit_cos2(scan).converged
+        powers = np.linspace(0.25, 2.0, 8)
+        curve = SaturationCurve(powers, fitting.saturation_model(powers, 3.0, 1.0))
+        assert fitting.fit_saturation(curve).converged
+        sweep = dynamics.power_sweep(ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6), dynamics.PumpModel(1.5e9),
+                                     SWEEP_POWERS)
+        assert dynamics.extrapolate_zero_power(sweep).fit.converged
+        assert len(fits) == 6
+        for seen in fits:
+            assert len(set(seen)) == len(seen) > 0
+
+    # the first three trial steps: a nan, an inf, and finite residuals whose
+    # squares overflow to an infinite cost
+    def test_non_finite_trial_steps_are_rejected(self):
+        x = np.linspace(0.0, 1.0, 21)
+        spoilt = {2: math.nan, 3: math.inf, 4: 1e200}
+        seen = []
+
+        def model(x, a, b):
+            seen.append((a, b))
+            return np.full_like(x, spoilt[len(seen)]) if len(seen) in spoilt else a * x + b
+
+        def jacobian(x, a, b):
+            return np.stack([x, np.ones_like(x)], axis=-1)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fitting.least_squares(model, x, -2.0 * x + 0.5, [1.0, 0.0], jacobian=jacobian)
+        assert fit.converged
+        assert fit.values == pytest.approx([-2.0, 0.5], rel=1e-12)
+        assert fit.nfev == len(seen) > 4
+        # each rejection raises the damping, so the next trial is a new point
+        assert len(set(seen)) == len(seen)
+        assert all(math.isfinite(c) for c in fit.cost_trace)
+        assert all(b <= a for a, b in zip(fit.cost_trace, fit.cost_trace[1:]))
 
     def test_sigma_weighting_changes_solution(self, rng):
         x = np.linspace(0.0, 1.0, 20)

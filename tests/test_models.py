@@ -448,6 +448,15 @@ def test_ragged_array_fields_are_violations():
     with pytest.raises(ValidationError) as err:
         montecarlo.PhotonStream([[1e-6], [2e-6, 3e-6]], [0, 1], 1e-5, 0)
     assert err.value.violations == ["timestamps is ragged"]
+    with pytest.raises(ValidationError) as err:
+        montecarlo.PhotonStream([1e-6, 2e-6], [[0], [1, 0]], 1e-5, 0)
+    assert err.value.violations == ["channel_tags is ragged"]
+    with pytest.raises(ValidationError) as err:
+        montecarlo.HbtHistogram([0.0, 1.0, 2.0], [[1], [2, 3]], 1.0)
+    assert err.value.violations == ["counts is ragged"]
+    with pytest.raises(ValidationError) as err:
+        FieldMap([[0.2, 1.0, 0.4], [0.1, 0.3]], 10.0, (0.0, 0.0))
+    assert err.value.violations[0] == "grid is ragged"
 
 
 @pytest.mark.parametrize("counts, expected", [
