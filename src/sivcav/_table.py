@@ -16,11 +16,13 @@ comments has exactly that form. Any other file, a comment or blank line
 between rows, a space, CRLF or a missing final newline included, goes to
 read_table, so faults are found and placed at their line by read_table alone.
 read_columns, the one loader of rows into a domain type, hands the columns
-of read_table to the type's constructor.
+of read_table to the type's constructor; read_document does the same for a
+JSON document and its builder, so a fault in either names the file.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from itertools import compress, islice, repeat
@@ -154,6 +156,21 @@ def read_columns(path, widths, shape_error, make):
         return make(*table.columns)
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None
+
+
+def read_document(path, make):
+    """make(doc) of the JSON document at path; bad JSON raises InputFormatError
+    at its line, a KeyError, TypeError or ValueError from make at line 0."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise InputFormatError(path, err.lineno, f"bad JSON: {err.msg}") from None
+    try:
+        return make(doc)
+    except (KeyError, TypeError, ValueError) as err:  # ValidationError included
+        message = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+        raise InputFormatError(path, 0, message) from None
 
 
 def read_counts(path, codes, headers=None):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics, fitting, montecarlo, purcell, report, spectra
-from ._table import write_table
+from ._table import read_document, write_table
 from .errors import (
     DomainError,
     InfeasibleMeasurementError,
@@ -69,17 +69,9 @@ def _unit(v):
     return tuple(normed / norm)
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as err:
-        raise InputFormatError(path, err.lineno, f"bad JSON: {err.msg}") from None
-
-
 def _load_budget(path, paths):
     paths.append(path)
-    return RadiativeBudget.from_dict(_load_json(path))
+    return read_document(path, RadiativeBudget.from_dict)
 
 
 def _scenario_dir():
@@ -403,6 +395,17 @@ def cmd_spectra_enhance(args, paths):
     )
 
 
+def _mixture(doc):
+    """(emitter, [(channel, mode)], line_lambda, detunings) of a --mixture document."""
+    emitter = spectra.PolarizedChannel(doc["emitter"]["angle"], doc["emitter"]["weight"])
+    modes = [(spectra.PolarizedChannel(m["angle"], m["weight"]),
+              CavityMode(m["lambda_c"], m["q_factor"], m.get("mode_volume", 1.0)))
+             for m in doc["modes"]]
+    dspec = doc["detunings"]
+    detunings = np.linspace(dspec["start"], dspec["stop"], int(dspec["num"]))
+    return emitter, modes, doc["line_lambda"], detunings
+
+
 def cmd_spectra_polarization(args, paths):
     if args.scan:
         scan = spectra.load_polarization_scan(args.scan)
@@ -419,17 +422,9 @@ def cmd_spectra_polarization(args, paths):
         return _Outcome(results, summary, fit)
     if not args.mixture:
         raise DomainError("supply --scan CSV or --mixture JSON")
-    doc = _load_json(args.mixture)
+    emitter, modes, line_lambda, detunings = read_document(args.mixture, _mixture)
     paths.append(args.mixture)
-    emitter = spectra.PolarizedChannel(doc["emitter"]["angle"], doc["emitter"]["weight"])
-    modes = []
-    for m in doc["modes"]:
-        channel = spectra.PolarizedChannel(m["angle"], m["weight"])
-        mode = CavityMode(m["lambda_c"], m["q_factor"], m.get("mode_volume", 1.0))
-        modes.append((channel, mode))
-    dspec = doc["detunings"]
-    detunings = np.linspace(dspec["start"], dspec["stop"], int(dspec["num"]))
-    angles = spectra.polarization_mixture(emitter, modes, doc["line_lambda"], detunings)
+    angles = spectra.polarization_mixture(emitter, modes, line_lambda, detunings)
     if args.emit_curves:
         with open(args.emit_curves, "w") as fh:
             fh.write("# detuning_nm,phi_deg\n")

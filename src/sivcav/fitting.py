@@ -9,16 +9,17 @@ every trial step is clipped to, and an accept/reject rule that never lets
 the cost increase. A parameter on a bound whose descent direction points
 out of the box is held there: the step is solved on the free parameters and
 the gradient test looks at theirs only, so a fit whose optimum lies on a
-bound converges. Convergence is declared when the projected gradient
-vanishes, the relative parameter step falls below STEP_RTOL or the relative
-cost decrease falls below COST_RTOL; a fit that does not converge is retried
-from JITTER_RETRIES jittered starting points. A trial step whose cost is nan
-or inf is rejected like one that raises the cost. One central-difference
-Jacobian, retaken only after a polish step moves p, serves the polish and
-the covariance; an analytic Jacobian is not taken again at the point where
-the engine already holds it. The attempts run under one np.errstate per fit
-that silences floating-point warnings (the covariance is computed outside
-it). Weighting is 1/sigma^2 with uncertainties and uniform otherwise.
+bound converges. Convergence is declared when the cosine between each free
+Jacobian column and the residual falls to GRAD_RTOL (MINPACK's scale-free
+test, More, LNM 630, 105 (1978)), the relative parameter step below
+STEP_RTOL or the relative cost decrease below COST_RTOL; a fit that does
+not converge is flagged, not retried. A trial step whose cost is nan or inf
+is rejected like one that raises the cost. One central-difference Jacobian,
+retaken only after a polish step moves p, serves the polish and the
+covariance; an analytic Jacobian is not taken again at the point where the
+engine already holds it. The iteration runs under one np.errstate that
+silences floating-point warnings (the covariance is computed outside it).
+Weighting is 1/sigma^2 with uncertainties and uniform otherwise.
 
 On top of the engine sit the fitters used throughout the package, each
 with its model's analytic Jacobian: the two-exponential g2 model,
@@ -43,9 +44,9 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 RANK_TOL = 1e-12
 MAX_DAMPING = 1e14
+GRAD_RTOL = 1e-14
 STEP_RTOL = 1e-10
 COST_RTOL = 1e-12
-JITTER_RETRIES = 5
 ERFCX_ASYMPTOTIC_Z = 25.0  # exp(z^2) and erfc(z) are both in range below it
 ERFC_TWO_Z = -6.0  # erfc(z) rounds to 2 in double precision below it
 
@@ -155,13 +156,12 @@ def _held(p, grad, lo, hi):
     return low & (grad > 0) | high & (grad < 0)
 
 
-def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations, analytic):
-    n = p0.size
-    p = np.minimum(np.maximum(p0, lo), hi)
+def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations, analytic):
+    n = p.size
     r = residual_fn(p)
-    if not np.isfinite(r).all():
-        raise DomainError("residuals are not finite at the initial parameters")
-    cost = _cost(r)
+    cost = _cost(r)  # nan or inf where r is, inf where its squares overflow
+    if not cost < math.inf:
+        raise DomainError("the sum of squared residuals is not finite at the initial parameters")
     trace = [cost]
     lam = 1e-3
     converged = False
@@ -187,10 +187,12 @@ def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations, ana
             grad[held] = 0.0  # parameters: their rows solve to a zero step
             normal[held] = 0.0
             normal[:, held] = 0.0
-        if np.abs(grad).max() < 1e-14 * max(1.0, cost):
+        diag = normal.diagonal().copy()
+        # MINPACK's scale-free test: the cosine between each free column
+        # of jac and r (held ones read 0 <= 0)
+        if (np.abs(grad) <= GRAD_RTOL * np.sqrt(2.0 * diag) * math.sqrt(cost)).all():
             converged = True
             break
-        diag = normal.diagonal().copy()
         floor = diag.max()
         if not floor > 0:
             floor = 1.0
@@ -262,7 +264,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations, ana
             if not improved:
                 break
 
-    return p, r, cost, trace, iterations, converged, jac
+    return p, cost, trace, iterations, converged, jac
 
 
 def least_squares(
@@ -309,7 +311,7 @@ def least_squares(
     -------
     FitResult with covariance = (Jt W J)^-1 scaled by the reduced chi-square,
     ``nfev`` the model evaluations (difference columns included) and
-    ``njev`` the evaluations of ``jacobian``, both summed over all attempts.
+    ``njev`` the evaluations of ``jacobian``.
 
     Raises
     ------
@@ -318,7 +320,7 @@ def least_squares(
     an exception; it is reported via ``converged=False``.
     """
     y = np.asarray(ydata, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float)
+    p0 = np.array(p0, dtype=float)  # a copy: a fit that takes no step returns its start
     n = p0.size
     if names is None:
         names = tuple(f"p{i}" for i in range(n))
@@ -370,25 +372,12 @@ def least_squares(
             jac = np.asarray(jacobian(xdata, *p), dtype=float).reshape(y.size, n)
             return jac * column_weights
 
-    def attempt(start):
-        return _lm_iterate(residual_fn, jacobian_fn, start, lo, hi, names, max_iterations,
-                           analytic=jacobian is not None)
-
-    # one errstate for the whole search: overflow in a model or a cost marks
-    # a trial step non-finite, which the engine rejects
+    # one errstate for the fit: overflow in a model or a cost marks a trial
+    # step non-finite, which the engine rejects
     with np.errstate(all="ignore"):
-        attempts = [attempt(p0)]
-        if not attempts[0][5]:  # retry from jittered starts, deterministically
-            rng = np.random.default_rng(1234)
-            for _ in range(JITTER_RETRIES):
-                start = p0 * (1.0 + 0.25 * rng.uniform(-1.0, 1.0, size=n))
-                start = np.where(np.abs(start) > 0, start, 0.1 * rng.standard_normal(n))
-                try:
-                    attempts.append(attempt(start))
-                except (DomainError, RankDeficiencyError):
-                    pass
-    # converged beats not converged, then the lower cost; the first attempt wins ties
-    p, r, cost, trace, iterations, converged, jac = max(attempts, key=lambda t: (t[5], -t[2]))
+        p, cost, trace, iterations, converged, jac = _lm_iterate(
+            residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations,
+            analytic=jacobian is not None)
 
     if fixup is not None:
         p = fixup(p.copy())

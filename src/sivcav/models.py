@@ -162,6 +162,8 @@ def _raise_if(bag):
 
 
 def _expect_units(doc, expected):
+    if not isinstance(doc, dict):
+        raise TypeError("the document must be an object")
     units = doc.get("units", expected)
     if units != expected:
         raise ValidationError([f"units mismatch: expected '{expected}', got '{units}'"])
@@ -266,7 +268,8 @@ class FieldMap:
     def __post_init__(self):
         bag = []
         grid = _shaped(bag, "grid", self.grid)
-        if grid.ndim != 2 or min(grid.shape) < 2:
+        ragged = bool(bag)  # its zeros stand-in has no shape or amplitude to check
+        if not ragged and (grid.ndim != 2 or min(grid.shape) < 2):
             bag.append("grid must be 2-D with at least 2 points per axis")
         if np.iscomplexobj(grid):
             grid = grid.astype(complex)
@@ -284,7 +287,7 @@ class FieldMap:
             if not math.isfinite(v):
                 bag.append("origin contains non-finite entries")
         peak = float(np.max(np.abs(grid))) if grid.size else 0.0
-        if peak <= 0:
+        if peak <= 0 and not ragged:
             bag.append("grid has no nonzero amplitude")
         if self.normalization is None:
             object.__setattr__(self, "normalization", peak)

@@ -14,7 +14,6 @@ follows from the Stokes vector of the summed components.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -22,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fitting, purcell
-from ._table import read_columns, write_table
-from .errors import DomainError, InputFormatError, RankDeficiencyError
+from ._table import read_columns, read_document, write_table
+from .errors import DomainError, RankDeficiencyError
 from .models import (
     CavityMode,
     EmitterLine,
@@ -393,24 +392,19 @@ def load_polarization_scan(path) -> PolarizationScan:
     return read_columns(path, (2,), "expected 'angle_deg,counts'", PolarizationScan)
 
 
+def _manifest_steps(doc):
+    try:
+        steps = [(int(entry["index"]), os.fspath(entry["file"])) for entry in doc["steps"]]
+    except (TypeError, KeyError):
+        raise ValueError("manifest must be an object with a 'steps' list whose "
+                         "entries have 'index' and 'file'") from None
+    if not steps:
+        raise ValueError("manifest lists no steps")
+    return steps
+
+
 def load_manifest(path, load=load_spectrum):
     """Load a tuning manifest; returns a list of (step_index, load(spectrum path))."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise InputFormatError(path, err.lineno, f"bad JSON: {err.msg}") from None
-    if not isinstance(doc, dict) or "steps" not in doc:
-        raise InputFormatError(path, 0, "manifest must be an object with a 'steps' list")
     base = os.path.dirname(os.path.abspath(path))
-    steps = []
-    for entry in doc["steps"]:
-        try:
-            index = int(entry["index"])
-            rel = entry["file"]
-        except (TypeError, KeyError):
-            raise InputFormatError(path, 0, "each step needs 'index' and 'file'") from None
-        steps.append((index, load(os.path.join(base, rel))))
-    if not steps:
-        raise InputFormatError(path, 0, "manifest lists no steps")
-    return steps
+    return [(index, load(os.path.join(base, rel)))
+            for index, rel in read_document(path, _manifest_steps)]

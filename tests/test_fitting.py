@@ -513,10 +513,24 @@ class TestEngine:
 
         fit = fitting.least_squares(model, x, y, [25.0], max_iterations=1)
         assert not fit.converged
-        # 6 attempts, each with one forward and one central Jacobian: a
-        # forward Jacobian after the last allowed iteration would add 6 calls
-        assert len(calls) == 69
-        assert (fit.nfev, fit.njev) == (69, 0)
+        # one attempt with one forward and one central Jacobian: a forward
+        # Jacobian after the last allowed iteration would add a call
+        assert len(calls) == 11
+        assert (fit.nfev, fit.njev) == (11, 0)
+
+    def test_gradient_test_is_scale_free(self):
+        # from a = 1e150 the gradient is huge in absolute terms but parallel
+        # to the residual; a test against the cost stopped here at once
+        x = np.linspace(1.0, 2.0, 20)
+        fit = fitting.least_squares(lambda x, a: a * x, x, np.zeros(20), [1e150])
+        assert fit.converged
+        assert fit.iterations > 0
+        assert abs(fit["p0"]) < 1e-100
+
+    def test_start_whose_cost_overflows_raises(self):
+        x = np.linspace(1.0, 2.0, 20)
+        with pytest.raises(DomainError, match="not finite at the initial parameters"):
+            fitting.least_squares(lambda x, a: a * x, x, np.zeros(20), [1e160])
 
     def test_no_parameter_vector_reaches_the_model_twice(self, monkeypatch, rng):
         # a Jacobian reuses the residual the engine holds at its point, and

@@ -456,7 +456,10 @@ def test_ragged_array_fields_are_violations():
     assert err.value.violations == ["counts is ragged"]
     with pytest.raises(ValidationError) as err:
         FieldMap([[0.2, 1.0, 0.4], [0.1, 0.3]], 10.0, (0.0, 0.0))
-    assert err.value.violations[0] == "grid is ragged"
+    assert err.value.violations == ["grid is ragged"]
+    with pytest.raises(ValidationError) as err:
+        FieldMap([[0.2, 1.0, 0.4], [0.1, 0.3]], 10.0, (0.0, 0.0), normalization=1.0)
+    assert err.value.violations == ["grid is ragged"]
 
 
 @pytest.mark.parametrize("counts, expected", [

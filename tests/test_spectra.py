@@ -336,6 +336,10 @@ class TestSpectraIO:
 
     def test_bad_manifest(self, tmp_path):
         manifest = tmp_path / "manifest.json"
-        manifest.write_text("{\"nope\": []}")
-        with pytest.raises(InputFormatError):
+        for doc in ({"nope": []}, [], {"steps": [{"index": 0}]}, {"steps": [{"index": 0, "file": 5}]}):
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(InputFormatError, match="manifest.json:0: manifest must be an object"):
+                spectra.load_manifest(manifest)
+        manifest.write_text("{\"steps\": []}")
+        with pytest.raises(InputFormatError, match="manifest.json:0: manifest lists no steps"):
             spectra.load_manifest(manifest)
