@@ -1,33 +1,31 @@
 """Nonlinear least squares and model-specific curve fitters.
 
 The engine is a damped Gauss-Newton iteration with a Levenberg-Marquardt
-trust parameter, the model's analytic Jacobian where the caller supplies
-one and numerical forward-difference Jacobians otherwise (step
-sqrt(machine epsilon) times max(|p|, |p0|) per parameter, from the residual
-the engine holds at p), box bounds held as a lower and an upper array that
-every trial step is clipped to, and an accept/reject rule that never lets
-the cost increase. A parameter on a bound whose descent direction points
-out of the box is held there: the step is solved on the free parameters and
-the gradient test looks at theirs only, so a fit whose optimum lies on a
-bound converges. Convergence is declared when the cosine between each free
-Jacobian column and the residual falls to GRAD_RTOL (MINPACK's scale-free
-test, More, LNM 630, 105 (1978)), the relative parameter step below
-STEP_RTOL or the relative cost decrease below COST_RTOL; a fit that does
-not converge is flagged, not retried. A trial step whose cost is nan or inf
-is rejected like one that raises the cost. One central-difference Jacobian,
-retaken only after a polish step moves p, serves the polish and the
-covariance; an analytic Jacobian is not taken again at the point where the
-engine already holds it. The iteration runs under one np.errstate that
-silences floating-point warnings (the covariance is computed outside it).
-Weighting is 1/sigma^2 with uncertainties and uniform otherwise.
+trust parameter, the model's analytic Jacobian, which every caller supplies,
+box bounds held as a lower and an upper array that every trial step is
+clipped to, and an accept/reject rule that never lets the cost increase. A
+parameter on a bound whose descent direction points out of the box is held
+there: the step is solved on the free parameters and the gradient test
+looks at theirs only, so a fit whose optimum lies on a bound converges.
+Convergence is declared when the cosine between each free Jacobian column
+and the residual falls to GRAD_RTOL (MINPACK's scale-free test, More, LNM
+630, 105 (1978)), the relative parameter step below STEP_RTOL, the
+relative cost decrease below COST_RTOL or a trial step's cost equals the
+current one; a fit that does not converge is flagged, not retried. A trial
+step whose cost is nan or inf is rejected like one that raises the cost.
+Up to three undamped Gauss-Newton steps polish a converged fit. The
+Jacobian is taken once per accepted point and never again where the engine
+already holds it; the last one serves the polish and the covariance. The
+iteration runs under one np.errstate that silences floating-point warnings
+(the covariance is computed outside it). Weighting is 1/sigma^2 with
+uncertainties and uniform otherwise.
 
 On top of the engine sit the fitters used throughout the package, each
 with its model's analytic Jacobian: the two-exponential g2 model,
 optionally convolved with a Gaussian instrument response in closed form
 (exponentially modified Gaussians), multi-Lorentzian spectra, cos^2
 polarization scans and two-parameter saturation curves. The zero-power
-sweep fit of ``dynamics`` passes its own. Finite differences serve only
-models that callers bring themselves.
+sweep fit of ``dynamics`` passes its own.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ import numpy as np
 from .errors import DomainError, RankDeficiencyError
 from .models import G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationCurve, _number
 
-SQRT_EPS = math.sqrt(np.finfo(float).eps)
-CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 RANK_TOL = 1e-12
 MAX_DAMPING = 1e14
 GRAD_RTOL = 1e-14
@@ -60,7 +56,7 @@ class FitResult:
     ``residual_norm`` is the root of the weighted sum of squared residuals;
     ``cost_trace`` records the cost after every accepted iteration (it is
     non-increasing by construction). ``nfev`` and ``njev`` count the calls
-    of the model and of its analytic Jacobian; ``to_dict`` leaves them out.
+    of the model and of its Jacobian; ``to_dict`` leaves them out.
     """
 
     names: tuple[str, ...]
@@ -102,35 +98,6 @@ def poisson_sigmas(counts):
     return np.sqrt(np.clip(np.asarray(counts, dtype=float), 1.0, None))
 
 
-def numerical_jacobian(func, p, r0, scales, lo, hi, central=False):
-    """Finite-difference Jacobian of a vector function at p.
-
-    ``r0`` is func(p), which the caller holds. Forward differences step by
-    sqrt(machine epsilon) * scales[j], scales positive (for a peak center,
-    its response length rather than its value); ``central=True`` switches to
-    central differences with eps^(1/3) steps (used for the final polish and
-    covariance, where the lower cancellation noise matters). Where a step
-    would leave the bounds ``lo``, ``hi`` (-inf, inf where open) the
-    difference is taken one-sided on the feasible side.
-    """
-    h = (CBRT_EPS if central else SQRT_EPS) * scales
-    h = np.where(h > 0, h, SQRT_EPS)  # a subnormal scale underflows to a zero step
-    below = p - h >= lo
-    two_sided = central & below & (p + h <= hi)
-    backward = below & (p + h > hi)
-    jac = np.empty((r0.size, p.size))
-    for j in range(p.size):
-        up = p.copy()
-        up[j] += -h[j] if backward[j] else h[j]
-        if two_sided[j]:
-            dn = p.copy()
-            dn[j] -= h[j]
-            jac[:, j] = (func(up) - func(dn)) / (up[j] - dn[j])
-        else:  # divide by the step actually representable at p[j]
-            jac[:, j] = (func(up) - r0) / (up[j] - p[j])
-    return jac
-
-
 def _singular_direction_names(jac, names):
     """Names of the parameters that make up the Jacobian's weakest direction."""
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
@@ -156,7 +123,7 @@ def _held(p, grad, lo, hi):
     return low & (grad > 0) | high & (grad < 0)
 
 
-def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations, analytic):
+def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
     n = p.size
     r = residual_fn(p)
     cost = _cost(r)  # nan or inf where r is, inf where its squares overflow
@@ -167,7 +134,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations, anal
     converged = False
     iterations = 0
 
-    jac = jacobian_fn(p, r)
+    jac = jacobian_fn(p)
     jac_at = p  # the point jac was taken at
     s = np.linalg.svd(jac, compute_uv=False)
     if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
@@ -213,7 +180,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations, anal
             if cost_new < cost:
                 accepted = True
                 break
-            if cost_new == cost and (cost_new < math.inf or np.isfinite(r_new).all()):
+            if cost_new == cost:
                 converged = True
                 break
             lam *= 10.0
@@ -230,15 +197,14 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations, anal
             converged = True
             break
         if iterations < max_iterations:
-            jac = jacobian_fn(p, r)
+            jac = jacobian_fn(p)
             jac_at = p
 
-    if not (analytic and jac_at is p):  # differences are retaken centrally
-        jac = jacobian_fn(p, r, central=True)
+    if jac_at is not p:
+        jac = jacobian_fn(p)
     if converged:
-        # a few undamped Gauss-Newton polish steps remove the residual bias
-        # that forward-difference noise and the trust parameter leave on
-        # (near-)linear problems
+        # a few undamped Gauss-Newton polish steps remove the offset that the
+        # relative stopping tests and the trust parameter leave
         for _ in range(3):
             held = _held(p, jac.T @ r, lo, hi)
             free = slice(None) if held is None else ~held
@@ -255,12 +221,12 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations, anal
                 break
             r_new = residual_fn(p_new)
             cost_new = _cost(r_new)
-            if not cost_new <= cost or (cost_new == math.inf and not np.isfinite(r_new).all()):
+            if not cost_new <= cost:
                 break
             improved = cost_new < cost
             p, r, cost = p_new, r_new, cost_new
             trace.append(cost)
-            jac = jacobian_fn(p, r, central=True)
+            jac = jacobian_fn(p)
             if not improved:
                 break
 
@@ -277,7 +243,8 @@ def least_squares(
     names=None,
     max_iterations=500,
     fixup=None,
-    jacobian=None,
+    *,
+    jacobian,
 ):
     """Fit ``model(x, *params)`` to data by damped Gauss-Newton iteration.
 
@@ -300,23 +267,23 @@ def least_squares(
     fixup : callable, optional
         params -> params canonicalization applied to every candidate before
         evaluation (used e.g. to keep tau1 < tau2 ordered during g2 fits).
-    jacobian : callable, optional
+    jacobian : callable, keyword-only, required
         jacobian(x, *params) -> (len(y), len(params)) array of the model's
-        partial derivatives, taken at the parameters the engine holds, i.e.
-        before ``fixup``: it must include the fixup's own derivative. Without
-        it the engine takes finite differences, stepping each parameter by
-        its magnitude max(|p|, |p0|) (1.0 where both are zero).
+        partial derivatives (any shape of that size whose last axis has one
+        column per parameter), taken at the parameters the engine holds,
+        i.e. before ``fixup``: it must include the fixup's own derivative.
 
     Returns
     -------
     FitResult with covariance = (Jt W J)^-1 scaled by the reduced chi-square,
-    ``nfev`` the model evaluations (difference columns included) and
-    ``njev`` the evaluations of ``jacobian``.
+    ``nfev`` the model evaluations and ``njev`` the evaluations of
+    ``jacobian``.
 
     Raises
     ------
     RankDeficiencyError when the Jacobian is numerically rank deficient,
-    naming the unidentifiable parameter combination. Non-convergence is NOT
+    naming the unidentifiable parameter combination; DomainError when
+    ``jacobian`` returns an array of the wrong shape. Non-convergence is NOT
     an exception; it is reported via ``converged=False``.
     """
     y = np.asarray(ydata, dtype=float).ravel()
@@ -357,27 +324,22 @@ def least_squares(
         pred = np.asarray(model(xdata, *p), dtype=float).ravel()
         return (pred - y) * weights
 
-    if jacobian is None:
-        base_scales = np.where(np.abs(p0) > 0, np.abs(p0), 1.0)
+    column_weights = weights[:, None]
 
-        def jacobian_fn(p, r, central=False):
-            scales = np.maximum(np.abs(p), base_scales)
-            return numerical_jacobian(residual_fn, p, r, scales, lo, hi, central)
-    else:
-        column_weights = weights[:, None]
-
-        def jacobian_fn(p, _r, central=False):
-            nonlocal njev
-            njev += 1
-            jac = np.asarray(jacobian(xdata, *p), dtype=float).reshape(y.size, n)
-            return jac * column_weights
+    def jacobian_fn(p):
+        nonlocal njev
+        njev += 1
+        jac = np.asarray(jacobian(xdata, *p), dtype=float)
+        if jac.shape[-1:] != (n,) or jac.size != y.size * n:
+            raise DomainError(f"jacobian must return a ({y.size}, {n}) array, one column per "
+                              f"parameter; got shape {jac.shape}")
+        return jac.reshape(y.size, n) * column_weights
 
     # one errstate for the fit: overflow in a model or a cost marks a trial
     # step non-finite, which the engine rejects
     with np.errstate(all="ignore"):
         p, cost, trace, iterations, converged, jac = _lm_iterate(
-            residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations,
-            analytic=jacobian is not None)
+            residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations)
 
     if fixup is not None:
         p = fixup(p.copy())
@@ -613,10 +575,8 @@ def _g2_init(curve: G2Curve) -> G2Params:
 
 
 def _g2_fixup(p):
-    # keep a >= 0 and tau2 strictly above tau1 (documented tie-break for the
-    # exchange degeneracy between the two exponentials)
-    if p[0] < 0:
-        p[0] = 0.0
+    # keep tau2 strictly above tau1 (documented tie-break for the exchange
+    # degeneracy between the two exponentials); a >= 0 is a bound
     if p[1] > p[2]:
         p[1], p[2] = p[2], p[1]
     if p[2] <= p[1]:
@@ -626,11 +586,9 @@ def _g2_fixup(p):
 
 def _g2_fit_jacobian(tau, a, tau1, tau2, irf_sigma):
     """g2_jacobian at the parameters before _g2_fixup, the Jacobian of the
-    residual a g2 fit sees: where the fixup clips a its column is zero, and
-    where it swaps tau1 and tau2 their columns are exchanged."""
+    residual a g2 fit sees: where the fixup swaps tau1 and tau2 their
+    columns are exchanged."""
     jac = g2_jacobian(tau, *_g2_fixup([a, tau1, tau2]), irf_sigma)
-    if a < 0:
-        jac[:, 0] = 0.0
     if tau1 > tau2:
         jac[:, [1, 2]] = jac[:, [2, 1]]
     return jac

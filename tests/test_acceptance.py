@@ -236,7 +236,7 @@ def test_criterion_08_lifetime_reduction_pipeline():
 
 
 def test_criterion_09_fitting_engine():
-    # (a) Jacobian cross-check on the model zoo
+    # (a) the engine's analytic Jacobians against a central-difference reference
     def central(func, p, scales):
         r0 = np.asarray(func(p))
         out = np.empty((r0.size, p.size))
@@ -249,25 +249,25 @@ def test_criterion_09_fitting_engine():
         return out
 
     zoo = [
-        (fitting.g2_model, np.linspace(-20e-9, 20e-9, 101),
+        (fitting.g2_model, lambda x, *p: fitting.g2_jacobian(x, *p, 0.0), np.linspace(-20e-9, 20e-9, 101),
          np.array([0.8, 0.48e-9, 5e-9]), np.array([0.8, 0.48e-9, 5e-9])),
-        (fitting.multi_lorentzian, np.linspace(730.0, 750.0, 120),
+        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, np.linspace(730.0, 750.0, 120),
          np.array([739.9, 2.3, 1000.0, 60.0]), np.array([2.3, 2.3, 1000.0, 60.0])),
-        (fitting.cos2_model, np.linspace(0.0, 180.0, 37),
+        (fitting.cos2_model, fitting.cos2_jacobian, np.linspace(0.0, 180.0, 37),
          np.array([20.0, 120.0, 15.0]), np.array([20.0, 120.0, 15.0])),
-        (fitting.saturation_model, np.linspace(0.05, 6.0, 24),
+        (fitting.saturation_model, fitting.saturation_jacobian, np.linspace(0.05, 6.0, 24),
          np.array([1e6, 0.9]), np.array([1e6, 0.9])),
     ]
     worst_jac = 0.0
-    for model, x, p, scales in zoo:
+    for model, jacobian, x, p, scales in zoo:
         def residual(q, model=model, x=x):
             return np.asarray(model(x, *q), dtype=float)
 
-        forward = fitting.numerical_jacobian(residual, p, residual(p), scales, -np.inf, np.inf)
+        analytic = jacobian(x, *p)
         reference = central(residual, p, scales)
         denom = np.max(np.abs(reference), axis=0)
         denom[denom == 0] = 1.0
-        worst_jac = max(worst_jac, float(np.max(np.abs(forward - reference) / denom)))
+        worst_jac = max(worst_jac, float(np.max(np.abs(analytic - reference) / denom)))
     assert worst_jac < 1e-6
 
     # (b) noiseless self-fits recover parameters to 1e-8

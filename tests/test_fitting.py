@@ -31,18 +31,12 @@ def central_jacobian(func, p, scales):
     return jac
 
 
-# each entry: model, x grid, parameter point, and the per-parameter scales a
-# fitter would use (shift parameters respond on the feature width, not on
-# their absolute value)
+# each entry: model, x grid, parameter point, and the per-parameter steps of
+# the central-difference reference (shift parameters respond on the feature
+# width, not on their absolute value)
 MODEL_ZOO = [
     (
         fitting.g2_model,
-        np.linspace(-20e-9, 20e-9, 101),
-        np.array([0.8, 0.48e-9, 5e-9]),
-        np.array([0.8, 0.48e-9, 5e-9]),
-    ),
-    (
-        lambda x, a, t1, t2: fitting.g2_model_irf(x, a, t1, t2, 0.3e-9),
         np.linspace(-20e-9, 20e-9, 101),
         np.array([0.8, 0.48e-9, 5e-9]),
         np.array([0.8, 0.48e-9, 5e-9]),
@@ -69,22 +63,8 @@ MODEL_ZOO = [
 
 
 class TestJacobian:
-    @pytest.mark.parametrize(
-        "model,x,p,scales", MODEL_ZOO, ids=["g2", "g2-irf", "lorentzian", "cos2", "saturation"]
-    )
-    def test_forward_vs_central_difference(self, model, x, p, scales):
-        def residual(q):
-            return np.asarray(model(x, *q), dtype=float)
-
-        forward = fitting.numerical_jacobian(residual, p, residual(p), scales, -np.inf, np.inf)
-        central = central_jacobian(residual, p, scales)
-        denom = np.max(np.abs(central), axis=0)
-        denom[denom == 0] = 1.0
-        rel = np.max(np.abs(forward - central) / denom)
-        assert rel < 1e-6
-
-
-    # g2 and g2-irf of MODEL_ZOO, and one point where _g2_fixup swaps tau1 and tau2
+    # the g2 point of MODEL_ZOO with and without a kernel, and one where
+    # _g2_fixup swaps tau1 and tau2
     @pytest.mark.parametrize("irf_sigma, p", [
         (0.0, np.array([0.8, 0.48e-9, 5e-9])),
         (0.3e-9, np.array([0.8, 0.48e-9, 5e-9])),
@@ -107,16 +87,16 @@ class TestJacobian:
     # swaps i_max and i_min, and one on the i_min = 0 bound, stepped on the
     # scale of i_max
     @pytest.mark.parametrize("model, jacobian, fixup, x, p, scales", [
-        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, None, *MODEL_ZOO[2][1:]),
+        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, None, *MODEL_ZOO[1][1:]),
         (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, None, np.linspace(725.0, 755.0, 300),
          np.array([735.0, 1.5, 500.0, 746.0, 3.0, 300.0, 30.0]),
          np.array([1.5, 1.5, 500.0, 3.0, 3.0, 300.0, 30.0])),
-        (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup, *MODEL_ZOO[3][1:]),
+        (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup, *MODEL_ZOO[2][1:]),
         (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup,
-         MODEL_ZOO[3][1], np.array([20.0, 15.0, 120.0]), np.array([20.0, 15.0, 120.0])),
+         MODEL_ZOO[2][1], np.array([20.0, 15.0, 120.0]), np.array([20.0, 15.0, 120.0])),
         (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup,
-         MODEL_ZOO[3][1], np.array([20.0, 120.0, 0.0]), np.array([20.0, 120.0, 120.0])),
-        (fitting.saturation_model, fitting.saturation_jacobian, None, *MODEL_ZOO[4][1:]),
+         MODEL_ZOO[2][1], np.array([20.0, 120.0, 0.0]), np.array([20.0, 120.0, 120.0])),
+        (fitting.saturation_model, fitting.saturation_jacobian, None, *MODEL_ZOO[3][1:]),
     ], ids=["lorentzian", "two-lorentzians", "cos2", "cos2-swapped", "cos2-bound", "saturation"])
     def test_analytic_model_jacobian_vs_central_difference(self, model, jacobian, fixup, x, p, scales):
         def residual(q):
@@ -126,6 +106,38 @@ class TestJacobian:
         central = central_jacobian(residual, p, scales)
         rel = np.max(np.abs(analytic - central) / np.max(np.abs(central), axis=0))
         assert rel < 1e-7
+
+    # each fitter on the noiseless curve of its MODEL_ZOO point (g2 also
+    # with a kernel, on the same curve), checked at the fitter's start with
+    # the steps of the reference: the engine takes no other Jacobian than the
+    # one a fitter hands it, so each must be its own model's, fixup included
+    @pytest.mark.parametrize("fit, zoo", [
+        (lambda x, y: fitting.fit_g2(G2Curve(x, y)), 0),
+        (lambda x, y: fitting.fit_g2(G2Curve(x, y), irf_sigma=0.3e-9), 0),
+        (lambda x, y: fitting.fit_lorentzians(PLSpectrum(x, y), 1, [740.5]), 1),
+        (lambda x, y: fitting.fit_cos2(PolarizationScan(x, y)), 2),
+        (lambda x, y: fitting.fit_saturation(SaturationCurve(x, y)), 3),
+    ], ids=["g2", "g2-irf", "lorentzian", "cos2", "saturation"])
+    def test_fitter_jacobian_vs_central_difference(self, monkeypatch, fit, zoo):
+        model, x, p_true, scales = MODEL_ZOO[zoo]
+        calls = []
+        least_squares = fitting.least_squares
+
+        def recording(model, xdata, ydata, p0, *args, jacobian, fixup=None, **kwargs):
+            calls.append((model, xdata, np.array(p0, dtype=float), fixup, jacobian))
+            return least_squares(model, xdata, ydata, p0, *args, jacobian=jacobian, fixup=fixup, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        assert fit(x, model(x, *p_true)).converged
+        (model, x, p, fixup, jacobian), = calls
+
+        def residual(q):
+            return np.asarray(model(x, *(q if fixup is None else fixup(q.copy()))), dtype=float)
+
+        analytic = np.asarray(jacobian(x, *p), dtype=float).reshape(x.size, p.size)
+        central = central_jacobian(residual, p, scales)
+        rel = np.max(np.abs(analytic - central) / np.max(np.abs(central), axis=0))
+        assert rel < 1e-6
 
 
 SWEEP_POWERS = np.array([0.1, 0.3, 0.6, 1.0, 1.6, 2.4])
@@ -433,6 +445,31 @@ class TestG2ModelIrf:
         assert 0 < counts["jacobian"] <= counts["model"]
 
 
+def slope(x, a):
+    return a * x
+
+
+def slope_jacobian(x, a):
+    return x[:, None]
+
+
+def line(x, a, b):
+    return a * x + b
+
+
+def line_jacobian(x, a, b):
+    return np.stack([x, np.ones_like(x)], axis=-1)
+
+
+def decay(x, a, b, c):
+    return a * np.exp(-c * x) + b
+
+
+def decay_jacobian(x, a, b, c):
+    e = np.exp(-c * x)
+    return np.stack([e, np.ones_like(x), -a * x * e], axis=-1)
+
+
 class TestEngine:
     def test_analytic_jacobian_replaces_differences(self):
         x = np.linspace(0.0, 10.0, 60)
@@ -441,38 +478,31 @@ class TestEngine:
 
         def model(x, a, b, c):
             calls.append((a, b, c))
-            return a * np.exp(-c * x) + b
+            return decay(x, a, b, c)
 
-        def jacobian(x, a, b, c):
-            e = np.exp(-c * x)
-            return np.stack([e, np.ones_like(x), -a * x * e], axis=-1)
-
-        fit = fitting.least_squares(model, x, model(x, *true), [1.0, 0.0, 0.2], jacobian=jacobian)
+        fit = fitting.least_squares(model, x, model(x, *true), [1.0, 0.0, 0.2], jacobian=decay_jacobian)
         assert fit.converged
         assert fit.values == pytest.approx(true, rel=1e-10)
         # the data, the first value, one per trial step (a rejected step
-        # costs one more) and the polish steps; difference columns would add
-        # three calls per iteration
+        # costs one more) and the polish steps: the Jacobian calls no model
         assert len(calls) <= 2 * fit.iterations + 4
 
     def test_noiseless_self_fit(self):
         x = np.linspace(0.0, 10.0, 60)
         true = (2.5, -1.2, 0.4)
-
-        def model(x, a, b, c):
-            return a * np.exp(-c * x) + b
-
-        y = model(x, *true)
-        fit = fitting.least_squares(model, x, y, [1.0, 0.0, 0.2], names=("a", "b", "c"))
+        y = decay(x, *true)
+        fit = fitting.least_squares(decay, x, y, [1.0, 0.0, 0.2], names=("a", "b", "c"),
+                                    jacobian=decay_jacobian)
         assert fit.converged
         assert fit.values == pytest.approx(true, rel=1e-8)
 
     def test_linear_matches_normal_equations(self, rng):
-        # the engine's accuracy floor scales with the residual level (finite
-        # difference noise couples to the misfit), so compare at modest noise
+        # the engine's accuracy floor scales with the residual level: near the
+        # optimum the cost changes by less than its rounding, which the
+        # accept rule cannot resolve, so compare at modest noise
         x = np.linspace(0.0, 5.0, 40)
         y = 3.0 * x - 0.7 + rng.normal(0, 0.005, 40)
-        fit = fitting.least_squares(lambda x, a, b: a * x + b, x, y, [0.0, 0.0])
+        fit = fitting.least_squares(line, x, y, [0.0, 0.0], jacobian=line_jacobian)
         design = np.vstack([x, np.ones_like(x)]).T
         ref = np.linalg.lstsq(design, y, rcond=None)[0]
         assert fit.values == pytest.approx(ref, rel=1e-10)
@@ -480,7 +510,8 @@ class TestEngine:
     def test_duplicate_parameter_rank_deficiency(self):
         x = np.linspace(0.0, 5.0, 20)
         with pytest.raises(RankDeficiencyError) as err:
-            fitting.least_squares(lambda x, a, b: (a + b) * x, x, 2.0 * x, [1.0, 1.0], names=("a", "b"))
+            fitting.least_squares(lambda x, a, b: (a + b) * x, x, 2.0 * x, [1.0, 1.0], names=("a", "b"),
+                                  jacobian=lambda x, a, b: np.stack([x, x], axis=-1))
         assert set(err.value.parameters) == {"a", "b"}
 
     def test_cost_trace_never_increases(self, rng):
@@ -511,18 +542,22 @@ class TestEngine:
             calls.append(c)
             return np.exp(-c * x)
 
-        fit = fitting.least_squares(model, x, y, [25.0], max_iterations=1)
+        def jacobian(x, c):
+            return (-x * np.exp(-c * x))[:, None]
+
+        fit = fitting.least_squares(model, x, y, [25.0], max_iterations=1, jacobian=jacobian)
         assert not fit.converged
-        # one attempt with one forward and one central Jacobian: a forward
-        # Jacobian after the last allowed iteration would add a call
-        assert len(calls) == 11
-        assert (fit.nfev, fit.njev) == (11, 0)
+        # the start and the trial steps of the one iteration; one Jacobian at
+        # the start and one at the accepted point for the covariance, where
+        # one taken for a next iteration would add a third
+        assert len(calls) == 8
+        assert (fit.nfev, fit.njev) == (8, 2)
 
     def test_gradient_test_is_scale_free(self):
         # from a = 1e150 the gradient is huge in absolute terms but parallel
         # to the residual; a test against the cost stopped here at once
         x = np.linspace(1.0, 2.0, 20)
-        fit = fitting.least_squares(lambda x, a: a * x, x, np.zeros(20), [1e150])
+        fit = fitting.least_squares(slope, x, np.zeros(20), [1e150], jacobian=slope_jacobian)
         assert fit.converged
         assert fit.iterations > 0
         assert abs(fit["p0"]) < 1e-100
@@ -530,11 +565,11 @@ class TestEngine:
     def test_start_whose_cost_overflows_raises(self):
         x = np.linspace(1.0, 2.0, 20)
         with pytest.raises(DomainError, match="not finite at the initial parameters"):
-            fitting.least_squares(lambda x, a: a * x, x, np.zeros(20), [1e160])
+            fitting.least_squares(slope, x, np.zeros(20), [1e160], jacobian=slope_jacobian)
 
     def test_no_parameter_vector_reaches_the_model_twice(self, monkeypatch, rng):
-        # a Jacobian reuses the residual the engine holds at its point, and
-        # the covariance reuses the polish's last central Jacobian
+        # the Jacobian calls no model, and each rejected trial step raises
+        # the damping, so each model call of these fits is at a new point
         fits = []
         least_squares = fitting.least_squares
 
@@ -623,12 +658,9 @@ class TestEngine:
             seen.append((a, b))
             return np.full_like(x, spoilt[len(seen)]) if len(seen) in spoilt else a * x + b
 
-        def jacobian(x, a, b):
-            return np.stack([x, np.ones_like(x)], axis=-1)
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fitting.least_squares(model, x, -2.0 * x + 0.5, [1.0, 0.0], jacobian=jacobian)
+            fit = fitting.least_squares(model, x, -2.0 * x + 0.5, [1.0, 0.0], jacobian=line_jacobian)
         assert fit.converged
         assert fit.values == pytest.approx([-2.0, 0.5], rel=1e-12)
         assert fit.nfev == len(seen) > 4
@@ -643,21 +675,21 @@ class TestEngine:
         y[-1] += 5.0  # outlier
         sig = np.ones_like(y)
         sig[-1] = 100.0  # de-weighted outlier
-        fit_w = fitting.least_squares(lambda x, a: a * x, x, y, [1.0], sigma=sig)
-        fit_u = fitting.least_squares(lambda x, a: a * x, x, y, [1.0])
+        fit_w = fitting.least_squares(slope, x, y, [1.0], sigma=sig, jacobian=slope_jacobian)
+        fit_u = fitting.least_squares(slope, x, y, [1.0], jacobian=slope_jacobian)
         assert abs(fit_w.values[0] - 2.0) < abs(fit_u.values[0] - 2.0)
 
     def test_bounds_respected(self):
         x = np.linspace(0.0, 5.0, 20)
         y = -2.0 * x
-        fit = fitting.least_squares(
-            lambda x, a: a * x, x, y, [0.5], bounds=[(0.0, None)]
-        )
+        fit = fitting.least_squares(slope, x, y, [0.5], bounds=[(0.0, None)], jacobian=slope_jacobian)
         assert fit.values[0] >= 0.0
         assert fit.converged
 
-    # from inside the box, and from the optimum; residuals of order 1 times the
-    # noise of the difference Jacobian leave b about 1e-12 from -0.5
+    # from inside the box, and from the optimum. b lands 0 and 1.1e-16 from
+    # -0.5 here, but from [3, 2] 1.4e-12 away: near the optimum the cost,
+    # about 3.85, changes by less than its rounding, and the accept rule keeps
+    # b + 0.5 = 1.37e-12 at cost 3.85 over 1.1e-16 at 3.8500000000000005
     @pytest.mark.parametrize("p0, b_tol", [([1.0, 0.0], 1e-12), ([0.0, -0.5], 1e-11)])
     def test_optimum_on_a_bound_converges(self, p0, b_tol):
         # a = 0 holds the slope at its bound; b is then the mean of y
@@ -668,18 +700,40 @@ class TestEngine:
             seen.append((a, b))
             return a * x + b
 
-        fit = fitting.least_squares(model, x, -2.0 * x + 0.5, p0, bounds=[(0.0, None), (None, None)])
+        fit = fitting.least_squares(model, x, -2.0 * x + 0.5, p0, bounds=[(0.0, None), (None, None)],
+                                    jacobian=line_jacobian)
         assert fit.converged
         assert fit.values[0] == 0.0
         assert abs(fit.values[1] + 0.5) < b_tol
-        # no step tries to move the held slope, so no vector is evaluated twice
-        assert len(set(seen)) == len(seen) < 50
+        # no step moves the held slope once it reaches its bound
+        reached = next(i for i, (a, _) in enumerate(seen) if a == 0.0)
+        assert all(a == 0.0 for a, _ in seen[reached:])
+        assert len(seen) < 50
 
     def test_init_outside_bounds_rejected(self):
         with pytest.raises(DomainError):
             fitting.least_squares(
-                lambda x, a: a * x, np.arange(4.0), np.arange(4.0), [-1.0], bounds=[(0.0, None)]
+                slope, np.arange(4.0), np.arange(4.0), [-1.0], bounds=[(0.0, None)], jacobian=slope_jacobian
             )
+
+    def test_transposed_jacobian_rejected(self):
+        # a reshape alone would read its (2, 20) rows as a wrong (20, 2)
+        # Jacobian: the fit converged slowly, with sigmas 9x and 15x too large
+        x = np.linspace(0.0, 1.0, 20)
+        y = line(x, 2.0, 0.5) + np.random.default_rng(1).normal(0, 0.1, 20)
+        with pytest.raises(DomainError, match=r"\(20, 2\) array.*got shape \(2, 20\)"):
+            fitting.least_squares(line, x, y, [1.0, 0.0], jacobian=lambda x, a, b: line_jacobian(x, a, b).T)
+
+    # a column short, a column over, and a row short: each is rejected at the
+    # first Jacobian call, before any step
+    @pytest.mark.parametrize("cut", [np.s_[:, :1], np.s_[:, [0, 1, 1]], np.s_[:-1, :]],
+                             ids=["one-column", "three-columns", "one-row-short"])
+    def test_misshapen_jacobian_rejected(self, cut):
+        x = np.linspace(0.0, 1.0, 20)
+        expected = line_jacobian(x, 0.0, 0.0)[cut].shape
+        with pytest.raises(DomainError, match=rf"\(20, 2\) array.*got shape \({expected[0]}, {expected[1]}\)"):
+            fitting.least_squares(line, x, line(x, 2.0, 0.5), [1.0, 0.0],
+                                  jacobian=lambda x, a, b: line_jacobian(x, a, b)[cut])
 
 
 class TestFitG2:
@@ -843,7 +897,9 @@ class TestFitCos2:
         assert fit.converged
         if fit["i_min"] == 0.0:  # the bound holds: the same as a fit without i_min
             free = fitting.least_squares(lambda phi, phi0, i_max: fitting.cos2_model(phi, phi0, i_max, 0.0),
-                                         angles, counts, [fit["phi0"], fit["i_max"]])
+                                         angles, counts, [fit["phi0"], fit["i_max"]],
+                                         jacobian=lambda phi, phi0, i_max:
+                                         fitting.cos2_jacobian(phi, phi0, i_max, 0.0)[:, :2])
             assert free.converged
             # both stop at a relative cost change of 1e-12: agreement to 1e-4 sigma
             gap = np.abs(free.values - [fit["phi0"], fit["i_max"]]) / free.sigmas
@@ -888,7 +944,7 @@ class TestFitSaturation:
 class TestFitResultSerialization:
     def test_json_shape(self):
         x = np.linspace(0.0, 5.0, 20)
-        fit = fitting.least_squares(lambda x, a, b: a * x + b, x, 2 * x + 1, [1.0, 0.0], names=("a", "b"))
+        fit = fitting.least_squares(line, x, 2 * x + 1, [1.0, 0.0], names=("a", "b"), jacobian=line_jacobian)
         doc = fit.to_dict()
         assert set(doc) == {"params", "covariance", "residual_norm", "iterations", "converged"}
         assert doc["params"]["a"]["value"] == pytest.approx(2.0, abs=1e-9)
