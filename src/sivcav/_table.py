@@ -10,7 +10,11 @@ shortest round-trip repr, so the same arrays give the same bytes.
 
 Rows of a count and a label, '<1-16 digits>,<label>', the picosecond photon
 streams, also go through bytes: write_counts builds them with numpy, block by
-block, byte for byte as str(count) + ',' + label would print them, and
+block, byte for byte as str(count) + ',' + label would print them. It lays
+each row out in a fixed-width record and writes every run of rows whose
+counts have one number of digits as one column slice of the records, with
+no mask: sorted counts, such as a stream's timestamps, make one run per
+width, and unsorted ones are written right in more, shorter runs.
 read_counts parses them from the file's bytes when every row after the top
 comments has exactly that form. Any other file, a comment or blank line
 between rows, a space, CRLF or a missing final newline included, goes to
@@ -247,7 +251,10 @@ def write_counts(fh, counts, tags, labels):
     str(count) + ',' + labels[tag] + '\\n': counts are integers in [0, 10^16),
     every label of one length up to 6. Each block of BLOCK_ROWS rows is built
     as 24-byte records, four groups of four digits from a table and the
-    padded tail, and a mask drops the leading zeros and the padding."""
+    padded tail; each run of rows whose numbers have one width is written as
+    one column slice of its records, which drops the leading zeros and the
+    padding. Sorted counts make one run per width in a block; any order
+    gives the same bytes, in more runs."""
     counts = np.asarray(counts, np.int64)
     if counts.size and not (counts.min() >= 0 and counts.max() < 10**16):
         raise ValueError("counts must lie in [0, 10^16)")
@@ -256,7 +263,6 @@ def write_counts(fh, counts, tags, labels):
     tails = np.array([f",{label}\n".encode().ljust(8, b"\0") for label in labels])
     tails = np.frombuffer(tails.tobytes(), "<u8")
     width = 18 + len(labels[0])  # of the longest row: 16 digits, the comma, the label, the newline
-    columns = np.arange(24)
     powers = 10 ** np.arange(1, 16)
     for i in range(0, counts.size, BLOCK_ROWS):
         block = counts[i:i + BLOCK_ROWS]
@@ -267,7 +273,9 @@ def write_counts(fh, counts, tags, labels):
             quads[:, column] = groups[group]
         records.view("<u8")[:, 2] = tails[tags[i:i + BLOCK_ROWS]]
         first = 15 - np.searchsorted(powers, block, side="right")  # column of the first digit
-        fh.write(records[(columns >= first[:, None]) & (columns < width)].tobytes())
+        runs = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), block.size]
+        for lo, hi in zip(runs, runs[1:]):  # rows lo to hi - 1 have one width
+            fh.write(records[lo:hi, first[lo]:width].tobytes())
 
 
 def write_table(fh, *columns):

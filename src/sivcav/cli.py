@@ -9,6 +9,11 @@ is SIVCAV_SEED, the default random seed.
 Each cmd_* parses, computes and writes its outputs, noting every file it reads
 or writes; _run owns the report: it hashes those files, builds, checks and
 emits the report, and picks the exit code.
+
+The module imports only what the parser and _run need; each cmd_* imports
+the analysis modules it runs, so a subcommand compiles no module it does not
+use (g2 correlate loads montecarlo but not dynamics, fitting, purcell or
+spectra).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, fitting, montecarlo, purcell, report, spectra
+from . import montecarlo, report
 from ._table import read_document, write_table
 from .errors import (
     DomainError,
@@ -110,6 +115,8 @@ class _Outcome(NamedTuple):
 
 
 def cmd_purcell(args, paths):
+    from . import purcell
+
     mode = line = None
     field_axis = None
     fieldmap = None
@@ -207,6 +214,8 @@ def cmd_purcell(args, paths):
 
 
 def cmd_simulate(args, paths):
+    from . import dynamics
+
     rates = ThreeLevelRates(*_parse_vector(args.rates, 4, "--rates"))
     if args.budget:
         budget = _load_budget(args.budget, paths)
@@ -239,6 +248,8 @@ def cmd_simulate(args, paths):
 
 
 def cmd_g2_fit(args, paths):
+    from . import fitting
+
     curve = montecarlo.load_g2_csv(args.hist)
     paths.append(args.hist)
     init = None
@@ -274,6 +285,8 @@ def cmd_g2_correlate(args, paths):
 
 
 def cmd_g2_sweep(args, paths):
+    from . import dynamics
+
     sweep = dynamics.load_power_sweep(args.sweep)
     paths.append(args.sweep)
     zero = dynamics.extrapolate_zero_power(sweep)
@@ -311,6 +324,8 @@ def _parse_seed_peaks(text):
 
 
 def cmd_spectra_fit(args, paths):
+    from . import fitting, spectra
+
     spectrum = spectra.load_spectrum(args.spectrum)
     paths.append(args.spectrum)
     inits = []
@@ -340,6 +355,8 @@ def cmd_spectra_fit(args, paths):
 
 
 def _manifest_series(args, paths):
+    from . import spectra
+
     paths.append(args.manifest)
 
     def load(path):
@@ -381,6 +398,8 @@ def cmd_spectra_track(args, paths):
 
 
 def cmd_spectra_enhance(args, paths):
+    from . import spectra
+
     series = _manifest_series(args, paths)
     line = EmitterLine(args.lambda_i, args.line_width)
     mode_labels = args.modes.split(",") if args.modes else None
@@ -397,6 +416,8 @@ def cmd_spectra_enhance(args, paths):
 
 def _mixture(doc):
     """(emitter, [(channel, mode)], line_lambda, detunings) of a --mixture document."""
+    from . import spectra
+
     emitter = spectra.PolarizedChannel(doc["emitter"]["angle"], doc["emitter"]["weight"])
     modes = [(spectra.PolarizedChannel(m["angle"], m["weight"]),
               CavityMode(m["lambda_c"], m["q_factor"], m.get("mode_volume", 1.0)))
@@ -407,6 +428,8 @@ def _mixture(doc):
 
 
 def cmd_spectra_polarization(args, paths):
+    from . import fitting, spectra
+
     if args.scan:
         scan = spectra.load_polarization_scan(args.scan)
         paths.append(args.scan)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple
+from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,10 @@ from .models import (
     _number,
     _raise_if,
 )
-from . import fitting
 from ._table import read_table, write_table
+
+if TYPE_CHECKING:
+    from .fitting import FitResult
 
 DEGENERACY_RTOL = 1e-6
 
@@ -131,7 +133,7 @@ class ZeroPowerFit:
     tau1_zero: float
     rates: ThreeLevelRates
     sigma: float
-    fit: fitting.FitResult
+    fit: FitResult
 
 
 def generator(rates: ThreeLevelRates) -> np.ndarray:
@@ -382,6 +384,8 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
     RankDeficiencyError naming the parameter when the sweep does not
     identify it.
     """
+    from .fitting import least_squares  # here, so that importing dynamics leaves fitting out
+
     usable = [(p, g) for p, g in zip(sweep.powers, sweep.params) if g is not None]
     if len(usable) < 3:
         raise DomainError("zero-power extrapolation needs at least 3 usable powers")
@@ -437,7 +441,7 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
     sig = np.concatenate([t1, t2, np.full_like(a, a_floor)])
 
     eps = 1e-6 * intercept
-    fit = fitting.least_squares(
+    fit = least_squares(
         model,
         powers,
         y,

@@ -133,6 +133,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
     lam = 1e-3
     converged = False
     iterations = 0
+    before = None  # the point before p, whose cost is above p's
 
     jac = jacobian_fn(p)
     jac_at = p  # the point jac was taken at
@@ -190,7 +191,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
         d = p_new - p
         step_rel = math.sqrt(float(d @ d)) / (math.sqrt(float(p @ p)) + 1e-300)
         cost_rel = (cost - cost_new) / max(cost, 1e-300)
-        p, r, cost = p_new, r_new, cost_new
+        before, p, r, cost = p, p_new, r_new, cost_new
         trace.append(cost)
         lam = max(lam / 3.0, 1e-14)
         if step_rel < STEP_RTOL or cost_rel < COST_RTOL:
@@ -219,12 +220,14 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
             if (p_new == p).all():  # the step rounds away: same cost, no model call
                 trace.append(cost)
                 break
+            if before is not None and (p_new == before).all():  # back to a higher cost
+                break
             r_new = residual_fn(p_new)
             cost_new = _cost(r_new)
             if not cost_new <= cost:
                 break
             improved = cost_new < cost
-            p, r, cost = p_new, r_new, cost_new
+            before, p, r, cost = p, p_new, r_new, cost_new
             trace.append(cost)
             jac = jacobian_fn(p)
             if not improved:

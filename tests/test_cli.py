@@ -290,6 +290,39 @@ def test_cli_import_leaves_scipy_signal_and_linalg_out():
     assert result.stdout.strip() == "[]"
 
 
+# each stage of the chain simulate -> g2 correlate -> g2 fit, and the sivcav
+# modules it must leave out: a subcommand imports only the modules it runs
+CHAIN_STAGES = {
+    "simulate": (["simulate", "--rates", "100e6,2e9,0.3e9,50e6", "--duration", "1e-4",
+                  "--out-stream", "{tmp}/s.csv"], ("fitting", "purcell", "spectra")),
+    "g2-correlate": (["g2", "correlate", "--stream", "{stream}", "--bin-width", "0.4e-9",
+                      "--window", "120e-9", "--out-hist", "{tmp}/h.csv"],
+                     ("dynamics", "fitting", "purcell", "spectra")),
+    "g2-fit": (["g2", "fit", "--hist", "{tmp}/h.csv"], ("dynamics", "purcell", "spectra")),
+}
+
+
+@pytest.mark.parametrize("stage", list(CHAIN_STAGES))
+def test_chain_stage_leaves_unused_modules_out(tmp_path, stream_file, stage):
+    argv = {name: [arg.format(tmp=tmp_path, stream=stream_file) for arg in args]
+            for name, (args, _absent) in CHAIN_STAGES.items()}
+    if stage == "g2-fit":
+        assert cli.main([*argv["g2-correlate"], "--out", str(tmp_path / "c.json")]) == 0
+    code = (
+        "import json, sys, sivcav.cli\n"
+        "code = sivcav.cli.main(sys.argv[1:])\n"
+        "print(code, json.dumps(sorted(m for m in sys.modules if m.startswith('sivcav.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, *argv[stage], "--out", str(tmp_path / "r.json")],
+                            capture_output=True, text=True, env=env, check=True)
+    exit_code, loaded = result.stdout.split(" ", 1)
+    assert exit_code == "0"
+    loaded = set(json.loads(loaded))
+    assert "sivcav.montecarlo" in loaded
+    assert not loaded & {f"sivcav.{name}" for name in CHAIN_STAGES[stage][1]}
+
+
 def test_power_sweep_path_loads_no_scipy():
     """The CLI import, the power sweep, its zero-power fit and the degenerate
     g2 run on numpy alone."""

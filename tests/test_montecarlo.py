@@ -1,4 +1,6 @@
+import concurrent.futures
 import io
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -374,9 +376,19 @@ def per_lag_counts(stream, bin_width, window):
     return counts
 
 
+@pytest.fixture(params=[(size, workers) for size in (1, 2, 7) for workers in (1, 2, 3)],
+                ids=lambda split: f"chunk{split[0]}-workers{split[1]}")
+def split(request, monkeypatch):
+    """correlate with chunks of 1, 2 or 7 starts on 1, 2 or 3 threads."""
+    size, workers = request.param
+    monkeypatch.setattr(montecarlo, "CHUNK_STARTS", size)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+    return request.param
+
+
 class TestCorrelateAgainstPerLagOracle:
     """Full mode over a shrinking candidate set counts what one pass per lag
-    counts, bin for bin."""
+    counts, bin for bin, for any split of the starts into chunks and threads."""
 
     @staticmethod
     def check(stream, bin_width, window):
@@ -405,6 +417,38 @@ class TestCorrelateAgainstPerLagOracle:
     def test_no_pair_within_the_window(self):
         stream = montecarlo.PhotonStream(np.arange(10) * 1e-6, np.zeros(10), 1e-5, 0)
         assert not self.check(stream, 1e-8, 1e-7).any()
+
+    def test_chunked_dense_stream(self, monkeypatch):
+        # rate * window = 30 in 15 chunks: dozens of pairs cross each chunk edge
+        monkeypatch.setattr(montecarlo, "CHUNK_STARTS", 4096)
+        stream = poisson_stream(3e8, 2e-4, seed=5)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+            self.check(stream, 2e-9, 100e-9)
+
+    def test_pairs_across_chunk_edges(self, split):
+        stream = poisson_stream(3e8, 5e-7, seed=5)  # rate * window = 30: pairs span dozens of starts
+        assert self.check(stream, 2e-9, 100e-9).sum() > 2 * len(stream) * 20
+
+    @pytest.mark.parametrize("ts", [[5e-7], [2e-7, 3e-7]])
+    def test_one_and_two_photons_chunked(self, ts, split):
+        stream = montecarlo.PhotonStream(np.array(ts), np.zeros(len(ts)), 1e-6, 0)
+        self.check(stream, 1e-8, 1e-7)
+
+    def test_every_photon_in_one_window(self, split):
+        stream = montecarlo.PhotonStream(np.linspace(0.0, 5e-8, 40), np.zeros(40), 1e-6, 0)
+        assert self.check(stream, 1e-8, 1e-7).sum() == 40 * 39  # every ordered pair
+
+    def test_one_chunk_runs_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # any use of it raises
+        self.check(poisson_stream(3e8, 2e-6, seed=5), 2e-9, 100e-9)
+
+    def test_worker_count_follows_the_cpu_affinity(self):
+        workers = montecarlo._workers()
+        assert 1 <= workers <= montecarlo.MAX_WORKERS
+        if hasattr(os, "sched_getaffinity"):
+            assert workers == min(len(os.sched_getaffinity(0)), montecarlo.MAX_WORKERS)
 
     def test_pair_exactly_at_the_limit(self):
         # limit = (n_half + 0.5) * bin_width is the last bin's outer edge
@@ -855,14 +899,24 @@ class TestStreamBytes:
         assert outcome == stream_outcome_by_table(monkeypatch, path)
         assert outcome.startswith(f"{path}{where}")
 
-    def test_write_counts_matches_str(self):
+    def test_write_counts_matches_str(self, monkeypatch):
+        def check(counts, tags):
+            fh = io.BytesIO()
+            _table.write_counts(fh, counts, tags, ("ZPL", "PSB"))
+            assert fh.getvalue() == "".join(f"{c},{('ZPL', 'PSB')[t]}\n"
+                                            for c, t in zip(counts.tolist(), tags.tolist())).encode()
+
         counts = np.array([0, 9, 10, 99, 100, 12345678, 99999999, 100000000, 10**15 - 1, 10**15,
                            2**51 - 1, 10**16 - 1])
-        tags = np.arange(counts.size) % 2
-        fh = io.BytesIO()
-        _table.write_counts(fh, counts, tags, ("ZPL", "PSB"))
-        assert fh.getvalue() == "".join(f"{c},{('ZPL', 'PSB')[t]}\n"
-                                        for c, t in zip(counts.tolist(), tags.tolist())).encode()
+        check(counts, np.arange(counts.size) % 2)
+        # sorted, 1 to 16 digits three times each, then unsorted: in one block of
+        # 64 rows, and in blocks of 7 whose edges fall inside runs of one width
+        counts = np.array([0, *(10**d + j for d in range(1, 16) for j in (-1, 0, 1)), 10**16 - 1])
+        tags = np.random.default_rng(7).integers(0, 2, counts.size)
+        for block_rows in (64, 7):
+            monkeypatch.setattr(_table, "BLOCK_ROWS", block_rows)
+            check(counts, tags)
+            check(np.random.default_rng(block_rows).permutation(counts), tags)
         for bad in (-1, 10**16):
             with pytest.raises(ValueError, match="counts must lie in"):
                 _table.write_counts(io.BytesIO(), np.array([bad]), np.array([0]), ("ZPL", "PSB"))
