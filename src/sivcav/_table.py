@@ -16,9 +16,14 @@ counts have one number of digits as one column slice of the records, with
 no mask: sorted counts, such as a stream's timestamps, make one run per
 width, and unsorted ones are written right in more, shorter runs.
 read_counts parses them from the file's bytes when every row after the top
-comments has exactly that form. Any other file, a comment or blank line
+comments has exactly that form, run by run: a run is up to BLOCK_ROWS rows
+of one width, found by checking the newline at every width-th byte and read
+through strided 64-bit views of the bytes into one preallocated array, with
+no per-byte mask or per-row index. Any other file, a comment or blank line
 between rows, a space, CRLF or a missing final newline included, goes to
-read_table, so faults are found and placed at their line by read_table alone.
+read_table, so faults are found and placed at their line by read_table
+alone; so does a file whose rows change width far more often than sorted
+counts can, such as unsorted ones, which would take a run per row.
 read_columns, the one loader of rows into a domain type, hands the columns
 of read_table to the type's constructor; read_document does the same for a
 JSON document and its builder, so a fault in either names the file.
@@ -29,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from functools import partial
 from itertools import compress, islice, repeat
 from operator import itemgetter, not_
 from typing import NamedTuple
@@ -180,12 +186,18 @@ def read_document(path, make):
 def read_counts(path, codes, headers=None):
     """The Table of a file whose rows all read '<count>,<label>\\n': 1 to 16
     digits, then a label of codes (label -> code, every label of one length
-    up to 7), parsed from the file's bytes BLOCK_ROWS rows at a time. None
-    for any other file, and for one without rows or with a header its parse
-    rejects: read it with read_table, which finds the fault.
+    up to 7), parsed from the file's bytes. None for any other file, and for
+    one without rows or with a header its parse rejects: read it with
+    read_table, which finds the fault.
 
-    Each row is read as 64-bit words at its end: two words of eight digits
-    and one holding the comma and the label."""
+    The rows are read run by run. A run is up to BLOCK_ROWS rows of the
+    width of its first row: a newline at every width-th byte from that row's
+    newline on marks them. Each row of a run is read as three 64-bit words at
+    its end, strided views of the file's bytes: two words of eight digits and
+    one holding the comma and the label. Every byte of a row is so checked;
+    the run ends before its first row that fails, and the next run starts
+    at that row with the row's own width, so a failing first row fails the
+    file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         data = bytearray(_PAD + size)  # the pad: every word of a row lies in data
@@ -201,39 +213,48 @@ def read_counts(path, codes, headers=None):
         return None
     tail = 1 + len(next(iter(codes)))  # the comma and the label
     keys = {int.from_bytes(f",{label}".encode(), "little"): code for label, code in codes.items()}
-    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))  # word k: bytes k to k + 7
-    ends = top + np.flatnonzero(np.frombuffer(data, np.uint8, offset=top) == _NEWLINE)
-    values = np.empty((2, ends.size))
-    last = top - 1  # the newline before the block
-    for i in range(0, ends.size, BLOCK_ROWS):
-        block = ends[i:i + BLOCK_ROWS]
-        digits = np.diff(block, prepend=last) - 1 - tail
-        label = words[block - 8] >> np.uint64(64 - 8 * tail)
-        code = values[1, i:i + block.size]
+    values = np.empty((2, data.count(b"\n", top)))  # a row per newline, once every row is read
+    row, start = 0, top  # the next row: its index and its first byte
+    # sorted counts, such as a stream's, need a run per width and per block;
+    # a file that needs many more, such as one of unsorted counts, is left to read_table
+    runs_left = 2 * (16 + values.shape[1] // BLOCK_ROWS)
+    while start < len(data):
+        width = data.index(b"\n", start) + 1 - start
+        digits = width - 1 - tail
+        if not 1 <= digits <= 16 or runs_left == 0:
+            return None
+        runs_left -= 1
+        newline = start + width - 1
+        marked = np.ndarray(min(BLOCK_ROWS, (len(data) - start) // width), np.uint8, data, newline,
+                            width) == _NEWLINE  # where the rows from start have this width
+        count = marked.size if marked.all() else int(marked.argmin())
+        words = partial(np.ndarray, count, "<u8", data, strides=width)
+        label = words(offset=newline - 8) >> np.uint64(64 - 8 * tail)
+        high = _ascii_digits(words(offset=newline - tail - 16), 16 - digits)
+        low = _ascii_digits(words(offset=newline - tail - 8), 8 - digits)
+        code = values[1, row:row + count]
         code.fill(np.nan)
         for key, value in keys.items():
             code[label == key] = value
-        high = _ascii_digits(words[block - tail - 16], 16 - digits)
-        low = _ascii_digits(words[block - tail - 8], 8 - digits)
-        if not (digits.min() >= 1 and digits.max() <= 16 and not np.isnan(code).any()
-                and _all_digits(high) and _all_digits(low)):
+        good = ~np.isnan(code) & _digit_words(high) & _digit_words(low)
+        run = good.size if good.all() else int(good.argmin())
+        if run == 0:
             return None
-        values[0, i:i + block.size] = _swar_decimal(high) * 10**8 + _swar_decimal(low)
-        last = block[-1]
-    return Table(meta, values, len(rows) + np.arange(ends.size))
+        values[0, row:row + run] = _swar_decimal(high[:run]) * 10**8 + _swar_decimal(low[:run])
+        row, start = row + run, start + run * width
+    return Table(meta, values, len(rows) + np.arange(row))
 
 
 def _ascii_digits(words, lead):
     """Words of eight bytes, the first lead of each (those before the number,
-    0 to 8, clipped) set to ASCII '0'."""
-    keep = _KEEP[np.clip(lead, 0, 8)]
+    0 to 8 after clipping) set to ASCII '0'."""
+    keep = _KEEP[min(max(lead, 0), 8)]
     return words & keep | _ASCII_ZEROS & ~keep
 
 
-def _all_digits(words):
-    """Whether every byte of every word is an ASCII digit."""
-    return bool(np.all((words & _HIGH_NIBBLES == _ASCII_ZEROS)
-                       & ((words + _SIXES) & _HIGH_NIBBLES == _ASCII_ZEROS)))
+def _digit_words(words):
+    """Whether every byte of each word is an ASCII digit."""
+    return (words & _HIGH_NIBBLES == _ASCII_ZEROS) & ((words + _SIXES) & _HIGH_NIBBLES == _ASCII_ZEROS)
 
 
 def _swar_decimal(words):

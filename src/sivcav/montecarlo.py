@@ -30,6 +30,18 @@ batch of photons (Coxian: the three exponentials, U, channel coin; event
 skipping: K, M, the three gamma waits, channel coin); a new generator or
 order means a new tag, which saved streams record. Old tags still load.
 
+Each stage of the photon path holds one array per stream, and no other
+temporary larger than a batch or a block. simulate_stream draws each batch
+of at most BATCH photons straight into one output, sized from the expected
+photon count and its margin and grown only past it; one batch-size scratch
+array holds E2, then E1, then the channel coin, and the Coxian's U comes in
+chunks of DRAW_CHUNK (the same draws as one call). apply_jitter sorts the
+jittered times in place: cut into blocks of SORT_BLOCK, a cut is kept where
+no time before it exceeds one after it, and each span between kept cuts is
+stable-sorted alone, so the order is that of one stable argsort of the
+stream. Only where no cut holds does the span, and its temporaries, cover
+the whole stream.
+
 A full-mode histogram counts each pair (i, i + k) of photons with
 t[i + k] - t[i] within the window once, under its start i: lag by lag over
 the starts whose pairs still fit (Laurence et al., Opt. Lett. 31, 829
@@ -47,9 +59,10 @@ as an integer number of picoseconds, as hardware time taggers record them
 of the HBT analysis. Loading divides by 1e12, so a saved stream loads back
 rounded to the picosecond, clipped to its duration. Durations stay below
 2^51 ps (about 2252 s), where float seconds resolve every picosecond, so a
-loaded stream saves to the same bytes. The rows are written and, when every
-row is '<digits>,ZPL|PSB' as written, read as bytes with numpy, block by
-block (_table.write_counts, read_counts); any other file, float seconds
+loaded stream saves to the same bytes. The rows are written as bytes with
+numpy, block by block (_table.write_counts), and when every row is
+'<digits>,ZPL|PSB' as written, read from the file's bytes run by run, a run
+being rows of one width (_table.read_counts); any other file, float seconds
 included, goes through the table reader, which reports faults at their line.
 Files without the time_unit header hold float seconds and still load.
 """
@@ -87,6 +100,9 @@ MODE_START_STOP = "start-stop"
 
 CHUNK_STARTS = 1 << 16  # pair starts per chunk of a full-mode correlate
 MAX_WORKERS = 4  # threads per correlate, at most
+BATCH = 500_000  # photons drawn per batch of simulate_stream, at most
+DRAW_CHUNK = 1 << 14  # uniforms per draw of the Coxian's coin U
+SORT_BLOCK = 1 << 16  # keys per block of apply_jitter's sort
 
 
 def _rng(seed):
@@ -285,45 +301,89 @@ def simulate_stream(
     p_shelf = rates.k23 / k2t
     q = (1.0 - p_shelf) * q_detect
     mean_gap = (1.0 / rates.k12 + 1.0 / k2t + p_shelf / rates.k31) / q
+
+    def expected(t0):  # the photons expected after t0, with a margin
+        return max(1024, int((duration - t0) / mean_gap * 1.2) + 16)
+
+    # one output for the stream, grown only past the expected count
+    times, tags = np.empty(expected(0.0)), np.empty(expected(0.0), np.uint8)
+    scratch = np.empty(min(times.size, BATCH))  # E2, then E1, then the channel coin
     rng = _rng(seed)
     coxian = _coxian(rates, q_detect)
     if coxian is not None:
         mu1, mu2, mu3, beta1 = coxian
+        coin = np.empty(DRAW_CHUNK)
 
-        def gaps(n):
-            t = rng.standard_exponential(n)
+        def draw_gaps(t):
+            e = scratch[:t.size]
+            rng.standard_exponential(out=t)
             t /= mu3
-            t += rng.standard_exponential(n) / mu2
-            np.add(t, rng.standard_exponential(n) / mu1, out=t, where=rng.random(n) < beta1)
-            return t
+            rng.standard_exponential(out=e)
+            e /= mu2
+            t += e
+            rng.standard_exponential(out=e)
+            e /= mu1
+            for lo in range(0, e.size, DRAW_CHUNK):  # U in chunks: the draws of one rng.random(n)
+                u = rng.random(out=coin[:e.size - lo])
+                e[lo:lo + u.size] *= u < beta1  # +0.0 where U >= beta1, which adds nothing
+            t += e
     else:
         # P(shelved | undetected); p_shelf / (1 - q) can round above 1 at q_detect = 1
         undetected = p_shelf + (1.0 - p_shelf) * (1.0 - q_detect)
         p_dark = p_shelf / undetected if undetected > 0.0 else 0.0
 
-        def gaps(n):
-            cycles = rng.geometric(q, n)
+        def draw_gaps(t):
+            cycles = rng.geometric(q, t.size)
             shelved = rng.binomial(cycles - 1, p_dark)
-            t = rng.gamma(cycles, 1.0 / rates.k12)
+            t[:] = rng.gamma(cycles, 1.0 / rates.k12)
             t += rng.gamma(cycles, 1.0 / k2t)
             t += rng.gamma(shelved, 1.0 / rates.k31)
-            return t
 
-    times, tags = [], []
-    t0 = 0.0
+    pos, t0 = 0, 0.0
     while t0 <= duration:
-        n = max(1024, int((duration - t0) / mean_gap * 1.2) + 16)
-        n = min(n, 500_000)  # cap batch memory; the loop continues if needed
-        t = gaps(n)
+        n = min(expected(t0), BATCH)  # no batch is larger than the first
+        if pos + n > times.size:  # more photons than expected: room for those expected after t0
+            size = pos + expected(t0)
+            times, tags = _grown(times, pos, size), _grown(tags, pos, size)
+        t = times[pos:pos + n]
+        draw_gaps(t)
         np.cumsum(t, out=t)
         t += t0
         kept = int(np.searchsorted(t, duration, side="right"))
-        times.append(t[:kept])
-        tags.append((rng.random(kept) >= budget.zpl_fraction).astype(np.uint8))  # PSB = 1
+        np.greater_equal(rng.random(out=scratch[:kept]), budget.zpl_fraction,
+                         out=tags[pos:pos + kept])  # PSB = 1
         t0 = float(t[-1])
+        pos += kept
 
-    return _handed_over(np.concatenate(times), np.concatenate(tags), duration, seed,
+    return _handed_over(times[:pos], tags[:pos], duration, seed,
                         RNG_SKIP if coxian is None else RNG_COXIAN)
+
+
+def _grown(a, pos, size):
+    """A new array of size entries, a[:pos] at its head."""
+    out = np.empty(size, a.dtype)
+    out[:pos] = a[:pos]
+    return out
+
+
+def _block_sort(keys, tags):
+    """Sort keys in place and return tags in their new order, as a stable
+    argsort of all keys would order them, with temporaries of one span.
+
+    A cut between two blocks of SORT_BLOCK keys is kept where no key before
+    it exceeds a key after it; each span between kept cuts is stable-sorted
+    on its own, and the spans are then in order. Where no cut holds the span
+    is every key."""
+    starts = np.arange(0, keys.size, SORT_BLOCK)
+    before = np.maximum.accumulate(np.maximum.reduceat(keys, starts))[:-1]  # largest key before each cut
+    after = np.minimum.accumulate(np.minimum.reduceat(keys, starts)[::-1])[::-1][1:]  # smallest after it
+    cuts = [0, *starts[1:][before <= after].tolist(), keys.size]
+    out = np.empty(keys.size, np.uint8)
+    for lo, hi in zip(cuts, cuts[1:]):
+        order = np.argsort(keys[lo:hi], kind="stable")
+        keys[lo:hi] = keys[lo:hi][order]
+        out[lo:hi] = tags[lo:hi][order]
+    return out
 
 
 def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStream:
@@ -339,12 +399,11 @@ def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStr
     jittered = _rng(seed).standard_normal(len(stream))
     jittered *= sigma_irf
     jittered += stream.timestamps  # t + normal(0, sigma, n), bit for bit
-    order = np.argsort(jittered, kind="stable")
-    jittered = jittered[order]
+    tags = _block_sort(jittered, stream.channel_tags)
     # the photons inside [0, duration]: a slice, ordered as a stable sort of them alone
     inside = slice(jittered.searchsorted(0.0), jittered.searchsorted(stream.duration, "right"))
-    return _handed_over(jittered[inside], stream.channel_tags[order[inside]], stream.duration,
-                        stream.seed, stream.rng_algorithm)
+    return _handed_over(jittered[inside], tags[inside], stream.duration, stream.seed,
+                        stream.rng_algorithm)
 
 
 def _workers():

@@ -1,7 +1,9 @@
 import concurrent.futures
 import io
 import os
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -279,6 +281,80 @@ class TestGapSampler:
         assert cox_second == pytest.approx(mean**2 * (1.0 + cv2), rel=1e-8)
 
 
+def batches_joined(rates, budget, duration, det, seed):
+    """Oracle for simulate_stream's single buffer: each batch of BATCH
+    photons at most drawn into new arrays, the Coxian's E1/mu1 added only
+    where U < beta1, and the batches joined at the end."""
+    q_detect = budget.eta_qe * det
+    k2t = rates.k21 + rates.k23
+    p_shelf = rates.k23 / k2t
+    q = (1.0 - p_shelf) * q_detect
+    mean_gap = (1.0 / rates.k12 + 1.0 / k2t + p_shelf / rates.k31) / q
+    rng = montecarlo._rng(seed)
+    coxian = montecarlo._coxian(rates, q_detect)
+
+    def gaps(n):
+        if coxian is not None:
+            mu1, mu2, mu3, beta1 = coxian
+            t = rng.standard_exponential(n) / mu3
+            t += rng.standard_exponential(n) / mu2
+            np.add(t, rng.standard_exponential(n) / mu1, out=t, where=rng.random(n) < beta1)
+            return t
+        undetected = p_shelf + (1.0 - p_shelf) * (1.0 - q_detect)
+        cycles = rng.geometric(q, n)
+        shelved = rng.binomial(cycles - 1, p_shelf / undetected)
+        return (rng.gamma(cycles, 1.0 / rates.k12) + rng.gamma(cycles, 1.0 / k2t)
+                + rng.gamma(shelved, 1.0 / rates.k31))
+
+    times, tags, t0 = [], [], 0.0
+    while t0 <= duration:
+        n = min(max(1024, int((duration - t0) / mean_gap * 1.2) + 16), montecarlo.BATCH)
+        t = np.cumsum(gaps(n)) + t0
+        kept = int(np.searchsorted(t, duration, side="right"))
+        times.append(t[:kept])
+        tags.append((rng.random(kept) >= budget.zpl_fraction).astype(np.uint8))
+        t0 = float(t[-1])
+    return np.concatenate(times), np.concatenate(tags)
+
+
+# bursts of about 1000 photons 1 ms apart: the count of a stream often
+# exceeds the expected one by far more than simulate_stream's margin
+BURSTY_RATES = ThreeLevelRates(1e9, 1e9, 1e6, 1e3)
+
+
+class TestSimulateStreamBuffer:
+    """One output array per stream, drawn into batch by batch, against the
+    batches drawn whole and joined."""
+
+    @pytest.mark.parametrize("rates, duration, batch, chunk", [
+        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), 3e-4, 500_000, 1 << 14),  # one batch
+        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), 3e-4, 1000, 7),  # 20 batches
+        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), 3e-4, 1024, 1),
+        (ThreeLevelRates(1e9, 1e8, 1e9, 1e8), 1e-3, 1000, 7),  # event skipping
+        (BURSTY_RATES, 2e-3, 500_000, 1 << 14),
+        (BURSTY_RATES, 2e-3, 1000, 7),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_batches_joined(self, monkeypatch, rates, duration, batch, chunk, seed):
+        monkeypatch.setattr(montecarlo, "BATCH", batch)
+        monkeypatch.setattr(montecarlo, "DRAW_CHUNK", chunk)
+        stream = montecarlo.simulate_stream(rates, FULLY_RADIATIVE, duration, 0.9, seed)
+        times, tags = batches_joined(rates, FULLY_RADIATIVE, duration, 0.9, seed)
+        assert np.array_equal(stream.timestamps, times)
+        assert np.array_equal(stream.channel_tags, tags)
+        assert stream.channel_tags.dtype == np.uint8
+
+    def test_grows_past_the_expected_count(self, monkeypatch):
+        grown, real = [], montecarlo._grown
+        monkeypatch.setattr(montecarlo, "_grown",
+                            lambda a, pos, size: grown.append(size) or real(a, pos, size))
+        stream = montecarlo.simulate_stream(BURSTY_RATES, FULLY_RADIATIVE, 2e-3, 0.9, seed=2)
+        times, tags = batches_joined(BURSTY_RATES, FULLY_RADIATIVE, 2e-3, 0.9, seed=2)
+        assert len(grown) >= 2  # times and tags: 4024 photons where 1.8k are expected
+        assert np.array_equal(stream.timestamps, times)
+        assert np.array_equal(stream.channel_tags, tags)
+
+
 class TestApplyJitter:
     def test_zero_sigma_identity(self, mc_rates, radiative_budget):
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 1e-4, 1.0, seed=2)
@@ -344,6 +420,106 @@ class TestApplyJitter:
         for t in (0.25, 0.5, 1.0):
             assert np.array_equal(jittered.channel_tags[jittered.timestamps == t],
                                   stream.channel_tags[ts == t])
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sorted_in_small_blocks(self, monkeypatch, block, seed):
+        # photons 0.2 ns apart on average, jittered by 0.2 ns: about half the cuts hold
+        monkeypatch.setattr(montecarlo, "SORT_BLOCK", block)
+        stream = poisson_stream(5e9, 1e-6, seed)
+        jittered = montecarlo.apply_jitter(stream, 2e-10, seed=seed + 10)
+        times, tags, _everyone = self.mask_then_sort(stream, 2e-10, seed + 10)
+        assert np.array_equal(jittered.timestamps, times)
+        assert np.array_equal(jittered.channel_tags, tags)
+
+    def test_sigma_so_large_that_no_block_cut_holds(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SORT_BLOCK", 7)
+        stream = poisson_stream(5e8, 1e-6, 4)
+        jittered = montecarlo.apply_jitter(stream, 1e-6, seed=14)
+        times, tags, everyone = self.mask_then_sort(stream, 1e-6, 14)
+        before = np.maximum.accumulate(everyone)[6:-1:7]  # the largest key before each cut
+        after = np.minimum.accumulate(everyone[::-1])[::-1][7::7]  # the smallest after it
+        assert np.all(before > after)
+        assert len(stream) // 10 < len(jittered) < len(stream)
+        assert np.array_equal(jittered.timestamps, times)
+        assert np.array_equal(jittered.channel_tags, tags)
+
+
+class TestBlockSort:
+    """_block_sort against a stable argsort of all keys. The tags number the
+    keys (mod 256), so any reordering of equal keys shows."""
+
+    @staticmethod
+    def check(keys):
+        tags = (np.arange(keys.size) % 256).astype(np.uint8)
+        order = np.argsort(keys, kind="stable")
+        got = keys.copy()
+        out = montecarlo._block_sort(got, tags)
+        assert np.array_equal(got, keys[order])
+        assert np.array_equal(out, tags[order])
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(montecarlo, "SORT_BLOCK", block)
+        noise = np.random.default_rng(block).normal(0.0, 2.0, 250)
+        self.check(np.round(np.arange(250) + noise))  # whole numbers: many ties, some across cuts
+
+    def test_key_displaced_across_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SORT_BLOCK", 7)
+        keys = np.arange(100.0)
+        keys[60], keys[10] = 3.5, 95.5  # back across 8 blocks, forward across 12
+        self.check(keys)
+
+    def test_ties_across_a_cut(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SORT_BLOCK", 7)
+        self.check(np.repeat(np.arange(10.0), 9))
+        self.check(np.repeat(np.arange(10.0), 9)[::-1].copy())
+
+    def test_no_cut_holds(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SORT_BLOCK", 7)
+        self.check(np.arange(100.0)[::-1].copy())
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_fewer_keys_than_one_block(self, n):
+        self.check(np.random.default_rng(n).random(n))
+
+
+def traced_peak(make):
+    """make() and the peak of the memory traced while it ran, above the
+    memory traced when it began; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPhotonPathMemory:
+    """Traced peak bytes per photon. Each cap is the value measured for this
+    code plus 15 %. The list of batches joined by np.concatenate read 30.0
+    (one batch, 415k photons) and 19.0 (2M photons), and a whole-stream
+    argsort with a sorted copy 24.0 (415k photons)."""
+
+    RATE = 6.6e7  # photons per second of mc_rates under radiative_budget at det = 1
+
+    def test_apply_jitter(self, mc_rates, radiative_budget):
+        # the keys (8 bytes), the tags (1) and one span's temporaries: 11.6
+        stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 415e3 / self.RATE, 1.0, seed=3)
+        jittered, peak = traced_peak(lambda: montecarlo.apply_jitter(stream, 3e-10, seed=4))
+        assert len(jittered) == len(stream) > 400e3
+        assert peak / len(stream) < 13.3
+
+    @pytest.mark.parametrize("photons, cap", [
+        (415e3, 25.0),  # one batch: measured 21.8
+        (2e6, 16.0),  # four batches: measured 13.9
+    ])
+    def test_simulate_stream(self, mc_rates, radiative_budget, photons, cap):
+        stream, peak = traced_peak(lambda: montecarlo.simulate_stream(
+            mc_rates, radiative_budget, photons / self.RATE, 1.0, seed=3))
+        assert len(stream) == pytest.approx(photons, rel=0.01)
+        assert peak / len(stream) < cap
 
 
 def poisson_stream(rate, duration, seed):
@@ -898,6 +1074,41 @@ class TestStreamBytes:
         outcome = stream_outcome(path)
         assert outcome == stream_outcome_by_table(monkeypatch, path)
         assert outcome.startswith(f"{path}{where}")
+
+    @pytest.mark.parametrize("text, parsed", [
+        # 12-byte rows around two 6-byte rows, whose second newline lands on the stride
+        ("# time_unit=ps\n" + "1000000,ZPL\n" * 3 + "1,PSB\n2,ZPL\n" + "1000001,PSB\n" * 10, True),
+        ("# a=1\n7,PSB\n12,ZPL\n345,ZPL\n", True),  # a first row after a short header
+        ("7,PSB\n12,ZPL\n", True),  # no header
+        ("# time_unit=ps\n" + "9999999999999999,ZPL\n1000000000000000,PSB\n" * 5, True),  # 16 digits
+        ("1,ZPL\n22,PSB\n" * 10, True),  # 20 runs of one row
+        ("1,ZPL\n22,PSB\n" * 50, False),  # 100 runs of one row: more than sorted counts take
+        ("# time_unit=ps\n" + "1000000,ZPL\n" * 8 + "1000000,ZPX\n" + "1000000,PSB\n" * 3, False),
+        ("# time_unit=ps\r\n" + "1000000,ZPL\r\n" * 9, False),  # CRLF
+        ("# time_unit=ps\n" + "1000000,ZPL\n" * 8 + "1000000,ZPL\r\n", False),
+        ("# time_unit=ps\n" + "1000000,ZPL\n" * 8 + "1000000,ZPL", False),  # no final newline
+    ])
+    def test_run_wise_reader_against_the_table_reader(self, tmp_path, monkeypatch, text, parsed):
+        monkeypatch.setattr(_table, "BLOCK_ROWS", 7)
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text.encode())
+
+        def outcome(read):
+            try:
+                table = read()
+            except InputFormatError as err:
+                return str(err)
+            return table.meta, table.columns.tolist(), table.lines.tolist()
+
+        codes = {label: i for i, label in enumerate(montecarlo.CHANNEL_LABELS)}
+        headers = {"time_unit": montecarlo._time_unit}
+        by_table = partial(_table.read_table, path, (2,), "expected 'timestamp,channel'",
+                           "bad timestamp", labels={1: (codes, "unknown channel {!r}")},
+                           headers=headers)
+        assert counts_parsed(path) == parsed
+        if parsed:
+            assert outcome(partial(_table.read_counts, path, codes, headers)) == outcome(by_table)
+        assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)
 
     def test_write_counts_matches_str(self, monkeypatch):
         def check(counts, tags):
