@@ -10,20 +10,26 @@ shortest round-trip repr, so the same arrays give the same bytes.
 
 Rows of a count and a label, '<1-16 digits>,<label>', the picosecond photon
 streams, also go through bytes: write_counts builds them with numpy, block by
-block, byte for byte as str(count) + ',' + label would print them. It lays
+block, byte for byte as str(count) + ',' + label would print them, and can
+convert each block to its integer counts as it goes (a stream's seconds to
+picoseconds), so no converted copy of the whole column is made. It lays
 each row out in a fixed-width record and writes every run of rows whose
 counts have one number of digits as one column slice of the records, with
 no mask: sorted counts, such as a stream's timestamps, make one run per
 width, and unsorted ones are written right in more, shorter runs.
 read_counts parses them from the file's bytes when every row after the top
-comments has exactly that form, run by run: a run is up to BLOCK_ROWS rows
-of one width, found by checking the newline at every width-th byte and read
-through strided 64-bit views of the bytes into one preallocated array, with
-no per-byte mask or per-row index. Any other file, a comment or blank line
-between rows, a space, CRLF or a missing final newline included, goes to
-read_table, so faults are found and placed at their line by read_table
-alone; so does a file whose rows change width far more often than sorted
-counts can, such as unsorted ones, which would take a run per row.
+comments has exactly that form, holding only a float64 count and a uint8
+code per row and one chunk of CHUNK_BYTES: it counts the rows, a newline
+each, chunk by chunk, then reads the chunks into its two preallocated
+arrays, each chunk's partial last row carried to the next. A chunk is read
+run by run: a run is up to BLOCK_ROWS rows of one width, found by checking
+the newline at every width-th byte and read through strided 64-bit views
+of the bytes, with no per-byte mask or per-row index. Any other file, a
+comment or blank line between rows, a space, CRLF or a missing final
+newline included, goes to read_table, so faults are found and placed at
+their line by read_table alone; so does a file whose rows change width far
+more often than sorted counts can, such as unsorted ones, which would take
+a run per row.
 read_columns, the one loader of rows into a domain type, hands the columns
 of read_table to the type's constructor; read_document does the same for a
 JSON document and its builder, so a fault in either names the file.
@@ -32,7 +38,6 @@ JSON document and its builder, so a fault in either names the file.
 from __future__ import annotations
 
 import json
-import os
 import re
 from functools import partial
 from itertools import compress, islice, repeat
@@ -44,12 +49,13 @@ import numpy as np
 from .errors import InputFormatError, ValidationError
 
 BLOCK_ROWS = 1 << 16  # rows per block written, and per block of read_counts
+CHUNK_BYTES = 1 << 20  # bytes per chunk of read_counts
 _LOADTXT = dict(delimiter=",", comments=None, quotechar=None)
-_TOP_BYTES = re.compile(rb"(?:[^\S\n]*(?:#[^\n]*)?\n)*")  # blank and comment lines at the top
+_TOP_LINE = re.compile(rb"[^\S\n]*(?:#[^\n]*)?\n")  # a blank or comment line
 _SKIPPED = frozenset(("", "#")).__contains__  # first character of a blank or comment line
 _first_char = itemgetter(slice(1))
 _ZERO, _NEWLINE = b"0\n"
-_PAD = 24  # bytes before a file's first row: the digit words and the label word
+_PAD = 24  # bytes before a chunk's first row: the digit words and the label word
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _SIXES = np.uint64(0x0606060606060606)
@@ -60,6 +66,12 @@ class Table(NamedTuple):
     meta: dict  # header key -> stripped value, or its parsed value
     columns: np.ndarray  # (fields, rows) floats
     lines: np.ndarray  # 1-based line number of each row
+
+
+class Counts(NamedTuple):
+    meta: dict  # header key -> stripped value, or its parsed value
+    counts: np.ndarray  # float64 count of each row
+    codes: np.ndarray  # uint8 code of each row's label
 
 
 def _load(rows, labels, width, size, usecols=None):
@@ -184,65 +196,85 @@ def read_document(path, make):
 
 
 def read_counts(path, codes, headers=None):
-    """The Table of a file whose rows all read '<count>,<label>\\n': 1 to 16
-    digits, then a label of codes (label -> code, every label of one length
-    up to 7), parsed from the file's bytes. None for any other file, and for
-    one without rows or with a header its parse rejects: read it with
-    read_table, which finds the fault.
+    """The Counts of a file whose rows all read '<count>,<label>\\n': 1 to 16
+    digits, then a label of codes (label -> code in 0-255, every label of one
+    length up to 7), parsed from the file's bytes. None for any other file,
+    and for one without rows or with a header its parse rejects: read it
+    with read_table, which finds the fault.
 
-    The rows are read run by run. A run is up to BLOCK_ROWS rows of the
-    width of its first row: a newline at every width-th byte from that row's
-    newline on marks them. Each row of a run is read as three 64-bit words at
-    its end, strided views of the file's bytes: two words of eight digits and
-    one holding the comma and the label. Every byte of a row is so checked;
-    the run ends before its first row that fails, and the next run starts
-    at that row with the row's own width, so a failing first row fails the
-    file."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        data = bytearray(_PAD + size)  # the pad: every word of a row lies in data
-        if fh.readinto(memoryview(data)[_PAD:]) != size:
-            return None
-    top = _TOP_BYTES.match(data, _PAD).end()
-    head = bytes(data[_PAD:top])
-    if not head.isascii() or b"\r" in head or top == len(data) or data[-1] != _NEWLINE:
-        return None
-    rows = list(map(str.strip, head.decode().split("\n")))
-    meta, faults = _read_headers(rows, list(map(_SKIPPED, map(_first_char, rows))), headers or {})
-    if faults:
-        return None
+    The top comment lines are read one by one; the rows after them are
+    counted, a newline each, in chunks of CHUNK_BYTES, and then read in such
+    chunks into the two preallocated arrays, a chunk's partial last row
+    carried over to the next. Each chunk is read run by run. A run is up to
+    BLOCK_ROWS rows of the width of its first row: a newline at every
+    width-th byte from that row's newline on marks them. Each row of a run
+    is read as three 64-bit words at its end, strided views of the chunk's
+    bytes: two words of eight digits and one holding the comma and the
+    label. Every byte of a row is so checked; the run ends before its first
+    row that fails, and the next run starts at that row with the row's own
+    width, so a failing first row fails the file."""
     tail = 1 + len(next(iter(codes)))  # the comma and the label
+    widest = 17 + tail  # bytes of a row of 16 digits, its newline included
     keys = {int.from_bytes(f",{label}".encode(), "little"): code for label, code in codes.items()}
-    values = np.empty((2, data.count(b"\n", top)))  # a row per newline, once every row is read
-    row, start = 0, top  # the next row: its index and its first byte
-    # sorted counts, such as a stream's, need a run per width and per block;
-    # a file that needs many more, such as one of unsorted counts, is left to read_table
-    runs_left = 2 * (16 + values.shape[1] // BLOCK_ROWS)
-    while start < len(data):
-        width = data.index(b"\n", start) + 1 - start
-        digits = width - 1 - tail
-        if not 1 <= digits <= 16 or runs_left == 0:
+    with open(path, "rb") as fh:
+        head = []
+        while (line := fh.readline()) and _TOP_LINE.fullmatch(line):
+            head.append(line)
+        head = b"".join(head)
+        if not line or not head.isascii() or b"\r" in head:
             return None
-        runs_left -= 1
-        newline = start + width - 1
-        marked = np.ndarray(min(BLOCK_ROWS, (len(data) - start) // width), np.uint8, data, newline,
-                            width) == _NEWLINE  # where the rows from start have this width
-        count = marked.size if marked.all() else int(marked.argmin())
-        words = partial(np.ndarray, count, "<u8", data, strides=width)
-        label = words(offset=newline - 8) >> np.uint64(64 - 8 * tail)
-        high = _ascii_digits(words(offset=newline - tail - 16), 16 - digits)
-        low = _ascii_digits(words(offset=newline - tail - 8), 8 - digits)
-        code = values[1, row:row + count]
-        code.fill(np.nan)
-        for key, value in keys.items():
-            code[label == key] = value
-        good = ~np.isnan(code) & _digit_words(high) & _digit_words(low)
-        run = good.size if good.all() else int(good.argmin())
-        if run == 0:
+        lines = list(map(str.strip, head.decode().split("\n")))
+        meta, faults = _read_headers(lines, list(map(_SKIPPED, map(_first_char, lines))),
+                                     headers or {})
+        if faults:
             return None
-        values[0, row:row + run] = _swar_decimal(high[:run]) * 10**8 + _swar_decimal(low[:run])
-        row, start = row + run, start + run * width
-    return Table(meta, values, len(rows) + np.arange(row))
+        data = bytearray(_PAD + widest + CHUNK_BYTES)  # the pad: every word of a row lies in data
+        view = memoryview(data)
+        fh.seek(len(head))
+        rows = chunks = 0
+        while size := fh.readinto(view[_PAD:_PAD + CHUNK_BYTES]):
+            rows, chunks = rows + data.count(b"\n", _PAD, _PAD + size), chunks + 1
+        fh.seek(len(head))
+        counts, tags = np.empty(rows), np.empty(rows, np.uint8)
+        row, carry = 0, 0  # the next row's index; bytes of it read so far
+        # sorted counts, such as a stream's, need a run per width, per block and
+        # per chunk; a file that needs many more, such as one of unsorted counts,
+        # is left to read_table
+        runs_left = 2 * (16 + rows // BLOCK_ROWS) + chunks
+        while size := fh.readinto(view[_PAD + carry:_PAD + carry + CHUNK_BYTES]):
+            start, end = _PAD, _PAD + carry + size  # the next row's first byte; the chunk's end
+            while (newline := data.find(b"\n", start, end)) >= 0:
+                width = newline + 1 - start
+                digits = width - 1 - tail
+                if not 1 <= digits <= 16 or runs_left == 0:
+                    return None
+                runs_left -= 1
+                marked = np.ndarray(min(BLOCK_ROWS, (end - start) // width, rows - row), np.uint8,
+                                    data, newline, width) == _NEWLINE  # the rows of this width
+                count = marked.size if marked.all() else int(marked.argmin())
+                words = partial(np.ndarray, count, "<u8", data, strides=width)
+                label = words(offset=newline - 8) >> np.uint64(64 - 8 * tail)
+                high = _ascii_digits(words(offset=newline - tail - 16), 16 - digits)
+                low = _ascii_digits(words(offset=newline - tail - 8), 8 - digits)
+                good = _digit_words(high) & _digit_words(low)
+                known = np.zeros_like(good)
+                for key, code in keys.items():
+                    hit = label == key
+                    tags[row:row + count][hit] = code
+                    known |= hit
+                good &= known
+                run = good.size if good.all() else int(good.argmin())
+                if run == 0:
+                    return None
+                counts[row:row + run] = _swar_decimal(high[:run]) * 10**8 + _swar_decimal(low[:run])
+                row, start = row + run, start + run * width
+            carry = end - start
+            if carry >= widest:  # a row too long to read
+                return None
+            data[_PAD:_PAD + carry] = data[start:end]
+    if carry or row != rows:  # a last row without its newline; a file changed while read
+        return None
+    return Counts(meta, counts, tags)
 
 
 def _ascii_digits(words, lead):
@@ -267,7 +299,7 @@ def _swar_decimal(words):
     return ((words * np.uint64(10000 << 32 | 1)) >> np.uint64(32)).astype(np.int64)
 
 
-def write_counts(fh, counts, tags, labels):
+def write_counts(fh, counts, tags, labels, convert=None):
     """Write to a binary file one row per count, the bytes of
     str(count) + ',' + labels[tag] + '\\n': counts are integers in [0, 10^16),
     every label of one length up to 6. Each block of BLOCK_ROWS rows is built
@@ -275,18 +307,21 @@ def write_counts(fh, counts, tags, labels):
     padded tail; each run of rows whose numbers have one width is written as
     one column slice of its records, which drops the leading zeros and the
     padding. Sorted counts make one run per width in a block; any order
-    gives the same bytes, in more runs."""
-    counts = np.asarray(counts, np.int64)
-    if counts.size and not (counts.min() >= 0 and counts.max() < 10**16):
-        raise ValueError("counts must lie in [0, 10^16)")
+    gives the same bytes, in more runs. convert, if given, maps each block
+    of counts to its integers as it is written, so that no converted copy
+    of all counts is made. ValueError for an integer outside [0, 10^16),
+    before its block is written."""
     groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + _ZERO
     groups = groups.astype(np.uint8).view("<u4")[:, 0]  # the ASCII digits of 0000-9999
     tails = np.array([f",{label}\n".encode().ljust(8, b"\0") for label in labels])
     tails = np.frombuffer(tails.tobytes(), "<u8")
     width = 18 + len(labels[0])  # of the longest row: 16 digits, the comma, the label, the newline
     powers = 10 ** np.arange(1, 16)
-    for i in range(0, counts.size, BLOCK_ROWS):
+    for i in range(0, len(counts), BLOCK_ROWS):
         block = counts[i:i + BLOCK_ROWS]
+        block = np.asarray(convert(block) if convert else block, np.int64)
+        if not (block.min() >= 0 and block.max() < 10**16):
+            raise ValueError("counts must lie in [0, 10^16)")
         records = np.empty((block.size, 24), np.uint8)
         quads = records.view("<u4")
         high, low = np.divmod(block, 10**8)

@@ -60,11 +60,16 @@ of the HBT analysis. Loading divides by 1e12, so a saved stream loads back
 rounded to the picosecond, clipped to its duration. Durations stay below
 2^51 ps (about 2252 s), where float seconds resolve every picosecond, so a
 loaded stream saves to the same bytes. The rows are written as bytes with
-numpy, block by block (_table.write_counts), and when every row is
-'<digits>,ZPL|PSB' as written, read from the file's bytes run by run, a run
-being rows of one width (_table.read_counts); any other file, float seconds
-included, goes through the table reader, which reports faults at their line.
-Files without the time_unit header hold float seconds and still load.
+numpy, block by block (_table.write_counts), each block's timestamps turned
+into picoseconds as it is written. When every row is '<digits>,ZPL|PSB' as
+written, the file is read from its bytes in chunks, run by run, a run being
+rows of one width (_table.read_counts), into the float64 counts and uint8
+codes that the stream takes as they are, the counts divided to seconds in
+place; any other file, float seconds included, goes through the table
+reader, which reports faults at their line. So saving and loading, too,
+hold no temporary larger than a block or a chunk besides the stream's own
+arrays. Files without the time_unit header hold float seconds and still
+load.
 """
 
 from __future__ import annotations
@@ -545,10 +550,16 @@ def _time_unit(value):
 
 def save_stream(stream: PhotonStream, path, rates: ThreeLevelRates | None = None, meta=None):
     """Write a stream CSV, its timestamps rounded to integer picoseconds and
-    clipped to the duration. DomainError for a duration of 2^51 ps or more."""
+    clipped to the duration, block by block as the rows are written.
+    DomainError for a duration of 2^51 ps or more."""
     if stream.duration * PS_PER_S >= MAX_PS:
         raise DomainError(f"duration {stream.duration!r} s is 2^51 ps or more")
-    ps = np.minimum(np.rint(stream.timestamps * PS_PER_S), _last_ps(stream.duration)).astype(np.int64)
+    last = _last_ps(stream.duration)
+
+    def to_ps(times):
+        ps = times * PS_PER_S
+        return np.minimum(np.rint(ps, out=ps), last, out=ps).astype(np.int64)
+
     header = [f"seed={stream.seed}", f"rng={stream.rng_algorithm}",
               f"duration_s={stream.duration!r}", "time_unit=ps"]
     if rates is not None:
@@ -557,39 +568,43 @@ def save_stream(stream: PhotonStream, path, rates: ThreeLevelRates | None = None
     header.append("timestamp_ps,channel")
     with open(path, "wb") as fh:
         fh.write("".join(f"# {line}\n" for line in header).encode())
-        write_counts(fh, ps, stream.channel_tags, CHANNEL_LABELS)
+        write_counts(fh, stream.timestamps, stream.channel_tags, CHANNEL_LABELS, to_ps)
 
 
 def load_stream(path):
     """Load a stream CSV. Returns (PhotonStream, metadata dict).
 
-    Rows as save_stream writes them are parsed from the file's bytes; any
-    other file goes through the table reader, whose faults are reported first.
+    Rows as save_stream writes them are parsed from the file's bytes, whose
+    integer counts and codes the stream takes without a copy; any other
+    file goes through the table reader, whose faults are reported first.
     Under '# time_unit=ps' a timestamp that is not a non-negative integer
     fails as a bad timestamp at its line."""
     codes = {label: i for i, label in enumerate(CHANNEL_LABELS)}
     headers = {"time_unit": _time_unit}
-    table = read_counts(path, codes, headers)
-    if table is None:
+    table = None
+    counts = read_counts(path, codes, headers)
+    if counts is None:
         table = read_table(path, (2,), "expected 'timestamp,channel'", "bad timestamp",
                            labels={1: (codes, "unknown channel {!r}")}, headers=headers)
-    meta = table.meta
+        counts = table.meta, table.columns[0], table.columns[1].astype(np.uint8)
+    meta, times, tags = counts
     try:
         duration = float(meta["duration_s"])
         seed = int(meta.get("seed", 0))
     except (KeyError, ValueError):
         raise InputFormatError(path, 0, "missing or bad '# duration_s=' header") from None
-    times = table.columns[0]
     if "time_unit" in meta:
         if duration * PS_PER_S >= MAX_PS:
             raise InputFormatError(path, 0, f"duration_s={duration!r} is 2^51 ps or more")
-        bad = np.flatnonzero(~(times >= 0.0) | (np.floor(times) != times))
-        if bad.size:
-            raise InputFormatError(path, int(table.lines[bad[0]]), "bad timestamp")
-        times = times / PS_PER_S
+        if table is None:  # rows of digits alone: non-negative integers
+            times /= PS_PER_S  # in place, in the reader's own array
+        else:
+            bad = np.flatnonzero(~(times >= 0.0) | (np.floor(times) != times))
+            if bad.size:
+                raise InputFormatError(path, int(table.lines[bad[0]]), "bad timestamp")
+            times = times / PS_PER_S  # not a view that keeps the table's codes
     try:
-        stream = _handed_over(times, table.columns[1].astype(np.uint8), duration, seed,
-                              meta.get("rng", RNG_LEGACY))
+        stream = _handed_over(times, tags, duration, seed, meta.get("rng", RNG_LEGACY))
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None
     return stream, meta

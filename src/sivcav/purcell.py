@@ -261,9 +261,10 @@ def invert_budget(
         gamma_phc = f_phc * (gamma_zpl + gamma_psb) + gamma_nr
         gamma_zpl = branching * gamma_psb
 
-    ``branching`` is the ZPL:PSB ratio (4.0 means 4:1). Degenerate systems
-    (f_cav == f_phc, or branching == 0) and negative solution components
-    raise InfeasibleMeasurementError.
+    ``branching`` is the ZPL:PSB ratio (4.0 means 4:1). Systems singular to
+    working precision (f_cav near f_phc, or branching near 0: a condition
+    number of 1 / (3 eps) or more) and negative solution components raise
+    InfeasibleMeasurementError.
     """
     gamma_cav = _number("gamma_cav", gamma_cav)
     gamma_phc = _number("gamma_phc", gamma_phc)
@@ -279,9 +280,12 @@ def invert_budget(
         dtype=float,
     )
     b = np.array([gamma_cav, gamma_phc, 0.0], dtype=float)
-    scale = max(abs(f_cav), abs(f_phc), 1.0)
-    det = np.linalg.det(a)
-    if abs(det) < 1e-12 * scale**2:
+    eps = np.finfo(float).eps
+    cond = np.linalg.cond(a)
+    # det(A) = branching * (f_cav - f_phc) scales with the inputs; A is
+    # singular to working precision by numpy.linalg.matrix_rank's rule: its
+    # smallest singular value is at most 3 eps (3 its size) times its largest
+    if not cond < 1.0 / (3.0 * eps):
         raise InfeasibleMeasurementError(
             "measurement system is singular (f_cav = f_phc or branching = 0 "
             "leaves the budget underdetermined)"
@@ -290,7 +294,7 @@ def invert_budget(
     # round-off in the solve reaches about eps * cond(A) * |b| (Higham,
     # Accuracy and Stability of Numerical Algorithms, ch. 7); only negatives
     # beyond it are inconsistent measurements
-    clip = np.finfo(float).eps * np.linalg.cond(a) * np.linalg.norm(b)
+    clip = eps * cond * np.linalg.norm(b)
     solution = {"gamma_zpl": zpl, "gamma_psb": psb, "gamma_nr": nr}
     negative = [name for name, v in solution.items() if v < -clip]
     if negative:

@@ -3,7 +3,6 @@ import io
 import os
 import tracemalloc
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -497,10 +496,11 @@ def traced_peak(make):
 
 
 class TestPhotonPathMemory:
-    """Traced peak bytes per photon. Each cap is the value measured for this
-    code plus 15 %. The list of batches joined by np.concatenate read 30.0
-    (one batch, 415k photons) and 19.0 (2M photons), and a whole-stream
-    argsort with a sorted copy 24.0 (415k photons)."""
+    """Traced peak bytes per photon, or of a block. Each cap is the value
+    measured for this code plus 15 %. The list of batches joined by
+    np.concatenate read 30.0 (one batch, 415k photons) and 19.0 (2M
+    photons), and a whole-stream argsort with a sorted copy 24.0 (415k
+    photons)."""
 
     RATE = 6.6e7  # photons per second of mc_rates under radiative_budget at det = 1
 
@@ -520,6 +520,31 @@ class TestPhotonPathMemory:
             mc_rates, radiative_budget, photons / self.RATE, 1.0, seed=3))
         assert len(stream) == pytest.approx(photons, rel=0.01)
         assert peak / len(stream) < cap
+
+    @staticmethod
+    def even_stream(photons):
+        """A stream of photons evenly spread over 19 ms, as the CLI chain's."""
+        tags = np.arange(photons, dtype=np.uint8) % 2
+        return montecarlo.PhotonStream(np.linspace(0.0, 0.019, photons), tags, 0.019, 1)
+
+    def test_load_stream(self, tmp_path):
+        # the stream's own counts (8 bytes) and codes (1), plus the chunk and
+        # one run's temporaries, about 5 MB: measured 21.0; a Table of float
+        # codes and line numbers, read from a whole-file bytearray, read 43.5
+        path = tmp_path / "stream.csv"
+        montecarlo.save_stream(self.even_stream(415_000), path)
+        (stream, _), peak = traced_peak(lambda: montecarlo.load_stream(path))
+        assert len(stream) == 415_000
+        assert peak / len(stream) < 24.2
+
+    @pytest.mark.parametrize("photons", [600_000, 1_200_000])
+    def test_save_stream(self, tmp_path, photons):
+        # one block's picoseconds and records, the same 6.34 MB at either
+        # count; a conversion of the whole stream before writing read 10.6
+        # and 19.2 MB
+        stream = self.even_stream(photons)
+        _, peak = traced_peak(lambda: montecarlo.save_stream(stream, tmp_path / "stream.csv"))
+        assert peak < 7.3e6
 
 
 def poisson_stream(rate, duration, seed):
@@ -974,9 +999,31 @@ def stream_outcome_by_table(monkeypatch, path):
         return stream_outcome(path)
 
 
+STREAM_CODES = {label: i for i, label in enumerate(montecarlo.CHANNEL_LABELS)}
+STREAM_HEADERS = {"time_unit": montecarlo._time_unit}
+
+
 def counts_parsed(path):
-    codes = {label: i for i, label in enumerate(montecarlo.CHANNEL_LABELS)}
-    return _table.read_counts(path, codes, {"time_unit": montecarlo._time_unit}) is not None
+    return _table.read_counts(path, STREAM_CODES, STREAM_HEADERS) is not None
+
+
+def counts_values(path):
+    """The meta and the counts and codes of read_counts for a stream file,
+    None where it leaves the file to read_table."""
+    counts = _table.read_counts(path, STREAM_CODES, STREAM_HEADERS)
+    return counts and (counts.meta, [counts.counts.tolist(), counts.codes.tolist()])
+
+
+def table_values(path):
+    """The meta and the columns of read_table for a stream file, as load_stream
+    reads it, or the text of its InputFormatError."""
+    try:
+        table = _table.read_table(path, (2,), "expected 'timestamp,channel'", "bad timestamp",
+                                  labels={1: (STREAM_CODES, "unknown channel {!r}")},
+                                  headers=STREAM_HEADERS)
+    except InputFormatError as err:
+        return str(err)
+    return table.meta, table.columns.tolist()
 
 
 class TestStreamBytes:
@@ -1092,22 +1139,9 @@ class TestStreamBytes:
         monkeypatch.setattr(_table, "BLOCK_ROWS", 7)
         path = tmp_path / "rows.csv"
         path.write_bytes(text.encode())
-
-        def outcome(read):
-            try:
-                table = read()
-            except InputFormatError as err:
-                return str(err)
-            return table.meta, table.columns.tolist(), table.lines.tolist()
-
-        codes = {label: i for i, label in enumerate(montecarlo.CHANNEL_LABELS)}
-        headers = {"time_unit": montecarlo._time_unit}
-        by_table = partial(_table.read_table, path, (2,), "expected 'timestamp,channel'",
-                           "bad timestamp", labels={1: (codes, "unknown channel {!r}")},
-                           headers=headers)
         assert counts_parsed(path) == parsed
         if parsed:
-            assert outcome(partial(_table.read_counts, path, codes, headers)) == outcome(by_table)
+            assert counts_values(path) == table_values(path)
         assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)
 
     def test_write_counts_matches_str(self, monkeypatch):
@@ -1131,3 +1165,72 @@ class TestStreamBytes:
         for bad in (-1, 10**16):
             with pytest.raises(ValueError, match="counts must lie in"):
                 _table.write_counts(io.BytesIO(), np.array([bad]), np.array([0]), ("ZPL", "PSB"))
+
+
+def rows_of(counts, width=0):
+    """Stream rows of the counts, zero-padded to width digits, labels alternating."""
+    return "".join(f"{c:0{width}d},{montecarlo.CHANNEL_LABELS[i % 2]}\n" for i, c in enumerate(counts))
+
+
+HEAD = "# duration_s=1e-05\n# time_unit=ps\n"
+ROWS_OF_12 = rows_of(range(1_000_000, 1_000_040))  # 40 rows of 12 bytes
+
+
+class TestChunkEdges:
+    """read_counts in chunks of one 12-byte row and of a few odd byte counts,
+    held == to read_table, and load_stream to its table path."""
+
+    @pytest.fixture(params=[1, 5, 12, 13, 18, 37])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(_table, "CHUNK_BYTES", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("text, parsed", [
+        (HEAD + ROWS_OF_12, True),  # rows straddling the edges of all but chunks of 1 and 12
+        # 12-byte rows, then 13-byte ones: the width changes at the body's byte
+        # 36, an edge of chunks of 1, 12 and 18
+        (HEAD + rows_of(range(1_000_000, 1_000_003)) + rows_of(range(10**7, 10**7 + 9)), True),
+        (HEAD + rows_of([7, 12, 345, 6789, 10**6, 10**9, 10**12, 10**15, 10**16 - 1]), True),
+        (HEAD + rows_of(range(1_000_000, 1_000_004), 16) + ROWS_OF_12, True),  # leading zeros
+        ("# note=" + "x" * 60 + "\n" + HEAD + ROWS_OF_12, True),  # a header longer than a chunk
+        (HEAD + ROWS_OF_12[:-1], False),  # no final newline
+        (HEAD + ROWS_OF_12 + "1000040,ZPL", False),
+        (HEAD + ROWS_OF_12 + "\n", False),  # a blank last line
+        (HEAD + ROWS_OF_12.replace("1000031,PSB", "1000031,PSX"), False),  # faults in a later chunk
+        (HEAD + ROWS_OF_12.replace("1000031,PSB", "10000 31,PSB"), False),
+        (HEAD + ROWS_OF_12.replace("1000031,PSB", "1000031,PSB,1"), False),
+        (HEAD + ROWS_OF_12.replace("1000031,PSB", "1" * 40 + ",PSB"), False),  # a row too long
+    ], ids=["straddling", "width-change-at-36", "1-to-16-digits", "leading-zeros", "long-header",
+            "no-final-newline", "last-row-unended", "blank-last-line", "unknown-label", "space",
+            "three-fields", "long-row"])
+    def test_against_the_table_reader(self, tmp_path, monkeypatch, chunk, text, parsed):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        assert counts_parsed(path) == parsed
+        if parsed:
+            assert counts_values(path) == table_values(path)
+        assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("1000031,PSX", "unknown channel 'PSX'"),
+        ("10000x1,PSB", "bad timestamp"),
+        ("1000031;PSB", "expected 'timestamp,channel'"),
+    ])
+    def test_fault_in_a_later_chunk_at_its_line(self, tmp_path, monkeypatch, chunk, fault, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(HEAD + ROWS_OF_12.replace("1000031,PSB", fault))
+        assert stream_outcome(path) == f"{path}:34: {message}"  # the 32nd row, after two headers
+        assert stream_outcome_by_table(monkeypatch, path) == stream_outcome(path)
+
+    @pytest.mark.parametrize("chunk_bytes", [997, 4096])
+    def test_simulated_stream_is_never_left_to_the_table_reader(
+            self, mc_rates, radiative_budget, tmp_path, monkeypatch, chunk_bytes):
+        # 33k rows in 452 or 111 chunks, each splitting a run, against a budget
+        # of 32 runs for the widths and the blocks alone
+        monkeypatch.setattr(_table, "CHUNK_BYTES", chunk_bytes)
+        stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 5e-4, 1.0, seed=92)
+        path = tmp_path / "sim.csv"
+        montecarlo.save_stream(stream, path)
+        assert counts_parsed(path)
+        assert counts_values(path) == table_values(path)
+        assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)

@@ -236,6 +236,33 @@ class TestInvertBudget:
         with pytest.raises(InfeasibleMeasurementError):
             purcell.invert_budget(2e9, 2e9, 1.0, 1.0, 4.0)
 
+    @pytest.mark.parametrize("f_cav, branching, singular", [
+        # cond(A) 6.3e13; |det A| = 4e-13 failed the fixed test |det| < 1e-12
+        (0.25 + 1e-13, 4.0, False),
+        (0.25 + 2e-14, 4.0, False),  # cond 3.1e14
+        (0.25 + 5e-16, 4.0, True),  # cond 1.9e16, past 1 / (3 eps) = 1.5e15
+        (0.25, 4.0, True),
+        (5.0, 4e-15, False),  # cond 1.4e15
+        (5.0, 2e-15, True),  # cond 2.8e15
+        (5.0, 0.0, True),
+    ])
+    def test_singular_by_condition_number(self, f_cav, branching, singular):
+        # f_cav -> f_phc and branching -> 0 on either side of numpy's rank rule;
+        # a solved system keeps the error within eps cond(A) |x|
+        f_phc, psb, nr = 0.25, 0.2e9, 1e9
+        zpl = branching * psb
+        args = (f_cav * zpl + f_phc * psb + nr, f_phc * (zpl + psb) + nr, f_cav, f_phc, branching)
+        if singular:
+            with pytest.raises(InfeasibleMeasurementError, match="singular"):
+                purcell.invert_budget(*args)
+            return
+        budget = purcell.invert_budget(*args)
+        a = np.array([[f_cav, f_phc, 1.0], [f_phc, f_phc, 1.0], [1.0, -branching, 0.0]])
+        bound = np.finfo(float).eps * np.linalg.cond(a) * math.hypot(zpl, psb, nr)
+        assert abs(budget.gamma_zpl - zpl) <= bound
+        assert abs(budget.gamma_psb - psb) <= bound
+        assert abs(budget.gamma_nr - nr) <= bound
+
     def test_negative_component_names_rate(self):
         # gamma_cav below the pure-inhibition rate forces gamma_nr < 0 or worse
         with pytest.raises(InfeasibleMeasurementError, match="gamma"):
