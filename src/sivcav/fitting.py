@@ -10,9 +10,10 @@ looks at theirs only, so a fit whose optimum lies on a bound converges.
 Convergence is declared when the cosine between each free Jacobian column
 and the residual falls to GRAD_RTOL (MINPACK's scale-free test, More, LNM
 630, 105 (1978)), the relative parameter step below STEP_RTOL, the
-relative cost decrease below COST_RTOL or a trial step's cost equals the
-current one; a fit that does not converge is flagged, not retried. A trial
-step whose cost is nan or inf is rejected like one that raises the cost.
+relative cost decrease below COST_RTOL or a trial step raises the cost by
+at most COST_RTOL of it (flat to rounding); a fit that does not converge is
+flagged, not retried. A trial step whose cost is nan or inf is rejected
+like one that raises the cost.
 Up to three undamped Gauss-Newton steps polish a converged fit. The
 Jacobian is taken once per accepted point and never again where the engine
 already holds it; the last one serves the polish and the covariance. The
@@ -25,13 +26,14 @@ with its model's analytic Jacobian: the two-exponential g2 model,
 optionally convolved with a Gaussian instrument response in closed form
 (exponentially modified Gaussians), multi-Lorentzian spectra, cos^2
 polarization scans and two-parameter saturation curves. The zero-power
-sweep fit of ``dynamics`` passes its own.
+sweep fit of ``dynamics`` passes its own. The engine reports the
+parameters it iterates; ``fit_g2`` and ``fit_cos2`` map their results once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,7 +183,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
             if cost_new < cost:
                 accepted = True
                 break
-            if cost_new == cost:
+            if cost_new - cost <= COST_RTOL * cost:
                 converged = True
                 break
             lam *= 10.0
@@ -236,6 +238,15 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
     return p, cost, trace, iterations, converged, jac
 
 
+def _covariance(jac, chi2_red):
+    """(Jt W J)^-1 times the reduced chi-square from the weighted Jacobian:
+    a direction degenerate at the solution (singular values floored at
+    RANK_TOL of the largest) shows as very large entries, not as an error."""
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    s = np.clip(s, max(s[0], 1e-300) * RANK_TOL, None)
+    return (vt.T * (1.0 / s**2)) @ vt * chi2_red
+
+
 def least_squares(
     model,
     xdata,
@@ -245,7 +256,6 @@ def least_squares(
     bounds=None,
     names=None,
     max_iterations=500,
-    fixup=None,
     *,
     jacobian,
 ):
@@ -267,20 +277,16 @@ def least_squares(
         gradient is left out of the step.
     names : sequence of str, optional
         Parameter names used in results and error messages.
-    fixup : callable, optional
-        params -> params canonicalization applied to every candidate before
-        evaluation (used e.g. to keep tau1 < tau2 ordered during g2 fits).
     jacobian : callable, keyword-only, required
         jacobian(x, *params) -> (len(y), len(params)) array of the model's
         partial derivatives (any shape of that size whose last axis has one
-        column per parameter), taken at the parameters the engine holds,
-        i.e. before ``fixup``: it must include the fixup's own derivative.
+        column per parameter). Its last call is at the returned values.
 
     Returns
     -------
-    FitResult with covariance = (Jt W J)^-1 scaled by the reduced chi-square,
-    ``nfev`` the model evaluations and ``njev`` the evaluations of
-    ``jacobian``.
+    FitResult of the parameters iterated, covariance = (Jt W J)^-1 scaled by
+    the reduced chi-square with J taken at the returned values, ``nfev`` the
+    model evaluations and ``njev`` the evaluations of ``jacobian``.
 
     Raises
     ------
@@ -322,8 +328,6 @@ def least_squares(
     def residual_fn(p):
         nonlocal nfev
         nfev += 1
-        if fixup is not None:
-            p = fixup(p.copy())
         pred = np.asarray(model(xdata, *p), dtype=float).ravel()
         return (pred - y) * weights
 
@@ -344,21 +348,11 @@ def least_squares(
         p, cost, trace, iterations, converged, jac = _lm_iterate(
             residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations)
 
-    if fixup is not None:
-        p = fixup(p.copy())
-
-    # directions that became degenerate at the solution surface as very large
-    # covariance entries (unresolved components), not as an error; structural
-    # degeneracy is caught at the starting point inside _lm_iterate
     dof = max(y.size - n, 1)
-    chi2_red = (2.0 * cost) / dof
-    _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    s = np.clip(s, max(s[0], 1e-300) * RANK_TOL, None)
-    cov = (vt.T * (1.0 / s**2)) @ vt * chi2_red
     return FitResult(
         names=names,
         values=p,
-        covariance=cov,
+        covariance=_covariance(jac, (2.0 * cost) / dof),
         residual_norm=math.sqrt(2.0 * cost),
         iterations=iterations,
         converged=converged,
@@ -577,26 +571,6 @@ def _g2_init(curve: G2Curve) -> G2Params:
     return G2Params(tau1_0, tau2_0, a0)
 
 
-def _g2_fixup(p):
-    # keep tau2 strictly above tau1 (documented tie-break for the exchange
-    # degeneracy between the two exponentials); a >= 0 is a bound
-    if p[1] > p[2]:
-        p[1], p[2] = p[2], p[1]
-    if p[2] <= p[1]:
-        p[2] = p[1] * (1.0 + 1e-9)
-    return p
-
-
-def _g2_fit_jacobian(tau, a, tau1, tau2, irf_sigma):
-    """g2_jacobian at the parameters before _g2_fixup, the Jacobian of the
-    residual a g2 fit sees: where the fixup swaps tau1 and tau2 their
-    columns are exchanged."""
-    jac = g2_jacobian(tau, *_g2_fixup([a, tau1, tau2]), irf_sigma)
-    if tau1 > tau2:
-        jac[:, [1, 2]] = jac[:, [2, 1]]
-    return jac
-
-
 def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None = None) -> FitResult:
     """Fit the two-exponential g2 model to a correlation curve.
 
@@ -606,6 +580,12 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
     independently jittered photons this is sqrt(2) times the per-photon
     jitter). Uses the curve's sigmas as weights when present, and the
     analytic Jacobian of either model.
+
+    The engine iterates (a, tau1, d = tau2 - tau1), d >= tiny, from the
+    ordered pair of the init. The covariance comes from the (a, tau1, tau2)
+    Jacobian of the engine's last call, at the returned values: mapped from
+    (a, tau1, d), whose tau1 and d columns are nearly parallel where tau1 is
+    unresolved, it would lose the digits of sigma(tau2).
     """
     if irf_sigma is not None:
         irf_sigma = _number("irf_sigma", irf_sigma, "be non-negative")
@@ -619,28 +599,35 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
             f"curve must span beyond the tau2 estimate ({init.tau2:.3g} s); "
             f"maximum |delay| is {span:.3g} s"
         )
+    irf = irf_sigma or 0.0
 
-    if irf_sigma:
-        def model(tau, a, tau1, tau2):
-            return g2_model_irf(tau, a, tau1, tau2, irf_sigma)
-    else:
-        model = g2_model
+    def model(tau, a, tau1, d):
+        return g2_model_irf(tau, a, tau1, tau1 + d, irf)
 
-    def jacobian(tau, a, tau1, tau2):
-        return _g2_fit_jacobian(tau, a, tau1, tau2, irf_sigma or 0.0)
+    latest = []  # the (a, tau1, tau2) Jacobian of the latest call
+
+    def jacobian(tau, a, tau1, d):
+        latest[:] = [g2_jacobian(tau, a, tau1, tau1 + d, irf)]
+        chained = latest[0].copy()
+        chained[..., 1] += chained[..., 2]  # d tau2 / d tau1 = 1
+        return chained
 
     tiny = span * 1e-9
-    return least_squares(
+    tau1, tau2 = sorted((init.tau1, init.tau2))
+    fit = least_squares(
         model,
         curve.delays,
         curve.values,
-        [init.a, init.tau1, init.tau2],
+        [init.a, tau1, max(tau2 - tau1, tiny)],
         sigma=curve.sigmas,
         bounds=[(0.0, None), (tiny, None), (tiny, None)],
-        names=("a", "tau1", "tau2"),
-        fixup=_g2_fixup,
+        names=("a", "tau1", "tau2 - tau1"),
         jacobian=jacobian,
     )
+    jac = latest[0] if curve.sigmas is None else latest[0] * (1.0 / curve.sigmas)[:, None]
+    a, tau1, d = fit.values
+    return replace(fit, names=("a", "tau1", "tau2"), values=np.array([a, tau1, tau1 + d]),
+                   covariance=_covariance(jac, fit.residual_norm**2 / fit.dof))
 
 
 def g2_params_from_fit(result: FitResult) -> G2Params:
@@ -720,22 +707,12 @@ def lorentzian_peak_summary(result: FitResult, n_peaks: int):
     return peaks
 
 
-def _cos2_fixup(p):
-    # i_max < i_min is the same curve with the axis rotated by 90 degrees;
-    # swapping keeps the parametrization canonical without changing the model
-    if p[1] < p[2]:
-        p[1], p[2] = p[2], p[1]
-        p[0] += 90.0
-    p[0] = fold_angle(p[0])
-    return p
-
-
 def fit_cos2(scan: PolarizationScan) -> FitResult:
     """Fit I(phi) = i_min + (i_max - i_min) cos^2(phi - phi0) to a scan.
 
-    phi0 is reported in the canonical range (-90, 90]. _cos2_fixup leaves
-    the curve unchanged, so the residual's Jacobian is cos2_jacobian at the
-    parameters before it.
+    The result is made canonical once, covariance permuted with the values:
+    i_max < i_min swap and turn phi0 by 90 degrees (the same curve), and
+    phi0 is folded into (-90, 90].
     """
     if scan.angles.size < 5:
         raise DomainError("cos^2 fit needs at least 5 angles")
@@ -745,16 +722,22 @@ def fit_cos2(scan: PolarizationScan) -> FitResult:
     i_max0 = float(scan.intensities.max())
     i_min0 = float(scan.intensities.min())
     phi0_0 = fold_angle(float(scan.angles[np.argmax(scan.intensities)]))
-    return least_squares(
+    fit = least_squares(
         cos2_model,
         scan.angles,
         scan.intensities,
         [phi0_0, i_max0, i_min0],
         bounds=[(-270.0, 270.0), (0.0, None), (0.0, None)],
         names=("phi0", "i_max", "i_min"),
-        fixup=_cos2_fixup,
         jacobian=cos2_jacobian,
     )
+    values, covariance = fit.values, fit.covariance
+    if values[1] < values[2]:
+        swap = [0, 2, 1]
+        values, covariance = values[swap], covariance[np.ix_(swap, swap)]
+        values[0] += 90.0
+    values[0] = fold_angle(values[0])
+    return replace(fit, values=values, covariance=covariance)
 
 
 def cos2_visibility(result: FitResult) -> float:

@@ -159,7 +159,7 @@ class PhotonStream:
         if ts.shape != tags.shape:
             bag.append("timestamps and channel_tags must align")
         bag += own
-        if ts.size and np.all(np.isfinite(ts)):
+        if ts.ndim == 1 and ts.size and not own:  # own holds any non-finite entry
             if not np.all(ts[1:] >= ts[:-1]):
                 bag.append("timestamps must be sorted")
             elif ts[0] < 0 or ts[-1] > duration:

@@ -93,6 +93,11 @@ class ModifiedRates(_Document):
     kind: str
 
     UNITS: ClassVar[str] = "Hz"
+    # gamma_total must equal the channel sum to REL_TOL of itself and eta_qe
+    # the radiative fraction to REL_TOL: with non-negative channels, any sum
+    # order and eta_qe as (zpl + psb) / total or 1 - nr / total land within a
+    # few 1e-16 at any spread, and 1e-12 lets through documents written by
+    # other tools with 13 or more significant digits.
     REL_TOL: ClassVar[float] = 1e-12
 
     def __post_init__(self):

@@ -63,44 +63,37 @@ MODEL_ZOO = [
 
 
 class TestJacobian:
-    # the g2 point of MODEL_ZOO with and without a kernel, and one where
-    # _g2_fixup swaps tau1 and tau2
-    @pytest.mark.parametrize("irf_sigma, p", [
-        (0.0, np.array([0.8, 0.48e-9, 5e-9])),
-        (0.3e-9, np.array([0.8, 0.48e-9, 5e-9])),
-        (0.3e-9, np.array([0.8, 5e-9, 0.48e-9])),
-        (0.0, np.array([0.8, 5e-9, 0.48e-9])),
-    ], ids=["g2", "g2-irf", "g2-irf-swapped", "g2-swapped"])
-    def test_analytic_g2_jacobian_vs_central_difference(self, irf_sigma, p):
-        x = MODEL_ZOO[0][1]
+    # the g2 point of MODEL_ZOO with and without a kernel
+    @pytest.mark.parametrize("irf_sigma", [0.0, 0.3e-9], ids=["g2", "g2-irf"])
+    def test_analytic_g2_jacobian_vs_central_difference(self, irf_sigma):
+        x, p = MODEL_ZOO[0][1], MODEL_ZOO[0][2]
 
         def residual(q):
-            return fitting.g2_model_irf(x, *fitting._g2_fixup(q.copy()), irf_sigma)
+            return fitting.g2_model_irf(x, *q, irf_sigma)
 
-        analytic = fitting._g2_fit_jacobian(x, *p, irf_sigma)
+        analytic = fitting.g2_jacobian(x, *p, irf_sigma)
         central = central_jacobian(residual, p, p)
         rel = np.max(np.abs(analytic - central) / np.max(np.abs(central), axis=0))
         assert rel < 1e-7
 
     # the Lorentzian, cos^2 and saturation points of MODEL_ZOO with their
-    # scales, two overlapping Lorentzians, a cos^2 point where _cos2_fixup
-    # swaps i_max and i_min, and one on the i_min = 0 bound, stepped on the
-    # scale of i_max
-    @pytest.mark.parametrize("model, jacobian, fixup, x, p, scales", [
-        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, None, *MODEL_ZOO[1][1:]),
-        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, None, np.linspace(725.0, 755.0, 300),
+    # scales, two overlapping Lorentzians, a cos^2 point with i_max < i_min,
+    # and one on the i_min = 0 bound, stepped on the scale of i_max
+    @pytest.mark.parametrize("model, jacobian, x, p, scales", [
+        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, *MODEL_ZOO[1][1:]),
+        (fitting.multi_lorentzian, fitting.multi_lorentzian_jacobian, np.linspace(725.0, 755.0, 300),
          np.array([735.0, 1.5, 500.0, 746.0, 3.0, 300.0, 30.0]),
          np.array([1.5, 1.5, 500.0, 3.0, 3.0, 300.0, 30.0])),
-        (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup, *MODEL_ZOO[2][1:]),
-        (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup,
+        (fitting.cos2_model, fitting.cos2_jacobian, *MODEL_ZOO[2][1:]),
+        (fitting.cos2_model, fitting.cos2_jacobian,
          MODEL_ZOO[2][1], np.array([20.0, 15.0, 120.0]), np.array([20.0, 15.0, 120.0])),
-        (fitting.cos2_model, fitting.cos2_jacobian, fitting._cos2_fixup,
+        (fitting.cos2_model, fitting.cos2_jacobian,
          MODEL_ZOO[2][1], np.array([20.0, 120.0, 0.0]), np.array([20.0, 120.0, 120.0])),
-        (fitting.saturation_model, fitting.saturation_jacobian, None, *MODEL_ZOO[3][1:]),
+        (fitting.saturation_model, fitting.saturation_jacobian, *MODEL_ZOO[3][1:]),
     ], ids=["lorentzian", "two-lorentzians", "cos2", "cos2-swapped", "cos2-bound", "saturation"])
-    def test_analytic_model_jacobian_vs_central_difference(self, model, jacobian, fixup, x, p, scales):
+    def test_analytic_model_jacobian_vs_central_difference(self, model, jacobian, x, p, scales):
         def residual(q):
-            return model(x, *(q if fixup is None else fixup(q.copy())))
+            return model(x, *q)
 
         analytic = jacobian(x, *p)
         central = central_jacobian(residual, p, scales)
@@ -110,7 +103,8 @@ class TestJacobian:
     # each fitter on the noiseless curve of its MODEL_ZOO point (g2 also
     # with a kernel, on the same curve), checked at the fitter's start with
     # the steps of the reference: the engine takes no other Jacobian than the
-    # one a fitter hands it, so each must be its own model's, fixup included
+    # one a fitter hands it, so each must be that of the model it hands over
+    # (for g2 the one of the (a, tau1, tau2 - tau1) it iterates)
     @pytest.mark.parametrize("fit, zoo", [
         (lambda x, y: fitting.fit_g2(G2Curve(x, y)), 0),
         (lambda x, y: fitting.fit_g2(G2Curve(x, y), irf_sigma=0.3e-9), 0),
@@ -123,16 +117,16 @@ class TestJacobian:
         calls = []
         least_squares = fitting.least_squares
 
-        def recording(model, xdata, ydata, p0, *args, jacobian, fixup=None, **kwargs):
-            calls.append((model, xdata, np.array(p0, dtype=float), fixup, jacobian))
-            return least_squares(model, xdata, ydata, p0, *args, jacobian=jacobian, fixup=fixup, **kwargs)
+        def recording(model, xdata, ydata, p0, *args, jacobian, **kwargs):
+            calls.append((model, xdata, np.array(p0, dtype=float), jacobian))
+            return least_squares(model, xdata, ydata, p0, *args, jacobian=jacobian, **kwargs)
 
         monkeypatch.setattr(fitting, "least_squares", recording)
         assert fit(x, model(x, *p_true)).converged
-        (model, x, p, fixup, jacobian), = calls
+        (model, x, p, jacobian), = calls
 
         def residual(q):
-            return np.asarray(model(x, *(q if fixup is None else fixup(q.copy()))), dtype=float)
+            return np.asarray(model(x, *q), dtype=float)
 
         analytic = np.asarray(jacobian(x, *p), dtype=float).reshape(x.size, p.size)
         central = central_jacobian(residual, p, scales)
@@ -214,6 +208,27 @@ class TestFewModelCalls:
             assert fit["center_1"] == pytest.approx(735.0, abs=0.05)
             assert counts["model"] <= 25
             assert 0 < counts["jacobian"] <= counts["model"]
+
+    # at the cost's rounding floor a trial step cannot lower the cost; the
+    # engine stops there instead of raising the damping until the step
+    # rounds away, which took up to 16 rejected steps (model calls) a fit
+    def test_no_run_of_rejected_steps_at_the_cost_floor(self):
+        rng = np.random.default_rng(777)  # criterion 07's curves
+        powers = np.array([0.15, 0.35, 0.65, 1.0, 1.5, 2.2])
+        rejected = []
+        for _ in range(20):
+            k21 = rng.uniform(1e9, 4e9)
+            k23, k31, sigma = k21 * rng.uniform(0.10, 0.35), k21 * rng.uniform(0.02, 0.08), k21 * rng.uniform(0.3, 0.8)
+            for power, g in zip(powers, dynamics.power_sweep(ThreeLevelRates(0.0, k21, k23, k31),
+                                                             dynamics.PumpModel(sigma), powers).params):
+                grid = np.unique(np.concatenate([np.linspace(0.0, 8.0 * g.tau1, 40, endpoint=False),
+                                                 np.geomspace(8.0 * g.tau1, 15.0 * g.tau2, 70)]))
+                curve = dynamics.g2_analytic(ThreeLevelRates(sigma * power, k21, k23, k31), grid)
+                noisy = np.clip(curve.values + rng.normal(0.0, 0.01, grid.size), 0.0, None)
+                fit = fitting.fit_g2(G2Curve(grid, noisy, np.full(grid.size, 0.01)))
+                assert fit.converged
+                rejected.append(fit.nfev - len(fit.cost_trace))  # model calls of rejected steps
+        assert max(rejected) <= 2
 
 
 def exact_sweep_observables(powers, k21, k23, k31, sigma):
@@ -943,6 +958,86 @@ class TestFitSaturation:
         noisy = clean * (1 + 0.005 * rng.standard_normal(powers.size))
         fit = fitting.fit_saturation(SaturationCurve(powers, np.clip(noisy, 0, None)))
         assert fit.sigma("p_sat") / fit["p_sat"] > 0.2
+
+
+def covariance_at(jac, residual):
+    """The covariance a fit reports, computed independently from the weighted
+    Jacobian and residual of its model at the returned values: (Jt J)^-1
+    times the reduced chi-square, its singular values floored at RANK_TOL of
+    the largest as the engine floors them."""
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    s = np.clip(s, max(s[0], 1e-300) * fitting.RANK_TOL, None)
+    return (vt.T * (1.0 / s**2)) @ vt * float(residual @ residual) / (residual.size - jac.shape[1])
+
+
+def assert_same_covariance(covariance, reference):
+    # to 1e-9 of the scale sqrt(C_ii C_jj) of each entry; a fit that ends
+    # where the model's Jacobian is zero reports NaN, as the reference does
+    with np.errstate(invalid="ignore"):
+        scale = np.sqrt(np.outer(np.diag(reference), np.diag(reference)))
+        np.testing.assert_allclose(covariance / scale, reference / scale, rtol=0, atol=1e-9)
+
+
+def g2_from_nearly_equal_lifetimes(seed):
+    """A seeded noisy g2 curve (tau2/tau1 in 1.1-32, 241 delays over +-30
+    tau2, Gaussian noise passed as sigma) fitted from a start with the two
+    lifetimes nearly equal, and the covariance of its model's Jacobian at
+    the returned values. Some of these fits collapse to a = 0 and tau1,
+    tau2 near their bound, where that Jacobian is zero and the covariance
+    NaN, with the RuntimeWarnings of its division (ROADMAP item 1)."""
+    rng = np.random.default_rng(seed)
+    tau2 = 5e-9
+    tau = np.linspace(-30 * tau2, 30 * tau2, 241)
+    ratio = float(np.exp(rng.uniform(np.log(1.1), np.log(32.0))))
+    a = float(rng.uniform(0.5, 3.0))
+    sd = float(rng.uniform(0.001, 0.005))
+    clean = fitting.g2_model(tau, a, tau2 / ratio, tau2)
+    curve = G2Curve(tau, np.clip(clean + rng.normal(0, sd, tau.size), 0, None), np.full(tau.size, sd))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = fitting.fit_g2(curve, init=G2Params(0.9 * tau2, 1.1 * tau2, a))
+        weights = 1.0 / curve.sigmas
+        jac = fitting.g2_jacobian(tau, *fit.values, 0.0) * weights[:, None]
+        residual = (fitting.g2_model(tau, *fit.values) - curve.values) * weights
+        return fit, covariance_at(jac, residual)
+
+
+class TestCovarianceAtReturnedValues:
+    """The covariance a fitter reports is the one of its model's Jacobian at
+    the values it reports, also where an iteration in the reported
+    parameters would end with them in the other order: tau1 > tau2 for g2,
+    i_max < i_min for cos^2."""
+
+    # seeds of g2_from_nearly_equal_lifetimes whose iteration in
+    # (a, tau1, tau2) ends with tau1 > tau2
+    @pytest.mark.parametrize("seed", [156, 295, 407, 502, 612, 658, 751, 759])
+    def test_g2_whose_lifetimes_cross(self, seed):
+        fit, reference = g2_from_nearly_equal_lifetimes(seed)
+        assert fit.converged and fit.names == ("a", "tau1", "tau2") and fit["tau1"] < fit["tau2"]
+        assert_same_covariance(fit.covariance, reference)
+
+    @pytest.mark.parametrize("first", range(0, 100, 25))
+    def test_g2_from_nearly_equal_lifetimes(self, first):
+        for seed in range(first, first + 25):
+            fit, reference = g2_from_nearly_equal_lifetimes(seed)
+            assert fit.names == ("a", "tau1", "tau2") and fit["tau1"] < fit["tau2"]
+            assert_same_covariance(fit.covariance, reference)
+
+    # 19 angles over 0-180 degrees, i_min/i_max in 0.5-1, noise sd 1-20
+    @pytest.mark.parametrize("first", range(0, 200, 50))
+    def test_cos2_of_weak_modulation(self, first):
+        angles = np.linspace(0.0, 180.0, 19)
+        for seed in range(first, first + 50):
+            rng = np.random.default_rng(seed)
+            i_max = 100.0
+            i_min = i_max * float(rng.uniform(0.5, 1.0))
+            clean = fitting.cos2_model(angles, float(rng.uniform(-90.0, 90.0)), i_max, i_min)
+            noisy = np.clip(clean + rng.normal(0, float(rng.uniform(1.0, 20.0)), angles.size), 0, None)
+            scan = PolarizationScan(angles, noisy)
+            fit = fitting.fit_cos2(scan)
+            assert fit["i_max"] >= fit["i_min"] and -90.0 < fit["phi0"] <= 90.0
+            jac = fitting.cos2_jacobian(angles, *fit.values)
+            residual = fitting.cos2_model(angles, *fit.values) - scan.intensities
+            assert_same_covariance(fit.covariance, covariance_at(jac, residual))
 
 
 class TestFitResultSerialization:

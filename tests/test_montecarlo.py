@@ -200,6 +200,26 @@ class TestPhotonStream:
         assert stream.channel_tags.dtype == np.uint8
         assert stream.channel_tags.tolist() == [0, 1]
 
+    # each entry is checked once, in _arrays; a fault there skips the order
+    # and range checks, whose messages would only repeat it
+    @pytest.mark.parametrize("timestamps, violations", [
+        ([1e-6, np.nan], ["timestamps contains non-finite entries"]),
+        ([3e-6, np.nan, 1e-6], ["timestamps contains non-finite entries"]),
+        ([1e-6, np.inf], ["timestamps contains non-finite entries"]),
+        ([-np.inf, 1e-6], ["timestamps contains non-finite entries"]),
+        ([[1e-6, 2e-6], [3e-6]], ["timestamps is ragged"]),
+        (["a", "b"], ["timestamps is not a number"]),
+        (["1e-6", "2e-6"], ["timestamps is not a number"]),
+        ([None, 1e-6], ["timestamps is not a number"]),
+        ([[1e-6, 2e-6], [3e-6, 4e-6]], ["timestamps and channel_tags must be 1-D",
+                                        "timestamps and channel_tags must align"]),
+    ], ids=["nan", "nan-unsorted", "inf", "minus-inf", "ragged", "letters", "numeric-strings", "none",
+            "two-d"])
+    def test_faulty_timestamps_reported_once(self, timestamps, violations):
+        with pytest.raises(ValidationError) as err:
+            montecarlo.PhotonStream(timestamps, [0, 1, 0][:len(timestamps)], 1e-5, 0)
+        assert err.value.violations == violations
+
     def test_unsorted_timestamps_rejected(self):
         with pytest.raises(ValidationError) as err:
             montecarlo.PhotonStream([2e-6, 1e-6, 3e-6], [0, 1, 0], 1e-5, 0)

@@ -10,6 +10,7 @@ from sivcav.errors import (
     InfeasibleMeasurementError,
     InputFormatError,
     NarrowCavityWarning,
+    ValidationError,
 )
 from sivcav.models import (
     CavityMode,
@@ -140,6 +141,47 @@ class TestEffectivePurcell:
         base = purcell.effective_purcell(10.0, purcell.OverlapFactors(r1, r2, 0.5))
         more = purcell.effective_purcell(10.0, purcell.OverlapFactors(min(r1 + bump, 1.0), r2, 0.5))
         assert more >= base
+
+
+# channel rates (zpl, psb, nr) up to 1e16 apart
+SPREAD_CHANNELS = [(1.0, 0.0, 1e16), (1e16, 0.0, 1.0), (1.0, 1e16, 3.0), (3e-4, 2e-4, 1e12), (0.0, 5.0, 7.0)]
+
+
+def thirteen_digits(x):
+    return float(f"{x:.13g}")
+
+
+class TestModifiedRatesConsistency:
+    # any consistent writer: either summation order or an exactly rounded
+    # sum, eta_qe as the radiative fraction or as 1 - nr / total, and every
+    # field rounded to 13 significant digits
+    @pytest.mark.parametrize("zpl, psb, nr", SPREAD_CHANNELS)
+    def test_consistent_documents_load(self, zpl, psb, nr):
+        for total in (zpl + psb + nr, nr + psb + zpl, math.fsum([zpl, psb, nr])):
+            for eta in ((zpl + psb) / total, 1.0 - nr / total):
+                purcell.ModifiedRates(total, zpl, psb, nr, eta, "bulk")
+                purcell.ModifiedRates(*map(thirteen_digits, (total, zpl, psb, nr, eta)), "bulk")
+
+    # an inconsistency of half the bound loads, one of twice the bound does not
+    @pytest.mark.parametrize("zpl, psb, nr", SPREAD_CHANNELS)
+    def test_bound_pinned_on_both_sides(self, zpl, psb, nr):
+        tol = purcell.ModifiedRates.REL_TOL
+        total = zpl + psb + nr
+        eta = (zpl + psb) / total
+        toward_half = 1.0 if eta < 0.5 else -1.0
+        for k, fails in ((0.5, False), (2.0, True)):
+            off = total * (1.0 + k * tol)
+            for fields, message in (
+                ((off, zpl, psb, nr, (zpl + psb) / off), "gamma_total must equal the sum of channel rates"),
+                ((total, zpl, psb, nr, eta + toward_half * k * tol),
+                 "eta_qe must equal (channel_zpl + channel_psb) / gamma_total"),
+            ):
+                if not fails:
+                    purcell.ModifiedRates(*fields, "bulk")
+                    continue
+                with pytest.raises(ValidationError) as err:
+                    purcell.ModifiedRates(*fields, "bulk")
+                assert err.value.violations == [message]
 
 
 class TestModifiedBudget:
