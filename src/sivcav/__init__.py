@@ -8,7 +8,7 @@ purcell    : Purcell/bandgap rate algebra and quantum-efficiency bookkeeping
 dynamics   : three-level rate equations, analytic g2, power sweeps
 montecarlo : continuous-time Markov chain photon streams and HBT histograms
 fitting    : Levenberg-Marquardt engine and model-specific fitters
-spectra    : mode tracking, resonance search, polarization mixing
+spectra    : mode tracking, enhancement ratios, polarization mixing
 cli        : command-line interface producing machine-readable reports
 """
 
@@ -35,9 +35,6 @@ from .models import (
     RadiativeBudget,
     SaturationCurve,
     ThreeLevelRates,
-    lifetime_from_rate,
-    rate_from_lifetime,
-    validate_model,
 )
 
 __all__ = [
@@ -60,7 +57,4 @@ __all__ = [
     "SaturationCurve",
     "ThreeLevelRates",
     "ValidationError",
-    "lifetime_from_rate",
-    "rate_from_lifetime",
-    "validate_model",
 ]

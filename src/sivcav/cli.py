@@ -31,7 +31,6 @@ from . import montecarlo, report
 from ._table import read_document, write_table
 from .errors import (
     DomainError,
-    InfeasibleMeasurementError,
     InputFormatError,
     RankDeficiencyError,
     ValidationError,
@@ -615,7 +614,7 @@ def main(argv=None) -> int:
         return report.emit_error("validation", str(err), err.violations)
     except InputFormatError as err:
         return report.emit_error("input-format", str(err))
-    except (InfeasibleMeasurementError, DomainError) as err:
+    except DomainError as err:
         return report.emit_error("domain", str(err))
     except RankDeficiencyError as err:
         return report.emit_error("rank-deficiency", str(err))

@@ -318,21 +318,19 @@ def _sweep_spectra(powers, k21, k23, k31, sigma) -> _Spectra:
     return _relaxation_spectra(sigma * np.asarray(powers), k21, k23, k31)
 
 
-def _sweep_observables(powers, k21, k23, k31, sigma, spectra=None):
-    """(tau1..., tau2..., a...) over powers; inf in every slot of a power
-    without a two-exponential form, which rejects the parameter point.
-    ``spectra`` is _sweep_spectra of the same arguments, where the caller
-    holds it."""
-    if spectra is None:
-        spectra = _sweep_spectra(powers, k21, k23, k31, sigma)
+def _sweep_observables(spectra: _Spectra):
+    """(tau1..., tau2..., a...) over the powers of _sweep_spectra's result;
+    inf in every slot of a power without a two-exponential form, which
+    rejects the parameter point."""
     params, ok = _g2_param_arrays(spectra)
     params[:, ~ok] = np.inf
     return params.ravel()
 
 
-def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra=None):
+def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra: _Spectra):
     """The (3n, 4) derivative of _sweep_observables, rows in its order, by
-    (k21, k23, k31, sigma); ``spectra`` as there.
+    (k21, k23, k31, sigma); ``spectra`` is _sweep_spectra of the same
+    arguments.
 
     A root of lam^2 + S lam + P moves by dlam = -(dS lam + dP)/(2 lam + S),
     where 2 lam + S is -gap for lam_fast and +gap for lam_slow, gap =
@@ -347,8 +345,6 @@ def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra=None):
     where a < 0, and powers without a two-exponential form get zero rows:
     their inf observables reject the point before a Jacobian is asked for.
     """
-    if spectra is None:
-        spectra = _sweep_spectra(powers, k21, k23, k31, sigma)
     lam_fast, lam_slow, a, b, _, q = spectra
     powers = np.asarray(powers, dtype=float)
     k12 = sigma * powers
@@ -418,10 +414,10 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
         return held[rates]
 
     def model(_x, *rates):
-        return _sweep_observables(powers, *rates, spectra=spectra(rates))
+        return _sweep_observables(spectra(rates))
 
     def jacobian(_x, *rates):
-        return _sweep_jacobian(powers, *rates, spectra=spectra(rates))
+        return _sweep_jacobian(powers, *rates, spectra(rates))
 
     # the amplitude-based heuristic can land where the relaxation eigenvalues
     # turn complex; fall back to progressively blander starting points

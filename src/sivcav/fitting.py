@@ -45,6 +45,7 @@ MAX_DAMPING = 1e14
 GRAD_RTOL = 1e-14
 STEP_RTOL = 1e-10
 COST_RTOL = 1e-12
+MAX_ITERATIONS = 500  # accepted steps before a fit stops with converged=False
 ERFCX_ASYMPTOTIC_Z = 25.0  # exp(z^2) and erfc(z) are both in range below it
 ERFC_TWO_Z = -6.0  # erfc(z) rounds to 2 in double precision below it
 
@@ -125,7 +126,7 @@ def _held(p, grad, lo, hi):
     return low & (grad > 0) | high & (grad < 0)
 
 
-def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
+def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names):
     n = p.size
     r = residual_fn(p)
     cost = _cost(r)  # nan or inf where r is, inf where its squares overflow
@@ -149,7 +150,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
             parameters=involved,
         )
 
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         grad = jac.T @ r
         normal = jac.T @ jac
         held = _held(p, grad, lo, hi)
@@ -199,7 +200,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names, max_iterations):
         if step_rel < STEP_RTOL or cost_rel < COST_RTOL:
             converged = True
             break
-        if iterations < max_iterations:
+        if iterations < MAX_ITERATIONS:
             jac = jacobian_fn(p)
             jac_at = p
 
@@ -255,7 +256,6 @@ def least_squares(
     sigma=None,
     bounds=None,
     names=None,
-    max_iterations=500,
     *,
     jacobian,
 ):
@@ -346,7 +346,7 @@ def least_squares(
     # step non-finite, which the engine rejects
     with np.errstate(all="ignore"):
         p, cost, trace, iterations, converged, jac = _lm_iterate(
-            residual_fn, jacobian_fn, p0, lo, hi, names, max_iterations)
+            residual_fn, jacobian_fn, p0, lo, hi, names)
 
     dof = max(y.size - n, 1)
     return FitResult(

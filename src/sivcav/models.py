@@ -191,16 +191,6 @@ class _Document:
         return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc or f.default is MISSING})
 
 
-def lifetime_from_rate(rate):
-    """Reciprocal conversion rate (Hz) -> lifetime (s)."""
-    return 1.0 / _number("rate", rate, "be positive")
-
-
-def rate_from_lifetime(lifetime):
-    """Reciprocal conversion lifetime (s) -> rate (Hz)."""
-    return 1.0 / _number("lifetime", lifetime, "be positive")
-
-
 @dataclass(frozen=True)
 class RadiativeBudget(_Document):
     """Intrinsic decay channels of the emitter, in Hz.
@@ -303,10 +293,6 @@ class FieldMap:
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "origin", origin)
-
-    @property
-    def shape(self):
-        return self.grid.shape
 
     def extent(self):
         """((xmin, xmax), (ymin, ymax)) covered by the grid, in nm."""
@@ -620,10 +606,6 @@ class PolarizationScan(_Document):
         _samples(self, bag, "angles", "intensities", increasing=False)
         _raise_if(bag)
 
-    def reduced_angles(self):
-        """Angles folded into one polarization period [0, 180) degrees."""
-        return np.mod(self.angles, 180.0)
-
 
 @dataclass(frozen=True, eq=False)
 class SaturationCurve(_Document):
@@ -641,31 +623,3 @@ class SaturationCurve(_Document):
             bag.append("powers must be positive")
         _raise_if(bag)
 
-
-def validate_model(budget, env):
-    """Collect every invariant violation for a budget/environment pair.
-
-    Accepts constructed instances or plain dicts (as loaded from JSON).
-    Returns a list of violation messages; an empty list means valid. Unlike
-    the constructors this never raises on invalid *values*, so a caller can
-    report the complete list in one pass.
-    """
-    violations = []
-    for obj, cls, label in (
-        (budget, RadiativeBudget, "budget"),
-        (env, PhotonicEnvironment, "environment"),
-    ):
-        if isinstance(obj, cls):
-            continue
-        if isinstance(obj, dict):
-            doc = dict(obj)
-            doc.setdefault("units", cls.UNITS)
-            try:
-                cls.from_dict(doc)
-            except ValidationError as err:
-                violations.extend(f"{label}: {v}" for v in err.violations)
-            except KeyError as err:
-                violations.append(f"{label}: missing field {err.args[0]!r}")
-        else:
-            violations.append(f"{label}: expected {cls.__name__} or dict")
-    return violations

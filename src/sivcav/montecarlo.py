@@ -178,9 +178,6 @@ class PhotonStream:
     def detected_rate(self):
         return self.timestamps.size / self.duration
 
-    def labels(self):
-        return np.array(CHANNEL_LABELS)[self.channel_tags]
-
 
 @dataclass(frozen=True, eq=False)
 class HbtHistogram:
@@ -507,22 +504,6 @@ def correlate(
         return HbtHistogram(edges, counts.astype(np.int64), normalization, MODE_START_STOP)
 
     raise DomainError(f"unknown correlation mode {mode!r}")
-
-
-def merge_histograms(histograms) -> HbtHistogram:
-    """Merge per-trajectory histograms (associative and commutative)."""
-    histograms = list(histograms)
-    if not histograms:
-        raise DomainError("nothing to merge")
-    first = histograms[0]
-    counts = np.zeros_like(first.counts)
-    norm = 0.0
-    for h in histograms:
-        if h.mode != first.mode or not np.array_equal(h.bin_edges, first.bin_edges):
-            raise DomainError("histograms must share binning and mode to merge")
-        counts = counts + h.counts
-        norm += h.normalization
-    return HbtHistogram(first.bin_edges, counts, norm, first.mode)
 
 
 # --- file formats -------------------------------------------------------------

@@ -117,10 +117,6 @@ class ModifiedRates(_Document):
             bag.append(f"kind must be one of {PhotonicEnvironment.KINDS}")
         _raise_if(bag)
 
-    @property
-    def lifetime(self):
-        return 1.0 / self.gamma_total
-
 
 def ideal_purcell(mode: CavityMode) -> float:
     """Ideal Purcell factor 3 Q / (4 pi^2 V) of a cavity mode.

@@ -165,9 +165,9 @@ def emit_report(report, out=None, summary_lines=()):
         print(line, file=sys.stderr)
 
 
-def emit_error(kind, message, violations=None, exit_code=2):
+def emit_error(kind, message, violations=None):
     doc = {"error": {"type": kind, "message": message}}
     if violations:
         doc["error"]["violations"] = list(violations)
     print(json.dumps(doc, indent=2, sort_keys=True), file=sys.stderr)
-    return exit_code
+    return 2

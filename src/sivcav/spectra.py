@@ -4,12 +4,12 @@ Digital etching blue-shifts the cavity modes step by step; this module tracks
 labeled modes through a series of PL spectra by one joint Lorentzian fit per
 step, each track's component seeded where the track predicts it (its last
 center advanced by its mean shift per step) and kept within three previous
-linewidths of that prediction. It locates the tuning step where a mode
-crosses an emitter line, extracts on/off-resonance intensity-enhancement
-ratios, and evaluates the phenomenological polarization-mixing model: an
-incoherent sum of cos^2 intensity channels, each cavity channel weighted by
-its Lorentzian spectral overlap with the emitter line, whose argmax angle
-follows from the Stokes vector of the summed components.
+linewidths of that prediction. It extracts on/off-resonance
+intensity-enhancement ratios and evaluates the phenomenological
+polarization-mixing model: an incoherent sum of cos^2 intensity channels,
+each cavity channel weighted by its Lorentzian spectral overlap with the
+emitter line, whose argmax angle follows from the Stokes vector of the
+summed components.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from . import fitting, purcell
 from ._table import read_columns, read_document, write_table
 from .errors import DomainError, RankDeficiencyError
 from .models import (
-    CavityMode,
     EmitterLine,
     PLSpectrum,
     PolarizationScan,
@@ -114,19 +113,6 @@ class TuningSeries:
                 return spec
         raise DomainError(f"no spectrum for step {step}")
 
-    def tuning_rate(self, label: str) -> float:
-        return self.tracked_modes[label].tuning_rate()
-
-
-@dataclass(frozen=True)
-class ResonanceSearch:
-    """Where (and whether) a tracked mode crosses an emitter line."""
-
-    found: bool
-    step: int | None
-    r_lambda_by_step: tuple
-    min_detuning: float
-
 
 @dataclass(frozen=True)
 class EnhancementResult:
@@ -207,37 +193,6 @@ def track_modes(steps, seed_peaks) -> TuningSeries:
         for lbl, st in state.items()
     }
     return TuningSeries(tuple(steps), tracks)
-
-
-def find_resonance(series: TuningSeries, mode_label: str, line: EmitterLine) -> ResonanceSearch:
-    """Locate the tuning step where a tracked mode crosses an emitter line.
-
-    Reports the spectral overlap R_lambda at every tracked step (shared
-    implementation with the Purcell algebra) and the step of minimum
-    detuning. If the track never comes within 5 linewidths of the line the
-    result has found=False.
-    """
-    if mode_label not in series.tracked_modes:
-        raise DomainError(f"no tracked mode {mode_label!r}")
-    track = series.tracked_modes[mode_label]
-    if not track.points:
-        raise DomainError(f"mode {mode_label!r} has no tracked points")
-    overlaps = []
-    best = None
-    for point in track.points:
-        mode = CavityMode(point.center, point.center / point.fwhm, 1.0, label=mode_label)
-        overlaps.append((point.step, purcell.spectral_overlap(line, mode)))
-        detuning = abs(point.center - line.lambda_i)
-        if best is None or detuning < best[0]:
-            best = (detuning, point)
-    min_detuning, best_point = best
-    found = min_detuning <= 5.0 * best_point.fwhm
-    return ResonanceSearch(
-        found=found,
-        step=best_point.step if found else None,
-        r_lambda_by_step=tuple(overlaps),
-        min_detuning=min_detuning,
-    )
 
 
 def _fit_line_area(series: TuningSeries, step: int, line: EmitterLine, mode_tracks) -> float:

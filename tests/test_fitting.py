@@ -266,13 +266,13 @@ class TestSweepJacobian:
     @pytest.mark.parametrize("point", POINTS, ids=IDS)
     def test_vs_central_difference(self, point):
         p = np.array(point)
-        analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *p)
+        analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *p, dynamics._sweep_spectra(SWEEP_POWERS, *p))
         free = p > 0.0  # k23 = 0 is a bound: no central difference in it
 
         def residual(q):
             full = p.copy()
             full[free] = q
-            return dynamics._sweep_observables(SWEEP_POWERS, *full)
+            return dynamics._sweep_observables(dynamics._sweep_spectra(SWEEP_POWERS, *full))
 
         central = central_jacobian(residual, p[free], p[free])
         # the response to a relative change of each parameter, relative to the
@@ -299,18 +299,14 @@ class TestSweepJacobian:
                 moved = exact_sweep_observables(SWEEP_POWERS, *(t + step * (i == j) for i, t in enumerate(theta)))
                 columns.append([float((m - b) / step) for m, b in zip(moved, base)])
         exact = np.array(columns).T
-        analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *point)
+        spectra = dynamics._sweep_spectra(SWEEP_POWERS, *point)
+        analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *point, spectra)
         for rows in np.split(np.arange(exact.shape[0]), 3):
             block = np.abs(exact[rows])
             scale = np.maximum(block.max(axis=0), 1e-20 * block.max())
             assert np.all(np.abs(analytic[rows] - exact[rows]) <= 1e-7 * scale)
         if point[1] == 0.0:  # the a <= 0 fold must not zero the derivative into k23 > 0
             assert np.all(analytic[2 * SWEEP_POWERS.size:, 1] > 0.0)
-
-    def test_spectra_are_reused(self):
-        spectra = dynamics._sweep_spectra(SWEEP_POWERS, *self.POINTS[0])
-        assert np.array_equal(dynamics._sweep_jacobian(SWEEP_POWERS, *self.POINTS[0]),
-                              dynamics._sweep_jacobian(SWEEP_POWERS, *self.POINTS[0], spectra=spectra))
 
     def test_small_k23_point_takes_the_product_branch(self):
         s = dynamics._sweep_spectra(SWEEP_POWERS, *self.POINTS[1])
@@ -547,7 +543,7 @@ class TestEngine:
         ratio = var_small / var_large
         assert 3.0 < ratio < 33.0  # ~10x shrink for 10x data
 
-    def test_nonconvergence_is_flagged_not_raised(self):
+    def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
         # one iteration budget cannot converge from a bad start
         x = np.linspace(0.0, 10.0, 30)
         y = np.exp(-0.7 * x)
@@ -560,7 +556,8 @@ class TestEngine:
         def jacobian(x, c):
             return (-x * np.exp(-c * x))[:, None]
 
-        fit = fitting.least_squares(model, x, y, [25.0], max_iterations=1, jacobian=jacobian)
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        fit = fitting.least_squares(model, x, y, [25.0], jacobian=jacobian)
         assert not fit.converged
         # the start and the trial steps of the one iteration; one Jacobian at
         # the start and one at the accepted point for the covariance, where
@@ -756,6 +753,9 @@ class TestEngine:
 
 
 class TestFitG2:
+    def test_poisson_sigmas_floor_empty_bins_at_one(self):
+        assert fitting.poisson_sigmas([0, 1, 4, 2.25e6]).tolist() == [1.0, 1.0, 2.0, 1500.0]
+
     def test_synthetic_recovery_within_5_percent(self, rng):
         true = G2Params(0.48e-9, 5e-9, 0.8)
         tau = np.linspace(-30e-9, 30e-9, 301)
@@ -923,6 +923,13 @@ class TestFitCos2:
             # both stop at a relative cost change of 1e-12: agreement to 1e-4 sigma
             gap = np.abs(free.values - [fit["phi0"], fit["i_max"]]) / free.sigmas
             assert np.all(gap < 1e-4)
+
+    @pytest.mark.parametrize("phi0, folded", [(40.0, 40.0), (130.0, -50.0), (-120.0, 60.0)])
+    def test_angles_beyond_a_half_turn(self, phi0, folded):
+        # a scan from -30 to 330 degrees reads the same pattern twice
+        angles = np.arange(-30.0, 331.0, 15.0)
+        fit = fitting.fit_cos2(PolarizationScan(angles, fitting.cos2_model(angles, phi0, 150.0, 10.0)))
+        assert fit["phi0"] == pytest.approx(folded, abs=1e-6)
 
     def test_fold_angle(self):
         assert fitting.fold_angle(95.0) == pytest.approx(-85.0)

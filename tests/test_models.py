@@ -21,31 +21,7 @@ from sivcav.models import (
     RadiativeBudget,
     SaturationCurve,
     ThreeLevelRates,
-    lifetime_from_rate,
-    rate_from_lifetime,
-    validate_model,
 )
-
-finite_positive = st.floats(min_value=1e-12, max_value=1e12, allow_nan=False, allow_infinity=False)
-
-
-class TestLifetimeRate:
-    def test_known_values(self):
-        assert lifetime_from_rate(1.932e9) == pytest.approx(517.6e-12, rel=1e-3)
-        assert lifetime_from_rate(1.0) == 1.0
-        # (1.44 ns)^-1 = 694.4 MHz round trip
-        assert lifetime_from_rate(1.0 / 1.44e-9) == pytest.approx(1.44e-9, rel=1e-12)
-
-    @given(finite_positive)
-    def test_round_trip(self, rate):
-        assert rate_from_lifetime(lifetime_from_rate(rate)) == pytest.approx(rate, rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(DomainError):
-            lifetime_from_rate(bad)
-        with pytest.raises(DomainError):
-            rate_from_lifetime(bad)
 
 
 class TestRadiativeBudget:
@@ -68,6 +44,27 @@ class TestRadiativeBudget:
         with pytest.raises(ValidationError):
             RadiativeBudget(bad, 1e6, 1e6)
 
+    def test_reports_every_violation(self):
+        with pytest.raises(ValidationError) as err:
+            RadiativeBudget(-1.0, -1.0, -1.0)
+        assert err.value.violations == ["gamma_zpl negative", "gamma_psb negative", "gamma_nr negative",
+                                        "at least one radiative rate must be positive"]
+
+    def test_derived_rates_known_values(self):
+        budget = RadiativeBudget(1e9, 3e8, 7e8)
+        assert (budget.gamma_rad, budget.gamma_total) == (1.3e9, 2e9)
+        assert budget.eta_qe == pytest.approx(0.65, rel=1e-15)
+        assert budget.zpl_fraction == pytest.approx(1.0 / 1.3, rel=1e-15)
+
+    @given(st.floats(0.0, 1e12), st.floats(0.0, 1e12), st.floats(0.0, 1e12))
+    def test_derived_rates_are_fractions_of_the_sum(self, zpl, psb, nr):
+        if zpl == psb == 0.0:
+            return
+        budget = RadiativeBudget(zpl, psb, nr)
+        assert budget.gamma_total == budget.gamma_rad + nr
+        assert budget.eta_qe == budget.gamma_rad / budget.gamma_total
+        assert 0.0 <= budget.eta_qe <= 1.0 and 0.0 <= budget.zpl_fraction <= 1.0
+
 
 class TestPhotonicEnvironment:
     def test_bulk_forces_unit_f_phc(self):
@@ -85,31 +82,21 @@ class TestPhotonicEnvironment:
         with pytest.raises(ValidationError):
             PhotonicEnvironment("bandgap_only", 0.25, f_cav=2.0)
 
+    def test_unknown_kind_named(self):
+        with pytest.raises(ValidationError) as err:
+            PhotonicEnvironment("nowhere")
+        assert err.value.violations == [f"kind must be one of {PhotonicEnvironment.KINDS}, got 'nowhere'"]
 
-class TestValidateModel:
-    def test_negative_gamma_nr_reported(self):
-        violations = validate_model(
-            {"gamma_zpl": 1e9, "gamma_psb": 1e8, "gamma_nr": -1.0},
-            PhotonicEnvironment.bulk(),
-        )
-        assert any("gamma_nr negative" in v for v in violations)
+    @pytest.mark.parametrize("f_phc", [0.0, -0.25, 1.5, math.nan])
+    def test_f_phc_outside_unit_interval(self, f_phc):
+        with pytest.raises(ValidationError):
+            PhotonicEnvironment.bandgap_only(f_phc)
 
-    def test_bulk_with_inhibition_reported(self):
-        violations = validate_model(
-            {"gamma_zpl": 1e9, "gamma_psb": 1e8, "gamma_nr": 0.0},
-            {"kind": "bulk", "f_phc": 0.25},
-        )
-        assert any("f_phc" in v for v in violations)
-
-    def test_siv4_is_valid(self, siv4_budget):
-        assert validate_model(siv4_budget, PhotonicEnvironment.bandgap_only(0.25)) == []
-
-    def test_reports_every_violation(self):
-        violations = validate_model(
-            {"gamma_zpl": -1.0, "gamma_psb": -1.0, "gamma_nr": -1.0},
-            {"kind": "nowhere"},
-        )
-        assert len(violations) >= 4
+    def test_document_checked_like_the_constructor(self):
+        with pytest.raises(ValidationError, match="bulk requires f_phc = 1"):
+            PhotonicEnvironment.from_dict({"kind": "bulk", "f_phc": 0.25, "units": "dimensionless"})
+        env = PhotonicEnvironment.bandgap_only(0.25)
+        assert PhotonicEnvironment.from_dict(env.to_dict()) == env
 
 
 class TestCavityMode:
@@ -197,11 +184,6 @@ class TestArrayTypes:
     def test_saturation_curve_increasing_powers(self):
         with pytest.raises(ValidationError):
             SaturationCurve(np.array([1.0, 0.5]), np.array([10.0, 20.0]))
-
-    def test_polarization_scan_reduction(self):
-        scan = PolarizationScan(np.array([-30.0, 10.0, 200.0]), np.array([1.0, 2.0, 3.0]))
-        reduced = scan.reduced_angles()
-        assert np.all((reduced >= 0.0) & (reduced < 180.0))
 
     def test_callers_arrays_stay_writeable(self):
         wl = np.linspace(1, 2, 5)
@@ -486,8 +468,6 @@ def valid_call(function):
     wl = np.linspace(760.0, 780.0, 400)
     spectrum = PLSpectrum(wl, 50.0 + fitting.lorentzian_peak(wl, 769.0, 2.3, 800.0))
     return {
-        "lifetime_from_rate": (lifetime_from_rate, {"rate": 1e9}),
-        "rate_from_lifetime": (rate_from_lifetime, {"lifetime": 1e-9}),
         "effective_purcell": (purcell.effective_purcell, {"f_p": 19.2, "overlaps": purcell.OverlapFactors()}),
         "pl_enhancement": (purcell.pl_enhancement, {"f_cav": 5.15, "f_phc": 0.25}),
         "invert_budget": (purcell.invert_budget, {"gamma_cav": 5.2e9, "gamma_phc": 1.9e9, "f_cav": 5.15,
@@ -512,8 +492,7 @@ def valid_call(function):
 
 
 NUMERIC_ARGUMENTS = [
-    ("lifetime_from_rate", "rate"), ("rate_from_lifetime", "lifetime"), ("effective_purcell", "f_p"),
-    ("pl_enhancement", "f_cav"), ("pl_enhancement", "f_phc"),
+    ("effective_purcell", "f_p"), ("pl_enhancement", "f_cav"), ("pl_enhancement", "f_phc"),
     *(("invert_budget", arg) for arg in ("gamma_cav", "gamma_phc", "f_cav", "f_phc", "branching")),
     *(("infer_bulk_qe_from_inhibition", arg) for arg in ("tau_bulk", "tau_phc", "f_phc")),
     ("nanosphere_factor", "n"), ("rescale_qe", "eta"), ("rescale_qe", "radiative_factor"),

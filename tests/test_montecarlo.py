@@ -681,6 +681,13 @@ class TestCorrelateAgainstPerLagOracle:
 
 
 class TestCorrelate:
+    def test_curve_is_counts_over_normalization_at_bin_centers(self):
+        hist = montecarlo.HbtHistogram([-2.0, -1.0, 0.0, 1.0, 2.0], [4, 0, 9, 1], 2.0)
+        curve = hist.to_curve()
+        assert curve.delays.tolist() == hist.centers.tolist() == [-1.5, -0.5, 0.5, 1.5]
+        assert curve.values.tolist() == [2.0, 0.0, 4.5, 0.5]
+        assert curve.sigmas.tolist() == [1.0, 0.5, 1.5, 0.5]  # an empty bin counts as one
+
     def test_poisson_stream_is_flat(self):
         stream = poisson_stream(2e6, 0.5, seed=31)
         hist = montecarlo.correlate(stream, 0.5e-6, 10e-6)
@@ -761,21 +768,6 @@ class TestCorrelate:
         errs_large = [sup_error(12e-3, s) for s in (64, 65, 66)]
         ratio = np.median(errs_small) / np.median(errs_large)
         assert 2.0 < ratio < 5.0  # ~sqrt(10) = 3.2
-
-
-class TestMergeHistograms:
-    def test_associative_commutative(self, mc_rates, radiative_budget):
-        streams = [
-            montecarlo.simulate_stream(mc_rates, radiative_budget, 5e-4, 1.0, seed=s)
-            for s in (71, 72, 73)
-        ]
-        hists = [montecarlo.correlate(s, 1e-9, 20e-9) for s in streams]
-        merged_ab_c = montecarlo.merge_histograms(
-            [montecarlo.merge_histograms(hists[:2]), hists[2]]
-        )
-        merged_cba = montecarlo.merge_histograms(hists[::-1])
-        assert np.array_equal(merged_ab_c.counts, merged_cba.counts)
-        assert merged_ab_c.normalization == pytest.approx(merged_cba.normalization)
 
 
 class TestStreamIO:
@@ -930,11 +922,11 @@ class TestStreamIO:
 
     def test_save_stream_matches_per_line_writer(self, mc_rates, radiative_budget, tmp_path):
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 2e-5, 1.0, seed=85)
-        assert set(stream.labels()) == {"ZPL", "PSB"}
+        assert {montecarlo.CHANNEL_LABELS[tag] for tag in stream.channel_tags.tolist()} == {"ZPL", "PSB"}
         path = tmp_path / "stream.csv"
         montecarlo.save_stream(stream, path, rates=mc_rates, meta={"note": "x"})
-        rows = "".join(f"{round(t * 1e12)},{label}\n"
-                       for t, label in zip(stream.timestamps.tolist(), stream.labels()))
+        rows = "".join(f"{round(t * 1e12)},{montecarlo.CHANNEL_LABELS[tag]}\n"
+                       for t, tag in zip(stream.timestamps.tolist(), stream.channel_tags.tolist()))
         assert path.read_text().endswith("# timestamp_ps,channel\n" + rows)
 
     def test_save_histogram_matches_per_line_writer(self, mc_rates, radiative_budget, tmp_path):
@@ -1073,8 +1065,8 @@ class TestStreamBytes:
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 3e-5, 1.0, seed=91)
         path, again = tmp_path / "sim.csv", tmp_path / "again.csv"
         montecarlo.save_stream(stream, path, rates=mc_rates, meta={"note": "x"})
-        rows = "".join(f"{round(t * 1e12)},{label}\n"
-                       for t, label in zip(stream.timestamps.tolist(), stream.labels()))
+        rows = "".join(f"{round(t * 1e12)},{montecarlo.CHANNEL_LABELS[tag]}\n"
+                       for t, tag in zip(stream.timestamps.tolist(), stream.channel_tags.tolist()))
         assert path.read_text().endswith("# timestamp_ps,channel\n" + rows)
         assert counts_parsed(path)
         assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)

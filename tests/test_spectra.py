@@ -1,11 +1,12 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sivcav import fitting, purcell, spectra
-from sivcav.errors import DomainError, InputFormatError
+from sivcav.errors import DomainError, InputFormatError, ValidationError
 from sivcav.models import CavityMode, EmitterLine, PLSpectrum
 
 WL = np.linspace(720.0, 790.0, 1400)
@@ -118,42 +119,70 @@ class TestTrackModes:
         assert track.terminated_at is None
         assert 2 in track.non_monotonic_steps
 
+    def test_tuning_rate_needs_two_steps(self):
+        series = spectra.track_modes(single_mode_series([750.0]), {"m": (750.0, 2.3)})
+        with pytest.raises(DomainError, match="fewer than 2"):
+            series.tracked_modes["m"].tuning_rate()
 
-class TestFindResonance:
+
+class TestTuningSeries:
+    def test_unknown_step_has_no_spectrum(self):
+        series = spectra.track_modes(single_mode_series([750.0, 749.0]), {"m": (750.0, 2.3)})
+        assert series.spectrum(1) is series.steps[1][1]
+        with pytest.raises(DomainError, match="no spectrum for step 7"):
+            series.spectrum(7)
+
+    def test_step_indices_must_increase(self):
+        spectrum = lorentz_spectrum([(750.0, 2.3, 800.0)])
+        for indices in ((1, 0), (2, 2)):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                spectra.TuningSeries(tuple((k, spectrum) for k in indices), {})
+
+    def test_steps_must_be_spectra(self):
+        with pytest.raises(ValidationError, match="PLSpectrum"):
+            spectra.TuningSeries(((0, np.ones(3)),), {})
+
+
+def crossing_series(centers, line_amp=300.0):
+    """A 2.3 nm mode at centers, one per step, beside a constant 0.35 nm
+    line at 739.9 nm; the mode and the line tracked."""
+    steps = [(k, lorentz_spectrum([(c, 2.3, 800.0), (739.9, 0.35, line_amp)])) for k, c in enumerate(centers)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return spectra.track_modes(steps, {"o1": (centers[0], 2.3), "zpl": (739.9, 0.35)})
+
+
+class TestOnOffSteps:
+    """The on-resonance step is the one whose tuning mode lies nearest the
+    emitter line, the off-resonance step the one whose mode lies farthest."""
+
+    LINE = EmitterLine(739.9, 0.35)
+
     def test_designed_crossing(self):
         centers = [739.9 + 1.6 * (7 - k) for k in range(11)]  # crosses at step 7
-        series = spectra.track_modes(single_mode_series(centers), {"o1": (centers[0], 2.3)})
-        res = spectra.find_resonance(series, "o1", EmitterLine(739.9, 1.0))
-        assert res.found and res.step == 7
-        r_lambda = dict(res.r_lambda_by_step)
-        assert r_lambda[7] == pytest.approx(1.0, abs=1e-4)
+        result = spectra.enhancement_ratio(crossing_series(centers), self.LINE)
+        assert (result.on_step, result.off_step) == (7, 0)
 
     def test_paper_shaped_track(self):
-        centers = [769.0 - 1.6 * k for k in range(21)]
-        series = spectra.track_modes(single_mode_series(centers), {"o1": (769.0, 2.3)})
-        res = spectra.find_resonance(series, "o1", EmitterLine(739.9, 1.0))
-        assert res.found and res.step == 18
+        centers = [769.0 - 1.6 * k for k in range(21)]  # 0.3 nm from the line at step 18
+        result = spectra.enhancement_ratio(crossing_series(centers), self.LINE)
+        assert (result.on_step, result.off_step) == (18, 0)
 
-    def test_never_close_reports_not_found(self):
-        centers = [769.0 - 1.6 * k for k in range(5)]  # stops 23 linewidths away
-        series = spectra.track_modes(single_mode_series(centers), {"o1": (769.0, 2.3)})
-        res = spectra.find_resonance(series, "o1", EmitterLine(739.9, 1.0))
-        assert not res.found and res.step is None
+    def test_one_tracked_step_is_refused(self):
+        series = crossing_series([745.0, 743.4, 741.8])
+        single = spectra.TuningSeries(series.steps, {
+            "o1": replace(series.tracked_modes["o1"], points=series.tracked_modes["o1"].points[:1])})
+        with pytest.raises(DomainError, match="at least two steps"):
+            spectra.enhancement_ratio(single, self.LINE, mode_labels=["o1"])
 
-    def test_r_lambda_shared_with_purcell(self):
-        centers = [745.0 - 1.6 * k for k in range(4)]
-        series = spectra.track_modes(single_mode_series(centers), {"o1": (745.0, 2.3)})
-        line = EmitterLine(739.9, 1.0)
-        res = spectra.find_resonance(series, "o1", line)
-        for step, r in res.r_lambda_by_step:
-            point = next(p for p in series.tracked_modes["o1"].points if p.step == step)
-            mode = CavityMode(point.center, point.center / point.fwhm, 1.0, label="o1")
-            assert r == purcell.spectral_overlap(line, mode)
-
-    def test_unknown_label(self):
-        series = spectra.track_modes(single_mode_series([750.0]), {"m": (750.0, 2.3)})
-        with pytest.raises(DomainError):
-            spectra.find_resonance(series, "nope", EmitterLine(739.9))
+    def test_stationary_tracks_alone_are_refused(self):
+        # the line's own track spans less than its width: no tuning mode
+        series = crossing_series([745.0, 743.4, 741.8])
+        with pytest.raises(DomainError, match="no tuning-mode tracks"):
+            spectra.enhancement_ratio(series, self.LINE, mode_labels=[])
+        line_only = spectra.TuningSeries(series.steps, {"zpl": series.tracked_modes["zpl"]})
+        with pytest.raises(DomainError, match="no tuning-mode tracks"):
+            spectra.enhancement_ratio(line_only, self.LINE)
 
 
 def enhancement_series(ratio, zpl_base=40.0, zpl_fwhm=0.35, mode_amp=800.0):
