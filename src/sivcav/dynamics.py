@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .models import (
     G2Params,
     SaturationCurve,
     ThreeLevelRates,
-    _Document,
     _arrays,
     _floats,
     _number,
@@ -61,12 +60,10 @@ DEGENERACY_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
-class PumpModel(_Document):
+class PumpModel:
     """Linear pump law k12 = sigma * P with sigma in Hz per mW."""
 
     sigma: float
-
-    UNITS: ClassVar[str] = "Hz/mW"
 
     def __post_init__(self):
         bag = []
@@ -94,7 +91,6 @@ class PowerSweep:
 
     powers: np.ndarray
     params: tuple
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
         bag = []
@@ -110,10 +106,6 @@ class PowerSweep:
             bag.append("params must align with powers")
         if any(p is not None and not isinstance(p, G2Params) for p in params):
             bag.append("params entries must be G2Params or None")
-        if self.counts is not None:
-            (counts,) = _arrays(self, bag, "counts")
-            if counts.shape != powers.shape:
-                bag.append("counts must align with powers")
         _raise_if(bag)
         object.__setattr__(self, "params", params)
 
@@ -498,7 +490,8 @@ def qe_from_saturation(
 # --- power-sweep CSV format --------------------------------------------------
 #
 # Columns: power_mW, tau1_ns, tau2_ns, a[, rate_cps]; lines starting with '#'
-# are comments. Times are converted to seconds on load.
+# are comments. Times are converted to seconds on load; rate_cps is read
+# and not kept.
 
 
 def save_power_sweep(sweep: PowerSweep, path):
@@ -506,10 +499,8 @@ def save_power_sweep(sweep: PowerSweep, path):
     g2 = [sweep.params[i] for i in kept]
     columns = [sweep.powers[kept], np.array([g.tau1 for g in g2]) * 1e9,
                np.array([g.tau2 for g in g2]) * 1e9, np.array([g.a for g in g2], dtype=float)]
-    if sweep.counts is not None:
-        columns.append(sweep.counts[kept])
     with open(path, "w") as fh:
-        fh.write("# power_mW,tau1_ns,tau2_ns,a" + (",rate_cps\n" if sweep.counts is not None else "\n"))
+        fh.write("# power_mW,tau1_ns,tau2_ns,a\n")
         write_table(fh, *columns)
 
 
@@ -523,8 +514,7 @@ def load_power_sweep(path) -> PowerSweep:
             params.append(G2Params(tau1 * 1e-9, tau2 * 1e-9, a))
         except ValidationError as err:
             raise InputFormatError(path, lineno, f"bad g2 parameters: {err}") from None
-    counts = table.columns[4] if len(table.columns) == 5 else None
     try:
-        return PowerSweep(table.columns[0], tuple(params), counts)
+        return PowerSweep(table.columns[0], tuple(params))
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None

@@ -12,15 +12,17 @@ checks and stores its numeric fields through ``_floats`` (finite floats),
 of a sampled curve). A function checks each number it is passed through
 ``_number``, which returns it as a float or raises
 :class:`~sivcav.errors.DomainError` naming the argument, the rule and the
-value. Every type serializes to a flat JSON document
-(``to_dict`` / ``from_dict``) whose field names match the constructor
-arguments and which carries a ``units`` tag.
+value. The types whose documents a file carries (``RadiativeBudget``,
+``CavityMode``, ``EmitterLine``) serialize through ``_Document`` to a flat
+JSON document (``to_dict`` / ``from_dict``) whose field names match the
+constructor arguments and which carries a ``units`` tag; so does
+:class:`~sivcav.purcell.ModifiedRates`, which reports carry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -28,7 +30,6 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 UNIT_NORM_TOL = 1e-9
-FIELD_NORMALIZATION_TOL = 1e-6
 
 ENV_BULK = "bulk"
 ENV_BANDGAP = "bandgap_only"
@@ -161,33 +162,31 @@ def _raise_if(bag):
         raise ValidationError(bag)
 
 
-def _expect_units(doc, expected):
-    if not isinstance(doc, dict):
-        raise TypeError("the document must be an object")
-    units = doc.get("units", expected)
-    if units != expected:
-        raise ValidationError([f"units mismatch: expected '{expected}', got '{units}'"])
-
-
 class _Document:
-    """JSON documents of a dataclass: ``to_dict`` gives every field that is not
-    None (arrays and tuples as lists) plus the ``units`` tag; ``from_dict``
-    checks the tag and takes a missing field's default, or raises KeyError
-    for a field without one."""
+    """JSON documents of a dataclass: ``to_dict`` gives every field (tuples
+    as lists) plus the ``units`` tag; ``from_dict`` rejects a key that is
+    neither a field nor ``units`` and a ``units`` tag other than the type's,
+    naming each, and takes a missing field's default, or raises KeyError for
+    a field without one."""
 
     def to_dict(self):
         doc = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None:
-                doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else (
-                    list(value) if isinstance(value, tuple) else value)
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
         doc["units"] = self.UNITS
         return doc
 
     @classmethod
     def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
+        if not isinstance(doc, dict):
+            raise TypeError("the document must be an object")
+        names = {f.name for f in fields(cls)}
+        bag = [f"unknown key {key!r}" for key in doc if key != "units" and key not in names]
+        units = doc.get("units", cls.UNITS)
+        if units != cls.UNITS:
+            bag.append(f"units mismatch: expected '{cls.UNITS}', got '{units}'")
+        _raise_if(bag)
         return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc or f.default is MISSING})
 
 
@@ -243,17 +242,15 @@ class FieldMap:
 
     grid[iy, ix] holds the (real or complex) field amplitude at
     x = origin[0] + ix * spacing, y = origin[1] + iy * spacing (nm).
-    ``normalization`` is the global maximum amplitude; if omitted it is
-    computed from the grid. The map is the paper's epsilon(r) once divided
-    by ``normalization``.
+    ``normalization`` is the global maximum amplitude, computed from the
+    grid. The map is the paper's epsilon(r) once divided by
+    ``normalization``.
     """
 
     grid: np.ndarray
     spacing: float
     origin: tuple[float, float]
-    normalization: float | None = None
-
-    UNITS: ClassVar[str] = "nm"
+    normalization: float = field(init=False)
 
     def __post_init__(self):
         bag = []
@@ -279,20 +276,11 @@ class FieldMap:
         peak = float(np.max(np.abs(grid))) if grid.size else 0.0
         if peak <= 0 and not ragged:
             bag.append("grid has no nonzero amplitude")
-        if self.normalization is None:
-            object.__setattr__(self, "normalization", peak)
-        else:
-            (norm,) = _floats(self, bag, "normalization")
-            if norm <= 0:
-                bag.append("normalization must be positive")
-            elif peak > 0 and abs(peak / norm - 1.0) > FIELD_NORMALIZATION_TOL:
-                bag.append(
-                    f"normalization {norm} is not the global field maximum {peak}"
-                )
         _raise_if(bag)
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "normalization", peak)
 
     def extent(self):
         """((xmin, xmax), (ymin, ymax)) covered by the grid, in nm."""
@@ -300,96 +288,37 @@ class FieldMap:
         x0, y0 = self.origin
         return ((x0, x0 + (nx - 1) * self.spacing), (y0, y0 + (ny - 1) * self.spacing))
 
-    def to_dict(self):
-        doc = {
-            "spacing": self.spacing,
-            "origin": list(self.origin),
-            "normalization": self.normalization,
-            "units": self.UNITS,
-        }
-        if np.iscomplexobj(self.grid):
-            doc["grid_real"] = self.grid.real.tolist()
-            doc["grid_imag"] = self.grid.imag.tolist()
-        else:
-            doc["grid"] = self.grid.tolist()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        if "grid" in doc:
-            grid = np.asarray(doc["grid"], dtype=float)
-        else:
-            grid = np.asarray(doc["grid_real"], dtype=float) + 1j * np.asarray(
-                doc["grid_imag"], dtype=float
-            )
-        return cls(grid, doc["spacing"], tuple(doc["origin"]), doc.get("normalization"))
-
 
 @dataclass(frozen=True)
-class CavityMode:
+class CavityMode(_Document):
     """One optical resonance of the photonic-crystal cavity.
 
     lambda_c    : center wavelength, nm
     q_factor    : quality factor
     mode_volume : mode volume in units of (lambda/n)^3
-    pol_angle   : linear polarization angle in the slab plane, degrees in (-90, 90]
     """
 
     lambda_c: float
     q_factor: float
     mode_volume: float
-    pol_angle: float = 0.0
-    field_map: FieldMap | None = None
-    label: str = ""
 
     UNITS: ClassVar[str] = "nm"
 
     def __post_init__(self):
         bag = []
-        lam, q, v, ang = _floats(self, bag, "lambda_c", "q_factor", "mode_volume", "pol_angle")
+        lam, q, v = _floats(self, bag, "lambda_c", "q_factor", "mode_volume")
         if lam <= 0:
             bag.append("lambda_c must be positive")
         if q <= 0:
             bag.append("q_factor must be positive")
         if v <= 0:
             bag.append("mode_volume must be positive")
-        if not (-90.0 < ang <= 90.0):
-            bag.append("pol_angle must lie in (-90, 90] degrees")
-        if self.field_map is not None and not isinstance(self.field_map, FieldMap):
-            bag.append("field_map must be a FieldMap")
         _raise_if(bag)
 
     @property
     def linewidth(self):
         """Cavity linewidth lambda_c / Q, nm."""
         return self.lambda_c / self.q_factor
-
-    def to_dict(self):
-        doc = {
-            "lambda_c": self.lambda_c,
-            "q_factor": self.q_factor,
-            "mode_volume": self.mode_volume,
-            "pol_angle": self.pol_angle,
-            "label": self.label,
-            "units": self.UNITS,
-        }
-        if self.field_map is not None:
-            doc["field_map"] = self.field_map.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc):
-        _expect_units(doc, cls.UNITS)
-        fmap = doc.get("field_map")
-        return cls(
-            doc["lambda_c"],
-            doc["q_factor"],
-            doc["mode_volume"],
-            doc.get("pol_angle", 0.0),
-            FieldMap.from_dict(fmap) if fmap is not None else None,
-            doc.get("label", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -399,15 +328,11 @@ class EmitterLine(_Document):
     lambda_i    : transition wavelength, nm
     linewidth   : FWHM, nm
     dipole_axis : unit 3-vector of the transition dipole
-    position    : emitter position in lattice coordinates, nm
-                  (origin at the cavity center, axes along the lattice vectors)
     """
 
     lambda_i: float
     linewidth: float = 0.0
     dipole_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    label: str = ""
 
     UNITS: ClassVar[str] = "nm"
 
@@ -418,20 +343,17 @@ class EmitterLine(_Document):
             bag.append("lambda_i must be positive")
         if width < 0:
             bag.append("linewidth must be non-negative")
-        axis, pos = _arrays(self, bag, "dipole_axis", "position")
+        (axis,) = _arrays(self, bag, "dipole_axis")
         if axis.shape != (3,):
             bag.append("dipole_axis must have three components")
         elif abs(float(np.linalg.norm(axis)) - 1.0) > UNIT_NORM_TOL:
             bag.append("dipole_axis must have unit norm")
-        if pos.shape != (3,):
-            bag.append("position must have three components")
         _raise_if(bag)
         object.__setattr__(self, "dipole_axis", tuple(axis.tolist()))
-        object.__setattr__(self, "position", tuple(pos.tolist()))
 
 
 @dataclass(frozen=True)
-class PhotonicEnvironment(_Document):
+class PhotonicEnvironment:
     """Photonic surroundings of the emitter.
 
     kind  : one of 'bulk', 'bandgap_only', 'cavity_coupled'
@@ -443,7 +365,6 @@ class PhotonicEnvironment(_Document):
     f_phc: float = 1.0
     f_cav: float | None = None
 
-    UNITS: ClassVar[str] = "dimensionless"
     KINDS: ClassVar[tuple[str, ...]] = (ENV_BULK, ENV_BANDGAP, ENV_CAVITY)
 
     def __post_init__(self):
@@ -480,7 +401,7 @@ class PhotonicEnvironment(_Document):
 
 
 @dataclass(frozen=True)
-class ThreeLevelRates(_Document):
+class ThreeLevelRates:
     """Transition rates of the pumped three-level system, in Hz.
 
     k12 : ground -> excited pump rate
@@ -493,8 +414,6 @@ class ThreeLevelRates(_Document):
     k21: float
     k23: float
     k31: float
-
-    UNITS: ClassVar[str] = "Hz"
 
     def __post_init__(self):
         bag = []
@@ -511,7 +430,7 @@ class ThreeLevelRates(_Document):
 
 
 @dataclass(frozen=True)
-class G2Params(_Document):
+class G2Params:
     """Two-exponential parametrization of the intensity correlation,
 
         g2(tau) = 1 - (1 + a) exp(-|tau|/tau1) + a exp(-|tau|/tau2).
@@ -524,8 +443,6 @@ class G2Params(_Document):
     tau1: float
     tau2: float
     a: float
-
-    UNITS: ClassVar[str] = "s"
 
     def __post_init__(self):
         bag = []
@@ -545,7 +462,7 @@ class G2Params(_Document):
 
 
 @dataclass(frozen=True, eq=False)
-class G2Curve(_Document):
+class G2Curve:
     """Sampled normalized intensity-correlation function.
 
     delays in seconds (strictly increasing, may be negative), values
@@ -555,8 +472,6 @@ class G2Curve(_Document):
     delays: np.ndarray
     values: np.ndarray
     sigmas: np.ndarray | None = None
-
-    UNITS: ClassVar[str] = "s"
 
     def __post_init__(self):
         bag = []
@@ -574,14 +489,11 @@ class G2Curve(_Document):
 
 
 @dataclass(frozen=True, eq=False)
-class PLSpectrum(_Document):
+class PLSpectrum:
     """Photoluminescence spectrum: wavelength (nm) vs intensity (counts)."""
 
     wavelengths: np.ndarray
     intensities: np.ndarray
-    meta: str = ""
-
-    UNITS: ClassVar[str] = "nm,counts"
 
     def __post_init__(self):
         bag = []
@@ -593,13 +505,11 @@ class PLSpectrum(_Document):
 
 
 @dataclass(frozen=True, eq=False)
-class PolarizationScan(_Document):
+class PolarizationScan:
     """Detected intensity versus analyzer angle (degrees)."""
 
     angles: np.ndarray
     intensities: np.ndarray
-
-    UNITS: ClassVar[str] = "deg,counts"
 
     def __post_init__(self):
         bag = []
@@ -608,13 +518,11 @@ class PolarizationScan(_Document):
 
 
 @dataclass(frozen=True, eq=False)
-class SaturationCurve(_Document):
+class SaturationCurve:
     """Detected count rate (counts/s) versus excitation power (mW)."""
 
     powers: np.ndarray
     rates: np.ndarray
-
-    UNITS: ClassVar[str] = "mW,cps"
 
     def __post_init__(self):
         bag = []

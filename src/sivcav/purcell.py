@@ -55,14 +55,12 @@ from .models import (
 
 
 @dataclass(frozen=True)
-class OverlapFactors(_Document):
+class OverlapFactors:
     """Spectral, orientation and spatial overlap factors, each in [0, 1]."""
 
     r_lambda: float = 1.0
     r_mu: float = 1.0
     r_r: float = 1.0
-
-    UNITS: ClassVar[str] = "dimensionless"
 
     def __post_init__(self):
         bag = []

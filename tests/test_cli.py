@@ -186,6 +186,25 @@ class TestPurcellCommand:
         assert code == 2
         assert "unknown scenario" in err
 
+    @pytest.mark.parametrize("name", sorted(p.name[:-5] for p in cli._scenario_dir().iterdir()
+                                            if p.name.endswith(".json")))
+    def test_every_bundled_scenario_loads(self, capsys, name):
+        code, doc, _err = run_cli(capsys, "purcell", "--scenario", name)
+        assert code == 0
+        assert doc["inputs"]["flags"]["scenario"] == name
+
+    @pytest.mark.parametrize("part, key", [("mode", "pol_angle"), ("mode", "label"), ("line", "position"),
+                                           ("line", "label")])
+    def test_scenario_document_with_a_stale_key_exit_2(self, capsys, monkeypatch, part, key):
+        stale = cli._load_scenario("siv4")
+        stale[part] = dict(stale[part], **{key: 45.0})
+        monkeypatch.setattr(cli, "_load_scenario", lambda name: stale)
+        code, out, err = run_cli(capsys, "purcell", "--scenario", "siv4")
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {"type": "validation", "message": f"unknown key '{key}'",
+                                            "violations": [f"unknown key '{key}'"]}
+
     def test_no_inputs_exit_2(self, capsys):
         code, _out, err = run_cli(capsys, "purcell")
         assert code == 2
@@ -750,9 +769,14 @@ def test_bad_numeric_flag_exit_2_before_writing(capsys, tmp_path, stream_file, c
     (["spectra", "track", "--manifest", "{tmp}/no_file.json", "--seeds", "a=720:1"],
      "input-format", "{tmp}/no_file.json:0: manifest must be an object with a 'steps' list whose "
      "entries have 'index' and 'file'"),
+    (["purcell", "--budget", "{tmp}/stale.json"], "input-format", "{tmp}/stale.json:0: unknown key 'label'"),
+    (["simulate", "--rates", "1e8,2e9,1e8,5e7", "--duration", "1e-4", "--budget",
+      "{tmp}/stale.json", "--out-stream", "{tmp}/s.csv"],
+     "input-format", "{tmp}/stale.json:0: unknown key 'label'"),
 ], ids=["rates-count", "rates-non-numeric", "zero-dipole", "bad-budget-json", "q-without-vmode",
         "polarization-without-input", "out-is-directory", "mixture-without-modes",
-        "budget-without-key", "budget-not-an-object", "manifest-step-without-file"])
+        "budget-without-key", "budget-not-an-object", "manifest-step-without-file",
+        "purcell-budget-with-stale-key", "simulate-budget-with-stale-key"])
 def test_malformed_input_exit_2(capsys, tmp_path, argv, error_type, message):
     (tmp_path / "bad.json").write_text('{"gamma_zpl": 1,\n "gamma_psb": }')
     (tmp_path / "no_modes.json").write_text(json.dumps(
@@ -760,6 +784,8 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, error_type, message):
     (tmp_path / "no_psb.json").write_text(json.dumps({"gamma_zpl": 1e8, "gamma_nr": 1e8}))
     (tmp_path / "list.json").write_text("[1e8, 2e8, 1e8]")
     (tmp_path / "no_file.json").write_text(json.dumps({"steps": [{"index": 0}]}))
+    (tmp_path / "stale.json").write_text(json.dumps(
+        {"gamma_zpl": 1e8, "gamma_psb": 1e8, "gamma_nr": 1e8, "label": "siv4", "units": "Hz"}))
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out is None

@@ -10,9 +10,16 @@ __all__ does not read it. KEEP names the definitions that are reached on
 purpose although no subcommand, script or workload calls them. Reads match
 by name alone, so a method that shares its name with another attribute
 passes unseen.
+
+That blind spot covers the methods every JSON document type inherits from
+models._Document: to_dict and from_dict are read by name for any of them.
+So DOCUMENTS names the types that may inherit _Document, each with the
+file or report that carries its documents, and the model schema defines
+the file documents and no other type.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -35,6 +42,14 @@ KEEP = {
     "purcell.rescale_qe": "criterion 05: nanosphere rescaling",
     "spectra.save_spectrum": "ROADMAP item 5: writes test inputs; moving it into the tests removes no code",
 }
+
+DOCUMENTS = {
+    "models.RadiativeBudget": "budget files (purcell --budget, simulate --budget) and scenario files",
+    "models.CavityMode": "scenario files (purcell --scenario)",
+    "models.EmitterLine": "scenario files (purcell --scenario)",
+    "purcell.ModifiedRates": "purcell reports (results rates_bulk, rates_phc, rates_cav)",
+}
+FILE_DOCUMENTS = {"RadiativeBudget", "CavityMode", "EmitterLine"}
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +121,24 @@ def test_every_public_name_is_reached_outside_the_tests(trees):
 
 def test_keep_list_names_existing_definitions(trees):
     assert sorted(set(KEEP) - set(definitions(trees))) == []
+
+
+def test_documents_are_the_types_a_file_or_report_carries(trees):
+    """The _Document subclasses are DOCUMENTS, and the package reads a
+    document (Type.from_dict) of the file documents only."""
+    subclasses, loaded = set(), set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "_Document" for b in node.bases):
+                subclasses.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.Attribute) and node.attr == "from_dict" and isinstance(node.value, ast.Name):
+                loaded.add(node.value.id)
+    assert subclasses == set(DOCUMENTS)
+    assert loaded == FILE_DOCUMENTS
+
+
+def test_model_schema_defines_the_file_documents_only():
+    schema = json.loads((PACKAGE / "schemas" / "model_types.schema.json").read_text())
+    assert set(schema["$defs"]) == FILE_DOCUMENTS
