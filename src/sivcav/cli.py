@@ -19,7 +19,6 @@ spectra).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from importlib import resources
@@ -87,8 +86,15 @@ def _load_scenario(name):
     if not path.is_file():
         available = sorted(p.name[:-5] for p in _scenario_dir().iterdir() if p.name.endswith(".json"))
         raise DomainError(f"unknown scenario {name!r}; available: {', '.join(available)}")
-    with path.open() as fh:
-        return json.load(fh)
+    with resources.as_file(path) as real:
+        return read_document(real, _scenario)
+
+
+def _scenario(doc):
+    """A scenario document with its budget, mode and line as types (None where absent)."""
+    return dict(doc, budget=RadiativeBudget.from_dict(doc["budget"]) if doc.get("budget") else None,
+                mode=CavityMode.from_dict(doc["mode"]) if doc.get("mode") else None,
+                line=EmitterLine.from_dict(doc["line"]) if doc.get("line") else None)
 
 
 def _num(value, units, sigma=None):
@@ -127,12 +133,7 @@ def cmd_purcell(args, paths):
         doc = _load_scenario(args.scenario)
         if f_phc is None:
             f_phc = doc.get("f_phc")
-        if doc.get("budget"):
-            budget = RadiativeBudget.from_dict(doc["budget"])
-        if doc.get("mode"):
-            mode = CavityMode.from_dict(doc["mode"])
-        if doc.get("line"):
-            line = EmitterLine.from_dict(doc["line"])
+        budget, mode, line = doc["budget"], doc["mode"], doc["line"]
         if doc.get("field_axis"):
             field_axis = _unit(doc["field_axis"])
         if doc.get("fieldmap"):

@@ -48,6 +48,7 @@ from .models import (
     ThreeLevelRates,
     _arrays,
     _floats,
+    _increasing,
     _number,
     _raise_if,
 )
@@ -67,9 +68,7 @@ class PumpModel:
 
     def __post_init__(self):
         bag = []
-        (sigma,) = _floats(self, bag, "sigma")
-        if sigma <= 0:
-            bag.append("sigma must be positive")
+        _floats(self, bag, sigma="be positive")
         _raise_if(bag)
 
     def k12(self, power_mw):
@@ -94,12 +93,10 @@ class PowerSweep:
 
     def __post_init__(self):
         bag = []
-        (powers,) = _arrays(self, bag, "powers")
+        (powers,) = _arrays(self, bag, powers="be positive")
         if powers.ndim != 1:
             bag.append("powers must be 1-D")
-        if powers.size and np.any(powers <= 0):
-            bag.append("powers must be positive")
-        if powers.size >= 2 and not np.all(np.diff(powers) > 0):
+        if not _increasing(powers):
             bag.append("powers must be strictly increasing")
         params = tuple(self.params)
         if len(params) != powers.size:

@@ -140,9 +140,12 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names):
 
     jac = jacobian_fn(p)
     jac_at = p  # the point jac was taken at
-    s = np.linalg.svd(jac, compute_uv=False)
+    # rank test on jac with unit columns (MINPACK's scaling): free of the parameters' units
+    norms = np.linalg.norm(jac, axis=0)
+    scaled = jac / np.where(norms > 0.0, norms, 1.0)
+    s = np.linalg.svd(scaled, compute_uv=False)
     if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
-        involved = _singular_direction_names(jac, names)
+        involved = _singular_direction_names(scaled, names)
         raise RankDeficiencyError(
             "singular normal equations: parameters "
             + ", ".join(involved)
@@ -290,10 +293,10 @@ def least_squares(
 
     Raises
     ------
-    RankDeficiencyError when the Jacobian is numerically rank deficient,
-    naming the unidentifiable parameter combination; DomainError when
-    ``jacobian`` returns an array of the wrong shape. Non-convergence is NOT
-    an exception; it is reported via ``converged=False``.
+    RankDeficiencyError when the start's Jacobian with unit columns is
+    numerically rank deficient, naming the unidentifiable parameter
+    combination; DomainError when ``jacobian`` returns an array of the wrong
+    shape. Non-convergence is NOT an exception (``converged=False``).
     """
     y = np.asarray(ydata, dtype=float).ravel()
     p0 = np.array(p0, dtype=float)  # a copy: a fit that takes no step returns its start

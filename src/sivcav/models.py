@@ -7,16 +7,16 @@ to or from any other scale happens only at I/O boundaries.
 All types are immutable after construction. Constructors validate eagerly and
 raise :class:`~sivcav.errors.ValidationError` carrying *every* violated
 invariant, so callers can report complete diagnostics in one pass. A type
-checks and stores its numeric fields through ``_floats`` (finite floats),
-``_arrays`` (finite read-only float arrays) and ``_samples`` (the two arrays
-of a sampled curve). A function checks each number it is passed through
-``_number``, which returns it as a float or raises
-:class:`~sivcav.errors.DomainError` naming the argument, the rule and the
-value. The types whose documents a file carries (``RadiativeBudget``,
-``CavityMode``, ``EmitterLine``) serialize through ``_Document`` to a flat
-JSON document (``to_dict`` / ``from_dict``) whose field names match the
-constructor arguments and which carries a ``units`` tag; so does
-:class:`~sivcav.purcell.ModifiedRates`, which reports carry.
+stores its numeric fields through ``_floats``, ``_arrays`` (read-only arrays)
+and ``_samples`` (the two arrays of a sampled curve), each named with its rule
+from ``_RULES`` (``k21="be positive"``): a field that is not a finite number
+gives one violation, a finite value or entry breaking it "<field> must <rule>".
+A function checks each number it is passed through ``_number``: DomainError
+"<name> must <rule>, got <value>". The types whose documents a file carries
+(``RadiativeBudget``, ``CavityMode``, ``EmitterLine``) serialize through
+``_Document`` to a flat JSON document (``to_dict`` / ``from_dict``) whose field
+names match the constructor arguments and which carries a ``units`` tag; so
+does :class:`~sivcav.purcell.ModifiedRates`, which reports carry.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ def _as_float(value):
 
 
 _RULES = {
-    "be finite": lambda v: True,
+    "be finite": lambda v: np.True_,
     "be positive": lambda v: v > 0,
     "be non-negative": lambda v: v >= 0,
     "be >= 1": lambda v: v >= 1,
-    "lie in [0, 1]": lambda v: 0 <= v <= 1,
-    "lie in (0, 1]": lambda v: 0 < v <= 1,
-    "lie in (0, 1)": lambda v: 0 < v < 1,
-}
+    "lie in [0, 1]": lambda v: (0 <= v) & (v <= 1),
+    "lie in (0, 1]": lambda v: (0 < v) & (v <= 1),
+    "lie in (0, 1)": lambda v: (0 < v) & (v < 1),
+}  # each rule also applies entry by entry to an array
 
 
 def _number(name, value, rule="be finite"):
@@ -71,11 +71,11 @@ def _number(name, value, rule="be finite"):
     return value
 
 
-def _floats(obj, bag, *names):
-    """Check that each named field of obj is a finite number and store it as
-    a float; the values, in order."""
-    values = []
-    for name in names:
+def _floats(obj, bag, **rules):
+    """Store each field of obj named in rules as a float, checked to be a
+    finite number and then, where finite, to obey its rule; the values."""
+    values, broken = [], []
+    for name, rule in rules.items():
         try:
             value = _as_float(getattr(obj, name))
         except (TypeError, ValueError):
@@ -84,8 +84,11 @@ def _floats(obj, bag, *names):
         else:
             if not math.isfinite(value):
                 bag.append(f"{name} is not finite")
+            elif not _RULES[rule](value):
+                broken.append(f"{name} must {rule}")
         object.__setattr__(obj, name, value)
         values.append(value)
+    bag += broken
     return values
 
 
@@ -127,33 +130,44 @@ def _read_only(value, given):
     return value
 
 
-def _arrays(obj, bag, *names):
-    """_floats for fields of arrays: each is stored as a read-only float array."""
-    values = []
-    for name in names:
+def _arrays(obj, bag, **rules):
+    """_floats for fields of arrays: each is stored as a read-only float
+    array, and its finite entries are held to its rule one by one."""
+    values, held = [], []
+    for name in rules:
         given = getattr(obj, name)
+        faults = len(bag)
         value = _float_array(bag, name, given)
-        if value.size and not np.all(np.isfinite(value)):
+        if np.all(np.isfinite(value)):  # the zeros standing in for a faulty given are not held
+            held.append(value if len(bag) == faults else np.zeros(0))
+        else:
             bag.append(f"{name} contains non-finite entries")
+            held.append(value[np.isfinite(value)])
         value = _read_only(value, given)
         object.__setattr__(obj, name, value)
         values.append(value)
+    bag += [f"{name} must {rule}" for (name, rule), entries in zip(rules.items(), held)
+            if not _RULES[rule](entries).all()]
     return values
 
 
-def _samples(obj, bag, x, y, increasing=True):
-    """_arrays for the abscissa x and ordinate y of a sampled curve, plus the
-    checks every curve shares: both 1-D and of equal length, x strictly
-    increasing (unless increasing is False) and y non-negative."""
-    xs, ys = _arrays(obj, bag, x, y)
+def _increasing(values):
+    """Whether the finite entries of values (the others _arrays reports) increase strictly."""
+    return values.size < 2 or (np.diff(values) > 0).all() or (np.diff(values[np.isfinite(values)]) > 0).all()
+
+
+def _samples(obj, bag, increasing=True, **rules):
+    """_arrays for the abscissa and the ordinate of a sampled curve (rules in
+    that order), plus the checks every curve shares: both 1-D and of equal
+    length, the abscissa strictly increasing (unless increasing is False)."""
+    xs, ys = _arrays(obj, bag, **rules)
+    x, y = rules
     if xs.ndim != 1 or ys.ndim != 1:
         bag.append(f"{x} and {y} must be 1-D")
     if xs.shape != ys.shape:
         bag.append(f"{x} and {y} must have equal length")
-    if increasing and xs.size >= 2 and not np.all(np.diff(xs) > 0):
+    if increasing and not _increasing(xs):
         bag.append(f"{x} must be strictly increasing")
-    if ys.size and np.any(ys < 0):
-        bag.append(f"{y} must be non-negative")
     return xs, ys
 
 
@@ -207,13 +221,8 @@ class RadiativeBudget(_Document):
 
     def __post_init__(self):
         bag = []
-        z, p, n = _floats(self, bag, "gamma_zpl", "gamma_psb", "gamma_nr")
-        if z < 0:
-            bag.append("gamma_zpl negative")
-        if p < 0:
-            bag.append("gamma_psb negative")
-        if n < 0:
-            bag.append("gamma_nr negative")
+        z, p, _n = _floats(self, bag, gamma_zpl="be non-negative", gamma_psb="be non-negative",
+                           gamma_nr="be non-negative")
         if not (z > 0 or p > 0):
             bag.append("at least one radiative rate must be positive")
         _raise_if(bag)
@@ -264,22 +273,17 @@ class FieldMap:
             grid = grid.astype(float)
         if grid.size and not np.all(np.isfinite(np.abs(grid))):
             bag.append("grid contains non-finite entries")
-        (spacing,) = _floats(self, bag, "spacing")
-        if spacing <= 0:
-            bag.append("spacing must be positive")
-        origin = tuple(float(v) for v in self.origin)
-        if len(origin) != 2:
+        _floats(self, bag, spacing="be positive")
+        (origin,) = _arrays(self, bag, origin="be finite")
+        if origin.shape != (2,):
             bag.append("origin must have two components")
-        for v in origin:
-            if not math.isfinite(v):
-                bag.append("origin contains non-finite entries")
         peak = float(np.max(np.abs(grid))) if grid.size else 0.0
         if peak <= 0 and not ragged:
             bag.append("grid has no nonzero amplitude")
         _raise_if(bag)
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "origin", tuple(origin.tolist()))
         object.__setattr__(self, "normalization", peak)
 
     def extent(self):
@@ -306,13 +310,7 @@ class CavityMode(_Document):
 
     def __post_init__(self):
         bag = []
-        lam, q, v = _floats(self, bag, "lambda_c", "q_factor", "mode_volume")
-        if lam <= 0:
-            bag.append("lambda_c must be positive")
-        if q <= 0:
-            bag.append("q_factor must be positive")
-        if v <= 0:
-            bag.append("mode_volume must be positive")
+        _floats(self, bag, lambda_c="be positive", q_factor="be positive", mode_volume="be positive")
         _raise_if(bag)
 
     @property
@@ -338,12 +336,8 @@ class EmitterLine(_Document):
 
     def __post_init__(self):
         bag = []
-        lam, width = _floats(self, bag, "lambda_i", "linewidth")
-        if lam <= 0:
-            bag.append("lambda_i must be positive")
-        if width < 0:
-            bag.append("linewidth must be non-negative")
-        (axis,) = _arrays(self, bag, "dipole_axis")
+        _floats(self, bag, lambda_i="be positive", linewidth="be non-negative")
+        (axis,) = _arrays(self, bag, dipole_axis="be finite")
         if axis.shape != (3,):
             bag.append("dipole_axis must have three components")
         elif abs(float(np.linalg.norm(axis)) - 1.0) > UNIT_NORM_TOL:
@@ -371,18 +365,14 @@ class PhotonicEnvironment:
         bag = []
         if self.kind not in self.KINDS:
             bag.append(f"kind must be one of {self.KINDS}, got {self.kind!r}")
-        (f_phc,) = _floats(self, bag, "f_phc")
-        if not (0.0 < f_phc <= 1.0):
-            bag.append("f_phc must lie in (0, 1]")
+        (f_phc,) = _floats(self, bag, f_phc="lie in (0, 1]")
         if self.kind == ENV_BULK and f_phc != 1.0:
             bag.append("bulk requires f_phc = 1")
         if self.kind == ENV_CAVITY:
             if self.f_cav is None:
                 bag.append("cavity_coupled requires f_cav")
             else:
-                (f_cav,) = _floats(self, bag, "f_cav")
-                if f_cav < 0:
-                    bag.append("f_cav must be non-negative")
+                _floats(self, bag, f_cav="be non-negative")
         elif self.f_cav is not None:
             bag.append(f"f_cav is only meaningful for cavity_coupled, not {self.kind!r}")
         _raise_if(bag)
@@ -417,15 +407,7 @@ class ThreeLevelRates:
 
     def __post_init__(self):
         bag = []
-        k12, k21, k23, k31 = _floats(self, bag, "k12", "k21", "k23", "k31")
-        if k12 < 0:
-            bag.append("k12 negative")
-        if k21 <= 0:
-            bag.append("k21 must be positive")
-        if k23 < 0:
-            bag.append("k23 negative")
-        if k31 <= 0:
-            bag.append("k31 must be positive")
+        _floats(self, bag, k12="be non-negative", k21="be positive", k23="be non-negative", k31="be positive")
         _raise_if(bag)
 
 
@@ -446,13 +428,7 @@ class G2Params:
 
     def __post_init__(self):
         bag = []
-        t1, t2, a = _floats(self, bag, "tau1", "tau2", "a")
-        if t1 <= 0:
-            bag.append("tau1 must be positive")
-        if t2 <= 0:
-            bag.append("tau2 must be positive")
-        if a < 0:
-            bag.append("a must be non-negative")
+        t1, t2, a = _floats(self, bag, tau1="be positive", tau2="be positive", a="be non-negative")
         if t1 == t2:
             bag.append("tau1 and tau2 must be distinct")
         _raise_if(bag)
@@ -475,13 +451,11 @@ class G2Curve:
 
     def __post_init__(self):
         bag = []
-        delays, _values = _samples(self, bag, "delays", "values")
+        delays, _values = _samples(self, bag, delays="be finite", values="be non-negative")
         if self.sigmas is not None:
-            (sigmas,) = _arrays(self, bag, "sigmas")
+            (sigmas,) = _arrays(self, bag, sigmas="be positive")
             if sigmas.shape != delays.shape:
                 bag.append("sigmas must match delays in length")
-            elif sigmas.size and np.any(sigmas <= 0):
-                bag.append("sigmas must be positive")
         _raise_if(bag)
 
     def __len__(self):
@@ -497,7 +471,7 @@ class PLSpectrum:
 
     def __post_init__(self):
         bag = []
-        _samples(self, bag, "wavelengths", "intensities")
+        _samples(self, bag, wavelengths="be finite", intensities="be non-negative")
         _raise_if(bag)
 
     def __len__(self):
@@ -513,7 +487,7 @@ class PolarizationScan:
 
     def __post_init__(self):
         bag = []
-        _samples(self, bag, "angles", "intensities", increasing=False)
+        _samples(self, bag, increasing=False, angles="be finite", intensities="be non-negative")
         _raise_if(bag)
 
 
@@ -526,8 +500,6 @@ class SaturationCurve:
 
     def __post_init__(self):
         bag = []
-        powers, _rates = _samples(self, bag, "powers", "rates")
-        if powers.size and np.any(powers <= 0):
-            bag.append("powers must be positive")
+        _samples(self, bag, powers="be positive", rates="be non-negative")
         _raise_if(bag)
 

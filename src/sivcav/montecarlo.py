@@ -86,7 +86,7 @@ import numpy as np
 from ._table import read_columns, read_counts, read_table, write_counts, write_table
 from .errors import DomainError, InputFormatError, ValidationError
 from .models import (G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _float_array, _floats,
-                     _number, _raise_if, _read_only, _shaped)
+                     _increasing, _number, _raise_if, _read_only, _shaped)
 
 RNG_SKIP = "sfc64/skip-1"  # event skipping
 RNG_COXIAN = "sfc64/cox-1"
@@ -149,11 +149,9 @@ class PhotonStream:
     def __post_init__(self):
         bag = []
         tags = _shaped(bag, "channel_tags", self.channel_tags)
-        (duration,) = _floats(self, bag, "duration")
-        if duration <= 0:
-            bag.append("duration must be positive")
+        (duration,) = _floats(self, bag, duration="be positive")
         own = []  # faults of the timestamps' entries, listed after the shape's
-        (ts,) = _arrays(self, own, "timestamps")
+        (ts,) = _arrays(self, own, timestamps="be finite")
         if ts.ndim != 1 or tags.ndim != 1:
             bag.append("timestamps and channel_tags must be 1-D")
         if ts.shape != tags.shape:
@@ -162,7 +160,7 @@ class PhotonStream:
         if ts.ndim == 1 and ts.size and not own:  # own holds any non-finite entry
             if not np.all(ts[1:] >= ts[:-1]):
                 bag.append("timestamps must be sorted")
-            elif ts[0] < 0 or ts[-1] > duration:
+            elif ts[0] < 0 or (ts[-1] > duration and math.isfinite(duration)):  # -inf: reported already
                 bag.append("timestamps must lie in [0, duration]")
         if not _channel_codes(tags):
             bag.append("channel_tags must be ZPL/PSB codes")
@@ -197,7 +195,7 @@ class HbtHistogram:
 
     def __post_init__(self):
         bag = []
-        (edges,) = _arrays(self, bag, "bin_edges")
+        (edges,) = _arrays(self, bag, bin_edges="be finite")
         given = _shaped(bag, "counts", self.counts)
         if np.can_cast(given.dtype, np.int64):
             counts = given.astype(np.int64, copy=False)
@@ -214,13 +212,11 @@ class HbtHistogram:
             bag.append("bin_edges and counts must be 1-D")
         elif counts.size != edges.size - 1:
             bag.append("counts must have one entry per bin")
-        if edges.size >= 2 and not np.all(np.diff(edges) > 0):
+        if not _increasing(edges):
             bag.append("bin_edges must be strictly increasing")
         if counts.size and np.any(counts < 0):
             bag.append("counts must be non-negative")
-        (norm,) = _floats(self, bag, "normalization")
-        if norm <= 0:
-            bag.append("normalization must be positive")
+        _floats(self, bag, normalization="be positive")
         if self.mode not in self.MODES:
             bag.append(f"mode must be one of {self.MODES}")
         _raise_if(bag)

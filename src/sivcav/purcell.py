@@ -64,10 +64,7 @@ class OverlapFactors:
 
     def __post_init__(self):
         bag = []
-        for name in ("r_lambda", "r_mu", "r_r"):
-            (v,) = _floats(self, bag, name)
-            if not (0.0 <= v <= 1.0):
-                bag.append(f"{name} must lie in [0, 1]")
+        _floats(self, bag, r_lambda="lie in [0, 1]", r_mu="lie in [0, 1]", r_r="lie in [0, 1]")
         _raise_if(bag)
 
     def product(self):
@@ -100,13 +97,10 @@ class ModifiedRates(_Document):
 
     def __post_init__(self):
         bag = []
-        total, zpl, psb, nr, eta = _floats(self, bag, "gamma_total", "channel_zpl", "channel_psb",
-                                           "channel_nr", "eta_qe")
-        if min(zpl, psb, nr) < 0:
-            bag.append("channel rates must be non-negative")
-        if total <= 0:
-            bag.append("gamma_total must be positive")
-        else:
+        values = _floats(self, bag, gamma_total="be positive", channel_zpl="be non-negative",
+                         channel_psb="be non-negative", channel_nr="be non-negative", eta_qe="be finite")
+        total, zpl, psb, nr, eta = values
+        if total > 0 and np.all(np.isfinite(values)):  # a non-finite field is reported already
             if abs(total - (zpl + psb + nr)) > self.REL_TOL * total:
                 bag.append("gamma_total must equal the sum of channel rates")
             if abs(eta - (zpl + psb) / total) > self.REL_TOL:
@@ -211,11 +205,9 @@ def modified_budget(budget: RadiativeBudget, env: PhotonicEnvironment) -> Modifi
     elif env.kind == ENV_BANDGAP:
         zpl = env.f_phc * budget.gamma_zpl
         psb = env.f_phc * budget.gamma_psb
-    elif env.kind == ENV_CAVITY:
+    else:  # ENV_CAVITY, the kind left: PhotonicEnvironment checks the kind
         zpl = env.f_cav * budget.gamma_zpl
         psb = env.f_phc * budget.gamma_psb
-    else:  # pragma: no cover - PhotonicEnvironment already validates
-        raise DomainError(f"unknown environment kind {env.kind!r}")
     nr = budget.gamma_nr
     total = zpl + psb + nr
     return ModifiedRates(total, zpl, psb, nr, (zpl + psb) / total, env.kind)

@@ -44,9 +44,7 @@ class PolarizedChannel:
 
     def __post_init__(self):
         bag = []
-        _angle, weight = _floats(self, bag, "angle", "weight")
-        if weight < 0:
-            bag.append("weight must be non-negative")
+        _floats(self, bag, angle="be finite", weight="be non-negative")
         _raise_if(bag)
 
 

@@ -194,16 +194,19 @@ class TestPurcellCommand:
         assert doc["inputs"]["flags"]["scenario"] == name
 
     @pytest.mark.parametrize("part, key", [("mode", "pol_angle"), ("mode", "label"), ("line", "position"),
-                                           ("line", "label")])
-    def test_scenario_document_with_a_stale_key_exit_2(self, capsys, monkeypatch, part, key):
-        stale = cli._load_scenario("siv4")
+                                           ("line", "label"), ("budget", "label")])
+    def test_scenario_document_with_a_stale_key_exit_2(self, capsys, monkeypatch, tmp_path, part, key):
+        """A fault in a scenario's budget, mode or line names the scenario
+        file at line 0, as a fault in a --budget file names that file."""
+        stale = json.loads(cli._scenario_dir().joinpath("siv4.json").read_text())
         stale[part] = dict(stale[part], **{key: 45.0})
-        monkeypatch.setattr(cli, "_load_scenario", lambda name: stale)
+        (tmp_path / "siv4.json").write_text(json.dumps(stale))
+        monkeypatch.setattr(cli, "_scenario_dir", lambda: tmp_path)
         code, out, err = run_cli(capsys, "purcell", "--scenario", "siv4")
         assert code == 2
         assert out is None
-        assert json.loads(err)["error"] == {"type": "validation", "message": f"unknown key '{key}'",
-                                            "violations": [f"unknown key '{key}'"]}
+        assert json.loads(err)["error"] == {"type": "input-format",
+                                            "message": f"{tmp_path / 'siv4.json'}:0: unknown key '{key}'"}
 
     def test_no_inputs_exit_2(self, capsys):
         code, _out, err = run_cli(capsys, "purcell")

@@ -525,6 +525,17 @@ class TestEngine:
                                   jacobian=lambda x, a, b: np.stack([x, x], axis=-1))
         assert set(err.value.parameters) == {"a", "b"}
 
+    def test_rank_test_is_scale_free(self):
+        # a well-posed line whose slope is in units 1e12 times the
+        # intercept's: the Jacobian's columns differ in scale by 1e12, which
+        # puts its raw singular-value ratio (1.8e-13) below RANK_TOL
+        x = np.linspace(0.0, 5.0, 20)
+        fit = fitting.least_squares(lambda x, a, b: 1e12 * a * x + b, x, 3.0 * x - 0.7, [1e-12, 0.0],
+                                    names=("a", "b"),
+                                    jacobian=lambda x, a, b: np.stack([1e12 * x, np.ones_like(x)], axis=-1))
+        assert fit.converged
+        assert fit.values == pytest.approx([3e-12, -0.7], rel=1e-9)
+
     def test_cost_trace_never_increases(self, rng):
         x = np.linspace(-20e-9, 20e-9, 151)
         y = fitting.g2_model(x, 0.8, 0.48e-9, 5e-9) + rng.normal(0, 0.02, 151)

@@ -47,7 +47,8 @@ class TestRadiativeBudget:
     def test_reports_every_violation(self):
         with pytest.raises(ValidationError) as err:
             RadiativeBudget(-1.0, -1.0, -1.0)
-        assert err.value.violations == ["gamma_zpl negative", "gamma_psb negative", "gamma_nr negative",
+        assert err.value.violations == ["gamma_zpl must be non-negative", "gamma_psb must be non-negative",
+                                        "gamma_nr must be non-negative",
                                         "at least one radiative rate must be positive"]
 
     def test_derived_rates_known_values(self):
@@ -248,6 +249,15 @@ def test_model_schema_rejects_an_undeclared_key(obj):
     assert not schema_validator(type(obj).__name__).is_valid(dict(obj.to_dict(), label="o2"))
 
 
+@pytest.mark.parametrize("obj", SCHEMA_CASES, ids=lambda o: type(o).__name__)
+def test_document_without_units_carries_the_types_units(obj):
+    """The units tag is optional in the schema as in from_dict, which takes
+    a document without it as carrying the type's own units."""
+    doc = {key: value for key, value in json.loads(json.dumps(obj.to_dict())).items() if key != "units"}
+    schema_validator(type(obj).__name__).validate(doc)
+    assert type(obj).from_dict(doc) == obj
+
+
 def scenario_documents():
     """(type name, document) of each budget, mode and line of the bundled scenarios."""
     scenarios = resources.files("sivcav").joinpath("scenarios")
@@ -291,11 +301,11 @@ def test_units_mismatch_rejected():
 NAN, INF = math.nan, math.inf
 VIOLATION_CASES = {
     "RadiativeBudget": (lambda: RadiativeBudget(-1.0, NAN, "x"), [
-        "gamma_psb is not finite", "gamma_nr is not a number", "gamma_zpl negative",
+        "gamma_psb is not finite", "gamma_nr is not a number", "gamma_zpl must be non-negative",
         "at least one radiative rate must be positive"]),
     "FieldMap": (lambda: FieldMap([[1.0, NAN], [0.0, 2.0]], -1.0, (NAN, 0.0, 1.0)), [
         "grid contains non-finite entries", "spacing must be positive",
-        "origin must have two components", "origin contains non-finite entries"]),
+        "origin contains non-finite entries", "origin must have two components"]),
     "FieldMap-zero-grid": (lambda: FieldMap(np.zeros((3, 2)), "x", (0.0,)), [
         "spacing is not a number", "origin must have two components",
         "grid has no nonzero amplitude"]),
@@ -310,41 +320,44 @@ VIOLATION_CASES = {
     "PhotonicEnvironment-bulk": (lambda: PhotonicEnvironment("bulk", 0.5, 3.0), [
         "bulk requires f_phc = 1", "f_cav is only meaningful for cavity_coupled, not 'bulk'"]),
     "PhotonicEnvironment-cavity": (lambda: PhotonicEnvironment("cavity_coupled", INF, -1.0), [
-        "f_phc is not finite", "f_phc must lie in (0, 1]", "f_cav must be non-negative"]),
+        "f_phc is not finite", "f_cav must be non-negative"]),
     "PhotonicEnvironment-kind": (lambda: PhotonicEnvironment("vacuum", 0.0), [
         "kind must be one of ('bulk', 'bandgap_only', 'cavity_coupled'), got 'vacuum'",
         "f_phc must lie in (0, 1]"]),
     "ThreeLevelRates": (lambda: ThreeLevelRates(-1.0, 0.0, NAN, "x"), [
-        "k23 is not finite", "k31 is not a number", "k12 negative", "k21 must be positive"]),
+        "k23 is not finite", "k31 is not a number", "k12 must be non-negative", "k21 must be positive"]),
     "G2Params": (lambda: G2Params(0.0, 0.0, -1.0), [
         "tau1 must be positive", "tau2 must be positive", "a must be non-negative",
         "tau1 and tau2 must be distinct"]),
     "G2Curve": (lambda: G2Curve([3.0, 2.0, 1.0], [-1.0, NAN, 1.0], [1.0, 0.0]), [
-        "values contains non-finite entries", "delays must be strictly increasing",
-        "values must be non-negative", "sigmas must match delays in length"]),
+        "values contains non-finite entries", "values must be non-negative",
+        "delays must be strictly increasing", "sigmas must be positive",
+        "sigmas must match delays in length"]),
     "G2Curve-shape": (lambda: G2Curve([[1.0, 2.0]], [1.0, 2.0, 3.0], [0.0, 1.0]), [
         "delays and values must be 1-D", "delays and values must have equal length",
-        "sigmas must match delays in length"]),
+        "sigmas must be positive", "sigmas must match delays in length"]),
     "PLSpectrum": (lambda: PLSpectrum([2.0, 1.0, NAN], [1.0, -1.0]), [
-        "wavelengths contains non-finite entries",
+        "wavelengths contains non-finite entries", "intensities must be non-negative",
         "wavelengths and intensities must have equal length",
-        "wavelengths must be strictly increasing", "intensities must be non-negative"]),
+        "wavelengths must be strictly increasing"]),
+    "PLSpectrum-scalar": (lambda: PLSpectrum("abc", [1.0]), [
+        "wavelengths is not a number", "wavelengths and intensities must be 1-D",
+        "wavelengths and intensities must have equal length"]),
     "PolarizationScan": (lambda: PolarizationScan([[30.0, 10.0]], [-1.0, INF]), [
-        "intensities contains non-finite entries", "angles and intensities must be 1-D",
-        "angles and intensities must have equal length", "intensities must be non-negative"]),
+        "intensities contains non-finite entries", "intensities must be non-negative",
+        "angles and intensities must be 1-D", "angles and intensities must have equal length"]),
     "SaturationCurve": (lambda: SaturationCurve([0.0, 0.0, -1.0], [-1.0, 2.0, NAN]), [
-        "rates contains non-finite entries", "powers must be strictly increasing",
-        "rates must be non-negative", "powers must be positive"]),
-    "PumpModel": (lambda: dynamics.PumpModel(-INF), ["sigma is not finite", "sigma must be positive"]),
+        "rates contains non-finite entries", "powers must be positive",
+        "rates must be non-negative", "powers must be strictly increasing"]),
+    "PumpModel": (lambda: dynamics.PumpModel(-INF), ["sigma is not finite"]),
     "PowerSweep": (lambda: dynamics.PowerSweep([2.0, 1.0, -1.0], (G2Params(1e-9, 2e-8, 0.5), "x")), [
         "powers must be positive", "powers must be strictly increasing",
         "params must align with powers", "params entries must be G2Params or None"]),
     "OverlapFactors": (lambda: purcell.OverlapFactors(NAN, 2.0, -0.5), [
-        "r_lambda is not finite", "r_lambda must lie in [0, 1]", "r_mu must lie in [0, 1]",
-        "r_r must lie in [0, 1]"]),
+        "r_lambda is not finite", "r_mu must lie in [0, 1]", "r_r must lie in [0, 1]"]),
     "ModifiedRates": (lambda: purcell.ModifiedRates(0.0, -1.0, NAN, 1.0, 0.5, "zzz"), [
-        "channel_psb is not finite", "channel rates must be non-negative",
-        "gamma_total must be positive",
+        "channel_psb is not finite", "gamma_total must be positive",
+        "channel_zpl must be non-negative",
         "kind must be one of ('bulk', 'bandgap_only', 'cavity_coupled')"]),
     "ModifiedRates-sums": (lambda: purcell.ModifiedRates(3.0, 1.0, 1.0, 2.0, 0.5, "bulk"), [
         "gamma_total must equal the sum of channel rates",
@@ -384,11 +397,117 @@ def test_every_violation_listed_in_order(case):
     assert err.value.violations == expected
 
 
+_STREAM = dict(timestamps=[0.0, 0.0], channel_tags=[0, 1], duration=1e-5, seed=0)
+_RATES = dict(gamma_total=2.5e9, channel_zpl=1.5e9, channel_psb=0.25e9, channel_nr=0.75e9, eta_qe=0.7,
+              kind="bulk")
+# (type, keyword arguments of a valid value, field, its declared rule, a
+# finite value of the field that breaks the rule, or the arguments that
+# change where the cross-field checks need others to change with it)
+FIELD_RULES = [
+    *((RadiativeBudget, dict(gamma_zpl=1e8, gamma_psb=1e8, gamma_nr=1e8), name, "be non-negative", -1.0)
+      for name in ("gamma_zpl", "gamma_psb", "gamma_nr")),
+    (FieldMap, dict(grid=[[1.0, 0.5], [0.5, 0.25]], spacing=10.0, origin=(0.0, 0.0)), "spacing",
+     "be positive", 0.0),
+    *((CavityMode, dict(lambda_c=738.0, q_factor=430.0, mode_volume=1.7), name, "be positive", 0.0)
+      for name in ("lambda_c", "q_factor", "mode_volume")),
+    (EmitterLine, dict(lambda_i=738.0, linewidth=1.25), "lambda_i", "be positive", 0.0),
+    (EmitterLine, dict(lambda_i=738.0, linewidth=1.25), "linewidth", "be non-negative", -1.0),
+    (PhotonicEnvironment, dict(kind="bandgap_only", f_phc=0.25), "f_phc", "lie in (0, 1]", 1.5),
+    (PhotonicEnvironment, dict(kind="cavity_coupled", f_phc=0.25, f_cav=5.0), "f_cav", "be non-negative", -1.0),
+    *((ThreeLevelRates, dict(k12=1e8, k21=2e9, k23=3e8, k31=5e7), name, rule, bad)
+      for name, rule, bad in (("k12", "be non-negative", -1.0), ("k21", "be positive", 0.0),
+                              ("k23", "be non-negative", -1.0), ("k31", "be positive", 0.0))),
+    *((G2Params, dict(tau1=1e-9, tau2=2e-8, a=0.5), name, rule, bad)
+      for name, rule, bad in (("tau1", "be positive", 0.0), ("tau2", "be positive", 0.0),
+                              ("a", "be non-negative", -1.0))),
+    (G2Curve, dict(delays=[0.0, 1e-9], values=[1.0, 0.5], sigmas=[0.1, 0.1]), "values", "be non-negative",
+     [1.0, -0.5]),
+    (G2Curve, dict(delays=[0.0, 1e-9], values=[1.0, 0.5], sigmas=[0.1, 0.1]), "sigmas", "be positive",
+     [0.1, 0.0]),
+    (PLSpectrum, dict(wavelengths=[730.0, 731.0], intensities=[1.0, 2.0]), "intensities", "be non-negative",
+     [1.0, -2.0]),
+    (PolarizationScan, dict(angles=[90.0, 0.0], intensities=[1.0, 2.0]), "intensities", "be non-negative",
+     [1.0, -2.0]),
+    (SaturationCurve, dict(powers=[0.5, 1.0], rates=[1e4, 2e4]), "powers", "be positive", [-0.5, 1.0]),
+    (SaturationCurve, dict(powers=[0.5, 1.0], rates=[1e4, 2e4]), "rates", "be non-negative", [1e4, -1.0]),
+    (dynamics.PumpModel, dict(sigma=3e8), "sigma", "be positive", 0.0),
+    (dynamics.PowerSweep, dict(powers=[0.5, 1.0], params=(None, None)), "powers", "be positive", [-0.5, 1.0]),
+    *((purcell.OverlapFactors, dict(r_lambda=0.5, r_mu=0.5, r_r=0.5), name, "lie in [0, 1]", bad)
+      for name, bad in (("r_lambda", 1.5), ("r_mu", -0.5), ("r_r", 1.5))),
+    (purcell.ModifiedRates, _RATES, "gamma_total", "be positive", 0.0),
+    (purcell.ModifiedRates, _RATES, "channel_zpl", "be non-negative",
+     dict(gamma_total=1e9, channel_zpl=-0.5e9, channel_psb=1.25e9, channel_nr=0.25e9, eta_qe=0.75)),
+    (purcell.ModifiedRates, _RATES, "channel_psb", "be non-negative",
+     dict(gamma_total=1e9, channel_zpl=1.25e9, channel_psb=-0.5e9, channel_nr=0.25e9, eta_qe=0.75)),
+    (purcell.ModifiedRates, _RATES, "channel_nr", "be non-negative",
+     dict(gamma_total=1e9, channel_zpl=1e9, channel_psb=0.5e9, channel_nr=-0.5e9, eta_qe=1.5)),
+    (spectra.PolarizedChannel, dict(angle=30.0, weight=1.0), "weight", "be non-negative", -1.0),
+    (montecarlo.PhotonStream, _STREAM, "duration", "be positive", 0.0),
+    (montecarlo.HbtHistogram, dict(bin_edges=[0.0, 1.0], counts=[1], normalization=1.0), "normalization",
+     "be positive", 0.0),
+]
+FIELD_RULE_IDS = [f"{cls.__name__}.{name}" for cls, _, name, _, _ in FIELD_RULES]
+
+
+def test_field_rules_cover_every_declared_rule(monkeypatch):
+    """FIELD_RULES holds each field that _floats or _arrays holds to a rule
+    other than being finite, in the constructors of VIOLATION_CASES and
+    FIELD_RULES."""
+    declared = set()
+
+    def spy(helper):
+        def recorded(obj, bag, **rules):
+            declared.update((type(obj), name, rule) for name, rule in rules.items() if rule != "be finite")
+            return helper(obj, bag, **rules)
+        return recorded
+
+    spies = {name: spy(getattr(models, name)) for name in ("_floats", "_arrays")}
+    for module in (models, dynamics, montecarlo, purcell, spectra):
+        for name, recorded in spies.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded)
+    for make, _ in VIOLATION_CASES.values():
+        with pytest.raises(ValidationError):
+            make()
+    for cls, valid, _, _, _ in FIELD_RULES:
+        cls(**valid)
+    assert declared == {(cls, name, rule) for cls, _, name, rule, _ in FIELD_RULES}
+
+
+@pytest.mark.parametrize("cls, valid, name, rule, bad", FIELD_RULES, ids=FIELD_RULE_IDS)
+def test_field_breaking_its_rule_reads_as_an_argument_would(cls, valid, name, rule, bad):
+    """A finite value that breaks a field's rule gives the one violation
+    "<field> must <rule>", the phrase _number raises for an argument."""
+    cls(**valid)
+    with pytest.raises(ValidationError) as err:
+        cls(**{**valid, **(bad if isinstance(bad, dict) else {name: bad})})
+    assert err.value.violations == [f"{name} must {rule}"]
+    phrases = set()
+    for entry in np.ravel(bad[name] if isinstance(bad, dict) else bad):
+        try:
+            models._number(name, entry, rule)
+        except DomainError as err:
+            phrases.add(str(err).split(", got ")[0])
+    assert phrases == {f"{name} must {rule}"}
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, valid, name, rule, bad", FIELD_RULES, ids=FIELD_RULE_IDS)
+def test_non_finite_field_gives_one_violation(cls, valid, name, rule, bad, value):
+    """A non-finite field, or an array field with a non-finite entry, gives
+    one violation, whatever its rule and the checks across fields."""
+    given = value if np.ndim(valid[name]) == 0 else [value, *valid[name][1:]]
+    with pytest.raises(ValidationError) as err:
+        cls(**{**valid, name: given})
+    kind = "is not finite" if np.ndim(given) == 0 else "contains non-finite entries"
+    assert err.value.violations == [f"{name} {kind}"]
+
+
 @pytest.mark.parametrize("make, expected", [
     (lambda: RadiativeBudget(10**400, -10**400, 1.0),
-     ["gamma_zpl is not finite", "gamma_psb is not finite", "gamma_psb negative"]),
+     ["gamma_zpl is not finite", "gamma_psb is not finite"]),
     (lambda: PLSpectrum([1.0, 2.0], [1, -10**400]),
-     ["intensities contains non-finite entries", "intensities must be non-negative"]),
+     ["intensities contains non-finite entries"]),
     (lambda: EmitterLine(700.0, dipole_axis=[10**400, 0, 0]),
      ["dipole_axis contains non-finite entries", "dipole_axis must have unit norm"]),
     (lambda: montecarlo.PhotonStream([0.0, 10**400], [0, 0], 1.0, 0),

@@ -186,7 +186,7 @@ class TestModifiedRatesConsistency:
     def test_rejects_negative_channels_and_unknown_kind(self):
         with pytest.raises(ValidationError) as err:
             purcell.ModifiedRates(1e9, 1.5e9, -0.5e9, 0.0, 1.0, "nowhere")
-        assert err.value.violations == ["channel rates must be non-negative",
+        assert err.value.violations == ["channel_psb must be non-negative",
                                         f"kind must be one of {PhotonicEnvironment.KINDS}"]
 
 
