@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -225,11 +226,14 @@ def g2_analytic(rates: ThreeLevelRates, delays) -> G2Curve:
     g2(0) = 0 exactly and g2 -> 1 at large delays. Computed from the two
     relaxation eigenvalues in closed form, degenerate ones included.
     """
-    delays = np.asarray(delays, dtype=float)
+    bag = []
+    (delays,) = _arrays(SimpleNamespace(delays=delays), bag, delays="be finite")
     if delays.ndim != 1 or delays.size < 1:
-        raise DomainError("delays must be a non-empty 1-D array")
-    if delays.size >= 2 and not np.all(np.diff(delays) > 0):
-        raise DomainError("delays must be strictly increasing")
+        bag.append("delays must be a non-empty 1-D array")
+    elif not _increasing(delays):
+        bag.append("delays must be strictly increasing")
+    if bag:
+        raise DomainError("; ".join(bag))
     at = np.abs(delays)
     s = _relaxation_spectra(rates.k12, rates.k21, rates.k23, rates.k31)
     if s.code[0] not in (_VALID, _DEGENERATE, _NEGATIVE_A):
@@ -296,8 +300,6 @@ def power_sweep(rates_at_unit_power: ThreeLevelRates, pump: PumpModel, powers) -
     it per power.
     """
     powers = np.asarray(powers, dtype=float)
-    if powers.size < 1 or np.any(powers <= 0):
-        raise DomainError("powers must be positive")
     r = rates_at_unit_power
     s = _relaxation_spectra(_pump_rates(r, pump, powers), r.k21, r.k23, r.k31)
     return PowerSweep(powers, tuple(_g2_params(s)))

@@ -337,10 +337,11 @@ class EmitterLine(_Document):
     def __post_init__(self):
         bag = []
         _floats(self, bag, lambda_i="be positive", linewidth="be non-negative")
+        faults = len(bag)
         (axis,) = _arrays(self, bag, dipole_axis="be finite")
         if axis.shape != (3,):
             bag.append("dipole_axis must have three components")
-        elif abs(float(np.linalg.norm(axis)) - 1.0) > UNIT_NORM_TOL:
+        elif len(bag) == faults and abs(float(np.linalg.norm(axis)) - 1.0) > UNIT_NORM_TOL:  # a faulty axis has no norm
             bag.append("dipole_axis must have unit norm")
         _raise_if(bag)
         object.__setattr__(self, "dipole_axis", tuple(axis.tolist()))
@@ -366,7 +367,7 @@ class PhotonicEnvironment:
         if self.kind not in self.KINDS:
             bag.append(f"kind must be one of {self.KINDS}, got {self.kind!r}")
         (f_phc,) = _floats(self, bag, f_phc="lie in (0, 1]")
-        if self.kind == ENV_BULK and f_phc != 1.0:
+        if self.kind == ENV_BULK and math.isfinite(f_phc) and f_phc != 1.0:
             bag.append("bulk requires f_phc = 1")
         if self.kind == ENV_CAVITY:
             if self.f_cav is None:

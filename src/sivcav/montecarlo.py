@@ -9,14 +9,14 @@ q = (1 - p_shelf) * eta_qe * eta_det. After a detection the emitter is in
 the ground state, so the gaps are independent and identically distributed,
 and simulate_stream draws them with one of two exact samplers:
 
-- Coxian (tag sfc64/cox-1). The gap's Laplace transform is
+- Coxian (tag sfc64/cox-2). The gap's Laplace transform is
   q_d k12 k21 (s + k31) / det(sI - S), with q_d = eta_qe * eta_det and S the
   generator of the chain between detections. Where the cubic det(sI - S)
   has real roots -mu1 > -mu2 > -mu3, this is a 3-phase Coxian (Cumani,
   Microelectron. Reliab. 22, 583 (1982)): the gap is
   E3/mu3 + E2/mu2 + [U < beta1] E1/mu1, beta1 = 1 - mu1/k31, from three
   standard exponentials E and one uniform U. Equal roots give an Erlang.
-- Event skipping (tag sfc64/skip-1), the fallback where the cubic has
+- Event skipping (tag sfc64/skip-2), the fallback where the cubic has
   complex roots: K ~ Geometric(q) cycles, of which M ~ Binomial(K - 1,
   p_dark) shelved, take Gamma(K, 1/k12) + Gamma(K, 1/(k21 + k23)) +
   Gamma(M, 1/k31).
@@ -24,33 +24,49 @@ and simulate_stream draws them with one of two exact samplers:
 The sign of the cubic's discriminant, with a bound on its round-off, picks
 the sampler; the stream's rng_algorithm names the one that ran.
 
-Randomness comes from numpy's SFC64 generator, so streams are
-bit-reproducible from their seed. Each sampler draws in a fixed order per
-batch of photons (Coxian: the three exponentials, U, channel coin; event
-skipping: K, M, the three gamma waits, channel coin); a new generator or
-order means a new tag, which saved streams record. Old tags still load.
+Randomness comes from numpy's SFC64 generator. A stream is cut into
+batches of one size, the expected photon count (with its margin) or
+GEN_BATCH photons, whichever is less, and batch b draws from its own
+generator, the child of the seed's SeedSequence spawned under the key (b,).
+Each batch draws its gaps (Coxian: the three exponentials, then U; event
+skipping: K, M, then the three gamma waits), then a channel coin for each
+of its photons. So a stream is bit-reproducible from its seed and the batch
+size, whatever the number of threads that draw it; a new generator or order
+means a new tag, which saved streams record. Old tags (sfc64/*-1: one
+generator per stream; philox4x64/*) still load and keep their tags.
 
 Each stage of the photon path holds one array per stream, and no other
-temporary larger than a batch or a block. simulate_stream draws each batch
-of at most BATCH photons straight into one output, sized from the expected
-photon count and its margin and grown only past it; one batch-size scratch
-array holds E2, then E1, then the channel coin, and the Coxian's U comes in
-chunks of DRAW_CHUNK (the same draws as one call). apply_jitter sorts the
-jittered times in place: cut into blocks of SORT_BLOCK, a cut is kept where
-no time before it exceeds one after it, and each span between kept cuts is
-stable-sorted alone, so the order is that of one stable argsort of the
-stream. Only where no cut holds does the span, and its temporaries, cover
-the whole stream.
+temporary larger than a batch or a block per thread. simulate_stream draws
+the batches on the threads of _map, each into its slice of one output,
+sized in whole batches from the expected photon count and its margin and
+grown, in whole batches, only past it; a round draws the batches the
+photons expected without the margin fill, and another round follows where
+they fall short. Each batch sums its own gaps; the batches' starts are
+carried from one to the next, added on the threads, and the stream is cut
+at the duration. A batch's scratch array holds E2, then E1, then the
+channel coin, and the Coxian's U comes in chunks of DRAW_CHUNK (the same
+draws as one call). apply_jitter draws the Gaussian offsets per block of
+GEN_BATCH photons, block b from the jitter seed's child (b,), and sorts
+the jittered times in place: cut into blocks of SORT_BLOCK, a cut is kept
+where no time before it exceeds one after it, and each span between kept
+cuts is stable-sorted alone, the spans on the threads of _map, so the
+order is that of one stable argsort of the stream. Only where no cut holds
+does a span, and its temporaries, cover the whole stream.
 
 A full-mode histogram counts each pair (i, i + k) of photons with
 t[i + k] - t[i] within the window once, under its start i: lag by lag over
 the starts whose pairs still fit (Laurence et al., Opt. Lett. 31, 829
 (2006)). The starts are cut into chunks of CHUNK_STARTS, each chunk counts
-its own pairs reading the whole stream, and the chunks run on a thread pool
-of one thread per CPU the process may run on (its affinity mask), at most
-MAX_WORKERS; a stream of one chunk runs in the calling thread. Every delay
-is the same subtraction and the integer counts add in any order, so the
-histogram does not depend on the chunk size or the thread count.
+its own pairs reading the whole stream, and the chunks run on the threads
+of _map. Every delay is the same subtraction and the integer counts add in
+any order, so the histogram does not depend on the chunk size or the thread
+count.
+
+_map, the one thread helper of the photon path, runs a function over a
+list of items on one thread per CPU the process may run on (its affinity
+mask), at most MAX_WORKERS, the calling thread among them; a list of one
+item runs in the calling thread alone. Its threads come from the threading
+module, which numpy has imported already.
 
 Streams and histograms are stored as CSV through the package's one table
 reader and writer. A stream file holds one row per photon with its timestamp
@@ -76,9 +92,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -88,8 +104,8 @@ from .errors import DomainError, InputFormatError, ValidationError
 from .models import (G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _float_array, _floats,
                      _increasing, _number, _raise_if, _read_only, _shaped)
 
-RNG_SKIP = "sfc64/skip-1"  # event skipping
-RNG_COXIAN = "sfc64/cox-1"
+RNG_SKIP = "sfc64/skip-2"  # event skipping
+RNG_COXIAN = "sfc64/cox-2"
 RNG_LEGACY = "philox4x64/skip-1"  # the tag of a stream file without an rng header
 RNG_NONE = "none"  # a stream no sampler drew, such as one built by hand
 
@@ -104,14 +120,59 @@ MODE_FULL = "full"
 MODE_START_STOP = "start-stop"
 
 CHUNK_STARTS = 1 << 16  # pair starts per chunk of a full-mode correlate
-MAX_WORKERS = 4  # threads per correlate, at most
-BATCH = 500_000  # photons drawn per batch of simulate_stream, at most
+MAX_WORKERS = 4  # threads of a _map, at most
+GEN_BATCH = 1 << 17  # photons per spawned generator: a batch of simulate_stream, a block of apply_jitter
 DRAW_CHUNK = 1 << 14  # uniforms per draw of the Coxian's coin U
-SORT_BLOCK = 1 << 16  # keys per block of apply_jitter's sort
+SORT_BLOCK = 1 << 14  # keys per block of apply_jitter's sort: MAX_WORKERS spans of it hold 1 << 16
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.SFC64(seed))
+def _rng(seed, *spawn_key):
+    """The SFC64 generator of seed, or of its child spawned under spawn_key."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+
+
+def _workers():
+    """Threads for _map: the CPUs this process may run on, at most MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
+def _map(fn, items):
+    """[fn(item) for item in items] on up to _workers() threads, the calling
+    one among them, each taking the next item as it finishes one; with one
+    item or one worker, in the calling thread alone. An exception raised by
+    fn stops the items not yet taken and is raised here once every thread
+    has ended."""
+    items = list(items)
+    workers = min(_workers(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    results, failed = [None] * len(items), []
+    todo, lock = iter(range(len(items))), threading.Lock()
+
+    def work():
+        try:
+            while not failed:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = fn(items[i])
+        except BaseException as err:  # raised again in the caller
+            failed.append(err)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return results
 
 
 def _channel_codes(tags):
@@ -303,17 +364,15 @@ def simulate_stream(
     def expected(t0):  # the photons expected after t0, with a margin
         return max(1024, int((duration - t0) / mean_gap * 1.2) + 16)
 
-    # one output for the stream, grown only past the expected count
-    times, tags = np.empty(expected(0.0)), np.empty(expected(0.0), np.uint8)
-    scratch = np.empty(min(times.size, BATCH))  # E2, then E1, then the channel coin
-    rng = _rng(seed)
+    # one output for the stream in whole batches, grown only past the expected count
+    batch = min(expected(0.0), GEN_BATCH)
+    size = _whole(expected(0.0), batch)
+    times, tags = np.empty(size), np.empty(size, np.uint8)
     coxian = _coxian(rates, q_detect)
     if coxian is not None:
         mu1, mu2, mu3, beta1 = coxian
-        coin = np.empty(DRAW_CHUNK)
 
-        def draw_gaps(t):
-            e = scratch[:t.size]
+        def draw_gaps(rng, t, e):
             rng.standard_exponential(out=t)
             t /= mu3
             rng.standard_exponential(out=e)
@@ -321,6 +380,7 @@ def simulate_stream(
             t += e
             rng.standard_exponential(out=e)
             e /= mu1
+            coin = np.empty(min(DRAW_CHUNK, e.size))
             for lo in range(0, e.size, DRAW_CHUNK):  # U in chunks: the draws of one rng.random(n)
                 u = rng.random(out=coin[:e.size - lo])
                 e[lo:lo + u.size] *= u < beta1  # +0.0 where U >= beta1, which adds nothing
@@ -330,31 +390,52 @@ def simulate_stream(
         undetected = p_shelf + (1.0 - p_shelf) * (1.0 - q_detect)
         p_dark = p_shelf / undetected if undetected > 0.0 else 0.0
 
-        def draw_gaps(t):
+        def draw_gaps(rng, t, e):
             cycles = rng.geometric(q, t.size)
             shelved = rng.binomial(cycles - 1, p_dark)
             t[:] = rng.gamma(cycles, 1.0 / rates.k12)
             t += rng.gamma(cycles, 1.0 / k2t)
             t += rng.gamma(shelved, 1.0 / rates.k31)
 
-    pos, t0 = 0, 0.0
-    while t0 <= duration:
-        n = min(expected(t0), BATCH)  # no batch is larger than the first
-        if pos + n > times.size:  # more photons than expected: room for those expected after t0
-            size = pos + expected(t0)
-            times, tags = _grown(times, pos, size), _grown(tags, pos, size)
-        t = times[pos:pos + n]
-        draw_gaps(t)
+    def draw(b):
+        """Batch b from its own generator: its gaps summed from 0 and its
+        channel coins; the sum of its gaps."""
+        span = slice(b * batch, (b + 1) * batch)
+        rng, t, e = _rng(seed, b), times[span], np.empty(batch)  # e: E2, then E1, then the coin
+        draw_gaps(rng, t, e)
+        np.greater_equal(rng.random(out=e), budget.zpl_fraction, out=tags[span])  # PSB = 1
         np.cumsum(t, out=t)
-        t += t0
-        kept = int(np.searchsorted(t, duration, side="right"))
-        np.greater_equal(rng.random(out=scratch[:kept]), budget.zpl_fraction,
-                         out=tags[pos:pos + kept])  # PSB = 1
-        t0 = float(t[-1])
-        pos += kept
+        return float(t[-1])
 
+    done, t0, starts = 0, 0.0, []  # batches drawn, the end of the last, the start of each
+    while t0 <= duration:
+        # the batches of the photons expected after t0, without the margin:
+        # where they fall short, the next round draws more
+        todo = range(done, done + max(1, math.ceil((duration - t0) / mean_gap / batch)))
+        if todo.stop * batch > times.size:
+            size = done * batch + _whole(expected(t0), batch)
+            times, tags = _grown(times, done * batch, size), _grown(tags, done * batch, size)
+        for b, end in zip(todo, _map(draw, todo)):
+            if t0 > duration:  # batches past the one that crosses duration hold no photon
+                break
+            starts.append(t0)
+            t0 += end  # the last time of batch b, as in times once its start is added
+            done = b + 1
+
+    def shift(b):  # batch b's times from its start on
+        t = times[b * batch:(b + 1) * batch]
+        t += starts[b]
+
+    _map(shift, range(1, done))  # batch 0 starts at 0
+    last = (done - 1) * batch
+    pos = last + int(np.searchsorted(times[last:last + batch], duration, side="right"))
     return _handed_over(times[:pos], tags[:pos], duration, seed,
                         RNG_SKIP if coxian is None else RNG_COXIAN)
+
+
+def _whole(n, batch):
+    """n rounded up to whole batches."""
+    return -(-n // batch) * batch
 
 
 def _grown(a, pos, size):
@@ -366,7 +447,8 @@ def _grown(a, pos, size):
 
 def _block_sort(keys, tags):
     """Sort keys in place and return tags in their new order, as a stable
-    argsort of all keys would order them, with temporaries of one span.
+    argsort of all keys would order them, with temporaries of one span per
+    thread.
 
     A cut between two blocks of SORT_BLOCK keys is kept where no key before
     it exceeds a key after it; each span between kept cuts is stable-sorted
@@ -377,10 +459,14 @@ def _block_sort(keys, tags):
     after = np.minimum.accumulate(np.minimum.reduceat(keys, starts)[::-1])[::-1][1:]  # smallest after it
     cuts = [0, *starts[1:][before <= after].tolist(), keys.size]
     out = np.empty(keys.size, np.uint8)
-    for lo, hi in zip(cuts, cuts[1:]):
+
+    def sort(span):
+        lo, hi = span
         order = np.argsort(keys[lo:hi], kind="stable")
         keys[lo:hi] = keys[lo:hi][order]
         out[lo:hi] = tags[lo:hi][order]
+
+    _map(sort, zip(cuts, cuts[1:]))
     return out
 
 
@@ -388,30 +474,27 @@ def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStr
     """Add independent Gaussian timing offsets to every photon and re-sort.
 
     Photons jittered outside the acquisition window are dropped. sigma = 0
-    returns the stream unchanged. Deterministic per seed. Note that pairwise
+    returns the stream unchanged. Deterministic per seed (the offsets come
+    per block of GEN_BATCH photons, module docstring). Note that pairwise
     delays between jittered photons acquire a kernel of width sqrt(2) * sigma.
     """
     sigma_irf = _number("sigma_irf", sigma_irf, "be non-negative")
     if sigma_irf == 0.0 or len(stream) == 0:
         return stream
-    jittered = _rng(seed).standard_normal(len(stream))
-    jittered *= sigma_irf
-    jittered += stream.timestamps  # t + normal(0, sigma, n), bit for bit
+    jittered = np.empty(len(stream))
+
+    def draw(b):  # block b of the offsets from its own generator: t + normal(0, sigma), bit for bit
+        span = slice(b * GEN_BATCH, (b + 1) * GEN_BATCH)
+        z = _rng(seed, b).standard_normal(out=jittered[span])
+        z *= sigma_irf
+        z += stream.timestamps[span]
+
+    _map(draw, range(math.ceil(len(stream) / GEN_BATCH)))
     tags = _block_sort(jittered, stream.channel_tags)
     # the photons inside [0, duration]: a slice, ordered as a stable sort of them alone
     inside = slice(jittered.searchsorted(0.0), jittered.searchsorted(stream.duration, "right"))
     return _handed_over(jittered[inside], tags[inside], stream.duration, stream.seed,
                         stream.rng_algorithm)
-
-
-def _workers():
-    """Threads for correlate's chunks: the CPUs this process may run on, at
-    most MAX_WORKERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_WORKERS)
 
 
 def _chunk_counts(t, lo, hi, limit, pos_edges):
@@ -447,9 +530,8 @@ def correlate(
     centered on integer multiples of bin_width; the normalization
     rate^2 * duration * bin_width uses the stream's own mean detected rate,
     so counts/normalization estimates g2. The pair starts are split into
-    chunks of CHUNK_STARTS, counted on up to MAX_WORKERS threads (no more
-    than the CPUs of the process's affinity mask) and summed; the counts
-    are exact integers, the same for any chunk size or thread count.
+    chunks of CHUNK_STARTS, counted on the threads of _map and summed; the
+    counts are exact integers, the same for any chunk size or thread count.
 
     start-stop mode: photons are split 50/50 between two virtual detectors by
     a seeded fair coin and each start is paired with the nearest subsequent
@@ -468,17 +550,8 @@ def correlate(
         n_half = max(int(round(window / bin_width)), 1)
         limit = (n_half + 0.5) * bin_width
         pos_edges = np.concatenate(([0.0], (np.arange(n_half + 1) + 0.5) * bin_width))
-        los = range(0, n - 1, CHUNK_STARTS)  # chunks of the starts i of the pairs (i, i + k)
-        his = [min(lo + CHUNK_STARTS, n - 1) for lo in los]
-        count = partial(_chunk_counts, t, limit=limit, pos_edges=pos_edges)
-        workers = min(_workers(), len(los))
-        if workers <= 1:
-            parts = map(count, los, his)
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # here: 10 ms of import, for threads only
-
-            with ThreadPoolExecutor(workers) as pool:
-                parts = list(pool.map(count, los, his))
+        parts = _map(lambda lo: _chunk_counts(t, lo, min(lo + CHUNK_STARTS, n - 1), limit, pos_edges),
+                     range(0, n - 1, CHUNK_STARTS))  # chunks of the starts i of the pairs (i, i + k)
         pos_counts = sum(parts, np.zeros(n_half + 1, dtype=np.int64))
         counts = np.concatenate((pos_counts[:0:-1], [2 * pos_counts[0]], pos_counts[1:]))
         edges = (np.arange(-n_half, n_half + 2) - 0.5) * bin_width

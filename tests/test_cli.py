@@ -333,7 +333,7 @@ def test_chain_stage_leaves_unused_modules_out(tmp_path, stream_file, stage):
     code = (
         "import json, sys, sivcav.cli\n"
         "code = sivcav.cli.main(sys.argv[1:])\n"
-        "print(code, json.dumps(sorted(m for m in sys.modules if m.startswith('sivcav.'))))"
+        "print(code, json.dumps(sorted(m for m in sys.modules if m.startswith(('sivcav.', 'concurrent.')))))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code, *argv[stage], "--out", str(tmp_path / "r.json")],
@@ -343,6 +343,7 @@ def test_chain_stage_leaves_unused_modules_out(tmp_path, stream_file, stage):
     loaded = set(json.loads(loaded))
     assert "sivcav.montecarlo" in loaded
     assert not loaded & {f"sivcav.{name}" for name in CHAIN_STAGES[stage][1]}
+    assert "concurrent.futures" not in loaded  # the photon path's threads come from threading
 
 
 def test_power_sweep_path_loads_no_scipy():

@@ -191,6 +191,18 @@ class TestG2Analytic:
         oracle = np.array([(expm(g * t) @ e1)[1] / p2ss for t in tau])
         assert np.max(np.abs(curve.values - oracle)) < 1e-9
 
+    @pytest.mark.parametrize("delays, message", [
+        ([0.0, np.nan, 2e-9], "delays contains non-finite entries"),
+        ([0.0, 1e-9, np.inf], "delays contains non-finite entries"),
+        ([0.0, 2e-9, 1e-9], "delays must be strictly increasing"),
+        ([], "delays must be a non-empty 1-D array"),
+        ([[0.0, 1e-9]], "delays must be a non-empty 1-D array"),
+    ])
+    def test_malformed_delays_named(self, shelving_rates, delays, message):
+        with pytest.raises(DomainError) as err:
+            dynamics.g2_analytic(shelving_rates, delays)
+        assert str(err.value) == message
+
 
 class TestG2Params:
     def test_shelving_off(self):
@@ -314,6 +326,13 @@ class TestPowerSweep:
             assert g1.tau1 == pytest.approx(g2.tau1, rel=1e-12)
             assert g1.tau2 == pytest.approx(g2.tau2, rel=1e-12)
             assert g1.a == pytest.approx(g2.a, rel=1e-12)
+
+    def test_non_positive_power_named_by_its_pump_rate(self):
+        base = ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6)
+        with pytest.raises(DomainError, match=r"\(k12 = 0\)"):
+            dynamics.power_sweep(base, dynamics.PumpModel(1.5e9), [0.0, 1.0])
+        with pytest.raises(ValidationError, match="k12 must be non-negative"):
+            dynamics.power_sweep(base, dynamics.PumpModel(1.5e9), [-1.0, 1.0])
 
     def test_zero_power_limit(self):
         base = ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6)

@@ -1,6 +1,6 @@
-import concurrent.futures
 import io
 import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -232,24 +232,24 @@ class TestGapSampler:
     skipping where it has complex ones."""
 
     @pytest.mark.parametrize("rates, budget, det, tag", [
-        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), FULLY_RADIATIVE, 0.7, "cox-1"),  # mc
-        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), FULLY_RADIATIVE, 1.0, "cox-1"),
-        (ThreeLevelRates(100e6, 2e9, 0.3e9, 50e6), FULLY_RADIATIVE, 0.8, "cox-1"),  # README
-        (OFF_RESONANCE_RATES, OFF_RESONANCE_BUDGET, 1.0, "cox-1"),
-        (OFF_RESONANCE_RATES, OFF_RESONANCE_BUDGET, 0.5, "cox-1"),
-        (ThreeLevelRates(0.4e9, 1.5e9, 0.9e9, 30e6), FULLY_RADIATIVE, 1.0, "cox-1"),  # strong shelving
-        (ThreeLevelRates(0.4e9, 1.5e9, 0.9e9, 30e6), FULLY_RADIATIVE, 0.5, "cox-1"),
-        (ThreeLevelRates(0.4e9, 1.5e9, 0.3e9, 30e6), FULLY_RADIATIVE, 1.0, "cox-1"),
-        (ThreeLevelRates(1e8, 1e9, 0.0, 5e7), FULLY_RADIATIVE, 1.0, "cox-1"),  # k23 = 0
-        (ThreeLevelRates(5e5, 5e8, 0.0, 5e7), FULLY_RADIATIVE, 1.0, "cox-1"),
-        (COMPLEX_ROOT_RATES, FULLY_RADIATIVE, 0.5, "skip-1"),
+        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), FULLY_RADIATIVE, 0.7, "cox-2"),  # mc
+        (ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6), FULLY_RADIATIVE, 1.0, "cox-2"),
+        (ThreeLevelRates(100e6, 2e9, 0.3e9, 50e6), FULLY_RADIATIVE, 0.8, "cox-2"),  # README
+        (OFF_RESONANCE_RATES, OFF_RESONANCE_BUDGET, 1.0, "cox-2"),
+        (OFF_RESONANCE_RATES, OFF_RESONANCE_BUDGET, 0.5, "cox-2"),
+        (ThreeLevelRates(0.4e9, 1.5e9, 0.9e9, 30e6), FULLY_RADIATIVE, 1.0, "cox-2"),  # strong shelving
+        (ThreeLevelRates(0.4e9, 1.5e9, 0.9e9, 30e6), FULLY_RADIATIVE, 0.5, "cox-2"),
+        (ThreeLevelRates(0.4e9, 1.5e9, 0.3e9, 30e6), FULLY_RADIATIVE, 1.0, "cox-2"),
+        (ThreeLevelRates(1e8, 1e9, 0.0, 5e7), FULLY_RADIATIVE, 1.0, "cox-2"),  # k23 = 0
+        (ThreeLevelRates(5e5, 5e8, 0.0, 5e7), FULLY_RADIATIVE, 1.0, "cox-2"),
+        (COMPLEX_ROOT_RATES, FULLY_RADIATIVE, 0.5, "skip-2"),
     ])
     def test_sampler_of_each_rate_set(self, rates, budget, det, tag):
         stream = montecarlo.simulate_stream(rates, budget, 1e-5, det, seed=1)
         assert stream.rng_algorithm == f"sfc64/{tag}"
         assert montecarlo.apply_jitter(stream, 1e-10, seed=2).rng_algorithm == stream.rng_algorithm
         roots = np.roots([1.0, *gap_cubic(rates, budget.eta_qe * det)])
-        assert np.any(roots.imag != 0.0) == (tag == "skip-1")
+        assert np.any(roots.imag != 0.0) == (tag == "skip-2")
 
     def test_tags_name_the_bit_generator(self):
         # a stream's tag must say which generator drew it
@@ -300,19 +300,24 @@ class TestGapSampler:
         assert cox_second == pytest.approx(mean**2 * (1.0 + cv2), rel=1e-8)
 
 
+def spawned(seed, b):
+    """The generator of batch or block b of a stream drawn from seed."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
 def batches_joined(rates, budget, duration, det, seed):
-    """Oracle for simulate_stream's single buffer: each batch of BATCH
-    photons at most drawn into new arrays, the Coxian's E1/mu1 added only
+    """Oracle for simulate_stream's single buffer: batch after batch of the
+    same size, min(expected count, GEN_BATCH), each drawn serially from its
+    own spawned generator into new arrays, the Coxian's E1/mu1 added only
     where U < beta1, and the batches joined at the end."""
     q_detect = budget.eta_qe * det
     k2t = rates.k21 + rates.k23
     p_shelf = rates.k23 / k2t
     q = (1.0 - p_shelf) * q_detect
     mean_gap = (1.0 / rates.k12 + 1.0 / k2t + p_shelf / rates.k31) / q
-    rng = montecarlo._rng(seed)
     coxian = montecarlo._coxian(rates, q_detect)
 
-    def gaps(n):
+    def gaps(rng, n):
         if coxian is not None:
             mu1, mu2, mu3, beta1 = coxian
             t = rng.standard_exponential(n) / mu3
@@ -325,14 +330,16 @@ def batches_joined(rates, budget, duration, det, seed):
         return (rng.gamma(cycles, 1.0 / rates.k12) + rng.gamma(cycles, 1.0 / k2t)
                 + rng.gamma(shelved, 1.0 / rates.k31))
 
-    times, tags, t0 = [], [], 0.0
+    n = min(max(1024, int(duration / mean_gap * 1.2) + 16), montecarlo.GEN_BATCH)
+    times, tags, t0, b = [], [], 0.0, 0
     while t0 <= duration:
-        n = min(max(1024, int((duration - t0) / mean_gap * 1.2) + 16), montecarlo.BATCH)
-        t = np.cumsum(gaps(n)) + t0
+        rng = spawned(seed, b)
+        t = np.cumsum(gaps(rng, n)) + t0
+        coin = rng.random(n)
         kept = int(np.searchsorted(t, duration, side="right"))
         times.append(t[:kept])
-        tags.append((rng.random(kept) >= budget.zpl_fraction).astype(np.uint8))
-        t0 = float(t[-1])
+        tags.append((coin[:kept] >= budget.zpl_fraction).astype(np.uint8))
+        t0, b = float(t[-1]), b + 1
     return np.concatenate(times), np.concatenate(tags)
 
 
@@ -355,7 +362,7 @@ class TestSimulateStreamBuffer:
     ])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_the_batches_joined(self, monkeypatch, rates, duration, batch, chunk, seed):
-        monkeypatch.setattr(montecarlo, "BATCH", batch)
+        monkeypatch.setattr(montecarlo, "GEN_BATCH", batch)
         monkeypatch.setattr(montecarlo, "DRAW_CHUNK", chunk)
         stream = montecarlo.simulate_stream(rates, FULLY_RADIATIVE, duration, 0.9, seed)
         times, tags = batches_joined(rates, FULLY_RADIATIVE, duration, 0.9, seed)
@@ -372,6 +379,53 @@ class TestSimulateStreamBuffer:
         assert len(grown) >= 2  # times and tags: 4024 photons where 1.8k are expected
         assert np.array_equal(stream.timestamps, times)
         assert np.array_equal(stream.channel_tags, tags)
+
+
+class TestWorkerCount:
+    """The photon path's arrays depend on the seed and the batch size, not on
+    the threads that draw and sort them."""
+
+    @pytest.mark.parametrize("rates", [
+        ThreeLevelRates(98.6e6, 2.0e9, 0.3e9, 50e6),  # Coxian
+        ThreeLevelRates(1e9, 1e8, 1e9, 1e8),  # event skipping
+    ])
+    def test_same_arrays_on_one_two_and_three_threads(self, monkeypatch, rates):
+        monkeypatch.setattr(montecarlo, "GEN_BATCH", 1000)
+        monkeypatch.setattr(montecarlo, "SORT_BLOCK", 7)
+        made = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+            stream = montecarlo.simulate_stream(rates, FULLY_RADIATIVE, 1e-3, 0.9, seed=5)
+            jittered = montecarlo.apply_jitter(stream, 1e-9, seed=6)
+            made.append([stream.timestamps, stream.channel_tags, jittered.timestamps,
+                         jittered.channel_tags, stream.rng_algorithm, jittered.rng_algorithm])
+        assert len(made[0][0]) > 5000  # a stream of many batches and blocks
+        for other in made[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(made[0], other))
+
+    def test_every_item_taken_once_under_frequent_switches(self, monkeypatch):
+        # four threads, switching every microsecond: a lost or doubled item shows
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
+        taken, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = montecarlo._map(lambda i: taken.append(i) or i * i, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [i * i for i in range(3000)]
+        assert sorted(taken) == list(range(3000))
+
+    def test_an_exception_in_a_thread_is_raised_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+
+        def fail_at_5(i):
+            if i == 5:
+                raise KeyError(i)
+            return i
+
+        assert montecarlo._map(fail_at_5, range(5)) == list(range(5))
+        with pytest.raises(KeyError):
+            montecarlo._map(fail_at_5, range(20))
 
 
 class TestApplyJitter:
@@ -410,10 +464,14 @@ class TestApplyJitter:
 
     @staticmethod
     def mask_then_sort(stream, sigma, seed):
-        """Oracle over the same normal draws: drop the photons jittered
+        """Oracle over the same normal draws, block after block of GEN_BATCH
+        photons from its own spawned generator: drop the photons jittered
         outside [0, duration], then a stable sort of those left. Also
         returns the jittered times of all photons."""
-        jittered = stream.timestamps + montecarlo._rng(seed).normal(0.0, sigma, len(stream))
+        blocks = range(0, len(stream), montecarlo.GEN_BATCH)
+        jittered = stream.timestamps + np.concatenate([
+            spawned(seed, lo // montecarlo.GEN_BATCH).normal(0.0, sigma, min(montecarlo.GEN_BATCH, len(stream) - lo))
+            for lo in blocks])
         inside = (jittered >= 0.0) & (jittered <= stream.duration)
         order = np.argsort(jittered[inside], kind="stable")
         return jittered[inside][order], stream.channel_tags[inside][order], jittered
@@ -443,8 +501,10 @@ class TestApplyJitter:
     @pytest.mark.parametrize("block", [1, 2, 7])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_sorted_in_small_blocks(self, monkeypatch, block, seed):
-        # photons 0.2 ns apart on average, jittered by 0.2 ns: about half the cuts hold
+        # photons 0.2 ns apart on average, jittered by 0.2 ns: about half the
+        # cuts hold; the offsets come from five generators
         monkeypatch.setattr(montecarlo, "SORT_BLOCK", block)
+        monkeypatch.setattr(montecarlo, "GEN_BATCH", 1000)
         stream = poisson_stream(5e9, 1e-6, seed)
         jittered = montecarlo.apply_jitter(stream, 2e-10, seed=seed + 10)
         times, tags, _everyone = self.mask_then_sort(stream, 2e-10, seed + 10)
@@ -516,8 +576,9 @@ def traced_peak(make):
 
 
 class TestPhotonPathMemory:
-    """Traced peak bytes per photon, or of a block. Each cap is the value
-    measured for this code plus 15 %. The list of batches joined by
+    """Traced peak bytes per photon, or of a block. Each cap was set at the
+    value measured when it came in plus 15 %, and stays as the code needs
+    less. The list of batches joined by
     np.concatenate read 30.0 (one batch, 415k photons) and 19.0 (2M
     photons), and a whole-stream argsort with a sorted copy 24.0 (415k
     photons)."""
@@ -525,15 +586,16 @@ class TestPhotonPathMemory:
     RATE = 6.6e7  # photons per second of mc_rates under radiative_budget at det = 1
 
     def test_apply_jitter(self, mc_rates, radiative_budget):
-        # the keys (8 bytes), the tags (1) and one span's temporaries: 11.6
+        # the keys (8 bytes), the tags (1) and one span's temporaries per
+        # thread: 10.3 on two threads, 11.6 on four
         stream = montecarlo.simulate_stream(mc_rates, radiative_budget, 415e3 / self.RATE, 1.0, seed=3)
         jittered, peak = traced_peak(lambda: montecarlo.apply_jitter(stream, 3e-10, seed=4))
         assert len(jittered) == len(stream) > 400e3
         assert peak / len(stream) < 13.3
 
     @pytest.mark.parametrize("photons, cap", [
-        (415e3, 25.0),  # one batch: measured 21.8
-        (2e6, 16.0),  # four batches: measured 13.9
+        (415e3, 25.0),  # four batches: measured 18.8 on two threads
+        (2e6, 16.0),  # 19 batches: measured 12.5 on two threads, 13.6 on four
     ])
     def test_simulate_stream(self, mc_rates, radiative_budget, photons, cap):
         stream, peak = traced_peak(lambda: montecarlo.simulate_stream(
@@ -662,7 +724,7 @@ class TestCorrelateAgainstPerLagOracle:
 
     def test_one_chunk_runs_in_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # any use of it raises
+        monkeypatch.setattr(montecarlo.threading, "Thread", None)  # any use of it raises
         self.check(poisson_stream(3e8, 2e-6, seed=5), 2e-9, 100e-9)
 
     def test_worker_count_follows_the_cpu_affinity(self):
@@ -794,10 +856,11 @@ class TestStreamIO:
 
     def test_old_rng_tag_loads_and_is_kept(self, tmp_path):
         # float-seconds files from before the picosecond format, by any
-        # sampler: the per-cycle one tagged without a suffix
-        assert (montecarlo.RNG_SKIP, montecarlo.RNG_COXIAN) == ("sfc64/skip-1", "sfc64/cox-1")
+        # sampler (the per-cycle one tagged without a suffix), and the tags
+        # of the sfc64 draws from one generator per stream
+        assert (montecarlo.RNG_SKIP, montecarlo.RNG_COXIAN) == ("sfc64/skip-2", "sfc64/cox-2")
         path, again = tmp_path / "old.csv", tmp_path / "again.csv"
-        for tag in ("philox4x64", "philox4x64/skip-1", "philox4x64/cox-1"):
+        for tag in ("philox4x64", "philox4x64/skip-1", "philox4x64/cox-1", "sfc64/skip-1", "sfc64/cox-1"):
             path.write_text(f"# seed=3\n# rng={tag}\n# duration_s=1e-05\n"
                             "# timestamp_s,channel\n1e-06,ZPL\n2.5e-06,PSB\n")
             stream, meta = montecarlo.load_stream(path)
