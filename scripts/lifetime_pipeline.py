@@ -11,10 +11,8 @@ Optionally writes the two normalized histograms as CSV.
 import argparse
 import math
 
-import numpy as np
-
 from sivcav import dynamics, fitting, montecarlo, purcell
-from sivcav.models import PhotonicEnvironment, RadiativeBudget, ThreeLevelRates
+from sivcav.models import RadiativeBudget, ThreeLevelRates
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--seed", type=int, default=8001)
@@ -25,16 +23,15 @@ parser.add_argument("--out-prefix", default=None, help="write <prefix>_{on,off}.
 args = parser.parse_args()
 
 budget = RadiativeBudget(1.0 / 1.44e-9, 1.0 / 5.75e-9, 1.0 / 583e-12)
-cav = purcell.modified_budget(budget, PhotonicEnvironment.cavity_coupled(args.f_cav, args.f_phc))
-phc = purcell.modified_budget(budget, PhotonicEnvironment.bandgap_only(args.f_phc))
+cav = purcell.modified_budget(budget, args.f_phc, args.f_cav)
+phc = purcell.modified_budget(budget, args.f_phc)
 pair_sigma = math.sqrt(2.0) * args.jitter
 
 fits = {}
-for idx, (label, modified, duration) in enumerate(
+for idx, (label, emission, duration) in enumerate(
     (("on", cav, 0.06), ("off", phc, 0.8))
 ):
-    rates = ThreeLevelRates(50e6, modified.gamma_total, 0.318e9, 50e6)
-    emission = RadiativeBudget(modified.channel_zpl, modified.channel_psb, modified.channel_nr)
+    rates = ThreeLevelRates(50e6, emission.gamma_total, 0.318e9, 50e6)
     stream = montecarlo.simulate_stream(rates, emission, duration, 1.0, seed=args.seed + 2 * idx)
     jittered = montecarlo.apply_jitter(stream, args.jitter, seed=args.seed + 2 * idx + 1)
     hist = montecarlo.correlate(jittered, 0.05e-9, 60e-9)

@@ -38,7 +38,6 @@ from .models import (
     CavityMode,
     EmitterLine,
     G2Params,
-    PhotonicEnvironment,
     RadiativeBudget,
     ThreeLevelRates,
 )
@@ -101,8 +100,13 @@ def _num(value, units, sigma=None):
     return report.result_entry(value, units, sigma)
 
 
-def _rates_entry(modified):
-    return {"value": modified.to_dict(), "units": "Hz"}
+def _rates_entry(budget, kind):
+    """A purcell report's rates_* entry: the channel rates of a budget in
+    one photonic environment, with its total and quantum efficiency."""
+    rates = {"gamma_total": budget.gamma_total, "channel_zpl": budget.gamma_zpl,
+             "channel_psb": budget.gamma_psb, "channel_nr": budget.gamma_nr,
+             "eta_qe": budget.eta_qe, "kind": kind, "units": "Hz"}
+    return {"value": rates, "units": "Hz"}
 
 
 class _Outcome(NamedTuple):
@@ -174,8 +178,7 @@ def cmd_purcell(args, paths):
             r_r = purcell.spatial_overlap(fieldmap, fieldmap_pos)
         else:
             r_r = 1.0
-        overlaps = purcell.OverlapFactors(r_lambda, r_mu, r_r)
-        f_cav = purcell.effective_purcell(f_p, overlaps)
+        f_cav = purcell.effective_purcell(f_p, r_lambda, r_mu, r_r)
         results["f_p"] = _num(f_p, "dimensionless")
         results["r_lambda"] = _num(r_lambda, "dimensionless")
         results["r_mu"] = _num(r_mu, "dimensionless")
@@ -185,19 +188,16 @@ def cmd_purcell(args, paths):
             results["i_pl"] = _num(purcell.pl_enhancement(f_cav, f_phc), "dimensionless")
 
     if budget is not None:
-        bulk = purcell.modified_budget(budget, PhotonicEnvironment.bulk())
-        results["rates_bulk"] = _rates_entry(bulk)
-        results["eta_qe_bulk"] = _num(bulk.eta_qe, "dimensionless")
+        results["rates_bulk"] = _rates_entry(budget, "bulk")
+        results["eta_qe_bulk"] = _num(budget.eta_qe, "dimensionless")
         if f_phc is not None and f_phc < 1.0:
-            bandgap = purcell.modified_budget(budget, PhotonicEnvironment.bandgap_only(f_phc))
-            results["rates_phc"] = _rates_entry(bandgap)
+            bandgap = purcell.modified_budget(budget, f_phc)
+            results["rates_phc"] = _rates_entry(bandgap, "bandgap_only")
             results["eta_qe_phc"] = _num(bandgap.eta_qe, "dimensionless")
         if f_cav is not None and f_phc is not None:
-            cavity = purcell.modified_budget(
-                budget, PhotonicEnvironment.cavity_coupled(f_cav, f_phc)
-            )
+            cavity = purcell.modified_budget(budget, f_phc, f_cav)
             beta_total, beta_radiative = purcell.mode_emission_fractions(cavity)
-            results["rates_cav"] = _rates_entry(cavity)
+            results["rates_cav"] = _rates_entry(cavity, "cavity_coupled")
             results["eta_qe_cav"] = _num(cavity.eta_qe, "dimensionless")
             results["beta_total"] = _num(beta_total, "dimensionless")
             results["beta_radiative"] = _num(beta_radiative, "dimensionless")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -144,14 +144,14 @@ def steady_state(rates: ThreeLevelRates) -> np.ndarray:
     return np.array(_populations(rates.k12, rates.k21, rates.k23, rates.k31))
 
 
-def _pump_rates(rates: ThreeLevelRates, pump: PumpModel, powers) -> np.ndarray:
-    """k12 = sigma * P per power; a k12 that ThreeLevelRates rejects raises
-    its ValidationError, for the first such power."""
-    k12 = pump.k12(powers)
-    bad = np.flatnonzero(~(np.isfinite(k12) & (k12 >= 0.0)))
-    if bad.size:
-        replace(rates, k12=float(k12[bad[0]]))
-    return k12
+def _pump_rates(pump: PumpModel, powers) -> np.ndarray:
+    """k12 = sigma * P per power; DomainError unless every power is a
+    positive number."""
+    bag = []
+    (powers,) = _arrays(SimpleNamespace(powers=powers), bag, powers="be positive")
+    if bag:
+        raise DomainError("; ".join(bag))
+    return pump.k12(powers)
 
 
 # status of a pump rate: a two-exponential form, none (degenerate) or a
@@ -301,7 +301,7 @@ def power_sweep(rates_at_unit_power: ThreeLevelRates, pump: PumpModel, powers) -
     """
     powers = np.asarray(powers, dtype=float)
     r = rates_at_unit_power
-    s = _relaxation_spectra(_pump_rates(r, pump, powers), r.k21, r.k23, r.k31)
+    s = _relaxation_spectra(_pump_rates(pump, powers), r.k21, r.k23, r.k31)
     return PowerSweep(powers, tuple(_g2_params(s)))
 
 
@@ -456,7 +456,7 @@ def saturation_curve(
     eta_qe = _number("eta_qe", eta_qe, "lie in [0, 1]")
     powers = np.asarray(powers, dtype=float)
     r = rates_at_unit_power
-    p2 = _populations(_pump_rates(r, pump, powers), r.k21, r.k23, r.k31)[1]
+    p2 = _populations(_pump_rates(pump, powers), r.k21, r.k23, r.k31)[1]
     return SaturationCurve(powers, collection_eff * eta_qe * r.k21 * p2)
 
 

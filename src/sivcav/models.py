@@ -12,11 +12,12 @@ and ``_samples`` (the two arrays of a sampled curve), each named with its rule
 from ``_RULES`` (``k21="be positive"``): a field that is not a finite number
 gives one violation, a finite value or entry breaking it "<field> must <rule>".
 A function checks each number it is passed through ``_number``: DomainError
-"<name> must <rule>, got <value>". The types whose documents a file carries
-(``RadiativeBudget``, ``CavityMode``, ``EmitterLine``) serialize through
-``_Document`` to a flat JSON document (``to_dict`` / ``from_dict``) whose field
-names match the constructor arguments and which carries a ``units`` tag; so
-does :class:`~sivcav.purcell.ModifiedRates`, which reports carry.
+"<name> must <rule>, got <value>". The three types whose documents a file
+carries (``RadiativeBudget``, ``CavityMode``, ``EmitterLine``) serialize
+through ``_Document`` to a flat JSON document (``to_dict`` / ``from_dict``)
+whose field names match the constructor arguments and which carries a
+``units`` tag. A budget in a photonic crystal is a ``RadiativeBudget`` too
+(:func:`~sivcav.purcell.modified_budget`).
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 UNIT_NORM_TOL = 1e-9
-
-ENV_BULK = "bulk"
-ENV_BANDGAP = "bandgap_only"
-ENV_CAVITY = "cavity_coupled"
 
 
 def _as_float(value):
@@ -345,50 +342,6 @@ class EmitterLine(_Document):
             bag.append("dipole_axis must have unit norm")
         _raise_if(bag)
         object.__setattr__(self, "dipole_axis", tuple(axis.tolist()))
-
-
-@dataclass(frozen=True)
-class PhotonicEnvironment:
-    """Photonic surroundings of the emitter.
-
-    kind  : one of 'bulk', 'bandgap_only', 'cavity_coupled'
-    f_phc : bandgap inhibition factor in (0, 1]; exactly 1 for 'bulk'
-    f_cav : effective Purcell factor; present only for 'cavity_coupled'
-    """
-
-    kind: str
-    f_phc: float = 1.0
-    f_cav: float | None = None
-
-    KINDS: ClassVar[tuple[str, ...]] = (ENV_BULK, ENV_BANDGAP, ENV_CAVITY)
-
-    def __post_init__(self):
-        bag = []
-        if self.kind not in self.KINDS:
-            bag.append(f"kind must be one of {self.KINDS}, got {self.kind!r}")
-        (f_phc,) = _floats(self, bag, f_phc="lie in (0, 1]")
-        if self.kind == ENV_BULK and math.isfinite(f_phc) and f_phc != 1.0:
-            bag.append("bulk requires f_phc = 1")
-        if self.kind == ENV_CAVITY:
-            if self.f_cav is None:
-                bag.append("cavity_coupled requires f_cav")
-            else:
-                _floats(self, bag, f_cav="be non-negative")
-        elif self.f_cav is not None:
-            bag.append(f"f_cav is only meaningful for cavity_coupled, not {self.kind!r}")
-        _raise_if(bag)
-
-    @classmethod
-    def bulk(cls):
-        return cls(ENV_BULK, 1.0)
-
-    @classmethod
-    def bandgap_only(cls, f_phc):
-        return cls(ENV_BANDGAP, f_phc)
-
-    @classmethod
-    def cavity_coupled(cls, f_cav, f_phc):
-        return cls(ENV_CAVITY, f_phc, f_cav)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -38,76 +36,13 @@ from .errors import (
     ValidationError,
 )
 from .models import (
-    ENV_BANDGAP,
-    ENV_BULK,
-    ENV_CAVITY,
     UNIT_NORM_TOL,
     CavityMode,
     EmitterLine,
     FieldMap,
-    PhotonicEnvironment,
     RadiativeBudget,
-    _Document,
-    _floats,
     _number,
-    _raise_if,
 )
-
-
-@dataclass(frozen=True)
-class OverlapFactors:
-    """Spectral, orientation and spatial overlap factors, each in [0, 1]."""
-
-    r_lambda: float = 1.0
-    r_mu: float = 1.0
-    r_r: float = 1.0
-
-    def __post_init__(self):
-        bag = []
-        _floats(self, bag, r_lambda="lie in [0, 1]", r_mu="lie in [0, 1]", r_r="lie in [0, 1]")
-        _raise_if(bag)
-
-    def product(self):
-        return self.r_lambda * self.r_mu * self.r_r
-
-
-@dataclass(frozen=True)
-class ModifiedRates(_Document):
-    """Channel-resolved decay rates in a photonic environment, in Hz.
-
-    ``kind`` records which environment produced the budget ('bulk',
-    'bandgap_only' or 'cavity_coupled'); some derived quantities are only
-    defined for the cavity-coupled case.
-    """
-
-    gamma_total: float
-    channel_zpl: float
-    channel_psb: float
-    channel_nr: float
-    eta_qe: float
-    kind: str
-
-    UNITS: ClassVar[str] = "Hz"
-    # gamma_total must equal the channel sum to REL_TOL of itself and eta_qe
-    # the radiative fraction to REL_TOL: with non-negative channels, any sum
-    # order and eta_qe as (zpl + psb) / total or 1 - nr / total land within a
-    # few 1e-16 at any spread, and 1e-12 lets through documents written by
-    # other tools with 13 or more significant digits.
-    REL_TOL: ClassVar[float] = 1e-12
-
-    def __post_init__(self):
-        bag = []
-        values = _floats(self, bag, gamma_total="be positive", channel_zpl="be non-negative",
-                         channel_psb="be non-negative", channel_nr="be non-negative", eta_qe="be finite")
-        total, zpl, psb, nr, eta = values
-        if total > 0 and np.all(np.isfinite(values)):  # a non-finite field is reported already
-            if abs(total - (zpl + psb + nr)) > self.REL_TOL * total:
-                bag.append("gamma_total must equal the sum of channel rates")
-            if abs(eta - (zpl + psb) / total) > self.REL_TOL:
-                bag.append("eta_qe must equal (channel_zpl + channel_psb) / gamma_total")
-        if self.kind not in PhotonicEnvironment.KINDS:
-            bag.append(f"kind must be one of {PhotonicEnvironment.KINDS}")
-        _raise_if(bag)
 
 
 def ideal_purcell(mode: CavityMode) -> float:
@@ -186,31 +121,25 @@ def spatial_overlap(field: FieldMap, position) -> float:
     return min(float(eps) ** 2, 1.0)
 
 
-def effective_purcell(f_p: float, overlaps: OverlapFactors) -> float:
+def effective_purcell(f_p: float, r_lambda: float = 1.0, r_mu: float = 1.0, r_r: float = 1.0) -> float:
     """Effective Purcell factor F_cav = F_P * R_lambda * R_mu * R_r."""
-    return _number("f_p", f_p, "be positive") * overlaps.product()
+    r_lambda, r_mu, r_r = (_number(name, r, "lie in [0, 1]")
+                           for name, r in (("r_lambda", r_lambda), ("r_mu", r_mu), ("r_r", r_r)))
+    return _number("f_p", f_p, "be positive") * (r_lambda * r_mu * r_r)
 
 
-def modified_budget(budget: RadiativeBudget, env: PhotonicEnvironment) -> ModifiedRates:
-    """Channel rates of a budget placed in a photonic environment.
-
-    Cavity coupling applies f_cav to the ZPL channel only (mode tuned to the
-    ZPL); the side band keeps the bandgap inhibition f_phc and the
-    non-radiative channel is untouched. To model a mode coupled to a
-    side-band transition instead, swap the roles of gamma_zpl and gamma_psb
-    in the input budget.
+def modified_budget(
+    budget: RadiativeBudget, f_phc: float = 1.0, f_cav: float | None = None
+) -> RadiativeBudget:
+    """The budget in a photonic crystal: both radiative channels inhibited
+    by f_phc (1, the default, is bulk), the ZPL channel instead scaled by
+    f_cav where a mode is tuned to it; the non-radiative channel is kept.
+    To model a mode coupled to a side-band transition instead, swap the
+    roles of gamma_zpl and gamma_psb in the input budget.
     """
-    if env.kind == ENV_BULK:
-        zpl, psb = budget.gamma_zpl, budget.gamma_psb
-    elif env.kind == ENV_BANDGAP:
-        zpl = env.f_phc * budget.gamma_zpl
-        psb = env.f_phc * budget.gamma_psb
-    else:  # ENV_CAVITY, the kind left: PhotonicEnvironment checks the kind
-        zpl = env.f_cav * budget.gamma_zpl
-        psb = env.f_phc * budget.gamma_psb
-    nr = budget.gamma_nr
-    total = zpl + psb + nr
-    return ModifiedRates(total, zpl, psb, nr, (zpl + psb) / total, env.kind)
+    f_phc = _number("f_phc", f_phc, "lie in (0, 1]")
+    f_zpl = f_phc if f_cav is None else _number("f_cav", f_cav, "be non-negative")
+    return RadiativeBudget(f_zpl * budget.gamma_zpl, f_phc * budget.gamma_psb, budget.gamma_nr)
 
 
 def pl_enhancement(f_cav: float, f_phc: float) -> float:
@@ -219,22 +148,11 @@ def pl_enhancement(f_cav: float, f_phc: float) -> float:
     return _number("f_cav", f_cav, "be non-negative") / f_phc
 
 
-def mode_emission_fractions(modified: ModifiedRates) -> tuple[float, float]:
-    """Fractions of total and of radiative decay emitted into the cavity mode.
-
-    Only defined for a cavity-coupled budget; returns
-    (channel_zpl / gamma_total, channel_zpl / (channel_zpl + channel_psb)).
-    """
-    if modified.kind != ENV_CAVITY:
-        raise DomainError(
-            f"mode emission fractions require a cavity-coupled budget, got {modified.kind!r}"
-        )
-    beta_total = modified.channel_zpl / modified.gamma_total
-    rad = modified.channel_zpl + modified.channel_psb
-    if rad <= 0:
-        raise DomainError("budget has no radiative emission")
-    beta_radiative = modified.channel_zpl / rad
-    return beta_total, beta_radiative
+def mode_emission_fractions(budget: RadiativeBudget) -> tuple[float, float]:
+    """Fractions of total and of radiative decay emitted into the cavity
+    mode, the ZPL channel of a budget placed by modified_budget with f_cav:
+    (gamma_zpl / gamma_total, gamma_zpl / gamma_rad)."""
+    return budget.gamma_zpl / budget.gamma_total, budget.zpl_fraction
 
 
 def invert_budget(

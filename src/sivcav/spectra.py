@@ -117,8 +117,6 @@ class EnhancementResult:
     ratio: float
     on_step: int
     off_step: int
-    on_area: float
-    off_area: float
 
 
 def track_modes(steps, seed_peaks) -> TuningSeries:
@@ -273,7 +271,7 @@ def enhancement_ratio(
     off_area = _fit_line_area(series, off_step, line, tracks)
     if off_area <= 0:
         raise DomainError(f"emitter line unresolvable in step {off_step}")
-    return EnhancementResult(on_area / off_area, on_step, off_step, on_area, off_area)
+    return EnhancementResult(on_area / off_area, on_step, off_step)
 
 
 def polarization_mixture(

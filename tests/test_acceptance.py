@@ -13,7 +13,6 @@ from sivcav import dynamics, fitting, montecarlo, purcell, spectra
 from sivcav.models import (
     CavityMode,
     G2Curve,
-    PhotonicEnvironment,
     PolarizationScan,
     PLSpectrum,
     RadiativeBudget,
@@ -31,7 +30,7 @@ def _report(number, message):
 def test_criterion_01_purcell_chain():
     f_p = purcell.ideal_purcell(CavityMode(738.0, 430.0, 1.7))
     assert abs(f_p - 19.2) / 19.2 <= 0.005
-    f_cav = purcell.effective_purcell(f_p, purcell.OverlapFactors(1.0, 0.667, 0.4))
+    f_cav = purcell.effective_purcell(f_p, 1.0, 0.667, 0.4)
     assert abs(f_cav - 5.15) / 5.15 <= 0.01
     i_pl = purcell.pl_enhancement(f_cav, 0.25)
     assert abs(i_pl - 20.6) / 20.6 <= 0.01
@@ -45,11 +44,9 @@ def test_criterion_01_purcell_chain():
 
 
 def test_criterion_02_rate_decomposition():
-    phc = purcell.modified_budget(SIV4_BUDGET, PhotonicEnvironment.bandgap_only(0.25))
-    cav = purcell.modified_budget(
-        SIV4_BUDGET, PhotonicEnvironment.cavity_coupled(5.15, 0.25)
-    )
-    bulk = purcell.modified_budget(SIV4_BUDGET, PhotonicEnvironment.bulk())
+    phc = purcell.modified_budget(SIV4_BUDGET, 0.25)
+    cav = purcell.modified_budget(SIV4_BUDGET, 0.25, 5.15)
+    bulk = purcell.modified_budget(SIV4_BUDGET)
     assert abs(phc.gamma_total - 1.932e9) / 1.932e9 <= 0.01
     assert abs(cav.gamma_total - 5.238e9) / 5.238e9 <= 0.03
     assert abs(cav.eta_qe - 0.67) <= 0.02
@@ -81,8 +78,8 @@ def test_criterion_03_budget_inversion():
         f_phc = rng.uniform(0.05, 0.95)
         f_cav = rng.uniform(1.2, 30.0)
         ref = RadiativeBudget(zpl, psb, nr)
-        cav = purcell.modified_budget(ref, PhotonicEnvironment.cavity_coupled(f_cav, f_phc))
-        phc = purcell.modified_budget(ref, PhotonicEnvironment.bandgap_only(f_phc))
+        cav = purcell.modified_budget(ref, f_phc, f_cav)
+        phc = purcell.modified_budget(ref, f_phc)
         back = purcell.invert_budget(cav.gamma_total, phc.gamma_total, f_cav, f_phc, zpl / psb)
         scale = ref.gamma_total
         worst = max(
@@ -204,20 +201,15 @@ def test_criterion_07_fit_round_trips():
 
 
 def test_criterion_08_lifetime_reduction_pipeline():
-    cav = purcell.modified_budget(
-        SIV4_BUDGET, PhotonicEnvironment.cavity_coupled(5.15, 0.25)
-    )
-    phc = purcell.modified_budget(SIV4_BUDGET, PhotonicEnvironment.bandgap_only(0.25))
+    cav = purcell.modified_budget(SIV4_BUDGET, 0.25, 5.15)
+    phc = purcell.modified_budget(SIV4_BUDGET, 0.25)
     pair_sigma = math.sqrt(2.0) * 296e-12
     fits = {}
-    for label, modified, duration, seeds in (
+    for label, emission, duration, seeds in (
         ("on", cav, 0.06, (8001, 8003)),
         ("off", phc, 0.8, (8002, 8004)),
     ):
-        rates = ThreeLevelRates(50e6, modified.gamma_total, 0.318e9, 50e6)
-        emission = RadiativeBudget(
-            modified.channel_zpl, modified.channel_psb, modified.channel_nr
-        )
+        rates = ThreeLevelRates(50e6, emission.gamma_total, 0.318e9, 50e6)
         stream = montecarlo.simulate_stream(rates, emission, duration, 1.0, seed=seeds[0])
         jittered = montecarlo.apply_jitter(stream, 296e-12, seed=seeds[1])
         hist = montecarlo.correlate(jittered, 0.05e-9, 60e-9)

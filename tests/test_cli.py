@@ -86,6 +86,75 @@ def write_manifest(directory):
     return path, [str(directory / entry["file"]) for entry in entries]
 
 
+# purcell runs: (argv, dimensionless results, rates_* entries as (kind,
+# gamma_total, channel_zpl, channel_psb, channel_nr, eta_qe)); {tmp}/budget.json
+# holds the siv4 budget
+_SIV1_BULK = ("bulk", 769230769.2307692, 410256410.25641024, 102564102.56410256, 256410256.4102564,
+              0.6666666666666666)
+_SIV4_BULK = ("bulk", 2583623354.131968, 694444444.4444444, 173913043.47826087, 1715265866.2092626,
+              0.3361006497072989)
+_SIV4_PHC = ("bandgap_only", 1932355238.189939, 173611111.1111111, 43478260.86956522, 1715265866.2092626,
+             0.11234444251773634)
+_SIV3_CHAIN = {"f_p": 18.705449287816204, "r_lambda": 1.0, "r_mu": 0.25, "r_r": 0.2500000000000001,
+               "f_cav": 1.1690905804885132}
+_SIV4_CHAIN = {"f_p": 19.22122454391408, "r_lambda": 1.0, "r_mu": 0.6666666666666669, "r_r": 0.3999871531119777,
+               "f_cav": 5.125495256430844, "eta_qe_bulk": 0.3361006497072989}
+_MODE_FLAGS = ["--q", "430", "--vmode", "1.7", "--lambda-c", "738", "--lambda-i", "738"]
+_BUDGET_FLAGS = ["--f-phc", "0.25", "--budget", "{tmp}/budget.json"]
+PURCELL_PINS = {
+    "siv1": (["--scenario", "siv1"], {"eta_qe_bulk": 0.6666666666666666, "eta_qe_phc": 0.3333333333333333}, {
+        "bulk": _SIV1_BULK,
+        "phc": ("bandgap_only", 384615384.6153846, 102564102.56410256, 25641025.64102564, 256410256.4102564,
+                0.3333333333333333)}),
+    "siv1-f_phc-0.5": (["--scenario", "siv1", "--f-phc", "0.5"], {
+        "eta_qe_bulk": 0.6666666666666666, "eta_qe_phc": 0.5}, {
+        "bulk": _SIV1_BULK,
+        "phc": ("bandgap_only", 512820512.8205128, 205128205.12820512, 51282051.28205128, 256410256.4102564, 0.5)}),
+    "siv1-f_phc-1": (["--scenario", "siv1", "--f-phc", "1.0"], {"eta_qe_bulk": 0.6666666666666666},
+                     {"bulk": _SIV1_BULK}),
+    "siv3": (["--scenario", "siv3"], dict(_SIV3_CHAIN, i_pl=4.676362321954053), {}),
+    "siv3-f_phc-0.5": (["--scenario", "siv3", "--f-phc", "0.5"], dict(_SIV3_CHAIN, i_pl=2.3381811609770264), {}),
+    "siv3-f_phc-1": (["--scenario", "siv3", "--f-phc", "1.0"], dict(_SIV3_CHAIN, i_pl=1.1690905804885132), {}),
+    "siv4": (["--scenario", "siv4"], dict(
+        _SIV4_CHAIN, i_pl=20.501981025723374, eta_qe_phc=0.11234444251773634, eta_qe_cav=0.6774673737666433,
+        beta_total=0.6692918728495109, beta_radiative=0.9879322588308902), {
+        "bulk": _SIV4_BULK, "phc": _SIV4_PHC,
+        "cav": ("cavity_coupled", 5318115832.93358, 3559371705.8547525, 43478260.86956522, 1715265866.2092626,
+                0.6774673737666433)}),
+    "siv4-f_phc-0.5": (["--scenario", "siv4", "--f-phc", "0.5"], dict(
+        _SIV4_CHAIN, i_pl=10.250990512861687, eta_qe_phc=0.2019957815646569, eta_qe_cav=0.6800828566653819,
+        beta_total=0.6638644484424183, beta_radiative=0.9761523054668858), {
+        "bulk": _SIV4_BULK,
+        "phc": ("bandgap_only", 2149444610.170615, 347222222.2222222, 86956521.73913044, 1715265866.2092626,
+                0.2019957815646569),
+        "cav": ("cavity_coupled", 5361594093.803145, 3559371705.8547525, 86956521.73913044, 1715265866.2092626,
+                0.6800828566653819)}),
+    "siv4-f_phc-1": (["--scenario", "siv4", "--f-phc", "1.0"], dict(
+        _SIV4_CHAIN, i_pl=5.125495256430844, eta_qe_cav=0.6851885965202604,
+        beta_total=0.6532694576978799, beta_radiative=0.9534155428381582), {
+        "bulk": _SIV4_BULK,
+        "cav": ("cavity_coupled", 5448550615.542276, 3559371705.8547525, 173913043.47826087, 1715265866.2092626,
+                0.6851885965202604)}),
+    "flags": ([*_MODE_FLAGS, "--dipole", "1,1,1", "--field-axis", "1,1,0", *_BUDGET_FLAGS], {
+        "f_p": 19.22122454391408, "r_lambda": 1.0, "r_mu": 0.6666666666666666, "r_r": 1.0,
+        "f_cav": 12.814149695942719, "i_pl": 51.256598783770876, "eta_qe_bulk": 0.3361006497072989,
+        "eta_qe_phc": 0.11234444251773634, "eta_qe_cav": 0.8390548971351167,
+        "beta_total": 0.8349752886581503, "beta_radiative": 0.9951378527306187}, {
+        "bulk": _SIV4_BULK, "phc": _SIV4_PHC,
+        "cav": ("cavity_coupled", 10657459193.705717, 8898715066.626888, 43478260.86956522, 1715265866.2092626,
+                0.8390548971351167)}),
+    "budget": (_BUDGET_FLAGS, {"eta_qe_bulk": 0.3361006497072989, "eta_qe_phc": 0.11234444251773634},
+               {"bulk": _SIV4_BULK, "phc": _SIV4_PHC}),
+    "orthogonal": ([*_MODE_FLAGS, "--dipole", "1,0,0", "--field-axis", "0,1,0", *_BUDGET_FLAGS], {
+        "f_p": 19.22122454391408, "r_lambda": 1.0, "r_mu": 0.0, "r_r": 1.0, "f_cav": 0.0, "i_pl": 0.0,
+        "eta_qe_bulk": 0.3361006497072989, "eta_qe_phc": 0.11234444251773634, "eta_qe_cav": 0.024721197472755797,
+        "beta_total": 0.0, "beta_radiative": 0.0}, {
+        "bulk": _SIV4_BULK, "phc": _SIV4_PHC,
+        "cav": ("cavity_coupled", 1758744127.0788279, 0.0, 43478260.86956522, 1715265866.2092626,
+                0.024721197472755797)}),
+}
+
+
 class TestPurcellCommand:
     def test_siv4_scenario(self, capsys):
         code, doc, _err = run_cli(capsys, "purcell", "--scenario", "siv4")
@@ -212,6 +281,30 @@ class TestPurcellCommand:
         code, _out, err = run_cli(capsys, "purcell")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "domain"
+
+    @pytest.mark.parametrize("run", PURCELL_PINS)
+    def test_results_pinned_exactly(self, capsys, tmp_path, siv4_budget, run):
+        """Every result equals the value the rate algebra gave before it was
+        rewritten, to the last bit: a reordered product shows here."""
+        argv, scalars, rates = PURCELL_PINS[run]
+        (tmp_path / "budget.json").write_text(json.dumps(siv4_budget.to_dict()))
+        code, doc, _err = run_cli(capsys, "purcell", *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 0
+        expected = {name: {"value": value, "units": "dimensionless"} for name, value in scalars.items()}
+        for key, (kind, total, zpl, psb, nr, eta) in rates.items():
+            expected[f"rates_{key}"] = {"value": {
+                "gamma_total": total, "channel_zpl": zpl, "channel_psb": psb, "channel_nr": nr,
+                "eta_qe": eta, "kind": kind, "units": "Hz"}, "units": "Hz"}
+        assert doc["results"] == expected
+
+    def test_f_phc_flag_out_of_range_exit_2(self, capsys, tmp_path, siv4_budget):
+        budget_file = tmp_path / "b.json"
+        budget_file.write_text(json.dumps(siv4_budget.to_dict()))
+        code, out, err = run_cli(capsys, "purcell", "--q", "430", "--vmode", "1.7", "--lambda-c", "738",
+                                 "--lambda-i", "738", "--f-phc", "1.5", "--budget", str(budget_file))
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {"type": "domain", "message": "f_phc must lie in (0, 1], got 1.5"}
 
 
 class TestSimulateCommand:
@@ -740,6 +833,9 @@ SUBCOMMAND_CASES = ["purcell", "simulate", "g2-correlate", "g2-fit", "g2-sweep",
     ("spectra-track", ["--seeds", "o1=inf:2.3"], "seed 'o1' center must be finite, got inf"),
     ("spectra-enhance", ["--seeds", "o1=nan:2.3"], "seed 'o1' center must be finite, got nan"),
     ("spectra-enhance", ["--seeds", "o1=769:-2.3"], "seed 'o1' fwhm must be positive, got -2.3"),
+    ("purcell", ["--f-phc", "1.5"], "f_phc must lie in (0, 1], got 1.5"),
+    ("purcell", ["--f-phc", "0"], "f_phc must be positive, got 0.0"),
+    ("purcell", ["--f-phc", "nan"], "f_phc must be positive, got nan"),
 ])
 def test_bad_numeric_flag_exit_2_before_writing(capsys, tmp_path, stream_file, case, flags, message):
     """An out-of-range or non-finite numeric flag exits 2 with a domain error

@@ -327,12 +327,16 @@ class TestPowerSweep:
             assert g1.tau2 == pytest.approx(g2.tau2, rel=1e-12)
             assert g1.a == pytest.approx(g2.a, rel=1e-12)
 
-    def test_non_positive_power_named_by_its_pump_rate(self):
+    def test_non_positive_power_named_as_a_power(self):
+        # checked before any pump rate is formed, by both functions that form one
         base = ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6)
-        with pytest.raises(DomainError, match=r"\(k12 = 0\)"):
-            dynamics.power_sweep(base, dynamics.PumpModel(1.5e9), [0.0, 1.0])
-        with pytest.raises(ValidationError, match="k12 must be non-negative"):
-            dynamics.power_sweep(base, dynamics.PumpModel(1.5e9), [-1.0, 1.0])
+        pump = dynamics.PumpModel(1.5e9)
+        for powers in ([0.0, 1.0], [-1.0, 1.0]):
+            for call in (lambda: dynamics.power_sweep(base, pump, powers),
+                         lambda: dynamics.saturation_curve(base, pump, 0.5, powers)):
+                with pytest.raises(DomainError) as err:
+                    call()
+                assert str(err.value) == "powers must be positive"
 
     def test_zero_power_limit(self):
         base = ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6)
@@ -490,7 +494,7 @@ class TestStackedSpectrum:
         complex_base = ThreeLevelRates(0.0, 1.77e8, 2.19e9, 1.97e9)
         with pytest.raises(DomainError, match="complex relaxation eigenvalues"):
             dynamics.power_sweep(complex_base, dynamics.PumpModel(1.14e8), [0.5, 1.0, 2.0])
-        with pytest.raises(ValidationError, match="k12 is not finite"):
+        with pytest.raises(DomainError, match="^powers contains non-finite entries$"):
             dynamics.saturation_curve(base, dynamics.PumpModel(1e9), 0.5, [1.0, np.inf])
 
 

@@ -15,7 +15,6 @@ from sivcav.models import (
     FieldMap,
     G2Curve,
     G2Params,
-    PhotonicEnvironment,
     PLSpectrum,
     PolarizationScan,
     RadiativeBudget,
@@ -65,33 +64,6 @@ class TestRadiativeBudget:
         assert budget.gamma_total == budget.gamma_rad + nr
         assert budget.eta_qe == budget.gamma_rad / budget.gamma_total
         assert 0.0 <= budget.eta_qe <= 1.0 and 0.0 <= budget.zpl_fraction <= 1.0
-
-
-class TestPhotonicEnvironment:
-    def test_bulk_forces_unit_f_phc(self):
-        with pytest.raises(ValidationError):
-            PhotonicEnvironment("bulk", 0.25)
-        assert PhotonicEnvironment.bulk().f_phc == 1.0
-
-    def test_cavity_needs_f_cav(self):
-        with pytest.raises(ValidationError):
-            PhotonicEnvironment("cavity_coupled", 0.25)
-        env = PhotonicEnvironment.cavity_coupled(5.0, 0.25)
-        assert env.f_cav == 5.0
-
-    def test_bandgap_rejects_f_cav(self):
-        with pytest.raises(ValidationError):
-            PhotonicEnvironment("bandgap_only", 0.25, f_cav=2.0)
-
-    def test_unknown_kind_named(self):
-        with pytest.raises(ValidationError) as err:
-            PhotonicEnvironment("nowhere")
-        assert err.value.violations == [f"kind must be one of {PhotonicEnvironment.KINDS}, got 'nowhere'"]
-
-    @pytest.mark.parametrize("f_phc", [0.0, -0.25, 1.5, math.nan])
-    def test_f_phc_outside_unit_interval(self, f_phc):
-        with pytest.raises(ValidationError):
-            PhotonicEnvironment.bandgap_only(f_phc)
 
 
 class TestCavityMode:
@@ -193,7 +165,6 @@ SCALAR_ROUND_TRIP_CASES = [
     RadiativeBudget(694.4e6, 173.9e6, 1.715e9),
     CavityMode(738.0, 430.0, 1.7),
     EmitterLine(739.9, 1.25, (1 / math.sqrt(3),) * 3),
-    purcell.ModifiedRates(2.5e9, 1.5e9, 0.25e9, 0.75e9, 0.7, "cavity_coupled"),
 ]
 
 
@@ -317,13 +288,6 @@ VIOLATION_CASES = {
     "EmitterLine-axis": (lambda: EmitterLine(700.0, NAN, (NAN, 0.0)), [
         "linewidth is not finite", "dipole_axis contains non-finite entries",
         "dipole_axis must have three components"]),
-    "PhotonicEnvironment-bulk": (lambda: PhotonicEnvironment("bulk", 0.5, 3.0), [
-        "bulk requires f_phc = 1", "f_cav is only meaningful for cavity_coupled, not 'bulk'"]),
-    "PhotonicEnvironment-cavity": (lambda: PhotonicEnvironment("cavity_coupled", INF, -1.0), [
-        "f_phc is not finite", "f_cav must be non-negative"]),
-    "PhotonicEnvironment-kind": (lambda: PhotonicEnvironment("vacuum", 0.0), [
-        "kind must be one of ('bulk', 'bandgap_only', 'cavity_coupled'), got 'vacuum'",
-        "f_phc must lie in (0, 1]"]),
     "ThreeLevelRates": (lambda: ThreeLevelRates(-1.0, 0.0, NAN, "x"), [
         "k23 is not finite", "k31 is not a number", "k12 must be non-negative", "k21 must be positive"]),
     "G2Params": (lambda: G2Params(0.0, 0.0, -1.0), [
@@ -353,15 +317,6 @@ VIOLATION_CASES = {
     "PowerSweep": (lambda: dynamics.PowerSweep([2.0, 1.0, -1.0], (G2Params(1e-9, 2e-8, 0.5), "x")), [
         "powers must be positive", "powers must be strictly increasing",
         "params must align with powers", "params entries must be G2Params or None"]),
-    "OverlapFactors": (lambda: purcell.OverlapFactors(NAN, 2.0, -0.5), [
-        "r_lambda is not finite", "r_mu must lie in [0, 1]", "r_r must lie in [0, 1]"]),
-    "ModifiedRates": (lambda: purcell.ModifiedRates(0.0, -1.0, NAN, 1.0, 0.5, "zzz"), [
-        "channel_psb is not finite", "gamma_total must be positive",
-        "channel_zpl must be non-negative",
-        "kind must be one of ('bulk', 'bandgap_only', 'cavity_coupled')"]),
-    "ModifiedRates-sums": (lambda: purcell.ModifiedRates(3.0, 1.0, 1.0, 2.0, 0.5, "bulk"), [
-        "gamma_total must equal the sum of channel rates",
-        "eta_qe must equal (channel_zpl + channel_psb) / gamma_total"]),
     "PolarizedChannel": (lambda: spectra.PolarizedChannel("a", -1.0), [
         "angle is not a number", "weight must be non-negative"]),
     "TuningSeries": (lambda: spectra.TuningSeries(
@@ -398,11 +353,8 @@ def test_every_violation_listed_in_order(case):
 
 
 _STREAM = dict(timestamps=[0.0, 0.0], channel_tags=[0, 1], duration=1e-5, seed=0)
-_RATES = dict(gamma_total=2.5e9, channel_zpl=1.5e9, channel_psb=0.25e9, channel_nr=0.75e9, eta_qe=0.7,
-              kind="bulk")
 # (type, keyword arguments of a valid value, field, its declared rule, a
-# finite value of the field that breaks the rule, or the arguments that
-# change where the cross-field checks need others to change with it)
+# finite value of the field that breaks the rule)
 FIELD_RULES = [
     *((RadiativeBudget, dict(gamma_zpl=1e8, gamma_psb=1e8, gamma_nr=1e8), name, "be non-negative", -1.0)
       for name in ("gamma_zpl", "gamma_psb", "gamma_nr")),
@@ -412,8 +364,6 @@ FIELD_RULES = [
       for name in ("lambda_c", "q_factor", "mode_volume")),
     (EmitterLine, dict(lambda_i=738.0, linewidth=1.25), "lambda_i", "be positive", 0.0),
     (EmitterLine, dict(lambda_i=738.0, linewidth=1.25), "linewidth", "be non-negative", -1.0),
-    (PhotonicEnvironment, dict(kind="bandgap_only", f_phc=0.25), "f_phc", "lie in (0, 1]", 1.5),
-    (PhotonicEnvironment, dict(kind="cavity_coupled", f_phc=0.25, f_cav=5.0), "f_cav", "be non-negative", -1.0),
     *((ThreeLevelRates, dict(k12=1e8, k21=2e9, k23=3e8, k31=5e7), name, rule, bad)
       for name, rule, bad in (("k12", "be non-negative", -1.0), ("k21", "be positive", 0.0),
                               ("k23", "be non-negative", -1.0), ("k31", "be positive", 0.0))),
@@ -432,15 +382,6 @@ FIELD_RULES = [
     (SaturationCurve, dict(powers=[0.5, 1.0], rates=[1e4, 2e4]), "rates", "be non-negative", [1e4, -1.0]),
     (dynamics.PumpModel, dict(sigma=3e8), "sigma", "be positive", 0.0),
     (dynamics.PowerSweep, dict(powers=[0.5, 1.0], params=(None, None)), "powers", "be positive", [-0.5, 1.0]),
-    *((purcell.OverlapFactors, dict(r_lambda=0.5, r_mu=0.5, r_r=0.5), name, "lie in [0, 1]", bad)
-      for name, bad in (("r_lambda", 1.5), ("r_mu", -0.5), ("r_r", 1.5))),
-    (purcell.ModifiedRates, _RATES, "gamma_total", "be positive", 0.0),
-    (purcell.ModifiedRates, _RATES, "channel_zpl", "be non-negative",
-     dict(gamma_total=1e9, channel_zpl=-0.5e9, channel_psb=1.25e9, channel_nr=0.25e9, eta_qe=0.75)),
-    (purcell.ModifiedRates, _RATES, "channel_psb", "be non-negative",
-     dict(gamma_total=1e9, channel_zpl=1.25e9, channel_psb=-0.5e9, channel_nr=0.25e9, eta_qe=0.75)),
-    (purcell.ModifiedRates, _RATES, "channel_nr", "be non-negative",
-     dict(gamma_total=1e9, channel_zpl=1e9, channel_psb=0.5e9, channel_nr=-0.5e9, eta_qe=1.5)),
     (spectra.PolarizedChannel, dict(angle=30.0, weight=1.0), "weight", "be non-negative", -1.0),
     (montecarlo.PhotonStream, _STREAM, "duration", "be positive", 0.0),
     (montecarlo.HbtHistogram, dict(bin_edges=[0.0, 1.0], counts=[1], normalization=1.0), "normalization",
@@ -480,10 +421,10 @@ def test_field_breaking_its_rule_reads_as_an_argument_would(cls, valid, name, ru
     "<field> must <rule>", the phrase _number raises for an argument."""
     cls(**valid)
     with pytest.raises(ValidationError) as err:
-        cls(**{**valid, **(bad if isinstance(bad, dict) else {name: bad})})
+        cls(**{**valid, name: bad})
     assert err.value.violations == [f"{name} must {rule}"]
     phrases = set()
-    for entry in np.ravel(bad[name] if isinstance(bad, dict) else bad):
+    for entry in np.ravel(bad):
         try:
             models._number(name, entry, rule)
         except DomainError as err:
@@ -524,12 +465,10 @@ def test_int_beyond_float_range_is_not_finite(make, expected):
 @pytest.mark.parametrize("make, expected", [
     (lambda: EmitterLine(700.0, dipole_axis=(INF, 0.0, 0.0)), ["dipole_axis contains non-finite entries"]),
     (lambda: EmitterLine(700.0, dipole_axis=("x", 0.0, 0.0)), ["dipole_axis is not a number"]),
-    (lambda: PhotonicEnvironment("bulk", NAN), ["f_phc is not finite"]),
-    (lambda: PhotonicEnvironment("bulk", "x"), ["f_phc is not a number"]),
-], ids=["axis-inf", "axis-string", "bulk-nan", "bulk-string"])
+], ids=["axis-inf", "axis-string"])
 def test_check_across_fields_skips_a_faulty_field(make, expected):
-    # the unit norm of the axis and f_phc = 1 of bulk read a field that is
-    # not a finite number: its one violation says all there is
+    # the unit norm of the axis reads a field that is not a finite number:
+    # its one violation says all there is
     with pytest.raises(ValidationError) as err:
         make()
     assert err.value.violations == expected
@@ -598,7 +537,9 @@ def valid_call(function):
     wl = np.linspace(760.0, 780.0, 400)
     spectrum = PLSpectrum(wl, 50.0 + fitting.lorentzian_peak(wl, 769.0, 2.3, 800.0))
     return {
-        "effective_purcell": (purcell.effective_purcell, {"f_p": 19.2, "overlaps": purcell.OverlapFactors()}),
+        "effective_purcell": (purcell.effective_purcell, {"f_p": 19.2, "r_lambda": 1.0, "r_mu": 0.667, "r_r": 0.4}),
+        "modified_budget": (purcell.modified_budget, {"budget": RadiativeBudget(1e9, 2e8, 1e9), "f_phc": 0.25,
+                                                      "f_cav": 5.15}),
         "pl_enhancement": (purcell.pl_enhancement, {"f_cav": 5.15, "f_phc": 0.25}),
         "invert_budget": (purcell.invert_budget, {"gamma_cav": 5.2e9, "gamma_phc": 1.9e9, "f_cav": 5.15,
                                                   "f_phc": 0.25, "branching": 4.0}),
@@ -622,7 +563,9 @@ def valid_call(function):
 
 
 NUMERIC_ARGUMENTS = [
-    ("effective_purcell", "f_p"), ("pl_enhancement", "f_cav"), ("pl_enhancement", "f_phc"),
+    *(("effective_purcell", arg) for arg in ("f_p", "r_lambda", "r_mu", "r_r")),
+    ("modified_budget", "f_phc"), ("modified_budget", "f_cav"),
+    ("pl_enhancement", "f_cav"), ("pl_enhancement", "f_phc"),
     *(("invert_budget", arg) for arg in ("gamma_cav", "gamma_phc", "f_cav", "f_phc", "branching")),
     *(("infer_bulk_qe_from_inhibition", arg) for arg in ("tau_bulk", "tau_phc", "f_phc")),
     ("nanosphere_factor", "n"), ("rescale_qe", "eta"), ("rescale_qe", "radiative_factor"),
@@ -643,9 +586,48 @@ def test_non_finite_argument_raises_domain_error(function, argument):
     call, kwargs = valid_call(function)
     call(**kwargs)
     non_numbers = [("abc", "'abc'"), ("1", "'1'"), (b"1", "b'1'"), ([1.0], "[1.0]")]
-    if argument != "irf_sigma":  # there None means no kernel
+    if (function, argument) not in (("fit_g2", "irf_sigma"), ("modified_budget", "f_cav")):  # None: no kernel, no mode
         non_numbers.append((None, "None"))
     for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (10**400, "inf"), *non_numbers):
         with pytest.raises(DomainError) as err:
             call(**{**kwargs, argument: value})
         assert str(err.value).endswith(f", got {shown}")
+
+
+# (function, argument, its rule, finite values that break it); an argument
+# of an interval rule is broken on both sides where both are finite
+ARGUMENT_RULES = [
+    ("effective_purcell", "f_p", "be positive", (0.0,)),
+    *(("effective_purcell", arg, "lie in [0, 1]", (-0.5, 1.5)) for arg in ("r_lambda", "r_mu", "r_r")),
+    ("modified_budget", "f_phc", "lie in (0, 1]", (0.0, 1.5)),
+    ("modified_budget", "f_cav", "be non-negative", (-1.0,)),
+    ("pl_enhancement", "f_cav", "be non-negative", (-1.0,)),
+    ("pl_enhancement", "f_phc", "be positive", (0.0,)),
+    ("infer_bulk_qe_from_inhibition", "tau_bulk", "be positive", (0.0,)),
+    ("infer_bulk_qe_from_inhibition", "f_phc", "lie in (0, 1)", (0.0, 1.0)),
+    ("rescale_qe", "eta", "lie in [0, 1]", (-0.5, 1.5)),
+    ("rescale_qe", "radiative_factor", "lie in (0, 1]", (0.0, 1.5)),
+    ("saturation_curve", "collection_eff", "lie in (0, 1]", (0.0, 1.5)),
+    ("saturation_curve", "eta_qe", "lie in [0, 1]", (-0.5, 1.5)),
+    ("qe_from_saturation", "r_inf", "be non-negative", (-1.0,)),
+    ("qe_from_saturation", "p_sat", "be positive", (0.0,)),
+    ("qe_from_saturation", "collection_eff", "be positive", (0.0,)),
+    ("simulate_stream", "duration", "be positive", (0.0,)),
+    ("simulate_stream", "detection_eff", "lie in [0, 1]", (-0.5, 1.5)),
+    ("apply_jitter", "sigma_irf", "be non-negative", (-1e-10,)),
+    ("correlate", "bin_width", "be positive", (0.0,)),
+    ("correlate", "window", "be positive", (0.0,)),
+    ("fit_g2", "irf_sigma", "be non-negative", (-1e-10,)),
+]
+BROKEN_ARGUMENTS = [(f, a, rule, bad) for f, a, rule, bads in ARGUMENT_RULES for bad in bads]
+
+
+@pytest.mark.parametrize("function, argument, rule, bad", BROKEN_ARGUMENTS,
+                         ids=[f"{f}-{a}-{bad}" for f, a, _, bad in BROKEN_ARGUMENTS])
+def test_argument_breaking_its_rule_is_named_with_its_value(function, argument, rule, bad):
+    """A finite argument outside its range raises DomainError
+    "<argument> must <rule>, got <value>"."""
+    call, kwargs = valid_call(function)
+    with pytest.raises(DomainError) as err:
+        call(**{**kwargs, argument: bad})
+    assert str(err.value) == f"{argument} must {rule}, got {bad}"

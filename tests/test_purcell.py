@@ -16,7 +16,6 @@ from sivcav.models import (
     CavityMode,
     EmitterLine,
     FieldMap,
-    PhotonicEnvironment,
     RadiativeBudget,
 )
 
@@ -121,16 +120,16 @@ class TestSpatialOverlap:
 class TestEffectivePurcell:
     def test_siv4_chain(self):
         f_p = purcell.ideal_purcell(CavityMode(738.0, 430.0, 1.7))
-        f_cav = purcell.effective_purcell(f_p, purcell.OverlapFactors(1.0, 0.67, 0.4))
+        f_cav = purcell.effective_purcell(f_p, 1.0, 0.67, 0.4)
         assert f_cav == pytest.approx(5.15, rel=0.01)
 
     def test_o1_chain(self):
-        f_cav = purcell.effective_purcell(18.71, purcell.OverlapFactors(1.0, 0.25, 0.25))
+        f_cav = purcell.effective_purcell(18.71, 1.0, 0.25, 0.25)
         assert f_cav == pytest.approx(1.17, rel=0.01)
 
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_identity_overlaps(self, f_p):
-        assert purcell.effective_purcell(f_p, purcell.OverlapFactors()) == f_p
+        assert purcell.effective_purcell(f_p) == f_p
 
     @given(
         st.floats(min_value=0.01, max_value=1.0),
@@ -138,8 +137,8 @@ class TestEffectivePurcell:
         st.floats(min_value=0.0, max_value=0.5),
     )
     def test_nondecreasing_in_each_factor(self, r1, r2, bump):
-        base = purcell.effective_purcell(10.0, purcell.OverlapFactors(r1, r2, 0.5))
-        more = purcell.effective_purcell(10.0, purcell.OverlapFactors(min(r1 + bump, 1.0), r2, 0.5))
+        base = purcell.effective_purcell(10.0, r1, r2, 0.5)
+        more = purcell.effective_purcell(10.0, min(r1 + bump, 1.0), r2, 0.5)
         assert more >= base
 
 
@@ -147,68 +146,59 @@ class TestEffectivePurcell:
 SPREAD_CHANNELS = [(1.0, 0.0, 1e16), (1e16, 0.0, 1.0), (1.0, 1e16, 3.0), (3e-4, 2e-4, 1e12), (0.0, 5.0, 7.0)]
 
 
-def thirteen_digits(x):
-    return float(f"{x:.13g}")
-
-
-class TestModifiedRatesConsistency:
-    # any consistent writer: either summation order or an exactly rounded
-    # sum, eta_qe as the radiative fraction or as 1 - nr / total, and every
-    # field rounded to 13 significant digits
-    @pytest.mark.parametrize("zpl, psb, nr", SPREAD_CHANNELS)
-    def test_consistent_documents_load(self, zpl, psb, nr):
-        for total in (zpl + psb + nr, nr + psb + zpl, math.fsum([zpl, psb, nr])):
-            for eta in ((zpl + psb) / total, 1.0 - nr / total):
-                purcell.ModifiedRates(total, zpl, psb, nr, eta, "bulk")
-                purcell.ModifiedRates(*map(thirteen_digits, (total, zpl, psb, nr, eta)), "bulk")
-
-    # an inconsistency of half the bound loads, one of twice the bound does not
-    @pytest.mark.parametrize("zpl, psb, nr", SPREAD_CHANNELS)
-    def test_bound_pinned_on_both_sides(self, zpl, psb, nr):
-        tol = purcell.ModifiedRates.REL_TOL
-        total = zpl + psb + nr
-        eta = (zpl + psb) / total
-        toward_half = 1.0 if eta < 0.5 else -1.0
-        for k, fails in ((0.5, False), (2.0, True)):
-            off = total * (1.0 + k * tol)
-            for fields, message in (
-                ((off, zpl, psb, nr, (zpl + psb) / off), "gamma_total must equal the sum of channel rates"),
-                ((total, zpl, psb, nr, eta + toward_half * k * tol),
-                 "eta_qe must equal (channel_zpl + channel_psb) / gamma_total"),
-            ):
-                if not fails:
-                    purcell.ModifiedRates(*fields, "bulk")
-                    continue
-                with pytest.raises(ValidationError) as err:
-                    purcell.ModifiedRates(*fields, "bulk")
-                assert err.value.violations == [message]
-
-    def test_rejects_negative_channels_and_unknown_kind(self):
-        with pytest.raises(ValidationError) as err:
-            purcell.ModifiedRates(1e9, 1.5e9, -0.5e9, 0.0, 1.0, "nowhere")
-        assert err.value.violations == ["channel_psb must be non-negative",
-                                        f"kind must be one of {PhotonicEnvironment.KINDS}"]
-
-
 class TestModifiedBudget:
+    @pytest.mark.parametrize("f_phc", [0.0, -0.25, 1.5, math.nan])
+    def test_f_phc_outside_unit_interval(self, siv4_budget, f_phc):
+        with pytest.raises(DomainError) as err:
+            purcell.modified_budget(siv4_budget, f_phc)
+        assert str(err.value).startswith("f_phc ")
+
+    # the total and eta_qe a purcell report carries for each environment
+    # agree with its channels, however far apart the channels are
+    @pytest.mark.parametrize("zpl, psb, nr", SPREAD_CHANNELS)
+    def test_spread_channels_stay_consistent(self, zpl, psb, nr):
+        budget = RadiativeBudget(zpl, psb, nr)
+        for f_phc, f_cav in ((1.0, None), (0.25, None), (0.25, 5.15)):
+            mb = purcell.modified_budget(budget, f_phc, f_cav)
+            channels = (mb.gamma_zpl, mb.gamma_psb, mb.gamma_nr)
+            assert channels == ((f_phc if f_cav is None else f_cav) * zpl, f_phc * psb, nr)
+            assert mb.gamma_total == pytest.approx(math.fsum(channels), rel=1e-15)
+            assert mb.eta_qe == pytest.approx((mb.gamma_zpl + mb.gamma_psb) / math.fsum(channels), rel=1e-15)
+            assert 0.0 <= mb.eta_qe <= 1.0
+
     def test_bandgap_rates(self, siv4_budget):
-        mb = purcell.modified_budget(siv4_budget, PhotonicEnvironment.bandgap_only(0.25))
+        mb = purcell.modified_budget(siv4_budget, 0.25)
         assert mb.gamma_total == pytest.approx(1.932e9, rel=0.01)
         assert mb.eta_qe == pytest.approx(0.112, abs=0.002)
 
     def test_cavity_rates(self, siv4_budget):
-        mb = purcell.modified_budget(
-            siv4_budget, PhotonicEnvironment.cavity_coupled(5.15, 0.25)
-        )
+        mb = purcell.modified_budget(siv4_budget, 0.25, 5.15)
         # direct arithmetic oracle: 5.15/1.44ns + 0.25/5.75ns + 1/583ps
         expected = 5.15 / 1.44e-9 + 0.25 / 5.75e-9 + 1.0 / 583e-12
         assert mb.gamma_total == pytest.approx(expected, rel=1e-12)
         assert mb.gamma_total == pytest.approx(5.238e9, rel=0.03)
 
     def test_bulk_passthrough(self, siv4_budget):
-        mb = purcell.modified_budget(siv4_budget, PhotonicEnvironment.bulk())
-        assert mb.gamma_total == pytest.approx(siv4_budget.gamma_total, rel=1e-12)
+        mb = purcell.modified_budget(siv4_budget)
+        assert mb == siv4_budget
         assert mb.eta_qe == pytest.approx(0.336, abs=0.002)
+
+    def test_channels_scaled_and_nr_kept(self):
+        budget = RadiativeBudget(4e8, 2e8, 1e9)
+        assert purcell.modified_budget(budget, 0.5) == RadiativeBudget(2e8, 1e8, 1e9)
+        assert purcell.modified_budget(budget, 0.5, 3.0) == RadiativeBudget(12e8, 1e8, 1e9)
+        assert purcell.modified_budget(budget, 0.5, 0.0) == RadiativeBudget(0.0, 1e8, 1e9)
+
+    @given(st.floats(0.0, 1e12), st.floats(1.0, 1e12), st.floats(0.0, 1e12), st.floats(0.01, 1.0),
+           st.floats(0.0, 40.0))
+    def test_totals_follow_the_rate_algebra(self, zpl, psb, nr, f_phc, f_cav):
+        # gamma_cav = F_cav gamma_zpl + F_PhC gamma_psb + gamma_nr and
+        # gamma_phc = F_PhC (gamma_zpl + gamma_psb) + gamma_nr, summed in this order
+        budget = RadiativeBudget(zpl, psb, nr)
+        phc = purcell.modified_budget(budget, f_phc)
+        assert purcell.modified_budget(budget, f_phc, f_cav).gamma_total == f_cav * zpl + f_phc * psb + nr
+        assert phc.gamma_total == f_phc * zpl + f_phc * psb + nr
+        assert purcell.modified_budget(budget, f_phc, f_phc) == phc
 
     @given(
         st.floats(min_value=1.0, max_value=40.0),
@@ -217,12 +207,8 @@ class TestModifiedBudget:
     def test_eta_nondecreasing_in_f_cav(self, f1, f2):
         budget = RadiativeBudget(1.0 / 1.44e-9, 1.0 / 5.75e-9, 1.0 / 583e-12)
         lo, hi = sorted((f1, f2))
-        eta_lo = purcell.modified_budget(
-            budget, PhotonicEnvironment.cavity_coupled(lo, 0.25)
-        ).eta_qe
-        eta_hi = purcell.modified_budget(
-            budget, PhotonicEnvironment.cavity_coupled(hi, 0.25)
-        ).eta_qe
+        eta_lo = purcell.modified_budget(budget, 0.25, lo).eta_qe
+        eta_hi = purcell.modified_budget(budget, 0.25, hi).eta_qe
         assert eta_hi >= eta_lo - 1e-12
 
 
@@ -243,31 +229,39 @@ class TestPlEnhancement:
 
 class TestModeEmissionFractions:
     def test_siv4(self, siv4_budget):
-        mb = purcell.modified_budget(
-            siv4_budget, PhotonicEnvironment.cavity_coupled(5.15, 0.25)
-        )
+        mb = purcell.modified_budget(siv4_budget, 0.25, 5.15)
         beta_total, beta_radiative = purcell.mode_emission_fractions(mb)
         assert beta_radiative == pytest.approx(0.988, abs=0.002)
         assert beta_total == pytest.approx(0.66, abs=0.05)
 
     def test_pure_zpl(self):
         budget = RadiativeBudget(1e9, 0.0, 0.0)
-        mb = purcell.modified_budget(budget, PhotonicEnvironment.cavity_coupled(3.0, 0.25))
+        mb = purcell.modified_budget(budget, 0.25, 3.0)
         assert purcell.mode_emission_fractions(mb) == (1.0, 1.0)
 
-    def test_rejects_non_cavity(self, siv4_budget):
-        mb = purcell.modified_budget(siv4_budget, PhotonicEnvironment.bulk())
-        with pytest.raises(DomainError):
-            purcell.mode_emission_fractions(mb)
+    def test_bulk_budget_gives_its_zpl_branching(self, siv4_budget):
+        # without a mode the fractions are the intrinsic ZPL branching
+        assert purcell.mode_emission_fractions(siv4_budget) == (
+            siv4_budget.gamma_zpl / siv4_budget.gamma_total, siv4_budget.zpl_fraction)
+
+    def test_orthogonal_dipole_without_side_band_has_no_budget(self):
+        # f_cav = 0 removes the only radiative channel of a ZPL-only budget
+        with pytest.raises(ValidationError) as err:
+            purcell.modified_budget(RadiativeBudget(1e9, 0.0, 1e9), 0.25, 0.0)
+        assert err.value.violations == ["at least one radiative rate must be positive"]
+
+    @given(st.floats(0.0, 1e12), st.floats(1.0, 1e12), st.floats(0.0, 1e12), st.floats(0.0, 40.0))
+    def test_fractions_are_ordered_fractions(self, zpl, psb, nr, f_cav):
+        beta_total, beta_radiative = purcell.mode_emission_fractions(
+            purcell.modified_budget(RadiativeBudget(zpl, psb, nr), 0.25, f_cav))
+        assert 0.0 <= beta_total <= beta_radiative <= 1.0
 
     def test_scale_invariance(self, siv4_budget):
-        mb1 = purcell.modified_budget(
-            siv4_budget, PhotonicEnvironment.cavity_coupled(5.15, 0.25)
-        )
+        mb1 = purcell.modified_budget(siv4_budget, 0.25, 5.15)
         scaled = RadiativeBudget(
             siv4_budget.gamma_zpl * 7.0, siv4_budget.gamma_psb * 7.0, siv4_budget.gamma_nr * 7.0
         )
-        mb2 = purcell.modified_budget(scaled, PhotonicEnvironment.cavity_coupled(5.15, 0.25))
+        mb2 = purcell.modified_budget(scaled, 0.25, 5.15)
         assert purcell.mode_emission_fractions(mb1) == pytest.approx(
             purcell.mode_emission_fractions(mb2), rel=1e-12
         )
@@ -330,8 +324,8 @@ class TestInvertBudget:
     @example(zpl=1e6, psb=1e6 / 3.16e-4, nr=0.0, f_cav=1.21875, f_phc=0.9375)
     def test_round_trip_identity(self, zpl, psb, nr, f_cav, f_phc):
         budget = RadiativeBudget(zpl, psb, nr)
-        cav = purcell.modified_budget(budget, PhotonicEnvironment.cavity_coupled(f_cav, f_phc))
-        phc = purcell.modified_budget(budget, PhotonicEnvironment.bandgap_only(f_phc))
+        cav = purcell.modified_budget(budget, f_phc, f_cav)
+        phc = purcell.modified_budget(budget, f_phc)
         recovered = purcell.invert_budget(
             cav.gamma_total, phc.gamma_total, f_cav, f_phc, zpl / psb
         )

@@ -14,8 +14,8 @@ passes unseen.
 That blind spot covers the methods every JSON document type inherits from
 models._Document: to_dict and from_dict are read by name for any of them.
 So DOCUMENTS names the types that may inherit _Document, each with the
-file or report that carries its documents, and the model schema defines
-the file documents and no other type.
+file that carries its documents; the package reads a document of each, and
+the model schema defines them and no other type.
 """
 
 import ast
@@ -44,12 +44,10 @@ KEEP = {
 }
 
 DOCUMENTS = {
-    "models.RadiativeBudget": "budget files (purcell --budget, simulate --budget) and scenario files",
-    "models.CavityMode": "scenario files (purcell --scenario)",
-    "models.EmitterLine": "scenario files (purcell --scenario)",
-    "purcell.ModifiedRates": "purcell reports (results rates_bulk, rates_phc, rates_cav)",
+    "RadiativeBudget": "budget files (purcell --budget, simulate --budget) and scenario files",
+    "CavityMode": "scenario files (purcell --scenario)",
+    "EmitterLine": "scenario files (purcell --scenario)",
 }
-FILE_DOCUMENTS = {"RadiativeBudget", "CavityMode", "EmitterLine"}
 
 
 @pytest.fixture(scope="module")
@@ -125,20 +123,19 @@ def test_keep_list_names_existing_definitions(trees):
 
 def test_documents_are_the_types_a_file_or_report_carries(trees):
     """The _Document subclasses are DOCUMENTS, and the package reads a
-    document (Type.from_dict) of the file documents only."""
+    document (Type.from_dict) of each of them and of no other type."""
     subclasses, loaded = set(), set()
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "_Document" for b in node.bases):
-                subclasses.add(f"{path.stem}.{node.name}")
+                subclasses.add(node.name)
             if isinstance(node, ast.Attribute) and node.attr == "from_dict" and isinstance(node.value, ast.Name):
                 loaded.add(node.value.id)
-    assert subclasses == set(DOCUMENTS)
-    assert loaded == FILE_DOCUMENTS
+    assert subclasses == loaded == set(DOCUMENTS)
 
 
 def test_model_schema_defines_the_file_documents_only():
     schema = json.loads((PACKAGE / "schemas" / "model_types.schema.json").read_text())
-    assert set(schema["$defs"]) == FILE_DOCUMENTS
+    assert set(schema["$defs"]) == set(DOCUMENTS)
