@@ -33,6 +33,10 @@ a run per row.
 read_columns, the one loader of rows into a domain type, hands the columns
 of read_table to the type's constructor; read_document does the same for a
 JSON document and its builder, so a fault in either names the file.
+parse_floats is the one parser of a list of numbers in a line of text, such
+as a header value or a command-line flag: numbers joined by a separator, of
+a count from a given set. Its ValueError names the text and the fault, so
+as a header's parse it fails the file at the header's line.
 """
 
 from __future__ import annotations
@@ -98,6 +102,24 @@ def _converts(rows, labels=None, width=None, size=0, usecols=None):
     except ValueError:
         return False
     return True
+
+
+def parse_floats(text, counts, sep=",", key=None):
+    """The numbers of text joined by sep, in Python's float syntax, as a
+    tuple of floats whose count is one of counts. ValueError naming the text
+    ('key=text' under a key, as a header or a seed peak is written) and the
+    fault: a count not in counts, or the first part that is not a number."""
+    shown, parts = repr(text if key is None else f"{key}={text}"), text.split(sep)
+    if len(parts) not in counts:
+        raise ValueError(f"{shown} needs {' or '.join(map(str, counts))} number{'s' * (counts != (1,))} "
+                         f"joined by {sep!r}, got {len(parts)}")
+    values = []
+    for part in parts:
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"{shown} holds {part!r}, which is not a number") from None
+    return tuple(values)
 
 
 def _read_headers(rows, skipped, headers):

@@ -6,9 +6,10 @@ to stdout (or --out), human summaries to stderr. Exit codes: 0 success,
 stderr), 3 analysis non-convergence. The only environment variable honored
 is SIVCAV_SEED, the default random seed.
 
-Each cmd_* parses, computes and writes its outputs, noting every file it reads
-or writes; _run owns the report: it hashes those files, builds, checks and
-emits the report, and picks the exit code.
+The parser parses every flag given, lists of numbers included, before any file
+is read; a malformed one is a usage error. Each cmd_* computes and writes its
+outputs, noting every file it reads or writes; _run owns the report: it hashes
+those files, builds, checks and emits the report, and picks the exit code.
 
 The module imports only what the parser and _run need; each cmd_* imports
 the analysis modules it runs, so a subcommand compiles no module it does not
@@ -22,12 +23,13 @@ import argparse
 import os
 import sys
 from importlib import resources
+from operator import methodcaller
 from typing import NamedTuple
 
 import numpy as np
 
 from . import montecarlo, report
-from ._table import read_document, write_table
+from ._table import parse_floats, read_document, write_table
 from .errors import (
     DomainError,
     InputFormatError,
@@ -51,16 +53,6 @@ def _default_seed():
         return int(text)
     except ValueError:
         raise DomainError(f"SIVCAV_SEED must be an integer, got {text!r}") from None
-
-
-def _parse_vector(text, n, flag):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise DomainError(f"{flag} needs {n} comma-separated values")
-    try:
-        return [float(tok) for tok in parts]
-    except ValueError:
-        raise DomainError(f"{flag} has a non-numeric component: {text!r}") from None
 
 
 def _unit(v):
@@ -126,42 +118,27 @@ class _Outcome(NamedTuple):
 def cmd_purcell(args, paths):
     from . import purcell
 
-    mode = line = None
-    field_axis = None
-    fieldmap = None
-    fieldmap_pos = None
-    budget = None
-    f_phc = args.f_phc
-
-    if args.scenario:
-        doc = _load_scenario(args.scenario)
-        if f_phc is None:
-            f_phc = doc.get("f_phc")
-        budget, mode, line = doc["budget"], doc["mode"], doc["line"]
-        if doc.get("field_axis"):
-            field_axis = _unit(doc["field_axis"])
-        if doc.get("fieldmap"):
-            map_path = _scenario_dir().joinpath(doc["fieldmap"])
-            with resources.as_file(map_path) as real:
-                fieldmap = purcell.load_field_map(real)
-                paths.append((f"sivcav/scenarios/{doc['fieldmap']}", str(real)))
-            fieldmap_pos = doc.get("fieldmap_position")
-
+    if args.fieldmap and args.pos is None:
+        raise DomainError("--fieldmap requires --pos x,y")
+    doc = _load_scenario(args.scenario) if args.scenario else {}
+    budget, mode, line = doc.get("budget"), doc.get("mode"), doc.get("line")
+    f_phc = doc.get("f_phc") if args.f_phc is None else args.f_phc
+    axis = args.field_axis or doc.get("field_axis")
+    field_axis = _unit(axis) if axis else None
+    fieldmap, fieldmap_pos = None, doc.get("fieldmap_position")
+    if doc.get("fieldmap"):
+        with resources.as_file(_scenario_dir().joinpath(doc["fieldmap"])) as real:
+            fieldmap = purcell.load_field_map(real)
+            paths.append((f"sivcav/scenarios/{doc['fieldmap']}", str(real)))
+    if args.fieldmap:
+        fieldmap, fieldmap_pos = purcell.load_field_map(args.fieldmap), args.pos
+        paths.append(args.fieldmap)
     if args.q is not None or args.vmode is not None or args.lambda_c is not None:
         if None in (args.q, args.vmode, args.lambda_c):
             raise DomainError("--q, --vmode and --lambda-c must be given together")
         mode = CavityMode(args.lambda_c, args.q, args.vmode)
     if args.lambda_i is not None:
-        dipole = _unit(_parse_vector(args.dipole, 3, "--dipole")) if args.dipole else (1.0, 0.0, 0.0)
-        line = EmitterLine(args.lambda_i, args.line_width, dipole)
-    if args.field_axis:
-        field_axis = _unit(_parse_vector(args.field_axis, 3, "--field-axis"))
-    if args.fieldmap:
-        fieldmap = purcell.load_field_map(args.fieldmap)
-        paths.append(args.fieldmap)
-        if args.pos is None:
-            raise DomainError("--fieldmap requires --pos x,y")
-        fieldmap_pos = _parse_vector(args.pos, 2, "--pos")
+        line = EmitterLine(args.lambda_i, args.line_width, _unit(args.dipole or (1.0, 0.0, 0.0)))
     if args.budget:
         budget = _load_budget(args.budget, paths)
 
@@ -170,22 +147,13 @@ def cmd_purcell(args, paths):
     if mode is not None:
         f_p = purcell.ideal_purcell(mode)
         r_lambda = purcell.spectral_overlap(line, mode) if line is not None else 1.0
-        if field_axis is not None and line is not None:
-            r_mu = purcell.orientation_overlap(line.dipole_axis, field_axis)
-        else:
-            r_mu = 1.0
-        if fieldmap is not None and fieldmap_pos is not None:
-            r_r = purcell.spatial_overlap(fieldmap, fieldmap_pos)
-        else:
-            r_r = 1.0
+        r_mu = purcell.orientation_overlap(line.dipole_axis, field_axis) if field_axis and line else 1.0
+        r_r = purcell.spatial_overlap(fieldmap, fieldmap_pos) if fieldmap and fieldmap_pos is not None else 1.0
         f_cav = purcell.effective_purcell(f_p, r_lambda, r_mu, r_r)
-        results["f_p"] = _num(f_p, "dimensionless")
-        results["r_lambda"] = _num(r_lambda, "dimensionless")
-        results["r_mu"] = _num(r_mu, "dimensionless")
-        results["r_r"] = _num(r_r, "dimensionless")
-        results["f_cav"] = _num(f_cav, "dimensionless")
+        chain = {"f_p": f_p, "r_lambda": r_lambda, "r_mu": r_mu, "r_r": r_r, "f_cav": f_cav}
         if f_phc is not None:
-            results["i_pl"] = _num(purcell.pl_enhancement(f_cav, f_phc), "dimensionless")
+            chain["i_pl"] = purcell.pl_enhancement(f_cav, f_phc)
+        results = {name: _num(value, "dimensionless") for name, value in chain.items()}
 
     if budget is not None:
         results["rates_bulk"] = _rates_entry(budget, "bulk")
@@ -216,7 +184,7 @@ def cmd_purcell(args, paths):
 def cmd_simulate(args, paths):
     from . import dynamics
 
-    rates = ThreeLevelRates(*_parse_vector(args.rates, 4, "--rates"))
+    rates = ThreeLevelRates(*args.rates)
     if args.budget:
         budget = _load_budget(args.budget, paths)
     else:
@@ -252,10 +220,7 @@ def cmd_g2_fit(args, paths):
 
     curve = montecarlo.load_g2_csv(args.hist)
     paths.append(args.hist)
-    init = None
-    if args.init:
-        a, t1, t2 = _parse_vector(args.init, 3, "--init")
-        init = G2Params(t1, t2, a)
+    init = G2Params(*args.init[1:], args.init[0]) if args.init else None  # --init is a,tau1,tau2
     fit = fitting.fit_g2(curve, init=init, irf_sigma=args.irf)
     results = {
         "a": _num(fit["a"], "dimensionless", fit.sigma("a")),
@@ -307,41 +272,13 @@ def cmd_g2_sweep(args, paths):
 # --- spectra ---------------------------------------------------------------------
 
 
-def _parse_seed_peaks(text):
-    seeds = {}
-    for item in text.split(","):
-        if "=" not in item or ":" not in item.split("=", 1)[1]:
-            raise DomainError(
-                "--seeds must look like label=center:fwhm[,label=center:fwhm...]"
-            )
-        label, rest = item.split("=", 1)
-        center, fwhm = rest.split(":", 1)
-        try:
-            seeds[label.strip()] = (float(center), float(fwhm))
-        except ValueError:
-            raise DomainError(f"bad seed peak {item!r}") from None
-    return seeds
-
-
 def cmd_spectra_fit(args, paths):
     from . import fitting, spectra
 
     spectrum = spectra.load_spectrum(args.spectrum)
     paths.append(args.spectrum)
-    inits = []
-    for item in args.peaks.split(","):
-        parts = item.split(":")
-        try:
-            if len(parts) == 1:
-                inits.append(float(parts[0]))
-            elif len(parts) == 3:
-                inits.append((float(parts[0]), float(parts[1]), float(parts[2])))
-            else:
-                raise ValueError
-        except ValueError:
-            raise DomainError(f"bad --peaks entry {item!r} (use center or center:fwhm:amp)") from None
-    fit = fitting.fit_lorentzians(spectrum, len(inits), inits, poisson_weights=args.poisson)
-    peaks = fitting.lorentzian_peak_summary(fit, len(inits))
+    fit = fitting.fit_lorentzians(spectrum, len(args.peaks), args.peaks, poisson_weights=args.poisson)
+    peaks = fitting.lorentzian_peak_summary(fit, len(args.peaks))
     results = {
         "peaks": {"value": peaks, "units": "nm,counts"},
         "baseline": _num(fit["baseline"], "counts", fit.sigma("baseline")),
@@ -363,9 +300,7 @@ def _manifest_series(args, paths):
         paths.append(path)
         return spectra.load_spectrum(path)
 
-    steps = spectra.load_manifest(args.manifest, load)
-    seeds = _parse_seed_peaks(args.seeds)
-    return spectra.track_modes(steps, seeds)
+    return spectra.track_modes(spectra.load_manifest(args.manifest, load), args.seeds)
 
 
 def cmd_spectra_track(args, paths):
@@ -402,8 +337,7 @@ def cmd_spectra_enhance(args, paths):
 
     series = _manifest_series(args, paths)
     line = EmitterLine(args.lambda_i, args.line_width)
-    mode_labels = args.modes.split(",") if args.modes else None
-    result = spectra.enhancement_ratio(series, line, mode_labels=mode_labels)
+    result = spectra.enhancement_ratio(series, line, mode_labels=args.modes)
     results = {
         "enhancement_ratio": _num(result.ratio, "dimensionless"),
         "on_step": _num(result.on_step, "step"),
@@ -480,8 +414,7 @@ def _run(args):
     if outcome.fit is not None:
         results = {**results, "converged": {"value": outcome.fit.converged, "units": "flag"},
                    "fit": {"value": outcome.fit.to_dict(), "units": "json"}}
-    flags = {key: value for key, value in vars(args).items()
-             if isinstance(value, (int, float, str, bool, type(None)))}
+    flags = {key: value for key, value in vars(args).items() if not callable(value)}
     files = {}
     for entry in paths:
         key, path = entry if isinstance(entry, tuple) else (entry, entry)
@@ -496,6 +429,41 @@ def _run(args):
 
 class _UsageError(Exception):
     pass
+
+
+def _flag(parse, *args):
+    """An argparse type that parses a flag's text by parse(text, *args),
+    whose ValueError becomes a usage error naming the flag."""
+
+    def convert(text):
+        try:
+            return parse(text, *args)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return convert
+
+
+@_flag
+def _peaks(text):
+    """--peaks: each entry a center, or a center:fwhm:amp triple."""
+    entries = [parse_floats(item, (1, 3), ":") for item in text.split(",")]
+    return [entry if len(entry) == 3 else entry[0] for entry in entries]
+
+
+@_flag
+def _seeds(text):
+    """--seeds: {label: (center, fwhm)} of label=center:fwhm entries."""
+    seeds = {}
+    for item in text.split(","):
+        label, eq, peak = item.partition("=")
+        label = label.strip()
+        if not eq:
+            raise ValueError(f"{item!r} is not label=center:fwhm")
+        if label in seeds:
+            raise ValueError(f"seed label {label!r} appears twice")
+        seeds[label] = parse_floats(peak, (2,), ":", key=label)
+    return seeds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -521,17 +489,17 @@ def build_parser():
     p.add_argument("--lambda-c", type=float, help="mode wavelength, nm")
     p.add_argument("--lambda-i", type=float, help="emitter wavelength, nm")
     p.add_argument("--line-width", type=float, default=0.0, help="emitter linewidth, nm")
-    p.add_argument("--dipole", help="dipole axis x,y,z (normalized on input)")
-    p.add_argument("--field-axis", help="cavity field axis x,y,z")
+    p.add_argument("--dipole", type=_flag(parse_floats, (3,)), help="dipole axis x,y,z (normalized on input)")
+    p.add_argument("--field-axis", type=_flag(parse_floats, (3,)), help="cavity field axis x,y,z")
     p.add_argument("--fieldmap", help="field map CSV")
-    p.add_argument("--pos", help="emitter position x,y in the map frame, nm")
+    p.add_argument("--pos", type=_flag(parse_floats, (2,)), help="emitter position x,y in the map frame, nm")
     p.add_argument("--f-phc", type=float, default=None, help="bandgap inhibition factor")
     p.add_argument("--budget", help="RadiativeBudget JSON file")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_purcell)
 
     p = sub.add_parser("simulate", help="simulate a detected photon stream")
-    p.add_argument("--rates", required=True, help="k12,k21,k23,k31 in Hz")
+    p.add_argument("--rates", type=_flag(parse_floats, (4,)), required=True, help="k12,k21,k23,k31 in Hz")
     p.add_argument("--duration", type=float, required=True, help="acquisition time, s")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--jitter", type=float, default=0.0, help="detector timing jitter sigma, s")
@@ -547,7 +515,7 @@ def build_parser():
     g = gsub.add_parser("fit", help="fit the two-exponential model to a histogram CSV")
     g.add_argument("--hist", required=True, help="CSV with tau_s,g2[,sigma]")
     g.add_argument("--irf", type=float, default=None, help="Gaussian kernel width on the delay axis, s")
-    g.add_argument("--init", help="a,tau1_s,tau2_s initial guess")
+    g.add_argument("--init", type=_flag(parse_floats, (3,)), help="a,tau1_s,tau2_s initial guess")
     g.add_argument("--out")
     g.set_defaults(func=cmd_g2_fit)
 
@@ -572,7 +540,7 @@ def build_parser():
 
     s = ssub.add_parser("fit", help="multi-Lorentzian peak fit of a spectrum CSV")
     s.add_argument("--spectrum", required=True)
-    s.add_argument("--peaks", required=True,
+    s.add_argument("--peaks", type=_peaks, required=True,
                    help="initial peaks: center[,center...] or center:fwhm:amp entries")
     s.add_argument("--poisson", action="store_true", help="use sqrt(N) count weighting")
     s.add_argument("--out")
@@ -580,17 +548,17 @@ def build_parser():
 
     s = ssub.add_parser("track", help="track modes across a tuning manifest")
     s.add_argument("--manifest", required=True, help="tuning manifest JSON")
-    s.add_argument("--seeds", required=True, help="label=center:fwhm[,...] at the first step")
+    s.add_argument("--seeds", type=_seeds, required=True, help="label=center:fwhm[,...] at the first step")
     s.add_argument("--emit-curves", help="write per-step track CSV here")
     s.add_argument("--out")
     s.set_defaults(func=cmd_spectra_track)
 
     s = ssub.add_parser("enhance", help="on/off-resonance line enhancement from a manifest")
     s.add_argument("--manifest", required=True)
-    s.add_argument("--seeds", required=True)
+    s.add_argument("--seeds", type=_seeds, required=True)
     s.add_argument("--lambda-i", type=float, required=True, help="emitter line wavelength, nm")
     s.add_argument("--line-width", type=float, default=0.0)
-    s.add_argument("--modes", help="comma-separated track labels to treat as tuning modes")
+    s.add_argument("--modes", type=methodcaller("split", ","), help="comma-separated track labels to treat as tuning modes")
     s.add_argument("--out")
     s.set_defaults(func=cmd_spectra_enhance)
 

@@ -139,7 +139,6 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names):
     before = None  # the point before p, whose cost is above p's
 
     jac = jacobian_fn(p)
-    jac_at = p  # the point jac was taken at
     # rank test on jac with unit columns (MINPACK's scaling): free of the parameters' units
     norms = np.linalg.norm(jac, axis=0)
     scaled = jac / np.where(norms > 0.0, norms, 1.0)
@@ -198,17 +197,13 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names):
         step_rel = math.sqrt(float(d @ d)) / (math.sqrt(float(p @ p)) + 1e-300)
         cost_rel = (cost - cost_new) / max(cost, 1e-300)
         before, p, r, cost = p, p_new, r_new, cost_new
+        jac = jacobian_fn(p)
         trace.append(cost)
         lam = max(lam / 3.0, 1e-14)
         if step_rel < STEP_RTOL or cost_rel < COST_RTOL:
             converged = True
             break
-        if iterations < MAX_ITERATIONS:
-            jac = jacobian_fn(p)
-            jac_at = p
 
-    if jac_at is not p:
-        jac = jacobian_fn(p)
     if converged:
         # a few undamped Gauss-Newton polish steps remove the offset that the
         # relative stopping tests and the trust parameter leave

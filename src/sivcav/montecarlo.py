@@ -628,9 +628,10 @@ def load_stream(path):
     integer counts and codes the stream takes without a copy; any other
     file goes through the table reader, whose faults are reported first.
     Under '# time_unit=ps' a timestamp that is not a non-negative integer
-    fails as a bad timestamp at its line."""
+    fails as a bad timestamp at its line; a duration_s or seed header that
+    float or int rejects fails at its own line."""
     codes = {label: i for i, label in enumerate(CHANNEL_LABELS)}
-    headers = {"time_unit": _time_unit}
+    headers = {"time_unit": _time_unit, "duration_s": float, "seed": int}
     table = None
     counts = read_counts(path, codes, headers)
     if counts is None:
@@ -638,11 +639,9 @@ def load_stream(path):
                            labels={1: (codes, "unknown channel {!r}")}, headers=headers)
         counts = table.meta, table.columns[0], table.columns[1].astype(np.uint8)
     meta, times, tags = counts
-    try:
-        duration = float(meta["duration_s"])
-        seed = int(meta.get("seed", 0))
-    except (KeyError, ValueError):
-        raise InputFormatError(path, 0, "missing or bad '# duration_s=' header") from None
+    if "duration_s" not in meta:
+        raise InputFormatError(path, 0, "missing '# duration_s=' header")
+    duration, seed = meta["duration_s"], meta.get("seed", 0)
     if "time_unit" in meta:
         if duration * PS_PER_S >= MAX_PS:
             raise InputFormatError(path, 0, f"duration_s={duration!r} is 2^51 ps or more")

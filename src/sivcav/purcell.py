@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
-from ._table import read_table, write_table
+from ._table import parse_floats, read_table, write_table
 from .errors import (
     DomainError,
     InfeasibleMeasurementError,
@@ -143,8 +144,8 @@ def modified_budget(
 
 
 def pl_enhancement(f_cav: float, f_phc: float) -> float:
-    """On/off-resonance PL intensity ratio f_cav / f_phc of the coupled line."""
-    f_phc = _number("f_phc", f_phc, "be positive")
+    """On/off-resonance PL intensity ratio f_cav / f_phc, f_phc in (0, 1], of the coupled line."""
+    f_phc = _number("f_phc", f_phc, "lie in (0, 1]")
     return _number("f_cav", f_cav, "be non-negative") / f_phc
 
 
@@ -275,26 +276,11 @@ def save_field_map(field: FieldMap, path):
         write_table(fh, *field.grid.T)
 
 
-def _header_floats(count, count_error, value_error):
-    """Parser of a header value of ``count`` comma-separated numbers."""
-
-    def parse(text):
-        parts = text.split(",")
-        if len(parts) != count:
-            raise ValueError(count_error)
-        try:
-            return tuple(map(float, parts)) if count > 1 else float(parts[0])
-        except ValueError:
-            raise ValueError(value_error) from None
-
-    return parse
-
-
 def load_field_map(path) -> FieldMap:
     table = read_table(
         path, None, "inconsistent row length", "bad amplitude value",
-        headers={"spacing_nm": _header_floats(1, "bad spacing_nm value", "bad spacing_nm value"),
-                 "origin": _header_floats(2, "origin needs two components", "bad origin value")},
+        headers={key: partial(parse_floats, counts=(count,), key=key)
+                 for key, count in (("spacing_nm", 1), ("origin", 2))},
     )
     for key in ("spacing_nm", "origin"):
         if key not in table.meta:
@@ -302,6 +288,6 @@ def load_field_map(path) -> FieldMap:
     if not table.lines.size:
         raise InputFormatError(path, 0, "no amplitude rows")
     try:
-        return FieldMap(table.columns.T.copy(), table.meta["spacing_nm"], table.meta["origin"])
+        return FieldMap(table.columns.T.copy(), *table.meta["spacing_nm"], table.meta["origin"])
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None

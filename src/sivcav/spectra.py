@@ -136,6 +136,7 @@ def track_modes(steps, seed_peaks) -> TuningSeries:
     steps = sorted(((int(s), spec) for s, spec in steps), key=lambda pair: pair[0])
     if not steps:
         raise DomainError("no spectra supplied")
+    series = TuningSeries(steps, {})  # checks the steps before any fit
     if not seed_peaks:
         raise DomainError("no seed peaks supplied")
 
@@ -150,7 +151,7 @@ def track_modes(steps, seed_peaks) -> TuningSeries:
         for label, (c, w) in seed_peaks.items()
     }
 
-    for step_index, spectrum in steps:
+    for step_index, spectrum in series.steps:
         active = [st for st in state.values() if st["terminated"] is None]
         if not active:
             break
@@ -188,7 +189,7 @@ def track_modes(steps, seed_peaks) -> TuningSeries:
         lbl: ModeTrack(lbl, tuple(st["points"]), st["terminated"], tuple(st["flags"]))
         for lbl, st in state.items()
     }
-    return TuningSeries(tuple(steps), tracks)
+    return replace(series, tracked_modes=tracks)
 
 
 def _fit_line_area(series: TuningSeries, step: int, line: EmitterLine, mode_tracks) -> float:

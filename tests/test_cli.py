@@ -605,15 +605,20 @@ class TestSpectraCommands:
         assert peak["center"] == pytest.approx(739.9, abs=1e-6)
         assert peak["q"] == pytest.approx(739.9 / 2.3, rel=1e-4)
 
-    @pytest.mark.parametrize("entry", ["739:2", "739:2:800:1", "abc", "739:x:800"])
-    def test_bad_peaks_entry_exit_2(self, capsys, spectrum_file, entry):
+    @pytest.mark.parametrize("entry, fault", [
+        ("739:2", "needs 1 or 3 numbers joined by ':', got 2"),
+        ("739:2:800:1", "needs 1 or 3 numbers joined by ':', got 4"),
+        ("abc", "holds 'abc', which is not a number"),
+        ("739:x:800", "holds 'x', which is not a number"),
+    ], ids=["739:2", "739:2:800:1", "abc", "739:x:800"])
+    def test_bad_peaks_entry_exit_2(self, capsys, spectrum_file, entry, fault):
         code, out, err = run_cli(
             capsys, "spectra", "fit", "--spectrum", str(spectrum_file), "--peaks", f"739.0,{entry}"
         )
         assert code == 2
         assert out is None
         assert json.loads(err)["error"] == {
-            "type": "domain", "message": f"bad --peaks entry {entry!r} (use center or center:fwhm:amp)"}
+            "type": "usage", "message": f"sivcav spectra fit: argument --peaks: {entry!r} {fault}"}
 
     def test_track_emit_curves_rows(self, capsys, tmp_path):
         manifest, _steps = write_manifest(tmp_path)
@@ -635,10 +640,11 @@ class TestSpectraCommands:
             assert fwhm == pytest.approx(2.3, rel=0.01)
 
     @pytest.mark.parametrize("seeds, message", [
-        ("o1=769.0", "--seeds must look like label=center:fwhm[,label=center:fwhm...]"),
-        ("o1:769.0:2.3", "--seeds must look like label=center:fwhm[,label=center:fwhm...]"),
-        ("o1=769.0:2.3,zpl=abc:0.35", "bad seed peak 'zpl=abc:0.35'"),
-    ])
+        ("o1=769.0", "'o1=769.0' needs 2 numbers joined by ':', got 1"),
+        ("o1:769.0:2.3", "'o1:769.0:2.3' is not label=center:fwhm"),
+        ("o1=769.0:2.3,zpl=abc:0.35", "'zpl=abc:0.35' holds 'abc', which is not a number"),
+        ("o1=770:2.3,o1=750:2.3", "seed label 'o1' appears twice"),
+    ], ids=["no-fwhm", "no-label", "non-numeric", "label-twice"])
     def test_malformed_seeds_exit_2(self, capsys, tmp_path, seeds, message):
         manifest, _steps = write_manifest(tmp_path)
         code, out, err = run_cli(
@@ -646,7 +652,24 @@ class TestSpectraCommands:
         )
         assert code == 2
         assert out is None
-        assert json.loads(err)["error"] == {"type": "domain", "message": message}
+        assert json.loads(err)["error"] == {
+            "type": "usage", "message": f"sivcav spectra track: argument --seeds: {message}"}
+
+    def test_step_index_twice_exit_2_before_any_fit(self, capsys, tmp_path, monkeypatch):
+        """A manifest that lists a step index twice fails on the steps'
+        own rule before the first fit, not in the tracks' rate prediction."""
+        manifest, steps = write_manifest(tmp_path)
+        entries = [{"index": index, "file": os.path.basename(step)} for index, step in zip((0, 0, 1), steps)]
+        manifest.write_text(json.dumps({"steps": entries}))
+        fits = []
+        monkeypatch.setattr(fitting, "fit_lorentzians", lambda *args, **kwargs: fits.append(args))
+        code, out, err = run_cli(capsys, "spectra", "track", "--manifest", str(manifest),
+                                 "--seeds", "o1=769.0:2.3")
+        assert code == 2
+        assert out is None
+        error = json.loads(err)["error"]
+        assert (error["type"], error["violations"]) == ("validation", ["step indices must be strictly increasing"])
+        assert fits == []
 
     def test_nonconverged_fit_exit_3_with_report(self, capsys, tmp_path, monkeypatch):
         fit_cos2 = fitting.fit_cos2
@@ -834,8 +857,8 @@ SUBCOMMAND_CASES = ["purcell", "simulate", "g2-correlate", "g2-fit", "g2-sweep",
     ("spectra-enhance", ["--seeds", "o1=nan:2.3"], "seed 'o1' center must be finite, got nan"),
     ("spectra-enhance", ["--seeds", "o1=769:-2.3"], "seed 'o1' fwhm must be positive, got -2.3"),
     ("purcell", ["--f-phc", "1.5"], "f_phc must lie in (0, 1], got 1.5"),
-    ("purcell", ["--f-phc", "0"], "f_phc must be positive, got 0.0"),
-    ("purcell", ["--f-phc", "nan"], "f_phc must be positive, got nan"),
+    ("purcell", ["--f-phc", "0"], "f_phc must lie in (0, 1], got 0.0"),
+    ("purcell", ["--f-phc", "nan"], "f_phc must lie in (0, 1], got nan"),
 ])
 def test_bad_numeric_flag_exit_2_before_writing(capsys, tmp_path, stream_file, case, flags, message):
     """An out-of-range or non-finite numeric flag exits 2 with a domain error
@@ -849,11 +872,64 @@ def test_bad_numeric_flag_exit_2_before_writing(capsys, tmp_path, stream_file, c
     assert set(tmp_path.rglob("*")) == before
 
 
+# (case, flag, a value of a wrong count, a value with a part that is no number);
+# a fault of --peaks or --seeds names the entry at fault
+NUMBER_LIST_FLAGS = [
+    ("simulate", "--rates", "1,2,3", "1,2,x,4"),
+    ("g2-fit", "--init", "0.5,1e-9", "0.5,1e-9,x"),
+    ("purcell", "--dipole", "1,1", "1,1,x"),
+    ("purcell", "--field-axis", "1,1,0,0", "x,1,0"),
+    ("purcell", "--pos", "1", "1,"),
+    ("spectra-fit", "--peaks", "739:2", "739,x"),
+    ("spectra-track", "--seeds", "o1=769", "o1=769:x"),
+]
+
+
+@pytest.mark.parametrize("case, flag, value, fault", [
+    pytest.param(case, flag, value, fault, id=f"{flag[2:]}-{kind}") for case, flag, *values in NUMBER_LIST_FLAGS
+    for value, fault, kind in zip(values, (" numbers joined by ", ", which is not a number"), ("count", "non-number"))
+])
+def test_malformed_number_list_flag_is_a_usage_error(capsys, tmp_path, stream_file, case, flag, value, fault):
+    """Every number-list flag is parsed by argparse: a wrong count or a part
+    that is no number exits 2 with a usage error naming the flag, and no
+    output file is written."""
+    argv, _files = every_subcommand(tmp_path, stream_file)[case]
+    before = set(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, *argv, flag, value, "--out", str(tmp_path / "report.json"))
+    assert code == 2
+    assert out is None
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert error["message"].startswith(f"sivcav {case.replace('-', ' ')}: argument {flag}: '")
+    assert fault in error["message"]
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_number_list_flags_echo_parsed(capsys, tmp_path, stream_file):
+    """inputs.flags holds a number-list flag as its parsed value."""
+    argv, _files = every_subcommand(tmp_path, stream_file)["spectra-enhance"]
+    code, doc, _err = run_cli(capsys, *argv)
+    assert code == 0
+    flags = doc["inputs"]["flags"]
+    assert flags["seeds"] == {"o1": [769.0, 2.3], "zpl": [739.9, 0.35]}
+    assert flags["modes"] == ["o1"]
+    code, doc, _err = run_cli(capsys, "purcell", "--scenario", "siv4", "--dipole", "1,1,0", "--pos", "0,5")
+    assert code == 0
+    assert (doc["inputs"]["flags"]["dipole"], doc["inputs"]["flags"]["pos"]) == ([1.0, 1.0, 0.0], [0.0, 5.0])
+
+
 @pytest.mark.parametrize("argv, error_type, message", [
     (["simulate", "--rates", "1,2,3", "--duration", "1e-4", "--out-stream", "{tmp}/s.csv"],
-     "domain", "--rates needs 4 comma-separated values"),
+     "usage", "sivcav simulate: argument --rates: '1,2,3' needs 4 numbers joined by ',', got 3"),
     (["simulate", "--rates", "1,2,x,4", "--duration", "1e-4", "--out-stream", "{tmp}/s.csv"],
-     "domain", "--rates has a non-numeric component: '1,2,x,4'"),
+     "usage", "sivcav simulate: argument --rates: '1,2,x,4' holds 'x', which is not a number"),
+    (["simulate", "--rates", "1,2,3,4", "--jitter", "abc", "--duration", "1e-4", "--out-stream", "{tmp}/s.csv"],
+     "usage", "sivcav simulate: argument --jitter: invalid float value: 'abc'"),
+    (["purcell", "--scenario", "siv4", "--dipole", "1,1"],
+     "usage", "sivcav purcell: argument --dipole: '1,1' needs 3 numbers joined by ',', got 2"),
+    (["purcell", "--scenario", "siv4", "--pos", "1"],
+     "usage", "sivcav purcell: argument --pos: '1' needs 2 numbers joined by ',', got 1"),
+    (["purcell", "--scenario", "siv3", "--f-phc", "1.5"], "domain", "f_phc must lie in (0, 1], got 1.5"),
     (["purcell", "--lambda-i", "737", "--dipole", "0,0,0"], "domain", "zero-length axis vector"),
     (["purcell", "--budget", "{tmp}/bad.json"], "input-format", "{tmp}/bad.json:2: bad JSON: Expecting value"),
     (["purcell", "--q", "430"], "domain", "--q, --vmode and --lambda-c must be given together"),
@@ -873,7 +949,8 @@ def test_bad_numeric_flag_exit_2_before_writing(capsys, tmp_path, stream_file, c
     (["simulate", "--rates", "1e8,2e9,1e8,5e7", "--duration", "1e-4", "--budget",
       "{tmp}/stale.json", "--out-stream", "{tmp}/s.csv"],
      "input-format", "{tmp}/stale.json:0: unknown key 'label'"),
-], ids=["rates-count", "rates-non-numeric", "zero-dipole", "bad-budget-json", "q-without-vmode",
+], ids=["rates-count", "rates-non-numeric", "jitter-non-numeric", "unused-dipole-count",
+        "unused-pos-count", "siv3-f_phc-above-1", "zero-dipole", "bad-budget-json", "q-without-vmode",
         "polarization-without-input", "out-is-directory", "mixture-without-modes",
         "budget-without-key", "budget-not-an-object", "manifest-step-without-file",
         "purcell-budget-with-stale-key", "simulate-budget-with-stale-key"])

@@ -602,7 +602,7 @@ ARGUMENT_RULES = [
     ("modified_budget", "f_phc", "lie in (0, 1]", (0.0, 1.5)),
     ("modified_budget", "f_cav", "be non-negative", (-1.0,)),
     ("pl_enhancement", "f_cav", "be non-negative", (-1.0,)),
-    ("pl_enhancement", "f_phc", "be positive", (0.0,)),
+    ("pl_enhancement", "f_phc", "lie in (0, 1]", (0.0, 1.5)),
     ("infer_bulk_qe_from_inhibition", "tau_bulk", "be positive", (0.0,)),
     ("infer_bulk_qe_from_inhibition", "f_phc", "lie in (0, 1)", (0.0, 1.0)),
     ("rescale_qe", "eta", "lie in [0, 1]", (-0.5, 1.5)),

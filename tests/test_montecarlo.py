@@ -1020,7 +1020,7 @@ class TestStreamIO:
     def test_missing_duration_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# seed=1\n1e-6,ZPL\n")
-        with pytest.raises(InputFormatError, match="bad.csv:0: missing or bad '# duration_s='"):
+        with pytest.raises(InputFormatError, match="bad.csv:0: missing '# duration_s='"):
             montecarlo.load_stream(path)
 
     @pytest.mark.parametrize("body", [
@@ -1187,7 +1187,9 @@ class TestStreamBytes:
         ("# duration_s=1e-08\n# time_unit=ns\n1000,ZPL\n", ":2: unknown time_unit 'ns'"),
         ("# duration_s=1e-08\n# time_unit=ps\n1000,ZPL\n99999,PSB\n", ":0: timestamps must lie"),
         ("# duration_s=1e-08\n# time_unit=ps\n2000,ZPL\n1000,PSB\n", ":0: timestamps must be sorted"),
-        ("# time_unit=ps\n1000,ZPL\n", ":0: missing or bad '# duration_s='"),
+        ("# time_unit=ps\n1000,ZPL\n", ":0: missing '# duration_s='"),
+        ("# duration_s=1e-08s\n# time_unit=ps\n1000,ZPL\n", ":1: could not convert string to float: '1e-08s'"),
+        ("# duration_s=1e-08\n# seed=1.5\n# time_unit=ps\n1000,ZPL\n", ":2: invalid literal for int() with base 10: '1.5'"),
         (f"# duration_s={2.0**51 / 1e12!r}\n# time_unit=ps\n1000,ZPL\n", ":0: duration_s="),
     ])
     def test_faults_of_well_formed_rows(self, tmp_path, monkeypatch, text, where):

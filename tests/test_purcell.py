@@ -420,9 +420,12 @@ class TestFieldMapIO:
             purcell.load_field_map(path)
 
     @pytest.mark.parametrize("text, where", [
-        ("# spacing_nm=zz\n# origin=0,0\n1.0,2.0\n3.0,oops\n", ":1: bad spacing_nm value"),
-        ("# spacing_nm=10\n# origin=1\n1.0,2.0\n3.0,4.0\n", ":2: origin needs two components"),
-        ("# spacing_nm=10\n1.0,2.0\n# origin=a,b\n3.0,oops\n", ":3: bad origin value"),
+        ("# spacing_nm=zz\n# origin=0,0\n1.0,2.0\n3.0,oops\n", ":1: 'spacing_nm=zz' holds 'zz', which is not a number"),
+        ("# spacing_nm=10,10\n# origin=0,0\n1.0,2.0\n3.0,4.0\n",
+         ":1: 'spacing_nm=10,10' needs 1 number joined by ',', got 2"),
+        ("# spacing_nm=10\n# origin=1\n1.0,2.0\n3.0,4.0\n", ":2: 'origin=1' needs 2 numbers joined by ',', got 1"),
+        ("# spacing_nm=10\n1.0,2.0\n# origin=a,b\n3.0,oops\n", ":3: 'origin=a,b' holds 'a', which is not a number"),
+        ("# spacing_nm=10\n# origin=0,x\n1.0,2.0\n3.0,4.0\n", ":2: 'origin=0,x' holds 'x', which is not a number"),
         ("# spacing_nm=10\n# origin=0,0\n1.0,2.0\n\n3.0,4.0,5.0\n", ":5: inconsistent row length"),
         ("# spacing_nm=10\n# origin=0,0\n1.0,2.0\n3.0,x,5.0\n", ":4: bad amplitude value"),
     ])

@@ -31,16 +31,18 @@ SOURCES = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 KEEP = {
     "dynamics.generator": "criterion 06: the rate matrix G of the three-level model; "
                           "g2_analytic is held to expm(G t) and its eigenvalues",
-    "dynamics.PumpModel.p_sat": "ROADMAP item 5: the saturation power behind the paper's quantum efficiency",
-    "dynamics.saturation_curve": "ROADMAP item 5: the paper's quantum efficiency",
-    "dynamics.qe_from_saturation": "ROADMAP item 5: the paper's quantum efficiency",
-    "dynamics.save_power_sweep": "ROADMAP item 5: writes test inputs; moving it into the tests removes no code",
+    "dynamics.PumpModel.p_sat": "ROADMAP item 3: the saturation power behind the paper's quantum efficiency",
+    "dynamics.saturation_curve": "ROADMAP item 3: the paper's quantum efficiency, a headline number",
+    "dynamics.qe_from_saturation": "ROADMAP item 3: the paper's quantum efficiency, a headline number",
+    "dynamics.save_power_sweep": "writes the power-sweep CSV that g2 sweep reads, as the tests' inputs; "
+                                 "moving it into the tests removes no code",
     "fitting.fit_saturation": "criterion 09: the saturation fit",
     "purcell.invert_budget": "criterion 03: budget inversion",
     "purcell.infer_bulk_qe_from_inhibition": "criterion 04: inhibition chain",
     "purcell.nanosphere_factor": "criterion 05: nanosphere rescaling",
     "purcell.rescale_qe": "criterion 05: nanosphere rescaling",
-    "spectra.save_spectrum": "ROADMAP item 5: writes test inputs; moving it into the tests removes no code",
+    "spectra.save_spectrum": "writes the spectrum CSV that spectra fit and track read, as the tests' inputs; "
+                             "moving it into the tests removes no code",
 }
 
 DOCUMENTS = {
