@@ -7,9 +7,11 @@ stderr), 3 analysis non-convergence. The only environment variable honored
 is SIVCAV_SEED, the default random seed.
 
 The parser parses every flag given, lists of numbers included, before any file
-is read; a malformed one is a usage error. Each cmd_* computes and writes its
-outputs, noting every file it reads or writes; _run owns the report: it hashes
-those files, builds, checks and emits the report, and picks the exit code.
+is read; a malformed one is a usage error. A bundled purcell scenario is a
+saved list of purcell flags, which _parse places before the flags given. Each
+cmd_* reads only its args, computes and writes its outputs, noting every file
+it reads or writes; _run owns the report: it hashes those files, builds,
+checks and emits the report, and picks the exit code.
 
 The module imports only what the parser and _run need; each cmd_* imports
 the analysis modules it runs, so a subcommand compiles no module it does not
@@ -22,8 +24,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import resources
-from operator import methodcaller
+from functools import partial
+from operator import itemgetter, methodcaller
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .models import (
+    UNIT_NORM_TOL,
     CavityMode,
     EmitterLine,
     G2Params,
@@ -45,6 +49,8 @@ from .models import (
 )
 
 NONCONVERGED_EXIT = 3
+_PACKAGE = Path(__file__).resolve().parent
+_SCENARIOS = _PACKAGE / "scenarios"
 
 
 def _default_seed():
@@ -56,40 +62,24 @@ def _default_seed():
 
 
 def _unit(v):
-    normed = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(normed))
+    """v as a unit axis: divided by its norm, unless that is within UNIT_NORM_TOL of 1."""
+    axis = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(axis))
     if norm == 0:
         raise DomainError("zero-length axis vector")
-    return tuple(normed / norm)
+    return tuple(axis if abs(norm - 1.0) <= UNIT_NORM_TOL else axis / norm)
 
 
-def _load_budget(path, paths):
+def _read(read, path, paths):
+    """read(path), noting path in paths; None where path is None."""
+    if path is None:
+        return None
     paths.append(path)
-    return read_document(path, RadiativeBudget.from_dict)
+    return read(path)
 
 
-def _scenario_dir():
-    return resources.files("sivcav").joinpath("scenarios")
-
-
-def _load_scenario(name):
-    path = _scenario_dir().joinpath(f"{name}.json")
-    if not path.is_file():
-        available = sorted(p.name[:-5] for p in _scenario_dir().iterdir() if p.name.endswith(".json"))
-        raise DomainError(f"unknown scenario {name!r}; available: {', '.join(available)}")
-    with resources.as_file(path) as real:
-        return read_document(real, _scenario)
-
-
-def _scenario(doc):
-    """A scenario document with its budget, mode and line as types (None where absent)."""
-    return dict(doc, budget=RadiativeBudget.from_dict(doc["budget"]) if doc.get("budget") else None,
-                mode=CavityMode.from_dict(doc["mode"]) if doc.get("mode") else None,
-                line=EmitterLine.from_dict(doc["line"]) if doc.get("line") else None)
-
-
-def _num(value, units, sigma=None):
-    return report.result_entry(value, units, sigma)
+_read_budget = partial(read_document, make=RadiativeBudget.from_dict)
+_num = report.result_entry
 
 
 def _rates_entry(budget, kind):
@@ -118,52 +108,43 @@ class _Outcome(NamedTuple):
 def cmd_purcell(args, paths):
     from . import purcell
 
-    if args.fieldmap and args.pos is None:
-        raise DomainError("--fieldmap requires --pos x,y")
-    doc = _load_scenario(args.scenario) if args.scenario else {}
-    budget, mode, line = doc.get("budget"), doc.get("mode"), doc.get("line")
-    f_phc = doc.get("f_phc") if args.f_phc is None else args.f_phc
-    axis = args.field_axis or doc.get("field_axis")
-    field_axis = _unit(axis) if axis else None
-    fieldmap, fieldmap_pos = None, doc.get("fieldmap_position")
-    if doc.get("fieldmap"):
-        with resources.as_file(_scenario_dir().joinpath(doc["fieldmap"])) as real:
-            fieldmap = purcell.load_field_map(real)
-            paths.append((f"sivcav/scenarios/{doc['fieldmap']}", str(real)))
-    if args.fieldmap:
-        fieldmap, fieldmap_pos = purcell.load_field_map(args.fieldmap), args.pos
-        paths.append(args.fieldmap)
-    if args.q is not None or args.vmode is not None or args.lambda_c is not None:
-        if None in (args.q, args.vmode, args.lambda_c):
-            raise DomainError("--q, --vmode and --lambda-c must be given together")
-        mode = CavityMode(args.lambda_c, args.q, args.vmode)
-    if args.lambda_i is not None:
-        line = EmitterLine(args.lambda_i, args.line_width, _unit(args.dipole or (1.0, 0.0, 0.0)))
-    if args.budget:
-        budget = _load_budget(args.budget, paths)
+    needs = [(name, "--lambda-i", args.lambda_i) for name in ("dipole", "line_width", "field_axis")]
+    needs += [("fieldmap", "--pos x,y", args.pos), ("pos", "--fieldmap", args.fieldmap),
+              *((name, "--q, --vmode and --lambda-c", args.q) for name in ("lambda_i", "fieldmap"))]
+    for name, needed, given in needs:
+        if getattr(args, name) is not None and given is None:
+            raise DomainError(f"--{name.replace('_', '-')} requires {needed}")
+    if len({args.q is None, args.vmode is None, args.lambda_c is None}) > 1:
+        raise DomainError("--q, --vmode and --lambda-c must be given together")
+    mode = CavityMode(args.lambda_c, args.q, args.vmode) if args.q is not None else None
+    line = (EmitterLine(args.lambda_i, args.line_width or 0.0, _unit(args.dipole or (1.0, 0.0, 0.0)))
+            if args.lambda_i is not None else None)
+    field_axis = _unit(args.field_axis) if args.field_axis else None
+    fieldmap = _read(purcell.load_field_map, args.fieldmap, paths)
+    budget = _read(_read_budget, args.budget, paths)
 
     results = {}
     f_cav = None
     if mode is not None:
         f_p = purcell.ideal_purcell(mode)
-        r_lambda = purcell.spectral_overlap(line, mode) if line is not None else 1.0
-        r_mu = purcell.orientation_overlap(line.dipole_axis, field_axis) if field_axis and line else 1.0
-        r_r = purcell.spatial_overlap(fieldmap, fieldmap_pos) if fieldmap and fieldmap_pos is not None else 1.0
+        r_lambda = purcell.spectral_overlap(line, mode) if line else 1.0
+        r_mu = purcell.orientation_overlap(line.dipole_axis, field_axis) if field_axis else 1.0
+        r_r = purcell.spatial_overlap(fieldmap, args.pos) if fieldmap else 1.0
         f_cav = purcell.effective_purcell(f_p, r_lambda, r_mu, r_r)
         chain = {"f_p": f_p, "r_lambda": r_lambda, "r_mu": r_mu, "r_r": r_r, "f_cav": f_cav}
-        if f_phc is not None:
-            chain["i_pl"] = purcell.pl_enhancement(f_cav, f_phc)
+        if args.f_phc is not None:
+            chain["i_pl"] = purcell.pl_enhancement(f_cav, args.f_phc)
         results = {name: _num(value, "dimensionless") for name, value in chain.items()}
 
     if budget is not None:
         results["rates_bulk"] = _rates_entry(budget, "bulk")
         results["eta_qe_bulk"] = _num(budget.eta_qe, "dimensionless")
-        if f_phc is not None and f_phc < 1.0:
-            bandgap = purcell.modified_budget(budget, f_phc)
+        if args.f_phc is not None and args.f_phc < 1.0:
+            bandgap = purcell.modified_budget(budget, args.f_phc)
             results["rates_phc"] = _rates_entry(bandgap, "bandgap_only")
             results["eta_qe_phc"] = _num(bandgap.eta_qe, "dimensionless")
-        if f_cav is not None and f_phc is not None:
-            cavity = purcell.modified_budget(budget, f_phc, f_cav)
+        if f_cav is not None and args.f_phc is not None:
+            cavity = purcell.modified_budget(budget, args.f_phc, f_cav)
             beta_total, beta_radiative = purcell.mode_emission_fractions(cavity)
             results["rates_cav"] = _rates_entry(cavity, "cavity_coupled")
             results["eta_qe_cav"] = _num(cavity.eta_qe, "dimensionless")
@@ -185,10 +166,8 @@ def cmd_simulate(args, paths):
     from . import dynamics
 
     rates = ThreeLevelRates(*args.rates)
-    if args.budget:
-        budget = _load_budget(args.budget, paths)
-    else:
-        budget = RadiativeBudget(1.0, 0.0, 0.0)  # fully radiative, all-ZPL split
+    # without a budget, fully radiative with an all-ZPL split
+    budget = _read(_read_budget, args.budget, paths) or RadiativeBudget(1.0, 0.0, 0.0)
     stream = montecarlo.simulate_stream(rates, budget, args.duration, args.det_eff, args.seed)
     stream = montecarlo.apply_jitter(stream, args.jitter, args.seed + 1)
     montecarlo.save_stream(
@@ -357,13 +336,18 @@ def _mixture(doc):
               CavityMode(m["lambda_c"], m["q_factor"], m.get("mode_volume", 1.0)))
              for m in doc["modes"]]
     dspec = doc["detunings"]
-    detunings = np.linspace(dspec["start"], dspec["stop"], int(dspec["num"]))
+    num = dspec["num"]
+    if isinstance(num, bool) or not isinstance(num, (int, float)) or not num >= 1 or num % 1:
+        raise ValueError(f"detunings num must be a whole number of at least 1, got {num!r}")
+    detunings = np.linspace(dspec["start"], dspec["stop"], int(num))
     return emitter, modes, doc["line_lambda"], detunings
 
 
 def cmd_spectra_polarization(args, paths):
     from . import fitting, spectra
 
+    if args.emit_curves and not args.mixture:
+        raise DomainError("--emit-curves requires --mixture")
     if args.scan:
         scan = spectra.load_polarization_scan(args.scan)
         paths.append(args.scan)
@@ -377,8 +361,6 @@ def cmd_spectra_polarization(args, paths):
         }
         summary = [f"cos^2 fit: phi0 = {fit['phi0']:.2f} deg, visibility {visibility:.3f}"]
         return _Outcome(results, summary, fit)
-    if not args.mixture:
-        raise DomainError("supply --scan CSV or --mixture JSON")
     emitter, modes, line_lambda, detunings = read_document(args.mixture, _mixture)
     paths.append(args.mixture)
     angles = spectra.polarization_mixture(emitter, modes, line_lambda, detunings)
@@ -404,10 +386,10 @@ def cmd_spectra_polarization(args, paths):
 
 def _run(args):
     """Run the subcommand args name and emit its report: the flags, a SHA-256
-    of each file the subcommand added to paths (a path, or a (key, path) pair
-    for a file keyed by another name), its results (with the fit's
-    convergence flag and record, if it fitted), its --seed and provenance.
-    Exit 3 when the fit did not converge."""
+    of each file the subcommand added to paths (keyed by the path, or a file
+    inside the package by sivcav/<its path there>), its results (with the
+    fit's convergence flag and record, if it fitted), its --seed and
+    provenance. Exit 3 when the fit did not converge."""
     paths = []
     outcome = args.func(args, paths)
     results = outcome.results
@@ -415,16 +397,20 @@ def _run(args):
         results = {**results, "converged": {"value": outcome.fit.converged, "units": "flag"},
                    "fit": {"value": outcome.fit.to_dict(), "units": "json"}}
     flags = {key: value for key, value in vars(args).items() if not callable(value)}
-    files = {}
-    for entry in paths:
-        key, path = entry if isinstance(entry, tuple) else (entry, entry)
-        files[key] = report.file_sha256(path)
+    files = {_file_key(path): report.file_sha256(path) for path in paths}
     doc = report.build_report(
         args.func.__name__[len("cmd_"):].replace("_", "-"), {"flags": flags, "files": files},
         results, seed=getattr(args, "seed", None), extra_provenance=outcome.provenance,
     )
     report.emit_report(doc, args.out, outcome.summary)
     return NONCONVERGED_EXIT if outcome.fit is not None and not outcome.fit.converged else 0
+
+
+def _file_key(path):
+    """The inputs.files key of path: sivcav/<its path there> for a file
+    inside the package, the path as given for any other."""
+    real = Path(path).resolve()
+    return f"sivcav/{real.relative_to(_PACKAGE).as_posix()}" if real.is_relative_to(_PACKAGE) else path
 
 
 class _UsageError(Exception):
@@ -466,6 +452,28 @@ def _seeds(text):
     return seeds
 
 
+def _parse(argv):
+    """The args of argv. A purcell --scenario parses again with the
+    scenario's flags placed before the flags given, so that a flag given
+    wins; a path that follows --budget or --fieldmap in a scenario is
+    relative to the scenarios directory."""
+    parser = build_parser()  # it reads SIVCAV_SEED for its defaults, so building it can fail
+    args = parser.parse_args(argv)
+    if not getattr(args, "scenario", None):
+        return args
+    path = _SCENARIOS / f"{args.scenario}.json"
+    if not path.is_file():
+        available = sorted(p.stem for p in _SCENARIOS.glob("*.json"))
+        raise DomainError(f"unknown scenario {args.scenario!r}; available: {', '.join(available)}")
+    flags = read_document(path, itemgetter("flags"))
+    flags = [str(_SCENARIOS / flag) if given in ("--budget", "--fieldmap") else flag
+             for given, flag in zip([None, *flags], flags)]
+    try:
+        return parser.parse_args([argv[0], *flags, *argv[1:]])
+    except _UsageError as err:  # the flags given parsed alone: the fault is the scenario's
+        raise InputFormatError(path, 0, str(err)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises on a usage error instead of exiting, so that main reports it
     as error JSON like every other input error."""
@@ -483,12 +491,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("purcell", help="Purcell chain and modified rate budgets")
-    p.add_argument("--scenario", help="bundled scenario name (siv1, siv3, siv4)")
+    p.add_argument("--scenario", help="bundled scenario name (siv1, siv3, siv4); a flag given with it wins")
     p.add_argument("--q", type=float, help="mode quality factor")
     p.add_argument("--vmode", type=float, help="mode volume in (lambda/n)^3")
     p.add_argument("--lambda-c", type=float, help="mode wavelength, nm")
     p.add_argument("--lambda-i", type=float, help="emitter wavelength, nm")
-    p.add_argument("--line-width", type=float, default=0.0, help="emitter linewidth, nm")
+    p.add_argument("--line-width", type=float, help="emitter linewidth, nm (default 0)")
     p.add_argument("--dipole", type=_flag(parse_floats, (3,)), help="dipole axis x,y,z (normalized on input)")
     p.add_argument("--field-axis", type=_flag(parse_floats, (3,)), help="cavity field axis x,y,z")
     p.add_argument("--fieldmap", help="field map CSV")
@@ -563,8 +571,9 @@ def build_parser():
     s.set_defaults(func=cmd_spectra_enhance)
 
     s = ssub.add_parser("polarization", help="cos^2 scan fit or mixture-model sweep")
-    s.add_argument("--scan", help="CSV with angle_deg,counts")
-    s.add_argument("--mixture", help="mixture model JSON")
+    given = s.add_mutually_exclusive_group(required=True)
+    given.add_argument("--scan", help="CSV with angle_deg,counts")
+    given.add_argument("--mixture", help="mixture model JSON")
     s.add_argument("--emit-curves", help="write the mixture sweep CSV here")
     s.add_argument("--out")
     s.set_defaults(func=cmd_spectra_polarization)
@@ -574,9 +583,7 @@ def build_parser():
 
 def main(argv=None) -> int:
     try:
-        # the parser reads SIVCAV_SEED for its defaults, so building it can fail
-        args = build_parser().parse_args(argv)
-        return _run(args)
+        return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
     except _UsageError as err:
         return report.emit_error("usage", str(err))
     except ValidationError as err:

@@ -748,7 +748,8 @@ def fit_saturation(curve: SaturationCurve) -> FitResult:
     """Fit R(P) = R_inf * P / (P + P_sat) to a saturation curve.
 
     With all powers far below the knee, P_sat is barely constrained and this
-    surfaces as a large covariance entry, not as an error.
+    surfaces as a large covariance entry, not as an error. The floor of P_sat
+    is 1e-12 of the largest power, so any power unit gives the same fit.
     """
     if curve.powers.size < 4:
         raise DomainError("saturation fit needs at least 4 powers")
@@ -765,7 +766,7 @@ def fit_saturation(curve: SaturationCurve) -> FitResult:
         curve.powers,
         curve.rates,
         [r_inf0, p_sat0],
-        bounds=[(0.0, None), (1e-12, None)],
+        bounds=[(0.0, None), (1e-12 * float(curve.powers.max()), None)],
         names=("r_inf", "p_sat"),
         jacobian=saturation_jacobian,
     )

@@ -12,19 +12,16 @@ and ``_samples`` (the two arrays of a sampled curve), each named with its rule
 from ``_RULES`` (``k21="be positive"``): a field that is not a finite number
 gives one violation, a finite value or entry breaking it "<field> must <rule>".
 A function checks each number it is passed through ``_number``: DomainError
-"<name> must <rule>, got <value>". The three types whose documents a file
-carries (``RadiativeBudget``, ``CavityMode``, ``EmitterLine``) serialize
-through ``_Document`` to a flat JSON document (``to_dict`` / ``from_dict``)
-whose field names match the constructor arguments and which carries a
-``units`` tag. A budget in a photonic crystal is a ``RadiativeBudget`` too
+"<name> must <rule>, got <value>". A ``RadiativeBudget`` is the one type
+whose document a file carries (``RadiativeBudget.from_dict``). A budget in a
+photonic crystal is a ``RadiativeBudget`` too
 (:func:`~sivcav.purcell.modified_budget`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
-from typing import ClassVar
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -173,36 +170,8 @@ def _raise_if(bag):
         raise ValidationError(bag)
 
 
-class _Document:
-    """JSON documents of a dataclass: ``to_dict`` gives every field (tuples
-    as lists) plus the ``units`` tag; ``from_dict`` rejects a key that is
-    neither a field nor ``units`` and a ``units`` tag other than the type's,
-    naming each, and takes a missing field's default, or raises KeyError for
-    a field without one."""
-
-    def to_dict(self):
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
-        doc["units"] = self.UNITS
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise TypeError("the document must be an object")
-        names = {f.name for f in fields(cls)}
-        bag = [f"unknown key {key!r}" for key in doc if key != "units" and key not in names]
-        units = doc.get("units", cls.UNITS)
-        if units != cls.UNITS:
-            bag.append(f"units mismatch: expected '{cls.UNITS}', got '{units}'")
-        _raise_if(bag)
-        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc or f.default is MISSING})
-
-
 @dataclass(frozen=True)
-class RadiativeBudget(_Document):
+class RadiativeBudget:
     """Intrinsic decay channels of the emitter, in Hz.
 
     gamma_zpl : radiative rate into the zero-phonon line
@@ -214,8 +183,6 @@ class RadiativeBudget(_Document):
     gamma_psb: float
     gamma_nr: float
 
-    UNITS: ClassVar[str] = "Hz"
-
     def __post_init__(self):
         bag = []
         z, p, _n = _floats(self, bag, gamma_zpl="be non-negative", gamma_psb="be non-negative",
@@ -223,6 +190,20 @@ class RadiativeBudget(_Document):
         if not (z > 0 or p > 0):
             bag.append("at least one radiative rate must be positive")
         _raise_if(bag)
+
+    @classmethod
+    def from_dict(cls, doc):
+        """The budget of a JSON document: its three rates, and an optional
+        ``units`` tag that must read "Hz". Every key that is neither a rate
+        nor ``units`` is named; a missing rate raises KeyError."""
+        if not isinstance(doc, dict):
+            raise TypeError("the document must be an object")
+        names = [f.name for f in fields(cls)]
+        bag = [f"unknown key {key!r}" for key in doc if key != "units" and key not in names]
+        if doc.get("units", "Hz") != "Hz":
+            bag.append(f"units mismatch: expected 'Hz', got '{doc['units']}'")
+        _raise_if(bag)
+        return cls(*(doc[name] for name in names))
 
     @property
     def gamma_rad(self):
@@ -291,7 +272,7 @@ class FieldMap:
 
 
 @dataclass(frozen=True)
-class CavityMode(_Document):
+class CavityMode:
     """One optical resonance of the photonic-crystal cavity.
 
     lambda_c    : center wavelength, nm
@@ -302,8 +283,6 @@ class CavityMode(_Document):
     lambda_c: float
     q_factor: float
     mode_volume: float
-
-    UNITS: ClassVar[str] = "nm"
 
     def __post_init__(self):
         bag = []
@@ -317,7 +296,7 @@ class CavityMode(_Document):
 
 
 @dataclass(frozen=True)
-class EmitterLine(_Document):
+class EmitterLine:
     """A single optical transition of the emitter.
 
     lambda_i    : transition wavelength, nm
@@ -328,8 +307,6 @@ class EmitterLine(_Document):
     lambda_i: float
     linewidth: float = 0.0
     dipole_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
-
-    UNITS: ClassVar[str] = "nm"
 
     def __post_init__(self):
         bag = []

@@ -11,7 +11,7 @@ import pytest
 
 from sivcav import cli, dynamics, fitting, montecarlo, purcell, report, spectra
 from sivcav.errors import ValidationError
-from sivcav.models import PLSpectrum, RadiativeBudget, ThreeLevelRates
+from sivcav.models import CavityMode, EmitterLine, PLSpectrum, RadiativeBudget, ThreeLevelRates
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
@@ -155,6 +155,56 @@ PURCELL_PINS = {
 }
 
 
+SCENARIOS = sorted(p.stem for p in cli._SCENARIOS.glob("*.json"))
+SIV4_BUDGET = RadiativeBudget(694444444.4444444, 173913043.47826087, 1715265866.2092626)
+SIV4_MAP = resources.files("sivcav") / "scenarios" / "o_mode_field.csv"
+
+
+def siv4_results(q=430.0, lambda_i=738.0, dipole=(0.5773502691896258,) * 3,
+                 field_axis=(0.7071067811865476, 0.7071067811865476, 0.0), fieldmap=SIV4_MAP, pos=(110.0, 0.0),
+                 budget=SIV4_BUDGET, f_phc=0.25):
+    """{result: value} of purcell --scenario siv4, computed from its values
+    or from the ones the keywords give instead."""
+    mode = CavityMode(738.0, q, 1.7)
+    line = EmitterLine(lambda_i, 1.25, dipole)
+    f_p = purcell.ideal_purcell(mode)
+    r_lambda = purcell.spectral_overlap(line, mode)
+    r_mu = purcell.orientation_overlap(line.dipole_axis, field_axis)
+    r_r = purcell.spatial_overlap(purcell.load_field_map(fieldmap), pos)
+    f_cav = purcell.effective_purcell(f_p, r_lambda, r_mu, r_r)
+    bandgap, cavity = purcell.modified_budget(budget, f_phc), purcell.modified_budget(budget, f_phc, f_cav)
+    beta_total, beta_radiative = purcell.mode_emission_fractions(cavity)
+    results = {"f_p": f_p, "r_lambda": r_lambda, "r_mu": r_mu, "r_r": r_r, "f_cav": f_cav,
+               "i_pl": purcell.pl_enhancement(f_cav, f_phc), "beta_total": beta_total,
+               "beta_radiative": beta_radiative}
+    for key, kind, rates in (("bulk", "bulk", budget), ("phc", "bandgap_only", bandgap),
+                             ("cav", "cavity_coupled", cavity)):
+        results[f"eta_qe_{key}"] = rates.eta_qe
+        results[f"rates_{key}"] = {"kind": kind, "gamma_total": rates.gamma_total, "channel_zpl": rates.gamma_zpl,
+                                   "channel_psb": rates.gamma_psb, "channel_nr": rates.gamma_nr,
+                                   "eta_qe": rates.eta_qe, "units": "Hz"}
+    return results
+
+
+SIV4_FILES = {"sivcav/scenarios/budgets/siv4.json", "sivcav/scenarios/o_mode_field.csv"}
+OTHER_BUDGET = RadiativeBudget(0.8e9, 0.2e9, 0.1e9)
+# flag given with --scenario siv4: (its argv, the siv4_results keywords it
+# changes, the inputs.files keys of the run); {tmp} is the test's directory
+SCENARIO_OVERRIDES = {
+    "q": (["--q", "500"], {"q": 500.0}, SIV4_FILES),
+    "lambda-i": (["--lambda-i", "737"], {"lambda_i": 737.0}, SIV4_FILES),
+    "dipole": (["--dipole", "1,0,0"], {"dipole": (1.0, 0.0, 0.0)}, SIV4_FILES),
+    "field-axis": (["--field-axis", "0,0,1"], {"field_axis": (0.0, 0.0, 1.0)}, SIV4_FILES),
+    "pos": (["--pos", "0,0"], {"pos": (0.0, 0.0)}, SIV4_FILES),
+    "fieldmap": (["--fieldmap", "{tmp}/field.csv", "--pos", "0,5"],
+                 {"fieldmap": "{tmp}/field.csv", "pos": (0.0, 5.0)},
+                 {"sivcav/scenarios/budgets/siv4.json", "{tmp}/field.csv"}),
+    "budget": (["--budget", "{tmp}/budget.json"], {"budget": OTHER_BUDGET},
+               {"{tmp}/budget.json", "sivcav/scenarios/o_mode_field.csv"}),
+    "f-phc": (["--f-phc", "0.5"], {"f_phc": 0.5}, SIV4_FILES),
+}
+
+
 class TestPurcellCommand:
     def test_siv4_scenario(self, capsys):
         code, doc, _err = run_cli(capsys, "purcell", "--scenario", "siv4")
@@ -190,7 +240,7 @@ class TestPurcellCommand:
 
     def test_bulk_passthrough_flags(self, capsys, tmp_path, siv4_budget):
         budget_file = tmp_path / "budget.json"
-        budget_file.write_text(json.dumps(siv4_budget.to_dict()))
+        budget_file.write_text(json.dumps(dataclasses.asdict(siv4_budget)))
         code, doc, _err = run_cli(
             capsys, "purcell", "--budget", str(budget_file), "--f-phc", "1"
         )
@@ -255,27 +305,79 @@ class TestPurcellCommand:
         assert code == 2
         assert "unknown scenario" in err
 
-    @pytest.mark.parametrize("name", sorted(p.name[:-5] for p in cli._scenario_dir().iterdir()
-                                            if p.name.endswith(".json")))
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_every_bundled_scenario_loads(self, capsys, name):
         code, doc, _err = run_cli(capsys, "purcell", "--scenario", name)
         assert code == 0
         assert doc["inputs"]["flags"]["scenario"] == name
 
-    @pytest.mark.parametrize("part, key", [("mode", "pol_angle"), ("mode", "label"), ("line", "position"),
-                                           ("line", "label"), ("budget", "label")])
-    def test_scenario_document_with_a_stale_key_exit_2(self, capsys, monkeypatch, tmp_path, part, key):
-        """A fault in a scenario's budget, mode or line names the scenario
-        file at line 0, as a fault in a --budget file names that file."""
-        stale = json.loads(cli._scenario_dir().joinpath("siv4.json").read_text())
-        stale[part] = dict(stale[part], **{key: 45.0})
-        (tmp_path / "siv4.json").write_text(json.dumps(stale))
-        monkeypatch.setattr(cli, "_scenario_dir", lambda: tmp_path)
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_every_bundled_scenario_is_purcell_flags(self, name):
+        """A scenario's flags parse alone, and each file they name is in the
+        scenarios directory."""
+        flags = json.loads((cli._SCENARIOS / f"{name}.json").read_text())["flags"]
+        args = cli.build_parser().parse_args(["purcell", *flags])
+        for path in (args.budget, args.fieldmap):
+            assert path is None or (cli._SCENARIOS / path).is_file()
+
+    def test_scenario_with_an_unknown_flag_exit_2(self, capsys, monkeypatch, tmp_path):
+        """A flag a scenario holds that purcell does not know names the
+        scenario file at line 0, as a fault in a --budget file names that file."""
+        doc = json.loads((cli._SCENARIOS / "siv4.json").read_text())
+        doc["flags"] += ["--pol-angle", "45"]
+        (tmp_path / "siv4.json").write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "_SCENARIOS", tmp_path)
         code, out, err = run_cli(capsys, "purcell", "--scenario", "siv4")
         assert code == 2
         assert out is None
-        assert json.loads(err)["error"] == {"type": "input-format",
-                                            "message": f"{tmp_path / 'siv4.json'}:0: unknown key '{key}'"}
+        assert json.loads(err)["error"] == {
+            "type": "input-format",
+            "message": f"{tmp_path / 'siv4.json'}:0: sivcav: unrecognized arguments: --pol-angle 45"}
+
+    @pytest.mark.parametrize("run, f_phc", [("siv4", 0.25), ("siv4-f_phc-0.5", 0.5)])
+    def test_siv4_results_are_the_pinned_ones(self, run, f_phc):
+        """siv4_results, the oracle of the override test, gives siv4's pins."""
+        _argv, scalars, rates = PURCELL_PINS[run]
+        expected = dict(scalars, **{f"rates_{key}": dict(zip(
+            ("kind", "gamma_total", "channel_zpl", "channel_psb", "channel_nr", "eta_qe"), entry), units="Hz")
+            for key, entry in rates.items()})
+        assert siv4_results(f_phc=f_phc) == expected
+
+    @pytest.mark.parametrize("case", SCENARIO_OVERRIDES)
+    def test_a_flag_given_wins_over_the_scenario(self, capsys, tmp_path, case):
+        """Each flag siv4 holds, given again, replaces the scenario's value
+        and only it; a file the flag replaces is neither read nor hashed."""
+        flags, changes, files = SCENARIO_OVERRIDES[case]
+        write_field_map(tmp_path / "field.csv")
+        (tmp_path / "budget.json").write_text(json.dumps(dataclasses.asdict(OTHER_BUDGET)))
+        code, doc, _err = run_cli(capsys, "purcell", "--scenario", "siv4", *(f.format(tmp=tmp_path) for f in flags))
+        assert code == 0
+        changes = {key: value.format(tmp=tmp_path) if isinstance(value, str) else value
+                   for key, value in changes.items()}
+        assert {key: entry["value"] for key, entry in doc["results"].items()} == siv4_results(**changes)
+        assert set(doc["inputs"]["files"]) == {key.format(tmp=tmp_path) for key in files}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--scenario", "siv1", "--dipole", "1,0,0"], "--dipole requires --lambda-i"),
+        (["--scenario", "siv1", "--line-width", "0.5"], "--line-width requires --lambda-i"),
+        (["--scenario", "siv1", "--line-width", "nan"], "--line-width requires --lambda-i"),
+        (["--scenario", "siv1", "--field-axis", "1,0,0"], "--field-axis requires --lambda-i"),
+        (["--scenario", "siv1", "--pos", "0,0"], "--pos requires --fieldmap"),
+        ([*_MODE_FLAGS, "--pos", "0,0"], "--pos requires --fieldmap"),
+        (["--budget", "{tmp}/budget.json", "--lambda-i", "737"], "--lambda-i requires --q, --vmode and --lambda-c"),
+        (["--budget", "{tmp}/budget.json", "--fieldmap", "{tmp}/field.csv", "--pos", "0,0"],
+         "--fieldmap requires --q, --vmode and --lambda-c"),
+    ], ids=["dipole", "line-width", "line-width-nan", "field-axis", "pos-siv1", "pos", "lambda-i-without-mode",
+            "fieldmap-without-mode"])
+    def test_a_flag_without_the_flags_it_needs_exit_2(self, capsys, tmp_path, siv4_budget, argv, message):
+        """No purcell flag goes unused: one that needs another exits 2 where
+        the other is missing, before any file is read."""
+        write_field_map(tmp_path / "field.csv")
+        (tmp_path / "budget.json").write_text(json.dumps(dataclasses.asdict(siv4_budget)))
+        code, out, err = run_cli(capsys, "purcell", *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {"type": "domain", "message": message}
 
     def test_no_inputs_exit_2(self, capsys):
         code, _out, err = run_cli(capsys, "purcell")
@@ -287,7 +389,7 @@ class TestPurcellCommand:
         """Every result equals the value the rate algebra gave before it was
         rewritten, to the last bit: a reordered product shows here."""
         argv, scalars, rates = PURCELL_PINS[run]
-        (tmp_path / "budget.json").write_text(json.dumps(siv4_budget.to_dict()))
+        (tmp_path / "budget.json").write_text(json.dumps(dataclasses.asdict(siv4_budget)))
         code, doc, _err = run_cli(capsys, "purcell", *(a.format(tmp=tmp_path) for a in argv))
         assert code == 0
         expected = {name: {"value": value, "units": "dimensionless"} for name, value in scalars.items()}
@@ -299,7 +401,7 @@ class TestPurcellCommand:
 
     def test_f_phc_flag_out_of_range_exit_2(self, capsys, tmp_path, siv4_budget):
         budget_file = tmp_path / "b.json"
-        budget_file.write_text(json.dumps(siv4_budget.to_dict()))
+        budget_file.write_text(json.dumps(dataclasses.asdict(siv4_budget)))
         code, out, err = run_cli(capsys, "purcell", "--q", "430", "--vmode", "1.7", "--lambda-c", "738",
                                  "--lambda-i", "738", "--f-phc", "1.5", "--budget", str(budget_file))
         assert code == 2
@@ -327,7 +429,7 @@ class TestSimulateCommand:
 
     def test_budget_and_jitter(self, capsys, tmp_path, siv4_budget):
         budget_file = tmp_path / "budget.json"
-        budget_file.write_text(json.dumps(siv4_budget.to_dict()))
+        budget_file.write_text(json.dumps(dataclasses.asdict(siv4_budget)))
         out = tmp_path / "s.csv"
         code, doc, _err = run_cli(
             capsys, "simulate", "--rates", "100e6,2e9,0.3e9,50e6", "--duration", "0.0005",
@@ -717,6 +819,35 @@ class TestSpectraCommands:
         assert doc["results"]["phi_first"]["value"] == pytest.approx(60.0, abs=0.5)
         assert curves.exists()
 
+    @pytest.mark.parametrize("num", [0, 2.5, -1, "21", True])
+    def test_mixture_sweep_of_no_whole_number_of_points_exit_2(self, capsys, tmp_path, num):
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps({
+            "emitter": {"angle": 60.0, "weight": 1.0},
+            "modes": [{"angle": 0.0, "weight": 50.0, "lambda_c": 760.0, "q_factor": 400.0}],
+            "line_lambda": 750.0, "detunings": {"start": -500.0, "stop": -480.0, "num": num}}))
+        code, out, err = run_cli(capsys, "spectra", "polarization", "--mixture", str(path))
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {
+            "type": "input-format",
+            "message": f"{path}:0: detunings num must be a whole number of at least 1, got {num!r}"}
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--scan", "{tmp}/scan.csv", "--mixture", "{tmp}/mix.json", "--emit-curves", "{tmp}/c.csv"],
+         {"type": "usage",
+          "message": "sivcav spectra polarization: argument --mixture: not allowed with argument --scan"}),
+        (["--scan", "{tmp}/scan.csv", "--emit-curves", "{tmp}/c.csv"],
+         {"type": "domain", "message": "--emit-curves requires --mixture"}),
+    ], ids=["scan-and-mixture", "curves-of-a-scan"])
+    def test_polarization_flags_it_would_not_use_exit_2(self, capsys, tmp_path, flags, error):
+        write_scan(tmp_path / "scan.csv")
+        code, out, err = run_cli(capsys, "spectra", "polarization", *(f.format(tmp=tmp_path) for f in flags))
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == error
+        assert not (tmp_path / "c.csv").exists()
+
     def test_enhance(self, capsys, tmp_path):
         import warnings as _warnings
         from sivcav import purcell
@@ -791,7 +922,7 @@ def every_subcommand(tmp_path, stream_file):
     inputs are written to tmp_path. A file is keyed by its path, the bundled
     field map by its name inside the package."""
     budget = tmp_path / "budget.json"
-    budget.write_text(json.dumps(RadiativeBudget(0.8e9, 0.2e9, 0.1e9).to_dict()))
+    budget.write_text(json.dumps(dataclasses.asdict(RadiativeBudget(0.8e9, 0.2e9, 0.1e9))))
     bundled_map = ("sivcav/scenarios/o_mode_field.csv",
                    resources.files("sivcav").joinpath("scenarios", "o_mode_field.csv"))
     tau = np.linspace(-50e-9, 50e-9, 251)
@@ -930,10 +1061,11 @@ def test_number_list_flags_echo_parsed(capsys, tmp_path, stream_file):
     (["purcell", "--scenario", "siv4", "--pos", "1"],
      "usage", "sivcav purcell: argument --pos: '1' needs 2 numbers joined by ',', got 1"),
     (["purcell", "--scenario", "siv3", "--f-phc", "1.5"], "domain", "f_phc must lie in (0, 1], got 1.5"),
-    (["purcell", "--lambda-i", "737", "--dipole", "0,0,0"], "domain", "zero-length axis vector"),
+    (["purcell", *_MODE_FLAGS, "--dipole", "0,0,0"], "domain", "zero-length axis vector"),
     (["purcell", "--budget", "{tmp}/bad.json"], "input-format", "{tmp}/bad.json:2: bad JSON: Expecting value"),
     (["purcell", "--q", "430"], "domain", "--q, --vmode and --lambda-c must be given together"),
-    (["spectra", "polarization"], "domain", "supply --scan CSV or --mixture JSON"),
+    (["spectra", "polarization"], "usage",
+     "sivcav spectra polarization: one of the arguments --scan --mixture is required"),
     (["purcell", "--scenario", "siv4", "--out", "{tmp}"], "io", "[Errno 21] Is a directory: '{tmp}'"),
     (["spectra", "polarization", "--mixture", "{tmp}/no_modes.json"],
      "input-format", "{tmp}/no_modes.json:0: missing key 'modes'"),
@@ -984,7 +1116,7 @@ class TestReportContract:
 
     def test_file_hashes_present(self, capsys, tmp_path, siv4_budget):
         budget_file = tmp_path / "budget.json"
-        budget_file.write_text(json.dumps(siv4_budget.to_dict()))
+        budget_file.write_text(json.dumps(dataclasses.asdict(siv4_budget)))
         _code, doc, _err = run_cli(
             capsys, "purcell", "--budget", str(budget_file), "--f-phc", "0.25"
         )

@@ -977,6 +977,16 @@ class TestFitSaturation:
         fit = fitting.fit_saturation(SaturationCurve(powers, np.clip(noisy, 0, None)))
         assert fit.sigma("p_sat") / fit["p_sat"] > 0.2
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-12, 1e-13])
+    def test_same_fit_in_any_power_unit(self, scale):
+        """Criterion 09's curve with its powers in a unit 1/scale times as
+        large: the same r_inf and p_sat / scale, p_sat off its bound."""
+        powers = np.linspace(0.05, 6.0, 24)
+        rates = fitting.saturation_model(powers, 1e6, 0.9)
+        fit = fitting.fit_saturation(SaturationCurve(powers * scale, rates))
+        assert fit.converged
+        assert [fit["r_inf"], fit["p_sat"] / scale] == pytest.approx([1e6, 0.9], rel=1e-9)
+
 
 def covariance_at(jac, residual):
     """The covariance a fit reports, computed independently from the weighted

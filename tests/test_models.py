@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -161,91 +162,75 @@ class TestArrayTypes:
         assert montecarlo.HbtHistogram(np.array([0.0, 1.0]), counts, 1.0).counts is counts
 
 
-SCALAR_ROUND_TRIP_CASES = [
-    RadiativeBudget(694.4e6, 173.9e6, 1.715e9),
-    CavityMode(738.0, 430.0, 1.7),
-    EmitterLine(739.9, 1.25, (1 / math.sqrt(3),) * 3),
-]
+BUDGET = RadiativeBudget(694.4e6, 173.9e6, 1.715e9)
 
 
-@pytest.mark.parametrize("obj", SCALAR_ROUND_TRIP_CASES, ids=lambda o: type(o).__name__)
-def test_json_round_trip_scalar_types(obj):
-    doc = json.loads(json.dumps(obj.to_dict()))
-    clone = type(obj).from_dict(doc)
-    assert clone.to_dict() == obj.to_dict()
-    assert clone == obj
+def document(budget):
+    """The JSON document of a budget, as a budget file holds it."""
+    return json.loads(json.dumps(dict(dataclasses.asdict(budget), units="Hz")))
 
 
-@pytest.mark.parametrize("obj", SCALAR_ROUND_TRIP_CASES, ids=lambda o: type(o).__name__)
-def test_document_with_an_undeclared_key_is_rejected(obj):
-    """A key that is neither a field nor units, such as a field an older
+def test_budget_document_round_trip():
+    assert RadiativeBudget.from_dict(document(BUDGET)) == BUDGET
+
+
+def test_document_with_an_undeclared_key_is_rejected():
+    """A key that is neither a rate nor units, such as a field an older
     document still holds, is named, not dropped; so is every such key."""
-    doc = dict(obj.to_dict(), label="o2", position=[110.0, 0.0, 0.0])
     with pytest.raises(ValidationError) as err:
-        type(obj).from_dict(doc)
+        RadiativeBudget.from_dict(dict(document(BUDGET), label="o2", position=[110.0, 0.0, 0.0]))
     assert err.value.violations == ["unknown key 'label'", "unknown key 'position'"]
 
 
 def test_undeclared_key_and_units_mismatch_reported_together():
-    doc = dict(CavityMode(738.0, 430.0, 1.7).to_dict(), pol_angle=45.0, units="um")
     with pytest.raises(ValidationError) as err:
-        CavityMode.from_dict(doc)
-    assert err.value.violations == ["unknown key 'pol_angle'", "units mismatch: expected 'nm', got 'um'"]
+        RadiativeBudget.from_dict(dict(document(BUDGET), pol_angle=45.0, units="MHz"))
+    assert err.value.violations == ["unknown key 'pol_angle'", "units mismatch: expected 'Hz', got 'MHz'"]
 
 
-SCHEMA_CASES = SCALAR_ROUND_TRIP_CASES[:3]  # the file documents
+def test_document_without_a_rate_is_a_key_error():
+    doc = document(BUDGET)
+    del doc["gamma_psb"]
+    with pytest.raises(KeyError, match="gamma_psb"):
+        RadiativeBudget.from_dict(doc)
+
+
 with resources.files("sivcav").joinpath("schemas/model_types.schema.json").open() as _fh:
     MODEL_SCHEMA = json.load(_fh)
+BUDGET_SCHEMA = jsonschema.Draft202012Validator(dict(MODEL_SCHEMA, **{"$ref": "#/$defs/RadiativeBudget"}))
 
 
-def test_model_schema_covers_every_model_type():
-    assert set(MODEL_SCHEMA["$defs"]) == {type(obj).__name__ for obj in SCHEMA_CASES}
+def test_model_schema_defines_the_budget_only():
+    assert set(MODEL_SCHEMA["$defs"]) == {"RadiativeBudget"}
 
 
-@pytest.mark.parametrize("obj", SCHEMA_CASES, ids=lambda o: type(o).__name__)
-def test_bundled_model_schema_describes_to_dict(obj):
-    name = type(obj).__name__
-    doc = json.loads(json.dumps(obj.to_dict()))
-    schema_validator(name).validate(doc)
-    assert set(doc) <= set(MODEL_SCHEMA["$defs"][name]["properties"])
+def test_bundled_model_schema_describes_a_budget_document():
+    doc = document(BUDGET)
+    BUDGET_SCHEMA.validate(doc)
+    assert set(doc) <= set(MODEL_SCHEMA["$defs"]["RadiativeBudget"]["properties"])
 
 
-def schema_validator(name):
-    return jsonschema.Draft202012Validator(dict(MODEL_SCHEMA, **{"$ref": f"#/$defs/{name}"}))
-
-
-@pytest.mark.parametrize("obj", SCHEMA_CASES, ids=lambda o: type(o).__name__)
-def test_model_schema_rejects_an_undeclared_key(obj):
+def test_model_schema_rejects_an_undeclared_key():
     """The schema holds a document to its declared keys, as from_dict does."""
-    assert not schema_validator(type(obj).__name__).is_valid(dict(obj.to_dict(), label="o2"))
+    assert not BUDGET_SCHEMA.is_valid(dict(document(BUDGET), label="o2"))
 
 
-@pytest.mark.parametrize("obj", SCHEMA_CASES, ids=lambda o: type(o).__name__)
-def test_document_without_units_carries_the_types_units(obj):
+def test_document_without_units_carries_hz():
     """The units tag is optional in the schema as in from_dict, which takes
-    a document without it as carrying the type's own units."""
-    doc = {key: value for key, value in json.loads(json.dumps(obj.to_dict())).items() if key != "units"}
-    schema_validator(type(obj).__name__).validate(doc)
-    assert type(obj).from_dict(doc) == obj
+    a document without it as in Hz."""
+    doc = {key: value for key, value in document(BUDGET).items() if key != "units"}
+    BUDGET_SCHEMA.validate(doc)
+    assert RadiativeBudget.from_dict(doc) == BUDGET
 
 
-def scenario_documents():
-    """(type name, document) of each budget, mode and line of the bundled scenarios."""
-    scenarios = resources.files("sivcav").joinpath("scenarios")
-    for path in sorted(scenarios.iterdir(), key=lambda p: p.name):
-        if path.name.endswith(".json"):
-            scenario = json.loads(path.read_text())
-            for part, name in (("budget", "RadiativeBudget"), ("mode", "CavityMode"), ("line", "EmitterLine")):
-                if scenario[part] is not None:
-                    yield pytest.param(name, scenario[part], id=f"{path.name[:-5]}-{part}")
-
-
-@pytest.mark.parametrize("name, doc", list(scenario_documents()))
-def test_bundled_scenario_documents_match_the_model_schema(name, doc):
-    """Each document of a bundled scenario passes the model schema and is
-    the document of the value it loads to: complete, and nothing dropped."""
-    schema_validator(name).validate(doc)
-    assert getattr(models, name).from_dict(doc).to_dict() == doc
+@pytest.mark.parametrize("path", sorted(resources.files("sivcav").joinpath("scenarios", "budgets").iterdir(),
+                                        key=lambda p: p.name), ids=lambda p: p.name)
+def test_bundled_scenario_budgets_match_the_model_schema(path):
+    """Each budget file of the bundled scenarios passes the model schema and
+    is the document of the budget it loads to: complete, and nothing dropped."""
+    doc = json.loads(path.read_text())
+    BUDGET_SCHEMA.validate(doc)
+    assert document(RadiativeBudget.from_dict(doc)) == doc
 
 
 @given(
@@ -255,7 +240,7 @@ def test_bundled_scenario_documents_match_the_model_schema(name, doc):
 )
 def test_budget_round_trip_floats_exact(zpl, psb, nr):
     budget = RadiativeBudget(zpl, psb, nr)
-    clone = RadiativeBudget.from_dict(json.loads(json.dumps(budget.to_dict())))
+    clone = RadiativeBudget.from_dict(document(budget))
     # JSON float round trip is exact for doubles
     assert clone.gamma_zpl == budget.gamma_zpl
     assert clone.gamma_psb == budget.gamma_psb
@@ -263,10 +248,8 @@ def test_budget_round_trip_floats_exact(zpl, psb, nr):
 
 
 def test_units_mismatch_rejected():
-    doc = RadiativeBudget(1e9, 1e8, 0.0).to_dict()
-    doc["units"] = "MHz"
     with pytest.raises(ValidationError):
-        RadiativeBudget.from_dict(doc)
+        RadiativeBudget.from_dict(dict(document(RadiativeBudget(1e9, 1e8, 0.0)), units="MHz"))
 
 
 NAN, INF = math.nan, math.inf

@@ -11,11 +11,11 @@ purpose although no subcommand, script or workload calls them. Reads match
 by name alone, so a method that shares its name with another attribute
 passes unseen.
 
-That blind spot covers the methods every JSON document type inherits from
-models._Document: to_dict and from_dict are read by name for any of them.
-So DOCUMENTS names the types that may inherit _Document, each with the
-file that carries its documents; the package reads a document of each, and
-the model schema defines them and no other type.
+That blind spot covers from_dict, the reader of a JSON document, which
+would pass unseen on any type once one type's is read. So DOCUMENTS names
+the types that may define from_dict, each with the files that carry its
+documents; the package reads a document of each, and the model schema
+defines them and no other type.
 """
 
 import ast
@@ -46,9 +46,7 @@ KEEP = {
 }
 
 DOCUMENTS = {
-    "RadiativeBudget": "budget files (purcell --budget, simulate --budget) and scenario files",
-    "CavityMode": "scenario files (purcell --scenario)",
-    "EmitterLine": "scenario files (purcell --scenario)",
+    "RadiativeBudget": "budget files (purcell --budget, simulate --budget), the scenarios' included",
 }
 
 
@@ -124,20 +122,32 @@ def test_keep_list_names_existing_definitions(trees):
 
 
 def test_documents_are_the_types_a_file_or_report_carries(trees):
-    """The _Document subclasses are DOCUMENTS, and the package reads a
-    document (Type.from_dict) of each of them and of no other type."""
-    subclasses, loaded = set(), set()
+    """The classes that define from_dict are DOCUMENTS, and the package
+    reads a document (Type.from_dict) of each of them and of no other type."""
+    readers, loaded = set(), set()
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "_Document" for b in node.bases):
-                subclasses.add(node.name)
+            if isinstance(node, ast.ClassDef) and any(getattr(item, "name", None) == "from_dict"
+                                                      for item in node.body):
+                readers.add(node.name)
             if isinstance(node, ast.Attribute) and node.attr == "from_dict" and isinstance(node.value, ast.Name):
                 loaded.add(node.value.id)
-    assert subclasses == loaded == set(DOCUMENTS)
+    assert readers == loaded == set(DOCUMENTS)
 
 
 def test_model_schema_defines_the_file_documents_only():
     schema = json.loads((PACKAGE / "schemas" / "model_types.schema.json").read_text())
     assert set(schema["$defs"]) == set(DOCUMENTS)
+
+
+def test_every_data_file_is_package_data():
+    """Every file of the package that is not Python source is installed:
+    the package-data patterns of pyproject.toml cover it."""
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    patterns = config["tool"]["setuptools"]["package-data"]["sivcav"]
+    installed = {path for pattern in patterns for path in PACKAGE.glob(pattern)}
+    data = {path for path in PACKAGE.rglob("*") if path.is_file() and path.suffix not in (".py", ".pyc")}
+    assert sorted(str(path.relative_to(PACKAGE)) for path in data - installed) == []
