@@ -61,7 +61,6 @@ def run_stage(root, workdir, argv):
     """(wall seconds, peak RSS in MB) of one stage process of the tree."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env.pop("SIVCAV_SEED", None)
     log = os.path.join(workdir, "stage.stderr")
     with open(log, "wb") as err:
         start = time.perf_counter()

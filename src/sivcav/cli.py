@@ -3,8 +3,7 @@
 Subcommands wrap the analysis modules into reproducible runs: JSON reports go
 to stdout (or --out), human summaries to stderr. Exit codes: 0 success,
 2 input/validation error including a bad flag (machine-readable error JSON on
-stderr), 3 analysis non-convergence. The only environment variable honored
-is SIVCAV_SEED, the default random seed.
+stderr), 3 analysis non-convergence. No environment variable changes a run.
 
 The parser parses every flag given, lists of numbers included, before any file
 is read; a malformed one is a usage error. A bundled purcell scenario is a
@@ -22,10 +21,9 @@ spectra).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import partial
-from operator import itemgetter, methodcaller
+from operator import methodcaller
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,35 +37,11 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .models import (
-    UNIT_NORM_TOL,
-    CavityMode,
-    EmitterLine,
-    G2Params,
-    RadiativeBudget,
-    ThreeLevelRates,
-)
+from .models import CavityMode, EmitterLine, G2Params, RadiativeBudget, ThreeLevelRates
 
 NONCONVERGED_EXIT = 3
 _PACKAGE = Path(__file__).resolve().parent
 _SCENARIOS = _PACKAGE / "scenarios"
-
-
-def _default_seed():
-    text = os.environ.get("SIVCAV_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise DomainError(f"SIVCAV_SEED must be an integer, got {text!r}") from None
-
-
-def _unit(v):
-    """v as a unit axis: divided by its norm, unless that is within UNIT_NORM_TOL of 1."""
-    axis = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(axis))
-    if norm == 0:
-        raise DomainError("zero-length axis vector")
-    return tuple(axis if abs(norm - 1.0) <= UNIT_NORM_TOL else axis / norm)
 
 
 def _read(read, path, paths):
@@ -108,18 +82,19 @@ class _Outcome(NamedTuple):
 def cmd_purcell(args, paths):
     from . import purcell
 
-    needs = [(name, "--lambda-i", args.lambda_i) for name in ("dipole", "line_width", "field_axis")]
-    needs += [("fieldmap", "--pos x,y", args.pos), ("pos", "--fieldmap", args.fieldmap),
-              *((name, "--q, --vmode and --lambda-c", args.q) for name in ("lambda_i", "fieldmap"))]
+    # each overlap factor needs its inputs: R_lambda the line, R_mu both
+    # axes, R_r the map and the position, and each of them the mode
+    needs = [("line_width", "--lambda-i", args.lambda_i), ("dipole", "--field-axis", args.field_axis),
+             ("field_axis", "--dipole", args.dipole), ("fieldmap", "--pos x,y", args.pos),
+             ("pos", "--fieldmap", args.fieldmap),
+             *((name, "--q, --vmode and --lambda-c", args.q) for name in ("lambda_i", "dipole", "fieldmap"))]
     for name, needed, given in needs:
         if getattr(args, name) is not None and given is None:
             raise DomainError(f"--{name.replace('_', '-')} requires {needed}")
     if len({args.q is None, args.vmode is None, args.lambda_c is None}) > 1:
         raise DomainError("--q, --vmode and --lambda-c must be given together")
     mode = CavityMode(args.lambda_c, args.q, args.vmode) if args.q is not None else None
-    line = (EmitterLine(args.lambda_i, args.line_width or 0.0, _unit(args.dipole or (1.0, 0.0, 0.0)))
-            if args.lambda_i is not None else None)
-    field_axis = _unit(args.field_axis) if args.field_axis else None
+    line = EmitterLine(args.lambda_i, args.line_width or 0.0) if args.lambda_i is not None else None
     fieldmap = _read(purcell.load_field_map, args.fieldmap, paths)
     budget = _read(_read_budget, args.budget, paths)
 
@@ -128,7 +103,7 @@ def cmd_purcell(args, paths):
     if mode is not None:
         f_p = purcell.ideal_purcell(mode)
         r_lambda = purcell.spectral_overlap(line, mode) if line else 1.0
-        r_mu = purcell.orientation_overlap(line.dipole_axis, field_axis) if field_axis else 1.0
+        r_mu = purcell.orientation_overlap(args.dipole, args.field_axis) if args.dipole is not None else 1.0
         r_r = purcell.spatial_overlap(fieldmap, args.pos) if fieldmap else 1.0
         f_cav = purcell.effective_purcell(f_p, r_lambda, r_mu, r_r)
         chain = {"f_p": f_p, "r_lambda": r_lambda, "r_mu": r_mu, "r_r": r_r, "f_cav": f_cav}
@@ -452,12 +427,20 @@ def _seeds(text):
     return seeds
 
 
+def _scenario_flags(doc):
+    """The flags of a scenario document, a list of strings."""
+    flags = doc["flags"]
+    if not (isinstance(flags, list) and all(isinstance(flag, str) for flag in flags)):
+        raise ValueError("'flags' must be a list of strings")
+    return flags
+
+
 def _parse(argv):
     """The args of argv. A purcell --scenario parses again with the
     scenario's flags placed before the flags given, so that a flag given
     wins; a path that follows --budget or --fieldmap in a scenario is
     relative to the scenarios directory."""
-    parser = build_parser()  # it reads SIVCAV_SEED for its defaults, so building it can fail
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "scenario", None):
         return args
@@ -465,7 +448,7 @@ def _parse(argv):
     if not path.is_file():
         available = sorted(p.stem for p in _SCENARIOS.glob("*.json"))
         raise DomainError(f"unknown scenario {args.scenario!r}; available: {', '.join(available)}")
-    flags = read_document(path, itemgetter("flags"))
+    flags = read_document(path, _scenario_flags)
     flags = [str(_SCENARIOS / flag) if given in ("--budget", "--fieldmap") else flag
              for given, flag in zip([None, *flags], flags)]
     try:
@@ -497,8 +480,8 @@ def build_parser():
     p.add_argument("--lambda-c", type=float, help="mode wavelength, nm")
     p.add_argument("--lambda-i", type=float, help="emitter wavelength, nm")
     p.add_argument("--line-width", type=float, help="emitter linewidth, nm (default 0)")
-    p.add_argument("--dipole", type=_flag(parse_floats, (3,)), help="dipole axis x,y,z (normalized on input)")
-    p.add_argument("--field-axis", type=_flag(parse_floats, (3,)), help="cavity field axis x,y,z")
+    p.add_argument("--dipole", type=_flag(parse_floats, (3,)), help="dipole axis x,y,z; with --field-axis")
+    p.add_argument("--field-axis", type=_flag(parse_floats, (3,)), help="cavity field axis x,y,z; with --dipole")
     p.add_argument("--fieldmap", help="field map CSV")
     p.add_argument("--pos", type=_flag(parse_floats, (2,)), help="emitter position x,y in the map frame, nm")
     p.add_argument("--f-phc", type=float, default=None, help="bandgap inhibition factor")
@@ -509,7 +492,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="simulate a detected photon stream")
     p.add_argument("--rates", type=_flag(parse_floats, (4,)), required=True, help="k12,k21,k23,k31 in Hz")
     p.add_argument("--duration", type=float, required=True, help="acquisition time, s")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jitter", type=float, default=0.0, help="detector timing jitter sigma, s")
     p.add_argument("--det-eff", type=float, default=1.0, help="detection efficiency in [0, 1]; 0 warns and records no photons")
     p.add_argument("--budget", help="RadiativeBudget JSON controlling the emission split")
@@ -533,7 +516,7 @@ def build_parser():
     g.add_argument("--window", type=float, required=True, help="maximum |delay|, s")
     g.add_argument("--mode", choices=[montecarlo.MODE_FULL, montecarlo.MODE_START_STOP],
                    default=montecarlo.MODE_FULL)
-    g.add_argument("--seed", type=int, default=_default_seed(), help="seed for the start-stop splitter")
+    g.add_argument("--seed", type=int, default=0, help="seed for the start-stop splitter")
     g.add_argument("--out-hist", required=True, help="histogram CSV to write")
     g.add_argument("--out")
     g.set_defaults(func=cmd_g2_correlate)

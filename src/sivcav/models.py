@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-UNIT_NORM_TOL = 1e-9
-
 
 def _as_float(value):
     """float(value), an int beyond the float range taken as +-inf. A string
@@ -297,28 +295,20 @@ class CavityMode:
 
 @dataclass(frozen=True)
 class EmitterLine:
-    """A single optical transition of the emitter.
+    """A single optical transition of the emitter. Its dipole axis is an
+    input of purcell.orientation_overlap, not part of the line.
 
-    lambda_i    : transition wavelength, nm
-    linewidth   : FWHM, nm
-    dipole_axis : unit 3-vector of the transition dipole
+    lambda_i  : transition wavelength, nm
+    linewidth : FWHM, nm
     """
 
     lambda_i: float
     linewidth: float = 0.0
-    dipole_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         bag = []
         _floats(self, bag, lambda_i="be positive", linewidth="be non-negative")
-        faults = len(bag)
-        (axis,) = _arrays(self, bag, dipole_axis="be finite")
-        if axis.shape != (3,):
-            bag.append("dipole_axis must have three components")
-        elif len(bag) == faults and abs(float(np.linalg.norm(axis)) - 1.0) > UNIT_NORM_TOL:  # a faulty axis has no norm
-            bag.append("dipole_axis must have unit norm")
         _raise_if(bag)
-        object.__setattr__(self, "dipole_axis", tuple(axis.tolist()))
 
 
 @dataclass(frozen=True)

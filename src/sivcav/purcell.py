@@ -37,13 +37,15 @@ from .errors import (
     ValidationError,
 )
 from .models import (
-    UNIT_NORM_TOL,
     CavityMode,
     EmitterLine,
     FieldMap,
     RadiativeBudget,
+    _float_array,
     _number,
 )
+
+UNIT_NORM_TOL = 1e-9
 
 
 def ideal_purcell(mode: CavityMode) -> float:
@@ -72,18 +74,28 @@ def spectral_overlap(line: EmitterLine, mode: CavityMode) -> float:
     return 1.0 / (1.0 + 4.0 * mode.q_factor**2 * detuning**2)
 
 
+def _unit_axis(name, given):
+    """given as a unit 3-vector: divided by its norm, unless that is within
+    UNIT_NORM_TOL of 1, where it is kept as given. DomainError naming the
+    axis where given is no 3-vector of finite numbers, or is zero."""
+    bag = []
+    axis = _float_array(bag, name, given)  # "<name> is not a number" or "is ragged"
+    if bag:
+        raise DomainError(bag[0])
+    if axis.shape != (3,):
+        raise DomainError(f"{name} must be a 3-vector")
+    if not np.all(np.isfinite(axis)):
+        raise DomainError(f"{name} contains non-finite entries")
+    norm = math.hypot(*axis)  # unlike sqrt(axis . axis), neither overflows nor underflows
+    if norm == 0:
+        raise DomainError(f"{name} must be nonzero")
+    return axis if abs(norm - 1.0) <= UNIT_NORM_TOL else axis / norm
+
+
 def orientation_overlap(dipole_axis, field_axis) -> float:
-    """Orientation overlap R_mu = (dipole . field)^2 of two unit vectors."""
-    d = np.asarray(dipole_axis, dtype=float)
-    f = np.asarray(field_axis, dtype=float)
-    for name, v in (("dipole_axis", d), ("field_axis", f)):
-        if v.shape != (3,):
-            raise DomainError(f"{name} must be a 3-vector")
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"{name} contains non-finite entries")
-        if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
-            raise DomainError(f"{name} must have unit norm, got |v| = {np.linalg.norm(v):.12g}")
-    r_mu = float(np.dot(d, f)) ** 2
+    """Orientation overlap R_mu = (dipole . field)^2 of two axes, each taken
+    as a unit vector first (any finite, nonzero 3-vector will do)."""
+    r_mu = float(np.dot(_unit_axis("dipole_axis", dipole_axis), _unit_axis("field_axis", field_axis))) ** 2
     return min(r_mu, 1.0)
 
 

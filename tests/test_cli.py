@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -99,7 +100,8 @@ _SIV3_CHAIN = {"f_p": 18.705449287816204, "r_lambda": 1.0, "r_mu": 0.25, "r_r": 
                "f_cav": 1.1690905804885132}
 _SIV4_CHAIN = {"f_p": 19.22122454391408, "r_lambda": 1.0, "r_mu": 0.6666666666666669, "r_r": 0.3999871531119777,
                "f_cav": 5.125495256430844, "eta_qe_bulk": 0.3361006497072989}
-_MODE_FLAGS = ["--q", "430", "--vmode", "1.7", "--lambda-c", "738", "--lambda-i", "738"]
+_MODE_ONLY = ["--q", "430", "--vmode", "1.7", "--lambda-c", "738"]
+_MODE_FLAGS = [*_MODE_ONLY, "--lambda-i", "738"]
 _BUDGET_FLAGS = ["--f-phc", "0.25", "--budget", "{tmp}/budget.json"]
 PURCELL_PINS = {
     "siv1": (["--scenario", "siv1"], {"eta_qe_bulk": 0.6666666666666666, "eta_qe_phc": 0.3333333333333333}, {
@@ -166,10 +168,9 @@ def siv4_results(q=430.0, lambda_i=738.0, dipole=(0.5773502691896258,) * 3,
     """{result: value} of purcell --scenario siv4, computed from its values
     or from the ones the keywords give instead."""
     mode = CavityMode(738.0, q, 1.7)
-    line = EmitterLine(lambda_i, 1.25, dipole)
     f_p = purcell.ideal_purcell(mode)
-    r_lambda = purcell.spectral_overlap(line, mode)
-    r_mu = purcell.orientation_overlap(line.dipole_axis, field_axis)
+    r_lambda = purcell.spectral_overlap(EmitterLine(lambda_i, 1.25), mode)
+    r_mu = purcell.orientation_overlap(dipole, field_axis)
     r_r = purcell.spatial_overlap(purcell.load_field_map(fieldmap), pos)
     f_cav = purcell.effective_purcell(f_p, r_lambda, r_mu, r_r)
     bandgap, cavity = purcell.modified_budget(budget, f_phc), purcell.modified_budget(budget, f_phc, f_cav)
@@ -202,6 +203,24 @@ SCENARIO_OVERRIDES = {
     "budget": (["--budget", "{tmp}/budget.json"], {"budget": OTHER_BUDGET},
                {"{tmp}/budget.json", "sivcav/scenarios/o_mode_field.csv"}),
     "f-phc": (["--f-phc", "0.5"], {"f_phc": 0.5}, SIV4_FILES),
+}
+# every purcell flag but --scenario and --out, as the parser lists them
+PURCELL_FLAGS = sorted(f"--{dest.replace('_', '-')}" for dest in vars(cli.build_parser().parse_args(["purcell"]))
+                       if dest not in ("command", "func", "scenario", "out"))
+# purcell flag: (the flags it needs, two values of it); {tmp} is the test's
+# directory, which holds field.csv, budget.json (siv4) and other.json
+PURCELL_FLAG_RUNS = {
+    "--q": (["--vmode", "1.7", "--lambda-c", "738"], "430", "500"),
+    "--vmode": (["--q", "430", "--lambda-c", "738"], "1.7", "2.0"),
+    "--lambda-c": (["--q", "430", "--vmode", "1.7", "--lambda-i", "738"], "738", "739"),
+    "--lambda-i": (_MODE_ONLY, "738", "739"),
+    "--line-width": (_MODE_FLAGS, "0", "5"),
+    "--dipole": ([*_MODE_ONLY, "--field-axis", "1,0,0"], "1,0,0", "1,1,0"),
+    "--field-axis": ([*_MODE_ONLY, "--dipole", "1,0,0"], "1,0,0", "1,1,0"),
+    "--fieldmap": ([*_MODE_ONLY, "--pos", "0,5"], "{tmp}/field.csv", str(SIV4_MAP)),
+    "--pos": ([*_MODE_ONLY, "--fieldmap", "{tmp}/field.csv"], "0,0", "0,5"),
+    "--f-phc": (_MODE_ONLY, "0.25", "0.5"),
+    "--budget": ([], "{tmp}/budget.json", "{tmp}/other.json"),
 }
 
 
@@ -334,6 +353,18 @@ class TestPurcellCommand:
             "type": "input-format",
             "message": f"{tmp_path / 'siv4.json'}:0: sivcav: unrecognized arguments: --pol-angle 45"}
 
+    @pytest.mark.parametrize("flags", [["--q", 430], 5], ids=["number-in-list", "not-a-list"])
+    def test_scenario_with_malformed_flags_exit_2(self, capsys, monkeypatch, tmp_path, flags):
+        """Scenario flags that are not a list of strings name the scenario
+        file at line 0."""
+        (tmp_path / "bad.json").write_text(json.dumps({"description": "malformed", "flags": flags}))
+        monkeypatch.setattr(cli, "_SCENARIOS", tmp_path)
+        code, out, err = run_cli(capsys, "purcell", "--scenario", "bad")
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {
+            "type": "input-format", "message": f"{tmp_path / 'bad.json'}:0: 'flags' must be a list of strings"}
+
     @pytest.mark.parametrize("run, f_phc", [("siv4", 0.25), ("siv4-f_phc-0.5", 0.5)])
     def test_siv4_results_are_the_pinned_ones(self, run, f_phc):
         """siv4_results, the oracle of the override test, gives siv4's pins."""
@@ -358,23 +389,57 @@ class TestPurcellCommand:
         assert set(doc["inputs"]["files"]) == {key.format(tmp=tmp_path) for key in files}
 
     @pytest.mark.parametrize("argv, message", [
-        (["--scenario", "siv1", "--dipole", "1,0,0"], "--dipole requires --lambda-i"),
+        (["--scenario", "siv1", "--dipole", "1,0,0"], "--dipole requires --field-axis"),
+        ([*_MODE_FLAGS, "--dipole", "0,1,0"], "--dipole requires --field-axis"),
         (["--scenario", "siv1", "--line-width", "0.5"], "--line-width requires --lambda-i"),
         (["--scenario", "siv1", "--line-width", "nan"], "--line-width requires --lambda-i"),
-        (["--scenario", "siv1", "--field-axis", "1,0,0"], "--field-axis requires --lambda-i"),
+        (["--scenario", "siv1", "--field-axis", "1,0,0"], "--field-axis requires --dipole"),
         (["--scenario", "siv1", "--pos", "0,0"], "--pos requires --fieldmap"),
         ([*_MODE_FLAGS, "--pos", "0,0"], "--pos requires --fieldmap"),
         (["--budget", "{tmp}/budget.json", "--lambda-i", "737"], "--lambda-i requires --q, --vmode and --lambda-c"),
+        (["--budget", "{tmp}/budget.json", "--dipole", "1,0,0", "--field-axis", "0,1,0"],
+         "--dipole requires --q, --vmode and --lambda-c"),
         (["--budget", "{tmp}/budget.json", "--fieldmap", "{tmp}/field.csv", "--pos", "0,0"],
          "--fieldmap requires --q, --vmode and --lambda-c"),
-    ], ids=["dipole", "line-width", "line-width-nan", "field-axis", "pos-siv1", "pos", "lambda-i-without-mode",
-            "fieldmap-without-mode"])
+    ], ids=["dipole", "dipole-with-mode", "line-width", "line-width-nan", "field-axis", "pos-siv1", "pos",
+            "lambda-i-without-mode", "axes-without-mode", "fieldmap-without-mode"])
     def test_a_flag_without_the_flags_it_needs_exit_2(self, capsys, tmp_path, siv4_budget, argv, message):
         """No purcell flag goes unused: one that needs another exits 2 where
         the other is missing, before any file is read."""
         write_field_map(tmp_path / "field.csv")
         (tmp_path / "budget.json").write_text(json.dumps(dataclasses.asdict(siv4_budget)))
         code, out, err = run_cli(capsys, "purcell", *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {"type": "domain", "message": message}
+
+    @pytest.mark.parametrize("flag", PURCELL_FLAGS)
+    def test_every_flag_is_used(self, capsys, tmp_path, siv4_budget, flag):
+        """Two values of each purcell flag, given with the flags it needs,
+        give different outcomes: results, exit code or warnings (--line-width
+        only sets NarrowCavityWarning). A flag new to the parser fails here
+        until PURCELL_FLAG_RUNS holds a run of it."""
+        needs, *values = PURCELL_FLAG_RUNS[flag]
+        write_field_map(tmp_path / "field.csv")
+        (tmp_path / "budget.json").write_text(json.dumps(dataclasses.asdict(siv4_budget)))
+        (tmp_path / "other.json").write_text(json.dumps(dataclasses.asdict(OTHER_BUDGET)))
+        outcomes = []
+        for value in values:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, doc, err = run_cli(capsys, "purcell", *(a.format(tmp=tmp_path) for a in [*needs, flag, value]))
+            outcomes.append((code, doc["results"] if doc else err, [str(w.message) for w in caught]))
+        assert outcomes[0] != outcomes[1]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dipole", "nan,1,0", "dipole_axis contains non-finite entries"),
+        ("--field-axis", "nan,1,0", "field_axis contains non-finite entries"),
+        ("--pos", "nan,1", "position contains non-finite entries"),
+    ], ids=["dipole", "field-axis", "pos"])
+    def test_non_finite_vector_flag_is_a_domain_error(self, capsys, flag, value, message):
+        """A vector flag with a non-finite entry exits 2 as a domain error
+        that names its parameter, as the overlap factor that reads it says."""
+        code, out, err = run_cli(capsys, "purcell", "--scenario", "siv4", flag, value)
         assert code == 2
         assert out is None
         assert json.loads(err)["error"] == {"type": "domain", "message": message}
@@ -1061,7 +1126,7 @@ def test_number_list_flags_echo_parsed(capsys, tmp_path, stream_file):
     (["purcell", "--scenario", "siv4", "--pos", "1"],
      "usage", "sivcav purcell: argument --pos: '1' needs 2 numbers joined by ',', got 1"),
     (["purcell", "--scenario", "siv3", "--f-phc", "1.5"], "domain", "f_phc must lie in (0, 1], got 1.5"),
-    (["purcell", *_MODE_FLAGS, "--dipole", "0,0,0"], "domain", "zero-length axis vector"),
+    (["purcell", *_MODE_FLAGS, "--dipole", "0,0,0", "--field-axis", "0,1,0"], "domain", "dipole_axis must be nonzero"),
     (["purcell", "--budget", "{tmp}/bad.json"], "input-format", "{tmp}/bad.json:2: bad JSON: Expecting value"),
     (["purcell", "--q", "430"], "domain", "--q, --vmode and --lambda-c must be given together"),
     (["spectra", "polarization"], "usage",
@@ -1133,26 +1198,6 @@ class TestReportContract:
         assert printed is None
         doc = json.loads(out.read_text())
         report.validate_report(doc)
-
-    def test_env_default_seed(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIVCAV_SEED", "4242")
-        code, doc, _err = run_cli(
-            capsys, "simulate", "--rates", "100e6,2e9,0.3e9,50e6",
-            "--duration", "1e-4", "--out-stream", str(tmp_path / "s.csv"),
-        )
-        assert code == 0
-        assert doc["provenance"]["seed"] == 4242
-
-    def test_malformed_env_seed_exit_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIVCAV_SEED", "42x")
-        code, out, err = run_cli(
-            capsys, "simulate", "--rates", "100e6,2e9,0.3e9,50e6",
-            "--duration", "1e-4", "--out-stream", str(tmp_path / "s.csv"),
-        )
-        assert code == 2
-        assert out is None
-        assert "SIVCAV_SEED" in json.loads(err)["error"]["message"]
-        assert not (tmp_path / "s.csv").exists()
 
     def test_nan_result_exit_2_and_nothing_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(

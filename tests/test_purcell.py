@@ -81,9 +81,34 @@ class TestOrientationOverlap:
         angle = math.degrees(math.acos(math.sqrt(r_mu)))
         assert angle == pytest.approx(35.26, abs=0.01)
 
-    def test_rejects_non_unit(self):
-        with pytest.raises(DomainError):
-            purcell.orientation_overlap((1.0, 1.0, 0.0), (1.0, 0.0, 0.0))
+    def test_normalizes_each_axis(self):
+        # (1, 1, 0) against (0, 0, 2) and (2, 0, 0): 90 and 45 degrees
+        assert purcell.orientation_overlap((1.0, 1.0, 0.0), (0.0, 0.0, 2.0)) == 0.0
+        assert purcell.orientation_overlap((1.0, 1.0, 0.0), (2.0, 0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200, 1e308])
+    def test_normalizes_an_axis_of_any_finite_size(self, scale):
+        # the squared norm of these axes underflows to 0 or overflows to inf
+        assert purcell.orientation_overlap((scale, scale, 0.0), (1.0, 0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
+
+    def test_keeps_an_axis_of_unit_norm_as_given(self):
+        # within UNIT_NORM_TOL of unit norm an axis is not divided by its norm
+        s3 = 1.0 / math.sqrt(3.0)
+        assert abs(math.sqrt(3.0 * s3**2) - 1.0) <= purcell.UNIT_NORM_TOL
+        expected = float(np.dot((s3, s3, s3), (1.0, 0.0, 0.0))) ** 2
+        assert purcell.orientation_overlap((s3, s3, s3), (1.0, 0.0, 0.0)) == expected
+
+    @pytest.mark.parametrize("dipole, field, message", [
+        ((1.0, 0.0), (1.0, 0.0, 0.0), "dipole_axis must be a 3-vector"),
+        ((1.0, 0.0, 0.0), (math.inf, 0.0, 0.0), "field_axis contains non-finite entries"),
+        ((10**400, 0, 0), (1.0, 0.0, 0.0), "dipole_axis contains non-finite entries"),
+        (("x", 0.0, 0.0), (1.0, 0.0, 0.0), "dipole_axis is not a number"),
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), "field_axis must be nonzero"),
+    ], ids=["short", "inf", "int-beyond-float", "string", "zero"])
+    def test_rejects_a_faulty_axis_naming_it(self, dipole, field, message):
+        with pytest.raises(DomainError) as err:
+            purcell.orientation_overlap(dipole, field)
+        assert str(err.value) == message
 
 
 class TestSpatialOverlap:
