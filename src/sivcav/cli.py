@@ -37,7 +37,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .models import CavityMode, EmitterLine, G2Params, RadiativeBudget, ThreeLevelRates
+from .models import CavityMode, EmitterLine, G2Params, RadiativeBudget, ThreeLevelRates, _number
 
 NONCONVERGED_EXIT = 3
 _PACKAGE = Path(__file__).resolve().parent
@@ -189,6 +189,10 @@ def cmd_g2_fit(args, paths):
 
 
 def cmd_g2_correlate(args, paths):
+    if args.mode == montecarlo.MODE_FULL and args.seed is not None:
+        raise DomainError("--seed requires --mode start-stop")
+    if args.mode == montecarlo.MODE_START_STOP and args.seed is None:
+        args.seed = 0  # the splitter's default, recorded as provenance.seed
     stream, _meta = montecarlo.load_stream(args.stream)
     hist = montecarlo.correlate(stream, args.bin_width, args.window, args.mode, seed=args.seed)
     montecarlo.save_histogram(hist, args.out_hist)
@@ -278,7 +282,7 @@ def cmd_spectra_track(args, paths):
                     fh.write(f"{label},{p.step},{p.center!r},{p.fwhm!r}\n")
         paths.append(args.emit_curves)
     summary = [
-        f"track {label}: {entry.get('rate_nm_per_step', float('nan')):+.3f} nm/step "
+        f"track {label}: {entry['rate_nm_per_step']:+.3f} nm/step "
         f"over {entry['n_steps']} steps"
         for label, entry in modes.items()
         if "rate_nm_per_step" in entry
@@ -314,7 +318,8 @@ def _mixture(doc):
     num = dspec["num"]
     if isinstance(num, bool) or not isinstance(num, (int, float)) or not num >= 1 or num % 1:
         raise ValueError(f"detunings num must be a whole number of at least 1, got {num!r}")
-    detunings = np.linspace(dspec["start"], dspec["stop"], int(num))
+    detunings = np.linspace(_number("detunings start", dspec["start"]),
+                            _number("detunings stop", dspec["stop"]), int(num))
     return emitter, modes, doc["line_lambda"], detunings
 
 
@@ -516,7 +521,7 @@ def build_parser():
     g.add_argument("--window", type=float, required=True, help="maximum |delay|, s")
     g.add_argument("--mode", choices=[montecarlo.MODE_FULL, montecarlo.MODE_START_STOP],
                    default=montecarlo.MODE_FULL)
-    g.add_argument("--seed", type=int, default=0, help="seed for the start-stop splitter")
+    g.add_argument("--seed", type=int, help="seed for the start-stop splitter (default 0)")
     g.add_argument("--out-hist", required=True, help="histogram CSV to write")
     g.add_argument("--out")
     g.set_defaults(func=cmd_g2_correlate)

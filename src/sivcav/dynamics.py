@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -51,6 +50,7 @@ from .models import (
     _floats,
     _increasing,
     _number,
+    _numbers,
     _raise_if,
 )
 from ._table import read_table, write_table
@@ -71,9 +71,6 @@ class PumpModel:
         bag = []
         _floats(self, bag, sigma="be positive")
         _raise_if(bag)
-
-    def k12(self, power_mw):
-        return self.sigma * np.asarray(power_mw, dtype=float)
 
     def p_sat(self, rates: ThreeLevelRates) -> float:
         """Saturation power (mW): excited population reaches half its
@@ -142,16 +139,6 @@ def _populations(k12, k21, k23, k31):
 def steady_state(rates: ThreeLevelRates) -> np.ndarray:
     """Stationary populations (p1, p2, p3): the normalized kernel of G."""
     return np.array(_populations(rates.k12, rates.k21, rates.k23, rates.k31))
-
-
-def _pump_rates(pump: PumpModel, powers) -> np.ndarray:
-    """k12 = sigma * P per power; DomainError unless every power is a
-    positive number."""
-    bag = []
-    (powers,) = _arrays(SimpleNamespace(powers=powers), bag, powers="be positive")
-    if bag:
-        raise DomainError("; ".join(bag))
-    return pump.k12(powers)
 
 
 # status of a pump rate: a two-exponential form, none (degenerate) or a
@@ -226,14 +213,11 @@ def g2_analytic(rates: ThreeLevelRates, delays) -> G2Curve:
     g2(0) = 0 exactly and g2 -> 1 at large delays. Computed from the two
     relaxation eigenvalues in closed form, degenerate ones included.
     """
-    bag = []
-    (delays,) = _arrays(SimpleNamespace(delays=delays), bag, delays="be finite")
+    delays = _numbers("delays", delays)
     if delays.ndim != 1 or delays.size < 1:
-        bag.append("delays must be a non-empty 1-D array")
-    elif not _increasing(delays):
-        bag.append("delays must be strictly increasing")
-    if bag:
-        raise DomainError("; ".join(bag))
+        raise DomainError("delays must be a non-empty 1-D array")
+    if not _increasing(delays):
+        raise DomainError("delays must be strictly increasing")
     at = np.abs(delays)
     s = _relaxation_spectra(rates.k12, rates.k21, rates.k23, rates.k31)
     if s.code[0] not in (_VALID, _DEGENERATE, _NEGATIVE_A):
@@ -299,18 +283,14 @@ def power_sweep(rates_at_unit_power: ThreeLevelRates, pump: PumpModel, powers) -
     The k12 field of ``rates_at_unit_power`` is ignored; the pump model sets
     it per power.
     """
-    powers = np.asarray(powers, dtype=float)
+    powers = _numbers("powers", powers, "be positive")
     r = rates_at_unit_power
-    s = _relaxation_spectra(_pump_rates(pump, powers), r.k21, r.k23, r.k31)
+    s = _relaxation_spectra(pump.sigma * powers, r.k21, r.k23, r.k31)
     return PowerSweep(powers, tuple(_g2_params(s)))
 
 
-def _sweep_spectra(powers, k21, k23, k31, sigma) -> _Spectra:
-    return _relaxation_spectra(sigma * np.asarray(powers), k21, k23, k31)
-
-
 def _sweep_observables(spectra: _Spectra):
-    """(tau1..., tau2..., a...) over the powers of _sweep_spectra's result;
+    """(tau1..., tau2..., a...) over the powers of a sweep's spectra;
     inf in every slot of a power without a two-exponential form, which
     rejects the parameter point."""
     params, ok = _g2_param_arrays(spectra)
@@ -320,8 +300,8 @@ def _sweep_observables(spectra: _Spectra):
 
 def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra: _Spectra):
     """The (3n, 4) derivative of _sweep_observables, rows in its order, by
-    (k21, k23, k31, sigma); ``spectra`` is _sweep_spectra of the same
-    arguments.
+    (k21, k23, k31, sigma); ``spectra`` is _relaxation_spectra at
+    k12 = sigma * powers.
 
     A root of lam^2 + S lam + P moves by dlam = -(dS lam + dP)/(2 lam + S),
     where 2 lam + S is -gap for lam_fast and +gap for lam_slow, gap =
@@ -337,7 +317,6 @@ def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra: _Spectra):
     their inf observables reject the point before a Jacobian is asked for.
     """
     lam_fast, lam_slow, a, b, _, q = spectra
-    powers = np.asarray(powers, dtype=float)
     k12 = sigma * powers
     one = np.ones_like(k12)
     # derivatives of S, P and q = P / k31 by (k21, k23, k31, sigma), one row each
@@ -401,7 +380,8 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
     def spectra(rates):
         if rates not in held:
             held.clear()
-            held[rates] = _sweep_spectra(powers, *rates)
+            k21, k23, k31, sigma = rates
+            held[rates] = _relaxation_spectra(sigma * powers, k21, k23, k31)
         return held[rates]
 
     def model(_x, *rates):
@@ -454,9 +434,9 @@ def saturation_curve(
     rate(P) = collection_eff * eta_qe * k21 * p2_steady(P)."""
     collection_eff = _number("collection_eff", collection_eff, "lie in (0, 1]")
     eta_qe = _number("eta_qe", eta_qe, "lie in [0, 1]")
-    powers = np.asarray(powers, dtype=float)
+    powers = _numbers("powers", powers, "be positive")
     r = rates_at_unit_power
-    p2 = _populations(_pump_rates(pump, powers), r.k21, r.k23, r.k31)[1]
+    p2 = _populations(pump.sigma * powers, r.k21, r.k23, r.k31)[1]
     return SaturationCurve(powers, collection_eff * eta_qe * r.k21 * p2)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .models import G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationCurve, _number
+from .models import G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationCurve, _number, _numbers
 
 RANK_TOL = 1e-12
 MAX_DAMPING = 1e14
@@ -290,11 +290,13 @@ def least_squares(
     ------
     RankDeficiencyError when the start's Jacobian with unit columns is
     numerically rank deficient, naming the unidentifiable parameter
-    combination; DomainError when ``jacobian`` returns an array of the wrong
-    shape. Non-convergence is NOT an exception (``converged=False``).
+    combination; DomainError naming ``ydata``, ``p0`` or ``sigma`` where it
+    is not an array of finite numbers (``sigma``'s positive), and when
+    ``jacobian`` returns an array of the wrong shape. Non-convergence is NOT
+    an exception (``converged=False``).
     """
-    y = np.asarray(ydata, dtype=float).ravel()
-    p0 = np.array(p0, dtype=float)  # a copy: a fit that takes no step returns its start
+    y = _numbers("ydata", ydata).ravel()
+    p0 = np.array(_numbers("p0", p0))  # a copy: a fit that takes no step returns its start
     n = p0.size
     if names is None:
         names = tuple(f"p{i}" for i in range(n))
@@ -302,12 +304,10 @@ def least_squares(
     if sigma is None:
         weights = np.ones_like(y)
     else:
-        sig = np.asarray(sigma, dtype=float).ravel()
-        if sig.shape != y.shape or np.any(sig <= 0):
-            raise DomainError("sigma must be positive and match ydata in length")
+        sig = _numbers("sigma", sigma, "be positive").ravel()
+        if sig.shape != y.shape:
+            raise DomainError("sigma must match ydata in length")
         weights = 1.0 / sig
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p0))):
-        raise DomainError("data and initial parameters must be finite")
     if bounds is None:
         bounds = [(None, None)] * n
     if len(bounds) != n:

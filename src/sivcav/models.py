@@ -11,8 +11,11 @@ stores its numeric fields through ``_floats``, ``_arrays`` (read-only arrays)
 and ``_samples`` (the two arrays of a sampled curve), each named with its rule
 from ``_RULES`` (``k21="be positive"``): a field that is not a finite number
 gives one violation, a finite value or entry breaking it "<field> must <rule>".
-A function checks each number it is passed through ``_number``: DomainError
-"<name> must <rule>, got <value>". A ``RadiativeBudget`` is the one type
+A function checks each argument by the same rules. A scalar goes through
+``_number`` and fails as DomainError "<name> must <rule>, got <value>"; an
+array goes through ``_numbers`` and fails as DomainError in the wording of an
+array field, its first fault only. A bool is not a number, in a field or an
+argument alike. A ``RadiativeBudget`` is the one type
 whose document a file carries (``RadiativeBudget.from_dict``). A budget in a
 photonic crystal is a ``RadiativeBudget`` too
 (:func:`~sivcav.purcell.modified_budget`).
@@ -30,8 +33,8 @@ from .errors import DomainError, ValidationError
 
 def _as_float(value):
     """float(value), an int beyond the float range taken as +-inf. A string
-    is not a number, even where float() would parse it: TypeError."""
-    if isinstance(value, (str, bytes, bytearray)):
+    or a bool is not a number, even where float() would take it: TypeError."""
+    if isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
         raise TypeError(f"{type(value).__name__} is not a number")
     try:
         return float(value)
@@ -96,14 +99,14 @@ def _shaped(bag, name, given):
 
 
 def _float_array(bag, name, given):
-    """np.asarray(given, dtype=float), but a string, bytes or object array
-    is converted entry by entry as _floats converts a scalar: an int beyond
-    the float range is +-inf, and where an entry is not a number (a numeric
-    string included) "<name> is not a number" goes into bag and the array
-    is zeros, a stand-in that the bag's violation discards. A ragged given
-    is handled by _shaped."""
+    """np.asarray(given, dtype=float), but a string, bytes, bool or object
+    array is converted entry by entry as _floats converts a scalar: an int
+    beyond the float range is +-inf, and where an entry is not a number (a
+    numeric string or a bool included) "<name> is not a number" goes into
+    bag and the array is zeros, a stand-in that the bag's violation
+    discards. A ragged given is handled by _shaped."""
     array = _shaped(bag, name, given)
-    if array.dtype.kind not in "OSU":
+    if array.dtype.kind not in "OSUb":
         return np.asarray(array, dtype=float)
     try:
         return np.vectorize(_as_float, otypes=[float])(array.astype(object))
@@ -122,24 +125,45 @@ def _read_only(value, given):
     return value
 
 
+def _entries(bag, name, given):
+    """(given as a float array, the entries its rule holds): all, the finite
+    ones after "<name> contains non-finite entries", or none after a fault."""
+    faults = len(bag)
+    value = _float_array(bag, name, given)
+    finite = np.isfinite(value)
+    if finite.all():
+        return value, (value if len(bag) == faults else np.zeros(0))
+    bag.append(f"{name} contains non-finite entries")
+    return value, value[finite]
+
+
 def _arrays(obj, bag, **rules):
     """_floats for fields of arrays: each is stored as a read-only float
     array, and its finite entries are held to its rule one by one."""
     values, held = [], []
     for name in rules:
         given = getattr(obj, name)
-        faults = len(bag)
-        value = _float_array(bag, name, given)
-        if np.all(np.isfinite(value)):  # the zeros standing in for a faulty given are not held
-            held.append(value if len(bag) == faults else np.zeros(0))
-        else:
-            bag.append(f"{name} contains non-finite entries")
-            held.append(value[np.isfinite(value)])
+        value, entries = _entries(bag, name, given)
+        held.append(entries)
         value = _read_only(value, given)
         object.__setattr__(obj, name, value)
         values.append(value)
     bag += [f"{name} must {rule}" for (name, rule), entries in zip(rules.items(), held)
             if not _RULES[rule](entries).all()]
+    return values
+
+
+def _numbers(name, values, rule="be finite"):
+    """An array a caller passed as argument name, as a float array checked
+    as _arrays checks an array field; otherwise DomainError with the first
+    fault: "<name> is not a number", "is ragged", "contains non-finite
+    entries" or "must <rule>"."""
+    bag = []
+    values, entries = _entries(bag, name, values)
+    if bag:
+        raise DomainError(bag[0])
+    if not _RULES[rule](entries).all():
+        raise DomainError(f"{name} must {rule}")
     return values
 
 

@@ -41,8 +41,8 @@ from .models import (
     EmitterLine,
     FieldMap,
     RadiativeBudget,
-    _float_array,
     _number,
+    _numbers,
 )
 
 UNIT_NORM_TOL = 1e-9
@@ -78,14 +78,9 @@ def _unit_axis(name, given):
     """given as a unit 3-vector: divided by its norm, unless that is within
     UNIT_NORM_TOL of 1, where it is kept as given. DomainError naming the
     axis where given is no 3-vector of finite numbers, or is zero."""
-    bag = []
-    axis = _float_array(bag, name, given)  # "<name> is not a number" or "is ragged"
-    if bag:
-        raise DomainError(bag[0])
+    axis = _numbers(name, given)
     if axis.shape != (3,):
         raise DomainError(f"{name} must be a 3-vector")
-    if not np.all(np.isfinite(axis)):
-        raise DomainError(f"{name} contains non-finite entries")
     norm = math.hypot(*axis)  # unlike sqrt(axis . axis), neither overflows nor underflows
     if norm == 0:
         raise DomainError(f"{name} must be nonzero")
@@ -105,11 +100,9 @@ def spatial_overlap(field: FieldMap, position) -> float:
     The normalized amplitude is interpolated bilinearly; positions outside
     the grid raise a DomainError naming the violated bound.
     """
-    pos = np.asarray(position, dtype=float)
+    pos = _numbers("position", position)
     if pos.shape != (2,):
         raise DomainError("position must be a 2-vector (x, y) in lattice coordinates")
-    if not np.all(np.isfinite(pos)):
-        raise DomainError("position contains non-finite entries")
     (xmin, xmax), (ymin, ymax) = field.extent()
     x, y = float(pos[0]), float(pos[1])
     if not (xmin <= x <= xmax):
@@ -247,9 +240,7 @@ def infer_bulk_qe_from_inhibition(tau_bulk: float, tau_phc: float, f_phc: float)
             f"= {1.0 / f_phc:.4g} reachable at unit quantum efficiency"
         )
     eta = min(max(eta, 0.0), 1.0)
-    rad = f_phc * eta
-    eta_phc = rad / (rad + 1.0 - eta) if (rad + 1.0 - eta) > 0 else 0.0
-    return eta, eta_phc
+    return eta, rescale_qe(eta, f_phc)
 
 
 def nanosphere_factor(n: float) -> float:

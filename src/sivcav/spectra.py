@@ -29,6 +29,7 @@ from .models import (
     PolarizationScan,
     _floats,
     _number,
+    _numbers,
     _raise_if,
 )
 
@@ -221,10 +222,9 @@ def _fit_line_area(series: TuningSeries, step: int, line: EmitterLine, mode_trac
     if not fit.converged:
         raise DomainError(f"emitter line unresolvable in step {step}: fit did not converge")
     amplitude = fit["amplitude_1"]
-    fwhm = abs(fit["fwhm_1"])
     if amplitude <= 0:
         raise DomainError(f"emitter line unresolvable in step {step}: non-positive amplitude")
-    return amplitude * fwhm  # proportional to the Lorentzian area
+    return amplitude * fit["fwhm_1"]  # proportional to the Lorentzian area; the fit's bounds keep the fwhm positive
 
 
 def enhancement_ratio(
@@ -270,8 +270,6 @@ def enhancement_ratio(
     off_step = max(detuning_by_step, key=detuning_by_step.get)
     on_area = _fit_line_area(series, on_step, line, tracks)
     off_area = _fit_line_area(series, off_step, line, tracks)
-    if off_area <= 0:
-        raise DomainError(f"emitter line unresolvable in step {off_step}")
     return EnhancementResult(on_area / off_area, on_step, off_step)
 
 
@@ -296,9 +294,7 @@ def polarization_mixture(
     modes = list(modes)
     if not modes:
         raise DomainError("need at least one cavity mode channel")
-    detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
-    if not np.all(np.isfinite(detunings)):
-        raise DomainError("detunings must be finite")
+    detunings = np.atleast_1d(_numbers("detunings", detunings))
     line = EmitterLine(line_lambda)
     angles = np.empty(detunings.size)
     for i, d in enumerate(detunings):

@@ -714,6 +714,26 @@ class TestG2Commands:
         assert results["a"]["value"] == 0.0
         assert results["tau2"]["sigma"] > 1e3 * results["tau2"]["value"]
 
+    def test_seed_is_for_start_stop_mode_only(self, capsys, tmp_path, stream_file):
+        """The splitter's --seed with full mode exits 2 before writing. A
+        full-mode report records no seed; a start-stop one records the
+        splitter's, 0 unless given."""
+        hist = tmp_path / "hist.csv"
+        argv = ["g2", "correlate", "--stream", str(stream_file), "--bin-width", "0.4e-9",
+                "--window", "40e-9", "--out-hist", str(hist)]
+        code, out, err = run_cli(capsys, *argv, "--seed", "5")
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == {"type": "domain", "message": "--seed requires --mode start-stop"}
+        assert not hist.exists()
+        code, doc, _err = run_cli(capsys, *argv)
+        assert code == 0 and "seed" not in doc["provenance"]
+        histograms = []
+        for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+            code, doc, _err = run_cli(capsys, *argv, "--mode", "start-stop", *seed)
+            assert code == 0 and doc["provenance"]["seed"] == (int(seed[1]) if seed else 0)
+            histograms.append(hist.read_bytes())
+        assert histograms[0] == histograms[1] != histograms[2]
+
     @pytest.mark.parametrize("field", ["2000.5", "-2000"])
     def test_picosecond_field_not_a_count_exit_2(self, capsys, tmp_path, field):
         path = tmp_path / "bad.csv"
@@ -897,6 +917,25 @@ class TestSpectraCommands:
         assert json.loads(err)["error"] == {
             "type": "input-format",
             "message": f"{path}:0: detunings num must be a whole number of at least 1, got {num!r}"}
+
+    @pytest.mark.parametrize("end, value, shown", [
+        ("start", np.nan, "nan"), ("start", np.inf, "inf"), ("start", "a", "'a'"), ("start", True, "True"),
+        ("stop", -np.inf, "-inf"), ("stop", None, "None"),
+    ], ids=["start-nan", "start-inf", "start-string", "start-bool", "stop-minus-inf", "stop-null"])
+    def test_mixture_sweep_end_not_a_finite_number_exit_2(self, capsys, tmp_path, end, value, shown):
+        """A sweep end that is no finite number is a fault of the document,
+        named with its file."""
+        detunings = {"start": -500.0, "stop": -480.0, "num": 21, end: value}
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps({
+            "emitter": {"angle": 60.0, "weight": 1.0},
+            "modes": [{"angle": 0.0, "weight": 50.0, "lambda_c": 760.0, "q_factor": 400.0}],
+            "line_lambda": 750.0, "detunings": detunings}))
+        code, out, err = run_cli(capsys, "spectra", "polarization", "--mixture", str(path))
+        assert code == 2
+        assert out is None
+        assert json.loads(err)["error"] == {
+            "type": "input-format", "message": f"{path}:0: detunings {end} must be finite, got {shown}"}
 
     @pytest.mark.parametrize("flags, error", [
         (["--scan", "{tmp}/scan.csv", "--mixture", "{tmp}/mix.json", "--emit-curves", "{tmp}/c.csv"],
@@ -1146,11 +1185,17 @@ def test_number_list_flags_echo_parsed(capsys, tmp_path, stream_file):
     (["simulate", "--rates", "1e8,2e9,1e8,5e7", "--duration", "1e-4", "--budget",
       "{tmp}/stale.json", "--out-stream", "{tmp}/s.csv"],
      "input-format", "{tmp}/stale.json:0: unknown key 'label'"),
+    (["purcell", "--budget", "{tmp}/bools.json", "--f-phc", "1"],
+     "input-format", "{tmp}/bools.json:0: gamma_zpl is not a number; gamma_nr is not a number"),
+    (["simulate", "--rates", "1e8,2e9,1e8,5e7", "--duration", "1e-4", "--budget",
+      "{tmp}/bools.json", "--out-stream", "{tmp}/s.csv"],
+     "input-format", "{tmp}/bools.json:0: gamma_zpl is not a number; gamma_nr is not a number"),
 ], ids=["rates-count", "rates-non-numeric", "jitter-non-numeric", "unused-dipole-count",
         "unused-pos-count", "siv3-f_phc-above-1", "zero-dipole", "bad-budget-json", "q-without-vmode",
         "polarization-without-input", "out-is-directory", "mixture-without-modes",
         "budget-without-key", "budget-not-an-object", "manifest-step-without-file",
-        "purcell-budget-with-stale-key", "simulate-budget-with-stale-key"])
+        "purcell-budget-with-stale-key", "simulate-budget-with-stale-key",
+        "purcell-budget-with-bool-rates", "simulate-budget-with-bool-rates"])
 def test_malformed_input_exit_2(capsys, tmp_path, argv, error_type, message):
     (tmp_path / "bad.json").write_text('{"gamma_zpl": 1,\n "gamma_psb": }')
     (tmp_path / "no_modes.json").write_text(json.dumps(
@@ -1160,6 +1205,7 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, error_type, message):
     (tmp_path / "no_file.json").write_text(json.dumps({"steps": [{"index": 0}]}))
     (tmp_path / "stale.json").write_text(json.dumps(
         {"gamma_zpl": 1e8, "gamma_psb": 1e8, "gamma_nr": 1e8, "label": "siv4", "units": "Hz"}))
+    (tmp_path / "bools.json").write_text(json.dumps({"gamma_zpl": True, "gamma_psb": 1e8, "gamma_nr": False}))
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out is None

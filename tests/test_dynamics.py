@@ -231,7 +231,7 @@ class TestG2Params:
         expected = [1.0 / (1e8 * p + 1e9) for p in powers] + [1.0 / k31] * 3 + [0.0] * 3
         assert [g.tau1 for g in sweep.params] + [g.tau2 for g in sweep.params] + \
             [g.a for g in sweep.params] == expected
-        spectra = dynamics._sweep_spectra(powers, 1e9, 0.0, k31, 1e8)
+        spectra = dynamics._relaxation_spectra(1e8 * powers, 1e9, 0.0, k31)
         assert dynamics._sweep_observables(spectra).tolist() == expected
 
     def test_vanishing_pump_limit(self):
@@ -396,7 +396,7 @@ class TestStackedSpectrum:
     def test_sweep_observables_match_per_power_loop(self):
         kinds = set()
         for k21, k23, k31, sigma in self.parameter_points():
-            stacked = dynamics._sweep_observables(dynamics._sweep_spectra(self.POWERS, k21, k23, k31, sigma))
+            stacked = dynamics._sweep_observables(dynamics._relaxation_spectra(sigma * self.POWERS, k21, k23, k31))
             reference = self.reference_observables(k21, k23, k31, sigma)
             assert np.array_equal(np.isinf(stacked), np.isinf(reference))
             for i, p in enumerate(self.POWERS):
@@ -462,7 +462,7 @@ class TestStackedSpectrum:
         g = dynamics.generator(ThreeLevelRates(0.5, 4.0, 0.5, 4.0))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.linalg.eig(g)[1].real, np.array([1.0, 0.0, 0.0]))
-        spectra = dynamics._sweep_spectra(np.array([0.3, 1.0, 2.0]), 4.0, 0.5, 4.0, 0.5)
+        spectra = dynamics._relaxation_spectra(0.5 * np.array([0.3, 1.0, 2.0]), 4.0, 0.5, 4.0)
         out = dynamics._sweep_observables(spectra)
         assert np.isinf(out[1::3]).all()
         assert np.isfinite(np.delete(out, [1, 4, 7])).all()

@@ -137,6 +137,11 @@ class TestJacobian:
 SWEEP_POWERS = np.array([0.1, 0.3, 0.6, 1.0, 1.6, 2.4])
 
 
+def sweep_spectra(k21, k23, k31, sigma):
+    """The relaxation spectra of the sweep model over SWEEP_POWERS."""
+    return dynamics._relaxation_spectra(sigma * SWEEP_POWERS, k21, k23, k31)
+
+
 def count_fit_calls(monkeypatch):
     """Counts of the model and Jacobian calls of the fits that follow, made
     through a patched fitting.least_squares; a fit that passes no
@@ -266,13 +271,13 @@ class TestSweepJacobian:
     @pytest.mark.parametrize("point", POINTS, ids=IDS)
     def test_vs_central_difference(self, point):
         p = np.array(point)
-        analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *p, dynamics._sweep_spectra(SWEEP_POWERS, *p))
+        analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *p, sweep_spectra(*p))
         free = p > 0.0  # k23 = 0 is a bound: no central difference in it
 
         def residual(q):
             full = p.copy()
             full[free] = q
-            return dynamics._sweep_observables(dynamics._sweep_spectra(SWEEP_POWERS, *full))
+            return dynamics._sweep_observables(sweep_spectra(*full))
 
         central = central_jacobian(residual, p[free], p[free])
         # the response to a relative change of each parameter, relative to the
@@ -299,7 +304,7 @@ class TestSweepJacobian:
                 moved = exact_sweep_observables(SWEEP_POWERS, *(t + step * (i == j) for i, t in enumerate(theta)))
                 columns.append([float((m - b) / step) for m, b in zip(moved, base)])
         exact = np.array(columns).T
-        spectra = dynamics._sweep_spectra(SWEEP_POWERS, *point)
+        spectra = sweep_spectra(*point)
         analytic = dynamics._sweep_jacobian(SWEEP_POWERS, *point, spectra)
         for rows in np.split(np.arange(exact.shape[0]), 3):
             block = np.abs(exact[rows])
@@ -309,7 +314,7 @@ class TestSweepJacobian:
             assert np.all(analytic[2 * SWEEP_POWERS.size:, 1] > 0.0)
 
     def test_small_k23_point_takes_the_product_branch(self):
-        s = dynamics._sweep_spectra(SWEEP_POWERS, *self.POINTS[1])
+        s = sweep_spectra(*self.POINTS[1])
         assert np.all(s.code == dynamics._VALID)
         assert np.all(np.abs(s.q + s.lam_fast) < 1e-3 * s.q)
         assert np.all(np.abs(s.q + s.lam_fast) < np.abs(s.q + s.lam_slow))

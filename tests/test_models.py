@@ -1,14 +1,16 @@
+import ast
 import dataclasses
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sivcav import dynamics, fitting, models, montecarlo, purcell, spectra
+from sivcav import cli, dynamics, fitting, models, montecarlo, purcell, spectra
 from sivcav.errors import DomainError, ValidationError
 from sivcav.models import (
     CavityMode,
@@ -518,6 +520,24 @@ def valid_call(function):
         "fit_g2": (fitting.fit_g2, {"curve": curve, "irf_sigma": 1e-10}),
         "track_modes": (lambda center, fwhm: spectra.track_modes([(0, spectrum)], {"o1": (center, fwhm)}),
                         {"center": 769.0, "fwhm": 2.3}),
+        "_mixture": (lambda start, stop: cli._mixture({
+            "emitter": {"angle": 60.0, "weight": 1.0}, "line_lambda": 750.0,
+            "modes": [{"angle": 0.0, "weight": 50.0, "lambda_c": 760.0, "q_factor": 400.0}],
+            "detunings": {"start": start, "stop": stop, "num": 3}}), {"start": -500.0, "stop": -480.0}),
+        "power_sweep": (dynamics.power_sweep, {"rates_at_unit_power": rates, "pump": dynamics.PumpModel(0.3e9),
+                                               "powers": [0.5, 1.0]}),
+        "g2_analytic": (dynamics.g2_analytic, {"rates": rates, "delays": [0.0, 1e-9, 2e-9]}),
+        "orientation_overlap": (purcell.orientation_overlap, {"dipole_axis": [1.0, 0.0, 0.0],
+                                                              "field_axis": [1.0, 1.0, 0.0]}),
+        "spatial_overlap": (purcell.spatial_overlap, {"field": FieldMap([[0.2, 1.0], [0.1, 0.3]], 10.0, (0.0, 0.0)),
+                                                      "position": [5.0, 5.0]}),
+        "polarization_mixture": (spectra.polarization_mixture, {
+            "emitter": spectra.PolarizedChannel(60.0, 1.0), "line_lambda": 750.0, "detunings": [-500.0, -490.0],
+            "modes": [(spectra.PolarizedChannel(0.0, 50.0), CavityMode(760.0, 400.0, 1.0))]}),
+        "least_squares": (fitting.least_squares, {
+            "model": lambda x, a, b: a + b * x, "xdata": np.arange(3.0), "ydata": [1.0, 2.0, 3.5],
+            "p0": [0.0, 1.0], "sigma": [1.0, 1.0, 1.0],
+            "jacobian": lambda x, a, b: np.column_stack([np.ones_like(x), x])}),
     }[function]
 
 
@@ -532,7 +552,7 @@ NUMERIC_ARGUMENTS = [
     *(("qe_from_saturation", arg) for arg in ("r_inf", "p_sat", "collection_eff")),
     ("simulate_stream", "duration"), ("simulate_stream", "detection_eff"), ("apply_jitter", "sigma_irf"),
     ("correlate", "bin_width"), ("correlate", "window"), ("fit_g2", "irf_sigma"),
-    ("track_modes", "center"), ("track_modes", "fwhm"),
+    ("track_modes", "center"), ("track_modes", "fwhm"), ("_mixture", "start"), ("_mixture", "stop"),
 ]
 
 
@@ -544,7 +564,7 @@ def test_non_finite_argument_raises_domain_error(function, argument):
     a value that is no number ends it with its repr."""
     call, kwargs = valid_call(function)
     call(**kwargs)
-    non_numbers = [("abc", "'abc'"), ("1", "'1'"), (b"1", "b'1'"), ([1.0], "[1.0]")]
+    non_numbers = [("abc", "'abc'"), ("1", "'1'"), (b"1", "b'1'"), ([1.0], "[1.0]"), (True, "True")]
     if (function, argument) not in (("fit_g2", "irf_sigma"), ("modified_budget", "f_cav")):  # None: no kernel, no mode
         non_numbers.append((None, "None"))
     for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (10**400, "inf"), *non_numbers):
@@ -590,3 +610,80 @@ def test_argument_breaking_its_rule_is_named_with_its_value(function, argument, 
     with pytest.raises(DomainError) as err:
         call(**{**kwargs, argument: bad})
     assert str(err.value) == f"{argument} must {rule}, got {bad}"
+
+
+# (function, array argument, its rule, finite entries that break it)
+ARRAY_ARGUMENTS = [
+    ("power_sweep", "powers", "be positive", (0.0, -1.0)),
+    ("saturation_curve", "powers", "be positive", (0.0, -1.0)),
+    ("g2_analytic", "delays", "be finite", ()),
+    ("orientation_overlap", "dipole_axis", "be finite", ()),
+    ("orientation_overlap", "field_axis", "be finite", ()),
+    ("spatial_overlap", "position", "be finite", ()),
+    ("polarization_mixture", "detunings", "be finite", ()),
+    ("least_squares", "ydata", "be finite", ()),
+    ("least_squares", "p0", "be finite", ()),
+    ("least_squares", "sigma", "be positive", (0.0, -1.0)),
+]
+
+
+@pytest.mark.parametrize("function, argument", [(f, a) for f, a, _, _ in ARRAY_ARGUMENTS],
+                         ids=[f"{f}-{a}" for f, a, _, _ in ARRAY_ARGUMENTS])
+def test_faulty_array_argument_raises_domain_error(function, argument):
+    """A NaN, inf, string or bool entry, or nested entries of unequal
+    lengths, in any one array argument raise a DomainError in the wording of
+    an array field: the argument and its first fault."""
+    call, kwargs = valid_call(function)
+    call(**kwargs)
+    given = list(kwargs[argument])
+    for value, fault in (([math.nan, *given[1:]], "contains non-finite entries"),
+                         ([*given[:-1], math.inf], "contains non-finite entries"),
+                         (["a", *given[1:]], "is not a number"),
+                         ([True] * len(given), "is not a number"),
+                         ([given, given[:1]], "is ragged")):
+        with pytest.raises(DomainError) as err:
+            call(**{**kwargs, argument: value})
+        assert str(err.value) == f"{argument} {fault}"
+
+
+BROKEN_ARRAYS = [(f, a, rule, bad) for f, a, rule, bads in ARRAY_ARGUMENTS for bad in bads]
+
+
+@pytest.mark.parametrize("function, argument, rule, bad", BROKEN_ARRAYS,
+                         ids=[f"{f}-{a}-{bad}" for f, a, _, bad in BROKEN_ARRAYS])
+def test_array_argument_breaking_its_rule_is_named(function, argument, rule, bad):
+    """A finite entry outside the argument's range raises DomainError
+    "<argument> must <rule>"."""
+    call, kwargs = valid_call(function)
+    with pytest.raises(DomainError) as err:
+        call(**{**kwargs, argument: [bad, *list(kwargs[argument])[1:]]})
+    assert str(err.value) == f"{argument} must {rule}"
+
+
+def test_every_checked_argument_is_in_a_table():
+    """Every function of src/sivcav that checks an argument with _number or
+    _numbers is listed in NUMERIC_ARGUMENTS or ARRAY_ARGUMENTS, so no newly
+    checked argument skips the tests above. A private helper is listed
+    through the functions of its module that call it. Parsed with ast."""
+    listed = {f for f, _ in NUMERIC_ARGUMENTS} | {f for f, *_ in ARRAY_ARGUMENTS}
+    unlisted = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sivcav").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for top in tree.body
+                     for node in (top, *(top.body if isinstance(top, ast.ClassDef) else ()))
+                     if isinstance(node, ast.FunctionDef)]  # module functions and methods
+        calls = {node.name: {call.func.id for call in ast.walk(node)
+                             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+                 for node in functions}
+        pending = [name for name, called in calls.items() if called & {"_number", "_numbers"}]
+        seen = set()
+        while pending:
+            name = pending.pop()
+            if name in listed or name in seen:
+                continue
+            seen.add(name)
+            callers = [caller for caller, called in calls.items() if name in called] if name.startswith("_") else []
+            if not callers:
+                unlisted.append(f"{path.stem}.{name}")
+            pending += callers
+    assert unlisted == []
