@@ -237,7 +237,7 @@ def read_counts(path, codes, headers=None):
     width, so a failing first row fails the file."""
     tail = 1 + len(next(iter(codes)))  # the comma and the label
     widest = 17 + tail  # bytes of a row of 16 digits, its newline included
-    keys = {int.from_bytes(f",{label}".encode(), "little"): code for label, code in codes.items()}
+    keys = {int.from_bytes(f",{label}".encode(), "little"): np.uint8(code) for label, code in codes.items()}
     with open(path, "rb") as fh:
         head = []
         while (line := fh.readline()) and _TOP_LINE.fullmatch(line):
@@ -279,11 +279,12 @@ def read_counts(path, codes, headers=None):
                 high = _ascii_digits(words(offset=newline - tail - 16), 16 - digits)
                 low = _ascii_digits(words(offset=newline - tail - 8), 8 - digits)
                 good = _digit_words(high) & _digit_words(low)
-                known = np.zeros_like(good)
+                known, tag = np.zeros_like(good), 0
                 for key, code in keys.items():
                     hit = label == key
-                    tags[row:row + count][hit] = code
+                    tag = tag + hit * code  # the labels differ: a row has one hit at most
                     known |= hit
+                tags[row:row + count] = tag
                 good &= known
                 run = good.size if good.all() else int(good.argmin())
                 if run == 0:

@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .models import G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationCurve, _number, _numbers
+from .models import (G2Curve, G2Params, PLSpectrum, PolarizationScan, SaturationCurve, _as_float, _number,
+                     _numbers)
 
 RANK_TOL = 1e-12
 MAX_DAMPING = 1e14
@@ -246,6 +247,21 @@ def _covariance(jac, chi2_red):
     return (vt.T * (1.0 / s**2)) @ vt * chi2_red
 
 
+def _bound(value, unbounded, names, j):
+    """A bound of parameter j as a float: unbounded for None, else a number
+    that is not NaN (infinite ones included); otherwise DomainError naming
+    names[j]."""
+    if value is None:
+        return unbounded
+    try:
+        bound = _as_float(value)
+    except (TypeError, ValueError):
+        bound = math.nan
+    if math.isnan(bound):
+        raise DomainError(f"bound for {names[j]} must be a number or None, got {value!r}")
+    return bound
+
+
 def least_squares(
     model,
     xdata,
@@ -291,9 +307,10 @@ def least_squares(
     RankDeficiencyError when the start's Jacobian with unit columns is
     numerically rank deficient, naming the unidentifiable parameter
     combination; DomainError naming ``ydata``, ``p0`` or ``sigma`` where it
-    is not an array of finite numbers (``sigma``'s positive), and when
-    ``jacobian`` returns an array of the wrong shape. Non-convergence is NOT
-    an exception (``converged=False``).
+    is not an array of finite numbers (``sigma``'s positive), naming the
+    parameter where a bound is neither None nor a number (NaN is none), and
+    when ``jacobian`` returns an array of the wrong shape. Non-convergence
+    is NOT an exception (``converged=False``).
     """
     y = _numbers("ydata", ydata).ravel()
     p0 = np.array(_numbers("p0", p0))  # a copy: a fit that takes no step returns its start
@@ -312,8 +329,8 @@ def least_squares(
         bounds = [(None, None)] * n
     if len(bounds) != n:
         raise DomainError("bounds must supply one (lo, hi) pair per parameter")
-    lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=float)
-    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
+    lo = np.array([_bound(b, -np.inf, names, j) for j, (b, _) in enumerate(bounds)])
+    hi = np.array([_bound(b, np.inf, names, j) for j, (_, b) in enumerate(bounds)])
     bad = (lo > hi) | (p0 < lo) | (p0 > hi)
     if bad.any():
         j = int(np.argmax(bad))

@@ -15,9 +15,9 @@ A function checks each argument by the same rules. A scalar goes through
 ``_number`` and fails as DomainError "<name> must <rule>, got <value>"; an
 array goes through ``_numbers`` and fails as DomainError in the wording of an
 array field, its first fault only. A bool is not a number, in a field or an
-argument alike. A ``RadiativeBudget`` is the one type
-whose document a file carries (``RadiativeBudget.from_dict``). A budget in a
-photonic crystal is a ``RadiativeBudget`` too
+argument alike, nor in a list among numbers. A ``RadiativeBudget`` is the one
+type whose document a file carries (``RadiativeBudget.from_dict``). A budget
+in a photonic crystal is a ``RadiativeBudget`` too
 (:func:`~sivcav.purcell.modified_budget`).
 """
 
@@ -87,15 +87,26 @@ def _floats(obj, bag, **rules):
     return values
 
 
+def _holds_bool(given):
+    """Whether given is a list or tuple with a bool in it, at any depth."""
+    return isinstance(given, (list, tuple)) and any(
+        isinstance(entry, (bool, np.bool_)) or _holds_bool(entry) for entry in given)
+
+
 def _shaped(bag, name, given):
     """np.asarray(given), but nested sequences of unequal lengths put
     "<name> is ragged" into bag, with zeros of the outer length as the
-    stand-in that the bag's violation discards."""
+    stand-in that the bag's violation discards. Numbers given with a bool
+    among them stay an object array, where numpy would read the bool as 1.0
+    or 0.0."""
     try:
-        return np.asarray(given)
+        array = np.asarray(given)
     except ValueError:  # numpy's "inhomogeneous shape"
         bag.append(f"{name} is ragged")
         return np.zeros(len(given))
+    if array.dtype.kind not in "OSUb" and _holds_bool(given):
+        return np.asarray(given, dtype=object)
+    return array
 
 
 def _float_array(bag, name, given):

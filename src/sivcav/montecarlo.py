@@ -56,11 +56,16 @@ does a span, and its temporaries, cover the whole stream.
 A full-mode histogram counts each pair (i, i + k) of photons with
 t[i + k] - t[i] within the window once, under its start i: lag by lag over
 the starts whose pairs still fit (Laurence et al., Opt. Lett. 31, 829
-(2006)). The starts are cut into chunks of CHUNK_STARTS, each chunk counts
-its own pairs reading the whole stream, and the chunks run on the threads
-of _map. Every delay is the same subtraction and the integer counts add in
-any order, so the histogram does not depend on the chunk size or the thread
-count.
+(2006)), kept from one lag to the next as an index array. The starts are cut
+into chunks of CHUNK_STARTS, each chunk counts its own pairs reading the
+whole stream, and the chunks run on the threads of _map. A lag's delays are
+sorted in place and binned by searching the bin edges in them, as
+np.histogram bins them; a lag of fewer than SORT_BLOCK delays waits for
+others, and they are sorted together once they hold SORT_BLOCK or the chunk
+ends. So a chunk holds one lag's arrays and fewer than SORT_BLOCK waiting
+delays. Every delay is the same subtraction and the integer counts add in
+any order, so the histogram does not depend on the chunk size, the thread
+count or SORT_BLOCK.
 
 _map, the one thread helper of the photon path, runs a function over a
 list of items on one thread per CPU the process may run on (its affinity
@@ -123,7 +128,9 @@ CHUNK_STARTS = 1 << 16  # pair starts per chunk of a full-mode correlate
 MAX_WORKERS = 4  # threads of a _map, at most
 GEN_BATCH = 1 << 17  # photons per spawned generator: a batch of simulate_stream, a block of apply_jitter
 DRAW_CHUNK = 1 << 14  # uniforms per draw of the Coxian's coin U
-SORT_BLOCK = 1 << 14  # keys per block of apply_jitter's sort: MAX_WORKERS spans of it hold 1 << 16
+# keys per sort: a block of apply_jitter's sort (MAX_WORKERS spans of it hold 1 << 16), and the
+# delays a correlate chunk sorts at once: a longer lag alone, shorter ones held together up to it
+SORT_BLOCK = 1 << 14
 
 
 def _rng(seed, *spawn_key):
@@ -497,23 +504,45 @@ def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStr
                         stream.rng_algorithm)
 
 
+def _sorted_counts(d, pos_edges):
+    """np.histogram(d, pos_edges)[0] of delays 0 <= d <= pos_edges[-1], with d
+    sorted in place: each bin's count by searching its edges, its upper one
+    excluded but for the last bin's."""
+    d.sort()
+    return np.diff(np.append(d.searchsorted(pos_edges[:-1]), d.searchsorted(pos_edges[-1], "right")))
+
+
 def _chunk_counts(t, lo, hi, limit, pos_edges):
     """Counts over pos_edges of the delays t[i + k] - t[i] <= limit, k >= 1,
-    of the starts i in [lo, hi): the pairs that chunk of starts owns."""
+    of the starts i in [lo, hi): the pairs that chunk of starts owns. A lag
+    of at least SORT_BLOCK delays is counted alone; shorter ones are held
+    and counted together once they reach SORT_BLOCK, or at the chunk's end.
+    So the temporaries are one lag's arrays and fewer than SORT_BLOCK held
+    delays (twice that while they are joined)."""
     n = t.size
     counts = np.zeros(pos_edges.size - 1, dtype=np.int64)
+    held, n_held = [], 0
     # lag k keeps the i with t[i + k] - t[i] <= limit: t is sorted, so they are among lag k-1's
     d, k = t[lo + 1:hi + 1] - t[lo:hi], 1
     start = np.flatnonzero(d <= limit)
     d = d[start]
     start += lo
     while start.size:
-        counts += np.histogram(d, pos_edges)[0]
+        if d.size >= SORT_BLOCK:
+            counts += _sorted_counts(d, pos_edges)
+        else:
+            held.append(d)
+            n_held += d.size
+            if n_held >= SORT_BLOCK:
+                counts += _sorted_counts(np.concatenate(held), pos_edges)
+                held, n_held = [], 0
         k += 1
         start = start[: np.searchsorted(start, n - k)]  # start + k < n
         d = t[start + k] - t[start]
-        within = d <= limit
+        within = np.flatnonzero(d <= limit)
         start, d = start[within], d[within]
+    if held:
+        counts += _sorted_counts(np.concatenate(held), pos_edges)
     return counts
 
 

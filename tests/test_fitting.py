@@ -748,6 +748,26 @@ class TestEngine:
                 slope, np.arange(4.0), np.arange(4.0), [-1.0], bounds=[(0.0, None)], jacobian=slope_jacobian
             )
 
+    @pytest.mark.parametrize("bound", ["a", b"0", True, np.False_, math.nan, [0.0]],
+                             ids=["str", "bytes", "bool", "numpy-bool", "nan", "list"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["lo", "hi"])
+    def test_bound_that_is_no_number_rejected(self, bound, side):
+        # NaN fails every comparison, so a NaN bound would pass the box checks and poison each step
+        pair = [None, None]
+        pair[side] = bound
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DomainError) as err:
+            fitting.least_squares(line, x, 2.0 * x + 1.0, [1.0, 0.0], bounds=[(None, None), tuple(pair)],
+                                  names=("a", "b"), jacobian=line_jacobian)
+        assert str(err.value) == f"bound for b must be a number or None, got {bound!r}"
+
+    def test_infinite_bounds_are_none(self):
+        x = np.linspace(0.0, 1.0, 5)
+        fits = [fitting.least_squares(line, x, 2.0 * x + 1.0, [1.0, 0.0], bounds=bounds, jacobian=line_jacobian)
+                for bounds in ([(None, None)] * 2, [(-math.inf, math.inf), (-10**400, 10**400)])]
+        assert fits[0].values.tolist() == fits[1].values.tolist()
+        assert fits[0].converged and fits[0].nfev == fits[1].nfev
+
     def test_transposed_jacobian_rejected(self):
         # a reshape alone would read its (2, 20) rows as a wrong (20, 2)
         # Jacobian: the fit converged slowly, with sigmas 9x and 15x too large

@@ -640,6 +640,8 @@ def test_faulty_array_argument_raises_domain_error(function, argument):
                          ([*given[:-1], math.inf], "contains non-finite entries"),
                          (["a", *given[1:]], "is not a number"),
                          ([True] * len(given), "is not a number"),
+                         ([True, *given[1:]], "is not a number"),  # numpy alone reads it as 1.0
+                         ([given, [*given[:-1], False]], "is not a number"),
                          ([given, given[:1]], "is ragged")):
         with pytest.raises(DomainError) as err:
             call(**{**kwargs, argument: value})

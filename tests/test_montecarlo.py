@@ -733,6 +733,26 @@ class TestCorrelateAgainstPerLagOracle:
         if hasattr(os, "sched_getaffinity"):
             assert workers == min(len(os.sched_getaffinity(0)), montecarlo.MAX_WORKERS)
 
+    def test_duplicate_timestamps(self):
+        # photons on a 1 ns grid, three to a tick on average: their zero
+        # delays fall in bin 0, which the full histogram counts twice
+        ps = np.sort(np.random.default_rng(8).integers(0, 1000, 3000)) * 1000
+        stream = montecarlo.PhotonStream(ps / 1e12, np.zeros(ps.size), 1e-6, 0)
+        counts = self.check(stream, 2e-9, 20e-9)
+        zero_delays = sum(m * (m - 1) // 2 for m in np.unique(ps, return_counts=True)[1].tolist())
+        assert zero_delays > 0 and counts[counts.size // 2] >= 2 * zero_delays
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_dense_stream_on_the_bin_edges_in_sorts_of_any_size(self, split, monkeypatch, block):
+        # rate * window = 30 on a 1 ns grid: with 2 ns bins every other delay
+        # lies on a bin edge. A lag of at least block delays is sorted alone,
+        # shorter ones are held and sorted together when they reach block
+        # delays and at the chunk's end
+        monkeypatch.setattr(montecarlo, "SORT_BLOCK", block)
+        ps = np.sort(np.random.default_rng(9).integers(0, 500, 150)) * 1000
+        stream = montecarlo.PhotonStream(ps / 1e12, np.zeros(ps.size), 5e-7, 0)
+        assert self.check(stream, 2e-9, 100e-9).sum() > 2 * len(stream) * 20
+
     def test_pair_exactly_at_the_limit(self):
         # limit = (n_half + 0.5) * bin_width is the last bin's outer edge
         limit = (10 + 0.5) * 0.25
@@ -1135,6 +1155,18 @@ class TestStreamBytes:
         assert stream_outcome(path) == stream_outcome_by_table(monkeypatch, path)
         montecarlo.save_stream(montecarlo.load_stream(path)[0], again, rates=mc_rates, meta={"note": "x"})
         assert again.read_bytes() == path.read_bytes()
+
+    def test_mixed_channels_over_blocks(self, tmp_path):
+        # 150,000 rows, half ZPL and half PSB at random, over three blocks of rows
+        stream = poisson_stream(1e6, 0.15, seed=7)
+        path = tmp_path / "mixed.csv"
+        montecarlo.save_stream(stream, path)
+        assert len(stream) > 2 * _table.BLOCK_ROWS
+        meta, (counts, codes) = counts_values(path)
+        assert (meta, [counts, codes]) == table_values(path)
+        assert codes == stream.channel_tags.tolist()
+        other = _table.read_counts(path, {"ZPL": 5, "PSB": 9}, STREAM_HEADERS)  # codes other than 0 and 1
+        assert other.codes.tolist() == (5 + 4 * stream.channel_tags).tolist()
 
     @pytest.mark.parametrize("mutate", [
         lambda rows: rows.__setitem__(2, rows[2].replace(",", ", ")),  # a space
