@@ -19,7 +19,23 @@ Jacobian is taken once per accepted point and never again where the engine
 already holds it; the last one serves the polish and the covariance. The
 iteration runs under one np.errstate that silences floating-point warnings
 (the covariance is computed outside it). Weighting is 1/sigma^2 with
-uncertainties and uniform otherwise.
+uncertainties: each residual and each Jacobian row is divided by its
+sigma. Without them the residuals and the Jacobian are used as they come,
+with no weights at all. A Jacobian may come in any memory layout and is
+kept in it, with no copy: multi_lorentzian_jacobian's is column-major,
+filled one contiguous run per parameter.
+
+A start whose Jacobian with unit columns (MINPACK's scaling) has a
+singular-value ratio below RANK_TOL raises RankDeficiencyError. JtJ, which
+the first iteration needs anyway, decides most starts: scaled to unit
+columns, its n x n eigenvalues are read, and lambda_min >= (RANK_CERTIFICATE
++ 2 n N eps) lambda_max proves full rank. Forming JtJ from N points moves
+each entry of the unit-column matrix by at most about N eps, so its
+eigenvalues by about n N eps, and lambda_max >= 1; the true ratio is then
+at least 1e-8, a singular-value ratio of at least 1e-4, and the SVD test
+cannot fail. Every other start, and every one whose JtJ is not finite or
+has a column whose squares could underflow, is decided by the SVD of the
+unit-column Jacobian, which names the unidentifiable parameters.
 
 On top of the engine sit the fitters used throughout the package, each
 with its model's analytic Jacobian: the two-exponential g2 model,
@@ -42,6 +58,8 @@ from .models import (G2Curve, G2Params, PLSpectrum, PolarizationScan, Saturation
                      _numbers)
 
 RANK_TOL = 1e-12
+RANK_CERTIFICATE = 1e-8  # a unit-column JtJ eigenvalue ratio that proves a start's full rank
+EPS = float(np.finfo(float).eps)
 MAX_DAMPING = 1e14
 GRAD_RTOL = 1e-14
 STEP_RTOL = 1e-10
@@ -111,6 +129,32 @@ def _singular_direction_names(jac, names):
     return [names[j] for j in range(len(names)) if v[j] >= 0.3 * v.max()]
 
 
+def _check_start_rank(jac, normal, names):
+    """Raise RankDeficiencyError where jac with unit columns (MINPACK's
+    scaling, free of the parameters' units) has a singular-value ratio below
+    RANK_TOL. normal is jac's JtJ: where its unit-column form proves full
+    rank with RANK_CERTIFICATE to spare, no SVD of jac is taken."""
+    m, n = jac.shape
+    d = normal.diagonal()
+    # a column whose squares sum below m tiny/eps may have lost digits to underflow
+    if np.isfinite(normal).all() and d.min() >= m * np.finfo(float).tiny / EPS:
+        scale = 1.0 / np.sqrt(d)
+        lam = np.linalg.eigvalsh(normal * scale[:, None] * scale)
+        if lam[0] >= (RANK_CERTIFICATE + 2.0 * n * m * EPS) * lam[-1]:
+            return
+    norms = np.linalg.norm(jac, axis=0)
+    scaled = jac / np.where(norms > 0.0, norms, 1.0)
+    s = np.linalg.svd(scaled, compute_uv=False)
+    if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
+        involved = _singular_direction_names(scaled, names)
+        raise RankDeficiencyError(
+            "singular normal equations: parameters "
+            + ", ".join(involved)
+            + " are not independently identifiable",
+            parameters=involved,
+        )
+
+
 def _cost(r):
     # a finite but huge residual squares to inf, which the accept rule
     # rejects; the fit's errstate keeps the overflow quiet
@@ -140,22 +184,13 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names):
     before = None  # the point before p, whose cost is above p's
 
     jac = jacobian_fn(p)
-    # rank test on jac with unit columns (MINPACK's scaling): free of the parameters' units
-    norms = np.linalg.norm(jac, axis=0)
-    scaled = jac / np.where(norms > 0.0, norms, 1.0)
-    s = np.linalg.svd(scaled, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
-        involved = _singular_direction_names(scaled, names)
-        raise RankDeficiencyError(
-            "singular normal equations: parameters "
-            + ", ".join(involved)
-            + " are not independently identifiable",
-            parameters=involved,
-        )
+    normal = jac.T @ jac  # JtJ of jac; a new jac sets it to None until an iteration needs it
+    _check_start_rank(jac, normal, names)
 
     while iterations < MAX_ITERATIONS:
         grad = jac.T @ r
-        normal = jac.T @ jac
+        if normal is None:
+            normal = jac.T @ jac
         held = _held(p, grad, lo, hi)
         if held is not None:  # project the gradient and decouple the held
             grad[held] = 0.0  # parameters: their rows solve to a zero step
@@ -198,7 +233,7 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names):
         step_rel = math.sqrt(float(d @ d)) / (math.sqrt(float(p @ p)) + 1e-300)
         cost_rel = (cost - cost_new) / max(cost, 1e-300)
         before, p, r, cost = p, p_new, r_new, cost_new
-        jac = jacobian_fn(p)
+        jac, normal = jacobian_fn(p), None
         trace.append(cost)
         lam = max(lam / 3.0, 1e-14)
         if step_rel < STEP_RTOL or cost_rel < COST_RTOL:
@@ -294,7 +329,8 @@ def least_squares(
     jacobian : callable, keyword-only, required
         jacobian(x, *params) -> (len(y), len(params)) array of the model's
         partial derivatives (any shape of that size whose last axis has one
-        column per parameter). Its last call is at the returned values.
+        column per parameter, in any memory layout). Its last call is at the
+        returned values.
 
     Returns
     -------
@@ -308,8 +344,9 @@ def least_squares(
     numerically rank deficient, naming the unidentifiable parameter
     combination; DomainError naming ``ydata``, ``p0`` or ``sigma`` where it
     is not an array of finite numbers (``sigma``'s positive), naming the
-    parameter where a bound is neither None nor a number (NaN is none), and
-    when ``jacobian`` returns an array of the wrong shape. Non-convergence
+    parameter where a bound is neither None nor a number (NaN is none),
+    where ``names`` does not give one name per parameter, and when
+    ``jacobian`` returns an array of the wrong shape. Non-convergence
     is NOT an exception (``converged=False``).
     """
     y = _numbers("ydata", ydata).ravel()
@@ -318,9 +355,10 @@ def least_squares(
     if names is None:
         names = tuple(f"p{i}" for i in range(n))
     names = tuple(names)
-    if sigma is None:
-        weights = np.ones_like(y)
-    else:
+    if len(names) != n:
+        raise DomainError(f"names must give one name per parameter: {len(names)} names for {n} parameters")
+    weights = None
+    if sigma is not None:
         sig = _numbers("sigma", sigma, "be positive").ravel()
         if sig.shape != y.shape:
             raise DomainError("sigma must match ydata in length")
@@ -343,10 +381,8 @@ def least_squares(
     def residual_fn(p):
         nonlocal nfev
         nfev += 1
-        pred = np.asarray(model(xdata, *p), dtype=float).ravel()
-        return (pred - y) * weights
-
-    column_weights = weights[:, None]
+        r = np.asarray(model(xdata, *p), dtype=float).ravel() - y
+        return r if weights is None else r * weights
 
     def jacobian_fn(p):
         nonlocal njev
@@ -355,7 +391,8 @@ def least_squares(
         if jac.shape[-1:] != (n,) or jac.size != y.size * n:
             raise DomainError(f"jacobian must return a ({y.size}, {n}) array, one column per "
                               f"parameter; got shape {jac.shape}")
-        return jac.reshape(y.size, n) * column_weights
+        jac = jac.reshape(y.size, n)  # a view of any layout whose points merge into one axis
+        return jac if weights is None else jac * weights[:, None]  # the product keeps jac's layout
 
     # one errstate for the fit: overflow in a model or a cost marks a trial
     # step non-finite, which the engine rejects
@@ -510,21 +547,27 @@ def multi_lorentzian_jacobian(x, *params):
     """Partial derivatives of multi_lorentzian with respect to its params,
     one column each on a last axis. With hw = fwhm/2, d = x - center,
     den = d^2 + hw^2 and L = hw^2/den, a peak's columns are 2 A L d/den
-    (center), A hw d^2/den^2 (fwhm) and L (amplitude); the baseline's is 1."""
+    (center), A hw d^2/den^2 (fwhm) and L (amplitude); the baseline's is 1.
+    Each column is filled as one contiguous row of a parameter-major array,
+    which is returned with its parameter axis moved last (a view)."""
     x = np.asarray(x, dtype=float)
-    jac = np.empty(x.shape + (len(params),))
+    jac = np.empty((len(params),) + x.shape)
     for k in range(0, len(params) - 1, 3):
         center, fwhm, amplitude = params[k:k + 3]
         hw = fwhm / 2.0
         d = x - center
-        den = d * d + hw * hw
-        lor = hw * hw / den
-        g = amplitude * lor / den
-        jac[..., k] = 2.0 * g * d
-        jac[..., k + 1] = g * d * d / hw
-        jac[..., k + 2] = lor
-    jac[..., -1] = 1.0
-    return jac
+        den = d * d
+        den += hw * hw
+        lor = np.divide(hw * hw, den, out=jac[k + 2])
+        g = amplitude * lor
+        g /= den
+        np.multiply(g, 2.0, out=jac[k])
+        jac[k] *= d
+        np.multiply(g, d, out=jac[k + 1])
+        jac[k + 1] *= d
+        jac[k + 1] /= hw
+    jac[-1] = 1.0
+    return np.moveaxis(jac, 0, -1)
 
 
 def cos2_model(phi_deg, phi0, i_max, i_min):

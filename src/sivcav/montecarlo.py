@@ -111,8 +111,7 @@ from .models import (G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _float_
 
 RNG_SKIP = "sfc64/skip-2"  # event skipping
 RNG_COXIAN = "sfc64/cox-2"
-RNG_LEGACY = "philox4x64/skip-1"  # the tag of a stream file without an rng header
-RNG_NONE = "none"  # a stream no sampler drew, such as one built by hand
+RNG_NONE = "none"  # a stream no sampler drew: built by hand, or read from a file without an rng header
 
 PS_PER_S = 1e12  # time tags of stream files are integer picoseconds
 MAX_PS = 2**51  # below it, float seconds resolve every picosecond
@@ -682,7 +681,7 @@ def load_stream(path):
                 raise InputFormatError(path, int(table.lines[bad[0]]), "bad timestamp")
             times = times / PS_PER_S  # not a view that keeps the table's codes
     try:
-        stream = _handed_over(times, tags, duration, seed, meta.get("rng", RNG_LEGACY))
+        stream = _handed_over(times, tags, duration, seed, meta.get("rng", RNG_NONE))
     except ValidationError as err:
         raise InputFormatError(path, 0, str(err)) from None
     return stream, meta

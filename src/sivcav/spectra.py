@@ -157,6 +157,7 @@ def track_modes(steps, seed_peaks) -> TuningSeries:
         if not active:
             break
         wl = spectrum.wavelengths
+        min_fwhm = 2.0 * float(np.median(np.diff(wl)))  # two samples
         predicted = []
         for st in active:
             points, rate = st["points"], 0.0
@@ -173,7 +174,7 @@ def track_modes(steps, seed_peaks) -> TuningSeries:
                 fit is not None
                 and fit.converged
                 and fit[f"amplitude_{k}"] > 0
-                and fit[f"fwhm_{k}"] >= 2.0 * float(np.median(np.diff(wl)))
+                and fit[f"fwhm_{k}"] >= min_fwhm
                 and abs(fit[f"center_{k}"] - prediction) <= ASSOCIATION_FWHM * st["fwhm"]
             )
             if not kept:

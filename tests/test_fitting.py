@@ -133,6 +133,33 @@ class TestJacobian:
         rel = np.max(np.abs(analytic - central) / np.max(np.abs(central), axis=0))
         assert rel < 1e-6
 
+    # a 1-D grid and the same grid as a (20, 70) array, two peaks
+    @pytest.mark.parametrize("shape", [(1400,), (20, 70)], ids=["1d", "2d"])
+    def test_lorentzian_jacobian_is_its_column_formulas(self, shape):
+        x = np.linspace(725.0, 755.0, 1400).reshape(shape)
+        p = (735.0, 1.5, 500.0, 746.0, 3.0, 300.0, 30.0)
+        jac = fitting.multi_lorentzian_jacobian(x, *p)
+        assert jac.shape == shape + (len(p),)
+        assert np.array_equal(jac, lorentzian_columns(x, *p))
+
+
+def lorentzian_columns(x, *params):
+    """The multi-Lorentzian Jacobian written column by column into a
+    points-major array, one formula a column."""
+    jac = np.empty(x.shape + (len(params),))
+    for k in range(0, len(params) - 1, 3):
+        center, fwhm, amplitude = params[k:k + 3]
+        hw = fwhm / 2.0
+        d = x - center
+        den = d * d + hw * hw
+        lor = hw * hw / den
+        g = amplitude * lor / den
+        jac[..., k] = 2.0 * g * d
+        jac[..., k + 1] = g * d * d / hw
+        jac[..., k + 2] = lor
+    jac[..., -1] = 1.0
+    return jac
+
 
 SWEEP_POWERS = np.array([0.1, 0.3, 0.6, 1.0, 1.6, 2.4])
 
@@ -786,6 +813,105 @@ class TestEngine:
         with pytest.raises(DomainError, match=rf"\(20, 2\) array.*got shape \({expected[0]}, {expected[1]}\)"):
             fitting.least_squares(line, x, line(x, 2.0, 0.5), [1.0, 0.0],
                                   jacobian=lambda x, a, b: line_jacobian(x, a, b)[cut])
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c")], ids=["short", "long"])
+    def test_names_of_the_wrong_count_rejected(self, names):
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DomainError, match=f"{len(names)} names for 2 parameters"):
+            fitting.least_squares(line, x, 2.0 * x + 1.0, [1.0, 0.0], bounds=[(None, None), (2.0, None)],
+                                  names=names, jacobian=line_jacobian)
+
+    # a noisy two-peak spectrum on 1400 points and a noisy line on 40
+    @pytest.mark.parametrize("case", ["two-lorentzians", "line"])
+    def test_no_sigma_is_unit_sigma(self, rng, case):
+        if case == "line":
+            x = np.linspace(0.0, 5.0, 40)
+            args = (line, x, line(x, 3.0, -0.7) + rng.normal(0, 0.05, x.size), [0.0, 0.0])
+            jacobian = line_jacobian
+        else:
+            x = np.linspace(725.0, 755.0, 1400)
+            y = fitting.multi_lorentzian(x, 735.0, 1.5, 500.0, 746.0, 3.0, 300.0, 30.0)
+            args = (fitting.multi_lorentzian, x, rng.poisson(y).astype(float),
+                    [735.4, 2.0, 400.0, 745.5, 2.5, 250.0, 20.0])
+            jacobian = fitting.multi_lorentzian_jacobian
+        bare = fitting.least_squares(*args, jacobian=jacobian)
+        unit = fitting.least_squares(*args, sigma=np.ones(x.size), jacobian=jacobian)
+        assert bare.converged and bare.iterations > 1
+        assert np.array_equal(bare.values, unit.values)
+        assert np.array_equal(bare.covariance, unit.covariance)
+        assert (bare.cost_trace, bare.nfev, bare.njev) == (unit.cost_trace, unit.nfev, unit.njev)
+
+
+def svd_rank_oracle(jac, names):
+    """The start's rank test as one SVD of jac with unit columns: None where
+    the singular-value ratio reaches RANK_TOL, else the names of the weakest
+    direction's parameters."""
+    norms = np.linalg.norm(jac, axis=0)
+    scaled = jac / np.where(norms > 0.0, norms, 1.0)
+    _, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    if s[0] > 0.0 and s[-1] / s[0] >= fitting.RANK_TOL:
+        return None
+    if s[0] == 0.0:
+        return list(names)
+    v = np.abs(vt[-1])
+    return [name for name, vj in zip(names, v) if vj >= 0.3 * v.max()]
+
+
+def two_unit_columns(condition):
+    """Two unit columns on 200 points whose matrix has the given condition
+    number: the second is turned from the first by 2 arctan(1/condition)."""
+    u, v = np.linalg.qr(np.random.default_rng(7).normal(size=(200, 2)))[0].T
+    theta = 2.0 * math.atan(1.0 / condition)
+    return np.stack([u, math.cos(theta) * u + math.sin(theta) * v], axis=-1)
+
+
+LINE_X = np.linspace(0.0, 5.0, 20)
+START_JACOBIANS = {
+    **{f"condition-1e{e:g}": two_unit_columns(10.0**e) for e in np.arange(3.0, 6.25, 0.25)},
+    "condition-1e13": two_unit_columns(1e13),
+    "zero-column": np.stack([LINE_X, np.zeros_like(LINE_X)], axis=-1),
+    "a-plus-b": np.stack([LINE_X, LINE_X], axis=-1),
+    "scaled-1e150": np.stack([1e150 * LINE_X, 1e-150 * np.ones_like(LINE_X)], axis=-1),
+    "scaled-1e-150": np.stack([1e-150 * LINE_X, 1e150 * np.ones_like(LINE_X)], axis=-1),
+    "a-plus-b-scaled": np.stack([1e150 * LINE_X, 1e-150 * LINE_X], axis=-1),
+    "two-lorentzians": fitting.multi_lorentzian_jacobian(
+        np.linspace(725.0, 755.0, 1400), 735.4, 2.0, 400.0, 745.5, 2.5, 250.0, 20.0),
+}
+
+
+class TestStartRankTest:
+    @pytest.mark.parametrize("name", START_JACOBIANS)
+    def test_agrees_with_the_svd(self, name):
+        jac = START_JACOBIANS[name]
+        names = tuple(f"p{j}" for j in range(jac.shape[1]))
+        expected = svd_rank_oracle(jac, names)
+        if expected is None:
+            fitting._check_start_rank(jac, jac.T @ jac, names)
+        else:
+            with pytest.raises(RankDeficiencyError) as err:
+                fitting._check_start_rank(jac, jac.T @ jac, names)
+            assert list(err.value.parameters) == expected
+
+    def test_oracle_cases_fail_where_expected(self):
+        failing = {name for name, jac in START_JACOBIANS.items()
+                   if svd_rank_oracle(jac, tuple(f"p{j}" for j in range(jac.shape[1]))) is not None}
+        assert failing == {"condition-1e13", "zero-column", "a-plus-b", "a-plus-b-scaled"}
+
+    # eigenvalue ratios 1e-6 and 1e-7 are certified by the Gram matrix alone;
+    # 1e-9 and 1e-10 are left to the SVD, which passes them
+    @pytest.mark.parametrize("condition, svds", [(1e3, 0), (10**3.5, 0), (10**4.5, 1), (1e5, 1)])
+    def test_svd_only_where_the_gram_matrix_cannot_certify(self, monkeypatch, condition, svds):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        jac = two_unit_columns(condition)
+        fitting._check_start_rank(jac, jac.T @ jac, ("a", "b"))
+        assert len(calls) == svds
 
 
 class TestFitG2:

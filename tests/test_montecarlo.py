@@ -893,10 +893,11 @@ class TestStreamIO:
             assert back.rng_algorithm == tag
             assert back.timestamps.tolist() == [1e-6, 2.5e-6]
 
-    def test_file_without_rng_header_is_tagged_event_skipping(self, tmp_path):
+    def test_file_without_rng_header_names_no_sampler(self, tmp_path):
+        # a time tagger's file has no rng header: no sampler drew it
         path = tmp_path / "untagged.csv"
         path.write_text("# duration_s=1e-05\n# time_unit=ps\n1000000,ZPL\n")
-        assert montecarlo.load_stream(path)[0].rng_algorithm == "philox4x64/skip-1"
+        assert montecarlo.load_stream(path)[0].rng_algorithm == montecarlo.RNG_NONE == "none"
 
     def test_stream_built_by_hand_names_no_sampler(self, tmp_path):
         stream = montecarlo.PhotonStream(np.array([1e-6]), np.array([0], dtype=np.uint8), 1e-5, 0)
