@@ -215,7 +215,7 @@ def cmd_g2_sweep(args, paths):
     zero = dynamics.extrapolate_zero_power(sweep)
     fit = zero.fit
     results = {
-        "tau1_zero": _num(zero.tau1_zero, "s"),
+        "tau1_zero": _num(zero.tau1_zero, "s", zero.tau1_zero_sigma),
         "k21": _num(zero.rates.k21, "Hz", fit.sigma("k21")),
         "k23": _num(zero.rates.k23, "Hz", fit.sigma("k23")),
         "k31": _num(zero.rates.k31, "Hz", fit.sigma("k31")),

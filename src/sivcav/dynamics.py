@@ -23,7 +23,17 @@ speed, so tau1 = 1/(k12 + k21) and tau2 = 1/k31 even where k31 is the faster
 root. The
 formulas take an array of pump rates, so a power sweep is one evaluation;
 each power keeps its own validity checks, so a power without a
-two-exponential form never fails the others."""
+two-exponential form never fails the others.
+
+A power sweep sets k12 = sigma * power, and S and P are then straight
+lines in the power, whichever root is labelled tau1:
+
+    S = 1/tau1 + 1/tau2     = sigma power + k21 + k23 + k31,
+    P = 1/(tau1 tau2)       = sigma (k23 + k31) power + (k21 + k23) k31.
+
+At zero power k31 and k21 + k23 are the roots of k^2 - S k + P; the slopes
+are sigma and sigma (k23 + k31). The zero-power fit of a sweep starts at the
+rates these two lines give."""
 
 from __future__ import annotations
 
@@ -121,6 +131,13 @@ class ZeroPowerFit:
     rates: ThreeLevelRates
     sigma: float
     fit: FitResult
+
+    @property
+    def tau1_zero_sigma(self):
+        """Delta-method sigma of tau1_zero from the (k21, k23) block C of the
+        fit covariance: tau1_zero^2 sqrt(C11 + 2 C12 + C22)."""
+        c = self.fit.covariance
+        return self.tau1_zero**2 * math.sqrt(max(c[0, 0] + 2.0 * c[0, 1] + c[1, 1], 0.0))
 
 
 def generator(rates: ThreeLevelRates) -> np.ndarray:
@@ -290,18 +307,18 @@ def power_sweep(rates_at_unit_power: ThreeLevelRates, pump: PumpModel, powers) -
 
 
 def _sweep_observables(spectra: _Spectra):
-    """(tau1..., tau2..., a...) over the powers of a sweep's spectra;
-    inf in every slot of a power without a two-exponential form, which
-    rejects the parameter point."""
+    """(tau1..., tau2..., a...) over the powers of a sweep's spectra, with
+    the mask of the powers that have a two-exponential form; inf in every
+    slot of a power without one, which rejects the parameter point."""
     params, ok = _g2_param_arrays(spectra)
     params[:, ~ok] = np.inf
-    return params.ravel()
+    return params.ravel(), ok
 
 
-def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra: _Spectra):
+def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra: _Spectra, ok):
     """The (3n, 4) derivative of _sweep_observables, rows in its order, by
     (k21, k23, k31, sigma); ``spectra`` is _relaxation_spectra at
-    k12 = sigma * powers.
+    k12 = sigma * powers and ``ok`` the mask _sweep_observables gives there.
 
     A root of lam^2 + S lam + P moves by dlam = -(dS lam + dP)/(2 lam + S),
     where 2 lam + S is -gap for lam_fast and +gap for lam_slow, gap =
@@ -335,13 +352,20 @@ def _sweep_jacobian(powers, k21, k23, k31, sigma, spectra: _Spectra):
         db[2] -= b / k31
         da = (db - a * (d_slow - d_fast)) / gap
         jac = np.concatenate([d_fast / lam_fast**2, d_slow / lam_slow**2, np.where(a < 0.0, 0.0, da)], axis=1).T
-    _, ok = _g2_param_arrays(spectra)
     jac[~np.tile(ok, 3)] = 0.0
     return jac
 
 
 def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
     """Fit (k21, k23, k31, sigma) to the observed (tau1, tau2, a) triples.
+
+    The fit starts at the rates that the straight lines of the relaxation
+    rates' sum S = 1/tau1 + 1/tau2 and product P = 1/(tau1 tau2) in power
+    give (module docstring): k31 is the root of k^2 - S(0) k + P(0) nearer
+    1/tau2 and k21 + k23 the other, sigma is the slope of S and k23 + k31
+    the slope of P over it. On noise-free data that start is the answer.
+    Where the lines give complex roots, a start out of bounds or a
+    non-finite model, blander starts from the line of 1/tau1 follow.
 
     Residuals are relative for the time constants and scaled by a floor for
     the bunching amplitude, so all three observables contribute comparably.
@@ -360,43 +384,46 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
     t2 = np.array([g.tau2 for _, g in usable])
     a = np.array([g.a for _, g in usable])
 
-    # initial guesses: 1/tau1 is nearly linear in P; tau2 tracks 1/k31;
-    # the bunching amplitude fixes k23 through a ~ k12 k23 / (k31 (k12+k21+k23))
-    slope, intercept = np.polyfit(powers, 1.0 / t1, 1)
-    intercept = max(intercept, 0.1 * float(np.median(1.0 / t1)))
+    # one solve fits the lines of 1/tau1, S and P in power
+    rate1 = 1.0 / t1
+    lines = np.stack([rate1, rate1 + 1.0 / t2, rate1 / t2], axis=1)
+    design = np.stack([powers, np.ones_like(powers)], axis=1)
+    (slope, slope_sum, slope_product), (intercept, sum0, product0) = np.linalg.lstsq(design, lines)[0]
+    intercept = max(intercept, 0.1 * float(np.median(rate1)))
     sigma0 = max(slope, 0.05 * intercept / float(np.median(powers)))
     k31_0 = 1.0 / float(np.median(t2))
-    a_hi = float(a[-1])
-    k12_hi = sigma0 * float(powers[-1])
-    if a_hi > 1e-6 and k12_hi > 0:
-        k23_0 = a_hi * k31_0 * (k12_hi + intercept) / k12_hi
-        k23_0 = min(k23_0, 0.9 * intercept)
-    else:
-        k23_0 = 0.0
-    k21_0 = max(intercept - k23_0, 0.1 * intercept)
+    eps = 1e-6 * intercept
 
-    held = {}  # the spectra of the last parameters, which the Jacobian reuses
+    candidates = []
+    disc = sum0 * sum0 - 4.0 * product0
+    if disc >= 0.0 and sum0 > 0.0 and slope_sum > 0.0:
+        root = 0.5 * (sum0 + math.sqrt(disc))  # the larger; the other by Vieta, free of cancellation
+        k31 = min(root, product0 / root, key=lambda k: abs(k - k31_0))
+        k23 = max(slope_product / slope_sum - k31, 0.0)
+        start = (sum0 - k23 - k31, k23, k31, slope_sum)
+        if min(start[0], k31, slope_sum) >= eps:
+            candidates.append(start)
+    candidates += [(0.9 * intercept, 0.1 * intercept, k31_0, sigma0), (intercept, 0.0, k31_0, sigma0)]
 
-    def spectra(rates):
+    held = {}  # the last parameters' observables, with the spectra and mask the Jacobian reuses
+
+    def evaluate(rates):
         if rates not in held:
             held.clear()
             k21, k23, k31, sigma = rates
-            held[rates] = _relaxation_spectra(sigma * powers, k21, k23, k31)
+            spectra = _relaxation_spectra(sigma * powers, k21, k23, k31)
+            held[rates] = (spectra, *_sweep_observables(spectra))
         return held[rates]
 
     def model(_x, *rates):
-        return _sweep_observables(spectra(rates))
+        return evaluate(rates)[1]
 
     def jacobian(_x, *rates):
-        return _sweep_jacobian(powers, *rates, spectra(rates))
+        spectra, _, ok = evaluate(rates)
+        return _sweep_jacobian(powers, *rates, spectra, ok)
 
-    # the amplitude-based heuristic can land where the relaxation eigenvalues
-    # turn complex; fall back to progressively blander starting points
-    candidates = [
-        (k21_0, k23_0, k31_0, sigma0),
-        (0.9 * intercept, 0.1 * intercept, k31_0, sigma0),
-        (intercept, 0.0, k31_0, sigma0),
-    ]
+    # a start can land where the relaxation eigenvalues turn complex at some
+    # power; the first with a finite model is taken
     p0 = candidates[-1]
     for candidate in candidates:
         if np.all(np.isfinite(model(None, *candidate))):
@@ -407,7 +434,6 @@ def extrapolate_zero_power(sweep: PowerSweep) -> ZeroPowerFit:
     a_floor = max(0.05, float(np.median(np.abs(a))))
     sig = np.concatenate([t1, t2, np.full_like(a, a_floor)])
 
-    eps = 1e-6 * intercept
     fit = least_squares(
         model,
         powers,

@@ -694,6 +694,9 @@ class TestG2Commands:
         code, doc, _err = run_cli(capsys, "g2", "sweep", "--sweep", str(path))
         assert code == 0
         assert doc["results"]["tau1_zero"]["value"] == pytest.approx(2.6e-9, rel=0.05)
+        tau1_zero, cov = doc["results"]["tau1_zero"], np.array(doc["results"]["fit"]["value"]["covariance"])
+        direct = tau1_zero["value"] ** 2 * np.sqrt(cov[0, 0] + 2.0 * cov[0, 1] + cov[1, 1])
+        assert tau1_zero["sigma"] == pytest.approx(direct, rel=1e-12)
         report.validate_report(doc)
 
     def test_fit_flat_histogram_converges_unresolved(self, capsys, tmp_path):

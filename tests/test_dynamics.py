@@ -232,7 +232,7 @@ class TestG2Params:
         assert [g.tau1 for g in sweep.params] + [g.tau2 for g in sweep.params] + \
             [g.a for g in sweep.params] == expected
         spectra = dynamics._relaxation_spectra(1e8 * powers, 1e9, 0.0, k31)
-        assert dynamics._sweep_observables(spectra).tolist() == expected
+        assert dynamics._sweep_observables(spectra)[0].tolist() == expected
 
     def test_vanishing_pump_limit(self):
         rates = ThreeLevelRates(1e3, 2.247e9, 315e6, 5e7)
@@ -396,9 +396,10 @@ class TestStackedSpectrum:
     def test_sweep_observables_match_per_power_loop(self):
         kinds = set()
         for k21, k23, k31, sigma in self.parameter_points():
-            stacked = dynamics._sweep_observables(dynamics._relaxation_spectra(sigma * self.POWERS, k21, k23, k31))
+            stacked, ok = dynamics._sweep_observables(dynamics._relaxation_spectra(sigma * self.POWERS, k21, k23, k31))
             reference = self.reference_observables(k21, k23, k31, sigma)
             assert np.array_equal(np.isinf(stacked), np.isinf(reference))
+            assert np.array_equal(ok, np.isfinite(reference[:self.POWERS.size]))
             for i, p in enumerate(self.POWERS):
                 try:
                     rates = ThreeLevelRates(sigma * p, k21, k23, k31)
@@ -463,7 +464,7 @@ class TestStackedSpectrum:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.linalg.eig(g)[1].real, np.array([1.0, 0.0, 0.0]))
         spectra = dynamics._relaxation_spectra(0.5 * np.array([0.3, 1.0, 2.0]), 4.0, 0.5, 4.0)
-        out = dynamics._sweep_observables(spectra)
+        out, _ = dynamics._sweep_observables(spectra)
         assert np.isinf(out[1::3]).all()
         assert np.isfinite(np.delete(out, [1, 4, 7])).all()
 
@@ -563,6 +564,91 @@ class TestExtrapolateZeroPower:
             assert g_back.tau1 == pytest.approx(g_obs.tau1, rel=1e-5)
             assert g_back.tau2 == pytest.approx(g_obs.tau2, rel=1e-5)
             assert g_back.a == pytest.approx(g_obs.a, rel=1e-4, abs=1e-9)
+
+    @staticmethod
+    def fit_recording_start(monkeypatch, sweep):
+        """extrapolate_zero_power(sweep) and the start it gave the engine."""
+        starts = []
+        least_squares = fitting.least_squares
+
+        def recording(model, x, y, p0, **kwargs):
+            starts.append(tuple(float(v) for v in p0))
+            return least_squares(model, x, y, p0, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        zero = dynamics.extrapolate_zero_power(sweep)
+        return zero, starts[0]
+
+    # (k21, k23, k31, sigma, powers): the README rates; no shelving; the bulk
+    # and bandgap rates of test_inhibition_factor_of_two
+    NOISE_FREE = [
+        (2e9, 0.3e9, 50e6, 1e8, [0.5, 1.0, 1.5, 2.0, 3.0]),
+        (2.2e9, 0.0, 60e6, 1.5e9, [0.2, 0.5, 1.0, 2.0]),
+        (1.0 / 1.3e-9, 0.01 / 1.3e-9, 0.02 / 1.3e-9, 0.5e9, [0.1, 0.3, 0.7, 1.2, 2.0]),
+        (1.0 / 2.6e-9, 0.01 / 2.6e-9, 0.02 / 2.6e-9, 0.5e9, [0.1, 0.3, 0.7, 1.2, 2.0]),
+    ]
+
+    @pytest.mark.parametrize("k21, k23, k31, sigma, powers", NOISE_FREE,
+                             ids=["readme", "no-shelving", "bulk", "bandgap"])
+    def test_noise_free_sweep_starts_at_the_rates(self, monkeypatch, k21, k23, k31, sigma, powers):
+        # the relaxation rates' sum and product are exact lines in power
+        sweep = dynamics.power_sweep(ThreeLevelRates(0.0, k21, k23, k31), dynamics.PumpModel(sigma), powers)
+        zero, start = self.fit_recording_start(monkeypatch, sweep)
+        assert start == pytest.approx((k21, k23, k31, sigma), rel=1e-9, abs=1e-9 * k21)
+        assert zero.fit.converged
+
+    @staticmethod
+    def bland_start(sweep, start):
+        """Whether start is one of the two starts from the line of 1/tau1:
+        they alone take k31 = 1/median(tau2)."""
+        return start[2] == 1.0 / float(np.median([g.tau2 for g in sweep.params]))
+
+    def test_complex_roots_of_the_lines_fall_back(self, monkeypatch):
+        # k31 near k21 + k23 with tau2 stretched by 5 % per mW: the lines'
+        # zero-power roots k31 and k21 + k23 turn complex
+        powers = np.array([0.1, 0.3, 0.6, 1.0, 1.6, 2.4])
+        exact = dynamics.power_sweep(ThreeLevelRates(0.0, 1e9, 1e7, 1.01e9), dynamics.PumpModel(1e9), powers)
+        sweep = dynamics.PowerSweep(powers, tuple(
+            G2Params(g.tau1, g.tau2 * (1.0 + 0.05 * p), g.a) for p, g in zip(powers, exact.params)))
+        rate1 = np.array([1.0 / g.tau1 for g in sweep.params])
+        rate2 = np.array([1.0 / g.tau2 for g in sweep.params])
+        sum0 = np.polyfit(powers, rate1 + rate2, 1)[1]
+        product0 = np.polyfit(powers, rate1 * rate2, 1)[1]
+        assert sum0**2 < 4.0 * product0
+        zero, start = self.fit_recording_start(monkeypatch, sweep)
+        assert self.bland_start(sweep, start)
+        assert zero.fit.converged
+
+    def test_negative_k21_from_the_lines_falls_back(self, monkeypatch):
+        # 1/tau2 rising faster in power than 1/tau1: the product's slope over
+        # the sum's exceeds S(0) - k31, so the lines give k21 < 0
+        powers = np.array([0.1, 0.3, 0.6, 1.0, 1.6, 2.4])
+        rate1, rate2 = 2e9 + 0.4e9 * powers, 0.2e9 + 1.05e9 * powers
+        sweep = dynamics.PowerSweep(powers, tuple(
+            G2Params(1.0 / r1, 1.0 / r2, 0.1 * p) for r1, r2, p in zip(rate1, rate2, powers)))
+        slope_sum, sum0 = np.polyfit(powers, rate1 + rate2, 1)
+        slope_product, product0 = np.polyfit(powers, rate1 * rate2, 1)
+        root = 0.5 * (sum0 + np.sqrt(sum0**2 - 4.0 * product0))
+        k31 = min(root, product0 / root, key=lambda k: abs(k - 1.0 / np.median(1.0 / rate2)))
+        assert sum0 - (slope_product / slope_sum - k31) - k31 < 0.0 < k31
+        zero, start = self.fit_recording_start(monkeypatch, sweep)
+        assert self.bland_start(sweep, start)
+        assert zero.fit.converged
+
+    def test_tau1_zero_sigma_from_the_covariance(self, rng):
+        base = ThreeLevelRates(0.0, 2.2e9, 0.3e9, 60e6)
+        powers = np.array([0.1, 0.3, 0.6, 1.0, 1.6, 2.4])
+        sweep = dynamics.power_sweep(base, dynamics.PumpModel(1.5e9), powers)
+        noisy = dynamics.PowerSweep(powers, tuple(
+            G2Params(g.tau1 * (1 + 0.01 * rng.standard_normal()), g.tau2 * (1 + 0.01 * rng.standard_normal()),
+                     g.a * (1 + 0.01 * rng.standard_normal()))
+            for g in sweep.params))
+        zero = dynamics.extrapolate_zero_power(noisy)
+        cov = zero.fit.covariance
+        k = zero.rates.k21 + zero.rates.k23
+        direct = np.sqrt(cov[0, 0] + 2.0 * cov[0, 1] + cov[1, 1]) / k**2
+        assert zero.tau1_zero_sigma == pytest.approx(direct, rel=1e-12)
+        assert 0.0 < zero.tau1_zero_sigma < 0.05 * zero.tau1_zero
 
 
 class TestSaturation:
