@@ -12,7 +12,8 @@ in-process calls of the CLI). Each fit writes one JSON line to OUT, in the
 order the fits are made:
 
     {"test": ..., "index": ..., "fitter": ..., "sha256": ..., "converged": ...,
-     "nfev": ..., "njev": ..., "names": [...], "values": [...], "sigmas": [...]}
+     "unresolved": [...], "nfev": ..., "njev": ..., "names": [...], "values": [...],
+     "sigmas": [...]}
 
 ``test`` is the pytest node id (or ``<workload>[seed=N]/<input>``), ``index``
 the place of the fit in that test, ``fitter`` the function that made it.
@@ -29,9 +30,10 @@ when its tests are among those run.
 
 The compare form joins the fits of two records (each one file or several,
 comma-separated) on (test, index) and prints, per fitter, the fits
-compared, every change of ``converged``, the largest |new - old| / old
-sigma of a value and of a sigma, and the summed model and Jacobian calls
-(nfev + njev) on each side. A move within 4 ulps of the parameter's size
+compared, every change of ``converged`` with the ``unresolved`` names of
+each side (a record written before the field existed reads as ``?``), the
+largest |new - old| / old sigma of a value and of a sigma, and the summed
+model and Jacobian calls (nfev + njev) on each side. A move within 4 ulps of the parameter's size
 counts as none. Fits of a test that one record lacks are counted, not
 compared. It exits 1 when a fit stops converging, a value moves by more
 than VALUE_TOL (1e-6) of its old sigma, a fit is missing or fails
@@ -103,8 +105,9 @@ class FitDigest:
             entry["sha256"] = hashlib.sha256(entry["error"].encode()).hexdigest()
             raise
         else:
-            entry.update(sha256=_digest(fit), converged=bool(fit.converged), nfev=fit.nfev, njev=fit.njev,
-                         names=list(fit.names), values=fit.values.tolist(), sigmas=fit.sigmas.tolist())
+            entry.update(sha256=_digest(fit), converged=bool(fit.converged), unresolved=list(fit.unresolved),
+                         nfev=fit.nfev, njev=fit.njev, names=list(fit.names), values=fit.values.tolist(),
+                         sigmas=fit.sigmas.tolist())
             return fit
         finally:
             self.depth -= 1
@@ -173,7 +176,9 @@ def _fit_changes(s, where, a, b):
     """Add fit b against fit a (both recorded without error) to stats s."""
     s["compared"] += 1
     if a["converged"] != b["converged"]:
-        s["flips"].append(f"{where}: converged {a['converged']} -> {b['converged']}")
+        unresolved = [", ".join(e["unresolved"]) if "unresolved" in e else "?" for e in (a, b)]
+        s["flips"].append(f"{where}: converged {a['converged']} -> {b['converged']} "
+                          f"(unresolved [{unresolved[0]}] -> [{unresolved[1]}])")
         s["lost"] += a["converged"]
     for name, va, vb, sa, sb in zip(a["names"], a["values"], b["values"], a["sigmas"], b["sigmas"]):
         for field, x, y in (("value", va, vb), ("sigma", sa, sb)):

@@ -25,17 +25,26 @@ with no weights at all. A Jacobian may come in any memory layout and is
 kept in it, with no copy: multi_lorentzian_jacobian's is column-major,
 filled one contiguous run per parameter.
 
-A start whose Jacobian with unit columns (MINPACK's scaling) has a
-singular-value ratio below RANK_TOL raises RankDeficiencyError. JtJ, which
-the first iteration needs anyway, decides most starts: scaled to unit
-columns, its n x n eigenvalues are read, and lambda_min >= (RANK_CERTIFICATE
-+ 2 n N eps) lambda_max proves full rank. Forming JtJ from N points moves
-each entry of the unit-column matrix by at most about N eps, so its
-eigenvalues by about n N eps, and lambda_max >= 1; the true ratio is then
-at least 1e-8, a singular-value ratio of at least 1e-4, and the SVD test
-cannot fail. Every other start, and every one whose JtJ is not finite or
-has a column whose squares could underflow, is decided by the SVD of the
-unit-column Jacobian, which names the unidentifiable parameters.
+One rank rule judges a fit at its start and at its returned values: the SVD
+of the weighted Jacobian with unit columns (MINPACK's scaling, free of the
+parameters' units; a zero column scales by 1). A singular-value ratio below
+RANK_TOL leaves a direction unresolved, named by the parameters of the last
+right singular vector. At the start that raises RankDeficiencyError. At the
+returned values the same decomposition gives the covariance, with the column
+scaling undone and the singular values floored at RANK_TOL of the largest in
+unit columns, the rank ratio and the verdict: an unresolved fit reads
+converged=False and names the direction in FitResult.unresolved (the
+parameter evaporation of Transtrum, Machta & Sethna, PRL 104, 060201
+(2010), where a fit ends at the edge of the model's manifold).
+
+JtJ, which the first iteration needs anyway, decides most starts with no
+SVD: scaled to unit columns, its n x n eigenvalues are read, and lambda_min
+>= (RANK_CERTIFICATE + 2 n N eps) lambda_max proves full rank. Forming JtJ
+from N points moves each entry of the unit-column matrix by at most about
+N eps, so its eigenvalues by about n N eps, and lambda_max >= 1; the true
+ratio is then at least 1e-8, a singular-value ratio of at least 1e-4, and
+the SVD test cannot fail. Every other start, and every one whose JtJ is not
+finite or has a column whose squares could underflow, is decided by the SVD.
 
 On top of the engine sit the fitters used throughout the package, each
 with its model's analytic Jacobian: the two-exponential g2 model,
@@ -43,7 +52,8 @@ optionally convolved with a Gaussian instrument response in closed form
 (exponentially modified Gaussians), multi-Lorentzian spectra, cos^2
 polarization scans and two-parameter saturation curves. The zero-power
 sweep fit of ``dynamics`` passes its own. The engine reports the
-parameters it iterates; ``fit_g2`` and ``fit_cos2`` map their results once.
+parameters it iterates; ``fit_g2`` and ``fit_cos2`` map their results once,
+and ``fit_g2`` is judged in the parameters it reports.
 """
 
 from __future__ import annotations
@@ -78,7 +88,10 @@ class FitResult:
     ``residual_norm`` is the root of the weighted sum of squared residuals;
     ``cost_trace`` records the cost after every accepted iteration (it is
     non-increasing by construction). ``nfev`` and ``njev`` count the calls
-    of the model and of its Jacobian; ``to_dict`` leaves them out.
+    of the model and of its Jacobian. ``rank_ratio`` is the singular-value
+    ratio of the weighted Jacobian with unit columns at the returned values;
+    below RANK_TOL, ``unresolved`` names the parameters of its weakest
+    direction and ``converged`` is False.
     """
 
     names: tuple[str, ...]
@@ -91,6 +104,8 @@ class FitResult:
     dof: int
     nfev: int
     njev: int
+    rank_ratio: float
+    unresolved: tuple[str, ...]
 
     def __getitem__(self, name):
         return float(self.values[self.names.index(name)])
@@ -112,6 +127,10 @@ class FitResult:
             "residual_norm": self.residual_norm,
             "iterations": self.iterations,
             "converged": self.converged,
+            "rank_ratio": self.rank_ratio,
+            "unresolved": list(self.unresolved),
+            "nfev": self.nfev,
+            "njev": self.njev,
         }
 
 
@@ -120,20 +139,29 @@ def poisson_sigmas(counts):
     return np.sqrt(np.clip(np.asarray(counts, dtype=float), 1.0, None))
 
 
-def _singular_direction_names(jac, names):
-    """Names of the parameters that make up the Jacobian's weakest direction."""
-    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+def _unit_svd(jac, names):
+    """One SVD of jac with unit columns (MINPACK's scaling, free of the
+    parameters' units; a zero column scales by 1) and its verdict. Returns
+    (scale, s, vt, ratio, unresolved): jac = u diag(s) vt diag(scale), ratio
+    = s[-1] / s[0] (0 where jac is zero) and unresolved the names of the
+    parameters that make up the weakest direction where ratio is below
+    RANK_TOL, else empty."""
+    norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+    scale = np.where(norms > 0.0, norms, 1.0)
+    _, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+    ratio = abs(float(s[-1] / s[0])) if s[0] > 0.0 else 0.0  # LAPACK may return -0.0
+    if ratio >= RANK_TOL:
+        return scale, s, vt, ratio, ()
     if s[0] == 0.0:
-        return list(names)
+        return scale, s, vt, ratio, tuple(names)
     v = np.abs(vt[-1])
-    return [names[j] for j in range(len(names)) if v[j] >= 0.3 * v.max()]
+    return scale, s, vt, ratio, tuple(name for name, vj in zip(names, v) if vj >= 0.3 * v.max())
 
 
 def _check_start_rank(jac, normal, names):
-    """Raise RankDeficiencyError where jac with unit columns (MINPACK's
-    scaling, free of the parameters' units) has a singular-value ratio below
-    RANK_TOL. normal is jac's JtJ: where its unit-column form proves full
-    rank with RANK_CERTIFICATE to spare, no SVD of jac is taken."""
+    """Raise RankDeficiencyError where _unit_svd finds jac unresolved. normal
+    is jac's JtJ: where its unit-column form proves full rank with
+    RANK_CERTIFICATE to spare, no SVD of jac is taken."""
     m, n = jac.shape
     d = normal.diagonal()
     # a column whose squares sum below m tiny/eps may have lost digits to underflow
@@ -142,16 +170,13 @@ def _check_start_rank(jac, normal, names):
         lam = np.linalg.eigvalsh(normal * scale[:, None] * scale)
         if lam[0] >= (RANK_CERTIFICATE + 2.0 * n * m * EPS) * lam[-1]:
             return
-    norms = np.linalg.norm(jac, axis=0)
-    scaled = jac / np.where(norms > 0.0, norms, 1.0)
-    s = np.linalg.svd(scaled, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
-        involved = _singular_direction_names(scaled, names)
+    involved = _unit_svd(jac, names)[-1]
+    if involved:
         raise RankDeficiencyError(
             "singular normal equations: parameters "
             + ", ".join(involved)
             + " are not independently identifiable",
-            parameters=involved,
+            parameters=list(involved),
         )
 
 
@@ -273,13 +298,20 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names):
     return p, cost, trace, iterations, converged, jac
 
 
-def _covariance(jac, chi2_red):
-    """(Jt W J)^-1 times the reduced chi-square from the weighted Jacobian:
-    a direction degenerate at the solution (singular values floored at
-    RANK_TOL of the largest) shows as very large entries, not as an error."""
-    _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    s = np.clip(s, max(s[0], 1e-300) * RANK_TOL, None)
-    return (vt.T * (1.0 / s**2)) @ vt * chi2_red
+def _judged(fit, jac):
+    """fit judged at its values by _unit_svd of jac, the weighted Jacobian
+    there with one column per name: the covariance (Jt W J)^-1 times the
+    reduced chi-square, the rank ratio, the unresolved names and converged
+    only where the iteration converged and no direction is unresolved. The
+    unit-column singular values are floored at RANK_TOL of the largest (of
+    1 where jac is zero), so a degenerate direction shows as very large
+    entries, never as inf or NaN."""
+    scale, s, vt, ratio, unresolved = _unit_svd(jac, fit.names)
+    s = np.maximum(s, RANK_TOL * (s[0] or 1.0))
+    w = vt / scale
+    covariance = (w.T * (1.0 / s**2)) @ w * (2.0 * fit.cost_trace[-1] / fit.dof)
+    return replace(fit, covariance=covariance, rank_ratio=ratio, unresolved=unresolved,
+                   converged=fit.converged and not unresolved)
 
 
 def _bound(value, unbounded, names, j):
@@ -334,9 +366,14 @@ def least_squares(
 
     Returns
     -------
-    FitResult of the parameters iterated, covariance = (Jt W J)^-1 scaled by
-    the reduced chi-square with J taken at the returned values, ``nfev`` the
-    model evaluations and ``njev`` the evaluations of ``jacobian``.
+    FitResult of the parameters iterated, ``nfev`` the model evaluations and
+    ``njev`` the evaluations of ``jacobian``. One SVD of J W^1/2 with unit
+    columns at the returned values gives the covariance (Jt W J)^-1 scaled
+    by the reduced chi-square, its singular values floored at RANK_TOL of
+    the largest; the ``rank_ratio`` of the smallest to the largest; and the
+    verdict: below RANK_TOL, ``unresolved`` names the parameters of the weak
+    direction and ``converged`` is False, as it is where the iteration did
+    not converge. The start is held to the same rule.
 
     Raises
     ------
@@ -349,6 +386,14 @@ def least_squares(
     ``jacobian`` returns an array of the wrong shape. Non-convergence
     is NOT an exception (``converged=False``).
     """
+    return _judged(*_least_squares(model, xdata, ydata, p0, sigma, bounds, names, jacobian=jacobian))
+
+
+def _least_squares(model, xdata, ydata, p0, sigma=None, bounds=None, names=None, *, jacobian):
+    """least_squares up to _judged: its FitResult, with converged the
+    iteration's verdict and no covariance yet, and the weighted Jacobian at
+    the returned values, for fit_g2 to judge in the parameters it
+    reports."""
     y = _numbers("ydata", ydata).ravel()
     p0 = np.array(_numbers("p0", p0))  # a copy: a fit that takes no step returns its start
     n = p0.size
@@ -400,19 +445,21 @@ def least_squares(
         p, cost, trace, iterations, converged, jac = _lm_iterate(
             residual_fn, jacobian_fn, p0, lo, hi, names)
 
-    dof = max(y.size - n, 1)
-    return FitResult(
+    fit = FitResult(
         names=names,
         values=p,
-        covariance=_covariance(jac, (2.0 * cost) / dof),
+        covariance=None,
         residual_norm=math.sqrt(2.0 * cost),
         iterations=iterations,
         converged=converged,
         cost_trace=tuple(trace),
-        dof=dof,
+        dof=max(y.size - n, 1),
         nfev=nfev,
         njev=njev,
+        rank_ratio=math.nan,
+        unresolved=(),
     )
+    return fit, jac
 
 
 # --- model zoo ---------------------------------------------------------------
@@ -640,10 +687,11 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
     analytic Jacobian of either model.
 
     The engine iterates (a, tau1, d = tau2 - tau1), d >= tiny, from the
-    ordered pair of the init. The covariance comes from the (a, tau1, tau2)
-    Jacobian of the engine's last call, at the returned values: mapped from
-    (a, tau1, d), whose tau1 and d columns are nearly parallel where tau1 is
-    unresolved, it would lose the digits of sigma(tau2).
+    ordered pair of the init. The fit is judged (covariance, rank ratio and
+    unresolved names) by the (a, tau1, tau2) Jacobian of the engine's last
+    call, at the returned values: in (a, tau1, d), whose tau1 and d columns
+    are nearly parallel where tau1 is unresolved, it would lose the digits of
+    sigma(tau2) and name d.
     """
     if irf_sigma is not None:
         irf_sigma = _number("irf_sigma", irf_sigma, "be non-negative")
@@ -672,7 +720,7 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
 
     tiny = span * 1e-9
     tau1, tau2 = sorted((init.tau1, init.tau2))
-    fit = least_squares(
+    fit, _ = _least_squares(
         model,
         curve.delays,
         curve.values,
@@ -684,8 +732,7 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
     )
     jac = latest[0] if curve.sigmas is None else latest[0] * (1.0 / curve.sigmas)[:, None]
     a, tau1, d = fit.values
-    return replace(fit, names=("a", "tau1", "tau2"), values=np.array([a, tau1, tau1 + d]),
-                   covariance=_covariance(jac, fit.residual_norm**2 / fit.dof))
+    return _judged(replace(fit, names=("a", "tau1", "tau2"), values=np.array([a, tau1, tau1 + d])), jac)
 
 
 def g2_params_from_fit(result: FitResult) -> G2Params:
@@ -770,7 +817,9 @@ def fit_cos2(scan: PolarizationScan) -> FitResult:
 
     The result is made canonical once, covariance permuted with the values:
     i_max < i_min swap and turn phi0 by 90 degrees (the same curve), and
-    phi0 is folded into (-90, 90].
+    phi0 is folded into (-90, 90]. No swap meets an unresolved name: with
+    unit columns only phi0 can be unresolved, where i_max = i_min zeroes its
+    column and nothing is swapped.
     """
     if scan.angles.size < 5:
         raise DomainError("cos^2 fit needs at least 5 angles")

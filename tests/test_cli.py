@@ -699,9 +699,10 @@ class TestG2Commands:
         assert tau1_zero["sigma"] == pytest.approx(direct, rel=1e-12)
         report.validate_report(doc)
 
-    def test_fit_flat_histogram_converges_unresolved(self, capsys, tmp_path):
-        # a constant histogram cannot constrain the model: the fit converges
-        # with a on its bound and reports tau2 unresolved through its sigma
+    def test_fit_flat_histogram_exits_3_unresolved(self, capsys, tmp_path):
+        # a constant histogram cannot constrain the model: the fit ends with
+        # a on its bound, where the Jacobian's tau2 column is zero, and the
+        # report names tau2 unresolved (run_cli checks it is strict JSON)
         path = tmp_path / "flat.csv"
         tau = np.linspace(-2e-8, 2e-8, 41)
         with open(path, "w") as fh:
@@ -710,12 +711,33 @@ class TestG2Commands:
         code, doc, _err = run_cli(
             capsys, "g2", "fit", "--hist", str(path), "--init", "0.5,1e-9,8e-9"
         )
-        assert code == 0
+        assert code == 3
         results = doc["results"]
-        assert results["converged"]["value"] is True
-        assert results["fit"]["value"]["converged"] is True
+        assert results["converged"]["value"] is False
+        fit = results["fit"]["value"]
+        assert fit["converged"] is False and fit["unresolved"] == ["tau2"] and fit["rank_ratio"] < fitting.RANK_TOL
         assert results["a"]["value"] == 0.0
         assert results["tau2"]["sigma"] > 1e3 * results["tau2"]["value"]
+
+    def test_fit_collapsing_to_a_zero_jacobian_exits_3(self, capsys, tmp_path):
+        """A noiseless g2 curve (a = 0.0107, tau1 = 2.59 ns, tau2 = 6.95 ns,
+        241 delays over +-208.5 ns, sigma 0.0092) fitted from an init with
+        the lifetimes nearly equal collapses to the lifetimes' bound, where
+        the whole Jacobian is zero: exit 3, every parameter unresolved, a
+        strict-JSON report and no RuntimeWarning."""
+        tau = np.linspace(-208.5e-9, 208.5e-9, 241)
+        path = tmp_path / "noiseless.csv"
+        with open(path, "w") as fh:
+            for t, g in zip(tau, fitting.g2_model(tau, 0.0107, 2.59e-9, 6.95e-9)):
+                fh.write(f"{float(t)!r},{float(g)!r},0.0092\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, doc, _err = run_cli(capsys, "g2", "fit", "--hist", str(path), "--init", "0.0107,6.26e-9,7.65e-9")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 3
+        fit = doc["results"]["fit"]["value"]
+        assert fit["converged"] is False and fit["unresolved"] == ["a", "tau1", "tau2"] and fit["rank_ratio"] == 0.0
+        assert np.isfinite(fit["covariance"]).all()
 
     def test_seed_is_for_start_stop_mode_only(self, capsys, tmp_path, stream_file):
         """The splitter's --seed with full mode exits 2 before writing. A
