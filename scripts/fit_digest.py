@@ -21,10 +21,12 @@ The fitters of ``sivcav.fitting`` (``fit_*``) are recorded with what they
 return; a call of ``least_squares`` from other package code (the zero-power
 fit of ``sivcav.dynamics``) with the engine's result. A test's own
 ``least_squares`` calls are left out, since their models belong to the test.
-The hash covers the values, covariance, cost_trace, iterations, converged,
-nfev and njev; a fit that raises records its exception's type and message
-under ``error`` and hashes them. Two trees run with the same arguments give
-files whose ``diff`` is empty where every fit is equal (``==``). Hypothesis
+The hash covers every field of the FitResult but the names, which the
+record lists: the values, covariance, cost_trace, residual_norm,
+rank_ratio, iterations, converged, unresolved, dof, nfev and njev. A fit
+that raises records its exception's type and message under ``error`` and
+hashes them. Two trees run with the same arguments give files whose
+``diff`` is empty where every fit is equal (``==``). Hypothesis
 draws its examples at random unless seeded, so pass ``--hypothesis-seed``
 when its tests are among those run.
 
@@ -73,9 +75,10 @@ def _in_package(frame):
 
 def _digest(fit):
     h = hashlib.sha256()
-    for array in (fit.values, fit.covariance, np.asarray(fit.cost_trace, dtype=float)):
+    for array in (fit.values, fit.covariance, fit.cost_trace, (fit.residual_norm, fit.rank_ratio)):
         h.update(np.ascontiguousarray(array, dtype=float).tobytes())
-    h.update(repr((fit.iterations, bool(fit.converged), fit.nfev, fit.njev)).encode())
+    h.update(repr((fit.iterations, bool(fit.converged), tuple(fit.unresolved), fit.dof, fit.nfev,
+                   fit.njev)).encode())
     return h.hexdigest()
 
 

@@ -5,8 +5,10 @@ comments; a comment '# key=value' is a header (the last one of a key wins).
 One pass of numpy's text reader converts all rows; numbers take numpy's
 float syntax (Python's without digit-group underscores or non-ASCII
 digits). Only when that pass fails are the rows bisected with the same
-reader, to raise InputFormatError at the first faulty line. The writer prints floats as their
-shortest round-trip repr, so the same arrays give the same bytes.
+reader, to raise InputFormatError at the first faulty line. write_table,
+the one writer of table files, writes their header lines as '# ' comments
+(header_text, which the stream writer shares) and floats as their shortest
+round-trip repr, so the same arrays give the same bytes.
 
 Rows of a count and a label, '<1-16 digits>,<label>', the picosecond photon
 streams, also go through bytes: write_counts builds them with numpy, block by
@@ -357,11 +359,19 @@ def write_counts(fh, counts, tags, labels, convert=None):
             fh.write(records[lo:hi, first[lo]:width].tobytes())
 
 
-def write_table(fh, *columns):
-    """Write one row per index of the array columns, fields joined by commas,
-    each item as its repr (for a float, the shortest string that reads back
-    to it)."""
-    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
-    while block := list(islice(rows, BLOCK_ROWS)):
-        fh.write("\n".join(block))
-        fh.write("\n")
+def header_text(header):
+    """The lines of header as the comment lines '# <line>' of a table file."""
+    return "".join(f"# {line}\n" for line in header)
+
+
+def write_table(path, header, *columns):
+    """Write a table file: each line of header as a comment '# <line>', then
+    one row per index of the columns (arrays or sequences), fields joined by
+    commas, each item as its str (for a float, the shortest string that
+    reads back to it; for a string, its text)."""
+    rows = map(",".join, zip(*(map(str, np.asarray(c).tolist()) for c in columns)))
+    with open(path, "w") as fh:
+        fh.write(header_text(header))
+        while block := list(islice(rows, BLOCK_ROWS)):
+            fh.write("\n".join(block))
+            fh.write("\n")

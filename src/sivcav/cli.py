@@ -275,11 +275,9 @@ def cmd_spectra_track(args, paths):
         modes[label] = entry
     results = {"modes": {"value": modes, "units": "nm/step"}}
     if args.emit_curves:
-        with open(args.emit_curves, "w") as fh:
-            fh.write("# label,step,center_nm,fwhm_nm\n")
-            for label, track in series.tracked_modes.items():
-                for p in track.points:
-                    fh.write(f"{label},{p.step},{p.center!r},{p.fwhm!r}\n")
+        rows = [(label, p.step, p.center, p.fwhm) for label, track in series.tracked_modes.items()
+                for p in track.points]
+        write_table(args.emit_curves, ["label,step,center_nm,fwhm_nm"], *zip(*rows))
         paths.append(args.emit_curves)
     summary = [
         f"track {label}: {entry['rate_nm_per_step']:+.3f} nm/step "
@@ -345,9 +343,7 @@ def cmd_spectra_polarization(args, paths):
     paths.append(args.mixture)
     angles = spectra.polarization_mixture(emitter, modes, line_lambda, detunings)
     if args.emit_curves:
-        with open(args.emit_curves, "w") as fh:
-            fh.write("# detuning_nm,phi_deg\n")
-            write_table(fh, detunings, angles)
+        write_table(args.emit_curves, ["detuning_nm,phi_deg"], detunings, angles)
         paths.append(args.emit_curves)
     results = {
         "phi_first": _num(float(angles[0]), "deg"),

@@ -504,9 +504,7 @@ def save_power_sweep(sweep: PowerSweep, path):
     g2 = [sweep.params[i] for i in kept]
     columns = [sweep.powers[kept], np.array([g.tau1 for g in g2]) * 1e9,
                np.array([g.tau2 for g in g2]) * 1e9, np.array([g.a for g in g2], dtype=float)]
-    with open(path, "w") as fh:
-        fh.write("# power_mW,tau1_ns,tau2_ns,a\n")
-        write_table(fh, *columns)
+    write_table(path, ["power_mW,tau1_ns,tau2_ns,a"], *columns)
 
 
 def load_power_sweep(path) -> PowerSweep:

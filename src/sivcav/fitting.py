@@ -51,9 +51,15 @@ with its model's analytic Jacobian: the two-exponential g2 model,
 optionally convolved with a Gaussian instrument response in closed form
 (exponentially modified Gaussians), multi-Lorentzian spectra, cos^2
 polarization scans and two-parameter saturation curves. The zero-power
-sweep fit of ``dynamics`` passes its own. The engine reports the
-parameters it iterates; ``fit_g2`` and ``fit_cos2`` map their results once,
-and ``fit_g2`` is judged in the parameters it reports.
+sweep fit of ``dynamics`` passes its own.
+
+From engine to result: _least_squares returns what the engine found, the
+parameters it iterates, the weighted Jacobian at them and the run (cost
+trace, iterations, the iteration's verdict, dof, nfev, njev). _judged, the
+one place a FitResult is built, adds the verdict of one _unit_svd of that
+Jacobian; least_squares is _judged of _least_squares. fit_g2 hands _judged
+the (a, tau1, tau2) it reports with their Jacobian, and fit_cos2 makes its
+judged result canonical once.
 """
 
 from __future__ import annotations
@@ -295,23 +301,26 @@ def _lm_iterate(residual_fn, jacobian_fn, p, lo, hi, names):
             if not improved:
                 break
 
-    return p, cost, trace, iterations, converged, jac
+    return p, trace, iterations, converged, jac
 
 
-def _judged(fit, jac):
-    """fit judged at its values by _unit_svd of jac, the weighted Jacobian
-    there with one column per name: the covariance (Jt W J)^-1 times the
-    reduced chi-square, the rank ratio, the unresolved names and converged
-    only where the iteration converged and no direction is unresolved. The
-    unit-column singular values are floored at RANK_TOL of the largest (of
-    1 where jac is zero), so a degenerate direction shows as very large
+def _judged(names, values, jac, run):
+    """The FitResult of values, reached by run (the engine's cost trace,
+    iterations, verdict, dof, nfev and njev) and judged by _unit_svd of
+    jac, the weighted Jacobian there with one column per name: the
+    covariance (Jt W J)^-1 times the reduced chi-square, the rank ratio, the
+    unresolved names and converged only where the run converged and no
+    direction is unresolved.
+    The unit-column singular values are floored at RANK_TOL of the largest
+    (of 1 where jac is zero), so a degenerate direction shows as very large
     entries, never as inf or NaN."""
-    scale, s, vt, ratio, unresolved = _unit_svd(jac, fit.names)
+    trace, iterations, converged, dof, nfev, njev = run
+    scale, s, vt, ratio, unresolved = _unit_svd(jac, names)
     s = np.maximum(s, RANK_TOL * (s[0] or 1.0))
     w = vt / scale
-    covariance = (w.T * (1.0 / s**2)) @ w * (2.0 * fit.cost_trace[-1] / fit.dof)
-    return replace(fit, covariance=covariance, rank_ratio=ratio, unresolved=unresolved,
-                   converged=fit.converged and not unresolved)
+    covariance = (w.T * (1.0 / s**2)) @ w * (2.0 * trace[-1] / dof)
+    return FitResult(names, values, covariance, math.sqrt(2.0 * trace[-1]), iterations,
+                     converged and not unresolved, trace, dof, nfev, njev, ratio, unresolved)
 
 
 def _bound(value, unbounded, names, j):
@@ -390,9 +399,10 @@ def least_squares(
 
 
 def _least_squares(model, xdata, ydata, p0, sigma=None, bounds=None, names=None, *, jacobian):
-    """least_squares up to _judged: its FitResult, with converged the
-    iteration's verdict and no covariance yet, and the weighted Jacobian at
-    the returned values, for fit_g2 to judge in the parameters it
+    """least_squares up to _judged, which builds the FitResult from what
+    this returns: the names, the values the engine found, the weighted
+    Jacobian there and the run that reached them, (cost trace, iterations,
+    the iteration's verdict, dof, nfev, njev). fit_g2 judges the values it
     reports."""
     y = _numbers("ydata", ydata).ravel()
     p0 = np.array(_numbers("p0", p0))  # a copy: a fit that takes no step returns its start
@@ -442,24 +452,8 @@ def _least_squares(model, xdata, ydata, p0, sigma=None, bounds=None, names=None,
     # one errstate for the fit: overflow in a model or a cost marks a trial
     # step non-finite, which the engine rejects
     with np.errstate(all="ignore"):
-        p, cost, trace, iterations, converged, jac = _lm_iterate(
-            residual_fn, jacobian_fn, p0, lo, hi, names)
-
-    fit = FitResult(
-        names=names,
-        values=p,
-        covariance=None,
-        residual_norm=math.sqrt(2.0 * cost),
-        iterations=iterations,
-        converged=converged,
-        cost_trace=tuple(trace),
-        dof=max(y.size - n, 1),
-        nfev=nfev,
-        njev=njev,
-        rank_ratio=math.nan,
-        unresolved=(),
-    )
-    return fit, jac
+        p, trace, iterations, converged, jac = _lm_iterate(residual_fn, jacobian_fn, p0, lo, hi, names)
+    return names, p, jac, (tuple(trace), iterations, converged, max(y.size - n, 1), nfev, njev)
 
 
 # --- model zoo ---------------------------------------------------------------
@@ -720,7 +714,7 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
 
     tiny = span * 1e-9
     tau1, tau2 = sorted((init.tau1, init.tau2))
-    fit, _ = _least_squares(
+    _, (a, tau1, d), _, run = _least_squares(
         model,
         curve.delays,
         curve.values,
@@ -731,8 +725,7 @@ def fit_g2(curve: G2Curve, init: G2Params | None = None, irf_sigma: float | None
         jacobian=jacobian,
     )
     jac = latest[0] if curve.sigmas is None else latest[0] * (1.0 / curve.sigmas)[:, None]
-    a, tau1, d = fit.values
-    return _judged(replace(fit, names=("a", "tau1", "tau2"), values=np.array([a, tau1, tau1 + d])), jac)
+    return _judged(("a", "tau1", "tau2"), np.array([a, tau1, tau1 + d]), jac, run)
 
 
 def g2_params_from_fit(result: FitResult) -> G2Params:

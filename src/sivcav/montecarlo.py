@@ -65,7 +65,8 @@ others, and they are sorted together once they hold SORT_BLOCK or the chunk
 ends. So a chunk holds one lag's arrays and fewer than SORT_BLOCK waiting
 delays. Every delay is the same subtraction and the integer counts add in
 any order, so the histogram does not depend on the chunk size, the thread
-count or SORT_BLOCK.
+count or SORT_BLOCK. A start-stop histogram bins its delays by the same
+rule, _sorted_counts.
 
 _map, the one thread helper of the photon path, runs a function over a
 list of items on one thread per CPU the process may run on (its affinity
@@ -104,7 +105,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._table import read_columns, read_counts, read_table, write_counts, write_table
+from ._table import header_text, read_columns, read_counts, read_table, write_counts, write_table
 from .errors import DomainError, InputFormatError, ValidationError
 from .models import (G2Curve, RadiativeBudget, ThreeLevelRates, _arrays, _float_array, _floats,
                      _increasing, _number, _raise_if, _read_only, _shaped)
@@ -504,9 +505,9 @@ def apply_jitter(stream: PhotonStream, sigma_irf: float, seed: int) -> PhotonStr
 
 
 def _sorted_counts(d, pos_edges):
-    """np.histogram(d, pos_edges)[0] of delays 0 <= d <= pos_edges[-1], with d
-    sorted in place: each bin's count by searching its edges, its upper one
-    excluded but for the last bin's."""
+    """np.histogram(d, pos_edges)[0] of delays d, sorted in place: each bin's
+    count by searching its edges, its upper one excluded but for the last
+    bin's; a delay outside the edges is not counted."""
     d.sort()
     return np.diff(np.append(d.searchsorted(pos_edges[:-1]), d.searchsorted(pos_edges[-1], "right")))
 
@@ -588,17 +589,16 @@ def correlate(
 
     if mode == MODE_START_STOP:
         coin = _rng(seed).random(n) < 0.5
-        starts, stops = t[coin], t[~coin]
+        starts, stops = t[np.flatnonzero(coin)], t[np.flatnonzero(~coin)]
         if starts.size == 0 or stops.size == 0:
             raise DomainError("start-stop split left one detector empty")
         idx = np.searchsorted(stops, starts, side="right")
-        valid = idx < stops.size
+        valid = np.flatnonzero(idx < stops.size)  # the starts with a later stop
         delays = stops[idx[valid]] - starts[valid]
         n_bins = max(int(math.ceil(window / bin_width)), 1)
         edges = np.arange(n_bins + 1) * bin_width
-        counts = np.histogram(delays[delays <= edges[-1]], edges)[0]
         normalization = starts.size * (stops.size / duration) * bin_width
-        return HbtHistogram(edges, counts.astype(np.int64), normalization, MODE_START_STOP)
+        return HbtHistogram(edges, _sorted_counts(delays, edges), normalization, MODE_START_STOP)
 
     raise DomainError(f"unknown correlation mode {mode!r}")
 
@@ -645,7 +645,7 @@ def save_stream(stream: PhotonStream, path, rates: ThreeLevelRates | None = None
     header += [f"{key}={value}" for key, value in (meta or {}).items()]
     header.append("timestamp_ps,channel")
     with open(path, "wb") as fh:
-        fh.write("".join(f"# {line}\n" for line in header).encode())
+        fh.write(header_text(header).encode())
         write_counts(fh, stream.timestamps, stream.channel_tags, CHANNEL_LABELS, to_ps)
 
 
@@ -689,11 +689,8 @@ def load_stream(path):
 
 def save_histogram(hist: HbtHistogram, path):
     curve = hist.to_curve()
-    with open(path, "w") as fh:
-        fh.write(f"# mode={hist.mode}\n")
-        fh.write(f"# normalization={hist.normalization!r}\n")
-        fh.write("# tau_s,g2,sigma\n")
-        write_table(fh, curve.delays, curve.values, curve.sigmas)
+    write_table(path, [f"mode={hist.mode}", f"normalization={hist.normalization!r}", "tau_s,g2,sigma"],
+                curve.delays, curve.values, curve.sigmas)
 
 
 def load_g2_csv(path) -> G2Curve:

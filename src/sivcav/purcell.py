@@ -273,10 +273,8 @@ def rescale_qe(eta: float, radiative_factor: float) -> float:
 def save_field_map(field: FieldMap, path):
     if np.iscomplexobj(field.grid):
         raise DomainError("the CSV field-map format stores real amplitudes only")
-    with open(path, "w") as fh:
-        fh.write(f"# spacing_nm={field.spacing!r}\n")
-        fh.write(f"# origin={field.origin[0]!r},{field.origin[1]!r}\n")
-        write_table(fh, *field.grid.T)
+    write_table(path, [f"spacing_nm={field.spacing!r}", f"origin={field.origin[0]!r},{field.origin[1]!r}"],
+                *field.grid.T)
 
 
 def load_field_map(path) -> FieldMap:

@@ -8,7 +8,7 @@ up to the timestamp field.
 
 Reports are checked against the bundled JSON Schema in-house, with the
 semantics of draft 2020-12 for the keywords that schema uses: type, const,
-required, properties, additionalProperties, anyOf, minLength and pattern. A
+required, properties, additionalProperties, minLength and pattern. A
 schema with any other keyword (annotations such as title aside) raises
 NotImplementedError rather than pass unchecked; the tests hold the checker
 to the jsonschema package.
@@ -78,7 +78,7 @@ _TYPES = {  # JSON types as draft 2020-12 reads Python values: a bool is no numb
 }
 _ANNOTATIONS = frozenset(("$schema", "$id", "title", "description", "$comment"))
 _KEYWORDS = frozenset(("type", "const", "required", "properties", "additionalProperties",
-                       "anyOf", "minLength", "pattern"))
+                       "minLength", "pattern"))
 
 
 def _json_equal(a, b):
@@ -100,8 +100,7 @@ def _check_keywords(schema):
     unknown = schema.keys() - _KEYWORDS - _ANNOTATIONS
     if unknown:
         raise NotImplementedError(f"report schema keyword(s) {sorted(unknown)} are not checked")
-    for sub in (*schema.get("properties", {}).values(), *schema.get("anyOf", ()),
-                schema.get("additionalProperties", True)):
+    for sub in (*schema.get("properties", {}).values(), schema.get("additionalProperties", True)):
         _check_keywords(sub)
 
 
@@ -117,8 +116,6 @@ def _violations(value, schema):
         return f"{value!r} is not of type {', '.join(map(repr, kinds))}"
     if "const" in schema and not _json_equal(value, schema["const"]):
         return f"{schema['const']!r} was expected"
-    if "anyOf" in schema and all(_violations(value, sub) for sub in schema["anyOf"]):
-        return f"{value!r} is not valid under any of the given schemas"
     if isinstance(value, str):
         if len(value) < schema.get("minLength", 0):
             return f"{value!r} {'should be non-empty' if schema['minLength'] == 1 else 'is too short'}"

@@ -327,9 +327,7 @@ def polarization_mixture(
 
 
 def save_spectrum(spectrum: PLSpectrum, path):
-    with open(path, "w") as fh:
-        fh.write("# wavelength_nm,counts\n")
-        write_table(fh, spectrum.wavelengths, spectrum.intensities)
+    write_table(path, ["wavelength_nm,counts"], spectrum.wavelengths, spectrum.intensities)
 
 
 def load_spectrum(path) -> PLSpectrum:

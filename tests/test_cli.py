@@ -1356,3 +1356,12 @@ class TestReportContract:
         doc = report.build_report("purcell", {}, {})
         with pytest.raises(NotImplementedError, match="maxLength"):
             report.validate_report(doc)
+
+    def test_report_check_raises_on_any_of(self, monkeypatch):
+        # the bundled schema no longer uses anyOf, so the check no longer reads it
+        schema = report.load_report_schema()
+        schema["properties"]["results"]["additionalProperties"]["properties"]["value"] = {
+            "anyOf": [{"type": "number"}, {"type": "string"}]}
+        monkeypatch.setattr(report, "load_report_schema", lambda: schema)
+        with pytest.raises(NotImplementedError, match="anyOf"):
+            report.validate_report(report.build_report("purcell", {}, {}))

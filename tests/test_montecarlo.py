@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import sys
@@ -256,6 +257,33 @@ class TestGapSampler:
         name = type(montecarlo._rng(0).bit_generator).__name__.lower()
         for tag in (montecarlo.RNG_SKIP, montecarlo.RNG_COXIAN):
             assert tag.split("/")[0] == name
+
+    # SHA-256 of a seeded stream and of its jittered copy, keyed by the
+    # stream's rng tag: the tag names the order of the draws, so a change
+    # of that order must come with a new tag (and a new pin here)
+    DRAW_PINS = {
+        montecarlo.RNG_COXIAN: ("4cc0874746f4fb8532f8d6018df064ed9a483b166012db7ccef5115fff4ed8f2",
+                                "9232089b16747c29a878f26dccb3588dd080d3c03e8f02d914c5e68990db957f"),
+        montecarlo.RNG_SKIP: ("ca8017e84cd40fcedb9accbe89a35032a23d994ce2d6f94e8535efbd0235fe27",
+                              "ca28cc74d07039c7f5d0cd11007bd7e8d4b1d90dff0605523f951314a2a10faf"),
+    }
+
+    @pytest.mark.parametrize("rates, det, duration", [
+        (ThreeLevelRates(100e6, 2e9, 0.3e9, 50e6), 0.8, 2e-4),  # README, about 10^4 photons
+        (COMPLEX_ROOT_RATES, 0.5, 2.5e-3),
+    ], ids=["cox", "skip"])
+    def test_draws_are_pinned_to_their_rng_tag(self, rates, det, duration):
+        def sha256(stream):  # of the picosecond times a stream file holds, and the channels
+            ps = np.rint(stream.timestamps * 1e12).astype(np.int64)
+            return hashlib.sha256(ps.tobytes() + stream.channel_tags.tobytes()).hexdigest()
+
+        stream = montecarlo.simulate_stream(rates, FULLY_RADIATIVE, duration, det, seed=7)
+        tag = stream.rng_algorithm
+        assert tag in self.DRAW_PINS, f"rng tag {tag!r} has no pin: add the SHA-256 of its draws"
+        jittered = montecarlo.apply_jitter(stream, 296e-12, seed=8)
+        assert (sha256(stream), sha256(jittered)) == self.DRAW_PINS[tag], (
+            f"the draws under rng tag {tag!r} changed: a new order of draws needs a new tag "
+            "(bump it in montecarlo) and a new pin here")
 
     def test_fallback_matches_phase_type_oracle(self):
         stream = montecarlo.simulate_stream(COMPLEX_ROOT_RATES, FULLY_RADIATIVE, 0.012, 0.5, seed=25)
@@ -828,6 +856,23 @@ class TestCorrelate:
         h1 = montecarlo.correlate(stream, 1e-7, 2e-6, mode="start-stop", seed=3)
         h2 = montecarlo.correlate(stream, 1e-7, 2e-6, mode="start-stop", seed=3)
         assert np.array_equal(h1.counts, h2.counts)
+
+    @pytest.mark.parametrize("bin_width", [0.05e-6, 0.3e-6, 2.0**-19])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_start_stop_counts_are_the_histogram_of_its_delays(self, seed, bin_width):
+        # one binning rule in both modes: the counts are np.histogram's of
+        # the delays, on a Poisson stream and on one whose times are on a
+        # 2^-21 s grid, so that many delays fall exactly on bin edges
+        rng = np.random.default_rng(seed)
+        on_grid = np.sort(rng.choice(2**17, 20000, replace=False)) * 2.0**-21
+        for stream in (poisson_stream(1e6, 0.05, seed=seed),
+                       montecarlo.PhotonStream(on_grid, np.zeros(on_grid.size), 2.0**-4, seed)):
+            hist = montecarlo.correlate(stream, bin_width, 2e-6, mode="start-stop", seed=seed)
+            coin = montecarlo._rng(seed).random(len(stream)) < 0.5
+            starts, stops = stream.timestamps[coin], stream.timestamps[~coin]
+            idx = np.searchsorted(stops, starts, side="right")
+            delays = stops[idx[idx < stops.size]] - starts[idx < stops.size]
+            assert np.array_equal(hist.counts, np.histogram(delays, hist.bin_edges)[0])
 
     def test_empty_stream_rejected(self):
         empty = montecarlo.PhotonStream(np.empty(0), np.empty(0, dtype=np.uint8), 1.0, 0)
